@@ -32,10 +32,9 @@
 //	                executes; Ctrl-C leaves the directory resumable again
 //	-fm-record DIR  record every cell's FM traffic into per-cell shards
 //	                (DIR/<dataset>__<method>.jsonl + manifest)
-//	-fm-replay PATH replay FM traffic. A directory replays per-cell shards —
-//	                any subset of the recorded grid, down to a single cell —
-//	                failing loudly on a config-hash mismatch; a file replays
-//	                a legacy monolithic recording (SMARTFEAT cells only)
+//	-fm-replay DIR  replay FM traffic from per-cell shards (an -fm-record
+//	                directory) — any subset of the recorded grid, down to a
+//	                single cell — failing loudly on a config-hash mismatch
 //	-methods LIST   restrict the comparison grid's method cells
 //	-keep-going     run every cell even after one fails (default fail-fast
 //	                skips unstarted cells, reporting them as skipped)
@@ -172,7 +171,7 @@ func main() {
 	fmCacheSize := flag.Int("fm-cache-size", 0, "in-process LRU capacity in completions (implies -fm-cache; like -fm-cache this changes the config fingerprint — cached runs are self-consistent but not bit-identical to uncached ones)")
 	fmCacheDir := flag.String("fm-cache-dir", "", "cross-process completion-cache directory: a content-addressed read-through index over FM shard files (e.g. an -fm-record directory), serving completions a peer worker already paid for at $0; config-hash checked, disk hits carry replay semantics so a fully-covered run stays byte-identical")
 	fmRecord := flag.String("fm-record", "", "record per-cell FM shards (JSONL + manifest) into this directory; the whole selected grid is recorded in one run")
-	fmReplay := flag.String("fm-replay", "", "replay FM completions at zero simulated cost: a directory of per-cell shards (from -fm-record; config-hash checked, any cell subset) or a legacy monolithic recording file")
+	fmReplay := flag.String("fm-replay", "", "replay FM completions at zero simulated cost from a directory of per-cell shards (from -fm-record; config-hash checked, any cell subset)")
 	fmConcurrency := flag.Int("fm-concurrency", 0, "bound on each gateway's concurrent in-flight FM calls (0 = default 8)")
 	fmBackends := flag.Int("fm-backends", 0, "route FM traffic through a resilient pool of N replica backends (circuit breakers, least-loaded selection; 0 = no pool)")
 	fmHedge := flag.Duration("fm-hedge", 0, "hedge FM calls: fire a duplicate on a second backend after this delay, first success wins (0 = off; needs -fm-backends >= 2)")
@@ -308,7 +307,7 @@ func main() {
 	defer stop()
 
 	gridMode := *runDir != "" || *resume != "" || *fmRecord != "" || *keepGoing ||
-		*worker != "" || methods != nil || isDir(*fmReplay)
+		*worker != "" || methods != nil || *fmReplay != ""
 
 	// Observability: both switches feed the same process-wide registry; the
 	// tables on stdout are byte-identical with or without them.
@@ -358,7 +357,6 @@ func main() {
 			prof: prof,
 		})
 	} else {
-		cfg.FMReplayPath = *fmReplay
 		done := prof.Phase("run")
 		err = run(ctx, sel, selected, cfg)
 		done()
@@ -503,17 +501,13 @@ func runGrid(ctx context.Context, sel selections, names, methods []string, cfg e
 		}
 		defer stores.Close()
 		runner.Stores = stores
-	case isDir(o.fmReplay):
+	case o.fmReplay != "":
 		stores, err := fmgate.OpenReplayStoreSet(o.fmReplay, cfg.Fingerprint())
 		if err != nil {
 			return err
 		}
 		defer stores.Close()
 		runner.Stores = stores
-	case o.fmReplay != "":
-		// Legacy monolithic recording file: SMARTFEAT cells only.
-		cfg.FMReplayPath = o.fmReplay
-		runner.Config = cfg
 	}
 
 	endPlan := o.prof.Phase("plan")
@@ -630,14 +624,4 @@ func replaySelectionHint(sel selections, o gridOptions, names, methods []string)
 		parts = append(parts, "-fm-replay "+o.fmReplay)
 	}
 	return strings.Join(parts, " ")
-}
-
-// isDir reports whether path names an existing directory (the sharded
-// record/replay layout; a plain file is a legacy monolithic recording).
-func isDir(path string) bool {
-	if path == "" {
-		return false
-	}
-	info, err := os.Stat(path)
-	return err == nil && info.IsDir()
 }

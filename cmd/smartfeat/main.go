@@ -236,11 +236,9 @@ func buildRouter(o cliOptions) (*fmgate.Router, io.Closer, error) {
 		fmt.Fprintf(os.Stderr, "replaying shard %s of %s (recorded seed %d, budget %d, config %s)\n",
 			cell, o.fmReplay, man.Seed, man.Budget, man.ConfigHash)
 		gwOpts.Store, err = set.Shard(cell)
-		gwOpts.Replay = true
 		closer = set
 	case o.fmReplay != "":
 		gwOpts.Store, err = fmgate.OpenReplayStore(o.fmReplay)
-		gwOpts.Replay = true
 		closer = gwOpts.Store
 	case o.fmRecord != "" && (o.fmCell != "" || isDir(o.fmRecord)):
 		// Sharded recording: same shard-key resolution as the replay branch
@@ -262,7 +260,7 @@ func buildRouter(o cliOptions) (*fmgate.Router, io.Closer, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if o.fmCacheDir != "" && !gwOpts.Replay {
+	if o.fmCacheDir != "" && o.fmReplay == "" {
 		// Disk tier of the completion cache: checked after the LRU, before
 		// upstream. The CLI cannot recompute the experiments config hash, so
 		// — as with shard replay above — the manifest is accepted as-is and

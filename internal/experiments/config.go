@@ -47,27 +47,19 @@ type Config struct {
 	// FMConcurrency bounds each gateway's in-flight upstream calls
 	// (0 = gateway default of 8).
 	FMConcurrency int
-	// FMReplayPath, when set, serves every FM completion from the given
-	// monolithic fmgate recording instead of the simulators — zero simulated
-	// cost. It only covers the SMARTFEAT selector/generator gateways (the
-	// pre-sharding behaviour); the grid engine's per-cell sharding goes
-	// through FMStore instead.
-	FMReplayPath string
 	// FMStore is a per-cell record/replay shard, installed by the grid
 	// runner (internal/grid) from an fmgate.StoreSet: every gateway the cell
 	// builds — selector, generator, and each CAAFE session — shares it, so
-	// one recorded grid run replays per (dataset × method) cell. When set it
-	// takes precedence over FMReplayPath. FMStoreReplay selects replay mode
-	// (serve recorded completions, zero cost) versus record mode (append
-	// every upstream completion to the shard).
-	FMStore       *fmgate.Store
-	FMStoreReplay bool
+	// one recorded grid run replays per (dataset × method) cell. A record
+	// shard appends every upstream completion; a replay shard becomes each
+	// gateway's model (recorded completions, zero cost).
+	FMStore *fmgate.Store
 	// FMDiskCache is the cross-process tier of the completion cache: a
 	// content-addressed read-through index over a shard directory
 	// (fmgate.OpenDiskCache), installed on every non-replay gateway so a
 	// completion a peer worker already paid for is served from disk at $0.
-	// Disk hits carry the recording's replay semantics, so — like FMStore
-	// replay — they reproduce the paying run's outcomes exactly; the field
+	// Disk hits carry the recording's replay semantics, so — like a replay
+	// FMStore — they reproduce the paying run's outcomes exactly; the field
 	// is excluded from Fingerprint because a fully-covered cached run is
 	// byte-identical to the run that paid. (A *partially* covering cache
 	// directory is rejected up front only by config hash, not coverage, so

@@ -33,11 +33,11 @@ func smartfeatOptions(d *datasets.Dataset, cfg Config, operators core.OperatorSe
 	// The selector/generator gateways stay unscoped: their keys match the
 	// smartfeat CLI's recordings, so a grid cell's shard and a CLI recording
 	// of the same seed/budget are interchangeable.
-	selector, err := newGateway(fm.NewGPT4Sim(cfg.Seed, cfg.FMErrorRate), "selector", cfg)
+	selector, err := newGateway(fm.NewGPT4Sim(cfg.Seed, cfg.FMErrorRate), "selector", "", cfg)
 	if err != nil {
 		return core.Options{}, nil, err
 	}
-	generator, err := newGateway(fm.NewGPT35Sim(cfg.Seed+1, cfg.FMErrorRate), "generator", cfg)
+	generator, err := newGateway(fm.NewGPT35Sim(cfg.Seed+1, cfg.FMErrorRate), "generator", "", cfg)
 	if err != nil {
 		return core.Options{}, nil, err
 	}
@@ -56,62 +56,20 @@ func smartfeatOptions(d *datasets.Dataset, cfg Config, operators core.OperatorSe
 	}, router, nil
 }
 
-// newGateway wraps one selector/generator simulator with the config's
-// gateway settings. The store resolution order is: the grid runner's
-// per-cell shard (record or replay) if installed, else the legacy
-// monolithic replay recording. With a per-cell shard both roles share one
-// Store instance — keys embed the model name, so their queues stay disjoint
-// while record appends land in one shard file per cell.
-func newGateway(model fm.Model, role string, cfg Config) (*fmgate.Gateway, error) {
-	opts := fmgate.Options{
-		CacheSize:   cfg.FMCacheSize,
-		Concurrency: cfg.FMConcurrency,
-		Role:        role,
-	}
-	switch {
-	case cfg.FMStore != nil:
-		opts.Store = cfg.FMStore
-		opts.Replay = cfg.FMStoreReplay
-	case cfg.FMReplayPath != "":
-		// Every gateway opens its own cursor view of the monolithic
-		// recording, so replay order is per-run, not shared across
-		// concurrent cells.
-		store, err := fmgate.OpenReplayStore(cfg.FMReplayPath)
-		if err != nil {
-			return nil, err
-		}
-		opts.Store = store
-		opts.Replay = true
-	}
-	if !opts.Replay {
-		// The cross-process disk tier applies only to paying gateways: a
-		// replaying gateway already has an exact, cheaper source. Decided
-		// here (not inside fmgate) because PoolGateway rewrites the
-		// store/replay wiring when a pool replays through StoreModel.
-		opts.Disk = cfg.FMDiskCache
-	}
-	return fmgate.PoolGateway(model, opts, cfg.FMPool)
-}
-
-// newScopedGateway builds a per-session gateway that participates only in
-// the *sharded* per-cell store. The legacy monolithic FMReplayPath is
-// deliberately ignored: pre-sharding recordings hold selector/generator
-// traffic only, so routing CAAFE sessions through them would turn every
-// CAAFE prompt into a replay miss where the pre-grid harness ran the live
-// simulator.
-func newScopedGateway(model fm.Model, scope string, cfg Config) (*fmgate.Gateway, error) {
-	opts := fmgate.Options{
+// newGateway wraps one simulator with the config's gateway settings. Every
+// gateway of a cell shares the grid runner's per-cell shard: keys embed the
+// model name and scope, so the roles' queues stay disjoint while record
+// appends land in one shard file per cell. A replaying shard becomes the
+// gateway's model (fmgate.New), which then also ignores the disk tier.
+func newGateway(model fm.Model, role, scope string, cfg Config) (*fmgate.Gateway, error) {
+	return fmgate.PoolGateway(model, fmgate.Options{
 		CacheSize:   cfg.FMCacheSize,
 		Concurrency: cfg.FMConcurrency,
 		Scope:       scope,
 		Store:       cfg.FMStore,
-		Replay:      cfg.FMStore != nil && cfg.FMStoreReplay,
-		Role:        "caafe",
-	}
-	if !opts.Replay {
-		opts.Disk = cfg.FMDiskCache
-	}
-	return fmgate.PoolGateway(model, opts, cfg.FMPool)
+		Disk:        cfg.FMDiskCache,
+		Role:        role,
+	}, cfg.FMPool)
 }
 
 // poolDegradedErr surfaces the first fully-circuit-open backend-pool failure
@@ -246,7 +204,7 @@ func RunCAAFE(ctx context.Context, d *datasets.Dataset, clean *dataframe.Frame, 
 		// identical prompts on identical frames, so without a scope their
 		// record/replay queues would interleave nondeterministically under
 		// the shared per-cell shard.
-		gw, gwErr := newScopedGateway(fm.NewGPT4Sim(cfg.Seed+7, cfg.FMErrorRate), "caafe/"+ds, cfg)
+		gw, gwErr := newGateway(fm.NewGPT4Sim(cfg.Seed+7, cfg.FMErrorRate), "caafe", "caafe/"+ds, cfg)
 		if gwErr != nil {
 			cells[i] = session{runErr: gwErr}
 			return

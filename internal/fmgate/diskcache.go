@@ -80,21 +80,12 @@ type DiskCacheOptions struct {
 	Locker Locker
 }
 
-// diskEntry is one queued outcome plus its provenance: entries ingested from
-// shard files carry replay-grade semantics (sticky keys re-serve the last
-// file-backed outcome when exhausted, exactly like Store.replay); entries
-// this process learned from its own upstream calls are for peers only and
-// are never re-served to ourselves — a repeat must go upstream exactly as it
-// would without the cache tier.
-type diskEntry struct {
-	replayEntry
-	fromFile bool
-}
-
-// diskKey is the per-content-address replay queue of the disk tier.
+// diskKey is the per-content-address queue of the disk tier. Entries
+// ingested from shard files carry replay-grade semantics; entries this
+// process learned from its own upstream calls are for peers only (see
+// replayEntry.learned).
 type diskKey struct {
-	entries []diskEntry
-	cursor  int
+	queue
 	// src is the shard file the entries came from; multi flags a key fed by
 	// more than one source. A multi-source union has no meaningful replay
 	// order (two cells' sampling draws interleaved by file-name sort), so
@@ -290,7 +281,7 @@ func (d *DiskCache) ingestLocked(name string) {
 			if len(data) > 0 {
 				var e storeEntry
 				if err := json.Unmarshal(data, &e); err == nil && e.Key != "" {
-					d.addEntryLocked(e.Key, name, diskEntry{replayEntry: replayEntry{response: e.Response, err: e.Error}, fromFile: true})
+					d.addEntryLocked(e.Key, name, replayEntry{response: e.Response, err: e.Error})
 				}
 			}
 		}
@@ -302,7 +293,7 @@ func (d *DiskCache) ingestLocked(name string) {
 	d.files[name] = consumed
 }
 
-func (d *DiskCache) addEntryLocked(key, src string, e diskEntry) {
+func (d *DiskCache) addEntryLocked(key, src string, e replayEntry) {
 	k := d.keys[key]
 	if k == nil {
 		k = &diskKey{src: src}
@@ -316,8 +307,8 @@ func (d *DiskCache) addEntryLocked(key, src string, e diskEntry) {
 
 // Get serves the next cached outcome for a content address, re-scanning the
 // directory (throttled) on miss so a peer's freshly-appended completions
-// become visible. sticky follows Store.replay: cacheable prompts stick at
-// their last outcome when the queue is exhausted; sampling prompts miss.
+// become visible. sticky follows queue.pop: cacheable prompts stick at their
+// last outcome when the queue is exhausted; sampling prompts miss.
 // errMsg is a recorded upstream failure, served faithfully so error-threshold
 // logic downstream sees the sequence the paying run saw.
 func (d *DiskCache) Get(key string, sticky bool) (text string, errMsg string, ok bool) {
@@ -338,7 +329,7 @@ func (d *DiskCache) Get(key string, sticky bool) (text string, errMsg string, ok
 
 func (d *DiskCache) popLocked(key string, sticky bool) (string, string, bool) {
 	k := d.keys[key]
-	if k == nil || len(k.entries) == 0 {
+	if k == nil {
 		return "", "", false
 	}
 	if k.multi {
@@ -353,35 +344,13 @@ func (d *DiskCache) popLocked(key string, sticky bool) (string, string, bool) {
 		e := k.entries[0]
 		return e.response, e.err, true
 	}
-	i := k.cursor
-	if i >= len(k.entries) {
-		if !sticky {
-			return "", "", false
-		}
-		// Exhausted sticky key: re-serve the last file-backed outcome
-		// (Store.replay semantics). A key holding only self-learned entries
-		// misses instead — repeats of our own paid completions go upstream
-		// exactly as they would without the tier.
-		i = -1
-		for j := len(k.entries) - 1; j >= 0; j-- {
-			if k.entries[j].fromFile {
-				i = j
-				break
-			}
-		}
-		if i < 0 {
-			return "", "", false
-		}
-	} else {
-		k.cursor = i + 1
-	}
-	e := k.entries[i]
-	return e.response, e.err, true
+	e, ok := k.pop(sticky)
+	return e.response, e.err, ok
 }
 
-func uniformEntries(es []diskEntry) bool {
+func uniformEntries(es []replayEntry) bool {
 	for _, e := range es[1:] {
-		if e.replayEntry != es[0].replayEntry {
+		if e.response != es[0].response || e.err != es[0].err {
 			return false
 		}
 	}
@@ -400,9 +369,9 @@ func (d *DiskCache) Learn(key, prompt, response, errMsg string, persisted bool) 
 	if d.closed {
 		return
 	}
-	d.addEntryLocked(key, learnSrc, diskEntry{replayEntry: replayEntry{response: response, err: errMsg}})
+	d.addEntryLocked(key, learnSrc, replayEntry{response: response, err: errMsg, learned: true})
 	k := d.keys[key]
-	k.cursor = len(k.entries)
+	k.next = len(k.entries)
 	if persisted || !d.opts.Live {
 		return
 	}

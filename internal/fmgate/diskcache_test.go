@@ -388,8 +388,8 @@ func TestGatewayDiskHitRecordThrough(t *testing.T) {
 	if replay.Len() != 1 {
 		t.Fatalf("recorded %d entries, want 1 (disk hit must be written through)", replay.Len())
 	}
-	if text, _, ok := replay.replay(key, true); !ok || text != "peer-response" {
-		t.Fatalf("replay = (%q, %v)", text, ok)
+	if e, ok := replay.pop(key, true); !ok || e.response != "peer-response" {
+		t.Fatalf("replay = (%q, %v)", e.response, ok)
 	}
 }
 

@@ -9,8 +9,10 @@
 //     directories (DiskCache), then upstream — so repeated deterministic
 //     prompts are served without a model call and a completion one worker
 //     paid for is served to its peers at $0;
-//   - an on-disk record/replay store: a recorded run replays byte-identical
-//     completions with zero simulated cost and latency;
+//   - an on-disk record/replay store: a record store appends every upstream
+//     outcome, and a replay store becomes the gateway's model, so a recorded
+//     run replays byte-identical completions with zero simulated cost and
+//     latency through the same cache, dedup and concurrency layers;
 //   - in-flight deduplication (singleflight) so concurrent identical prompts
 //     share one upstream call;
 //   - a bounded-concurrency asynchronous submitter (Submit) that the
@@ -58,18 +60,19 @@ type Options struct {
 	// Nil means fm.CacheableTask (sampling prompts excluded — reissuing an
 	// identical sampling prompt must draw a fresh candidate).
 	Cacheable func(prompt string) bool
-	// Store is the record/replay store (optional). In record mode every
-	// upstream completion is appended; see Replay.
+	// Store is the record/replay store (optional). A record store
+	// (NewRecordStore) appends every upstream outcome. A replay store
+	// (OpenReplayStore, or a replaying StoreSet's shard) becomes the model:
+	// the gateway serves it through a StoreModel instead of the model it was
+	// given, counts its completions as Replayed, and neither records nor
+	// reads Disk. A replay miss is an error: a replayed run never silently
+	// falls through to paid traffic.
 	Store *Store
-	// Replay serves completions from Store instead of the model. A miss is
-	// an error: a replayed run must never silently fall through to paid
-	// traffic.
-	Replay bool
 	// Disk is the cross-process tier of the completion cache (optional): a
 	// content-addressed read-through index over a shard directory, checked
 	// after the in-process LRU and before upstream. A disk hit costs $0 and
-	// is promoted into the LRU. Ignored in Replay mode (the replay store is
-	// already an exact, cheaper source). When Disk is set and CacheSize is
+	// is promoted into the LRU. Ignored with a replay Store (the recording
+	// is already an exact, cheaper source). When Disk is set and CacheSize is
 	// 0, the gateway still runs an in-process LRU in promote-only mode:
 	// only disk-tier hits (replay-grade outcomes) populate it, never fresh
 	// upstream completions, so enabling the tier cannot change results for
@@ -94,7 +97,7 @@ type Options struct {
 type Metrics struct {
 	// Requests is every completion asked of the gateway.
 	Requests int64
-	// UpstreamCalls reached the wrapped model (after cache/dedup/replay).
+	// UpstreamCalls reached the wrapped model (after cache/dedup).
 	UpstreamCalls int64
 	// CacheHits were served from the in-memory completion cache.
 	CacheHits int64
@@ -102,7 +105,8 @@ type Metrics struct {
 	DiskHits int64
 	// InflightShares joined an identical in-flight upstream call.
 	InflightShares int64
-	// Replayed were served from the record/replay store.
+	// Replayed were served from a replay store: the upstream calls of a
+	// gateway whose model is a recording.
 	Replayed int64
 	// Retries counts upstream attempts beyond the first.
 	Retries int64
@@ -146,10 +150,12 @@ type Gateway struct {
 	model fm.Model
 	opts  Options
 	sem   chan struct{}
+	// replay marks a gateway whose model is a recording: its upstream calls
+	// count as Replayed and report the "replay" outcome.
+	replay bool
 
 	mu     sync.Mutex
 	flight map[string]*call
-	subs   []chan Metrics
 
 	// cache is the in-process tier: an N-way sharded LRU, internally locked
 	// (deliberately outside g.mu so hits never contend with singleflight
@@ -186,8 +192,28 @@ type gwInstruments struct {
 	fmcacheMemBytes  obs.Gauge
 }
 
-// New builds a gateway over the model.
+// New builds a gateway over the model, or over the recording when
+// opts.Store is a replay store.
 func New(model fm.Model, opts Options) *Gateway {
+	model, replay := replayModel(model, &opts)
+	return newGateway(model, opts, replay)
+}
+
+// replayModel resolves the model a gateway talks to: the recording itself
+// when opts.Store is a replay store. A replaying gateway never records and
+// never reads the disk tier, so Store and Disk are taken out of opts.
+func replayModel(model fm.Model, opts *Options) (fm.Model, bool) {
+	if opts.Store == nil || !opts.Store.replaying() {
+		return model, false
+	}
+	replay := NewStoreModel(opts.Store, model.Name(), opts.Scope)
+	opts.Store, opts.Disk = nil, nil
+	return replay, true
+}
+
+// newGateway builds a gateway over an already resolved model; replay marks
+// the model as a recording.
+func newGateway(model fm.Model, opts Options, replay bool) *Gateway {
 	if opts.Concurrency <= 0 {
 		opts.Concurrency = 8
 	}
@@ -201,11 +227,12 @@ func New(model fm.Model, opts Options) *Gateway {
 		model:  model,
 		opts:   opts,
 		sem:    make(chan struct{}, opts.Concurrency),
+		replay: replay,
 		flight: make(map[string]*call),
 	}
 	if opts.CacheSize > 0 {
 		g.cache = newShardedCache(opts.CacheSize, &g.ins.fmcacheEvictions, &g.ins.fmcacheMemBytes)
-	} else if opts.Disk != nil && !opts.Replay {
+	} else if opts.Disk != nil {
 		g.cache = newShardedCache(defaultPromoteCacheSize, &g.ins.fmcacheEvictions, &g.ins.fmcacheMemBytes)
 		g.promoteOnly = true
 	}
@@ -235,8 +262,9 @@ const defaultPromoteCacheSize = 1 << 14
 func (g *Gateway) Name() string { return g.model.Name() }
 
 // Usage implements fm.Model: accounting of the *upstream* model. Completions
-// served from cache, dedup or replay cost nothing, so a fully replayed run
-// reports zero calls and zero simulated cost.
+// served from cache or dedup cost nothing, and a replaying gateway's model is
+// the recording, so a fully replayed run reports zero calls and zero
+// simulated cost.
 func (g *Gateway) Usage() fm.Usage { return g.model.Usage() }
 
 // ResetUsage implements fm.Model.
@@ -280,14 +308,17 @@ func (g *Gateway) Submit(ctx context.Context, prompt string) <-chan fm.Result {
 	return out
 }
 
-// complete is the shared request path: replay, cache, singleflight, bounded
+// complete is the shared request path: cache, singleflight, bounded
 // upstream call with retries. cached reports the completion did not reach
-// the upstream model. Every request is one fm.call span (when a tracer is
+// a paid upstream model. Every request is one fm.call span (when a tracer is
 // installed) and one fm_request_seconds observation.
 func (g *Gateway) complete(ctx context.Context, prompt string) (text string, cached bool, err error) {
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "fm.call")
 	outcome := "upstream"
+	if g.replay {
+		outcome = "replay"
+	}
 	tier := ""
 	g.ins.requests.Inc()
 	defer func() {
@@ -296,7 +327,6 @@ func (g *Gateway) complete(ctx context.Context, prompt string) (text string, cac
 			outcome = "error"
 		}
 		g.ins.latency.ObserveDuration(time.Since(start))
-		g.publish()
 		span.SetAttr("outcome", outcome)
 		if tier != "" {
 			span.SetAttr("cache_tier", tier)
@@ -308,22 +338,6 @@ func (g *Gateway) complete(ctx context.Context, prompt string) (text string, cac
 	}
 	key := g.Key(prompt)
 	shareable := g.opts.Cacheable(prompt)
-
-	if g.opts.Replay {
-		text, rerr, ok := g.opts.Store.replay(key, shareable)
-		if !ok {
-			return "", false, fmt.Errorf("fmgate: replay miss for prompt %s (%s)", key, firstLine(prompt))
-		}
-		g.ins.replayed.Inc()
-		outcome = "replay"
-		if rerr != nil {
-			// A recorded upstream failure: reproduce it so the caller's
-			// error-threshold logic sees the same sequence the recording
-			// run did.
-			return "", true, rerr
-		}
-		return text, true, nil
-	}
 
 	if shareable && g.cache != nil {
 		if text, ok := g.cache.get(key); ok {
@@ -369,7 +383,7 @@ func (g *Gateway) complete(ctx context.Context, prompt string) (text string, cac
 
 	if !shareable {
 		text, err = g.callUpstream(ctx, key, prompt)
-		return text, false, err
+		return text, g.replay, err
 	}
 
 	// Singleflight: the first goroutine in becomes the leader; identical
@@ -398,7 +412,7 @@ func (g *Gateway) complete(ctx context.Context, prompt string) (text string, cac
 	delete(g.flight, key)
 	g.mu.Unlock()
 	close(c.done)
-	return c.text, false, c.err
+	return c.text, g.replay, c.err
 }
 
 // callUpstream performs the bounded, fault-injected, retried model call and
@@ -416,7 +430,6 @@ func (g *Gateway) callUpstream(ctx context.Context, key, prompt string) (string,
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			g.ins.retries.Inc()
-			g.publish()
 			delay := backoff
 			if hint, ok := RetryAfterHint(err); ok {
 				// A rate-limited upstream told us when to come back: honor
@@ -444,8 +457,11 @@ func (g *Gateway) callUpstream(ctx context.Context, key, prompt string) (string,
 			case <-t.C:
 			}
 		}
-		g.ins.upstreamCalls.Inc()
-		g.publish()
+		if g.replay {
+			g.ins.replayed.Inc()
+		} else {
+			g.ins.upstreamCalls.Inc()
+		}
 		if g.opts.Faults != nil {
 			text, err = g.opts.Faults.Call(ctx, g.model, prompt)
 		} else {
@@ -517,50 +533,6 @@ func (g *Gateway) Metrics() Metrics {
 		Retries:        g.ins.retries.Value(),
 		Errors:         g.ins.errors.Value(),
 	}
-}
-
-// Subscribe streams a metrics snapshot after every completed request. The
-// channel is buffered; snapshots are dropped (never blocking the request
-// path) when the consumer lags. The returned cancel function unsubscribes
-// and closes the channel.
-func (g *Gateway) Subscribe(buffer int) (<-chan Metrics, func()) {
-	if buffer <= 0 {
-		buffer = 16
-	}
-	ch := make(chan Metrics, buffer)
-	g.mu.Lock()
-	g.subs = append(g.subs, ch)
-	g.mu.Unlock()
-	cancel := func() {
-		g.mu.Lock()
-		for i, s := range g.subs {
-			if s == ch {
-				g.subs = append(g.subs[:i], g.subs[i+1:]...)
-				close(ch)
-				break
-			}
-		}
-		g.mu.Unlock()
-	}
-	return ch, cancel
-}
-
-// publish streams the current snapshot to subscribers (called after counter
-// changes; a no-op without subscribers).
-func (g *Gateway) publish() {
-	g.mu.Lock()
-	if len(g.subs) == 0 {
-		g.mu.Unlock()
-		return
-	}
-	snap := g.Metrics()
-	for _, ch := range g.subs {
-		select {
-		case ch <- snap:
-		default: // lagging consumer: drop, never block completions
-		}
-	}
-	g.mu.Unlock()
 }
 
 // firstLine abbreviates a prompt for error messages.

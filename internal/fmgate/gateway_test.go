@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -232,27 +233,6 @@ func TestSubmitCancellation(t *testing.T) {
 	}
 }
 
-// TestSubscribeStreamsSnapshots checks metric snapshots stream to a
-// subscriber as requests complete.
-func TestSubscribeStreamsSnapshots(t *testing.T) {
-	g := New(&countingModel{}, Options{Cacheable: allCacheable})
-	ch, cancel := g.Subscribe(64)
-	defer cancel()
-	ctx := context.Background()
-	for i := 0; i < 3; i++ {
-		if _, err := g.Complete(ctx, fmt.Sprintf("s%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var last Metrics
-	for len(ch) > 0 {
-		last = <-ch
-	}
-	if last.Requests != 3 || last.UpstreamCalls != 3 {
-		t.Fatalf("subscriber snapshot: %+v", last)
-	}
-}
-
 // insuranceCSV is the Table 1 example, expanded enough for group stats.
 const insuranceCSV = `Sex,Age,Age of car,Make,Claim in last 6 month,City,Safe
 M,21,6,Honda,1,SF,0
@@ -330,8 +310,8 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 		t.Fatal("recording is empty")
 	}
 	// Different seeds on purpose: replay must never consult the simulators.
-	repSel := New(fm.NewGPT4Sim(999, 0.5), Options{Store: replayStore, Replay: true})
-	repGen := New(fm.NewGPT35Sim(998, 0.5), Options{Store: replayStore, Replay: true})
+	repSel := New(fm.NewGPT4Sim(999, 0.5), Options{Store: replayStore})
+	repGen := New(fm.NewGPT35Sim(998, 0.5), Options{Store: replayStore})
 	replayed, err := core.Run(f, pipelineOptions(repSel, repGen))
 	if err != nil {
 		t.Fatal(err)
@@ -383,7 +363,7 @@ func TestReplayExhaustion(t *testing.T) {
 	}
 	// Same model name as the recorder (keys embed it); no responses needed —
 	// replay never consults the model.
-	g := New(fm.NewScripted(), Options{Store: replay, Replay: true})
+	g := New(fm.NewScripted(), Options{Store: replay})
 	for i, want := range []string{"s1", "s2"} {
 		if text, err := g.Complete(ctx, sampling); err != nil || text != want {
 			t.Fatalf("sampling replay %d: %q, %v", i, text, err)
@@ -396,6 +376,86 @@ func TestReplayExhaustion(t *testing.T) {
 		if text, err := g.Complete(ctx, deterministic); err != nil || text != "d1" {
 			t.Fatalf("deterministic replay %d: %q, %v", i, text, err)
 		}
+	}
+}
+
+// drawModel numbers its answers, so a replay that pops the wrong recorded
+// entry shows in the text. Prompts containing "boom" fail upstream.
+type drawModel struct{ calls int64 }
+
+func (m *drawModel) Complete(_ context.Context, prompt string) (string, error) {
+	n := atomic.AddInt64(&m.calls, 1)
+	if strings.Contains(prompt, "boom") {
+		return "", errors.New("upstream boom")
+	}
+	return fmt.Sprintf("draw %d: %s", n, firstLine(prompt)), nil
+}
+func (m *drawModel) Name() string    { return "draw" }
+func (m *drawModel) Usage() fm.Usage { return fm.Usage{} }
+func (m *drawModel) ResetUsage()     {}
+
+// TestReplayMirrorsRecordedTraffic records cacheable repeats, sampling
+// repeats and an upstream error through a caching gateway, then replays the
+// recording through a gateway built with the same options. The replay store
+// alone selects replay: outputs and errors match, the model is never called,
+// and the traffic counters mirror the recording's with upstream calls and
+// replays swapped — replay runs through the same cache the recording did.
+func TestReplayMirrorsRecordedTraffic(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "rec.fmrec")
+	det := "Task: " + fm.TaskGenerateFunction + "\nspec\n"
+	det2 := "Task: " + fm.TaskGenerateFunction + "\nother\n"
+	sampling := "Task: " + fm.TaskSampleBinary + "\ndraw\n"
+	bad := "Task: " + fm.TaskGenerateFunction + "\nboom\n"
+	prompts := []string{det, sampling, det, sampling, bad, det2, sampling, det, det2}
+	type outcome struct {
+		text string
+		err  error
+	}
+	run := func(g *Gateway) []outcome {
+		out := make([]outcome, len(prompts))
+		for i, p := range prompts {
+			out[i].text, out[i].err = g.Complete(context.Background(), p)
+		}
+		return out
+	}
+
+	store, err := NewRecordStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := New(&drawModel{}, Options{CacheSize: 16, Store: store})
+	recorded := run(rec)
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	replayStore, err := OpenReplayStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := &drawModel{}
+	rep := New(model, Options{CacheSize: 16, Store: replayStore})
+	replayed := run(rep)
+
+	for i := range prompts {
+		r, p := recorded[i], replayed[i]
+		if r.text != p.text || (r.err == nil) != (p.err == nil) {
+			t.Fatalf("prompt %d: recorded (%q, %v), replayed (%q, %v)", i, r.text, r.err, p.text, p.err)
+		}
+		if r.err != nil && !strings.HasSuffix(p.err.Error(), r.err.Error()) {
+			t.Fatalf("prompt %d: replayed error %q does not reproduce %q", i, p.err, r.err)
+		}
+	}
+	if n := atomic.LoadInt64(&model.calls); n != 0 {
+		t.Fatalf("replay called the model %d times", n)
+	}
+	want := rec.Metrics()
+	if want.CacheHits == 0 || want.Errors == 0 || want.UpstreamCalls == 0 {
+		t.Fatalf("recording exercised too little: %+v", want)
+	}
+	want.UpstreamCalls, want.Replayed = want.Replayed, want.UpstreamCalls
+	if got := rep.Metrics(); got != want {
+		t.Fatalf("replay metrics %+v, want the recording's mirrored: %+v", got, want)
 	}
 }
 
@@ -455,11 +515,12 @@ func TestReplayMissFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := New(&countingModel{}, Options{Store: replay, Replay: true})
+	model := &countingModel{}
+	g := New(model, Options{Store: replay})
 	if _, err := g.Complete(context.Background(), "never recorded"); err == nil {
 		t.Fatal("replay miss must be an error")
 	}
-	if atomic.LoadInt64(&g.model.(*countingModel).calls) != 0 {
+	if atomic.LoadInt64(&model.calls) != 0 {
 		t.Fatal("replay miss must not reach upstream")
 	}
 }

@@ -337,7 +337,7 @@ func TestPoolGatewayReplayEquivalence(t *testing.T) {
 		},
 		Seed: 11,
 	}
-	g, err := PoolGateway(model, Options{Store: store, Replay: true, Cacheable: allCacheable}, spec)
+	g, err := PoolGateway(model, Options{Store: store, Cacheable: allCacheable}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package fmgate
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -176,24 +175,16 @@ func (spec PoolSpec) Build(content fm.Model) (*Pool, error) {
 // replica transports over model. A nil spec (or Backends <= 0) falls back to
 // a plain gateway.
 //
-// In replay mode the recording itself becomes the pool's content source (a
-// StoreModel over opts.Store) and the gateway's own replay short-circuit is
-// disabled: completions stay byte-identical to the recorded run while the
-// transport layer — faults, outages, hedges, breakers — is fully exercised.
-// That inversion is how `make chaos` proves resilience hermetically.
+// With a replay Store the recording is the pool's content source, exactly as
+// it is a plain gateway's model: completions stay byte-identical to the
+// recorded run while the transport layer — faults, outages, hedges,
+// breakers — is fully exercised. That is how `make chaos` proves resilience
+// hermetically.
 func PoolGateway(model fm.Model, opts Options, spec *PoolSpec) (*Gateway, error) {
 	if spec == nil || spec.Backends <= 0 {
 		return New(model, opts), nil
 	}
-	content := model
-	if opts.Replay {
-		if opts.Store == nil {
-			return nil, errors.New("fmgate: pool replay needs a store")
-		}
-		content = NewStoreModel(opts.Store, model.Name(), opts.Scope)
-		opts.Store = nil
-		opts.Replay = false
-	}
+	content, replay := replayModel(model, &opts)
 	pool, err := spec.Build(content)
 	if err != nil {
 		return nil, err
@@ -205,5 +196,5 @@ func PoolGateway(model fm.Model, opts Options, spec *PoolSpec) (*Gateway, error)
 			opts.MaxRetries = 4
 		}
 	}
-	return New(pool, opts), nil
+	return newGateway(pool, opts, replay), nil
 }

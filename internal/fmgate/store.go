@@ -30,17 +30,15 @@ type storeEntry struct {
 // keyed by content address, and repeated identical prompts (the sampling
 // strategy reissues its template on purpose) replay in recorded order.
 //
-// Record mode appends every upstream completion to a JSONL file; replay mode
-// loads the file and serves per-key queues. When a key's queue is exhausted
-// — e.g. the recording run deduplicated via cache what the replay run asks
-// for repeatedly — the last response is served again (the recording is a
-// deterministic FM, so the repeat is exactly what the cache would return).
+// A record store (NewRecordStore) appends every upstream outcome to a JSONL
+// file. A replay store (OpenReplayStore) loads the file into per-key queues
+// and, attached to a gateway, becomes that gateway's model (see StoreModel);
+// queue.pop holds the replay rule.
 type Store struct {
-	mu      sync.Mutex
-	w       *bufio.Writer
-	closer  io.Closer
-	queues  map[string][]replayEntry
-	cursors map[string]int
+	mu     sync.Mutex
+	w      *bufio.Writer
+	closer io.Closer
+	queues map[string]*queue // nil for a record store
 }
 
 // NewRecordStore opens (truncating) a recording file.
@@ -66,7 +64,7 @@ func OpenReplayStore(path string) (*Store, error) {
 		return nil, fmt.Errorf("fmgate: opening recording: %w", err)
 	}
 	defer f.Close()
-	s := &Store{queues: make(map[string][]replayEntry), cursors: make(map[string]int)}
+	s := &Store{queues: make(map[string]*queue)}
 	r := bufio.NewReaderSize(f, 1<<16)
 	line := 0
 	for {
@@ -83,7 +81,12 @@ func OpenReplayStore(path string) (*Store, error) {
 					}
 					return nil, fmt.Errorf("fmgate: recording %s line %d: %w", path, line, err)
 				}
-				s.queues[e.Key] = append(s.queues[e.Key], replayEntry{response: e.Response, err: e.Error})
+				q := s.queues[e.Key]
+				if q == nil {
+					q = &queue{}
+					s.queues[e.Key] = q
+				}
+				q.entries = append(q.entries, replayEntry{response: e.Response, err: e.Error})
 			}
 		}
 		if readErr == io.EOF {
@@ -97,31 +100,75 @@ func OpenReplayStore(path string) (*Store, error) {
 }
 
 // replayEntry is one queued replay outcome: a response or a recorded
-// upstream error.
+// upstream error. learned marks an outcome this process paid for itself
+// (DiskCache.Learn): it is there for peers and is never re-served to us.
 type replayEntry struct {
 	response string
 	err      string
+	learned  bool
 }
 
-// Len reports how many completions the store holds (replay) or has written
-// (record).
+// queue is one content address's recorded outcomes in order plus the replay
+// cursor. Store and DiskCache both serve through its pop.
+type queue struct {
+	entries []replayEntry
+	next    int
+}
+
+// pop serves the next outcome — a response, or a recorded upstream error,
+// which callers reproduce as an error so error-threshold logic counts the
+// same failures the recording run saw. Once the queue is drained, sticky
+// (cacheable, deterministic) keys re-serve their last recorded outcome: the
+// recording run may have served later repeats from its cache, and the repeat
+// is exactly what a deterministic FM returns. Sampling keys miss instead,
+// because each recorded entry stands for a distinct draw and serving one
+// twice would silently fabricate duplicate candidates. Learned entries are
+// never re-served: a repeat of our own paid completion goes upstream exactly
+// as it would without the queue.
+func (q *queue) pop(sticky bool) (replayEntry, bool) {
+	if q.next < len(q.entries) {
+		q.next++
+		return q.entries[q.next-1], true
+	}
+	if sticky {
+		for i := len(q.entries) - 1; i >= 0; i-- {
+			if !q.entries[i].learned {
+				return q.entries[i], true
+			}
+		}
+	}
+	return replayEntry{}, false
+}
+
+// replaying reports whether s was opened for replay.
+func (s *Store) replaying() bool { return s.queues != nil }
+
+// Len reports how many recorded outcomes a replay store holds; a record
+// store reports 0.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
 	for _, q := range s.queues {
-		n += len(q)
+		n += len(q.entries)
 	}
 	return n
+}
+
+// pop serves the key's next recorded outcome (queue.pop).
+func (s *Store) pop(key string, sticky bool) (replayEntry, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if q := s.queues[key]; q != nil {
+		return q.pop(sticky)
+	}
+	return replayEntry{}, false
 }
 
 // record appends one completion or upstream error (record mode).
 func (s *Store) record(key, prompt, response, errMsg string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.w == nil {
-		return nil // replay-mode store attached to a recording gateway: ignore
-	}
 	b, err := json.Marshal(storeEntry{Key: key, Prompt: firstLine(prompt), Response: response, Error: errMsg})
 	if err != nil {
 		return err
@@ -132,40 +179,6 @@ func (s *Store) record(key, prompt, response, errMsg string) error {
 	// Flush per entry: a recording interrupted by Ctrl-C stays replayable up
 	// to the last completed call.
 	return s.w.Flush()
-}
-
-// replay pops the next recorded outcome for the key — a response, or the
-// recorded upstream error (replayed faithfully so error-threshold logic
-// counts the same failures the recording run saw). sticky controls the
-// exhausted-queue behaviour: cacheable (deterministic) prompts stick at the
-// last outcome — the recording run may have served later repeats from its
-// cache, and the repeat is exactly what a deterministic FM returns — while
-// non-cacheable sampling prompts miss once the queue runs dry, because each
-// recorded entry stands for a distinct draw and serving one twice would
-// silently fabricate duplicate candidates.
-func (s *Store) replay(key string, sticky bool) (string, error, bool) {
-	if s == nil {
-		return "", nil, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	q, ok := s.queues[key]
-	if !ok || len(q) == 0 {
-		return "", nil, false
-	}
-	i := s.cursors[key]
-	if i >= len(q) {
-		if !sticky {
-			return "", nil, false
-		}
-		i = len(q) - 1
-	} else {
-		s.cursors[key] = i + 1
-	}
-	if q[i].err != "" {
-		return "", fmt.Errorf("fmgate: replayed upstream error: %s", q[i].err), true
-	}
-	return q[i].response, nil, true
 }
 
 // Close flushes and closes the recording file (no-op for replay stores).

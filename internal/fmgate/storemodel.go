@@ -7,19 +7,16 @@ import (
 	"smartfeat/internal/fm"
 )
 
-// StoreModel serves a recording as an fm.Model: the content source a Pool
-// races its backend transports over in replay mode. The gateway's own replay
-// short-circuit answers *before* the pool's transport layer runs, so chaos
-// replay instead hands the store to the pool's backends as their shared
-// model — completions stay byte-identical to the recorded run while faults,
-// outages, hedges and breakers are fully exercised on the way there.
+// StoreModel serves a replay store as an fm.Model. It is how a recording
+// reaches a gateway: New (and PoolGateway, under the pool's backends) swaps a
+// replay Store in Options for a StoreModel over it, so a replayed run passes
+// through the same cache, singleflight, semaphore and transport layers the
+// recording run did, and its pops mirror the recorded appends.
 //
-// It shares the gateway's content addressing and the store's queue
-// semantics: cacheable prompts stick at the last recorded outcome, sampling
-// prompts miss loudly once their queue is exhausted, and recorded upstream
-// errors are reproduced faithfully. DiskCache carries the same semantics
-// across processes — it is the read-through tier over a whole directory of
-// recordings, where this type serves exactly one as a model.
+// It shares the gateway's content addressing and serves queue.pop's rule:
+// cacheable prompts stick at the last recorded outcome, sampling prompts
+// miss loudly once their queue is drained, and recorded upstream errors are
+// reproduced as errors.
 type StoreModel struct {
 	store *Store
 	name  string
@@ -48,12 +45,12 @@ func (m *StoreModel) Complete(ctx context.Context, prompt string) (string, error
 		return "", err
 	}
 	key := contentKey(m.scope, m.name, prompt)
-	text, rerr, ok := m.store.replay(key, fm.CacheableTask(prompt))
+	e, ok := m.store.pop(key, fm.CacheableTask(prompt))
 	if !ok {
 		return "", fmt.Errorf("fmgate: replay miss for prompt %s (%s)", key, firstLine(prompt))
 	}
-	if rerr != nil {
-		return "", rerr
+	if e.err != "" {
+		return "", fmt.Errorf("fmgate: replayed upstream error: %s", e.err)
 	}
-	return text, nil
+	return e.response, nil
 }

@@ -263,18 +263,6 @@ func (s *StoreSet) hasCellLocked(cell string) bool {
 	return false
 }
 
-// Len sums the completions held (replay) or written (record) across open
-// shards.
-func (s *StoreSet) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, st := range s.shards {
-		n += st.Len()
-	}
-	return n
-}
-
 // Close flushes and closes every open shard. Record shards flush per entry,
 // so an interrupted run stays replayable up to the last completed call even
 // without Close.

@@ -62,7 +62,7 @@ func TestStoreSetRecordReplayRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		model := &countingModel{}
-		g := New(model, Options{Store: shard, Replay: true})
+		g := New(model, Options{Store: shard})
 		for i := 0; i < 3; i++ {
 			p := promptLine("generate-function", fmt.Sprintf("%s call %d", cell, i))
 			got, err := g.Complete(ctx, p)
@@ -96,7 +96,7 @@ func TestStoreSetShardIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := New(&countingModel{}, Options{Store: shard, Replay: true})
+	g := New(&countingModel{}, Options{Store: shard})
 	// A Tennis-cell prompt must miss in the Diabetes shard.
 	_, err = g.Complete(context.Background(), promptLine("generate-function", "Tennis__SMARTFEAT call 0"))
 	if err == nil || !strings.Contains(err.Error(), "replay miss") {
@@ -122,7 +122,7 @@ func TestStoreSetSingleCellReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := New(&countingModel{}, Options{Store: shard, Replay: true})
+	g := New(&countingModel{}, Options{Store: shard})
 	p := promptLine("generate-function", "Tennis__SMARTFEAT call 0")
 	if got, err := g.Complete(context.Background(), p); err != nil || got != "resp:"+p {
 		t.Fatalf("single-cell replay: %q, %v", got, err)
@@ -319,8 +319,8 @@ func TestGatewayScopeSeparatesKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rB := New(&countingModel{}, Options{Store: rstore, Replay: true, Scope: "caafe/NB"})
-	rA := New(&countingModel{}, Options{Store: rstore, Replay: true, Scope: "caafe/LR"})
+	rB := New(&countingModel{}, Options{Store: rstore, Scope: "caafe/NB"})
+	rA := New(&countingModel{}, Options{Store: rstore, Scope: "caafe/LR"})
 	if got, err := rB.Complete(ctx, p); err != nil || got != "resp:"+p {
 		t.Fatalf("scope B replay: %q, %v", got, err)
 	}

@@ -597,10 +597,6 @@ func (r *Runner) executeCell(ctx context.Context, c Cell, configHash string) (*A
 			return nil, err
 		}
 		cfg.FMStore = shard
-		cfg.FMStoreReplay = r.Stores.Replay()
-		if cfg.FMStoreReplay {
-			cfg.FMDiskCache = nil // replaying cells have an exact, cheaper source
-		}
 	}
 	art := &Artifact{Cell: c, ConfigHash: configHash}
 	switch {
