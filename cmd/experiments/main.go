@@ -121,7 +121,6 @@ import (
 	"smartfeat/internal/experiments"
 	"smartfeat/internal/fmgate"
 	"smartfeat/internal/grid"
-	"smartfeat/internal/lease"
 	"smartfeat/internal/obs"
 )
 
@@ -169,16 +168,9 @@ func main() {
 	workers := flag.Int("workers", 0, "evaluation parallelism: (dataset × method) cells and per-model training (0 = GOMAXPROCS, 1 = sequential; results are identical at any setting)")
 	fmCache := flag.Bool("fm-cache", false, "cache deterministic FM completions inside each cell (content-addressed LRU)")
 	fmCacheSize := flag.Int("fm-cache-size", 0, "in-process LRU capacity in completions (implies -fm-cache; like -fm-cache this changes the config fingerprint — cached runs are self-consistent but not bit-identical to uncached ones)")
-	fmCacheDir := flag.String("fm-cache-dir", "", "cross-process completion-cache directory: a content-addressed read-through index over FM shard files (e.g. an -fm-record directory), serving completions a peer worker already paid for at $0; config-hash checked, disk hits carry replay semantics so a fully-covered run stays byte-identical")
 	fmRecord := flag.String("fm-record", "", "record per-cell FM shards (JSONL + manifest) into this directory; the whole selected grid is recorded in one run")
 	fmReplay := flag.String("fm-replay", "", "replay FM completions at zero simulated cost from a directory of per-cell shards (from -fm-record; config-hash checked, any cell subset)")
 	fmConcurrency := flag.Int("fm-concurrency", 0, "bound on each gateway's concurrent in-flight FM calls (0 = default 8)")
-	fmBackends := flag.Int("fm-backends", 0, "route FM traffic through a resilient pool of N replica backends (circuit breakers, least-loaded selection; 0 = no pool)")
-	fmHedge := flag.Duration("fm-hedge", 0, "hedge FM calls: fire a duplicate on a second backend after this delay, first success wins (0 = off; needs -fm-backends >= 2)")
-	fmDeadline := flag.Duration("fm-deadline", 0, "per-FM-call deadline budget; a stuck backend fails the call transiently instead of holding the cell (0 = none)")
-	fmBreaker := flag.String("fm-breaker", "", "per-backend circuit breaker as THRESHOLD[:COOLDOWN], e.g. '3' or '3:50ms' (consecutive transport failures to open; delay before the half-open probe)")
-	fmRetries := flag.Int("fm-retries", 0, "gateway retry budget for transient FM errors (0 = fail fast, or 4 when -fm-faults is set)")
-	fmFaults := flag.String("fm-faults", "", "per-backend injected fault model, e.g. 'rate=0.1,ratelimit=0.03,hang=0.01,malformed=0.02,jitter=4ms,retryafter=10ms,outage=b2:5-25' (needs -fm-backends)")
 	runDir := flag.String("run-dir", "", "persist per-cell artifacts and a run manifest into this directory (the grid engine's resumable run directory)")
 	resume := flag.String("resume", "", "resume an interrupted run directory: completed cells load from artifacts and are skipped")
 	keepGoing := flag.Bool("keep-going", false, "run every grid cell even after one fails (default: fail fast, skipping unstarted cells)")
@@ -190,6 +182,8 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve the process metrics registry ('/metrics', Prometheus text or ?format=json) and /debug/pprof on this address for the duration of the run (e.g. 'localhost:9090'; ':0' picks a free port)")
 	metricsLinger := flag.Duration("metrics-linger", 0, "keep the -metrics-addr server up this long after a successful run (lets CI scrape a finished run)")
 	traceFlag := flag.Bool("trace", false, "record a span trace — grid cells, FM calls, CAAFE iterations, model fits — to trace.jsonl in the run directory (or ./trace.jsonl without one); convert with tools/traceview. Tables are byte-identical with or without tracing")
+	var fmf fmgate.Flags
+	fmf.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *gcDir != "" {
@@ -228,53 +222,21 @@ func main() {
 	}
 	cfg.FMConcurrency = *fmConcurrency
 
-	if *fmBackends > 0 {
-		spec := &fmgate.PoolSpec{
-			Backends: *fmBackends,
-			Hedge:    *fmHedge,
-			Deadline: *fmDeadline,
-			Retries:  *fmRetries,
-			Seed:     cfg.Seed,
-		}
-		if *fmBreaker != "" {
-			br, err := fmgate.ParseBreaker(*fmBreaker)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(2)
-			}
-			spec.Breaker = br
-		}
-		if *fmFaults != "" {
-			fs, err := fmgate.ParseFaultSpec(*fmFaults)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(2)
-			}
-			if *fmRecord != "" && fs.Malformed > 0 {
-				fmt.Fprintln(os.Stderr, "experiments: -fm-faults malformed>0 with -fm-record would record corrupted completions; record clean traffic and inject faults on replay")
-				os.Exit(2)
-			}
-			spec.Faults = fs
-		}
-		cfg.FMPool = spec
-	} else if *fmHedge != 0 || *fmDeadline != 0 || *fmBreaker != "" || *fmFaults != "" || *fmRetries != 0 {
-		fmt.Fprintln(os.Stderr, "experiments: -fm-hedge/-fm-deadline/-fm-breaker/-fm-faults/-fm-retries need -fm-backends >= 1")
+	var err error
+	if cfg.FMPool, err = fmf.Pool(cfg.Seed, *fmRecord != "", *fmReplay != ""); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
 	}
 
 	// The disk cache tier opens after every fingerprint-bearing flag has
 	// landed in cfg: the directory's manifest is validated against (or
 	// stamped with) this run's exact config hash.
-	if *fmCacheDir != "" {
-		if *fmReplay != "" {
-			fmt.Fprintln(os.Stderr, "experiments: -fm-cache-dir with -fm-replay is redundant — replay already serves every completion at $0; drop one")
-			os.Exit(2)
-		}
-		dc, err := fmgate.OpenDiskCache(*fmCacheDir, fmgate.DiskCacheOptions{
+	if fmf.CacheDir != "" {
+		dc, err := fmgate.OpenDiskCache(fmf.CacheDir, fmgate.DiskCacheOptions{
 			ConfigHash: cfg.Fingerprint(),
 			Worker:     *worker,
 			Live:       *fmRecord == "",
-			Locker:     lease.NewMutex(filepath.Join(*fmCacheDir, "manifest.json.lock"), *leaseTTL),
+			LockTTL:    *leaseTTL,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -349,7 +311,6 @@ func main() {
 	}
 	prof := obs.NewProfile(nil)
 
-	var err error
 	if gridMode {
 		err = runGrid(ctx, sel, selected, methods, cfg, gridOptions{
 			runDir: *runDir, resume: *resume, fmRecord: *fmRecord, fmReplay: *fmReplay,
@@ -466,18 +427,23 @@ func runGrid(ctx context.Context, sel selections, names, methods []string, cfg e
 	if o.runDir != "" && o.resume != "" {
 		return fmt.Errorf("-resume already names the run directory; drop -run-dir")
 	}
-	if o.fmRecord != "" && o.fmReplay != "" {
-		return fmt.Errorf("-fm-record and -fm-replay are mutually exclusive (a replayed run makes no upstream calls to record)")
-	}
 	if o.worker != "" && o.runDir == "" && o.resume == "" {
 		return fmt.Errorf("-worker needs -run-dir (or -resume): the run directory's leases and artifacts are how workers coordinate")
 	}
 
+	stores, err := grid.OpenStores(cfg, o.fmRecord, o.fmReplay)
+	if err != nil {
+		return err
+	}
+	if stores != nil {
+		defer stores.Close()
+	}
 	runner := &grid.Runner{
 		Config:    cfg,
 		Dir:       o.runDir,
 		Resume:    false,
 		KeepGoing: o.keepGoing,
+		Stores:    stores,
 		Worker:    o.worker,
 		LeaseTTL:  o.leaseTTL,
 		Name:      strings.Join(names, ","),
@@ -487,27 +453,6 @@ func runGrid(ctx context.Context, sel selections, names, methods []string, cfg e
 	}
 	if o.resume != "" {
 		runner.Dir, runner.Resume = o.resume, true
-	}
-
-	switch {
-	case o.fmRecord != "":
-		stores, err := fmgate.NewRecordStoreSet(o.fmRecord, fmgate.StoreSetManifest{
-			ConfigHash: cfg.Fingerprint(),
-			Seed:       cfg.Seed,
-			Budget:     cfg.SamplingBudget,
-		})
-		if err != nil {
-			return err
-		}
-		defer stores.Close()
-		runner.Stores = stores
-	case o.fmReplay != "":
-		stores, err := fmgate.OpenReplayStoreSet(o.fmReplay, cfg.Fingerprint())
-		if err != nil {
-			return err
-		}
-		defer stores.Close()
-		runner.Stores = stores
 	}
 
 	endPlan := o.prof.Phase("plan")

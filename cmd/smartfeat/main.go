@@ -28,6 +28,13 @@
 //	-fm-cell KEY        shard key inside a sharded recording directory
 //	                    (default <dataset>__SMARTFEAT)
 //
+// The flags shared with cmd/experiments and cmd/smartfeatd — -fm-cache-dir
+// and the backend-pool flags -fm-backends, -fm-hedge, -fm-deadline,
+// -fm-breaker, -fm-retries and -fm-faults — are declared and cross-checked
+// by fmgate.Flags; docs/OPERATIONS.md, "FM traffic flags", describes them.
+// A bad combination exits 2. The CLI opens an -fm-cache-dir without checking
+// its config hash: compatibility rests on matching the recorded flags.
+//
 // Observability (see PERF.md, "Observability"):
 //
 //	-metrics-addr ADDR  serve /metrics (Prometheus text; ?format=json) and
@@ -52,7 +59,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"sort"
 	"syscall"
 	"time"
@@ -61,9 +67,7 @@ import (
 	"smartfeat/internal/dataframe"
 	"smartfeat/internal/datasets"
 	"smartfeat/internal/experiments"
-	"smartfeat/internal/fm"
 	"smartfeat/internal/fmgate"
-	"smartfeat/internal/lease"
 	"smartfeat/internal/obs"
 )
 
@@ -79,10 +83,10 @@ type cliOptions struct {
 	workers                    int
 	fmCache                    bool
 	fmCacheSize                int
-	fmCacheDir                 string
 	fmRecord, fmReplay         string
 	fmCell                     string
 	fmConcurrency              int
+	fm                         fmgate.Flags
 	pool                       *fmgate.PoolSpec
 }
 
@@ -113,50 +117,19 @@ func main() {
 	flag.IntVar(&o.workers, "workers", 0, "model-training parallelism for -evaluate (0 = GOMAXPROCS)")
 	flag.BoolVar(&o.fmCache, "fm-cache", false, "cache deterministic FM completions (content-addressed LRU)")
 	flag.IntVar(&o.fmCacheSize, "fm-cache-size", 0, "in-process LRU capacity in completions (implies -fm-cache)")
-	flag.StringVar(&o.fmCacheDir, "fm-cache-dir", "", "cross-process completion-cache directory: a content-addressed read-through index over FM shard files (e.g. an -fm-record directory or another run's cache dir), serving already-paid-for completions at $0 before calling upstream")
 	flag.StringVar(&o.fmRecord, "fm-record", "", "record upstream FM completions to this JSONL file (or, with -fm-cell, into a shard of a recording directory)")
 	flag.StringVar(&o.fmReplay, "fm-replay", "", "replay FM completions from a recording (zero simulated cost); a directory replays one shard of a cmd/experiments grid recording")
 	flag.StringVar(&o.fmCell, "fm-cell", "", "shard key inside a sharded recording directory (default <dataset>__SMARTFEAT)")
 	flag.IntVar(&o.fmConcurrency, "fm-concurrency", 8, "bound on concurrent in-flight FM calls (row-level fan-out)")
-	fmBackends := flag.Int("fm-backends", 0, "route FM traffic through a resilient pool of N replica backends (0 = no pool)")
-	fmHedge := flag.Duration("fm-hedge", 0, "hedge FM calls: duplicate on a second backend after this delay, first success wins (0 = off)")
-	fmDeadline := flag.Duration("fm-deadline", 0, "per-FM-call deadline budget (0 = none)")
-	fmBreaker := flag.String("fm-breaker", "", "per-backend circuit breaker as THRESHOLD[:COOLDOWN], e.g. '3:50ms'")
-	fmRetries := flag.Int("fm-retries", 0, "gateway retry budget for transient FM errors (0 = fail fast, or 4 when -fm-faults is set)")
-	fmFaults := flag.String("fm-faults", "", "per-backend injected fault model, e.g. 'rate=0.1,jitter=4ms,outage=b2:5-25' (keys: rate, ratelimit, hang, malformed, jitter, retryafter, outage)")
 	metricsAddr := flag.String("metrics-addr", "", "serve the process metrics registry ('/metrics', Prometheus text or ?format=json) and /debug/pprof on this address for the duration of the run (':0' picks a free port)")
 	metricsLinger := flag.Duration("metrics-linger", 0, "keep the -metrics-addr server up this long after a successful run (lets CI scrape a finished run)")
 	tracePath := flag.String("trace", "", "record a span trace (FM calls, model fits) to this JSONL file; convert with tools/traceview. Output is byte-identical with or without tracing")
+	o.fm.Register(flag.CommandLine)
 	flag.Parse()
 
-	if *fmBackends > 0 {
-		spec := &fmgate.PoolSpec{
-			Backends: *fmBackends,
-			Hedge:    *fmHedge,
-			Deadline: *fmDeadline,
-			Retries:  *fmRetries,
-			Seed:     o.seed,
-		}
-		var err error
-		if *fmBreaker != "" {
-			if spec.Breaker, err = fmgate.ParseBreaker(*fmBreaker); err != nil {
-				fmt.Fprintln(os.Stderr, "smartfeat:", err)
-				os.Exit(2)
-			}
-		}
-		if *fmFaults != "" {
-			if spec.Faults, err = fmgate.ParseFaultSpec(*fmFaults); err != nil {
-				fmt.Fprintln(os.Stderr, "smartfeat:", err)
-				os.Exit(2)
-			}
-			if o.fmRecord != "" && spec.Faults.Malformed > 0 {
-				fmt.Fprintln(os.Stderr, "smartfeat: -fm-faults malformed>0 with -fm-record would record corrupted completions; record clean traffic and inject faults on replay")
-				os.Exit(2)
-			}
-		}
-		o.pool = spec
-	} else if *fmHedge != 0 || *fmDeadline != 0 || *fmBreaker != "" || *fmFaults != "" || *fmRetries != 0 {
-		fmt.Fprintln(os.Stderr, "smartfeat: -fm-hedge/-fm-deadline/-fm-breaker/-fm-faults/-fm-retries need -fm-backends >= 1")
+	var err error
+	if o.pool, err = o.fm.Pool(o.seed, o.fmRecord != "", o.fmReplay != ""); err != nil {
+		fmt.Fprintln(os.Stderr, "smartfeat:", err)
 		os.Exit(2)
 	}
 
@@ -200,23 +173,28 @@ func main() {
 	}
 }
 
-// buildRouter wires the per-role gateways from the CLI's fm flags. Both
-// roles share one record/replay store; keys embed the model name, so a
-// single recording (file or shard) replays a whole selector+generator run.
-// The returned closer flushes whatever store backing was opened.
+// buildRouter opens the record/replay store and disk cache the CLI's fm
+// flags name and wires SMARTFEAT's roles over them through the same
+// experiments.SmartfeatRouter the grid's SMARTFEAT cells use. Both roles
+// share one store; keys embed the model name, so a single recording (file
+// or shard) replays a whole selector+generator run. The returned closer
+// flushes whatever store backing was opened.
 func buildRouter(o cliOptions) (*fmgate.Router, io.Closer, error) {
-	gwOpts := fmgate.Options{Concurrency: o.fmConcurrency}
+	cfg := experiments.Config{
+		Seed:          o.seed,
+		FMErrorRate:   o.errorRate,
+		FMConcurrency: o.fmConcurrency,
+		FMPool:        o.pool,
+	}
 	if o.fmCache {
-		gwOpts.CacheSize = 1 << 14
+		cfg.FMCacheSize = 1 << 14
 	}
 	if o.fmCacheSize > 0 {
-		gwOpts.CacheSize = o.fmCacheSize
+		cfg.FMCacheSize = o.fmCacheSize
 	}
 	var closer io.Closer
 	var err error
 	switch {
-	case o.fmReplay != "" && o.fmRecord != "":
-		return nil, nil, fmt.Errorf("-fm-replay and -fm-record are mutually exclusive (a replayed run makes no upstream calls to record)")
 	case isDir(o.fmReplay):
 		// One shard of a cmd/experiments grid recording. The manifest's
 		// config hash covers the experiments protocol, which the CLI cannot
@@ -235,11 +213,11 @@ func buildRouter(o cliOptions) (*fmgate.Router, io.Closer, error) {
 		man := set.Manifest()
 		fmt.Fprintf(os.Stderr, "replaying shard %s of %s (recorded seed %d, budget %d, config %s)\n",
 			cell, o.fmReplay, man.Seed, man.Budget, man.ConfigHash)
-		gwOpts.Store, err = set.Shard(cell)
+		cfg.FMStore, err = set.Shard(cell)
 		closer = set
 	case o.fmReplay != "":
-		gwOpts.Store, err = fmgate.OpenReplayStore(o.fmReplay)
-		closer = gwOpts.Store
+		cfg.FMStore, err = fmgate.OpenReplayStore(o.fmReplay)
+		closer = cfg.FMStore
 	case o.fmRecord != "" && (o.fmCell != "" || isDir(o.fmRecord)):
 		// Sharded recording: same shard-key resolution as the replay branch
 		// (-fm-cell, else the -dataset's SMARTFEAT cell).
@@ -250,47 +228,40 @@ func buildRouter(o cliOptions) (*fmgate.Router, io.Closer, error) {
 		var set *fmgate.StoreSet
 		set, err = fmgate.NewRecordStoreSet(o.fmRecord, fmgate.StoreSetManifest{Seed: o.seed, Budget: o.budget})
 		if err == nil {
-			gwOpts.Store, err = set.Shard(cell)
+			cfg.FMStore, err = set.Shard(cell)
 			closer = set
 		}
 	case o.fmRecord != "":
-		gwOpts.Store, err = fmgate.NewRecordStore(o.fmRecord)
-		closer = gwOpts.Store
+		cfg.FMStore, err = fmgate.NewRecordStore(o.fmRecord)
+		closer = cfg.FMStore
 	}
 	if err != nil {
 		return nil, nil, err
 	}
-	if o.fmCacheDir != "" && o.fmReplay == "" {
+	if o.fm.CacheDir != "" {
 		// Disk tier of the completion cache: checked after the LRU, before
 		// upstream. The CLI cannot recompute the experiments config hash, so
 		// — as with shard replay above — the manifest is accepted as-is and
 		// compatibility rests on the operator matching the recorded flags.
-		dc, derr := fmgate.OpenDiskCache(o.fmCacheDir, fmgate.DiskCacheOptions{
-			Live:   gwOpts.Store == nil,
-			Locker: lease.NewMutex(filepath.Join(o.fmCacheDir, "manifest.json.lock"), 0),
-		})
+		dc, derr := fmgate.OpenDiskCache(o.fm.CacheDir, fmgate.DiskCacheOptions{Live: cfg.FMStore == nil})
 		if derr != nil {
 			if closer != nil {
 				closer.Close()
 			}
 			return nil, nil, derr
 		}
-		gwOpts.Disk = dc
+		cfg.FMDiskCache = dc
 		closer = closers{closer, dc}
 	}
 	// Each role gets its own pool (breakers and fault sequences are per
-	// role); a nil o.pool builds plain gateways.
-	selector, err := fmgate.PoolGateway(fm.NewGPT4Sim(o.seed, o.errorRate), gwOpts, o.pool)
+	// role); a nil pool builds plain gateways.
+	router, err := experiments.SmartfeatRouter(cfg)
 	if err != nil {
+		if closer != nil {
+			closer.Close()
+		}
 		return nil, nil, err
 	}
-	generator, err := fmgate.PoolGateway(fm.NewGPT35Sim(o.seed+1, o.errorRate), gwOpts, o.pool)
-	if err != nil {
-		return nil, nil, err
-	}
-	router := fmgate.NewRouter().
-		Route(fmgate.RoleSelector, selector).
-		Route(fmgate.RoleGenerator, generator)
 	return router, closer, nil
 }
 

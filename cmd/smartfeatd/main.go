@@ -86,13 +86,8 @@ func main() {
 	retryAfter := flag.Duration("retry-after", 2*time.Second, "backoff hint attached to 429 responses")
 	fmReplay := flag.String("fm-replay", "", "serve every job's FM traffic from this sharded recording directory at $0 simulated cost; uncoverable submissions are rejected with 400")
 	fmRecord := flag.Bool("fm-record", false, "record each job's FM traffic into <job-dir>/fm (mutually exclusive with -fm-replay)")
-	fmCacheDir := flag.String("fm-cache-dir", "", "cross-process completion-cache directory mounted on every config-matching job (rejected with -fm-replay: redundant)")
-	fmBackends := flag.Int("fm-backends", 0, "route every job's FM traffic through a resilient pool of N replica backends (circuit breakers, least-loaded selection; 0 = no pool)")
-	fmHedge := flag.Duration("fm-hedge", 0, "hedge FM calls: fire a duplicate on a second backend after this delay, first success wins (0 = off; needs -fm-backends >= 2)")
-	fmDeadline := flag.Duration("fm-deadline", 0, "per-FM-call deadline budget (0 = none)")
-	fmBreaker := flag.String("fm-breaker", "", "per-backend circuit breaker as THRESHOLD[:COOLDOWN], e.g. '3' or '3:50ms'")
-	fmRetries := flag.Int("fm-retries", 0, "gateway retry budget for transient FM errors (0 = fail fast, or 4 when -fm-faults is set)")
-	fmFaults := flag.String("fm-faults", "", "per-backend injected fault model, e.g. 'rate=0.05,ratelimit=0.05,retryafter=10ms,jitter=1ms,outage=b2:5-25' (needs -fm-backends; transport-only, so replayed results stay byte-identical — how the load simulator exercises back-pressure under chaos)")
+	var fmf fmgate.Flags
+	fmf.Register(flag.CommandLine)
 	flag.Parse()
 
 	logf := func(format string, args ...any) {
@@ -106,48 +101,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "smartfeatd: -run-root is required (the run root is the job store)")
 		os.Exit(2)
 	}
-	if *fmReplay != "" && *fmRecord {
-		fmt.Fprintln(os.Stderr, "smartfeatd: -fm-record with -fm-replay is contradictory (a replayed job makes no upstream calls to record)")
-		os.Exit(2)
-	}
-	if *fmReplay != "" && *fmCacheDir != "" {
-		fmt.Fprintln(os.Stderr, "smartfeatd: -fm-cache-dir with -fm-replay is redundant — replay already serves every completion at $0; drop one")
-		os.Exit(2)
-	}
-
-	// Pool/fault wiring mirrors the experiments CLI: transport-only, so it
-	// composes with -fm-replay (the recording becomes the pool's content
-	// source and the chaos layer races transports over it).
-	var poolSpec *fmgate.PoolSpec
-	if *fmBackends > 0 {
-		poolSpec = &fmgate.PoolSpec{
-			Backends: *fmBackends,
-			Hedge:    *fmHedge,
-			Deadline: *fmDeadline,
-			Retries:  *fmRetries,
-		}
-		if *fmBreaker != "" {
-			br, err := fmgate.ParseBreaker(*fmBreaker)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "smartfeatd:", err)
-				os.Exit(2)
-			}
-			poolSpec.Breaker = br
-		}
-		if *fmFaults != "" {
-			fs, err := fmgate.ParseFaultSpec(*fmFaults)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "smartfeatd:", err)
-				os.Exit(2)
-			}
-			if *fmRecord && fs.Malformed > 0 {
-				fmt.Fprintln(os.Stderr, "smartfeatd: -fm-faults malformed>0 with -fm-record would record corrupted completions; record clean traffic and inject faults on replay")
-				os.Exit(2)
-			}
-			poolSpec.Faults = fs
-		}
-	} else if *fmHedge != 0 || *fmDeadline != 0 || *fmBreaker != "" || *fmFaults != "" || *fmRetries != 0 {
-		fmt.Fprintln(os.Stderr, "smartfeatd: -fm-hedge/-fm-deadline/-fm-breaker/-fm-faults/-fm-retries need -fm-backends >= 1")
+	// The pool is transport-only, so it composes with -fm-replay (the
+	// recording becomes the pool's content source); each job reseeds it with
+	// its own config seed.
+	poolSpec, err := fmf.Pool(0, *fmRecord, *fmReplay != "")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "smartfeatd:", err)
 		os.Exit(2)
 	}
 
@@ -160,7 +119,7 @@ func main() {
 		RetryAfter:  *retryAfter,
 		FMReplayDir: *fmReplay,
 		RecordFM:    *fmRecord,
-		FMCacheDir:  *fmCacheDir,
+		FMCacheDir:  fmf.CacheDir,
 		FMPool:      poolSpec,
 		Logf:        logf,
 	})

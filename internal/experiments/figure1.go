@@ -168,6 +168,12 @@ F,56,5,Volkswagen,0,LA,1
 	if err != nil {
 		return "", err
 	}
+	// The walkthrough's FMs are error-free and unwired: only the seed
+	// carries over from cfg.
+	router, err := SmartfeatRouter(Config{Seed: cfg.Seed})
+	if err != nil {
+		return "", err
+	}
 	opts := core.Options{
 		Target:            "Safe",
 		TargetDescription: "Whether the policyholder is safe (1=yes, 0=no)",
@@ -180,8 +186,8 @@ F,56,5,Volkswagen,0,LA,1
 			"City":                  "City of residence",
 		},
 		Model:       "Decision Tree",
-		SelectorFM:  fm.NewGPT4Sim(cfg.Seed, 0),
-		GeneratorFM: fm.NewGPT35Sim(cfg.Seed+1, 0),
+		SelectorFM:  router.Gate(fmgate.RoleSelector),
+		GeneratorFM: router.Gate(fmgate.RoleGenerator),
 		Operators:   core.OperatorSet{Unary: true},
 	}
 	res, err := core.RunContext(ctx, f, opts)

@@ -23,6 +23,29 @@ type DatasetEval struct {
 	Methods map[string]MethodResult
 }
 
+// SmartfeatRouter wires SMARTFEAT's two FM roles under cfg: the GPT-4
+// simulator (seed cfg.Seed) selects operators and the GPT-3.5 simulator
+// (seed cfg.Seed+1) generates features, each behind its own gateway with
+// the cfg's cache, store, disk-tier, concurrency and pool settings. It is
+// the one place that makes that choice, so the smartfeat CLI and the grid's
+// SMARTFEAT cells issue identical prompts under identical keys, and a grid
+// cell's <dataset>__SMARTFEAT shard replays through the CLI.
+func SmartfeatRouter(cfg Config) (*fmgate.Router, error) {
+	// The selector/generator gateways stay unscoped, so a cell's keys carry
+	// no grid-specific prefix.
+	selector, err := newGateway(fm.NewGPT4Sim(cfg.Seed, cfg.FMErrorRate), "selector", "", cfg)
+	if err != nil {
+		return nil, err
+	}
+	generator, err := newGateway(fm.NewGPT35Sim(cfg.Seed+1, cfg.FMErrorRate), "generator", "", cfg)
+	if err != nil {
+		return nil, err
+	}
+	return fmgate.NewRouter().
+		Route(fmgate.RoleSelector, selector).
+		Route(fmgate.RoleGenerator, generator), nil
+}
+
 // smartfeatOptions builds SMARTFEAT's configuration for a dataset. Every FM
 // is wrapped in an fmgate gateway (routed per role), so the harness can
 // report traffic metrics and the cfg's cache/replay/concurrency settings
@@ -30,20 +53,10 @@ type DatasetEval struct {
 // are pass-throughs and the run is identical to talking to the simulators
 // directly.
 func smartfeatOptions(d *datasets.Dataset, cfg Config, operators core.OperatorSet) (core.Options, *fmgate.Router, error) {
-	// The selector/generator gateways stay unscoped: their keys match the
-	// smartfeat CLI's recordings, so a grid cell's shard and a CLI recording
-	// of the same seed/budget are interchangeable.
-	selector, err := newGateway(fm.NewGPT4Sim(cfg.Seed, cfg.FMErrorRate), "selector", "", cfg)
+	router, err := SmartfeatRouter(cfg)
 	if err != nil {
 		return core.Options{}, nil, err
 	}
-	generator, err := newGateway(fm.NewGPT35Sim(cfg.Seed+1, cfg.FMErrorRate), "generator", "", cfg)
-	if err != nil {
-		return core.Options{}, nil, err
-	}
-	router := fmgate.NewRouter().
-		Route(fmgate.RoleSelector, selector).
-		Route(fmgate.RoleGenerator, generator)
 	return core.Options{
 		Target:            d.Target,
 		TargetDescription: d.TargetDescription,

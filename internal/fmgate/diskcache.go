@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"smartfeat/internal/jsonio"
+	"smartfeat/internal/lease"
 	"smartfeat/internal/obs"
 )
 
@@ -75,9 +76,11 @@ type DiskCacheOptions struct {
 	// Refresh throttles directory rescans on miss (default 250ms): a miss
 	// older than this triggers one incremental re-read of grown shards.
 	Refresh time.Duration
-	// Locker serializes manifest/index writes across processes (a
-	// lease.Mutex in multi-worker runs). Optional.
-	Locker Locker
+	// LockTTL is the staleness threshold of the lock file
+	// (<dir>/manifest.json.lock) that serializes manifest and index writes
+	// across processes: a lock older than this is presumed abandoned by a
+	// crashed holder (0 = the lease package default).
+	LockTTL time.Duration
 }
 
 // diskKey is the per-content-address queue of the disk tier. Entries
@@ -114,6 +117,7 @@ const learnSrc = "\x00self"
 type DiskCache struct {
 	dir  string
 	opts DiskCacheOptions
+	lock *lease.Mutex
 
 	mu       sync.Mutex
 	keys     map[string]*diskKey
@@ -144,6 +148,7 @@ func OpenDiskCache(dir string, opts DiskCacheOptions) (*DiskCache, error) {
 	d := &DiskCache{
 		dir:     dir,
 		opts:    opts,
+		lock:    lease.NewMutex(filepath.Join(dir, "manifest.json.lock"), opts.LockTTL),
 		keys:    make(map[string]*diskKey),
 		files:   make(map[string]int64),
 		exclude: make(map[string]bool),
@@ -200,15 +205,13 @@ func (d *DiskCache) ensureManifest() error {
 	if !errors.Is(err, os.ErrNotExist) {
 		return err
 	}
-	if d.opts.Locker != nil {
-		if err := d.opts.Locker.Lock(); err != nil {
-			return err
-		}
-		defer d.opts.Locker.Unlock()
-		// A peer may have stamped the manifest while we waited for the lock.
-		if m, err := ReadStoreSetManifest(d.dir); err == nil {
-			return validate(m)
-		}
+	if err := d.lock.Lock(); err != nil {
+		return err
+	}
+	defer d.lock.Unlock()
+	// A peer may have stamped the manifest while we waited for the lock.
+	if m, err := ReadStoreSetManifest(d.dir); err == nil {
+		return validate(m)
 	}
 	fresh := StoreSetManifest{
 		Version:    storeSetVersion,
@@ -440,14 +443,11 @@ func (d *DiskCache) Close() error {
 		cerr = d.live.Close()
 		d.live = nil
 	}
-	locker := d.opts.Locker
 	d.mu.Unlock()
-	if locker != nil {
-		if err := locker.Lock(); err != nil {
-			return err
-		}
-		defer locker.Unlock()
+	if err := d.lock.Lock(); err != nil {
+		return err
 	}
+	defer d.lock.Unlock()
 	if err := jsonio.WriteAtomic(filepath.Join(d.dir, CacheIndexName), idx); err != nil {
 		return err
 	}

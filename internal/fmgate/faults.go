@@ -7,13 +7,11 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"smartfeat/internal/fm"
 )
 
-// FaultInjector simulates an unreliable model endpoint. It sits between a
-// transport (the gateway's retry loop, or one backend of a Pool) and the
-// wrapped model, and injects a configurable mix of fault kinds:
+// FaultInjector simulates an unreliable model endpoint. It sits between one
+// backend of a Pool and the shared content model, and injects a
+// configurable mix of fault kinds:
 //
 //   - transient errors (ErrorRate) — the retry loop's bread and butter;
 //   - rate-limit errors (RateLimitRate) carrying a Retry-After hint the
@@ -186,20 +184,6 @@ func (f Fault) Corrupt(text string) string {
 		return `{"`
 	}
 	return text[:len(text)/2]
-}
-
-// Call runs one fault-modelled model invocation: draw, transport fault,
-// model call, content corruption.
-func (fi *FaultInjector) Call(ctx context.Context, model fm.Model, prompt string) (string, error) {
-	f := fi.Draw(prompt)
-	if err := fi.Apply(ctx, f); err != nil {
-		return "", err
-	}
-	text, err := model.Complete(ctx, prompt)
-	if err != nil {
-		return "", err
-	}
-	return f.Corrupt(text), nil
 }
 
 // Injected reports how many faults have been raised, all kinds combined.

@@ -17,8 +17,8 @@
 //     share one upstream call;
 //   - a bounded-concurrency asynchronous submitter (Submit) that the
 //     scenario-2 row-level loop fans rows out on;
-//   - retry with exponential backoff over an injectable fault model, for
-//     resilience testing against transient errors and latency jitter;
+//   - retry with exponential backoff on transient upstream errors (a Pool's
+//     per-backend FaultInjector raises them in resilience testing);
 //   - per-role routing (operator selector vs function generator) with
 //     usage/metrics snapshots for the efficiency harness.
 //
@@ -84,9 +84,6 @@ type Options struct {
 	// RetryBackoff is the first retry delay, doubling per attempt
 	// (default 50ms when MaxRetries > 0).
 	RetryBackoff time.Duration
-	// Faults injects transient errors and latency jitter between the
-	// gateway and the model (optional; for resilience testing).
-	Faults *FaultInjector
 	// Role labels this gateway's series in the process-wide obs registry
 	// (fm_requests_total{role=...} and friends) — typically "selector",
 	// "generator" or "caafe". Empty registers under role="".
@@ -462,11 +459,7 @@ func (g *Gateway) callUpstream(ctx context.Context, key, prompt string) (string,
 		} else {
 			g.ins.upstreamCalls.Inc()
 		}
-		if g.opts.Faults != nil {
-			text, err = g.opts.Faults.Call(ctx, g.model, prompt)
-		} else {
-			text, err = g.model.Complete(ctx, prompt)
-		}
+		text, err = g.model.Complete(ctx, prompt)
 		if err == nil || attempt >= g.opts.MaxRetries || !IsTransient(err) || ctx.Err() != nil {
 			break
 		}

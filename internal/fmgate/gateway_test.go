@@ -155,16 +155,37 @@ func TestSamplingPromptsNotDeduped(t *testing.T) {
 	}
 }
 
+// faultyModel runs every call through a fault injector the way a pool
+// backend does: draw, transport fault, model call, content corruption.
+type faultyModel struct {
+	fi *FaultInjector
+	fm.Model
+}
+
+func (m faultyModel) Complete(ctx context.Context, prompt string) (string, error) {
+	f := m.fi.Draw(prompt)
+	if err := m.fi.Apply(ctx, f); err != nil {
+		return "", err
+	}
+	text, err := m.Model.Complete(ctx, prompt)
+	if err != nil {
+		return "", err
+	}
+	return f.Corrupt(text), nil
+}
+
 // TestRetryWithFaults drives the gateway over a fault injector: transient
 // errors are retried with backoff until success, and the retry counter
 // reflects the extra attempts.
 func TestRetryWithFaults(t *testing.T) {
-	model := &countingModel{}
+	model := faultyModel{
+		fi:    &FaultInjector{ErrorRate: 0.5, MaxJitter: time.Millisecond, Seed: 11},
+		Model: &countingModel{},
+	}
 	g := New(model, Options{
 		Cacheable:    allCacheable,
 		MaxRetries:   6,
 		RetryBackoff: time.Millisecond,
-		Faults:       &FaultInjector{ErrorRate: 0.5, MaxJitter: time.Millisecond, Seed: 11},
 	})
 	ctx := context.Background()
 	for i := 0; i < 20; i++ {

@@ -43,17 +43,17 @@ func ParseFaultSpec(s string) (FaultSpec, error) {
 		var err error
 		switch k {
 		case "rate":
-			out.Rate, err = strconv.ParseFloat(v, 64)
+			out.Rate, err = parseProb(v)
 		case "ratelimit":
-			out.RateLimit, err = strconv.ParseFloat(v, 64)
+			out.RateLimit, err = parseProb(v)
 		case "hang":
-			out.Hang, err = strconv.ParseFloat(v, 64)
+			out.Hang, err = parseProb(v)
 		case "malformed":
-			out.Malformed, err = strconv.ParseFloat(v, 64)
+			out.Malformed, err = parseProb(v)
 		case "jitter":
-			out.Jitter, err = time.ParseDuration(v)
+			out.Jitter, err = parseDelay(v)
 		case "retryafter":
-			out.RetryAfter, err = time.ParseDuration(v)
+			out.RetryAfter, err = parseDelay(v)
 		case "outage":
 			if _, _, _, oerr := parseOutage(v); oerr != nil {
 				return out, oerr
@@ -67,6 +67,25 @@ func ParseFaultSpec(s string) (FaultSpec, error) {
 		}
 	}
 	return out, nil
+}
+
+// parseProb parses a fault probability, rejecting values outside [0,1]
+// (NaN included).
+func parseProb(v string) (float64, error) {
+	p, err := strconv.ParseFloat(v, 64)
+	if err == nil && !(p >= 0 && p <= 1) {
+		err = fmt.Errorf("%q is not a probability in [0,1]", v)
+	}
+	return p, err
+}
+
+// parseDelay parses a non-negative fault duration.
+func parseDelay(v string) (time.Duration, error) {
+	d, err := time.ParseDuration(v)
+	if err == nil && d < 0 {
+		err = fmt.Errorf("%q is negative", v)
+	}
+	return d, err
 }
 
 // parseOutage splits "NAME:FROM-TO" into its backend name and call window.
@@ -134,23 +153,14 @@ type PoolSpec struct {
 
 // Build constructs the Pool over a shared content model.
 func (spec PoolSpec) Build(content fm.Model) (*Pool, error) {
-	n := spec.Backends
-	if n <= 0 {
-		n = 1
+	outIdx, outFrom, outTo, err := spec.outage()
+	if err != nil {
+		return nil, err
 	}
-	var outName string
-	var outFrom, outTo int64
-	if spec.Faults.Outage != "" {
-		var err error
-		outName, outFrom, outTo, err = parseOutage(spec.Faults.Outage)
-		if err != nil {
-			return nil, err
-		}
-	}
+	n := max(spec.Backends, 1)
 	backends := make([]Backend, 0, n)
 	for i := 1; i <= n; i++ {
-		name := fmt.Sprintf("b%d", i)
-		b := Backend{Name: name, Breaker: spec.Breaker}
+		b := Backend{Name: fmt.Sprintf("b%d", i), Breaker: spec.Breaker}
 		if !spec.Faults.Empty() {
 			fi := &FaultInjector{
 				ErrorRate:     spec.Faults.Rate,
@@ -161,7 +171,7 @@ func (spec PoolSpec) Build(content fm.Model) (*Pool, error) {
 				RetryAfter:    spec.Faults.RetryAfter,
 				Seed:          spec.Seed + int64(i),
 			}
-			if name == outName {
+			if i == outIdx {
 				fi.Outages = []OutageWindow{{From: outFrom, To: outTo}}
 			}
 			b.Faults = fi
@@ -169,6 +179,26 @@ func (spec PoolSpec) Build(content fm.Model) (*Pool, error) {
 		backends = append(backends, b)
 	}
 	return NewPool(content, backends, PoolOptions{HedgeAfter: spec.Hedge, Deadline: spec.Deadline})
+}
+
+// outage resolves the fault spec's scripted outage to the 1-based index of
+// the backend it takes down (0 when there is none) and its call window. An
+// outage naming no backend of the pool is an error, not a silent no-op.
+func (spec PoolSpec) outage() (idx int, from, to int64, err error) {
+	if spec.Faults.Outage == "" {
+		return 0, 0, 0, nil
+	}
+	name, from, to, err := parseOutage(spec.Faults.Outage)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	n := max(spec.Backends, 1)
+	for i := 1; i <= n; i++ {
+		if fmt.Sprintf("b%d", i) == name {
+			return i, from, to, nil
+		}
+	}
+	return 0, 0, 0, fmt.Errorf("fmgate: outage %q names no backend of the pool (want b1..b%d)", spec.Faults.Outage, n)
 }
 
 // PoolGateway builds a gateway whose upstream is a pool of spec.Backends

@@ -55,6 +55,24 @@ type Outcome struct {
 	Holder   string    // Leased: the worker id holding the cell's lease
 }
 
+// OpenStores opens a run's FM store set under cfg: a replay set over
+// replayDir checked against cfg's fingerprint, or else a record set in
+// recordDir stamped with cfg's fingerprint, seed and sampling budget. With
+// both empty it returns nil — the run makes live, unrecorded calls.
+func OpenStores(cfg experiments.Config, recordDir, replayDir string) (*fmgate.StoreSet, error) {
+	switch {
+	case replayDir != "":
+		return fmgate.OpenReplayStoreSet(replayDir, cfg.Fingerprint())
+	case recordDir != "":
+		return fmgate.NewRecordStoreSet(recordDir, fmgate.StoreSetManifest{
+			ConfigHash: cfg.Fingerprint(),
+			Seed:       cfg.Seed,
+			Budget:     cfg.SamplingBudget,
+		})
+	}
+	return nil, nil
+}
+
 // Runner schedules grid cells on a bounded worker pool. The zero value plus
 // a Config is a usable in-memory engine; Dir adds artifact persistence and
 // resume, Stores adds per-cell FM record/replay, Worker turns the run

@@ -46,7 +46,6 @@ import (
 
 	"smartfeat/internal/fmgate"
 	"smartfeat/internal/grid"
-	"smartfeat/internal/lease"
 	"smartfeat/internal/obs"
 	"smartfeat/internal/retryafter"
 )
@@ -323,42 +322,34 @@ func (s *Server) executeJob(ctx context.Context, j *Job) (string, error) {
 		spec.Seed = cfg.Seed
 		cfg.FMPool = &spec
 	}
+	recordDir := ""
+	if s.opts.RecordFM {
+		recordDir = filepath.Join(j.dir, "fm")
+	}
+	stores, err := grid.OpenStores(cfg, recordDir, s.opts.FMReplayDir)
+	if err != nil {
+		return "", err
+	}
+	if stores != nil {
+		defer stores.Close()
+	}
 	runner := &grid.Runner{
 		Config:   cfg,
 		Dir:      j.dir,
 		Name:     j.ID,
+		Stores:   stores,
 		Worker:   s.opts.Worker,
 		LeaseTTL: s.opts.LeaseTTL,
 		Logf: func(format string, args ...any) {
 			s.logf("job %s: "+format, append([]any{j.ID}, args...)...)
 		},
 	}
-	switch {
-	case s.opts.FMReplayDir != "":
-		stores, err := fmgate.OpenReplayStoreSet(s.opts.FMReplayDir, cfg.Fingerprint())
-		if err != nil {
-			return "", err
-		}
-		defer stores.Close()
-		runner.Stores = stores
-	case s.opts.RecordFM:
-		stores, err := fmgate.NewRecordStoreSet(filepath.Join(j.dir, "fm"), fmgate.StoreSetManifest{
-			ConfigHash: cfg.Fingerprint(),
-			Seed:       cfg.Seed,
-			Budget:     cfg.SamplingBudget,
-		})
-		if err != nil {
-			return "", err
-		}
-		defer stores.Close()
-		runner.Stores = stores
-	}
 	if s.opts.FMCacheDir != "" && s.opts.FMReplayDir == "" {
 		dc, err := fmgate.OpenDiskCache(s.opts.FMCacheDir, fmgate.DiskCacheOptions{
 			ConfigHash: cfg.Fingerprint(),
 			Worker:     s.opts.Worker,
 			Live:       !s.opts.RecordFM,
-			Locker:     lease.NewMutex(filepath.Join(s.opts.FMCacheDir, "manifest.json.lock"), s.opts.LeaseTTL),
+			LockTTL:    s.opts.LeaseTTL,
 		})
 		switch {
 		case err == nil:
@@ -477,7 +468,7 @@ func (s *Server) checkReplayCoverage(spec JobSpec, plan []grid.Cell) error {
 	if s.opts.FMReplayDir == "" {
 		return nil
 	}
-	stores, err := fmgate.OpenReplayStoreSet(s.opts.FMReplayDir, spec.config().Fingerprint())
+	stores, err := grid.OpenStores(spec.config(), "", s.opts.FMReplayDir)
 	if err != nil {
 		return err
 	}
