@@ -12,9 +12,10 @@ test:
 # The race suite runs under a CPU matrix: the worker pools (grid runner,
 # parallel CAAFE, fmgate Submit, forest tree fits) degenerate to sequential
 # order on the 1-vCPU dev box, so -cpu 4 is what actually exercises their
-# interleavings.
+# interleavings. internal/e2e is left out: its checks exercise separate
+# processes the detector cannot see into, and -cpu 1,4 would run each twice.
 race:
-	$(GO) test -race -cpu 1,4 $(PKGS)
+	$(GO) test -race -cpu 1,4 $$($(GO) list $(PKGS) | grep -v /internal/e2e)
 
 # Pre-commit gate: formatting, static analysis, then the full suite under
 # the race detector across the CPU matrix (the fmgate gateway, the parallel
@@ -56,59 +57,23 @@ bench-cpu:
 	$(GO) test ./internal/ml -bench 'BenchmarkForestFit' -run xxx -cpuprofile cpu.out -benchtime 5s
 	@echo "profile written to cpu.out (and ml.test); open with: go tool pprof cpu.out"
 
-# End-to-end distributed-grid check across real processes: record the quick
-# grid sequentially, drain it with 3 concurrent -worker processes replaying
-# the recording (tables must be byte-identical to the sequential output),
-# then repeat with one worker killed mid-run and its lease reclaimed by the
-# survivors. CI runs this on every push alongside the bench job.
+# End-to-end checks over real processes, one subtest of internal/e2e each
+# against a single recorded golden (see that package's doc). -count=1: the
+# test cache cannot see the binaries the harness builds.
+E2E := $(GO) test ./internal/e2e -count=1 -v -run
 grid-workers:
-	sh tools/grid_workers.sh
-
-# Chaos-grade resilience check: record the quick grid sequentially as a
-# golden, then replay it through a 3-backend fmgate.Pool with 10% transient
-# faults, rate-limit errors, latency jitter and one scripted outage — the
-# tables must stay byte-identical to the golden and the FM report must show
-# the breaker opening/probing/closing and hedges firing. CI runs this on
-# every push alongside the grid-workers job.
+	$(E2E) '^TestE2E$$/^grid_workers$$'
 chaos:
-	sh tools/chaos.sh
-
-# Observability end-to-end check: replay the quick grid with -trace and a
-# live -metrics-addr server — tables must stay byte-identical to an
-# unobserved run, /metrics must expose the fmgate/pool/breaker/grid/lease
-# series, and trace.jsonl must validate and convert through tools/traceview
-# with one span per grid cell. CI runs this on every push.
-obs-check:
-	sh tools/obs_check.sh
-
-# Tiered completion-cache gate: record the quick grid once, then re-run it
-# cold with only -fm-cache-dir pointed at the recording — the disk tier must
-# serve ≥ 90% of the recorded completions, the run must make zero upstream
-# calls at $0 simulated spend, and the tables must stay byte-identical to
-# the sequential golden. CI runs this on every push.
+	$(E2E) '^TestE2E$$/^chaos$$'
 cache-check:
-	sh tools/cache_check.sh
-
-# Serving-daemon end-to-end check: record the quick grid sequentially as a
-# golden, start a replay-backed smartfeatd on a free port, submit the same
-# selection as a job and poll it to completion — the served result must be
-# byte-identical to the CLI stdout, queue overflow must reject with 429 +
-# Retry-After, /metrics must expose the serve_* series, and a SIGTERM drain
-# must settle every job and exit 0. CI runs this on every push.
+	$(E2E) '^TestE2E$$/^cache$$'
+obs-check:
+	$(E2E) '^TestE2E$$/^obs$$'
 serve-check:
-	sh tools/serve_check.sh
-
-# Multi-seed load soak: record the quick grid once, then once per seed start
-# a fresh replay-backed smartfeatd (small admission queue, chaos-injected FM
-# pool) and drive it with cmd/loadsim in -strict mode — per-seed the client
-# asserts result stability and exact server/client ledger reconciliation;
-# across seeds the tables must be byte-identical (the seed perturbs timing,
-# never results) and match the CLI golden. Seed 1's latency quantiles are
-# appended to the committed BENCH_load.json trajectory. CI runs this with
-# SEEDS=3 on every push.
+	$(E2E) '^TestE2E$$/^serve$$'
 SEEDS ?= 3
 sim-soak:
-	SEEDS="$(SEEDS)" BENCH_OUT="$(CURDIR)/BENCH_load.json" sh tools/sim_soak.sh
+	$(E2E) '^TestE2E$$/^sim_soak$$' -seeds $(SEEDS) -load-bench $(CURDIR)/BENCH_load.json
 
 fmt:
 	gofmt -l -w .

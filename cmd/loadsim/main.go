@@ -15,8 +15,8 @@
 // Op k submits spec k%N of the N -spec values — by op index, not RNG — so
 // two runs with different -seed values submit the same spec multiset and
 // their result tables must be byte-identical (the seed perturbs arrival and
-// think timing only). This is the invariant `make sim-soak` asserts across
-// seeds.
+// think timing only). This is the invariant the sim_soak end-to-end check
+// (internal/e2e) asserts across seeds.
 //
 // -rate R switches from the closed loop (tenants×clients workers, one op in
 // flight each) to open-loop Poisson arrivals at R ops/sec. -out DIR writes

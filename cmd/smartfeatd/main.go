@@ -46,9 +46,9 @@
 // recording cannot cover are rejected with 400 up front. -fm-record records
 // each job's traffic into <job-dir>/fm. -fm-cache-dir mounts the
 // cross-process completion-cache tier for jobs whose config hash matches
-// the directory. A replay-backed daemon is fully hermetic — CI's
-// `make serve-check` starts one, submits the quick grid, and byte-compares
-// the served result against the sequential CLI golden.
+// the directory. A replay-backed daemon is fully hermetic — the serve
+// end-to-end check (internal/e2e) starts one, submits the quick grid, and
+// byte-compares the served result against the sequential CLI golden.
 //
 // # Drain
 //

@@ -16,17 +16,6 @@ func New() *Frame {
 	return &Frame{index: make(map[string]int)}
 }
 
-// FromSeries builds a frame from the given series, which must share a length.
-func FromSeries(cols ...*Series) (*Frame, error) {
-	f := New()
-	for _, c := range cols {
-		if err := f.Add(c); err != nil {
-			return nil, err
-		}
-	}
-	return f, nil
-}
-
 // Len returns the number of rows.
 func (f *Frame) Len() int {
 	if len(f.cols) == 0 {
@@ -212,28 +201,6 @@ func (f *Frame) reindex() {
 	for i, c := range f.cols {
 		f.index[c.Name] = i
 	}
-}
-
-// NumericNames returns names of numeric columns, in frame order.
-func (f *Frame) NumericNames() []string {
-	var out []string
-	for _, c := range f.cols {
-		if c.Kind == Numeric {
-			out = append(out, c.Name)
-		}
-	}
-	return out
-}
-
-// CategoricalNames returns names of categorical columns, in frame order.
-func (f *Frame) CategoricalNames() []string {
-	var out []string
-	for _, c := range f.cols {
-		if c.Kind == Categorical {
-			out = append(out, c.Name)
-		}
-	}
-	return out
 }
 
 // Matrix extracts the named numeric columns as a row-major [][]float64,

@@ -160,15 +160,6 @@ func (s *Series) ValueString(i int) string {
 	return s.Strs[i]
 }
 
-// Float returns the numeric value of row i. For categorical series it returns
-// NaN; callers that need codes should Factorize first.
-func (s *Series) Float(i int) float64 {
-	if s.Kind != Numeric || s.IsNull(i) {
-		return math.NaN()
-	}
-	return s.Nums[i]
-}
-
 // validNums returns the non-null numeric values.
 func (s *Series) validNums() []float64 {
 	out := make([]float64, 0, s.Len())

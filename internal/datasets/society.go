@@ -1,7 +1,6 @@
 package datasets
 
 import (
-	"fmt"
 	"math"
 
 	"smartfeat/internal/dataframe"
@@ -206,6 +205,3 @@ func ones(k int) []float64 {
 	}
 	return out
 }
-
-// ensure fmt is referenced even if future edits drop their usage.
-var _ = fmt.Sprintf

@@ -14,8 +14,7 @@ type Scripted struct {
 	mu        sync.Mutex
 	responses []string
 	next      int
-	// Prompts records every prompt received, for assertions. Take the
-	// snapshot via PromptLog when the model may be called concurrently.
+	// Prompts records every prompt received, for assertions.
 	Prompts []string
 }
 
@@ -45,11 +44,4 @@ func (s *Scripted) Complete(ctx context.Context, prompt string) (string, error) 
 	s.next++
 	s.record(prompt, resp)
 	return resp, nil
-}
-
-// PromptLog returns a snapshot of the prompts received so far.
-func (s *Scripted) PromptLog() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]string(nil), s.Prompts...)
 }

@@ -186,13 +186,6 @@ func (f Fault) Corrupt(text string) string {
 	return text[:len(text)/2]
 }
 
-// Injected reports how many faults have been raised, all kinds combined.
-func (fi *FaultInjector) Injected() int64 {
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	return fi.counts.Total()
-}
-
 // Counts snapshots the per-kind fault tallies.
 func (fi *FaultInjector) Counts() FaultCounts {
 	fi.mu.Lock()

@@ -393,13 +393,26 @@ func TestPoolRateLimitCap(t *testing.T) {
 	p := poolOver(t, model, []Backend{
 		{Name: "b1", Rate: 100, Burst: 1},
 	}, PoolOptions{})
+	// The four calls arrive together, so the bucket's debt builds up:
+	// calls 2..4 reserve tokens 10, 20 and 30ms out and all three wait. In
+	// sequence a call only waits if it follows its predecessor within 10ms,
+	// which scheduler delay on a loaded machine can break.
 	start := time.Now()
+	release := make(chan struct{})
+	errs := make(chan error, 4)
 	for i := 0; i < 4; i++ {
-		if _, err := p.Complete(context.Background(), fmt.Sprintf("p%d", i)); err != nil {
+		go func(i int) {
+			<-release
+			_, err := p.Complete(context.Background(), fmt.Sprintf("p%d", i))
+			errs <- err
+		}(i)
+	}
+	close(release)
+	for i := 0; i < 4; i++ {
+		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Burst 1 at 100/s: calls 2..4 wait ~10ms each.
 	if elapsed := time.Since(start); elapsed < 25*time.Millisecond {
 		t.Errorf("4 calls through a 100/s burst-1 bucket took %s; want >= ~30ms of pacing", elapsed)
 	}

@@ -208,8 +208,8 @@ func (spec PoolSpec) outage() (idx int, from, to int64, err error) {
 // With a replay Store the recording is the pool's content source, exactly as
 // it is a plain gateway's model: completions stay byte-identical to the
 // recorded run while the transport layer — faults, outages, hedges,
-// breakers — is fully exercised. That is how `make chaos` proves resilience
-// hermetically.
+// breakers — is fully exercised. That is how the chaos end-to-end check
+// (internal/e2e) proves resilience hermetically.
 func PoolGateway(model fm.Model, opts Options, spec *PoolSpec) (*Gateway, error) {
 	if spec == nil || spec.Backends <= 0 {
 		return New(model, opts), nil

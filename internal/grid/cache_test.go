@@ -64,8 +64,8 @@ func TestGridDiskTierServesPeerRecording(t *testing.T) {
 // cells must fold into tables byte-identical to the sequential reference.
 // Error injection is disabled here: with partial disk coverage a cross-cell
 // disk hit skips the upstream call mid-cell, and skipping an error-injection
-// RNG draw would legitimately shift later outcomes (the full-coverage gate
-// in tools/cache_check.sh keeps injection on; this test pins the live
+// RNG draw would legitimately shift later outcomes (the full-coverage cache
+// check in internal/e2e keeps injection on; this test pins the live
 // record-and-share path).
 func TestGridConcurrentWorkersSharedCacheDir(t *testing.T) {
 	names := []string{"Diabetes"}

@@ -15,8 +15,8 @@
 // finding in the report; under Config.Strict it fails the run. Because the
 // workload's op→spec mapping is cycled by op index rather than drawn from
 // the RNG, two runs with different seeds submit the same spec multiset —
-// the seed perturbs timing only — which is what lets the sim-soak harness
-// assert byte-identical result tables across seeds.
+// the seed perturbs timing only — which is what lets the sim_soak check in
+// internal/e2e assert byte-identical result tables across seeds.
 package loadsim
 
 import (

@@ -16,9 +16,9 @@ import (
 )
 
 // Example submits a Table 4 job to a replay-backed daemon and waits for it —
-// the hermetic shape CI's serve-check runs: record once with the experiments
-// CLI (here, an in-process grid run), then serve any number of jobs from the
-// recording at $0 simulated cost.
+// the hermetic shape the serve end-to-end check runs: record once with the
+// experiments CLI (here, an in-process grid run), then serve any number of
+// jobs from the recording at $0 simulated cost.
 func Example() {
 	check := func(err error) {
 		if err != nil {

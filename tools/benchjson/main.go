@@ -11,8 +11,8 @@
 // FILE and the combined JSON array is written to stdout, so the committed
 // BENCH_*.json files accumulate one entry per sweep instead of forgetting
 // their history (a single data point is a measurement; two or more are a
-// trajectory). FILE may hold either a legacy single-report object — wrapped
-// into a one-entry array first — or an array from a previous -append.
+// trajectory). FILE must hold the array a previous -append wrote, or not
+// exist yet.
 package main
 
 import (
@@ -21,6 +21,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"sort"
@@ -127,7 +128,7 @@ func summarize(vals []float64) Summary {
 }
 
 // loadTrajectory reads a prior trajectory file: a JSON array of reports, or
-// a legacy single report (the pre-append format), or nothing (missing file).
+// nothing (missing file).
 func loadTrajectory(path string) ([]json.RawMessage, error) {
 	raw, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -137,22 +138,18 @@ func loadTrajectory(path string) ([]json.RawMessage, error) {
 		return nil, err
 	}
 	var arr []json.RawMessage
-	if err := json.Unmarshal(raw, &arr); err == nil {
-		return arr, nil
+	if err := json.Unmarshal(raw, &arr); err != nil {
+		return nil, fmt.Errorf("%s is not a JSON array of reports: %w", path, err)
 	}
-	var single json.RawMessage
-	if err := json.Unmarshal(raw, &single); err != nil {
-		return nil, fmt.Errorf("%s is neither a report array nor a single report: %w", path, err)
-	}
-	return []json.RawMessage{single}, nil
+	return arr, nil
 }
 
-func main() {
-	appendPath := flag.String("append", "", "trajectory file to append this report to; the combined array goes to stdout")
-	flag.Parse()
+// run reads `go test -bench` output from in and writes the report (or, with
+// appendPath set, the trajectory it extends) to out.
+func run(in io.Reader, out io.Writer, appendPath string) error {
 	rep := Report{Benchmarks: []Benchmark{}, Summary: map[string]Summary{}}
 	pkg := ""
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
@@ -172,12 +169,10 @@ func main() {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson: read:", err)
-		os.Exit(1)
+		return fmt.Errorf("read: %w", err)
 	}
 	if len(rep.Benchmarks) == 0 {
-		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
-		os.Exit(1)
+		return errors.New("no benchmark lines on stdin")
 	}
 	byName := map[string][]float64{}
 	for _, b := range rep.Benchmarks {
@@ -190,24 +185,31 @@ func main() {
 	for key, vals := range byName {
 		rep.Summary[key] = summarize(vals)
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
 	var doc any = rep
-	if *appendPath != "" {
-		prior, err := loadTrajectory(*appendPath)
+	if appendPath != "" {
+		prior, err := loadTrajectory(appendPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson: append:", err)
-			os.Exit(1)
+			return fmt.Errorf("append: %w", err)
 		}
 		entry, err := json.Marshal(rep)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson: encode:", err)
-			os.Exit(1)
+			return fmt.Errorf("encode: %w", err)
 		}
 		doc = append(prior, entry)
 	}
+	enc := json.NewEncoder(out)
+	enc.SetIndent("", "  ")
 	if err := enc.Encode(doc); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson: write:", err)
+		return fmt.Errorf("write: %w", err)
+	}
+	return nil
+}
+
+func main() {
+	appendPath := flag.String("append", "", "trajectory file to append this report to; the combined array goes to stdout")
+	flag.Parse()
+	if err := run(os.Stdin, os.Stdout, *appendPath); err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
 }
