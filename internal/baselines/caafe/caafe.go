@@ -332,26 +332,7 @@ func buildPrompt(f *dataframe.Frame, target string, descriptions map[string]stri
 		if name == target {
 			continue
 		}
-		col := f.Column(name)
-		info := fm.AgendaColumn{
-			Name:        name,
-			Description: descriptions[name],
-			Numeric:     col.Kind == dataframe.Numeric,
-			Cardinality: col.Cardinality(),
-		}
-		if info.Description == "" {
-			info.Description = name
-		}
-		if info.Numeric {
-			info.Min, info.Max = col.Min(), col.Max()
-		} else {
-			levels := col.Levels()
-			if len(levels) > 8 {
-				levels = levels[:8]
-			}
-			info.Levels = levels
-		}
-		b.WriteString(fm.FormatAgendaColumn(info))
+		b.WriteString(fm.FormatAgendaColumn(fm.SeriesColumn(f.Column(name), descriptions[name])))
 		b.WriteByte('\n')
 	}
 	fmt.Fprintf(&b, "Prediction class: %s\n", target)

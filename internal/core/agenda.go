@@ -18,12 +18,19 @@ import (
 // operator selector shows the FM: every feature's name, type, basic
 // statistics and natural-language description. New features are appended as
 // they are generated (Figure 2: "updated to data_agenda").
+//
+// A column is summarised once, when it enters the agenda, and its rendered
+// line is kept: every prompt repeats the agenda, and rescanning each column
+// for its statistics per prompt would cost far more than the prompt itself.
+// The snapshot stays exact because pipeline columns are never mutated in
+// place; they are only added to or dropped from the frame.
 type Agenda struct {
 	frame        *dataframe.Frame
 	target       string
 	targetDesc   string
 	descriptions map[string]string
-	order        []string // column presentation order (insertion order)
+	lines        map[string]string // column → rendered agenda line
+	order        []string          // column presentation order (insertion order)
 }
 
 // NewAgenda builds an agenda over the frame's non-target columns.
@@ -35,16 +42,11 @@ func NewAgenda(f *dataframe.Frame, target, targetDesc string, descriptions map[s
 		target:       target,
 		targetDesc:   targetDesc,
 		descriptions: make(map[string]string),
+		lines:        make(map[string]string),
 	}
 	for _, name := range f.Names() {
-		if name == target {
-			continue
-		}
-		a.order = append(a.order, name)
-		if d, ok := descriptions[name]; ok && d != "" {
-			a.descriptions[name] = d
-		} else {
-			a.descriptions[name] = name
+		if name != target {
+			a.enter(name, descriptions[name])
 		}
 	}
 	return a
@@ -78,18 +80,24 @@ func (a *Agenda) Add(name, description string) error {
 	if _, dup := a.descriptions[name]; dup {
 		return fmt.Errorf("core: agenda add: column %q already present", name)
 	}
-	a.order = append(a.order, name)
-	if description == "" {
-		description = name
-	}
-	a.descriptions[name] = description
+	a.enter(name, description)
 	return nil
+}
+
+// enter appends a frame column to the agenda and snapshots its summary line.
+// An empty description falls back to the column name.
+func (a *Agenda) enter(name, description string) {
+	info := fm.SeriesColumn(a.frame.Column(name), description)
+	a.order = append(a.order, name)
+	a.descriptions[name] = info.Description
+	a.lines[name] = fm.FormatAgendaColumn(info)
 }
 
 // Remove deletes a column from the agenda (it stays in the frame unless the
 // caller drops it there too).
 func (a *Agenda) Remove(name string) {
 	delete(a.descriptions, name)
+	delete(a.lines, name)
 	kept := a.order[:0]
 	for _, n := range a.order {
 		if n != name {
@@ -105,41 +113,13 @@ func (a *Agenda) Has(name string) bool {
 	return ok
 }
 
-// columnInfo converts a frame column into the FM's agenda view.
-func (a *Agenda) columnInfo(name string) (fm.AgendaColumn, error) {
-	col := a.frame.Column(name)
-	if col == nil {
-		return fm.AgendaColumn{}, fmt.Errorf("core: column %q missing from frame", name)
-	}
-	info := fm.AgendaColumn{
-		Name:        name,
-		Description: a.descriptions[name],
-		Numeric:     col.Kind == dataframe.Numeric,
-		Cardinality: col.Cardinality(),
-	}
-	if info.Numeric {
-		info.Min, info.Max = col.Min(), col.Max()
-	} else {
-		levels := col.Levels()
-		if len(levels) > 8 {
-			levels = levels[:8]
-		}
-		info.Levels = levels
-	}
-	return info, nil
-}
-
 // Render produces the "Dataset description:" block of a prompt.
-func (a *Agenda) Render() (string, error) {
+func (a *Agenda) Render() string {
 	var b strings.Builder
 	b.WriteString("Dataset description:\n")
 	for _, name := range a.order {
-		info, err := a.columnInfo(name)
-		if err != nil {
-			return "", err
-		}
-		b.WriteString(fm.FormatAgendaColumn(info))
+		b.WriteString(a.lines[name])
 		b.WriteByte('\n')
 	}
-	return b.String(), nil
+	return b.String()
 }

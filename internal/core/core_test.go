@@ -72,10 +72,7 @@ func TestAgendaBasics(t *testing.T) {
 	if a.Describe("Age") != "Age of the policyholder in years" {
 		t.Fatal("description lookup broken")
 	}
-	rendered, err := a.Render()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rendered := a.Render()
 	if !strings.Contains(rendered, "- Age (numeric") || !strings.Contains(rendered, "levels=[LA|SEA|SF]") {
 		t.Fatalf("render missing metadata:\n%s", rendered)
 	}

@@ -78,13 +78,7 @@ func (g *Generator) Realize(ctx context.Context, f *dataframe.Frame, a *Agenda, 
 	}
 	spec := c.Spec
 	if spec == nil {
-		prompt, err := functionPrompt(a, g.dsName, c)
-		if err != nil {
-			out.Status = StatusFailed
-			out.Detail = err.Error()
-			return out
-		}
-		resp, err := g.model.Complete(ctx, prompt)
+		resp, err := g.model.Complete(ctx, functionPrompt(a, g.dsName, c))
 		if err != nil {
 			out.Status = StatusFailed
 			out.Detail = err.Error()

@@ -187,6 +187,12 @@ func run(ctx context.Context, input *dataframe.Frame, opts Options, start time.T
 	realize := func(c Candidate) GeneratedFeature {
 		g := generator.Realize(ctx, f, agenda, c)
 		if g.Status == StatusAdded || g.Status == StatusRowLevel {
+			sourceCard := -1 // the dummies' source cardinality, if any
+			if g.Spec != nil && g.Spec.Kind == KindDummies {
+				if src := f.Column(g.Spec.Input); src != nil {
+					sourceCard = src.Cardinality()
+				}
+			}
 			for _, col := range g.Columns {
 				desc := g.Candidate.Description
 				if len(g.Columns) > 1 {
@@ -198,11 +204,8 @@ func run(ctx context.Context, input *dataframe.Frame, opts Options, start time.T
 					break
 				}
 				newColumns = append(newColumns, col)
-				if g.Spec != nil && g.Spec.Kind == KindDummies {
-					src := f.Column(g.Spec.Input)
-					if src != nil {
-						dummySource[col] = src.Cardinality()
-					}
+				if sourceCard >= 0 {
+					dummySource[col] = sourceCard
 				}
 			}
 		}

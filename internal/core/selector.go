@@ -65,11 +65,7 @@ var knownUnaryOps = map[string]bool{
 // ProposeUnary prompts for unary operators on one attribute and returns the
 // proposals the FM is confident about (certain/high), as §3.2 specifies.
 func (s *Selector) ProposeUnary(ctx context.Context, a *Agenda, attribute string) ([]Candidate, error) {
-	prompt, err := unaryPrompt(a, s.dsName, attribute)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := s.model.Complete(ctx, prompt)
+	resp, err := s.model.Complete(ctx, unaryPrompt(a, s.dsName, attribute))
 	if err != nil {
 		return nil, err
 	}
@@ -124,11 +120,7 @@ func parseUnaryProposals(resp string) ([]unaryProposal, error) {
 
 // SampleBinary draws one binary-operator candidate via the sampling strategy.
 func (s *Selector) SampleBinary(ctx context.Context, a *Agenda) (Candidate, error) {
-	prompt, err := binaryPrompt(a, s.dsName)
-	if err != nil {
-		return Candidate{}, err
-	}
-	resp, err := s.model.Complete(ctx, prompt)
+	resp, err := s.model.Complete(ctx, binaryPrompt(a, s.dsName))
 	if err != nil {
 		return Candidate{}, err
 	}
@@ -177,11 +169,7 @@ func (s *Selector) SampleBinary(ctx context.Context, a *Agenda) (Candidate, erro
 // fully determined by the selector output, so Spec is pre-filled and the
 // function generator will skip the FM (§3.3).
 func (s *Selector) SampleHighOrder(ctx context.Context, a *Agenda) (Candidate, error) {
-	prompt, err := highOrderPrompt(a, s.dsName)
-	if err != nil {
-		return Candidate{}, err
-	}
-	resp, err := s.model.Complete(ctx, prompt)
+	resp, err := s.model.Complete(ctx, highOrderPrompt(a, s.dsName))
 	if err != nil {
 		return Candidate{}, err
 	}
@@ -230,11 +218,7 @@ func (s *Selector) SampleHighOrder(ctx context.Context, a *Agenda) (Candidate, e
 
 // SampleExtractor draws one extractor candidate.
 func (s *Selector) SampleExtractor(ctx context.Context, a *Agenda) (Candidate, error) {
-	prompt, err := extractorPrompt(a, s.dsName)
-	if err != nil {
-		return Candidate{}, err
-	}
-	resp, err := s.model.Complete(ctx, prompt)
+	resp, err := s.model.Complete(ctx, extractorPrompt(a, s.dsName))
 	if err != nil {
 		return Candidate{}, err
 	}

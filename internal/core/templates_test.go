@@ -13,10 +13,7 @@ import (
 func TestUnaryPromptGolden(t *testing.T) {
 	f := insuranceFrame(t)
 	a := NewAgenda(f, "Safe", "Whether the policyholder is safe", insuranceDescriptions)
-	got, err := unaryPrompt(a, "Decision Tree", "Age")
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := unaryPrompt(a, "Decision Tree", "Age")
 	for _, want := range []string{
 		"Task: propose-unary",
 		"Dataset description:",
@@ -43,10 +40,7 @@ func TestUnaryPromptGolden(t *testing.T) {
 func TestHighOrderPromptGolden(t *testing.T) {
 	f := insuranceFrame(t)
 	a := NewAgenda(f, "Safe", "", insuranceDescriptions)
-	got, err := highOrderPrompt(a, "RF")
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := highOrderPrompt(a, "RF")
 	for _, want := range []string{
 		"Task: sample-highorder",
 		"'df.groupby(groupby_col)[agg_col].transform(function)'",
@@ -62,17 +56,11 @@ func TestHighOrderPromptGolden(t *testing.T) {
 func TestBinaryAndExtractorPrompts(t *testing.T) {
 	f := insuranceFrame(t)
 	a := NewAgenda(f, "Safe", "", insuranceDescriptions)
-	bp, err := binaryPrompt(a, "RF")
-	if err != nil {
-		t.Fatal(err)
-	}
+	bp := binaryPrompt(a, "RF")
 	if !strings.Contains(bp, "Task: sample-binary") || !strings.Contains(bp, "arithmetic operators +, -, *, /") {
 		t.Fatalf("binary prompt malformed:\n%s", bp)
 	}
-	ep, err := extractorPrompt(a, "RF")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ep := extractorPrompt(a, "RF")
 	if !strings.Contains(ep, "Task: sample-extractor") || !strings.Contains(ep, "population density") {
 		t.Fatalf("extractor prompt malformed:\n%s", ep)
 	}
@@ -81,15 +69,12 @@ func TestBinaryAndExtractorPrompts(t *testing.T) {
 func TestFunctionPromptGolden(t *testing.T) {
 	f := insuranceFrame(t)
 	a := NewAgenda(f, "Safe", "", insuranceDescriptions)
-	got, err := functionPrompt(a, "RF", Candidate{
+	got := functionPrompt(a, "RF", Candidate{
 		Name:        "Bucketized_age",
 		Inputs:      []string{"Age"},
 		Operator:    "bucketize",
 		Description: "Bucketization of Age attribute",
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, want := range []string{
 		"Task: generate-function",
 		"New feature: Bucketized_age",
@@ -123,12 +108,12 @@ func TestPromptsRoundTripThroughSimulatedFM(t *testing.T) {
 	f := insuranceFrame(t)
 	a := NewAgenda(f, "Safe", "is safe", insuranceDescriptions)
 	model := fm.NewGPT4Sim(3, 0)
-	prompts := make([]string, 0, 4)
-	up, _ := unaryPrompt(a, "RF", "Age")
-	bp, _ := binaryPrompt(a, "RF")
-	hp, _ := highOrderPrompt(a, "RF")
-	ep, _ := extractorPrompt(a, "RF")
-	prompts = append(prompts, up, bp, hp, ep)
+	prompts := []string{
+		unaryPrompt(a, "RF", "Age"),
+		binaryPrompt(a, "RF"),
+		highOrderPrompt(a, "RF"),
+		extractorPrompt(a, "RF"),
+	}
 	for i, p := range prompts {
 		if _, err := model.Complete(tctx, p); err != nil {
 			t.Errorf("prompt %d rejected by the simulated FM: %v", i, err)
@@ -148,10 +133,7 @@ func TestAgendaGrowsIntoPrompts(t *testing.T) {
 	if err := a.Add("Bucketized_age", "Bucketization of Age attribute"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := unaryPrompt(a, "RF", "Age")
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := unaryPrompt(a, "RF", "Age")
 	if !strings.Contains(got, "- Bucketized_age (numeric") {
 		t.Fatalf("new feature missing from updated agenda:\n%s", got)
 	}

@@ -207,9 +207,11 @@ func sharedEntityTokens(a, b AgendaColumn) int {
 // pairScore weights a binary-operator pairing; higher is more plausible.
 // Mirrors how an LLM prefers semantically meaningful combinations (ratios of
 // counts, money per count, same-entity conversion rates, measurement
-// interactions) over arbitrary ones.
-func pairScore(a, b AgendaColumn, op string) float64 {
-	base := rolePairScore(a, b, op)
+// interactions) over arbitrary ones. ra and rb are InferRole(a) and
+// InferRole(b), inferred once per prompt by the caller: a prompt scores
+// every ordered pair of its numeric columns under four operators.
+func pairScore(a, b AgendaColumn, ra, rb Role, op string) float64 {
+	base := rolePairScore(ra, rb, op)
 	if base <= 0 {
 		return base
 	}
@@ -224,7 +226,7 @@ func pairScore(a, b AgendaColumn, op string) float64 {
 	}
 	// Coordinates are positions, not quantities: arithmetic on them is
 	// meaningless.
-	if InferRole(a) == RoleGeo || InferRole(b) == RoleGeo {
+	if ra == RoleGeo || rb == RoleGeo {
 		base *= 0.05
 	}
 	descA := strings.ToLower(a.Name + " " + a.Description)
@@ -241,7 +243,7 @@ func pairScore(a, b AgendaColumn, op string) float64 {
 			base *= 2.5
 		}
 		// Dividing by a percentage/rate is rarely meaningful.
-		if InferRole(b) == RoleRate {
+		if rb == RoleRate {
 			base *= 0.3
 		}
 		if shared := sharedEntityTokens(a, b); shared > 0 {
@@ -255,8 +257,7 @@ func pairScore(a, b AgendaColumn, op string) float64 {
 	return base
 }
 
-func rolePairScore(a, b AgendaColumn, op string) float64 {
-	ra, rb := InferRole(a), InferRole(b)
+func rolePairScore(ra, rb Role, op string) float64 {
 	switch op {
 	case "divide":
 		switch {

@@ -1,7 +1,10 @@
 package fm
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -56,33 +59,36 @@ func TestIsDerivedMarkers(t *testing.T) {
 }
 
 func TestPairScoreSemantics(t *testing.T) {
+	score := func(a, b AgendaColumn, op string) float64 {
+		return pairScore(a, b, InferRole(a), InferRole(b), op)
+	}
 	bpw := col("BPW.1", "Number of break points won by player 1", true, 20, 1, 40)
 	bpc := col("BPC.1", "Number of break points created by player 1", true, 20, 1, 40)
 	ssw := col("SSW.1", "Number of second-serve points won by player 1", true, 50, 1, 150)
 	misc := col("Misc", "Unremarkable quantity", true, 100, 0, 10)
 
-	conversion := pairScore(bpw, bpc, "divide")
-	crossOutcome := pairScore(bpw, ssw, "divide")
+	conversion := score(bpw, bpc, "divide")
+	crossOutcome := score(bpw, ssw, "divide")
 	if conversion <= crossOutcome {
 		t.Fatalf("won/created conversion (%v) must outweigh won/won pairing (%v)", conversion, crossOutcome)
 	}
-	generic := pairScore(misc, misc, "divide")
+	generic := score(misc, misc, "divide")
 	if conversion <= generic {
 		t.Fatal("semantic pairs must outweigh generic ones")
 	}
 
 	// Derived columns are heavily discounted; two derived → zero.
 	bucket := col("Bucketize_Age", "Bucketization of Age into bands", true, 4, 0, 3)
-	if got := pairScore(bucket, bucket, "divide"); got != 0 {
+	if got := score(bucket, bucket, "divide"); got != 0 {
 		t.Fatalf("derived×derived should be 0, got %v", got)
 	}
-	if pairScore(bucket, misc, "divide") >= generic {
+	if score(bucket, misc, "divide") >= generic {
 		t.Fatal("derived pairs must be discounted")
 	}
 
 	// Coordinates are not quantities.
 	lat := col("Latitude", "Latitude of the trap", true, 500, 41, 42)
-	if pairScore(lat, misc, "add") >= pairScore(misc, misc, "add") {
+	if score(lat, misc, "add") >= score(misc, misc, "add") {
 		t.Fatal("geo arithmetic must be discounted")
 	}
 
@@ -90,10 +96,10 @@ func TestPairScoreSemantics(t *testing.T) {
 	rooms := col("TotalRooms", "Total number of rooms in the district", true, 500, 50, 5000)
 	households := col("Households", "Total number of households in the district", true, 500, 50, 3000)
 	rate := col("Rate", "Conversion rate of visits", true, 100, 0, 1)
-	if pairScore(rooms, households, "multiply") >= pairScore(rate, rooms, "multiply") {
+	if score(rooms, households, "multiply") >= score(rate, rooms, "multiply") {
 		t.Fatal("count×count product must rank below rate×count")
 	}
-	if pairScore(rooms, households, "divide") <= pairScore(rooms, households, "multiply") {
+	if score(rooms, households, "divide") <= score(rooms, households, "multiply") {
 		t.Fatal("ratio of totals must rank above their product")
 	}
 }
@@ -207,5 +213,54 @@ func TestDensityMappingDeterministic(t *testing.T) {
 		if m2[k] != v {
 			t.Fatal("mapping must be order-independent")
 		}
+	}
+}
+
+// TestSampleBinaryResponsesPinned pins the simulator's binary samples for a
+// fixed seed over a fixed agenda that covers every pairScore branch: counts,
+// money, rates, measurements, scores, durations, years, coordinates, an id,
+// a binary flag and derived features. Replay recordings of sampled prompts
+// depend on this exact sequence.
+func TestSampleBinaryResponsesPinned(t *testing.T) {
+	const want = "40f38cda6b5bd977bf36acb9aa58d13336770963e3af3394f22faf174d5dbc4a"
+	agenda := []AgendaColumn{
+		col("BPW.1", "Number of break points won by player 1", true, 20, 1, 40),
+		col("BPC.1", "Number of break points created by player 1", true, 20, 1, 40),
+		col("UFE.1", "Unforced errors committed by player 1", true, 30, 0, 60),
+		col("Balance", "Average yearly account balance", true, 900, -800, 90000),
+		col("Campaign", "Number of contacts during this campaign", true, 40, 1, 60),
+		col("Duration", "Duration of the last contact in seconds", true, 1500, 0, 4900),
+		col("EmpVarRate", "Employment variation rate", true, 10, -3.4, 1.4),
+		col("Glucose", "Plasma glucose concentration", true, 130, 0, 199),
+		col("BMI", "Body mass index", true, 240, 0, 67),
+		col("LSAT", "LSAT score of the applicant", true, 40, 120, 180),
+		col("GPA", "Undergraduate GPA score", true, 200, 1, 4),
+		col("YearBuilt", "Calendar year the house was built", true, 100, 1900, 2010),
+		col("Latitude", "Latitude of the trap", true, 500, 41, 42),
+		col("row_id", "Row identifier", true, 1000, 1, 1000),
+		col("Smoker", "Whether the patient smokes", true, 2, 0, 1),
+		col("Bucketize_Age", "Bucketization of Age into bands", true, 4, 0, 3),
+		col("Balance_divide_Campaign", "Divide of Balance and Campaign (Balance / Campaign)", true, 800, 0, 9000),
+		{Name: "Job", Description: "Type of job", Cardinality: 12, Levels: []string{"admin.", "technician"}},
+		col("y", "Whether the client subscribed", true, 2, 0, 1),
+	}
+	var prompt strings.Builder
+	prompt.WriteString("Task: " + TaskSampleBinary + "\nDataset description:\n")
+	for _, c := range agenda {
+		prompt.WriteString(FormatAgendaColumn(c) + "\n")
+	}
+	prompt.WriteString("Prediction class: y\nDownstream model: RF\n")
+
+	m := NewGPT4Sim(7, 0)
+	h := sha256.New()
+	for i := 0; i < 40; i++ {
+		resp, err := m.Complete(ctx, prompt.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write([]byte(resp + "\n"))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("40 binary samples hash to %s, want %s", got, want)
 	}
 }

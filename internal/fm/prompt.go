@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"smartfeat/internal/dataframe"
 )
 
 // Task labels the interaction types the SMARTFEAT prompt templates encode.
@@ -18,6 +20,32 @@ const (
 	TaskGenerateFunction = "generate-function"
 	TaskCompleteRow      = "complete-row"
 )
+
+// SeriesColumn summarises a frame column as the FM's agenda view: kind,
+// cardinality, range for numerics and up to eight levels for categoricals.
+// An empty description falls back to the column name. Each statistic scans
+// the whole column, so callers summarise a column once and keep the result.
+func SeriesColumn(col *dataframe.Series, description string) AgendaColumn {
+	if description == "" {
+		description = col.Name
+	}
+	info := AgendaColumn{
+		Name:        col.Name,
+		Description: description,
+		Numeric:     col.Kind == dataframe.Numeric,
+		Cardinality: col.Cardinality(),
+	}
+	if info.Numeric {
+		info.Min, info.Max = col.Min(), col.Max()
+	} else {
+		levels := col.Levels()
+		if len(levels) > 8 {
+			levels = levels[:8]
+		}
+		info.Levels = levels
+	}
+	return info
+}
 
 // FormatAgendaColumn renders one data-agenda line in the canonical format the
 // prompt templates use and the simulated FM parses:

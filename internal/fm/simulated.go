@@ -197,6 +197,10 @@ func (s *Simulated) answerSampleBinary(f promptFields) (string, error) {
 	if len(numeric) < 2 {
 		return "", fmt.Errorf("fm: not enough numeric attributes for binary operators")
 	}
+	roles := make([]Role, len(numeric))
+	for i, c := range numeric {
+		roles[i] = InferRole(c)
+	}
 	type cand struct {
 		op   string
 		a, b AgendaColumn
@@ -213,7 +217,7 @@ func (s *Simulated) answerSampleBinary(f promptFields) (string, error) {
 				if (op == "add" || op == "multiply") && i > j {
 					continue
 				}
-				w := pairScore(numeric[i], numeric[j], op)
+				w := pairScore(numeric[i], numeric[j], roles[i], roles[j], op)
 				if w > 0 {
 					cands = append(cands, cand{op, numeric[i], numeric[j], w})
 				}
