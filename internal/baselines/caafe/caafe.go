@@ -109,6 +109,7 @@ func Run(ctx context.Context, input *dataframe.Frame, target string, description
 	model.ResetUsage()
 	f := input.Clone()
 	res := &Result{Frame: f}
+	c := newCard(f, target, descriptions)
 
 	// Validation sample (CAAFE samples the data it shows and validates on),
 	// drawn from the training rows only.
@@ -153,9 +154,9 @@ func Run(ctx context.Context, input *dataframe.Frame, target string, description
 			var vals []float64
 			var serr error
 			if iter%3 == 2 {
-				name, vals, serr = sampleComposite(ctx, f, target, descriptions, model)
+				name, vals, serr = sampleComposite(ctx, c, model)
 			} else {
-				name, vals, serr = samplePairwise(ctx, f, target, descriptions, model)
+				name, vals, serr = samplePairwise(ctx, c, model)
 			}
 			if serr != nil || name == "" {
 				outcome = "generation-failed"
@@ -174,13 +175,13 @@ func Run(ctx context.Context, input *dataframe.Frame, target string, description
 				outcome = "validation-failed"
 				return false
 			}
-			if aerr := f.AddNumeric(name, vals); aerr != nil {
+			if aerr := c.add(name, vals); aerr != nil {
 				outcome = "validation-failed"
 				return false
 			}
 			withAUC, verr := meanValidationAUC(f, append(append([]string(nil), current...), name), labels, target, downstream, rows, cfg.Seed+int64(iter))
 			if verr != nil || withAUC < baseAUC+cfg.MinImprovement {
-				f.Drop(name)
+				c.drop(name)
 				outcome = "rejected"
 				return false
 			}
@@ -238,23 +239,23 @@ func (c candidate) compute(f *dataframe.Frame) []float64 {
 
 // samplePairwise asks the FM for one pairwise numeric combination and
 // evaluates it with CAAFE's raw (unguarded) arithmetic.
-func samplePairwise(ctx context.Context, f *dataframe.Frame, target string, descriptions map[string]string, model fm.Model) (string, []float64, error) {
-	resp, err := model.Complete(ctx, buildPrompt(f, target, descriptions, fm.TaskSampleBinary))
+func samplePairwise(ctx context.Context, c *card, model fm.Model) (string, []float64, error) {
+	resp, err := model.Complete(ctx, c.prompt(fm.TaskSampleBinary))
 	if err != nil {
 		return "", nil, err
 	}
-	cand, err := parseCandidate(resp, f, target)
+	cand, err := parseCandidate(resp, c.f, c.target)
 	if err != nil {
 		return "", nil, err
 	}
-	return cand.name, cand.compute(f), nil
+	return cand.name, cand.compute(c.f), nil
 }
 
 // sampleComposite asks the FM for a multi-column composite expression (the
 // kind of pandas one-liner CAAFE's codegen produces for index features) and
 // evaluates it.
-func sampleComposite(ctx context.Context, f *dataframe.Frame, target string, descriptions map[string]string, model fm.Model) (string, []float64, error) {
-	resp, err := model.Complete(ctx, buildPrompt(f, target, descriptions, fm.TaskSampleExtractor))
+func sampleComposite(ctx context.Context, c *card, model fm.Model) (string, []float64, error) {
+	resp, err := model.Complete(ctx, c.prompt(fm.TaskSampleExtractor))
 	if err != nil {
 		return "", nil, err
 	}
@@ -276,7 +277,7 @@ func sampleComposite(ctx context.Context, f *dataframe.Frame, target string, des
 		return "", nil, fmt.Errorf("caafe: unsupported extractor kind %q", sample.Kind)
 	}
 	// One more completion turns the description into a concrete formula.
-	fnPrompt := buildPrompt(f, target, descriptions, fm.TaskGenerateFunction) +
+	fnPrompt := c.prompt(fm.TaskGenerateFunction) +
 		fmt.Sprintf("New feature: %s\nRelevant columns: %s\nOperator: extractor\nDescription: %s\n",
 			sample.Name, strings.Join(sample.Columns, ", "), sample.Description)
 	fnResp, err := model.Complete(ctx, fnPrompt)
@@ -304,38 +305,80 @@ func sampleComposite(ctx context.Context, f *dataframe.Frame, target string, des
 	}
 	cols := make(map[string][]float64)
 	for _, v := range e.Vars() {
-		c := f.Column(v)
-		if c == nil || c.Kind != dataframe.Numeric || v == target {
+		col := c.f.Column(v)
+		if col == nil || col.Kind != dataframe.Numeric || v == c.target {
 			return "", nil, fmt.Errorf("caafe: expression references invalid column %q", v)
 		}
-		cols[v] = c.Nums
+		cols[v] = col.Nums
 	}
 	vals, err := e.EvalRows(cols)
 	if err != nil {
 		return "", nil, err
 	}
-	if len(vals) != f.Len() {
+	if len(vals) != c.f.Len() {
 		return "", nil, fmt.Errorf("caafe: constant expression")
 	}
 	return sanitize(sample.Name), vals, nil
 }
 
-// buildPrompt renders CAAFE's context prompt. Without an operator selector
-// the request is a generic "suggest a transformation", which the FM answers
-// with numeric combinations.
-func buildPrompt(f *dataframe.Frame, target string, descriptions map[string]string, task string) string {
+// card is a session's frame together with its data card: the prompt line
+// of every non-target column, taken when the column enters the frame. Every
+// prompt repeats the whole card, and rescanning each column's statistics per
+// prompt would cost far more than the prompt itself. The snapshot stays
+// exact because a session only adds and drops columns, never edits one in
+// place.
+type card struct {
+	f            *dataframe.Frame
+	target       string
+	descriptions map[string]string
+	lines        map[string]string // column → rendered card line
+}
+
+func newCard(f *dataframe.Frame, target string, descriptions map[string]string) *card {
+	c := &card{f: f, target: target, descriptions: descriptions, lines: make(map[string]string)}
+	for _, name := range f.Names() {
+		if name != target {
+			c.enter(name)
+		}
+	}
+	return c
+}
+
+func (c *card) enter(name string) {
+	c.lines[name] = fm.FormatAgendaColumn(fm.SeriesColumn(c.f.Column(name), c.descriptions[name]))
+}
+
+// add appends a numeric column to the frame and snapshots its line.
+func (c *card) add(name string, vals []float64) error {
+	if err := c.f.AddNumeric(name, vals); err != nil {
+		return err
+	}
+	c.enter(name)
+	return nil
+}
+
+// drop removes a column from the frame and forgets its line.
+func (c *card) drop(name string) {
+	c.f.Drop(name)
+	delete(c.lines, name)
+}
+
+// prompt renders CAAFE's context prompt, listing the card in frame order.
+// Without an operator selector the request is a generic "suggest a
+// transformation", which the FM answers with numeric combinations.
+func (c *card) prompt(task string) string {
 	var b strings.Builder
 	b.WriteString("You are assisting with semi-automated data science feature engineering.\n")
 	fmt.Fprintf(&b, "Task: %s\n", task)
 	b.WriteString("Dataset description:\n")
-	for _, name := range f.Names() {
-		if name == target {
+	for _, name := range c.f.Names() {
+		if name == c.target {
 			continue
 		}
-		b.WriteString(fm.FormatAgendaColumn(fm.SeriesColumn(f.Column(name), descriptions[name])))
+		b.WriteString(c.lines[name])
 		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "Prediction class: %s\n", target)
+	fmt.Fprintf(&b, "Prediction class: %s\n", c.target)
 	b.WriteString("Suggest one new feature as pandas code combining existing numeric columns. " +
 		"Respond with a single JSON object: {\"op\": add|subtract|multiply|divide, \"left\": col, \"right\": col, \"name\": feature_name}.\n")
 	return b.String()

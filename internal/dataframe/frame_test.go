@@ -220,6 +220,38 @@ func TestCardinalityAndLevels(t *testing.T) {
 	}
 }
 
+func TestIsConstant(t *testing.T) {
+	nan := math.NaN()
+	masked := NewNumeric("masked", []float64{1, 2, 1})
+	masked.SetNull(1)
+	catNull := NewCategorical("cat-null", []string{"a", "b", "a"})
+	catNull.SetNull(1)
+	cases := []struct {
+		s    *Series
+		want bool
+	}{
+		{NewNumeric("empty", nil), true},
+		{NewNumeric("one row", []float64{7}), true},
+		{NewNumeric("all null", []float64{nan, nan}), true},
+		{NewNumeric("nulls around one value", []float64{nan, 3, nan, 3}), true},
+		{NewNumeric("nan is null", []float64{3, nan, 4}), false},
+		{NewNumeric("signed zeros", []float64{0, math.Copysign(0, -1), 0}), true},
+		{NewNumeric("second value last", []float64{5, 5, 5, 6}), false},
+		{masked, true},
+		{NewCategorical("one level", []string{"x", "x"}), true},
+		{NewCategorical("two levels", []string{"x", "y", "x"}), false},
+		{catNull, true},
+	}
+	for _, c := range cases {
+		if got := c.s.IsConstant(); got != c.want {
+			t.Errorf("%s: IsConstant() = %v, want %v", c.s.Name, got, c.want)
+		}
+		if want := c.s.Cardinality() <= 1; c.want != want {
+			t.Errorf("%s: table says %v, Cardinality() <= 1 says %v", c.s.Name, c.want, want)
+		}
+	}
+}
+
 func TestValueString(t *testing.T) {
 	s := NewNumeric("x", []float64{3, 3.5})
 	if s.ValueString(0) != "3" {

@@ -315,9 +315,21 @@ func (s *Series) Levels() []string {
 }
 
 // IsConstant reports whether the series has at most one distinct non-null
-// value.
+// value (Cardinality() <= 1). It stops at the second distinct value instead
+// of building the full distinct set.
 func (s *Series) IsConstant() bool {
-	return s.Cardinality() <= 1
+	first := -1
+	for i := 0; i < s.Len(); i++ {
+		switch {
+		case s.IsNull(i):
+		case first < 0:
+			first = i
+		case s.Kind == Numeric && s.Nums[i] != s.Nums[first],
+			s.Kind != Numeric && s.Strs[i] != s.Strs[first]:
+			return false
+		}
+	}
+	return true
 }
 
 // appendKey appends row i's group-by key to buf and returns the extended

@@ -209,8 +209,20 @@ func RunCAAFE(ctx context.Context, d *datasets.Dataset, clean *dataframe.Frame, 
 		evalErr  error
 		metrics  fmgate.Metrics
 	}
+	// The DNN session is dispatched first: its validation trains an MLP
+	// 2·3 times per iteration, the cell's longest serial chain. Aggregation
+	// below still walks cfg.Models in order.
+	order := make([]int, 0, len(cfg.Models))
+	for _, dnn := range []bool{true, false} {
+		for i, ds := range cfg.Models {
+			if (ds == "DNN") == dnn {
+				order = append(order, i)
+			}
+		}
+	}
 	cells := make([]session, len(cfg.Models))
-	ForEachIndex(cfg.workers(), len(cfg.Models), func(i int) {
+	ForEachIndex(cfg.workers(), len(order), func(k int) {
+		i := order[k]
 		ds := cfg.Models[i]
 		// Each session's gateway is scoped by its downstream model: the
 		// sessions start from identically-seeded simulators and reissue

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -50,4 +51,24 @@ func ForEachIndex(workers, n int, fn func(int)) {
 		}()
 	}
 	wg.Wait()
+}
+
+// ExpensiveFirst stably reorders idx so the costliest cells start first:
+// CAAFE cells (their validation retrains the downstream model per
+// candidate), then SMARTFEAT cells, then everything else, each group in its
+// original order. method maps an index to its cell's method. On a bounded
+// pool this starts the longest serial chains while the cheap cells fill the
+// other workers, instead of leaving one worker to finish them alone at the
+// end. Cells are seeded per cell, so the order moves wall-clock only.
+func ExpensiveFirst(idx []int, method func(int) string) {
+	rank := func(i int) int {
+		switch method(i) {
+		case MethodCAAFE:
+			return 0
+		case MethodSmartfeat:
+			return 1
+		}
+		return 2
+	}
+	slices.SortStableFunc(idx, func(a, b int) int { return rank(a) - rank(b) })
 }

@@ -74,7 +74,18 @@ func RunComparison(ctx context.Context, names []string, cfg Config) (avg, median
 	cellErrs := make([]error, len(refs))
 	var failed atomic.Bool
 	cache := newDatasetCache(cfg.Seed) // one deterministic load per dataset, not per cell
-	ForEachIndex(cfg.workers(), len(refs), func(i int) {
+	// Expensive cells start first when several workers share the grid. One
+	// worker runs the plan in order: no order can move its wall-clock, and
+	// its fail-fast report stays in plan order.
+	order := make([]int, len(refs))
+	for i := range order {
+		order[i] = i
+	}
+	if cfg.workers() > 1 {
+		ExpensiveFirst(order, func(i int) string { return refs[i].method })
+	}
+	ForEachIndex(cfg.workers(), len(order), func(k int) {
+		i := order[k]
 		// Fail fast: once any cell errors (or the run is cancelled), skip
 		// the cells that have not started yet instead of training their
 		// model grids — but record that they were skipped, not failed.

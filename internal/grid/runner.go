@@ -417,7 +417,9 @@ func (r *Runner) pollInterval() time.Duration {
 	return poll
 }
 
-// pass schedules one sweep over the unresolved cells on the worker pool.
+// pass schedules one sweep over the unresolved cells on the worker pool,
+// expensive methods first (experiments.ExpensiveFirst). Outcomes keep their
+// plan-order slots, so the order moves wall-clock only.
 func (r *Runner) pass(ctx context.Context, st *runState, todo []int, distributed bool) {
 	if len(todo) == 0 {
 		return
@@ -430,6 +432,7 @@ func (r *Runner) pass(ctx context.Context, st *runState, todo []int, distributed
 			foreign = m.Cells
 		}
 	}
+	experiments.ExpensiveFirst(todo, func(i int) string { return st.res.Outcomes[i].Cell.Method })
 	experiments.ForEachIndex(st.workers, len(todo), func(j int) {
 		o := &st.res.Outcomes[todo[j]]
 		if ctx.Err() != nil || (!r.KeepGoing && st.failFast.Load()) {

@@ -98,6 +98,21 @@ func BenchmarkLogisticFit(b *testing.B) {
 	}
 }
 
+// BenchmarkMLPFit is one CAAFE DNN validation fit: 900 training rows of 13
+// features, 8 epochs of the paper's 2×100 network.
+func BenchmarkMLPFit(b *testing.B) {
+	X, y := benchMatrix(b, 900, 13)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := NewMLP(1)
+		m.Epochs = 8
+		if err := m.Fit(X, y); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkMatrixTakeRows(b *testing.B) {
 	X, _ := benchMatrix(b, 4000, 30)
 	idx := make([]int, 3000)

@@ -1,6 +1,9 @@
 package ml
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"sort"
@@ -366,5 +369,63 @@ func TestSortPairs(t *testing.T) {
 			}
 			i = j
 		}
+	}
+}
+
+// probaDigest is the SHA-256 of a probability vector's IEEE-754 bits, so a
+// pin fails on any last-bit change.
+func probaDigest(p []float64) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, v := range p {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestMLPGoldenDigest pins the MLP's fitted probabilities bit for bit to the
+// historical [][]float64 implementation with column-walking backprop. The
+// second shape has a hidden width and an input width that are not multiples
+// of four, and a short final mini-batch; its model is also probed with
+// narrower and wider matrices than it was fitted on (PredictProba reads the
+// first min(d, cols) inputs).
+func TestMLPGoldenDigest(t *testing.T) {
+	cases := []struct {
+		name                     string
+		n, d, hidden, epochs, bs int
+		seed                     int64
+		probeCols                []int
+		want                     []string
+	}{
+		{"hidden100", 300, 13, 100, 3, 64, 1, []int{13}, []string{
+			"7db7a62bb0616ad81331f8b5555fd01c13354167ba3685cf77eac56ab66941b7",
+		}},
+		{"hidden37-d7", 150, 7, 37, 4, 40, 2, []int{7, 5, 10}, []string{
+			"8b4d0e0e7dc7794d9ba8e19d385ca07a4d3cb86ccde35610f9912157521483e7",
+			"8012e911c0f9e47d41430c0ea3f6e5460bdaedaca2b469465c57e05a3b88f696",
+			"8b4d0e0e7dc7794d9ba8e19d385ca07a4d3cb86ccde35610f9912157521483e7",
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			X, y := synthLinear(tc.n, tc.d, tc.seed+40)
+			m := &MLP{Hidden: tc.hidden, Epochs: tc.epochs, BatchSize: tc.bs, LearningRate: 1e-3, Seed: tc.seed}
+			if err := m.Fit(mustMatrix(t, X), y); err != nil {
+				t.Fatal(err)
+			}
+			for k, cols := range tc.probeCols {
+				probe := make([][]float64, len(X))
+				for i, row := range X {
+					probe[i] = make([]float64, cols)
+					for j := range probe[i] {
+						probe[i][j] = row[j%tc.d] + float64(j/tc.d)
+					}
+				}
+				if got := probaDigest(m.PredictProba(mustMatrix(t, probe))); got != tc.want[k] {
+					t.Errorf("probe with %d columns: digest %s, want %s", cols, got, tc.want[k])
+				}
+			}
+		})
 	}
 }

@@ -20,9 +20,12 @@ type MLP struct {
 	// Seed drives init and shuffling.
 	Seed int64
 
-	w1, w2, w3 [][]float64 // layer weights
+	// Layer weights, flat and row-major: w1 is Hidden×d, w2 Hidden×Hidden,
+	// w3 1×Hidden.
+	w1, w2, w3 []float64
 	b1, b2     []float64
 	b3         float64
+	d          int // input width w1 was fitted on
 	fitted     bool
 }
 
@@ -61,7 +64,9 @@ func (a *adam) step(params, grads []float64) {
 
 // Fit implements Classifier. The mini-batch SGD loop is inherently
 // row-oriented, so each sample is gathered from the columnar matrix into a
-// reused buffer; the arithmetic is unchanged from the row-major version.
+// reused buffer. Backprop walks W2 by rows: one pass per nonzero d2[i]
+// accumulates both gW2's row i and every d1[j], adding each d1[j]'s terms in
+// increasing i exactly as a column walk would.
 func (m *MLP) Fit(X *Matrix, y []int) error {
 	if err := validate(X, y); err != nil {
 		return err
@@ -82,17 +87,15 @@ func (m *MLP) Fit(X *Matrix, y []int) error {
 	n, d, h := X.Rows(), X.Cols(), m.Hidden
 
 	// He initialisation for the ReLU layers.
-	initLayer := func(rows, cols int) [][]float64 {
-		w := make([][]float64, rows)
+	initLayer := func(rows, cols int) []float64 {
+		w := make([]float64, rows*cols)
 		scale := math.Sqrt(2 / float64(cols))
 		for i := range w {
-			w[i] = make([]float64, cols)
-			for j := range w[i] {
-				w[i][j] = rng.NormFloat64() * scale
-			}
+			w[i] = rng.NormFloat64() * scale
 		}
 		return w
 	}
+	m.d = d
 	m.w1 = initLayer(h, d)
 	m.w2 = initLayer(h, h)
 	m.w3 = initLayer(1, h)
@@ -100,16 +103,7 @@ func (m *MLP) Fit(X *Matrix, y []int) error {
 	m.b2 = make([]float64, h)
 	m.b3 = 0
 
-	// Flatten parameter views for Adam.
-	flat := func(w [][]float64) []float64 {
-		out := make([]float64, 0, len(w)*len(w[0]))
-		for _, row := range w {
-			out = append(out, row...)
-		}
-		return out
-	}
-	_ = flat // weights are updated in place below, one Adam state per tensor
-
+	// One Adam state per tensor; weights are updated in place.
 	optW1 := newAdam(h*d, m.LearningRate)
 	optB1 := newAdam(h, m.LearningRate)
 	optW2 := newAdam(h*h, m.LearningRate)
@@ -133,24 +127,6 @@ func (m *MLP) Fit(X *Matrix, y []int) error {
 
 	order := rng.Perm(n)
 	xbuf := make([]float64, d)
-	pW1 := make([]float64, h*d)
-	pW2 := make([]float64, h*h)
-	pW3 := make([]float64, h)
-	pack := func() {
-		for i := 0; i < h; i++ {
-			copy(pW1[i*d:(i+1)*d], m.w1[i])
-			copy(pW2[i*h:(i+1)*h], m.w2[i])
-			pW3[i] = m.w3[0][i]
-		}
-	}
-	unpack := func() {
-		for i := 0; i < h; i++ {
-			copy(m.w1[i], pW1[i*d:(i+1)*d])
-			copy(m.w2[i], pW2[i*h:(i+1)*h])
-			m.w3[0][i] = pW3[i]
-		}
-	}
-	pack()
 
 	for epoch := 0; epoch < m.Epochs; epoch++ {
 		// Reshuffle each epoch.
@@ -159,103 +135,55 @@ func (m *MLP) Fit(X *Matrix, y []int) error {
 			order[i], order[j] = order[j], order[i]
 		}
 		for start := 0; start < n; start += m.BatchSize {
-			end := start + m.BatchSize
-			if end > n {
-				end = n
-			}
+			end := min(start+m.BatchSize, n)
 			batch := order[start:end]
 			bs := float64(len(batch))
-			for i := range gW1 {
-				gW1[i] = 0
-			}
-			for i := range gW2 {
-				gW2[i] = 0
-			}
-			for i := range gW3 {
-				gW3[i] = 0
-			}
-			for i := range gB1 {
-				gB1[i] = 0
-			}
-			for i := range gB2 {
-				gB2[i] = 0
-			}
+			clear(gW1)
+			clear(gW2)
+			clear(gW3)
+			clear(gB1)
+			clear(gB2)
 			gB3[0] = 0
 			for _, idx := range batch {
 				x := X.Row(idx, xbuf)
-				// Forward.
-				for i := 0; i < h; i++ {
-					s := m.b1[i]
-					row := pW1[i*d : (i+1)*d]
-					for j, v := range x {
-						s += row[j] * v
-					}
-					z1[i] = s
-					if s > 0 {
-						a1[i] = s
-					} else {
-						a1[i] = 0
-					}
-				}
-				for i := 0; i < h; i++ {
-					s := m.b2[i]
-					row := pW2[i*h : (i+1)*h]
-					for j := 0; j < h; j++ {
-						s += row[j] * a1[j]
-					}
-					z2[i] = s
-					if s > 0 {
-						a2[i] = s
-					} else {
-						a2[i] = 0
-					}
-				}
-				z3 := m.b3
-				for j := 0; j < h; j++ {
-					z3 += pW3[j] * a2[j]
-				}
-				p := sigmoid(z3)
+				p := sigmoid(m.forward(x, z1, a1, z2, a2))
 				// Backward (binary cross-entropy).
 				dz3 := p - float64(y[idx])
 				for j := 0; j < h; j++ {
 					gW3[j] += dz3 * a2[j]
-					d2[j] = dz3 * pW3[j]
+					d2[j] = dz3 * m.w3[j]
 					if z2[j] <= 0 {
 						d2[j] = 0
 					}
 				}
 				gB3[0] += dz3
-				for i := 0; i < h; i++ {
-					if d2[i] == 0 {
+				clear(d1)
+				for i, di := range d2 {
+					if di == 0 {
 						continue
 					}
 					grow := gW2[i*h : (i+1)*h]
-					for j := 0; j < h; j++ {
-						grow[j] += d2[i] * a1[j]
+					wrow := m.w2[i*h : (i+1)*h]
+					for j := range grow {
+						grow[j] += di * a1[j]
+						d1[j] += di * wrow[j]
 					}
-					gB2[i] += d2[i]
+					gB2[i] += di
 				}
-				for j := 0; j < h; j++ {
-					s := 0.0
-					for i := 0; i < h; i++ {
-						if d2[i] != 0 {
-							s += d2[i] * pW2[i*h+j]
-						}
+				for j, z := range z1 {
+					if z <= 0 {
+						d1[j] = 0
 					}
-					if z1[j] <= 0 {
-						s = 0
-					}
-					d1[j] = s
 				}
-				for i := 0; i < h; i++ {
-					if d1[i] == 0 {
+				for i, di := range d1 {
+					if di == 0 {
 						continue
 					}
 					grow := gW1[i*d : (i+1)*d]
 					for j, v := range x {
-						grow[j] += d1[i] * v
+						grow[j] += di * v
 					}
-					gB1[i] += d1[i]
+					gB1[i] += di
 				}
 			}
 			inv := 1 / bs
@@ -265,17 +193,16 @@ func (m *MLP) Fit(X *Matrix, y []int) error {
 			scaleInPlace(gB1, inv)
 			scaleInPlace(gB2, inv)
 			gB3[0] *= inv
-			optW1.step(pW1, gW1)
+			optW1.step(m.w1, gW1)
 			optB1.step(m.b1, gB1)
-			optW2.step(pW2, gW2)
+			optW2.step(m.w2, gW2)
 			optB2.step(m.b2, gB2)
-			optW3.step(pW3, gW3)
+			optW3.step(m.w3, gW3)
 			b3s := []float64{m.b3}
 			optB3.step(b3s, gB3)
 			m.b3 = b3s[0]
 		}
 	}
-	unpack()
 	m.fitted = true
 	return nil
 }
@@ -286,6 +213,59 @@ func scaleInPlace(v []float64, s float64) {
 	}
 }
 
+// forward runs one sample through the network, filling both hidden layers'
+// pre-activations (z1, z2) and ReLU activations (a1, a2), and returns the
+// output logit. Only the first min(d, len(x)) inputs are read, so a matrix
+// narrower or wider than the fitted one still predicts.
+func (m *MLP) forward(x, z1, a1, z2, a2 []float64) float64 {
+	if len(x) > m.d {
+		x = x[:m.d]
+	}
+	dense(m.w1, m.d, m.b1, x, z1, a1)
+	dense(m.w2, m.Hidden, m.b2, a1, z2, a2)
+	z3 := m.b3
+	for j, v := range a2 {
+		z3 += m.w3[j] * v
+	}
+	return z3
+}
+
+// dense computes z = W·x + b and a = ReLU(z) for a row-major W with stride
+// cols. Rows run four at a time with one accumulator each, so every z[i]
+// still sums its terms in increasing j from b[i], bit for bit like a plain
+// row loop, while x is read once per block instead of once per row.
+func dense(w []float64, cols int, b, x, z, a []float64) {
+	i := 0
+	for ; i+4 <= len(z); i += 4 {
+		r0 := w[i*cols : i*cols+len(x)]
+		r1 := w[(i+1)*cols : (i+1)*cols+len(x)]
+		r2 := w[(i+2)*cols : (i+2)*cols+len(x)]
+		r3 := w[(i+3)*cols : (i+3)*cols+len(x)]
+		s0, s1, s2, s3 := b[i], b[i+1], b[i+2], b[i+3]
+		for j, v := range x {
+			s0 += r0[j] * v
+			s1 += r1[j] * v
+			s2 += r2[j] * v
+			s3 += r3[j] * v
+		}
+		z[i], z[i+1], z[i+2], z[i+3] = s0, s1, s2, s3
+	}
+	for ; i < len(z); i++ {
+		s := b[i]
+		for j, v := range x {
+			s += w[i*cols+j] * v
+		}
+		z[i] = s
+	}
+	for i, s := range z {
+		if s > 0 {
+			a[i] = s
+		} else {
+			a[i] = 0
+		}
+	}
+}
+
 // PredictProba implements Classifier.
 func (m *MLP) PredictProba(X *Matrix) []float64 {
 	out := make([]float64, X.Rows())
@@ -293,42 +273,11 @@ func (m *MLP) PredictProba(X *Matrix) []float64 {
 		return out
 	}
 	h := m.Hidden
-	a1 := make([]float64, h)
-	a2 := make([]float64, h)
+	z1, a1 := make([]float64, h), make([]float64, h)
+	z2, a2 := make([]float64, h), make([]float64, h)
 	xbuf := make([]float64, X.Cols())
 	for r := range out {
-		x := X.Row(r, xbuf)
-		for i := 0; i < h; i++ {
-			s := m.b1[i]
-			row := m.w1[i]
-			for j, v := range x {
-				if j < len(row) {
-					s += row[j] * v
-				}
-			}
-			if s > 0 {
-				a1[i] = s
-			} else {
-				a1[i] = 0
-			}
-		}
-		for i := 0; i < h; i++ {
-			s := m.b2[i]
-			row := m.w2[i]
-			for j := 0; j < h; j++ {
-				s += row[j] * a1[j]
-			}
-			if s > 0 {
-				a2[i] = s
-			} else {
-				a2[i] = 0
-			}
-		}
-		z := m.b3
-		for j := 0; j < h; j++ {
-			z += m.w3[0][j] * a2[j]
-		}
-		out[r] = sigmoid(z)
+		out[r] = sigmoid(m.forward(X.Row(r, xbuf), z1, a1, z2, a2))
 	}
 	return out
 }
