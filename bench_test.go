@@ -2,7 +2,9 @@
 // evaluation (§4), plus ablation benches for the design decisions DESIGN.md
 // calls out. Each benchmark regenerates its artifact with the scaled-down
 // Quick configuration and reports the headline quantities as custom metrics,
-// so `go test -bench=. -benchmem` reproduces every result end to end.
+// so `go test -bench=. -benchmem` reproduces every result end to end. The
+// table and figure benches run the same in-memory grid plans as
+// cmd/experiments.
 //
 // The full-scale tables are produced by `go run ./cmd/experiments -all`.
 package smartfeat_test
@@ -15,11 +17,24 @@ import (
 	"smartfeat/internal/datasets"
 	"smartfeat/internal/experiments"
 	"smartfeat/internal/fm"
+	"smartfeat/internal/grid"
 )
 
 // benchConfig is the shared scaled-down evaluation configuration.
 func benchConfig() experiments.Config {
 	return experiments.QuickConfig()
+}
+
+// runSelection runs sel's grid plan over names in memory, as cmd/experiments
+// does without run-directory flags, and fails the benchmark on any cell
+// error.
+func runSelection(b *testing.B, sel grid.Selection, names []string, cfg experiments.Config) *grid.RunResult {
+	b.Helper()
+	res, err := (&grid.Runner{Config: cfg}).Run(context.Background(), sel.Plan(names, nil))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
 }
 
 // BenchmarkTable3DatasetStats regenerates Table 3 (dataset statistics).
@@ -42,11 +57,9 @@ func BenchmarkTable3DatasetStats(b *testing.B) {
 func BenchmarkTable4AverageAUC(b *testing.B) {
 	cfg := benchConfig()
 	var delta float64
+	names := []string{"Diabetes", "Tennis"}
 	for i := 0; i < b.N; i++ {
-		avg, _, err := experiments.RunComparison(context.Background(), []string{"Diabetes", "Tennis"}, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		avg, _ := runSelection(b, grid.Selection{Table: 4}, names, cfg).Comparison(names, cfg)
 		delta = avg.Cells[experiments.MethodSmartfeat]["Tennis"] - avg.Initial["Tennis"]
 	}
 	b.ReportMetric(delta, "sf_tennis_auc_delta")
@@ -56,11 +69,9 @@ func BenchmarkTable4AverageAUC(b *testing.B) {
 func BenchmarkTable5MedianAUC(b *testing.B) {
 	cfg := benchConfig()
 	var delta float64
+	names := []string{"Diabetes"}
 	for i := 0; i < b.N; i++ {
-		_, median, err := experiments.RunComparison(context.Background(), []string{"Diabetes"}, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		_, median := runSelection(b, grid.Selection{Table: 5}, names, cfg).Comparison(names, cfg)
 		delta = median.Cells[experiments.MethodSmartfeat]["Diabetes"] - median.Initial["Diabetes"]
 	}
 	b.ReportMetric(delta, "sf_diabetes_auc_delta")
@@ -73,9 +84,9 @@ func BenchmarkTable6FeatureImportance(b *testing.B) {
 	var ig float64
 	var generated int
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table6FeatureImportance(context.Background(), "Tennis", cfg)
-		if err != nil {
-			b.Fatal(err)
+		rows, ok := runSelection(b, grid.Selection{Table: 6}, nil, cfg).Table6(grid.AblationDataset)
+		if !ok {
+			b.Fatal("table 6 incomplete")
 		}
 		for _, r := range rows {
 			if r.Method == experiments.MethodSmartfeat {
@@ -95,9 +106,9 @@ func BenchmarkTable7OperatorAblation(b *testing.B) {
 	cfg := benchConfig()
 	var binaryGain float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table7OperatorAblation(context.Background(), "Tennis", cfg)
-		if err != nil {
-			b.Fatal(err)
+		rows, ok := runSelection(b, grid.Selection{Table: 7}, nil, cfg).Table7(grid.AblationDataset)
+		if !ok {
+			b.Fatal("table 7 incomplete")
 		}
 		binaryGain = rows[2].Avg - rows[0].Avg // "+Binary" vs "Initial"
 	}
@@ -109,11 +120,12 @@ func BenchmarkTable7OperatorAblation(b *testing.B) {
 // the largest size.
 func BenchmarkFigure1InteractionCost(b *testing.B) {
 	cfg := benchConfig()
+	sel := grid.Selection{Figure: 1, Figure1Sizes: []int{100, 2000}}
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		points, err := experiments.Figure1InteractionCosts(context.Background(), []int{100, 2000}, cfg)
-		if err != nil {
-			b.Fatal(err)
+		points, ok := runSelection(b, sel, nil, cfg).Figure1(sel.Figure1Sizes)
+		if !ok {
+			b.Fatal("figure 1 incomplete")
 		}
 		last := points[len(points)-1]
 		if last.FeatureCostUSD > 0 {
@@ -136,16 +148,15 @@ func BenchmarkFigure2Walkthrough(b *testing.B) {
 
 // BenchmarkEfficiency regenerates the §4.2 efficiency comparison on the
 // smallest dataset and reports SMARTFEAT's feature-engineering seconds
-// (including simulated FM latency).
+// (including simulated FM latency). One worker keeps the timings
+// uncontended.
 func BenchmarkEfficiency(b *testing.B) {
 	cfg := benchConfig()
+	cfg.Workers = 1
+	names := []string{"Diabetes"}
 	var sfSeconds float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunEfficiency(context.Background(), []string{"Diabetes"}, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
+		for _, r := range runSelection(b, grid.Selection{Efficiency: true}, names, cfg).Efficiency(names) {
 			if r.Method == experiments.MethodSmartfeat {
 				sfSeconds = r.Elapsed.Seconds()
 			}
@@ -160,9 +171,9 @@ func BenchmarkDescriptionsAblation(b *testing.B) {
 	cfg := benchConfig()
 	var drop float64
 	for i := 0; i < b.N; i++ {
-		abl, err := experiments.RunDescriptionsAblation(context.Background(), "Tennis", cfg)
-		if err != nil {
-			b.Fatal(err)
+		abl, ok := runSelection(b, grid.Selection{Descriptions: true}, nil, cfg).Descriptions(grid.AblationDataset)
+		if !ok {
+			b.Fatal("descriptions ablation incomplete")
 		}
 		drop = abl.WithAvg - abl.NamesOnlyAvg
 	}

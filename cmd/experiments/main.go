@@ -18,11 +18,14 @@
 //
 // # The grid engine
 //
-// Any of the flags below switch the run onto the cell-addressed grid
-// engine: the selected tables and figures decompose into (dataset × method)
-// cells, scheduled on the worker pool with per-cell seeding (results are
-// bit-identical to a sequential run) and folded back into tables from
-// per-cell artifacts:
+// Every run is a grid plan: the selected tables and figures decompose into
+// (dataset × method) cells, scheduled on the worker pool with per-cell
+// seeding (results are bit-identical to a sequential run) and folded back
+// into tables. Table 3 and the Figure 2 walkthrough need no cells. A failed
+// cell stops unstarted ones (fail-fast) and the tables still print, marking
+// failed cells '!' and skipped ones '?'; one progress line per cell goes to
+// stderr. Without further flags the run lives in memory. The flags below
+// only add persistence, recording, leases or restrictions:
 //
 //	-run-dir DIR    persist one JSON artifact per completed cell plus a
 //	                manifest under DIR; a fresh run refuses a directory that
@@ -39,11 +42,12 @@
 //	-keep-going     run every cell even after one fails (default fail-fast
 //	                skips unstarted cells, reporting them as skipped)
 //
-// Efficiency rows under the grid engine are folded from the comparison
-// cells' own accounting (per-cell cost attribution) instead of re-running
-// the methods sequentially; timings are therefore contended but every FM
-// counter is exact. Ctrl-C cancels in-flight cells; with -run-dir/-resume
-// the interrupted grid resumes incrementally.
+// Efficiency rows are folded from the comparison cells' own accounting
+// (per-cell cost attribution). Cells that run side by side contend for CPU,
+// so timings are contended at -workers 0; -workers 1 gives uncontended
+// timings. Every FM counter is exact at any setting. Ctrl-C cancels
+// in-flight cells; with -run-dir/-resume the interrupted grid resumes
+// incrementally.
 //
 // # Multi-worker runs
 //
@@ -109,6 +113,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -124,43 +129,15 @@ import (
 	"smartfeat/internal/obs"
 )
 
-// selections carries the parsed table/figure switches.
-type selections struct {
-	table        int
-	figure       int
-	efficiency   bool
-	descriptions bool
-	all          bool
-}
-
-func (s selections) any() bool {
-	return s.table != 0 || s.figure != 0 || s.efficiency || s.descriptions || s.all
-}
-
-// grid maps the parsed flags onto the shared plan/fold seam (grid.Selection)
-// so the CLI and the smartfeatd daemon render byte-identical tables.
-func (s selections) grid() grid.Selection {
-	return grid.Selection{
-		Table:        s.table,
-		Figure:       s.figure,
-		Efficiency:   s.efficiency,
-		Descriptions: s.descriptions,
-		All:          s.all,
-	}
-}
-
-// figure1Sizes returns the Figure 1 size series for the selection.
-func (s selections) figure1Sizes() []int {
-	return grid.DefaultFigure1Sizes(s.all)
-}
-
 func main() {
-	var sel selections
-	flag.IntVar(&sel.table, "table", 0, "table number to regenerate (3, 4, 5, 6, 7)")
-	flag.IntVar(&sel.figure, "figure", 0, "figure number to regenerate (1, 2)")
-	flag.BoolVar(&sel.efficiency, "efficiency", false, "run the efficiency comparison")
-	flag.BoolVar(&sel.descriptions, "descriptions", false, "run the feature-description ablation")
-	flag.BoolVar(&sel.all, "all", false, "run everything")
+	// The selection flags parse straight into the plan/fold seam the
+	// smartfeatd daemon shares, so both render byte-identical tables.
+	var sel grid.Selection
+	flag.IntVar(&sel.Table, "table", 0, "table number to regenerate (3, 4, 5, 6, 7)")
+	flag.IntVar(&sel.Figure, "figure", 0, "figure number to regenerate (1, 2)")
+	flag.BoolVar(&sel.Efficiency, "efficiency", false, "run the efficiency comparison")
+	flag.BoolVar(&sel.Descriptions, "descriptions", false, "run the feature-description ablation")
+	flag.BoolVar(&sel.All, "all", false, "run everything")
 	quick := flag.Bool("quick", false, "use the scaled-down configuration")
 	seed := flag.Int64("seed", 0, "override the experiment seed")
 	names := flag.String("datasets", "", "comma-separated dataset subset (default: all eight)")
@@ -268,9 +245,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	gridMode := *runDir != "" || *resume != "" || *fmRecord != "" || *keepGoing ||
-		*worker != "" || methods != nil || *fmReplay != ""
-
 	// Observability: both switches feed the same process-wide registry; the
 	// tables on stdout are byte-identical with or without them.
 	obsOn := *metricsAddr != "" || *traceFlag
@@ -291,7 +265,7 @@ func main() {
 	}
 	if *traceFlag {
 		path := "trace.jsonl"
-		if dir := firstNonEmpty(*resume, *runDir); gridMode && dir != "" {
+		if dir := firstNonEmpty(*resume, *runDir); dir != "" {
 			// The runner would create the directory anyway; creating it here
 			// just lets the trace live beside the manifest from the start.
 			if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -311,17 +285,11 @@ func main() {
 	}
 	prof := obs.NewProfile(nil)
 
-	if gridMode {
-		err = runGrid(ctx, sel, selected, methods, cfg, gridOptions{
-			runDir: *runDir, resume: *resume, fmRecord: *fmRecord, fmReplay: *fmReplay,
-			keepGoing: *keepGoing, quick: *quick, worker: *worker, leaseTTL: *leaseTTL,
-			prof: prof,
-		})
-	} else {
-		done := prof.Phase("run")
-		err = run(ctx, sel, selected, cfg)
-		done()
-	}
+	err = runGrid(ctx, os.Stdout, sel, selected, methods, cfg, gridOptions{
+		runDir: *runDir, resume: *resume, fmRecord: *fmRecord, fmReplay: *fmReplay,
+		keepGoing: *keepGoing, quick: *quick, worker: *worker, leaseTTL: *leaseTTL,
+		prof: prof,
+	})
 	if obsOn {
 		prof.Fill()
 		fmt.Fprintln(os.Stderr, prof.Table())
@@ -343,67 +311,6 @@ func firstNonEmpty(a, b string) string {
 	return b
 }
 
-// run is the in-memory path: no artifacts, no sharded stores.
-func run(ctx context.Context, sel selections, names []string, cfg experiments.Config) error {
-	if !sel.any() {
-		return fmt.Errorf("nothing selected; use -table, -figure, -efficiency, -descriptions or -all")
-	}
-	if sel.table == 3 || sel.all {
-		fmt.Println(experiments.Table3String(cfg))
-	}
-	if sel.table == 4 || sel.table == 5 || sel.all {
-		avg, median, err := experiments.RunComparison(ctx, names, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(avg)
-		fmt.Println(median)
-	}
-	if sel.table == 6 || sel.all {
-		rows, err := experiments.Table6FeatureImportance(ctx, "Tennis", cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.Table6String(rows))
-	}
-	if sel.table == 7 || sel.all {
-		rows, err := experiments.Table7OperatorAblation(ctx, "Tennis", cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.Table7String(rows, cfg.Models))
-	}
-	if sel.figure == 1 || sel.all {
-		points, err := experiments.Figure1InteractionCosts(ctx, sel.figure1Sizes(), cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.Figure1String(points))
-	}
-	if sel.figure == 2 || sel.all {
-		out, err := experiments.Figure2Walkthrough(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(out)
-	}
-	if sel.efficiency || sel.all {
-		rows, err := experiments.RunEfficiency(ctx, names, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.EfficiencyString(rows))
-	}
-	if sel.descriptions || sel.all {
-		abl, err := experiments.RunDescriptionsAblation(ctx, "Tennis", cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(abl)
-	}
-	return nil
-}
-
 // gridOptions carries the engine flags.
 type gridOptions struct {
 	runDir, resume     string
@@ -417,11 +324,11 @@ type gridOptions struct {
 	prof *obs.Profile
 }
 
-// runGrid is the cell-addressed path: build the plan for the selection, run
-// it through the grid engine (artifacts, resume, sharded record/replay),
-// fold, and print whatever completed.
-func runGrid(ctx context.Context, sel selections, names, methods []string, cfg experiments.Config, o gridOptions) error {
-	if !sel.any() {
+// runGrid builds the plan for the selection, runs it through the grid engine
+// (in memory, or with artifacts, resume, sharded record/replay and leases as
+// the options ask), folds, and prints to w whatever completed.
+func runGrid(ctx context.Context, w io.Writer, sel grid.Selection, names, methods []string, cfg experiments.Config, o gridOptions) error {
+	if !sel.Any() {
 		return fmt.Errorf("nothing selected; use -table, -figure, -efficiency, -descriptions or -all")
 	}
 	if o.runDir != "" && o.resume != "" {
@@ -456,8 +363,7 @@ func runGrid(ctx context.Context, sel selections, names, methods []string, cfg e
 	}
 
 	endPlan := o.prof.Phase("plan")
-	gsel := sel.grid()
-	plan := gsel.Plan(names, methods)
+	plan := sel.Plan(names, methods)
 	endPlan()
 
 	endExec := o.prof.Phase("execute")
@@ -479,7 +385,7 @@ func runGrid(ctx context.Context, sel selections, names, methods []string, cfg e
 	// failed/skipped markers), and the error below says what is missing.
 	endFold := o.prof.Phase("fold")
 	var figure2 string
-	if sel.figure == 2 || sel.all {
+	if sel.Figure == 2 || sel.All {
 		// The walkthrough is a fixed six-row trace, not a grid cell; it runs
 		// here and Render places its text in table order.
 		out, err := experiments.Figure2Walkthrough(ctx, cfg)
@@ -494,7 +400,7 @@ func runGrid(ctx context.Context, sel selections, names, methods []string, cfg e
 			figure2 = out
 		}
 	}
-	gsel.Render(os.Stdout, result, names, cfg, figure2)
+	sel.Render(w, result, names, cfg, figure2)
 	endFold()
 
 	// Per-cell cost attribution rolls up into the run profile; the artifacts
@@ -530,21 +436,21 @@ func runGrid(ctx context.Context, sel selections, names, methods []string, cfg e
 // method restrictions, and the FM store mode (the config hash covers none
 // of those, so omitting any would silently resume a different run: a larger
 // grid, or remaining cells recorded/replayed in the wrong mode).
-func replaySelectionHint(sel selections, o gridOptions, names, methods []string) string {
+func replaySelectionHint(sel grid.Selection, o gridOptions, names, methods []string) string {
 	var parts []string
-	if sel.all {
+	if sel.All {
 		parts = append(parts, "-all")
 	}
-	if sel.table != 0 {
-		parts = append(parts, "-table "+strconv.Itoa(sel.table))
+	if sel.Table != 0 {
+		parts = append(parts, "-table "+strconv.Itoa(sel.Table))
 	}
-	if sel.figure != 0 {
-		parts = append(parts, "-figure "+strconv.Itoa(sel.figure))
+	if sel.Figure != 0 {
+		parts = append(parts, "-figure "+strconv.Itoa(sel.Figure))
 	}
-	if sel.efficiency {
+	if sel.Efficiency {
 		parts = append(parts, "-efficiency")
 	}
-	if sel.descriptions {
+	if sel.Descriptions {
 		parts = append(parts, "-descriptions")
 	}
 	if o.quick {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 
 	"smartfeat/internal/core"
 	"smartfeat/internal/dataframe"
@@ -50,8 +49,8 @@ func (f CellFailure) String() string {
 
 // RunError reports a partially-executed grid run, distinguishing cells that
 // *failed* from cells that were merely *skipped* (fail-fast) or
-// *interrupted* (cancellation) — the pre-grid harness collapsed all three
-// into one opaque error, hiding how much of the grid never ran and why.
+// *interrupted* (cancellation), so the error says how much of the grid
+// never ran and why.
 type RunError struct {
 	// Failed lists cells whose infrastructure errored.
 	Failed []CellFailure
@@ -145,50 +144,8 @@ func RunCell(ctx context.Context, dataset, method string, cfg Config) (MethodRes
 	return res, err
 }
 
-// datasetCache amortizes dataset loads across the cells of one in-process
-// run: cells are scheduled per (dataset × method), but five method cells
-// share one deterministic dataset, so regenerating it per cell would be
-// pure waste. Loads are once-per-dataset and concurrency-safe; the load
-// error (if any) is returned to every cell that asks, so per-cell
-// failed/skipped reporting is unaffected. Methods clone the shared clean
-// frame before mutating, exactly as under the batched EvalDataset path.
-type datasetCache struct {
-	seed    int64
-	mu      sync.Mutex
-	entries map[string]*datasetCacheEntry
-}
-
-type datasetCacheEntry struct {
-	once  sync.Once
-	d     *datasets.Dataset
-	clean *dataframe.Frame
-	err   error
-}
-
-func newDatasetCache(seed int64) *datasetCache {
-	return &datasetCache{seed: seed, entries: make(map[string]*datasetCacheEntry)}
-}
-
-func (c *datasetCache) load(name string) (*datasets.Dataset, *dataframe.Frame, error) {
-	c.mu.Lock()
-	e, ok := c.entries[name]
-	if !ok {
-		e = &datasetCacheEntry{}
-		c.entries[name] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		e.d, e.err = datasets.Load(name, c.seed)
-		if e.err == nil {
-			e.clean = e.d.Frame.DropNA()
-		}
-	})
-	return e.d, e.clean, e.err
-}
-
 // runMethodOn dispatches one method cell on an already-loaded dataset (the
-// shared path between RunCell and the batched EvalDataset/RunEfficiency
-// entry points, which amortize the dataset load across a dataset's cells).
+// shared path between RunCell and Table6Cell).
 func runMethodOn(ctx context.Context, d *datasets.Dataset, clean *dataframe.Frame, method string, cfg Config) (MethodResult, error) {
 	switch method {
 	case MethodInitial:

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"smartfeat/internal/core"
-	"smartfeat/internal/dataframe"
 	"smartfeat/internal/datasets"
 )
 
@@ -42,65 +41,13 @@ type EfficiencyRow struct {
 // EfficiencyBudget is the paper's experiment time limit.
 const EfficiencyBudget = time.Hour
 
-// RunEfficiency measures every method's feature-engineering time on the
-// given datasets (§4.2 "Efficiency"). The (dataset × method) cells can fan
-// out on a bounded worker pool; the row order of the result is the
-// sequential (dataset, method) order regardless of scheduling. Because each
-// cell reports its own wall-clock time, concurrent cells contend for CPU
-// and stretch each other's timings — so unlike the comparison harness,
-// this entry point stays sequential unless Workers > 1 is set explicitly
-// (fan out only when throughput matters more than timing fidelity).
-func RunEfficiency(ctx context.Context, names []string, cfg Config) ([]EfficiencyRow, error) {
-	type loaded struct {
-		d     *datasets.Dataset
-		clean *dataframe.Frame
-	}
-	data := make([]loaded, len(names))
-	for k, name := range names {
-		d, err := datasets.Load(name, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		data[k] = loaded{d: d, clean: d.Frame.DropNA()}
-	}
-	methods := Methods()
-	results := make([]MethodResult, len(names)*len(methods))
-	workers := cfg.Workers // 0 → sequential here, for uncontended timings
-	ForEachIndex(workers, len(results), func(i int) {
-		dsi, mi := i/len(methods), i%len(methods)
-		results[i], _ = runMethodOn(ctx, data[dsi].d, data[dsi].clean, methods[mi], cfg)
-	})
-	// An interrupted run must not price truncated cells as if they finished:
-	// a cancelled Elapsed/FM counter is not a measurement.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for i := range results {
-		if results[i].Interrupted() {
-			return nil, results[i].Err
-		}
-	}
-	return EfficiencyFromCells(names, func(dataset, method string) (MethodResult, bool) {
-		for dsi, name := range names {
-			if name != dataset {
-				continue
-			}
-			for mi, m := range methods {
-				if m == method {
-					return results[dsi*len(methods)+mi], true
-				}
-			}
-		}
-		return MethodResult{}, false
-	}), nil
-}
-
 // EfficiencyFromCells folds efficiency rows from per-cell method results in
-// the sequential (dataset, method) order — the same fold serves the live
-// harness above and the grid engine's artifacts, where it prices a recorded
-// or replayed run from the per-cell accounting without re-running anything.
-// Cells get reports as absent are left out (a partial grid still prices the
-// cells it has).
+// the sequential (dataset, method) order. The grid engine prices a live,
+// recorded, replayed or resumed run through it from the comparison cells'
+// own accounting, without re-running anything. Each cell times itself, so
+// cells that ran side by side (Config.Workers > 1) report contended
+// timings; every FM counter is exact at any worker count. Cells get reports
+// as absent are left out (a partial grid still prices the cells it has).
 func EfficiencyFromCells(names []string, get func(dataset, method string) (MethodResult, bool)) []EfficiencyRow {
 	var rows []EfficiencyRow
 	for _, name := range names {
@@ -178,20 +125,6 @@ type DescriptionsAblation struct {
 	NamesOnlyMedian float64
 	WithFeatures    int
 	NamesFeatures   int
-}
-
-// RunDescriptionsAblation executes both regimes — a fold over the two
-// DescriptionsCell runs.
-func RunDescriptionsAblation(ctx context.Context, dataset string, cfg Config) (*DescriptionsAblation, error) {
-	full, err := DescriptionsCell(ctx, dataset, true, cfg)
-	if err != nil {
-		return nil, err
-	}
-	nameOnly, err := DescriptionsCell(ctx, dataset, false, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return DescriptionsAblationFromCells(dataset, full, nameOnly), nil
 }
 
 // DescriptionsCell runs SMARTFEAT on the dataset with the full data card

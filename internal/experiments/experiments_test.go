@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"strings"
 	"testing"
 
@@ -21,20 +20,41 @@ func tinyConfig() Config {
 	return cfg
 }
 
-func TestEvalDatasetProducesAllMethods(t *testing.T) {
-	ev, err := EvalDataset(context.Background(), "Diabetes", tinyConfig())
-	if err != nil {
-		t.Fatal(err)
+// comparisonCells runs every (dataset × method) comparison cell in a plain
+// sequential loop and returns the results keyed by [dataset, method].
+func comparisonCells(t *testing.T, names []string, cfg Config) map[[2]string]MethodResult {
+	t.Helper()
+	out := make(map[[2]string]MethodResult)
+	for _, name := range names {
+		for _, m := range ComparisonMethods() {
+			res, err := RunCell(context.Background(), name, m, cfg)
+			if err != nil {
+				t.Fatalf("%s × %s: %v", name, m, err)
+			}
+			out[[2]string{name, m}] = res
+		}
 	}
-	if len(ev.Initial.AUCs) == 0 {
+	return out
+}
+
+// foldComparison folds completed cells into Tables 4/5.
+func foldComparison(names []string, cfg Config, cells map[[2]string]MethodResult) (avg, median *ComparisonTable) {
+	return ComparisonFromCells(names, cfg, func(dataset, method string) (MethodResult, CellState) {
+		return cells[[2]string{dataset, method}], CellCompleted
+	})
+}
+
+func TestRunCellProducesAllMethods(t *testing.T) {
+	cells := comparisonCells(t, []string{"Diabetes"}, tinyConfig())
+	if len(cells[[2]string{"Diabetes", MethodInitial}].AUCs) == 0 {
 		t.Fatal("initial evaluation empty")
 	}
 	for _, m := range Methods() {
-		if _, ok := ev.Methods[m]; !ok {
-			t.Fatalf("method %s missing", m)
+		if res := cells[[2]string{"Diabetes", m}]; res.Method != m {
+			t.Fatalf("method %s missing (got %q)", m, res.Method)
 		}
 	}
-	sf := ev.Methods[MethodSmartfeat]
+	sf := cells[[2]string{"Diabetes", MethodSmartfeat}]
 	if sf.Err != nil {
 		t.Fatalf("smartfeat failed: %v", sf.Err)
 	}
@@ -75,11 +95,10 @@ func TestTable3String(t *testing.T) {
 	}
 }
 
-func TestRunComparisonShape(t *testing.T) {
-	avg, median, err := RunComparison(context.Background(), []string{"Diabetes"}, tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestComparisonFromCellsShape(t *testing.T) {
+	names := []string{"Diabetes"}
+	cfg := tinyConfig()
+	avg, median := foldComparison(names, cfg, comparisonCells(t, names, cfg))
 	if avg.Aggregate != "average" || median.Aggregate != "median" {
 		t.Fatal("aggregates mislabeled")
 	}
@@ -93,9 +112,13 @@ func TestRunComparisonShape(t *testing.T) {
 }
 
 func TestTable7OperatorAblation(t *testing.T) {
-	rows, err := Table7OperatorAblation(context.Background(), "Tennis", tinyConfig())
-	if err != nil {
-		t.Fatal(err)
+	var rows []AblationRow
+	for _, c := range Table7Configs() {
+		row, err := Table7Cell(context.Background(), "Tennis", c, tinyConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, row)
 	}
 	if len(rows) != 6 {
 		t.Fatalf("want 6 configurations, got %d", len(rows))
@@ -111,9 +134,13 @@ func TestTable7OperatorAblation(t *testing.T) {
 
 func TestFigure1CostsScaleWithRows(t *testing.T) {
 	cfg := tinyConfig()
-	points, err := Figure1InteractionCosts(context.Background(), []int{50, 500}, cfg)
-	if err != nil {
-		t.Fatal(err)
+	var points []InteractionCost
+	for _, n := range []int{50, 500} {
+		p, err := Figure1Cell(context.Background(), n, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		points = append(points, p)
 	}
 	if len(points) != 2 {
 		t.Fatalf("want 2 points, got %d", len(points))
@@ -160,10 +187,15 @@ func TestFigure2Walkthrough(t *testing.T) {
 }
 
 func TestDescriptionsAblation(t *testing.T) {
-	abl, err := RunDescriptionsAblation(context.Background(), "Tennis", tinyConfig())
+	full, err := DescriptionsCell(context.Background(), "Tennis", true, tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	nameOnly, err := DescriptionsCell(context.Background(), "Tennis", false, tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	abl := DescriptionsAblationFromCells("Tennis", full, nameOnly)
 	if abl.WithAvg <= 0 || abl.NamesOnlyAvg <= 0 {
 		t.Fatalf("ablation values: %+v", abl)
 	}
@@ -173,9 +205,13 @@ func TestDescriptionsAblation(t *testing.T) {
 }
 
 func TestTable6FeatureImportance(t *testing.T) {
-	rows, err := Table6FeatureImportance(context.Background(), "Tennis", tinyConfig())
-	if err != nil {
-		t.Fatal(err)
+	var rows []ImportanceRow
+	for _, m := range Methods() {
+		row, err := Table6Cell(context.Background(), "Tennis", m, tinyConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, row)
 	}
 	if len(rows) != 4 {
 		t.Fatalf("want 4 methods, got %d", len(rows))
@@ -197,77 +233,25 @@ func TestTable6FeatureImportance(t *testing.T) {
 	}
 }
 
+// TestEfficiencyRows prices live comparison cells and checks the fold emits
+// rows in the sequential (dataset, method) order.
 func TestEfficiencyRows(t *testing.T) {
-	rows, err := RunEfficiency(context.Background(), []string{"Diabetes"}, tinyConfig())
-	if err != nil {
-		t.Fatal(err)
+	cells := comparisonCells(t, []string{"Diabetes"}, tinyConfig())
+	rows := EfficiencyFromCells([]string{"Diabetes"}, func(dataset, method string) (MethodResult, bool) {
+		res, ok := cells[[2]string{dataset, method}]
+		return res, ok
+	})
+	want := Methods()
+	if len(rows) != len(want) {
+		t.Fatalf("want %d rows, got %d", len(want), len(rows))
 	}
-	if len(rows) != 4 {
-		t.Fatalf("want 4 rows, got %d", len(rows))
+	for i, r := range rows {
+		if r.Method != want[i] || r.Dataset != "Diabetes" {
+			t.Fatalf("row %d is %s/%s, want Diabetes/%s", i, r.Dataset, r.Method, want[i])
+		}
 	}
 	if !strings.Contains(EfficiencyString(rows), "Diabetes") {
 		t.Fatal("render broken")
-	}
-}
-
-// TestRunComparisonFailFastDistinguishesSkipped pins the fail-fast bugfix:
-// a failing cell no longer silently swallows the unstarted cells — the
-// returned error names failed and skipped cells distinctly, and the partial
-// tables render distinct miss markers for them.
-func TestRunComparisonFailFastDistinguishesSkipped(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Workers = 1 // deterministic schedule: the bad dataset fails first
-	avg, _, err := RunComparison(context.Background(), []string{"NoSuchDataset", "Diabetes"}, cfg)
-	if err == nil {
-		t.Fatal("want an error")
-	}
-	var runErr *RunError
-	if !errors.As(err, &runErr) {
-		t.Fatalf("want *RunError, got %T: %v", err, err)
-	}
-	if len(runErr.Failed) == 0 || runErr.Failed[0].Dataset != "NoSuchDataset" {
-		t.Fatalf("failed cells = %v", runErr.Failed)
-	}
-	if len(runErr.Skipped) == 0 {
-		t.Fatal("skipped cells not reported")
-	}
-	for _, s := range runErr.Skipped {
-		if strings.Contains(s, "NoSuchDataset") && strings.Contains(s, MethodInitial) {
-			t.Fatalf("the failed cell is also listed as skipped: %v", runErr.Skipped)
-		}
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "failed") || !strings.Contains(msg, "skipped") {
-		t.Fatalf("error collapses skipped into failed: %s", msg)
-	}
-	// Partial tables come back (not nil) with per-cell miss reasons.
-	if avg == nil {
-		t.Fatal("partial tables dropped on failure")
-	}
-	if avg.Missing[MethodInitial]["NoSuchDataset"] != "failed" {
-		t.Fatalf("missing marks = %v", avg.Missing)
-	}
-	if avg.Missing[MethodSmartfeat]["Diabetes"] != "skipped" {
-		t.Fatalf("missing marks = %v", avg.Missing)
-	}
-	out := avg.String()
-	if !strings.Contains(out, "!") || !strings.Contains(out, "?") {
-		t.Fatalf("render lacks distinct markers:\n%s", out)
-	}
-}
-
-// TestRunComparisonCancelled pins cancellation: an already-cancelled context
-// runs nothing, reports every cell skipped and unwraps to context.Canceled.
-func TestRunComparisonCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, _, err := RunComparison(ctx, []string{"Diabetes"}, tinyConfig())
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-	var runErr *RunError
-	if !errors.As(err, &runErr) || len(runErr.Skipped) != len(ComparisonMethods()) {
-		t.Fatalf("cancelled run outcome: %v", err)
 	}
 }
 

@@ -46,25 +46,6 @@ type InteractionCost struct {
 // largest in Table 3).
 const Figure1Dataset = "Bank"
 
-// Figure1InteractionCosts measures both interaction styles on truncations of
-// the Bank dataset — a fold over the per-size Figure1Cell results. Row-level
-// cost grows linearly with the row count; feature-level cost depends only on
-// the schema.
-func Figure1InteractionCosts(ctx context.Context, sizes []int, cfg Config) ([]InteractionCost, error) {
-	if len(sizes) == 0 {
-		sizes = []int{100, 1000, 10000, 41189}
-	}
-	out := make([]InteractionCost, 0, len(sizes))
-	for _, n := range sizes {
-		point, err := Figure1Cell(ctx, n, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, point)
-	}
-	return out, nil
-}
-
 // Figure1Cell measures one dataset-size point of the Figure 1 comparison.
 // Each point is self-contained — the row-level simulators are seeded by the
 // row count and the SMARTFEAT gateways by cfg.Seed — so points compute

@@ -16,13 +16,6 @@ import (
 	"smartfeat/internal/metrics"
 )
 
-// DatasetEval bundles every method's result on one dataset.
-type DatasetEval struct {
-	Dataset string
-	Initial MethodResult
-	Methods map[string]MethodResult
-}
-
 // SmartfeatRouter wires SMARTFEAT's two FM roles under cfg: the GPT-4
 // simulator (seed cfg.Seed) selects operators and the GPT-3.5 simulator
 // (seed cfg.Seed+1) generates features, each behind its own gateway with
@@ -310,29 +303,4 @@ func trainRows(n int, cfg Config) []int {
 	}
 	train, _ := metrics.TrainTestSplit(n, frac, cfg.Seed)
 	return train
-}
-
-// EvalDataset runs the initial evaluation plus every method on one dataset.
-// The five cells (initial + four methods) are independent — every method
-// clones the input frame and builds its own seeded FM simulators — so they
-// fan out on the shared worker pool with results identical to the
-// sequential order (and to per-cell RunCell executions, which reload the
-// same deterministic dataset).
-func EvalDataset(ctx context.Context, name string, cfg Config) (*DatasetEval, error) {
-	d, err := datasets.Load(name, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	clean := d.Frame.DropNA()
-	ev := &DatasetEval{Dataset: name, Methods: make(map[string]MethodResult)}
-	methods := ComparisonMethods()
-	results := make([]MethodResult, len(methods))
-	ForEachIndex(cfg.workers(), len(methods), func(i int) {
-		results[i], _ = runMethodOn(ctx, d, clean, methods[i], cfg)
-	})
-	ev.Initial = results[0]
-	for i, m := range methods[1:] {
-		ev.Methods[m] = results[i+1]
-	}
-	return ev, nil
 }

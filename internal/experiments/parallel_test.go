@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -37,9 +38,10 @@ func TestForEachIndexCoversAllTasks(t *testing.T) {
 }
 
 // TestParallelHarnessMatchesSequential is the golden-equivalence check for
-// the worker-pool fan-out: the Table 4/5 grids computed with a parallel pool
-// must be identical — every AUC cell, initial value and partial marker — to
-// the fully sequential execution (Workers=1).
+// the worker pools inside a cell (per-model training, CAAFE sessions): every
+// comparison cell computed with a parallel pool must match the fully
+// sequential execution (Workers=1) model by model, and the Table 4/5 folds
+// over them must render identically.
 func TestParallelHarnessMatchesSequential(t *testing.T) {
 	names := []string{"Diabetes"}
 	seq := parallelTestConfig()
@@ -47,57 +49,43 @@ func TestParallelHarnessMatchesSequential(t *testing.T) {
 	par := parallelTestConfig()
 	par.Workers = 8
 
-	seqAvg, seqMed, err := RunComparison(context.Background(), names, seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parAvg, parMed, err := RunComparison(context.Background(), names, par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seqAvg.Initial, parAvg.Initial) {
-		t.Fatalf("initial avg differs: %v vs %v", seqAvg.Initial, parAvg.Initial)
-	}
-	if !reflect.DeepEqual(seqAvg.Cells, parAvg.Cells) {
-		t.Fatalf("avg cells differ:\nseq: %v\npar: %v", seqAvg.Cells, parAvg.Cells)
-	}
-	if !reflect.DeepEqual(seqMed.Cells, parMed.Cells) {
-		t.Fatalf("median cells differ:\nseq: %v\npar: %v", seqMed.Cells, parMed.Cells)
-	}
-	if !reflect.DeepEqual(seqAvg.Partial, parAvg.Partial) {
-		t.Fatalf("partial markers differ")
-	}
-	// Per-model AUCs must match cell by cell, not just in aggregate.
-	for _, method := range Methods() {
-		s := seqAvg.Evals["Diabetes"].Methods[method]
-		p := parAvg.Evals["Diabetes"].Methods[method]
+	seqCells := comparisonCells(t, names, seq)
+	parCells := comparisonCells(t, names, par)
+	for _, method := range ComparisonMethods() {
+		key := [2]string{"Diabetes", method}
+		s, p := seqCells[key], parCells[key]
 		if !reflect.DeepEqual(s.AUCs, p.AUCs) {
 			t.Fatalf("%s per-model AUCs differ: %v vs %v", method, s.AUCs, p.AUCs)
 		}
+		if !reflect.DeepEqual(s.FailedModels, p.FailedModels) {
+			t.Fatalf("%s failures differ: %v vs %v", method, s.FailedModels, p.FailedModels)
+		}
+	}
+	seqAvg, seqMed := foldComparison(names, seq, seqCells)
+	parAvg, parMed := foldComparison(names, par, parCells)
+	if !reflect.DeepEqual(seqAvg, parAvg) || !reflect.DeepEqual(seqMed, parMed) {
+		t.Fatalf("tables differ:\n%s%s\nvs\n%s%s", seqAvg, seqMed, parAvg, parMed)
 	}
 }
 
 // TestEvaluateFrameParallelMatchesSequential pins the per-model pool inside
 // a single frame evaluation.
 func TestEvaluateFrameParallelMatchesSequential(t *testing.T) {
-	ev, err := EvalDataset(context.Background(), "Tennis", func() Config {
-		cfg := parallelTestConfig()
-		cfg.Workers = 1
-		return cfg
-	}())
+	d, err := datasets.Load("Tennis", parallelTestConfig().Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evPar, err := EvalDataset(context.Background(), "Tennis", func() Config {
+	eval := func(workers int) map[string]float64 {
 		cfg := parallelTestConfig()
-		cfg.Workers = 6
-		return cfg
-	}())
-	if err != nil {
-		t.Fatal(err)
+		cfg.Workers = workers
+		aucs, _, err := EvaluateFrame(context.Background(), d.Frame.DropNA(), d.Target, cfg.Models, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return aucs
 	}
-	if !reflect.DeepEqual(ev.Initial.AUCs, evPar.Initial.AUCs) {
-		t.Fatalf("initial AUCs differ: %v vs %v", ev.Initial.AUCs, evPar.Initial.AUCs)
+	if seq, par := eval(1), eval(6); !reflect.DeepEqual(seq, par) {
+		t.Fatalf("initial AUCs differ: %v vs %v", seq, par)
 	}
 }
 
@@ -134,22 +122,39 @@ func TestRunCAAFEParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestRunEfficiencyParallelRowOrder checks that the fanned-out efficiency
-// grid keeps the sequential (dataset, method) row order.
+// TestRunEfficiencyParallelRowOrder checks that efficiency cells run on a
+// pool of workers in expensive-first dispatch order, finishing in any order,
+// still fold into the sequential (dataset, method) row order.
 func TestRunEfficiencyParallelRowOrder(t *testing.T) {
 	cfg := parallelTestConfig()
 	cfg.Workers = 8
-	rows, err := RunEfficiency(context.Background(), []string{"Diabetes"}, cfg)
-	if err != nil {
-		t.Fatal(err)
+	methods := Methods()
+	order := make([]int, len(methods))
+	for i := range order {
+		order[i] = i
 	}
-	want := Methods()
-	if len(rows) != len(want) {
-		t.Fatalf("got %d rows, want %d", len(rows), len(want))
+	ExpensiveFirst(order, func(i int) string { return methods[i] })
+	results := make([]MethodResult, len(methods))
+	errs := make([]error, len(methods))
+	ForEachIndex(cfg.Workers, len(order), func(k int) {
+		i := order[k]
+		results[i], errs[i] = RunCell(context.Background(), "Diabetes", methods[i], cfg)
+	})
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("%s: %v", methods[i], err)
+		}
+	}
+	rows := EfficiencyFromCells([]string{"Diabetes"}, func(dataset, method string) (MethodResult, bool) {
+		i := slices.Index(methods, method)
+		return results[i], dataset == "Diabetes" && i >= 0
+	})
+	if len(rows) != len(methods) {
+		t.Fatalf("got %d rows, want %d", len(rows), len(methods))
 	}
 	for i, r := range rows {
-		if r.Method != want[i] {
-			t.Fatalf("row %d is %s, want %s", i, r.Method, want[i])
+		if r.Method != methods[i] {
+			t.Fatalf("row %d is %s, want %s", i, r.Method, methods[i])
 		}
 		if r.Dataset != "Diabetes" {
 			t.Fatalf("row %d dataset = %s", i, r.Dataset)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"smartfeat/internal/core"
 	"smartfeat/internal/dataframe"
@@ -45,114 +44,14 @@ type ComparisonTable struct {
 	// or cancellation). Distinct from a method-level "-", which is a real
 	// measured outcome.
 	Missing map[string]map[string]string
-	// Evals keeps the full per-dataset results for downstream analysis.
-	// Entries assembled from on-disk artifacts omit the augmented Frame.
-	Evals map[string]*DatasetEval
-}
-
-// RunComparison evaluates every method on the given datasets and assembles
-// both aggregate views. The (dataset × method) grid fans out cell-by-cell on
-// a bounded worker pool (Config.Workers); per-cell seeding keeps every cell
-// bit-identical to the sequential order, and the tables are a pure fold over
-// the completed cells in dataset order.
-//
-// On failure the partial tables are still returned: the error is a *RunError
-// distinguishing the cells that failed from the ones fail-fast skipped, and
-// the tables mark the same distinction per cell (Missing). Cancelling the
-// context stops scheduling new cells and aborts in-flight FM calls.
-func RunComparison(ctx context.Context, names []string, cfg Config) (avg, median *ComparisonTable, err error) {
-	type ref struct{ dataset, method string }
-	var refs []ref
-	for _, name := range names {
-		for _, m := range ComparisonMethods() {
-			refs = append(refs, ref{name, m})
-		}
-	}
-	results := make([]MethodResult, len(refs))
-	states := make([]CellState, len(refs))
-	interrupted := make([]bool, len(refs))
-	cellErrs := make([]error, len(refs))
-	var failed atomic.Bool
-	cache := newDatasetCache(cfg.Seed) // one deterministic load per dataset, not per cell
-	// Expensive cells start first when several workers share the grid. One
-	// worker runs the plan in order: no order can move its wall-clock, and
-	// its fail-fast report stays in plan order.
-	order := make([]int, len(refs))
-	for i := range order {
-		order[i] = i
-	}
-	if cfg.workers() > 1 {
-		ExpensiveFirst(order, func(i int) string { return refs[i].method })
-	}
-	ForEachIndex(cfg.workers(), len(order), func(k int) {
-		i := order[k]
-		// Fail fast: once any cell errors (or the run is cancelled), skip
-		// the cells that have not started yet instead of training their
-		// model grids — but record that they were skipped, not failed.
-		if failed.Load() || ctx.Err() != nil {
-			states[i] = CellSkipped
-			return
-		}
-		res, err := func() (MethodResult, error) {
-			d, clean, err := cache.load(refs[i].dataset)
-			if err != nil {
-				return MethodResult{Method: refs[i].method}, err
-			}
-			return runMethodOn(ctx, d, clean, refs[i].method, cfg)
-		}()
-		switch {
-		case err != nil:
-			states[i] = CellFailed
-			cellErrs[i] = err
-			failed.Store(true)
-		case res.Interrupted():
-			// Folds treat an interrupted cell like a skipped one (no result
-			// either way), but the error report below distinguishes them.
-			states[i] = CellSkipped
-			interrupted[i] = true
-			cellErrs[i] = res.Err
-		default:
-			results[i] = res
-			states[i] = CellCompleted
-		}
-	})
-	byCell := make(map[[2]string]int, len(refs))
-	for i, r := range refs {
-		byCell[[2]string{r.dataset, r.method}] = i
-	}
-	get := func(dataset, method string) (MethodResult, CellState) {
-		i := byCell[[2]string{dataset, method}]
-		return results[i], states[i]
-	}
-	avg, median = ComparisonFromCells(names, cfg, get)
-	runErr := &RunError{Cause: ctx.Err()}
-	for i, r := range refs {
-		switch states[i] {
-		case CellFailed:
-			runErr.Failed = append(runErr.Failed, CellFailure{Dataset: r.dataset, Method: r.method, Err: cellErrs[i]})
-		case CellSkipped:
-			if interrupted[i] {
-				runErr.Interrupted = append(runErr.Interrupted, r.dataset+" × "+r.method)
-				if runErr.Cause == nil {
-					runErr.Cause = cellErrs[i]
-				}
-			} else {
-				runErr.Skipped = append(runErr.Skipped, r.dataset+" × "+r.method)
-			}
-		}
-	}
-	if len(runErr.Failed) > 0 || len(runErr.Skipped) > 0 || len(runErr.Interrupted) > 0 || runErr.Cause != nil {
-		return avg, median, runErr
-	}
-	return avg, median, nil
 }
 
 // ComparisonFromCells assembles Tables 4/5 as a pure fold over per-cell
 // results, in dataset order. get reports each (dataset × method) cell's
-// result and scheduling state; the same fold serves the in-process harness
-// (RunComparison) and the grid engine's on-disk artifacts, so a resumed or
-// replayed run assembles bit-identical tables from whatever mix of live and
-// loaded cells it has.
+// result and scheduling state. The grid engine folds its cells' artifacts
+// through it, live or loaded from a run directory alike, so a resumed or
+// replayed run assembles bit-identical tables from whatever mix of cells it
+// has.
 func ComparisonFromCells(names []string, cfg Config, get func(dataset, method string) (MethodResult, CellState)) (avg, median *ComparisonTable) {
 	avg = newComparisonTable("average", names)
 	median = newComparisonTable("median", names)
@@ -167,12 +66,8 @@ func ComparisonFromCells(names []string, cfg Config, get func(dataset, method st
 		t.Missing[method][dataset] = reason
 	}
 	for _, name := range names {
-		ev := &DatasetEval{Dataset: name, Methods: make(map[string]MethodResult)}
-		avg.Evals[name] = ev
-		median.Evals[name] = ev
 		initial, state := get(name, MethodInitial)
 		if state == CellCompleted {
-			ev.Initial = initial
 			if v, ok := initial.AvgAUC(); ok {
 				avg.Initial[name] = v
 			}
@@ -190,7 +85,6 @@ func ComparisonFromCells(names []string, cfg Config, get func(dataset, method st
 				markMissing(median, method, name, state)
 				continue
 			}
-			ev.Methods[method] = res
 			if v, ok := res.AvgAUC(); ok {
 				avg.Cells[method][name] = v
 				avg.Partial[method][name] = !res.SupportsAllModels(cfg.Models)
@@ -212,7 +106,6 @@ func newComparisonTable(agg string, names []string) *ComparisonTable {
 		Cells:     make(map[string]map[string]float64),
 		Partial:   make(map[string]map[string]bool),
 		Missing:   make(map[string]map[string]string),
-		Evals:     make(map[string]*DatasetEval),
 	}
 	t.Missing[MethodInitial] = make(map[string]string)
 	for _, m := range Methods() {
@@ -304,22 +197,6 @@ type ImportanceRow struct {
 	IGAt10    float64
 	RFEAt10   float64
 	FIAt10    float64
-}
-
-// Table6FeatureImportance reproduces Table 6 on the named dataset (the paper
-// uses Tennis): for each method, the percentage of new features among the
-// top-10 by information gain, RFE and tree importance — a fold over the
-// per-method Table6Cell results.
-func Table6FeatureImportance(ctx context.Context, dataset string, cfg Config) ([]ImportanceRow, error) {
-	rows := make([]ImportanceRow, 0, len(Methods()))
-	for _, m := range Methods() {
-		row, err := Table6Cell(ctx, dataset, m, cfg)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }
 
 // Table6Cell computes one method's Table 6 row: run the method, then rank the
@@ -433,21 +310,6 @@ func table7OperatorSet(name string) (*core.OperatorSet, error) {
 		return &s, nil
 	}
 	return nil, fmt.Errorf("experiments: unknown Table 7 configuration %q", name)
-}
-
-// Table7OperatorAblation reproduces Table 7 on the named dataset (Tennis in
-// the paper): Initial, +Unary, +Binary, +High-order, +Extractor, and all —
-// a fold over the per-configuration Table7Cell results.
-func Table7OperatorAblation(ctx context.Context, dataset string, cfg Config) ([]AblationRow, error) {
-	rows := make([]AblationRow, 0, len(Table7Configs()))
-	for _, c := range Table7Configs() {
-		row, err := Table7Cell(ctx, dataset, c, cfg)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }
 
 // Table7Cell computes one ablation configuration's column.

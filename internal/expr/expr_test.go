@@ -256,3 +256,35 @@ func TestDivisionInverseProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// FuzzCompile pins the compiler on arbitrary input: it never panics, and
+// the printed form of anything it accepts compiles back to the same printed
+// form, so String is source the compiler can re-read. testdata/fuzz holds
+// the inputs that once broke this.
+func FuzzCompile(f *testing.F) {
+	for _, src := range []string{
+		// Expressions from this file's tests.
+		"2 ^ 3 ^ 2", "2 ** 3", "-2 ^ 2", "--4", "1.5e2", "2.5E+1", "min(3, 1, 2)",
+		"clip(-1, 0, 3)", "log1p(0)", "12 / 3 / 2", "a + b * 2", "FSW.1 / FSP.1",
+		"`Age of car` * 2", "city=SF + 1", "1 / 0", "1 +", "`unclosed", "1..2.3.4e",
+		"min(,)", "``", "nosuchfn(1)",
+		// Generated formulas from internal/core's tests.
+		"Age / 2", "a + b / c", "(((bad", "Ghost + 1", "Sex + 1",
+	} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		e, err := Compile(src)
+		if err != nil {
+			return
+		}
+		printed := e.String()
+		again, err := Compile(printed)
+		if err != nil {
+			t.Fatalf("Compile(%q) prints %q, which does not compile: %v", src, printed, err)
+		}
+		if got := again.String(); got != printed {
+			t.Fatalf("Compile(%q) prints %q, which re-prints as %q", src, printed, got)
+		}
+	})
+}

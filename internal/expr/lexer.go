@@ -77,6 +77,17 @@ func isIdentPart(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '.' || r == '='
 }
 
+// isBareIdent reports whether name lexes back as exactly one bare
+// identifier; any other name must be written in backticks.
+func isBareIdent(name string) bool {
+	for i, r := range name {
+		if i == 0 && !isIdentStart(r) || !isIdentPart(r) {
+			return false
+		}
+	}
+	return name != ""
+}
+
 // lex converts source text into tokens. Identifiers may also be written in
 // backticks (`Age of car`) to include spaces or operator characters.
 func lex(src string) ([]token, error) {

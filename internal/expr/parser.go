@@ -33,10 +33,10 @@ func (n varNode) eval(vars map[string]float64) float64 {
 }
 func (n varNode) collectVars(set map[string]struct{}) { set[n.name] = struct{}{} }
 func (n varNode) String() string {
-	if strings.ContainsAny(n.name, " +-*/^(),") {
-		return "`" + n.name + "`"
+	if isBareIdent(n.name) {
+		return n.name
 	}
-	return n.name
+	return "`" + n.name + "`"
 }
 
 type binaryNode struct {

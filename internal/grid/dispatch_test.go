@@ -27,8 +27,8 @@ func (c *claimLog) Claim(key string) (lease.Claim, bool, error) {
 
 // TestGridDispatchesExpensiveFirst pins the dispatch order: CAAFE cells are
 // claimed first, then SMARTFEAT cells, then the rest, each group in plan
-// order. Outcomes stay in plan order, and the tables are byte-identical at
-// one and two workers.
+// order. Outcomes and efficiency rows stay in plan order, and the tables are
+// byte-identical at one and two workers.
 func TestGridDispatchesExpensiveFirst(t *testing.T) {
 	names := []string{"Diabetes", "Tennis"}
 	plan := ComparisonPlan(names, nil)
@@ -42,6 +42,13 @@ func TestGridDispatchesExpensiveFirst(t *testing.T) {
 			if group(c.Method) {
 				want = append(want, c.Key())
 			}
+		}
+	}
+
+	var wantRows []string
+	for _, c := range plan {
+		if c.Method != experiments.MethodInitial {
+			wantRows = append(wantRows, c.String())
 		}
 	}
 
@@ -61,6 +68,13 @@ func TestGridDispatchesExpensiveFirst(t *testing.T) {
 			if o.Cell != plan[i] {
 				t.Fatalf("workers=%d: outcome %d is %s, plan has %s", workers, i, o.Cell, plan[i])
 			}
+		}
+		var rows []string
+		for _, r := range res.Efficiency(names) {
+			rows = append(rows, r.Dataset+" × "+r.Method)
+		}
+		if !reflect.DeepEqual(rows, wantRows) {
+			t.Fatalf("workers=%d: efficiency rows\n%v\nwant\n%v", workers, rows, wantRows)
 		}
 		avg, median := comparisonTables(t, res, names, cfg)
 		tables[workers] = avg.String() + median.String()

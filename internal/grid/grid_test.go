@@ -34,17 +34,34 @@ func comparisonTables(t *testing.T, r *RunResult, names []string, cfg experiment
 	return avg, median
 }
 
-// TestGridMatchesDirectComparison pins the tentpole equivalence: the grid
-// engine's per-cell execution + artifact fold produces exactly the tables
-// the in-process harness does.
+// sequentialComparison is the grid-independent reference for Tables 4/5: a
+// plain loop over experiments.RunCell, folded by ComparisonFromCells. No
+// scheduling, no artifacts.
+func sequentialComparison(t *testing.T, names []string, cfg experiments.Config) (avg, median *experiments.ComparisonTable) {
+	t.Helper()
+	cells := make(map[[2]string]experiments.MethodResult)
+	for _, name := range names {
+		for _, m := range experiments.ComparisonMethods() {
+			res, err := experiments.RunCell(context.Background(), name, m, cfg)
+			if err != nil {
+				t.Fatalf("%s × %s: %v", name, m, err)
+			}
+			cells[[2]string{name, m}] = res
+		}
+	}
+	return experiments.ComparisonFromCells(names, cfg, func(dataset, method string) (experiments.MethodResult, experiments.CellState) {
+		return cells[[2]string{dataset, method}], experiments.CellCompleted
+	})
+}
+
+// TestGridMatchesDirectComparison pins the engine's equivalence: the grid's
+// per-cell execution + artifact fold produces exactly the tables a plain
+// sequential loop over the cells does.
 func TestGridMatchesDirectComparison(t *testing.T) {
 	names := []string{"Diabetes"}
 	cfg := tinyConfig()
 
-	direct, directMed, err := experiments.RunComparison(context.Background(), names, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct, directMed := sequentialComparison(t, names, cfg)
 
 	r := &Runner{Config: cfg, Dir: t.TempDir()}
 	res, err := r.Run(context.Background(), ComparisonPlan(names, nil))
@@ -301,9 +318,29 @@ func TestGridFailFastSkippedVsFailed(t *testing.T) {
 	}
 }
 
+// TestGridCancelledRunsNothing pins cancellation: an already-cancelled
+// context runs no cell, reports every cell skipped and unwraps to
+// context.Canceled.
+func TestGridCancelledRunsNothing(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	plan := ComparisonPlan([]string{"Diabetes"}, nil)
+	res, err := (&Runner{Config: tinyConfig()}).Run(ctx, plan)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	var runErr *experiments.RunError
+	if !errors.As(err, &runErr) || len(runErr.Skipped) != len(experiments.ComparisonMethods()) {
+		t.Fatalf("cancelled run outcome: %v", err)
+	}
+	if c := res.Counts(); c[StatusSkipped] != len(plan) {
+		t.Fatalf("cancelled run counts = %v", c)
+	}
+}
+
 // TestGridAuxCells pins the auxiliary cell kinds (figure1, descriptions)
-// round-tripping through artifacts and folding identically to the direct
-// entry points.
+// round-tripping through artifacts and folding identically to a plain
+// sequential loop over the per-cell functions.
 func TestGridAuxCells(t *testing.T) {
 	cfg := tinyConfig()
 	dir := t.TempDir()
@@ -318,9 +355,13 @@ func TestGridAuxCells(t *testing.T) {
 	if !ok || len(points) != 1 {
 		t.Fatalf("figure1 fold: ok=%v n=%d", ok, len(points))
 	}
-	direct, err := experiments.Figure1InteractionCosts(context.Background(), sizes, cfg)
-	if err != nil {
-		t.Fatal(err)
+	var direct []experiments.InteractionCost
+	for _, n := range sizes {
+		p, err := experiments.Figure1Cell(context.Background(), n, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct = append(direct, p)
 	}
 	// The gateway cost column accumulates across concurrent completions, so
 	// its float sum is order-dependent in the last ulp from run to run (a
@@ -340,10 +381,15 @@ func TestGridAuxCells(t *testing.T) {
 	if !ok {
 		t.Fatal("descriptions fold failed")
 	}
-	directAbl, err := experiments.RunDescriptionsAblation(context.Background(), "Tennis", cfg)
+	full, err := experiments.DescriptionsCell(context.Background(), "Tennis", true, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	nameOnly, err := experiments.DescriptionsCell(context.Background(), "Tennis", false, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	directAbl := experiments.DescriptionsAblationFromCells("Tennis", full, nameOnly)
 	if *abl != *directAbl {
 		t.Fatalf("descriptions differ: %+v vs %+v", abl, directAbl)
 	}

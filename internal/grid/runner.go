@@ -80,9 +80,8 @@ func OpenStores(cfg experiments.Config, recordDir, replayDir string) (*fmgate.St
 // concurrently.
 type Runner struct {
 	// Config is the shared evaluation protocol. Its Workers field bounds the
-	// cell-level fan-out exactly like the pre-grid harness (0 = GOMAXPROCS,
-	// 1 = sequential); per-cell seeding keeps results bit-identical at any
-	// setting.
+	// cell-level fan-out (0 = GOMAXPROCS, 1 = sequential); per-cell seeding
+	// keeps results bit-identical at any setting.
 	Config experiments.Config
 	// Dir is the run directory (artifacts + manifest). Empty disables
 	// persistence.

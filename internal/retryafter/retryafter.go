@@ -26,17 +26,25 @@ import (
 // HeaderName is the HTTP header carrying the hint.
 const HeaderName = "Retry-After"
 
+// maxSeconds is the largest whole-second count a time.Duration can hold
+// (about 292 years).
+const maxSeconds = int64(math.MaxInt64 / time.Second)
+
 // Seconds converts a backoff duration to the wire format: whole seconds,
 // rounded up so the client never retries early, with a floor of 1 — a
 // Retry-After of 0 reads as "retry immediately", which defeats the hint.
 // Non-positive durations also map to 1 (the emitter asked for *some*
-// backoff by reaching for this package at all).
+// backoff by reaching for this package at all). The count is capped at
+// maxSeconds, so every emitted value parses back.
 func Seconds(d time.Duration) int {
-	s := int(math.Ceil(d.Seconds()))
-	if s < 1 {
+	if d <= 0 {
 		return 1
 	}
-	return s
+	s := int64(d / time.Second)
+	if d%time.Second != 0 && s < maxSeconds {
+		s++
+	}
+	return int(s)
 }
 
 // Set writes the hint onto an HTTP response header in wire format.
@@ -45,12 +53,12 @@ func Set(h http.Header, d time.Duration) {
 }
 
 // Parse reads a wire-format value ("3") back into a duration. The bool is
-// false for anything that is not a positive integer second count —
-// including the HTTP-date form of Retry-After, which this codebase never
-// emits and therefore refuses to guess at.
+// false for anything that is not a positive integer second count that fits
+// in a time.Duration — including the HTTP-date form of Retry-After, which
+// this codebase never emits and therefore refuses to guess at.
 func Parse(v string) (time.Duration, bool) {
-	n, err := strconv.Atoi(v)
-	if err != nil || n <= 0 {
+	n, err := strconv.ParseInt(v, 10, 64)
+	if err != nil || n <= 0 || n > maxSeconds {
 		return 0, false
 	}
 	return time.Duration(n) * time.Second, true
