@@ -170,7 +170,7 @@ func Run(ctx context.Context, input *dataframe.Frame, target string, description
 			}
 			tried[name] = true
 			res.Generated++
-			baseAUC, verr := meanValidationAUC(f, current, labels, target, downstream, rows, cfg.Seed+int64(iter))
+			baseAUC, verr := meanValidationAUC(f, current, labels, downstream, rows, cfg.Seed+int64(iter))
 			if verr != nil {
 				outcome = "validation-failed"
 				return false
@@ -179,7 +179,7 @@ func Run(ctx context.Context, input *dataframe.Frame, target string, description
 				outcome = "validation-failed"
 				return false
 			}
-			withAUC, verr := meanValidationAUC(f, append(append([]string(nil), current...), name), labels, target, downstream, rows, cfg.Seed+int64(iter))
+			withAUC, verr := meanValidationAUC(f, append(append([]string(nil), current...), name), labels, downstream, rows, cfg.Seed+int64(iter))
 			if verr != nil || withAUC < baseAUC+cfg.MinImprovement {
 				c.drop(name)
 				outcome = "rejected"
@@ -420,36 +420,23 @@ func parseCandidate(resp string, f *dataframe.Frame, target string) (candidate, 
 }
 
 // meanValidationAUC averages validationAUC over several split seeds; a
-// single split's AUC is too noisy to gate feature retention on.
-func meanValidationAUC(f *dataframe.Frame, features []string, labels []int, target, downstream string, rows []int, seed int64) (float64, error) {
-	sum := 0.0
-	for r := 0; r < validationRepeats; r++ {
-		v, err := validationAUC(f, features, labels, target, downstream, rows, seed+int64(r)*101)
-		if err != nil {
-			return 0, err
-		}
-		sum += v
-	}
-	return sum / validationRepeats, nil
-}
-
-// validationAUC trains the downstream model on the given rows with CAAFE's
-// tolerant handling of non-finite values (they are treated as missing, as
-// its internal validator effectively does) and returns the AUC.
-func validationAUC(f *dataframe.Frame, features []string, allLabels []int, target, downstream string, rows []int, seed int64) (float64, error) {
+// single split's AUC is too noisy to gate feature retention on. The sampled
+// rows are gathered and cleaned once, and every repeat splits that sample.
+func meanValidationAUC(f *dataframe.Frame, features []string, allLabels []int, downstream string, rows []int, seed int64) (float64, error) {
 	if len(features) == 0 {
 		return 0, fmt.Errorf("caafe: no features")
 	}
-	Xfull, err := f.ColMatrix(features)
+	X, err := f.Take(rows).ColMatrix(features)
 	if err != nil {
 		return 0, err
 	}
-	X := Xfull.TakeRows(rows)
 	labels := make([]int, len(rows))
 	for k, i := range rows {
 		labels[k] = allLabels[i]
 	}
-	// Tolerant cleaning: ±Inf → NaN → mean imputation inside the pipeline.
+	// CAAFE's tolerant handling of non-finite values (they are treated as
+	// missing, as its internal validator effectively does): ±Inf → NaN →
+	// mean imputation inside the pipeline.
 	for j := 0; j < X.Cols(); j++ {
 		col := X.Col(j)
 		for i, v := range col {
@@ -458,7 +445,20 @@ func validationAUC(f *dataframe.Frame, features []string, allLabels []int, targe
 			}
 		}
 	}
-	_ = target
+	sum := 0.0
+	for r := 0; r < validationRepeats; r++ {
+		v, err := validationAUC(X, labels, downstream, seed+int64(r)*101)
+		if err != nil {
+			return 0, err
+		}
+		sum += v
+	}
+	return sum / validationRepeats, nil
+}
+
+// validationAUC trains the downstream model on one seeded split of the
+// validation sample and returns its AUC on the held-out part.
+func validationAUC(X *ml.Matrix, labels []int, downstream string, seed int64) (float64, error) {
 	train, test := metrics.TrainTestSplit(X.Rows(), 0.25, seed)
 	Xtr, ytr := X.TakeRows(train), metrics.TakeLabels(labels, train)
 	Xte, yte := X.TakeRows(test), metrics.TakeLabels(labels, test)

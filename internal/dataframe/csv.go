@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"regexp"
 	"strconv"
 	"strings"
 )
@@ -25,11 +26,11 @@ func ReadCSV(r io.Reader) (*Frame, error) {
 	rows := records[1:]
 	f := New()
 	for j, name := range header {
-		name = strings.TrimSpace(name)
+		name = cleanCell(name)
 		numeric := true
 		anyValue := false
 		for _, rec := range rows {
-			cell := strings.TrimSpace(rec[j])
+			cell := cleanCell(rec[j])
 			if cell == "" {
 				continue
 			}
@@ -43,7 +44,7 @@ func ReadCSV(r io.Reader) (*Frame, error) {
 			vals := make([]float64, len(rows))
 			s := NewNumeric(name, vals)
 			for i, rec := range rows {
-				cell := strings.TrimSpace(rec[j])
+				cell := cleanCell(rec[j])
 				if cell == "" {
 					s.SetNull(i)
 					continue
@@ -59,7 +60,7 @@ func ReadCSV(r io.Reader) (*Frame, error) {
 		vals := make([]string, len(rows))
 		s := NewCategorical(name, vals)
 		for i, rec := range rows {
-			cell := strings.TrimSpace(rec[j])
+			cell := cleanCell(rec[j])
 			if cell == "" {
 				s.SetNull(i)
 				continue
@@ -73,13 +74,28 @@ func ReadCSV(r io.Reader) (*Frame, error) {
 	return f, nil
 }
 
+// crRuns matches a run of \r ending a line inside a cell.
+var crRuns = regexp.MustCompile("\r+\n")
+
+// cleanCell trims a cell and finishes encoding/csv's \r\n → \n
+// normalisation inside quoted fields: a run of \r before \n reads as one
+// shorter by a single \r, so "\r\r\n" arrives as "\r\n", which would not
+// survive being written and read again.
+func cleanCell(s string) string {
+	s = strings.TrimSpace(s)
+	if !strings.Contains(s, "\r\n") {
+		return s
+	}
+	return crRuns.ReplaceAllString(s, "\n")
+}
+
 // ReadCSVString parses CSV text into a frame.
 func ReadCSVString(s string) (*Frame, error) {
 	return ReadCSV(strings.NewReader(s))
 }
 
 // WriteCSV serializes the frame with a header row. Nulls are written as
-// empty cells.
+// empty cells; a row that is a single null is written as "".
 func (f *Frame) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(f.Names()); err != nil {
@@ -89,6 +105,15 @@ func (f *Frame) WriteCSV(w io.Writer) error {
 	for i := 0; i < f.Len(); i++ {
 		for j, c := range f.cols {
 			row[j] = c.ValueString(i)
+		}
+		if len(row) == 1 && row[0] == "" {
+			// A lone empty field would print as a blank line, which CSV
+			// readers skip: quote it so the row survives.
+			cw.Flush()
+			if _, err := io.WriteString(w, "\"\"\n"); err != nil {
+				return err
+			}
+			continue
 		}
 		if err := cw.Write(row); err != nil {
 			return err

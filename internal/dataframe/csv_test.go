@@ -114,3 +114,33 @@ func TestSerializeRow(t *testing.T) {
 		t.Fatal("fields should be comma separated")
 	}
 }
+
+// FuzzReadCSV feeds arbitrary text to the CSV reader. It must never panic,
+// and a frame it accepts must print as CSV that reads back to the same
+// printed text: after one cycle (which trims cells and fixes each column's
+// kind and number format) printing and re-parsing is stable.
+func FuzzReadCSV(f *testing.F) {
+	for _, seed := range []string{
+		sampleCSV,
+		"a,b\n1,x\n,y\n3,\n",
+		"a,b\n,x\n,y\n",
+		"",
+		"a,b\n1\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		fr, err := ReadCSVString(in)
+		if err != nil {
+			return
+		}
+		once := fr.CSVString()
+		again, err := ReadCSVString(once)
+		if err != nil {
+			t.Fatalf("printed frame does not re-parse: %v\n%q", err, once)
+		}
+		if twice := again.CSVString(); twice != once {
+			t.Fatalf("print/parse cycle not stable:\nonce  %q\ntwice %q", once, twice)
+		}
+	})
+}

@@ -113,6 +113,23 @@ func BenchmarkMLPFit(b *testing.B) {
 	}
 }
 
+// BenchmarkMLPPredict is the DNN's evaluation pass: PredictProba of the
+// BenchmarkMLPFit network over 10,000 rows of 13 features.
+func BenchmarkMLPPredict(b *testing.B) {
+	Xtr, ytr := benchMatrix(b, 900, 13)
+	m := NewMLP(1)
+	m.Epochs = 8
+	if err := m.Fit(Xtr, ytr); err != nil {
+		b.Fatal(err)
+	}
+	X, _ := benchMatrix(b, 10000, 13)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = m.PredictProba(X)
+	}
+}
+
 func BenchmarkMatrixTakeRows(b *testing.B) {
 	X, _ := benchMatrix(b, 4000, 30)
 	idx := make([]int, 3000)

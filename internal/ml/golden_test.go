@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -424,6 +425,233 @@ func TestMLPGoldenDigest(t *testing.T) {
 				}
 				if got := probaDigest(m.PredictProba(mustMatrix(t, probe))); got != tc.want[k] {
 					t.Errorf("probe with %d columns: digest %s, want %s", cols, got, tc.want[k])
+				}
+			}
+		})
+	}
+}
+
+// refMLP is the dense MLP kernel from before forward and backprop learned to
+// skip inactive ReLU units: every unit of both hidden layers enters every
+// sum. Its refDense is the plain row loop the four-row blocked kernel
+// reproduced bit for bit. TestMLPMatchesDenseRef holds the active-set kernel
+// to it bit for bit.
+type refMLP struct {
+	MLP
+}
+
+func (m *refMLP) fit(X *Matrix, y []int) {
+	rng := rand.New(rand.NewSource(m.Seed))
+	n, d, h := X.Rows(), X.Cols(), m.Hidden
+
+	initLayer := func(rows, cols int) []float64 {
+		w := make([]float64, rows*cols)
+		scale := math.Sqrt(2 / float64(cols))
+		for i := range w {
+			w[i] = rng.NormFloat64() * scale
+		}
+		return w
+	}
+	m.d = d
+	m.w1 = initLayer(h, d)
+	m.w2 = initLayer(h, h)
+	m.w3 = initLayer(1, h)
+	m.b1 = make([]float64, h)
+	m.b2 = make([]float64, h)
+	m.b3 = 0
+
+	optW1 := newAdam(h*d, m.LearningRate)
+	optB1 := newAdam(h, m.LearningRate)
+	optW2 := newAdam(h*h, m.LearningRate)
+	optB2 := newAdam(h, m.LearningRate)
+	optW3 := newAdam(h, m.LearningRate)
+	optB3 := newAdam(1, m.LearningRate)
+
+	gW1 := make([]float64, h*d)
+	gW2 := make([]float64, h*h)
+	gW3 := make([]float64, h)
+	gB1 := make([]float64, h)
+	gB2 := make([]float64, h)
+	gB3 := make([]float64, 1)
+
+	z1 := make([]float64, h)
+	a1 := make([]float64, h)
+	z2 := make([]float64, h)
+	a2 := make([]float64, h)
+	d2 := make([]float64, h)
+	d1 := make([]float64, h)
+
+	order := rng.Perm(n)
+	xbuf := make([]float64, d)
+
+	for epoch := 0; epoch < m.Epochs; epoch++ {
+		for i := n - 1; i > 0; i-- {
+			j := rng.Intn(i + 1)
+			order[i], order[j] = order[j], order[i]
+		}
+		for start := 0; start < n; start += m.BatchSize {
+			end := min(start+m.BatchSize, n)
+			batch := order[start:end]
+			bs := float64(len(batch))
+			clear(gW1)
+			clear(gW2)
+			clear(gW3)
+			clear(gB1)
+			clear(gB2)
+			gB3[0] = 0
+			for _, idx := range batch {
+				x := X.Row(idx, xbuf)
+				p := sigmoid(m.forward(x, z1, a1, z2, a2))
+				dz3 := p - float64(y[idx])
+				for j := 0; j < h; j++ {
+					gW3[j] += dz3 * a2[j]
+					d2[j] = dz3 * m.w3[j]
+					if z2[j] <= 0 {
+						d2[j] = 0
+					}
+				}
+				gB3[0] += dz3
+				clear(d1)
+				for i, di := range d2 {
+					if di == 0 {
+						continue
+					}
+					grow := gW2[i*h : (i+1)*h]
+					wrow := m.w2[i*h : (i+1)*h]
+					for j := range grow {
+						grow[j] += di * a1[j]
+						d1[j] += di * wrow[j]
+					}
+					gB2[i] += di
+				}
+				for j, z := range z1 {
+					if z <= 0 {
+						d1[j] = 0
+					}
+				}
+				for i, di := range d1 {
+					if di == 0 {
+						continue
+					}
+					grow := gW1[i*d : (i+1)*d]
+					for j, v := range x {
+						grow[j] += di * v
+					}
+					gB1[i] += di
+				}
+			}
+			inv := 1 / bs
+			scaleInPlace(gW1, inv)
+			scaleInPlace(gW2, inv)
+			scaleInPlace(gW3, inv)
+			scaleInPlace(gB1, inv)
+			scaleInPlace(gB2, inv)
+			gB3[0] *= inv
+			optW1.step(m.w1, gW1)
+			optB1.step(m.b1, gB1)
+			optW2.step(m.w2, gW2)
+			optB2.step(m.b2, gB2)
+			optW3.step(m.w3, gW3)
+			b3s := []float64{m.b3}
+			optB3.step(b3s, gB3)
+			m.b3 = b3s[0]
+		}
+	}
+}
+
+func (m *refMLP) forward(x, z1, a1, z2, a2 []float64) float64 {
+	if len(x) > m.d {
+		x = x[:m.d]
+	}
+	refDense(m.w1, m.d, m.b1, x, z1, a1)
+	refDense(m.w2, m.Hidden, m.b2, a1, z2, a2)
+	z3 := m.b3
+	for j, v := range a2 {
+		z3 += m.w3[j] * v
+	}
+	return z3
+}
+
+func refDense(w []float64, cols int, b, x, z, a []float64) {
+	for i := range z {
+		s := b[i]
+		for j, v := range x {
+			s += w[i*cols+j] * v
+		}
+		z[i] = s
+		if s > 0 {
+			a[i] = s
+		} else {
+			a[i] = 0
+		}
+	}
+}
+
+func (m *refMLP) predictProba(X *Matrix) []float64 {
+	out := make([]float64, X.Rows())
+	h := m.Hidden
+	z1, a1 := make([]float64, h), make([]float64, h)
+	z2, a2 := make([]float64, h), make([]float64, h)
+	xbuf := make([]float64, X.Cols())
+	for r := range out {
+		out[r] = sigmoid(m.forward(X.Row(r, xbuf), z1, a1, z2, a2))
+	}
+	return out
+}
+
+// TestMLPMatchesDenseRef compares the active-set MLP with the dense
+// reference bit for bit, across hidden widths down to a single unit, one-
+// and many-input nets, short final mini-batches, an all-zero input column
+// and all-zero rows (the imputed-missing case that leaves units dead), and
+// probes narrower and wider than the fitted width.
+func TestMLPMatchesDenseRef(t *testing.T) {
+	cases := []struct {
+		n, d, hidden, epochs, bs int
+		seed                     int64
+	}{
+		{250, 13, 100, 3, 64, 1},
+		{150, 13, 37, 4, 40, 2},
+		{120, 1, 5, 8, 32, 3},
+		{90, 13, 1, 6, 7, 4},
+		{200, 1, 100, 3, 48, 5},
+		{130, 13, 5, 10, 64, 6},
+	}
+	for _, tc := range cases {
+		name := fmt.Sprintf("hidden%d-d%d-bs%d", tc.hidden, tc.d, tc.bs)
+		t.Run(name, func(t *testing.T) {
+			X, y := synthLinear(tc.n, tc.d, tc.seed+70)
+			for i := range X {
+				if tc.d > 1 {
+					X[i][tc.d/2] = 0
+				}
+				if i%11 == 3 {
+					clear(X[i])
+				}
+			}
+			cfg := MLP{Hidden: tc.hidden, Epochs: tc.epochs, BatchSize: tc.bs, LearningRate: 1e-3, Seed: tc.seed}
+			m, ref := cfg, &refMLP{MLP: cfg}
+			if err := m.Fit(mustMatrix(t, X), y); err != nil {
+				t.Fatal(err)
+			}
+			ref.fit(mustMatrix(t, X), y)
+			probeCols := []int{tc.d, tc.d + 3}
+			if tc.d > 1 {
+				probeCols = append(probeCols, tc.d-2)
+			}
+			for _, cols := range probeCols {
+				probe := make([][]float64, len(X))
+				for i, row := range X {
+					probe[i] = make([]float64, cols)
+					for j := range probe[i] {
+						probe[i][j] = row[j%tc.d] + float64(j/tc.d)
+					}
+				}
+				P := mustMatrix(t, probe)
+				got, want := m.PredictProba(P), ref.predictProba(P)
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("probe with %d columns, row %d: %v, reference %v", cols, i, got[i], want[i])
+					}
 				}
 			}
 		})

@@ -64,9 +64,10 @@ func (a *adam) step(params, grads []float64) {
 
 // Fit implements Classifier. The mini-batch SGD loop is inherently
 // row-oriented, so each sample is gathered from the columnar matrix into a
-// reused buffer. Backprop walks W2 by rows: one pass per nonzero d2[i]
-// accumulates both gW2's row i and every d1[j], adding each d1[j]'s terms in
-// increasing i exactly as a column walk would.
+// reused buffer. Backprop visits only the active units (see forward): each
+// pass over layer 1's active set serves two nonzero d2 rows, accumulating
+// both rows of gW2 and every active d1 term, and each d1 term is still added
+// in increasing row order exactly as a column walk would.
 func (m *MLP) Fit(X *Matrix, y []int) error {
 	if err := validate(X, y); err != nil {
 		return err
@@ -118,12 +119,9 @@ func (m *MLP) Fit(X *Matrix, y []int) error {
 	gB2 := make([]float64, h)
 	gB3 := make([]float64, 1)
 
-	z1 := make([]float64, h)
-	a1 := make([]float64, h)
-	z2 := make([]float64, h)
-	a2 := make([]float64, h)
-	d2 := make([]float64, h)
-	d1 := make([]float64, h)
+	p := newPass(h)
+	// d1[k] is the gradient at layer 1's k-th active unit, p.act1[k].
+	d1buf := make([]float64, h)
 
 	order := rng.Perm(n)
 	xbuf := make([]float64, d)
@@ -146,36 +144,36 @@ func (m *MLP) Fit(X *Matrix, y []int) error {
 			gB3[0] = 0
 			for _, idx := range batch {
 				x := X.Row(idx, xbuf)
-				p := sigmoid(m.forward(x, z1, a1, z2, a2))
+				prob := sigmoid(m.forward(x, p))
 				// Backward (binary cross-entropy).
-				dz3 := p - float64(y[idx])
-				for j := 0; j < h; j++ {
-					gW3[j] += dz3 * a2[j]
-					d2[j] = dz3 * m.w3[j]
-					if z2[j] <= 0 {
-						d2[j] = 0
-					}
+				dz3 := prob - float64(y[idx])
+				for k, j := range p.act2 {
+					gW3[j] += dz3 * p.val2[k]
 				}
 				gB3[0] += dz3
+				d1 := d1buf[:len(p.act1)]
 				clear(d1)
-				for i, di := range d2 {
+				// Nonzero d2 rows are taken in pairs; pend holds the first
+				// of a pair until its partner turns up.
+				pend, dpend := -1, 0.0
+				for _, i := range p.act2 {
+					di := dz3 * m.w3[i]
 					if di == 0 {
 						continue
 					}
-					grow := gW2[i*h : (i+1)*h]
-					wrow := m.w2[i*h : (i+1)*h]
-					for j := range grow {
-						grow[j] += di * a1[j]
-						d1[j] += di * wrow[j]
-					}
 					gB2[i] += di
-				}
-				for j, z := range z1 {
-					if z <= 0 {
-						d1[j] = 0
+					if pend < 0 {
+						pend, dpend = i, di
+						continue
 					}
+					m.backRows(gW2, d1, p, pend, dpend, i, di)
+					pend = -1
 				}
-				for i, di := range d1 {
+				if pend >= 0 {
+					m.backRow(gW2, d1, p, pend, dpend)
+				}
+				for k, i := range p.act1 {
+					di := d1[k]
 					if di == 0 {
 						continue
 					}
@@ -207,34 +205,112 @@ func (m *MLP) Fit(X *Matrix, y []int) error {
 	return nil
 }
 
+// backRows backpropagates two nonzero layer-2 rows i0 < i1 in one pass over
+// layer 1's active set: gW2's rows i0 and i1 gain d·a1, and each active
+// d1 term gains row i0's contribution before row i1's.
+func (m *MLP) backRows(gW2, d1 []float64, p *pass, i0 int, d0 float64, i1 int, di1 float64) {
+	h := m.Hidden
+	g0, g1 := gW2[i0*h:(i0+1)*h], gW2[i1*h:(i1+1)*h]
+	w0, w1 := m.w2[i0*h:(i0+1)*h], m.w2[i1*h:(i1+1)*h]
+	val := p.val1[:len(p.act1)]
+	d1 = d1[:len(p.act1)]
+	for k, j := range p.act1 {
+		a := val[k]
+		g0[j] += d0 * a
+		g1[j] += di1 * a
+		d1[k] = d1[k] + d0*w0[j] + di1*w1[j]
+	}
+}
+
+// backRow is backRows for the last, unpaired row.
+func (m *MLP) backRow(gW2, d1 []float64, p *pass, i int, di float64) {
+	h := m.Hidden
+	g, w := gW2[i*h:(i+1)*h], m.w2[i*h:(i+1)*h]
+	val := p.val1[:len(p.act1)]
+	d1 = d1[:len(p.act1)]
+	for k, j := range p.act1 {
+		g[j] += di * val[k]
+		d1[k] += di * w[j]
+	}
+}
+
 func scaleInPlace(v []float64, s float64) {
 	for i := range v {
 		v[i] *= s
 	}
 }
 
-// forward runs one sample through the network, filling both hidden layers'
-// pre-activations (z1, z2) and ReLU activations (a1, a2), and returns the
-// output logit. Only the first min(d, len(x)) inputs are read, so a matrix
-// narrower or wider than the fitted one still predicts.
-func (m *MLP) forward(x, z1, a1, z2, a2 []float64) float64 {
+// pass is one sample's trip through the network: the pre-activation
+// scratch z and, per hidden layer, its active set — the units whose
+// pre-activation is positive — as increasing unit indices plus their ReLU
+// values. Every other unit's activation is zero.
+type pass struct {
+	z          []float64
+	act1, act2 []int
+	val1, val2 []float64
+}
+
+func newPass(h int) *pass {
+	return &pass{
+		z:    make([]float64, h),
+		act1: make([]int, 0, h), act2: make([]int, 0, h),
+		val1: make([]float64, 0, h), val2: make([]float64, 0, h),
+	}
+}
+
+// forward runs one sample through the network, recording both hidden
+// layers' active sets in p, and returns the output logit. Only the first
+// min(d, len(x)) inputs are read, so a matrix narrower or wider than the
+// fitted one still predicts.
+//
+// Layer 2, the output and backprop sum only over active units. That is
+// exact, bit for bit, against summing over every unit: an inactive unit's
+// term is w·0 = ±0 for finite w, each kept sum adds the same terms in the
+// same order, and every accumulator starts at a bias or at +0. A
+// round-to-nearest sum can only become −0 from −0 + −0, and no bias ever
+// becomes −0 (biases start at +0, and Adam's b − step is −0 only when b
+// already is), so no accumulator is −0 and adding ±0 leaves it unchanged.
+// The argument needs finite weights (Inf·0 is NaN). Fit keeps them finite
+// when its inputs are: Pipeline imputes NaN and rejects ±Inf before a fit,
+// and each Adam step is bounded by about the learning rate. Layer 1 sums
+// every input, so a prediction over non-finite inputs still matches the
+// dense sums.
+func (m *MLP) forward(x []float64, p *pass) float64 {
 	if len(x) > m.d {
 		x = x[:m.d]
 	}
-	dense(m.w1, m.d, m.b1, x, z1, a1)
-	dense(m.w2, m.Hidden, m.b2, a1, z2, a2)
+	dense(m.w1, m.d, m.b1, x, p.z)
+	p.act1, p.val1 = active(p.z, p.act1, p.val1)
+	denseActive(m.w2, m.Hidden, m.b2, p.act1, p.val1, p.z)
+	p.act2, p.val2 = active(p.z, p.act2, p.val2)
 	z3 := m.b3
-	for j, v := range a2 {
-		z3 += m.w3[j] * v
+	for k, j := range p.act2 {
+		z3 += m.w3[j] * p.val2[k]
 	}
 	return z3
 }
 
-// dense computes z = W·x + b and a = ReLU(z) for a row-major W with stride
-// cols. Rows run four at a time with one accumulator each, so every z[i]
-// still sums its terms in increasing j from b[i], bit for bit like a plain
-// row loop, while x is read once per block instead of once per row.
-func dense(w []float64, cols int, b, x, z, a []float64) {
+// active returns the indices and values of z's positive entries, reusing
+// the storage of act and val, whose capacity must cover len(z). Every entry
+// is written and only the count moves, so the compiler can drop the
+// unpredictable branch on the sign.
+func active(z []float64, act []int, val []float64) ([]int, []float64) {
+	act, val = act[:len(z)], val[:len(z)]
+	n := 0
+	for i, s := range z {
+		act[n], val[n] = i, s
+		if s > 0 {
+			n++
+		}
+	}
+	return act[:n], val[:n]
+}
+
+// dense computes z = W·x + b for a row-major W with stride cols. Rows run
+// four at a time with one accumulator each, so every z[i] still sums its
+// terms in increasing j from b[i], bit for bit like a plain row loop, while
+// x is read once per block instead of once per row.
+func dense(w []float64, cols int, b, x, z []float64) {
 	i := 0
 	for ; i+4 <= len(z); i += 4 {
 		r0 := w[i*cols : i*cols+len(x)]
@@ -257,12 +333,36 @@ func dense(w []float64, cols int, b, x, z, a []float64) {
 		}
 		z[i] = s
 	}
-	for i, s := range z {
-		if s > 0 {
-			a[i] = s
-		} else {
-			a[i] = 0
+}
+
+// denseActive is dense over a sparse input: x[act[k]] = val[k] and every
+// other input is zero, so each z[i] sums only the active terms, in
+// increasing index order.
+func denseActive(w []float64, cols int, b []float64, act []int, val, z []float64) {
+	val = val[:len(act)]
+	i := 0
+	for ; i+4 <= len(z); i += 4 {
+		r0 := w[i*cols : (i+1)*cols]
+		r1 := w[(i+1)*cols : (i+2)*cols]
+		r2 := w[(i+2)*cols : (i+3)*cols]
+		r3 := w[(i+3)*cols : (i+4)*cols]
+		s0, s1, s2, s3 := b[i], b[i+1], b[i+2], b[i+3]
+		for k, j := range act {
+			v := val[k]
+			s0 += r0[j] * v
+			s1 += r1[j] * v
+			s2 += r2[j] * v
+			s3 += r3[j] * v
 		}
+		z[i], z[i+1], z[i+2], z[i+3] = s0, s1, s2, s3
+	}
+	for ; i < len(z); i++ {
+		s := b[i]
+		r := w[i*cols : (i+1)*cols]
+		for k, j := range act {
+			s += r[j] * val[k]
+		}
+		z[i] = s
 	}
 }
 
@@ -272,12 +372,10 @@ func (m *MLP) PredictProba(X *Matrix) []float64 {
 	if !m.fitted {
 		return out
 	}
-	h := m.Hidden
-	z1, a1 := make([]float64, h), make([]float64, h)
-	z2, a2 := make([]float64, h), make([]float64, h)
+	p := newPass(m.Hidden)
 	xbuf := make([]float64, X.Cols())
 	for r := range out {
-		out[r] = sigmoid(m.forward(X.Row(r, xbuf), z1, a1, z2, a2))
+		out[r] = sigmoid(m.forward(X.Row(r, xbuf), p))
 	}
 	return out
 }
