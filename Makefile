@@ -4,6 +4,12 @@ PKGS := ./...
 # group-by, the per-prompt agenda render).
 KERNEL_BENCH := BenchmarkTreeFit|BenchmarkForestFit|BenchmarkExtraTreesFit|BenchmarkHistogramSplit|BenchmarkLogisticFit|BenchmarkMLPFit|BenchmarkMLPPredict|BenchmarkMatrixTakeRows|BenchmarkColMatrix|BenchmarkRowMajorMatrix|BenchmarkDropNANoNulls|BenchmarkSeriesStd|BenchmarkGroupKeys|BenchmarkAgendaRender
 KERNEL_PKGS := ./internal/ml ./internal/dataframe ./internal/core
+# The row-level path's benches (one Bank row serialized; a warm pass of
+# cached rows) run in the kernel and grid sweeps at GOMAXPROCS 1 and 2, so a
+# gain that is more than parallelism shows. They sit in their own patterns
+# because -cpu applies to every bench a `go test` run matches.
+ROW_KERNEL_BENCH := BenchmarkSerializeRow
+ROW_GRID_BENCH := BenchmarkCompleteRowsWarm
 
 .PHONY: test race check bench bench-kernel bench-grid bench-json bench-cpu fmt fmt-check vet grid-workers chaos obs-check cache-check serve-check sim-soak
 
@@ -12,9 +18,9 @@ test:
 	$(GO) test $(PKGS)
 
 # The race suite runs under a CPU matrix: the worker pools (grid runner,
-# parallel CAAFE, fmgate Submit, forest tree fits) degenerate to sequential
-# order on the 1-vCPU dev box, so -cpu 4 is what actually exercises their
-# interleavings. internal/e2e is left out: its checks exercise separate
+# parallel CAAFE, the row-level completion workers, forest tree fits)
+# degenerate to sequential order on the 1-vCPU dev box, so -cpu 4 is what
+# actually exercises their interleavings. internal/e2e is left out: its checks exercise separate
 # processes the detector cannot see into, and -cpu 1,4 would run each twice.
 race:
 	$(GO) test -race -cpu 1,4 $$($(GO) list $(PKGS) | grep -v /internal/e2e)
@@ -32,6 +38,7 @@ bench:
 # Just the hot-path kernel benches (fast; use for before/after comparisons).
 bench-kernel:
 	$(GO) test $(KERNEL_PKGS) -bench '$(KERNEL_BENCH)' -benchmem -run xxx -count 3
+	$(GO) test ./internal/dataframe -bench '$(ROW_KERNEL_BENCH)' -cpu 1,2 -benchmem -run xxx -count 3
 
 # Grid-engine overhead benches: artifact/manifest (de)serialization, a full
 # 40-cell resume pass, record-shard setup, the FM backend pool's per-call
@@ -42,6 +49,7 @@ bench-kernel:
 GRID_BENCH := BenchmarkArtifactWrite|BenchmarkArtifactRead|BenchmarkManifestSave|BenchmarkGridResume|BenchmarkStoreSetShard|BenchmarkLeaseClaim|BenchmarkPoolComplete|BenchmarkSpanOverhead|BenchmarkRegistryInc|BenchmarkCacheHit
 bench-grid:
 	$(GO) test ./internal/grid ./internal/fmgate ./internal/obs -bench '$(GRID_BENCH)' -benchmem -run xxx -count 3
+	$(GO) test ./internal/fmgate -bench '$(ROW_GRID_BENCH)' -cpu 1,2 -benchmem -run xxx -count 3
 
 # Machine-readable perf trajectory: the kernel and grid bench sweeps piped
 # through tools/benchjson into BENCH_kernel.json / BENCH_grid.json. Each
@@ -51,8 +59,10 @@ bench-grid:
 # and uploads both files as workflow artifacts. The tmp-then-mv dance keeps
 # the append source readable while the new array is being produced.
 bench-json:
-	$(GO) test $(KERNEL_PKGS) -bench '$(KERNEL_BENCH)' -benchmem -run xxx -count 3 | tee /dev/stderr | $(GO) run ./tools/benchjson -append BENCH_kernel.json > BENCH_kernel.json.tmp && mv BENCH_kernel.json.tmp BENCH_kernel.json
-	$(GO) test ./internal/grid ./internal/fmgate ./internal/obs -bench '$(GRID_BENCH)' -benchmem -run xxx -count 3 | tee /dev/stderr | $(GO) run ./tools/benchjson -append BENCH_grid.json > BENCH_grid.json.tmp && mv BENCH_grid.json.tmp BENCH_grid.json
+	{ $(GO) test $(KERNEL_PKGS) -bench '$(KERNEL_BENCH)' -benchmem -run xxx -count 3 && \
+	  $(GO) test ./internal/dataframe -bench '$(ROW_KERNEL_BENCH)' -cpu 1,2 -benchmem -run xxx -count 3; } | tee /dev/stderr | $(GO) run ./tools/benchjson -append BENCH_kernel.json > BENCH_kernel.json.tmp && mv BENCH_kernel.json.tmp BENCH_kernel.json
+	{ $(GO) test ./internal/grid ./internal/fmgate ./internal/obs -bench '$(GRID_BENCH)' -benchmem -run xxx -count 3 && \
+	  $(GO) test ./internal/fmgate -bench '$(ROW_GRID_BENCH)' -cpu 1,2 -benchmem -run xxx -count 3; } | tee /dev/stderr | $(GO) run ./tools/benchjson -append BENCH_grid.json > BENCH_grid.json.tmp && mv BENCH_grid.json.tmp BENCH_grid.json
 
 # CPU profile of forest training; inspect with `go tool pprof cpu.out`.
 bench-cpu:

@@ -6,6 +6,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"smartfeat/internal/dataframe"
 	"smartfeat/internal/fm"
@@ -166,7 +168,7 @@ func estimateRowCallCost(model fm.Model, f *dataframe.Frame, c Candidate) float6
 	if f.Len() == 0 {
 		return 0
 	}
-	prompt := rowPrompt(c.Name, f.SerializeRow(0))
+	prompt := rowPrompt(c.Name, f, 0)
 	pt := fm.EstimateTokens(prompt)
 	ct := 4 // short numeric answer
 	pricing := fm.GPT35Pricing
@@ -179,52 +181,124 @@ func estimateRowCallCost(model fm.Model, f *dataframe.Frame, c Candidate) float6
 // CompleteRows performs row-level FM completions for the first n rows of the
 // frame, returning the parsed numeric values (NaN where the FM's answer is
 // not numeric). It is also the row-level interaction workload of the
-// Figure 1 efficiency comparison.
+// Figure 1 efficiency comparison. A negative n is an error; an n beyond the
+// frame completes every row.
 //
-// When the model is an fm.Submitter (an fmgate gateway), rows are submitted
-// through a bounded window and the gateway's concurrency overlaps the
-// per-call latency — the paper's cost worst case (scenario 2, one call per
-// row) stops paying its latency serially. Plain models complete rows
-// sequentially. Either way the values land in row order and the result is
-// identical: row completions are independent and deterministic per row
-// content (the simulated FM derives even its error injection for this task
-// from the prompt content, so corruption does not depend on arrival order).
+// When the model is an fm.Submitter (an fmgate gateway), up to 256 workers
+// complete rows concurrently, each taking the next row index and refilling
+// its own prompt buffer; the gateway bounds the upstream calls, so the
+// paper's cost worst case (scenario 2, one call per row) stops paying its
+// latency serially. A failed row stops the workers on later rows, and the
+// error names the lowest failing row — the row a sequential pass would
+// have stopped at. If the caller cancels, the context's error is returned.
+// Plain models complete rows one after another, in row order. Either way
+// the result is identical: row completions are independent and
+// deterministic per row content (the simulated FM derives even its error
+// injection for this task from the prompt content, so corruption does not
+// depend on arrival order).
 func CompleteRows(ctx context.Context, model fm.Model, f *dataframe.Frame, feature string, n int) ([]float64, error) {
-	if n > f.Len() {
-		n = f.Len()
+	if n < 0 {
+		return nil, fmt.Errorf("core: cannot complete n = %d rows", n)
 	}
+	n = min(n, f.Len())
 	out := make([]float64, n)
-	if sub, ok := model.(fm.Submitter); ok && n > 1 {
-		// Cancel outstanding submissions as soon as one row fails.
-		ctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		// Submissions run a bounded window ahead of the in-order reader:
-		// enough to keep any reasonable gateway concurrency saturated
-		// without holding one goroutine per row of a large frame live.
-		const window = 256
-		pending := make([]<-chan fm.Result, n)
-		next := 0
-		for i := 0; i < n; i++ {
-			for ; next < n && next < i+window; next++ {
-				pending[next] = sub.Submit(ctx, rowPrompt(feature, f.SerializeRow(next)))
-			}
-			r := <-pending[i]
-			pending[i] = nil
-			if r.Err != nil {
-				return nil, fmt.Errorf("core: row %d completion: %w", i, r.Err)
-			}
-			out[i] = parseRowValue(r.Text)
+	if _, ok := model.(fm.Submitter); ok && n > 1 {
+		if err := completeRowsConcurrent(ctx, model, f, feature, out); err != nil {
+			return nil, err
 		}
 		return out, nil
 	}
+	var buf []byte
 	for i := 0; i < n; i++ {
-		resp, err := model.Complete(ctx, rowPrompt(feature, f.SerializeRow(i)))
+		buf = appendRowPrompt(buf[:0], feature, f, i)
+		resp, err := model.Complete(ctx, string(buf))
 		if err != nil {
 			return nil, fmt.Errorf("core: row %d completion: %w", i, err)
 		}
 		out[i] = parseRowValue(resp)
 	}
 	return out, nil
+}
+
+// rowWorker is one worker of completeRowsConcurrent: the row it holds and
+// the cancel of the context its calls run under.
+type rowWorker struct {
+	cur    atomic.Int64
+	ctx    context.Context
+	cancel context.CancelFunc
+}
+
+// completeRowsConcurrent fills out[i] for every row on min(256, len(out))
+// workers and returns only after all of them have exited. Row indices are
+// handed out in increasing order, so when row k fails every row below k
+// has been taken already: the workers on later rows are cancelled and
+// nothing past k starts, while the rows below k finish, so a lower failure
+// still wins.
+func completeRowsConcurrent(ctx context.Context, model fm.Model, f *dataframe.Frame, feature string, out []float64) error {
+	// Enough workers to keep any reasonable gateway concurrency saturated;
+	// the gateway, not this count, bounds the upstream calls.
+	const window = 256
+	n := int64(len(out))
+	workers := make([]rowWorker, min(window, len(out)))
+	var (
+		next, stop atomic.Int64 // next row to hand out; lowest failed row (n: none)
+		mu         sync.Mutex
+		rowErr     error // the failure of row stop
+		wg         sync.WaitGroup
+	)
+	stop.Store(n)
+	fail := func(i int64, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if i >= stop.Load() {
+			return // a later row, or one cancelled because of a lower failure
+		}
+		stop.Store(i)
+		rowErr = err
+		for w := range workers {
+			if workers[w].cur.Load() > i {
+				workers[w].cancel()
+			}
+		}
+	}
+	for w := range workers {
+		workers[w].ctx, workers[w].cancel = context.WithCancel(ctx)
+	}
+	wg.Add(len(workers))
+	for w := range workers {
+		wk := &workers[w]
+		go func() {
+			defer wg.Done()
+			var buf []byte
+			for {
+				i := next.Add(1) - 1
+				// Publish the row before checking stop: a failure recorded
+				// meanwhile then either is seen here or cancels this row.
+				wk.cur.Store(i)
+				if i >= stop.Load() {
+					return // past the last row, or past a failed one
+				}
+				buf = appendRowPrompt(buf[:0], feature, f, int(i))
+				resp, err := model.Complete(wk.ctx, string(buf))
+				if err != nil {
+					fail(i, err)
+					return
+				}
+				out[i] = parseRowValue(resp)
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range workers {
+		workers[w].cancel()
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if rowErr != nil {
+		return fmt.Errorf("core: row %d completion: %w", stop.Load(), rowErr)
+	}
+	return nil
 }
 
 // parseRowValue reads the FM's answer for one masked value (NaN when the

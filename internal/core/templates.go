@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
+	"smartfeat/internal/dataframe"
 	"smartfeat/internal/fm"
 )
 
@@ -77,15 +79,25 @@ func functionPrompt(a *Agenda, model string, c Candidate) string {
 		c.Name, strings.Join(c.Inputs, ", "), c.Operator, c.Description, c.Name)
 }
 
-// rowPrompt asks for a row-level completion of one serialized entry — the
+// rowPrompt asks for a row-level completion of row i of f — the
 // masked-token interaction of Figure 1 that SMARTFEAT avoids for whole
 // datasets but falls back to when no explicit function exists (§3.3).
-func rowPrompt(feature, serializedRow string) string {
-	return fmt.Sprintf(
-		"You are assisting with automated feature engineering for a tabular dataset.\n"+
-			"Task: %s\n"+
-			"New feature: %s\n"+
-			"Row: %s, %s: ?\n"+
-			"Provide only the value for the masked attribute %q.\n",
-		fm.TaskCompleteRow, feature, serializedRow, feature, feature)
+func rowPrompt(feature string, f *dataframe.Frame, i int) string {
+	return string(appendRowPrompt(nil, feature, f, i))
+}
+
+// appendRowPrompt appends rowPrompt(feature, f, i) to dst, so a row loop can
+// refill one buffer instead of formatting every prompt afresh.
+func appendRowPrompt(dst []byte, feature string, f *dataframe.Frame, i int) []byte {
+	dst = append(dst, "You are assisting with automated feature engineering for a tabular dataset.\n"+
+		"Task: "+fm.TaskCompleteRow+"\n"+
+		"New feature: "...)
+	dst = append(dst, feature...)
+	dst = append(dst, "\nRow: "...)
+	dst = f.AppendRow(dst, i)
+	dst = append(dst, ", "...)
+	dst = append(dst, feature...)
+	dst = append(dst, ": ?\nProvide only the value for the masked attribute "...)
+	dst = strconv.AppendQuote(dst, feature)
+	return append(dst, ".\n"...)
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"smartfeat/internal/dataframe"
 	"smartfeat/internal/fm"
 )
 
@@ -90,7 +91,11 @@ func TestFunctionPromptGolden(t *testing.T) {
 }
 
 func TestRowPromptGolden(t *testing.T) {
-	got := rowPrompt("Population_Density_City", "Sex: M, Age: 21, City: SF")
+	f, err := dataframe.ReadCSVString("Sex,Age,City\nM,21,SF\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := rowPrompt("Population_Density_City", f, 0)
 	for _, want := range []string{
 		"Task: complete-row",
 		"Row: Sex: M, Age: 21, City: SF, Population_Density_City: ?",

@@ -134,9 +134,19 @@ func (f *Frame) CSVString() string {
 // SerializeRow renders row i as "attr1: val1, attr2: val2, …" — the entry
 // serialization format used for row-level FM interactions (Figure 1).
 func (f *Frame) SerializeRow(i int) string {
-	parts := make([]string, 0, f.Width())
-	for _, c := range f.cols {
-		parts = append(parts, fmt.Sprintf("%s: %s", c.Name, c.ValueString(i)))
+	var buf [512]byte // a typical row fits: one allocation, the result
+	return string(f.AppendRow(buf[:0], i))
+}
+
+// AppendRow appends SerializeRow(i) to dst.
+func (f *Frame) AppendRow(dst []byte, i int) []byte {
+	for j, c := range f.cols {
+		if j > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = append(dst, c.Name...)
+		dst = append(dst, ": "...)
+		dst = c.AppendValue(dst, i)
 	}
-	return strings.Join(parts, ", ")
+	return dst
 }

@@ -144,3 +144,38 @@ func FuzzReadCSV(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkSerializeRow renders one mixed Bank-like row (eight string and
+// ten numeric cells, integral and decimal) as the row-level prompts carry it.
+func BenchmarkSerializeRow(b *testing.B) {
+	f := New()
+	for _, c := range [][2]string{
+		{"Job", "blue-collar"}, {"Marital", "married"}, {"Education", "university.degree"},
+		{"CreditDefault", "no"}, {"HousingLoan", "yes"}, {"PersonalLoan", "no"},
+		{"ContactType", "cellular"}, {"PrevOutcome", "nonexistent"},
+	} {
+		if err := f.AddCategorical(c[0], []string{c[1]}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		v    float64
+	}{
+		{"Age", 41}, {"Duration", 227}, {"Campaign", 2}, {"Pdays", 999}, {"Previous", 0},
+		{"EmpVarRate", -1.8}, {"ConsPriceIdx", 92.893}, {"ConsConfIdx", -46.2},
+		{"Euribor3m", 1.313}, {"Subscribed", 0},
+	} {
+		if err := f.AddNumeric(c.name, []float64{c.v}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serializedRow = f.SerializeRow(0)
+	}
+}
+
+// serializedRow keeps BenchmarkSerializeRow's result live.
+var serializedRow string

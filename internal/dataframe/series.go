@@ -147,17 +147,28 @@ func (s *Series) Take(rows []int) *Series {
 
 // ValueString renders row i for display or serialization.
 func (s *Series) ValueString(i int) string {
+	if s.Kind != Numeric && !s.IsNull(i) {
+		return s.Strs[i] // what AppendValue appends, without the copy
+	}
+	var buf [32]byte
+	return string(s.AppendValue(buf[:0], i))
+}
+
+// AppendValue appends row i's rendering to dst: nothing for a null, an
+// integral numeric below 1e15 in magnitude as an integer, any other numeric
+// in shortest 'g' form, and a string cell as it is.
+func (s *Series) AppendValue(dst []byte, i int) []byte {
 	if s.IsNull(i) {
-		return ""
+		return dst
 	}
 	if s.Kind == Numeric {
 		v := s.Nums[i]
 		if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-			return fmt.Sprintf("%d", int64(v))
+			return strconv.AppendInt(dst, int64(v), 10)
 		}
-		return fmt.Sprintf("%g", v)
+		return strconv.AppendFloat(dst, v, 'g', -1, 64)
 	}
-	return s.Strs[i]
+	return append(dst, s.Strs[i]...)
 }
 
 // validNums returns the non-null numeric values.

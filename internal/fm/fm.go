@@ -48,9 +48,10 @@ type Result struct {
 	Cached bool
 }
 
-// Submitter is implemented by models that accept asynchronous completion
-// submissions with their own concurrency bounding (the fmgate gateway). The
-// row-level completion loop fans out through this interface when available.
+// Submitter marks a model that bounds its own upstream concurrency and is
+// safe for concurrent use (the fmgate gateway): the row-level completion
+// loop calls Complete from many workers when the model implements it.
+// Submit is the asynchronous form of one completion.
 type Submitter interface {
 	Submit(ctx context.Context, prompt string) <-chan Result
 }

@@ -1,9 +1,14 @@
 package fmgate
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
+
+	"smartfeat/internal/core"
+	"smartfeat/internal/datasets"
+	"smartfeat/internal/fm"
 )
 
 // benchKeys builds a working set of content-hash-shaped keys pre-inserted
@@ -109,4 +114,34 @@ func BenchmarkCacheHitParallelMutex(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// BenchmarkCompleteRowsWarm completes 4,096 Bank rows through a gateway
+// whose LRU already holds every row: the warm pass of the row-level path
+// (prompt building, content key, cache hit and the row workers), with no
+// upstream call. ns/row is the cost of one cached row.
+func BenchmarkCompleteRowsWarm(b *testing.B) {
+	d, err := datasets.Load("Bank", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := d.Frame.Head(4096)
+	g := New(fm.NewGPT35Sim(1, 0), Options{CacheSize: 1 << 13})
+	ctx := context.Background()
+	if _, err := core.CompleteRows(ctx, g, f, "Estimated_Subscription_Propensity", f.Len()); err != nil {
+		b.Fatal(err)
+	}
+	upstream := g.Metrics().UpstreamCalls
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.CompleteRows(ctx, g, f, "Estimated_Subscription_Propensity", f.Len()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if got := g.Metrics().UpstreamCalls; got != upstream {
+		b.Fatalf("warm passes made %d upstream calls", got-upstream)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*f.Len()), "ns/row")
 }

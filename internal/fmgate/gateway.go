@@ -15,8 +15,9 @@
 //     latency through the same cache, dedup and concurrency layers;
 //   - in-flight deduplication (singleflight) so concurrent identical prompts
 //     share one upstream call;
-//   - a bounded-concurrency asynchronous submitter (Submit) that the
-//     scenario-2 row-level loop fans rows out on;
+//   - bounded upstream concurrency under a gateway that is safe for
+//     concurrent use (fm.Submitter), so the scenario-2 row-level loop
+//     completes rows on many workers at once;
 //   - retry with exponential backoff on transient upstream errors (a Pool's
 //     per-backend FaultInjector raises them in resilience testing);
 //   - per-role routing (operator selector vs function generator) with
@@ -272,12 +273,16 @@ func (g *Gateway) ResetUsage() { g.model.ResetUsage() }
 // used identically by Gateway and StoreModel so a recording made through one
 // replays through the other.
 func contentKey(scope, name, prompt string) string {
-	s := name + "\x00" + prompt
+	h := sha256.New()
 	if scope != "" {
-		s = scope + "\x00" + s
+		h.Write([]byte(scope))
+		h.Write([]byte{0})
 	}
-	h := sha256.Sum256([]byte(s))
-	return hex.EncodeToString(h[:16])
+	h.Write([]byte(name))
+	h.Write([]byte{0})
+	h.Write([]byte(prompt))
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0])[:16])
 }
 
 // Key returns the content address of a prompt for this gateway's model: the
@@ -294,8 +299,7 @@ func (g *Gateway) Complete(ctx context.Context, prompt string) (string, error) {
 }
 
 // Submit enqueues a completion and returns a single-result channel, bounded
-// by the gateway's concurrency limit. It implements fm.Submitter; the
-// row-level loop submits every row up front and collects results in order.
+// by the gateway's concurrency limit. It implements fm.Submitter.
 func (g *Gateway) Submit(ctx context.Context, prompt string) <-chan fm.Result {
 	out := make(chan fm.Result, 1)
 	go func() {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -518,6 +519,151 @@ func TestRowCompletionErrorInjectionDeterministic(t *testing.T) {
 	}
 	if corrupted == 0 {
 		t.Fatal("error rate 0.4 over 10 distinct rows should corrupt something")
+	}
+}
+
+// idFrame builds an n-row frame whose row i serializes as "Id: i", so a
+// model can tell rows apart by their prompt.
+func idFrame(t *testing.T, n int) *dataframe.Frame {
+	t.Helper()
+	ids := make([]float64, n)
+	for i := range ids {
+		ids[i] = float64(i)
+	}
+	f := dataframe.New()
+	if err := f.AddNumeric("Id", ids); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// rowOf reads the row index back out of a row prompt of idFrame.
+func rowOf(prompt string) int {
+	_, rest, _ := strings.Cut(prompt, "Row: Id: ")
+	id, _, _ := strings.Cut(rest, ",")
+	var i int
+	fmt.Sscan(id, &i)
+	return i
+}
+
+// TestCompleteRowsLowestFailingRow fails several rows of a frame wider than
+// the worker count. The lowest failing row is also the slowest, so higher
+// rows fail (and cancel the workers above them) first; the error must still
+// name the lowest failing row, as a sequential pass would.
+func TestCompleteRowsLowestFailingRow(t *testing.T) {
+	f := idFrame(t, 700)
+	failing := map[int]bool{37: true, 300: true, 301: true, 650: true}
+	model := &countingModel{fail: func(prompt string) error {
+		i := rowOf(prompt)
+		if i == 37 {
+			time.Sleep(20 * time.Millisecond)
+		}
+		if failing[i] {
+			return fmt.Errorf("row %d refused", i)
+		}
+		return nil
+	}}
+	g := New(model, Options{Concurrency: 8})
+	_, err := core.CompleteRows(context.Background(), g, f, "Density", f.Len())
+	if err == nil || !strings.HasPrefix(err.Error(), "core: row 37 completion: ") || !strings.HasSuffix(err.Error(), "row 37 refused") {
+		t.Fatalf("err = %v, want row 37's failure", err)
+	}
+}
+
+// activeModel counts the completions currently inside Complete and blocks
+// each one that free does not answer at once until release is closed or its
+// context ends.
+type activeModel struct {
+	countingModel
+	active  atomic.Int64
+	free    func(prompt string) bool
+	entered chan struct{} // receives once per call, without blocking
+	release chan struct{}
+}
+
+func (m *activeModel) Complete(ctx context.Context, prompt string) (string, error) {
+	m.active.Add(1)
+	defer m.active.Add(-1)
+	select {
+	case m.entered <- struct{}{}:
+	default:
+	}
+	if m.fail != nil {
+		if err := m.fail(prompt); err != nil {
+			return "", err
+		}
+	}
+	if m.free != nil && m.free(prompt) {
+		return "1", nil
+	}
+	select {
+	case <-m.release:
+		return "1", nil
+	case <-ctx.Done():
+		return "", ctx.Err()
+	}
+}
+
+// TestCompleteRowsWorkersExit checks CompleteRows returns only after every
+// worker has exited, on success and after a failure that cancels the
+// workers blocked in the model on later rows (the rows below it answer at
+// once): no call is still inside the model when it returns, and the
+// goroutine count settles back to where it started.
+func TestCompleteRowsWorkersExit(t *testing.T) {
+	f := idFrame(t, 500)
+	for _, tc := range []struct {
+		name string
+		fail func(string) error
+	}{
+		{"success", nil},
+		{"failure", func(p string) error {
+			if rowOf(p) == 5 {
+				return errors.New("refused")
+			}
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := &activeModel{entered: make(chan struct{}, 1), release: make(chan struct{})}
+			m.fail = tc.fail
+			m.free = func(p string) bool { return rowOf(p) < 5 }
+			g := New(m, Options{Concurrency: 64})
+			before := runtime.NumGoroutine()
+			if tc.fail == nil {
+				close(m.release)
+			}
+			_, err := core.CompleteRows(context.Background(), g, f, "Density", f.Len())
+			if (err != nil) != (tc.fail != nil) {
+				t.Fatalf("err = %v", err)
+			}
+			if n := m.active.Load(); n != 0 {
+				t.Fatalf("%d calls still inside the model after CompleteRows returned", n)
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutines: %d before, %d after", before, runtime.NumGoroutine())
+				}
+				runtime.Gosched()
+			}
+		})
+	}
+}
+
+// TestCompleteRowsCallerCancel cancels the caller's context while rows are
+// blocked in the model: the context's own error comes back.
+func TestCompleteRowsCallerCancel(t *testing.T) {
+	f := idFrame(t, 300)
+	m := &activeModel{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	g := New(m, Options{Concurrency: 16})
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-m.entered
+		cancel()
+	}()
+	vals, err := core.CompleteRows(ctx, g, f, "Density", f.Len())
+	if err != context.Canceled || vals != nil {
+		t.Fatalf("CompleteRows = (%d values, %v), want the context's error", len(vals), err)
 	}
 }
 

@@ -85,6 +85,22 @@ func TestFacadeCompleteRows(t *testing.T) {
 	}
 }
 
+// TestFacadeCompleteRowsNegativeN checks a negative row count is an error
+// naming n, through a plain model and through a gateway, instead of a panic.
+func TestFacadeCompleteRowsNegativeN(t *testing.T) {
+	f, err := smartfeat.ReadCSVString("City,Age\nSF,21\nLA,33\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := smartfeat.NewGPT35Sim(1, 0)
+	for _, m := range []smartfeat.FM{sim, smartfeat.NewGateway(sim, smartfeat.GatewayOptions{})} {
+		vals, err := smartfeat.CompleteRows(context.Background(), m, f, "Population_Density", -1)
+		if err == nil || vals != nil || !strings.Contains(err.Error(), "n = -1") {
+			t.Fatalf("CompleteRows(n = -1) = (%v, %v), want an error naming n", vals, err)
+		}
+	}
+}
+
 func TestFacadeStatuses(t *testing.T) {
 	all := []string{
 		string(smartfeat.StatusAdded), string(smartfeat.StatusRowLevel),
