@@ -28,19 +28,20 @@ func (f *Frame) Profile(name string) (ColumnProfile, error) {
 		return ColumnProfile{}, fmt.Errorf("dataframe: no column %q", name)
 	}
 	p := ColumnProfile{
-		Name:        c.Name,
-		Kind:        c.Kind,
-		Rows:        c.Len(),
-		Nulls:       c.NullCount(),
-		Cardinality: c.Cardinality(),
+		Name:  c.Name,
+		Kind:  c.Kind,
+		Rows:  c.Len(),
+		Nulls: c.NullCount(),
 	}
 	if p.Rows > 0 {
 		p.NullFrac = float64(p.Nulls) / float64(p.Rows)
 	}
 	if c.Kind == Numeric {
+		p.Cardinality = c.Cardinality()
 		p.Mean, p.Std, p.Min, p.Max = c.Mean(), c.Std(), c.Min(), c.Max()
 	} else {
 		levels := c.Levels()
+		p.Cardinality = len(levels)
 		if len(levels) > 8 {
 			levels = levels[:8]
 		}

@@ -220,6 +220,37 @@ func TestCardinalityAndLevels(t *testing.T) {
 	}
 }
 
+// TestDistinctBitsSpreadsIntegralFloats holds the distinct-value table to
+// short probe runs on the keys an unmixed hash degenerates on: integral
+// floats and powers of two, whose bit patterns differ only in their top
+// bits. With every bit mixed, no run of occupied slots at half load comes
+// near 100; hashing the low bits alone puts every key in one run.
+func TestDistinctBitsSpreadsIntegralFloats(t *testing.T) {
+	vals := make([]float64, 0, 22098)
+	for i := 1; i <= 20000; i++ {
+		vals = append(vals, float64(i))
+	}
+	for e := -1074; e <= 1023; e++ {
+		vals = append(vals, math.Ldexp(1, e))
+	}
+	slots, n := distinctBits(NewNumeric("v", vals))
+	if want := 20000 + 2098 - 15; n != want { // 2^0..2^14 are among the integers
+		t.Fatalf("distinctBits counts %d keys, want %d", n, want)
+	}
+	longest, run := 0, 0
+	for _, k := range append(slots, slots...) { // runs wrap around
+		if k == 0 {
+			run = 0
+			continue
+		}
+		run++
+		longest = max(longest, run)
+	}
+	if longest > 100 {
+		t.Fatalf("longest probe run is %d slots over %d keys in %d slots", longest, n, len(slots))
+	}
+}
+
 func TestIsConstant(t *testing.T) {
 	nan := math.NaN()
 	masked := NewNumeric("masked", []float64{1, 2, 1})

@@ -95,19 +95,23 @@ func aggregate(fn AggFunc, vals []float64) float64 {
 	}
 }
 
-// groupKeys assigns each row a composite key over the given columns.
-func (f *Frame) groupKeys(groupCols []string) ([]string, error) {
+// groupIDs assigns each row the dense id of its composite key over the
+// given columns, numbering groups by first appearance, and returns each
+// group's key. A row whose key is already known costs one map lookup and no
+// allocation; only a group's first row allocates its key.
+func (f *Frame) groupIDs(groupCols []string) (ids []int, keys []string, err error) {
 	cols := make([]*Series, len(groupCols))
 	for j, n := range groupCols {
 		c := f.Column(n)
 		if c == nil {
-			return nil, fmt.Errorf("dataframe: no group column %q", n)
+			return nil, nil, fmt.Errorf("dataframe: no group column %q", n)
 		}
 		cols[j] = c
 	}
-	keys := make([]string, f.Len())
+	ids = make([]int, f.Len())
+	index := make(map[string]int)
 	buf := make([]byte, 0, 64)
-	for i := 0; i < f.Len(); i++ {
+	for i := range ids {
 		buf = buf[:0]
 		for j, c := range cols {
 			if j > 0 {
@@ -115,47 +119,79 @@ func (f *Frame) groupKeys(groupCols []string) ([]string, error) {
 			}
 			buf = c.appendKey(buf, i)
 		}
-		keys[i] = string(buf)
+		id, ok := index[string(buf)]
+		if !ok {
+			id = len(keys)
+			keys = append(keys, string(buf))
+			index[keys[id]] = id
+		}
+		ids[i] = id
 	}
-	return keys, nil
+	return ids, keys, nil
+}
+
+// groupBy checks a group-by's arguments and assigns the group ids: fn must
+// be supported and aggCol a numeric column.
+func (f *Frame) groupBy(groupCols []string, aggCol string, fn AggFunc) (agg *Series, ids []int, keys []string, err error) {
+	if !ValidAgg(fn) {
+		return nil, nil, nil, fmt.Errorf("dataframe: unsupported aggregation %q", fn)
+	}
+	agg = f.Column(aggCol)
+	if agg == nil {
+		return nil, nil, nil, fmt.Errorf("dataframe: no aggregate column %q", aggCol)
+	}
+	if agg.Kind != Numeric {
+		return nil, nil, nil, fmt.Errorf("dataframe: aggregate column %q is not numeric", aggCol)
+	}
+	ids, keys, err = f.groupIDs(groupCols)
+	return agg, ids, keys, err
+}
+
+// groupValues gathers agg's non-null values by group into one flat slice:
+// group g's values are vals[start[g]:start[g+1]], in row order.
+func groupValues(agg *Series, ids []int, groups int) (vals []float64, start []int) {
+	start = make([]int, groups+1)
+	for i, g := range ids {
+		if !agg.IsNull(i) {
+			start[g+1]++
+		}
+	}
+	for g := 0; g < groups; g++ {
+		start[g+1] += start[g]
+	}
+	vals = make([]float64, start[groups])
+	next := append([]int(nil), start[:groups]...)
+	for i, g := range ids {
+		if !agg.IsNull(i) {
+			vals[next[g]] = agg.Nums[i]
+			next[g]++
+		}
+	}
+	return vals, start
 }
 
 // GroupByTransform computes, for every row, the aggregation of aggCol over
 // the row's group — the direct analogue of pandas'
 // df.groupby(groupCols)[aggCol].transform(fn). The result has one value per
-// row (broadcast back to the original shape).
+// row (broadcast back to the original shape); a group with no non-null value
+// gives NaN, whatever fn is.
 func (f *Frame) GroupByTransform(groupCols []string, aggCol string, fn AggFunc) ([]float64, error) {
-	if !ValidAgg(fn) {
-		return nil, fmt.Errorf("dataframe: unsupported aggregation %q", fn)
-	}
-	agg := f.Column(aggCol)
-	if agg == nil {
-		return nil, fmt.Errorf("dataframe: no aggregate column %q", aggCol)
-	}
-	if agg.Kind != Numeric {
-		return nil, fmt.Errorf("dataframe: aggregate column %q is not numeric", aggCol)
-	}
-	keys, err := f.groupKeys(groupCols)
+	agg, ids, keys, err := f.groupBy(groupCols, aggCol, fn)
 	if err != nil {
 		return nil, err
 	}
-	groups := make(map[string][]float64)
-	for i, k := range keys {
-		if !agg.IsNull(i) {
-			groups[k] = append(groups[k], agg.Nums[i])
-		}
-	}
-	results := make(map[string]float64, len(groups))
-	for k, vals := range groups {
-		results[k] = aggregate(fn, vals)
-	}
-	out := make([]float64, f.Len())
-	for i, k := range keys {
-		if v, ok := results[k]; ok {
-			out[i] = v
+	vals, start := groupValues(agg, ids, len(keys))
+	results := make([]float64, len(keys))
+	for g := range results {
+		if start[g] == start[g+1] {
+			results[g] = math.NaN()
 		} else {
-			out[i] = math.NaN()
+			results[g] = aggregate(fn, vals[start[g]:start[g+1]])
 		}
+	}
+	out := make([]float64, len(ids))
+	for i, g := range ids {
+		out[i] = results[g]
 	}
 	return out, nil
 }
@@ -170,28 +206,17 @@ type GroupStats struct {
 // GroupByAggregate reduces aggCol within each group and returns one row per
 // group, sorted by key for determinism.
 func (f *Frame) GroupByAggregate(groupCols []string, aggCol string, fn AggFunc) ([]GroupStats, error) {
-	if !ValidAgg(fn) {
-		return nil, fmt.Errorf("dataframe: unsupported aggregation %q", fn)
-	}
-	agg := f.Column(aggCol)
-	if agg == nil {
-		return nil, fmt.Errorf("dataframe: no aggregate column %q", aggCol)
-	}
-	keys, err := f.groupKeys(groupCols)
+	agg, ids, keys, err := f.groupBy(groupCols, aggCol, fn)
 	if err != nil {
 		return nil, err
 	}
-	groups := make(map[string][]float64)
-	counts := make(map[string]int)
-	for i, k := range keys {
-		counts[k]++
-		if !agg.IsNull(i) {
-			groups[k] = append(groups[k], agg.Nums[i])
-		}
+	vals, start := groupValues(agg, ids, len(keys))
+	out := make([]GroupStats, len(keys))
+	for g, k := range keys {
+		out[g] = GroupStats{Key: k, Value: aggregate(fn, vals[start[g]:start[g+1]])}
 	}
-	out := make([]GroupStats, 0, len(groups))
-	for k, c := range counts {
-		out = append(out, GroupStats{Key: k, Count: c, Value: aggregate(fn, groups[k])})
+	for _, g := range ids {
+		out[g].Count++
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out, nil
@@ -199,13 +224,6 @@ func (f *Frame) GroupByAggregate(groupCols []string, aggCol string, fn AggFunc) 
 
 // NumGroups returns the number of distinct groups induced by the columns.
 func (f *Frame) NumGroups(groupCols []string) (int, error) {
-	keys, err := f.groupKeys(groupCols)
-	if err != nil {
-		return 0, err
-	}
-	seen := make(map[string]struct{})
-	for _, k := range keys {
-		seen[k] = struct{}{}
-	}
-	return len(seen), nil
+	_, keys, err := f.groupIDs(groupCols)
+	return len(keys), err
 }

@@ -245,7 +245,7 @@ func BenchmarkGroupKeys(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.groupKeys([]string{"num", "cat"}); err != nil {
+		if _, _, err := f.groupIDs([]string{"num", "cat"}); err != nil {
 			b.Fatal(err)
 		}
 	}

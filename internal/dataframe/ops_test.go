@@ -328,6 +328,11 @@ func TestGroupByAggregate(t *testing.T) {
 	if !sort.SliceIsSorted(rows, func(i, j int) bool { return rows[i].Key < rows[j].Key }) {
 		t.Fatal("groups not sorted")
 	}
+	// A categorical aggregate column is an error, as in GroupByTransform,
+	// not an index panic.
+	if _, err := f.GroupByAggregate([]string{"city"}, "city", AggSum); err == nil {
+		t.Fatal("categorical agg col should error")
+	}
 }
 
 func TestNumGroups(t *testing.T) {
@@ -372,8 +377,8 @@ func TestGroupKeyNamespacing(t *testing.T) {
 	f := New()
 	_ = f.AddNumeric("n", []float64{1, 1})
 	_ = f.AddCategorical("s", []string{"1", "1"})
-	kn, _ := f.groupKeys([]string{"n"})
-	ks, _ := f.groupKeys([]string{"s"})
+	_, kn, _ := f.groupIDs([]string{"n"})
+	_, ks, _ := f.groupIDs([]string{"s"})
 	if kn[0] == ks[0] {
 		t.Fatal("numeric and string keys collide")
 	}

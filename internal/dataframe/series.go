@@ -286,16 +286,12 @@ func (s *Series) Quantile(q float64) float64 {
 	return vals[lo]*(1-frac) + vals[hi]*frac
 }
 
-// Cardinality returns the number of distinct non-null values.
+// Cardinality returns the number of distinct non-null values. A numeric
+// column counts distinct values as == does, so −0 and +0 are one value.
 func (s *Series) Cardinality() int {
 	if s.Kind == Numeric {
-		seen := make(map[float64]struct{})
-		for i, v := range s.Nums {
-			if !s.IsNull(i) {
-				seen[v] = struct{}{}
-			}
-		}
-		return len(seen)
+		_, n := distinctBits(s)
+		return n
 	}
 	seen := make(map[string]struct{})
 	for i, v := range s.Strs {
@@ -304,6 +300,66 @@ func (s *Series) Cardinality() int {
 		}
 	}
 	return len(seen)
+}
+
+// nanBits is a NaN bit pattern. No key has it, since NaN is null.
+const nanBits = 0x7ff8000000000001
+
+// distinctBits counts the distinct non-null values of numeric column s in
+// an open-addressing table of their bit patterns, −0 folded into +0, which
+// doubles at half load. It returns the table, in which a slot holds its key
+// XOR nanBits so that an unused slot reads 0, and the count.
+func distinctBits(s *Series) (slots []uint64, n int) {
+	slots = make([]uint64, 16)
+	for i, v := range s.Nums {
+		if s.IsNull(i) {
+			continue
+		}
+		k := uint64(nanBits) // the key of ±0
+		if v != 0 {
+			k ^= math.Float64bits(v)
+		}
+		mask := uint64(len(slots) - 1)
+		for j := mix(k) & mask; slots[j] != k; j = (j + 1) & mask {
+			if slots[j] == 0 {
+				slots[j] = k
+				if n++; 2*n > len(slots) {
+					slots = rehash(slots)
+				}
+				break
+			}
+		}
+	}
+	return slots, n
+}
+
+// rehash returns the keys of slots in a table twice its size.
+func rehash(slots []uint64) []uint64 {
+	grown := make([]uint64, 2*len(slots))
+	mask := uint64(len(grown) - 1)
+	for _, k := range slots {
+		if k == 0 {
+			continue
+		}
+		j := mix(k) & mask
+		for grown[j] != 0 {
+			j = (j + 1) & mask
+		}
+		grown[j] = k
+	}
+	return grown
+}
+
+// mix is murmur3's 64-bit finalizer. The bit patterns of small integral
+// floats differ only in their top bits and end in ~52 zero bits, so the
+// slot index must depend on every bit, not just the low ones.
+func mix(k uint64) uint64 {
+	k ^= k >> 33
+	k *= 0xff51afd7ed558ccd
+	k ^= k >> 33
+	k *= 0xc4ceb3fe1a85ec53
+	k ^= k >> 33
+	return k
 }
 
 // Levels returns the sorted distinct non-null values of a categorical series.

@@ -6,10 +6,14 @@ import (
 	"sort"
 )
 
-// Expr is a compiled arithmetic expression over named variables.
+// Expr is a compiled arithmetic expression over named variables. Each
+// variable is resolved to a slot at compile time, so evaluation reads
+// values by index.
 type Expr struct {
 	root Node
 	src  string
+	vars []string // sorted distinct variable names; a name's index is its slot
+	args int      // total call arguments: the size of env.args
 }
 
 // Compile parses and validates an expression string.
@@ -26,7 +30,22 @@ func Compile(src string) (*Expr, error) {
 	if trailing := p.next(); trailing.kind != tokEOF {
 		return nil, p.errorf(trailing, "trailing %s", trailing.kind)
 	}
-	return &Expr{root: root, src: src}, nil
+	e := &Expr{root: root, src: src, args: p.args}
+	slots := make(map[string]int)
+	for _, v := range p.vars {
+		if _, ok := slots[v.name]; !ok {
+			slots[v.name] = 0
+			e.vars = append(e.vars, v.name)
+		}
+	}
+	sort.Strings(e.vars)
+	for s, name := range e.vars {
+		slots[name] = s
+	}
+	for _, v := range p.vars {
+		v.slot = slots[v.name]
+	}
+	return e, nil
 }
 
 // MustCompile is Compile that panics on error; for use with known-good
@@ -46,32 +65,37 @@ func (e *Expr) Source() string { return e.src }
 func (e *Expr) String() string { return e.root.String() }
 
 // Vars returns the sorted distinct variable names the expression references.
-func (e *Expr) Vars() []string {
-	set := make(map[string]struct{})
-	e.root.collectVars(set)
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
+func (e *Expr) Vars() []string { return append(make([]string, 0, len(e.vars)), e.vars...) }
+
+// newEnv returns zeroed evaluation state sized for e.
+func (e *Expr) newEnv() *env {
+	return &env{vars: make([]float64, len(e.vars)), args: make([]float64, e.args)}
 }
 
 // Eval computes the expression for one variable binding. Missing variables
 // and invalid operations (÷0, log of non-positive, …) yield NaN, which the
 // dataframe layer treats as null.
 func (e *Expr) Eval(vars map[string]float64) float64 {
-	return e.root.eval(vars)
+	env := e.newEnv()
+	for s, name := range e.vars {
+		v, ok := vars[name]
+		if !ok {
+			v = math.NaN()
+		}
+		env.vars[s] = v
+	}
+	return e.root.eval(env)
 }
 
 // EvalRows evaluates the expression for each row of a column-oriented input:
 // cols maps variable name → column slice. All referenced columns must be
 // present and share a length. Rows where any referenced value is NaN produce
-// NaN (null propagation).
+// NaN (null propagation). The columns are resolved to slots once, and each
+// row is evaluated from one reused slot array.
 func (e *Expr) EvalRows(cols map[string][]float64) ([]float64, error) {
-	names := e.Vars()
+	src := make([][]float64, len(e.vars))
 	n := -1
-	for _, name := range names {
+	for s, name := range e.vars {
 		col, ok := cols[name]
 		if !ok {
 			return nil, fmt.Errorf("expr: missing column %q for %q", name, e.src)
@@ -81,29 +105,26 @@ func (e *Expr) EvalRows(cols map[string][]float64) ([]float64, error) {
 		} else if len(col) != n {
 			return nil, fmt.Errorf("expr: column %q length %d != %d", name, len(col), n)
 		}
+		src[s] = col
 	}
+	env := e.newEnv()
 	if n == -1 {
 		// Constant expression: caller decides broadcast length; return a
 		// single value.
-		return []float64{e.root.eval(nil)}, nil
+		return []float64{e.root.eval(env)}, nil
 	}
 	out := make([]float64, n)
-	vars := make(map[string]float64, len(names))
-	for i := 0; i < n; i++ {
-		null := false
-		for _, name := range names {
-			v := cols[name][i]
+rows:
+	for i := range out {
+		for s, col := range src {
+			v := col[i]
 			if math.IsNaN(v) {
-				null = true
-				break
+				out[i] = math.NaN()
+				continue rows
 			}
-			vars[name] = v
+			env.vars[s] = v
 		}
-		if null {
-			out[i] = math.NaN()
-			continue
-		}
-		out[i] = e.root.eval(vars)
+		out[i] = e.root.eval(env)
 	}
 	return out, nil
 }

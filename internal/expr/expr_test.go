@@ -1,7 +1,13 @@
 package expr
 
 import (
+	"encoding/binary"
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -257,20 +263,25 @@ func TestDivisionInverseProperty(t *testing.T) {
 	}
 }
 
+// fuzzSources seeds the fuzz targets: expressions from this file's tests,
+// and the formulas internal/core's tests and the simulated function
+// generator write.
+var fuzzSources = []string{
+	// Expressions from this file's tests.
+	"2 ^ 3 ^ 2", "2 ** 3", "-2 ^ 2", "--4", "1.5e2", "2.5E+1", "min(3, 1, 2)",
+	"clip(-1, 0, 3)", "log1p(0)", "12 / 3 / 2", "a + b * 2", "FSW.1 / FSP.1",
+	"`Age of car` * 2", "city=SF + 1", "1 / 0", "1 +", "`unclosed", "1..2.3.4e",
+	"min(,)", "``", "nosuchfn(1)",
+	// Generated formulas from internal/core's tests.
+	"Age / 2", "a + b / c", "(((bad", "Ghost + 1", "Sex + 1",
+}
+
 // FuzzCompile pins the compiler on arbitrary input: it never panics, and
 // the printed form of anything it accepts compiles back to the same printed
 // form, so String is source the compiler can re-read. testdata/fuzz holds
 // the inputs that once broke this.
 func FuzzCompile(f *testing.F) {
-	for _, src := range []string{
-		// Expressions from this file's tests.
-		"2 ^ 3 ^ 2", "2 ** 3", "-2 ^ 2", "--4", "1.5e2", "2.5E+1", "min(3, 1, 2)",
-		"clip(-1, 0, 3)", "log1p(0)", "12 / 3 / 2", "a + b * 2", "FSW.1 / FSP.1",
-		"`Age of car` * 2", "city=SF + 1", "1 / 0", "1 +", "`unclosed", "1..2.3.4e",
-		"min(,)", "``", "nosuchfn(1)",
-		// Generated formulas from internal/core's tests.
-		"Age / 2", "a + b / c", "(((bad", "Ghost + 1", "Sex + 1",
-	} {
+	for _, src := range fuzzSources {
 		f.Add(src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -285,6 +296,220 @@ func FuzzCompile(f *testing.F) {
 		}
 		if got := again.String(); got != printed {
 			t.Fatalf("Compile(%q) prints %q, which re-prints as %q", src, printed, got)
+		}
+	})
+}
+
+// mapEval is the map-based tree walk the slot evaluator replaced: every
+// variable is read from a map by name, and every call allocates its
+// argument slice. FuzzEvalRows holds the evaluator to it bit for bit.
+func mapEval(n Node, vars map[string]float64) float64 {
+	switch n := n.(type) {
+	case *numberNode:
+		return n.v
+	case *varNode:
+		if v, ok := vars[n.name]; ok {
+			return v
+		}
+		return math.NaN()
+	case *negNode:
+		return -mapEval(n.inner, vars)
+	case *callNode:
+		args := make([]float64, len(n.args))
+		for i, a := range n.args {
+			args[i] = mapEval(a, vars)
+		}
+		return builtins[n.name].apply(args)
+	case *binaryNode:
+		l, r := mapEval(n.left, vars), mapEval(n.right, vars)
+		switch n.op {
+		case '+':
+			return l + r
+		case '-':
+			return l - r
+		case '*':
+			return l * r
+		case '/':
+			if r == 0 {
+				return math.NaN()
+			}
+			return l / r
+		case '^':
+			return math.Pow(l, r)
+		}
+	}
+	return math.NaN()
+}
+
+// mapVars collects the variable names under n by walking the tree.
+func mapVars(n Node, set map[string]bool) {
+	switch n := n.(type) {
+	case *varNode:
+		set[n.name] = true
+	case *negNode:
+		mapVars(n.inner, set)
+	case *callNode:
+		for _, a := range n.args {
+			mapVars(a, set)
+		}
+	case *binaryNode:
+		mapVars(n.left, set)
+		mapVars(n.right, set)
+	}
+}
+
+// mapEvalRows is the map-based EvalRows: one map write per variable per
+// row, with null propagation from any NaN input.
+func mapEvalRows(e *Expr, cols map[string][]float64, n int) []float64 {
+	if len(cols) == 0 {
+		return []float64{mapEval(e.root, nil)}
+	}
+	out := make([]float64, n)
+	vars := make(map[string]float64, len(cols))
+	for i := range out {
+		null := false
+		for name, col := range cols {
+			if math.IsNaN(col[i]) {
+				null = true
+				break
+			}
+			vars[name] = col[i]
+		}
+		if null {
+			out[i] = math.NaN()
+			continue
+		}
+		out[i] = mapEval(e.root, vars)
+	}
+	return out
+}
+
+// fuzzValues are the inputs the evaluator's edge cases turn on: NaN (null),
+// ±0, ±Inf, zero divisors, subnormals, values that overflow or underflow
+// under ^ and exp, and the domain edges of log, log1p and sqrt.
+var fuzzValues = []float64{
+	0, math.Copysign(0, -1), 1, -1, 2, -2, 0.5, -0.5, 3, 10, 2024, 0.1, -3.7,
+	math.NaN(), math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64,
+	-math.SmallestNonzeroFloat64, 0x1p-1022, math.MaxFloat64, -math.MaxFloat64,
+	1e15, 1e300, -1e-300, 710, -745, 0.999999, -0.999999, 1e-16,
+}
+
+// fuzzReader turns fuzz bytes into evaluator inputs: a byte below 0xf0
+// picks one of fuzzValues, a higher one reads the next eight bytes as raw
+// float bits. With the bytes used up it cycles through fuzzValues.
+type fuzzReader struct {
+	data []byte
+	k    int
+}
+
+func (r *fuzzReader) next() float64 {
+	r.k++
+	if len(r.data) == 0 {
+		return fuzzValues[r.k%len(fuzzValues)]
+	}
+	b := r.data[0]
+	r.data = r.data[1:]
+	if b >= 0xf0 && len(r.data) >= 8 {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(r.data))
+		r.data = r.data[8:]
+		return v
+	}
+	return fuzzValues[int(b)%len(fuzzValues)]
+}
+
+// FuzzEvalRows holds EvalRows and Eval to the map-based tree walk they
+// replaced, bit for bit, on every source that compiles. Seeds cover FuzzCompile's
+// sources, its testdata corpus, the simulated function generator's formula
+// shapes, ^, and every builtin.
+func FuzzEvalRows(f *testing.F) {
+	sources := append([]string(nil), fuzzSources...)
+	sources = append(sources,
+		"log1p(Duration)", "2024 - `Age of car`", "Age * Income", "Age / Income",
+		"(Glucose + BMI) / (Insulin + Age + 1)", "0.50 * Age + 0.30 * BMI + 0.20 * Glucose",
+		"a ^ b", "-a ^ -b", "(a - b) ^ 0.5", "a / (b - b)", "-(a * 0)", "-a - -b",
+		"min(a, b, c)", "max(a, -b, 1)", "clip(a, b, c)", "pow(a, b)", "abs(a) + sqrt(b)",
+		"log(a) - log1p(b)", "exp(a) * round(b)", "floor(a) / ceil(b)",
+		"min(max(a, b), clip(c, a, b)) + pow(min(a, 1), max(b, 2))",
+	)
+	corpus, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzCompile", "*"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range corpus {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, line := range strings.Split(string(raw), "\n") {
+			if arg, ok := strings.CutPrefix(line, "string("); ok {
+				src, err := strconv.Unquote(strings.TrimSuffix(arg, ")"))
+				if err != nil {
+					f.Fatalf("%s: %v", path, err)
+				}
+				sources = append(sources, src)
+			}
+		}
+	}
+	for i, src := range sources {
+		data := make([]byte, 3*len(fuzzValues))
+		for j := range data {
+			data[j] = byte(j*7 + i)
+		}
+		f.Add(src, data)
+	}
+	f.Fuzz(func(t *testing.T, src string, data []byte) {
+		e, err := Compile(src)
+		if err != nil {
+			return
+		}
+		set := make(map[string]bool)
+		mapVars(e.root, set)
+		vars := make([]string, 0, len(set))
+		for name := range set {
+			vars = append(vars, name)
+		}
+		sort.Strings(vars)
+		if got := e.Vars(); !slices.Equal(got, vars) {
+			t.Fatalf("Compile(%q).Vars() = %q, tree holds %q", src, got, vars)
+		}
+		r := &fuzzReader{data: data}
+		rows := min(64, 1+len(data)/(1+len(vars)))
+		cols := make(map[string][]float64, len(vars))
+		for _, name := range vars {
+			cols[name] = make([]float64, rows)
+		}
+		for i := 0; i < rows; i++ {
+			for _, name := range vars {
+				cols[name][i] = r.next()
+			}
+		}
+		got, err := e.EvalRows(cols)
+		if err != nil {
+			t.Fatalf("EvalRows(%q): %v", src, err)
+		}
+		want := mapEvalRows(e, cols, rows)
+		if len(got) != len(want) {
+			t.Fatalf("EvalRows(%q) gives %d rows, the map walk %d", src, len(got), len(want))
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("EvalRows(%q) row %d = %v (%#x), the map walk gives %v (%#x)",
+					src, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+		// Eval has no null short-circuit: a NaN input reaches the tree.
+		// Leave the last variable unbound to check it reads as NaN.
+		for i := 0; i < rows; i++ {
+			binding := make(map[string]float64, len(vars))
+			for j, name := range vars {
+				if j < len(vars)-1 || i%2 == 0 {
+					binding[name] = cols[name][i]
+				}
+			}
+			g, w := e.Eval(binding), mapEval(e.root, binding)
+			if math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("Eval(%q, %v) = %v, the map walk gives %v", src, binding, g, w)
+			}
 		}
 	})
 }

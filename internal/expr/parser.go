@@ -9,30 +9,35 @@ import (
 
 // Node is an expression AST node.
 type Node interface {
-	// eval computes the node's value given variable bindings. NaN propagates.
-	eval(vars map[string]float64) float64
-	// collectVars records every referenced variable name.
-	collectVars(set map[string]struct{})
+	// eval computes the node's value from the variable slots in env. NaN
+	// propagates.
+	eval(env *env) float64
 	// String renders the node back to parseable source.
 	String() string
 }
 
+// env is one evaluation's state: vars holds each variable's value at its
+// slot, and args holds every call node's argument buffer, each at its own
+// offset, so evaluating a row neither looks a name up nor allocates.
+type env struct {
+	vars []float64
+	args []float64
+}
+
 type numberNode struct{ v float64 }
 
-func (n numberNode) eval(map[string]float64) float64 { return n.v }
-func (n numberNode) collectVars(map[string]struct{}) {}
-func (n numberNode) String() string                  { return trimFloat(n.v) }
+func (n *numberNode) eval(*env) float64 { return n.v }
+func (n *numberNode) String() string    { return trimFloat(n.v) }
 
-type varNode struct{ name string }
-
-func (n varNode) eval(vars map[string]float64) float64 {
-	if v, ok := vars[n.name]; ok {
-		return v
-	}
-	return math.NaN()
+// varNode reads its variable's slot. The parser sets slot once the whole
+// expression is read: it is the name's index in the sorted Vars.
+type varNode struct {
+	name string
+	slot int
 }
-func (n varNode) collectVars(set map[string]struct{}) { set[n.name] = struct{}{} }
-func (n varNode) String() string {
+
+func (n *varNode) eval(env *env) float64 { return env.vars[n.slot] }
+func (n *varNode) String() string {
 	if isBareIdent(n.name) {
 		return n.name
 	}
@@ -44,8 +49,8 @@ type binaryNode struct {
 	left, right Node
 }
 
-func (n binaryNode) eval(vars map[string]float64) float64 {
-	l, r := n.left.eval(vars), n.right.eval(vars)
+func (n *binaryNode) eval(env *env) float64 {
+	l, r := n.left.eval(env), n.right.eval(env)
 	switch n.op {
 	case '+':
 		return l + r
@@ -67,39 +72,33 @@ func (n binaryNode) eval(vars map[string]float64) float64 {
 		return math.NaN()
 	}
 }
-func (n binaryNode) collectVars(set map[string]struct{}) {
-	n.left.collectVars(set)
-	n.right.collectVars(set)
-}
-func (n binaryNode) String() string {
+func (n *binaryNode) String() string {
 	return fmt.Sprintf("(%s %c %s)", n.left, n.op, n.right)
 }
 
 type negNode struct{ inner Node }
 
-func (n negNode) eval(vars map[string]float64) float64 { return -n.inner.eval(vars) }
-func (n negNode) collectVars(set map[string]struct{})  { n.inner.collectVars(set) }
-func (n negNode) String() string                       { return "(-" + n.inner.String() + ")" }
+func (n *negNode) eval(env *env) float64 { return -n.inner.eval(env) }
+func (n *negNode) String() string        { return "(-" + n.inner.String() + ")" }
 
+// callNode evaluates its arguments into env.args[off:off+len(args)], a
+// region no other call node uses, so nested calls do not overwrite each
+// other's arguments.
 type callNode struct {
-	name string
-	args []Node
+	name  string
+	apply func(args []float64) float64
+	args  []Node
+	off   int
 }
 
-func (n callNode) eval(vars map[string]float64) float64 {
-	f := builtins[n.name]
-	args := make([]float64, len(n.args))
+func (n *callNode) eval(env *env) float64 {
+	args := env.args[n.off : n.off+len(n.args)]
 	for i, a := range n.args {
-		args[i] = a.eval(vars)
+		args[i] = a.eval(env)
 	}
-	return f.apply(args)
+	return n.apply(args)
 }
-func (n callNode) collectVars(set map[string]struct{}) {
-	for _, a := range n.args {
-		a.collectVars(set)
-	}
-}
-func (n callNode) String() string {
+func (n *callNode) String() string {
 	parts := make([]string, len(n.args))
 	for i, a := range n.args {
 		parts[i] = a.String()
@@ -182,6 +181,8 @@ type parser struct {
 	toks []token
 	pos  int
 	src  string
+	vars []*varNode // every variable reference, for slot assignment
+	args int        // call arguments so far: the next call's offset in env.args
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
@@ -211,14 +212,14 @@ func (p *parser) parseExpr() (Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			left = binaryNode{'+', left, right}
+			left = &binaryNode{'+', left, right}
 		case tokMinus:
 			p.next()
 			right, err := p.parseTerm()
 			if err != nil {
 				return nil, err
 			}
-			left = binaryNode{'-', left, right}
+			left = &binaryNode{'-', left, right}
 		default:
 			return left, nil
 		}
@@ -239,14 +240,14 @@ func (p *parser) parseTerm() (Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			left = binaryNode{'*', left, right}
+			left = &binaryNode{'*', left, right}
 		case tokSlash:
 			p.next()
 			right, err := p.parseUnary()
 			if err != nil {
 				return nil, err
 			}
-			left = binaryNode{'/', left, right}
+			left = &binaryNode{'/', left, right}
 		default:
 			return left, nil
 		}
@@ -261,7 +262,7 @@ func (p *parser) parseUnary() (Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return negNode{inner}, nil
+		return &negNode{inner}, nil
 	}
 	return p.parsePower()
 }
@@ -278,7 +279,7 @@ func (p *parser) parsePower() (Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return binaryNode{'^', base, exp}, nil
+		return &binaryNode{'^', base, exp}, nil
 	}
 	return base, nil
 }
@@ -288,12 +289,14 @@ func (p *parser) parsePrimary() (Node, error) {
 	t := p.next()
 	switch t.kind {
 	case tokNumber:
-		return numberNode{t.num}, nil
+		return &numberNode{t.num}, nil
 	case tokIdent:
 		if p.peek().kind == tokLParen {
 			return p.parseCall(t)
 		}
-		return varNode{t.text}, nil
+		v := &varNode{name: t.text}
+		p.vars = append(p.vars, v)
+		return v, nil
 	case tokLParen:
 		inner, err := p.parseExpr()
 		if err != nil {
@@ -335,7 +338,9 @@ func (p *parser) parseCall(name token) (Node, error) {
 	if len(args) < fn.minArgs || len(args) > fn.maxArgs {
 		return nil, p.errorf(name, "%s expects %d..%d arguments, got %d", name.text, fn.minArgs, fn.maxArgs, len(args))
 	}
-	return callNode{name.text, args}, nil
+	call := &callNode{name: name.text, apply: fn.apply, args: args, off: p.args}
+	p.args += len(args)
+	return call, nil
 }
 
 func trimFloat(v float64) string {

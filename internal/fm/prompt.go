@@ -33,12 +33,13 @@ func SeriesColumn(col *dataframe.Series, description string) AgendaColumn {
 		Name:        col.Name,
 		Description: description,
 		Numeric:     col.Kind == dataframe.Numeric,
-		Cardinality: col.Cardinality(),
 	}
 	if info.Numeric {
+		info.Cardinality = col.Cardinality()
 		info.Min, info.Max = col.Min(), col.Max()
 	} else {
 		levels := col.Levels()
+		info.Cardinality = len(levels)
 		if len(levels) > 8 {
 			levels = levels[:8]
 		}

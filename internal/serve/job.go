@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -77,33 +78,28 @@ func (s JobSpec) validate() error {
 	if !s.selection().Any() {
 		return fmt.Errorf("empty selection: set table, figure, efficiency, descriptions or all")
 	}
-	known := make(map[string]bool)
-	for _, d := range datasets.Names() {
-		known[d] = true
+	if err := checkNames("dataset", s.Datasets, datasets.Names()); err != nil {
+		return err
 	}
-	for _, d := range s.Datasets {
-		if !known[d] {
-			return fmt.Errorf("unknown dataset %q (want one of %s)", d, strings.Join(datasets.Names(), ", "))
+	if err := checkNames("model", s.Models, ml.ModelNames); err != nil {
+		return err
+	}
+	return checkNames("method", s.Methods, append([]string{experiments.MethodInitial}, experiments.Methods()...))
+}
+
+// checkNames rejects a name outside known, and a name listed twice: a
+// repeated dataset or method would plan the same cell twice, which the grid
+// runner refuses only after the job was admitted.
+func checkNames(kind string, names, known []string) error {
+	seen := make(map[string]bool, len(names))
+	for _, n := range names {
+		if !slices.Contains(known, n) {
+			return fmt.Errorf("unknown %s %q (want one of %s)", kind, n, strings.Join(known, ", "))
 		}
-	}
-	knownModel := make(map[string]bool)
-	for _, m := range ml.ModelNames {
-		knownModel[m] = true
-	}
-	for _, m := range s.Models {
-		if !knownModel[m] {
-			return fmt.Errorf("unknown model %q (want one of %s)", m, strings.Join(ml.ModelNames, ", "))
+		if seen[n] {
+			return fmt.Errorf("%s %q is listed twice", kind, n)
 		}
-	}
-	knownMethod := map[string]bool{experiments.MethodInitial: true}
-	for _, m := range experiments.Methods() {
-		knownMethod[m] = true
-	}
-	for _, m := range s.Methods {
-		if !knownMethod[m] {
-			return fmt.Errorf("unknown method %q (want one of %s)",
-				m, strings.Join(append([]string{experiments.MethodInitial}, experiments.Methods()...), ", "))
-		}
+		seen[n] = true
 	}
 	return nil
 }

@@ -35,6 +35,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -382,19 +383,37 @@ type submitRequest struct {
 	Spec JobSpec `json:"spec"`
 }
 
+// maxSubmitBytes bounds a submit body. A job spec is a few hundred bytes;
+// a larger body is refused with 413 before it is buffered.
+const maxSubmitBytes = 1 << 20
+
+// decodeSubmit decodes and validates a POST /v1/jobs body. A refusal comes
+// with its HTTP status: 413 for a body over maxSubmitBytes (when body is an
+// http.MaxBytesReader), 400 otherwise.
+func decodeSubmit(body io.Reader) (submitRequest, int, error) {
+	var req submitRequest
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return req, http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", tooBig.Limit)
+		}
+		return req, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)
+	}
+	if err := req.Spec.validate(); err != nil {
+		return req, http.StatusBadRequest, err
+	}
+	return req, 0, nil
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.obs.rejectedDraining.Inc()
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "draining: not admitting jobs"})
 		return
 	}
-	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
-		return
-	}
-	if err := req.Spec.validate(); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+	req, code, err := decodeSubmit(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	if err != nil {
+		writeJSON(w, code, map[string]string{"error": err.Error()})
 		return
 	}
 	tenant := r.Header.Get("X-Tenant")

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -383,6 +385,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad-dataset", JobSpec{Table: 4, Datasets: []string{"Atlantis"}}, `unknown dataset "Atlantis"`},
 		{"bad-model", JobSpec{Table: 4, Models: []string{"GPT"}}, `unknown model "GPT"`},
 		{"bad-method", JobSpec{Table: 4, Methods: []string{"Manual"}}, `unknown method "Manual"`},
+		{"dup-dataset", JobSpec{Table: 4, Datasets: []string{"Diabetes", "Heart", "Diabetes"}}, `dataset "Diabetes" is listed twice`},
+		{"dup-method", JobSpec{Table: 4, Methods: []string{"CAAFE", "CAAFE"}}, `method "CAAFE" is listed twice`},
 	}
 	for _, tc := range cases {
 		resp := doSubmit(t, ts.URL, "", tc.name, tc.spec)
@@ -410,6 +414,103 @@ func TestSubmitValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed body status = %d, want 400", resp.StatusCode)
 	}
+}
+
+// TestSubmitBodyTooLarge pins the submit body bound: a body over 1 MiB is
+// refused with 413 and admits nothing, while a spec padded to exactly the
+// bound is still read whole.
+func TestSubmitBodyTooLarge(t *testing.T) {
+	s := newTestServer(t, Options{})
+	s.execute = func(ctx context.Context, j *Job) (string, error) { return "stub result", nil }
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	post := func(body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out struct {
+			Error string `json:"error"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, out.Error
+	}
+	// Leading whitespace pads the body: the decoder reads through it.
+	job := `{"name": "padded", "spec": {"table": 4, "quick": true, "datasets": ["Diabetes"]}}`
+	pad := func(total int) string { return strings.Repeat(" ", total-len(job)) + job }
+	if code, msg := post(pad(maxSubmitBytes + 1)); code != http.StatusRequestEntityTooLarge || !strings.Contains(msg, "over 1048576 bytes") {
+		t.Fatalf("body of 1 MiB + 1: status %d (%q), want 413", code, msg)
+	}
+	s.mu.Lock()
+	admitted := len(s.jobs)
+	s.mu.Unlock()
+	if admitted != 0 {
+		t.Fatalf("an oversized body admitted %d jobs", admitted)
+	}
+	if code, msg := post(pad(maxSubmitBytes)); code != http.StatusAccepted {
+		t.Fatalf("body of exactly 1 MiB: status %d (%q), want 202", code, msg)
+	}
+}
+
+// FuzzSubmitRequest feeds hostile bodies to the submit decoder and the spec
+// validation behind POST /v1/jobs. Nothing may panic, and a spec it accepts
+// must be one the daemon can run: it validates again after a JSON round
+// trip, plans the same cells, and plans at least one cell, none twice
+// (Runner.Run refuses a plan with a repeated cell). The one cell-free
+// selection is Table 3 alone, which renders from the configuration.
+func FuzzSubmitRequest(f *testing.F) {
+	for _, body := range []string{
+		`{"name": "t4", "spec": {"table": 4, "quick": true, "datasets": ["Diabetes"]}}`,
+		`{"spec": {"all": true}}`,
+		`{"spec": {"table": 3}}`,
+		`{"spec": {"efficiency": true, "methods": ["SMARTFEAT"]}}`,
+		`{"spec": {"figure": 1, "descriptions": true, "seed": -1, "workers": -3}}`,
+		`{"spec": {"table": 4, "datasets": ["Diabetes", "Diabetes"]}}`,
+		`{"spec": {"table": 5, "methods": ["CAAFE", "CAAFE"], "models": ["LR", "LR"]}}`,
+		`{"spec": {"table": 4, "methods": ["Initial AUC"]}}`,
+		`{"spec": {"table": 9}}`, `{"spec": {"figure": 2}}`, `{"spec": {}}`, `{}`, `null`, `[]`, `{`,
+		`{"spec": {"table": 4, "datasets": ["Atlantis"]}}`, `{"spec": {"table": 1e400}}`,
+		`{"spec": {"table": 4, "datasets": null, "methods": []}}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, code, err := decodeSubmit(bytes.NewReader(body))
+		if err != nil {
+			if code != http.StatusBadRequest {
+				t.Fatalf("refused %q with status %d, want 400", body, code)
+			}
+			return
+		}
+		plan := req.Spec.selection().Plan(req.Spec.datasetNames(), req.Spec.methodNames())
+		if len(plan) == 0 && !reflect.DeepEqual(req.Spec.selection(), grid.Selection{Table: 3}) {
+			t.Fatalf("accepted %q, which plans no cell", body)
+		}
+		seen := make(map[string]bool, len(plan))
+		for _, c := range plan {
+			if seen[c.Key()] {
+				t.Fatalf("accepted %q, which plans cell %s twice", body, c)
+			}
+			seen[c.Key()] = true
+		}
+		again, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req2, _, err := decodeSubmit(bytes.NewReader(again))
+		if err != nil {
+			t.Fatalf("accepted %q, but not its round trip %s: %v", body, again, err)
+		}
+		plan2 := req2.Spec.selection().Plan(req2.Spec.datasetNames(), req2.Spec.methodNames())
+		if !slices.Equal(plan, plan2) || req2.Spec.config().Fingerprint() != req.Spec.config().Fingerprint() {
+			t.Fatalf("accepted %q, whose round trip %s plans or configures a different job", body, again)
+		}
+	})
 }
 
 // TestDrainCompletesInFlightJob pins the SIGTERM drain path end to end on a

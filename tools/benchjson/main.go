@@ -12,7 +12,8 @@
 // BENCH_*.json files accumulate one entry per sweep instead of forgetting
 // their history (a single data point is a measurement; two or more are a
 // trajectory). FILE must hold the array a previous -append wrote, or not
-// exist yet.
+// exist yet; its entries are kept unchanged. Each new entry is stamped
+// with the commit, Go version and GOMAXPROCS values it measured.
 package main
 
 import (
@@ -24,16 +25,18 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"os/exec"
+	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// Benchmark is one raw result line. Name is kept exactly as printed
-// (including any -GOMAXPROCS suffix): a trailing -N is ambiguous between
-// the procs suffix and a sub-benchmark name that happens to end in a
-// number, so the verbatim name is the only safe identity; Procs is a
-// best-effort parse of the suffix for convenience.
+// Benchmark is one raw result line. Name is stored without go's
+// -GOMAXPROCS suffix, which Procs holds instead (1 when the name has none).
+// A sub-benchmark whose own name ends in -N at GOMAXPROCS 1 reads as run at
+// N procs; none of this repository's benchmarks is named so.
 type Benchmark struct {
 	Pkg        string  `json:"pkg,omitempty"`
 	Name       string  `json:"name"`
@@ -53,8 +56,16 @@ type Summary struct {
 	MaxNsPerOp    float64 `json:"max_ns_per_op"`
 }
 
-// Report is the whole document.
+// Report is the whole document. Commit, GoVersion and GOMAXPROCS stamp the
+// sweep, so a trajectory entry says what code and toolchain it measured.
 type Report struct {
+	// Commit is the HEAD SHA of the working directory's git repository,
+	// suffixed "+dirty" when tracked files differ from it; empty outside git.
+	Commit string `json:"commit"`
+	// GoVersion is runtime.Version() of the toolchain that ran benchjson.
+	GoVersion string `json:"go_version"`
+	// GOMAXPROCS lists the distinct procs values of the sweep's benchmarks.
+	GOMAXPROCS []int              `json:"gomaxprocs"`
 	GOOS       string             `json:"goos,omitempty"`
 	GOARCH     string             `json:"goarch,omitempty"`
 	CPU        string             `json:"cpu,omitempty"`
@@ -62,19 +73,17 @@ type Report struct {
 	Summary    map[string]Summary `json:"summary"`
 }
 
-// parseProcs best-effort parses the trailing -GOMAXPROCS suffix the
-// testing package appends to benchmark names (absent when GOMAXPROCS=1;
-// indistinguishable from a sub-benchmark name ending in -N, which is why
-// callers must not use it to rewrite the name).
-func parseProcs(name string) int {
+// splitProcs splits go's -GOMAXPROCS suffix off a benchmark name; a name
+// without one ran at GOMAXPROCS 1.
+func splitProcs(name string) (string, int) {
 	i := strings.LastIndexByte(name, '-')
 	if i < 0 {
-		return 1
+		return name, 1
 	}
 	if n, err := strconv.Atoi(name[i+1:]); err == nil && n > 0 {
-		return n
+		return name[:i], n
 	}
-	return 1
+	return name, 1
 }
 
 // parseLine parses one benchmark result line, reporting ok=false for
@@ -88,7 +97,8 @@ func parseLine(line, pkg string) (Benchmark, bool) {
 	if err != nil {
 		return Benchmark{}, false
 	}
-	b := Benchmark{Pkg: pkg, Name: fields[0], Procs: parseProcs(fields[0]), Iterations: iters}
+	name, procs := splitProcs(fields[0])
+	b := Benchmark{Pkg: pkg, Name: name, Procs: procs, Iterations: iters}
 	seen := false
 	for i := 2; i+1 < len(fields); i += 2 {
 		val, err := strconv.ParseFloat(fields[i], 64)
@@ -144,10 +154,30 @@ func loadTrajectory(path string) ([]json.RawMessage, error) {
 	return arr, nil
 }
 
+// gitCommit returns HEAD's SHA for the repository holding dir, with
+// "+dirty" when tracked files differ from it, or "" outside git.
+func gitCommit(dir string) string {
+	git := func(args ...string) string {
+		cmd := exec.Command("git", args...)
+		cmd.Dir = dir
+		out, err := cmd.Output()
+		if err != nil {
+			return ""
+		}
+		return strings.TrimSpace(string(out))
+	}
+	sha := git("rev-parse", "HEAD")
+	if sha != "" && git("status", "--porcelain", "--untracked-files=no") != "" {
+		sha += "+dirty"
+	}
+	return sha
+}
+
 // run reads `go test -bench` output from in and writes the report (or, with
-// appendPath set, the trajectory it extends) to out.
-func run(in io.Reader, out io.Writer, appendPath string) error {
-	rep := Report{Benchmarks: []Benchmark{}, Summary: map[string]Summary{}}
+// appendPath set, the trajectory it extends) to out, stamped with commit.
+func run(in io.Reader, out io.Writer, appendPath, commit string) error {
+	rep := Report{Commit: commit, GoVersion: runtime.Version(), GOMAXPROCS: []int{},
+		Benchmarks: []Benchmark{}, Summary: map[string]Summary{}}
 	pkg := ""
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -174,14 +204,24 @@ func run(in io.Reader, out io.Writer, appendPath string) error {
 	if len(rep.Benchmarks) == 0 {
 		return errors.New("no benchmark lines on stdin")
 	}
+	// Summary keys keep go's printed name, suffix included, so a benchmark
+	// run at two GOMAXPROCS values keeps two summaries, and keys line up
+	// with the entries written before names were stored bare.
 	byName := map[string][]float64{}
 	for _, b := range rep.Benchmarks {
 		key := b.Name
+		if b.Procs != 1 {
+			key += "-" + strconv.Itoa(b.Procs)
+		}
 		if b.Pkg != "" {
-			key = b.Pkg + "." + b.Name
+			key = b.Pkg + "." + key
 		}
 		byName[key] = append(byName[key], b.NsPerOp)
+		if !slices.Contains(rep.GOMAXPROCS, b.Procs) {
+			rep.GOMAXPROCS = append(rep.GOMAXPROCS, b.Procs)
+		}
 	}
+	slices.Sort(rep.GOMAXPROCS)
 	for key, vals := range byName {
 		rep.Summary[key] = summarize(vals)
 	}
@@ -208,7 +248,7 @@ func run(in io.Reader, out io.Writer, appendPath string) error {
 func main() {
 	appendPath := flag.String("append", "", "trajectory file to append this report to; the combined array goes to stdout")
 	flag.Parse()
-	if err := run(os.Stdin, os.Stdout, *appendPath); err != nil {
+	if err := run(os.Stdin, os.Stdout, *appendPath, gitCommit(".")); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}

@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -14,14 +17,14 @@ func TestParseLine(t *testing.T) {
 	if !ok {
 		t.Fatal("benchmark line with -benchmem fields not parsed")
 	}
-	if b.Name != "BenchmarkTreeFit-4" || b.Procs != 4 || b.Iterations != 120 || b.NsPerOp != 9876543 {
+	if b.Name != "BenchmarkTreeFit" || b.Procs != 4 || b.Iterations != 120 || b.NsPerOp != 9876543 {
 		t.Fatalf("parsed %+v", b)
 	}
 	if b.Pkg != "smartfeat/internal/ml" || b.BytesPerOp == nil || *b.BytesPerOp != 2048 || b.AllocsPerOp == nil || *b.AllocsPerOp != 12 {
 		t.Fatalf("parsed %+v", b)
 	}
 
-	// GOMAXPROCS=1 prints no suffix; the name stays verbatim.
+	// GOMAXPROCS=1 prints no suffix; the name stays as printed.
 	b, ok = parseLine("BenchmarkLoadsim/submit_p50 20 26000000 ns/op", "")
 	if !ok || b.Name != "BenchmarkLoadsim/submit_p50" || b.Procs != 1 || b.NsPerOp != 26000000 {
 		t.Fatalf("parsed %+v, ok=%v", b, ok)
@@ -51,7 +54,7 @@ PASS
 
 func TestRunMedianSummary(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(strings.NewReader(sweep), &out, ""); err != nil {
+	if err := run(strings.NewReader(sweep), &out, "", "abc123"); err != nil {
 		t.Fatal(err)
 	}
 	var rep Report
@@ -75,14 +78,14 @@ func TestRunAppendsToArray(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH.json")
 	// A missing file starts a new trajectory.
 	var first bytes.Buffer
-	if err := run(strings.NewReader(sweep), &first, path); err != nil {
+	if err := run(strings.NewReader(sweep), &first, path, ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(path, first.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var second bytes.Buffer
-	if err := run(strings.NewReader(sweep), &second, path); err != nil {
+	if err := run(strings.NewReader(sweep), &second, path, ""); err != nil {
 		t.Fatal(err)
 	}
 	var traj []Report
@@ -99,8 +102,81 @@ func TestRunRejectsNonArrayTrajectory(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"goos": "linux", "benchmarks": []}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err := run(strings.NewReader(sweep), &bytes.Buffer{}, path)
+	err := run(strings.NewReader(sweep), &bytes.Buffer{}, path, "")
 	if err == nil || !strings.Contains(err.Error(), "not a JSON array") {
 		t.Fatalf("single-report trajectory file: err = %v, want a not-a-JSON-array error", err)
+	}
+}
+
+// mixedSweep runs one benchmark at GOMAXPROCS 1 and 2, as the row-level
+// benches do under -cpu 1,2.
+const mixedSweep = `pkg: smartfeat/internal/dataframe
+BenchmarkSerializeRow 10 300 ns/op
+BenchmarkSerializeRow-2 10 200 ns/op
+BenchmarkSerializeRow-2 10 100 ns/op
+`
+
+func TestRunStampsEntry(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(strings.NewReader(mixedSweep), &out, "", "abc123+dirty"); err != nil {
+		t.Fatal(err)
+	}
+	var rep Report
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Commit != "abc123+dirty" || rep.GoVersion != runtime.Version() || !slices.Equal(rep.GOMAXPROCS, []int{1, 2}) {
+		t.Fatalf("stamps: commit %q, go %q, gomaxprocs %v", rep.Commit, rep.GoVersion, rep.GOMAXPROCS)
+	}
+	for i, want := range []int{1, 2, 2} {
+		if b := rep.Benchmarks[i]; b.Name != "BenchmarkSerializeRow" || b.Procs != want {
+			t.Fatalf("benchmark %d = %s at %d procs, want BenchmarkSerializeRow at %d", i, b.Name, b.Procs, want)
+		}
+	}
+	one := rep.Summary["smartfeat/internal/dataframe.BenchmarkSerializeRow"]
+	two := rep.Summary["smartfeat/internal/dataframe.BenchmarkSerializeRow-2"]
+	if one.Runs != 1 || one.MedianNsPerOp != 300 || two.Runs != 2 || two.MedianNsPerOp != 150 {
+		t.Fatalf("summaries per GOMAXPROCS: %+v", rep.Summary)
+	}
+}
+
+// TestRunAppendKeepsOldEntries appends a stamped entry after one written
+// before entries carried stamps: the old entry comes back with no stamp
+// fields and its own content.
+func TestRunAppendKeepsOldEntries(t *testing.T) {
+	old := `[{"goos": "linux", "benchmarks": [{"name": "BenchmarkTreeFit-2", "procs": 2, "iterations": 1, "ns_per_op": 5}], "summary": {}}]`
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run(strings.NewReader(sweep), &out, path, "abc123"); err != nil {
+		t.Fatal(err)
+	}
+	var traj []map[string]any
+	if err := json.Unmarshal(out.Bytes(), &traj); err != nil {
+		t.Fatal(err)
+	}
+	var want []map[string]any
+	if err := json.Unmarshal([]byte(old), &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(traj) != 2 || !reflect.DeepEqual(traj[0], want[0]) {
+		t.Fatalf("old entry changed: %v", traj[0])
+	}
+	if traj[1]["commit"] != "abc123" || traj[1]["go_version"] != runtime.Version() {
+		t.Fatalf("new entry not stamped: %v", traj[1])
+	}
+}
+
+func TestGitCommit(t *testing.T) {
+	if got := gitCommit(t.TempDir()); got != "" {
+		t.Fatalf("outside git: commit %q, want empty", got)
+	}
+	// Inside a checkout the stamp is a SHA, possibly marked dirty; an
+	// exported tree has no repository, and the stamp is empty.
+	got := strings.TrimSuffix(gitCommit("."), "+dirty")
+	if got != "" && (len(got) != 40 || strings.Trim(got, "0123456789abcdef") != "") {
+		t.Fatalf("commit stamp %q is not a SHA", got)
 	}
 }
