@@ -14,7 +14,8 @@
 //
 // Add -quick for the scaled-down configuration, -datasets to restrict the
 // comparison to a comma-separated subset, and -workers to bound the
-// (dataset × method × model) evaluation parallelism.
+// (dataset × method × model) evaluation parallelism. A selection grid.Spec
+// refuses (an unknown or repeated name, say) exits 2 before any cell runs.
 //
 // # The grid engine
 //
@@ -109,6 +110,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -117,12 +119,10 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
-	"smartfeat/internal/datasets"
 	"smartfeat/internal/experiments"
 	"smartfeat/internal/fmgate"
 	"smartfeat/internal/grid"
@@ -130,67 +130,70 @@ import (
 )
 
 func main() {
-	// The selection flags parse straight into the plan/fold seam the
-	// smartfeatd daemon shares, so both render byte-identical tables.
-	var sel grid.Selection
-	flag.IntVar(&sel.Table, "table", 0, "table number to regenerate (3, 4, 5, 6, 7)")
-	flag.IntVar(&sel.Figure, "figure", 0, "figure number to regenerate (1, 2)")
-	flag.BoolVar(&sel.Efficiency, "efficiency", false, "run the efficiency comparison")
-	flag.BoolVar(&sel.Descriptions, "descriptions", false, "run the feature-description ablation")
-	flag.BoolVar(&sel.All, "all", false, "run everything")
-	quick := flag.Bool("quick", false, "use the scaled-down configuration")
-	seed := flag.Int64("seed", 0, "override the experiment seed")
-	names := flag.String("datasets", "", "comma-separated dataset subset (default: all eight)")
-	methodsFlag := flag.String("methods", "", "comma-separated comparison-method subset for the grid engine (e.g. 'SMARTFEAT,CAAFE'; 'Initial AUC' is always included)")
-	workers := flag.Int("workers", 0, "evaluation parallelism: (dataset × method) cells and per-model training (0 = GOMAXPROCS, 1 = sequential; results are identical at any setting)")
-	fmCache := flag.Bool("fm-cache", false, "cache deterministic FM completions inside each cell (content-addressed LRU)")
-	fmCacheSize := flag.Int("fm-cache-size", 0, "in-process LRU capacity in completions (implies -fm-cache; like -fm-cache this changes the config fingerprint — cached runs are self-consistent but not bit-identical to uncached ones)")
-	fmRecord := flag.String("fm-record", "", "record per-cell FM shards (JSONL + manifest) into this directory; the whole selected grid is recorded in one run")
-	fmReplay := flag.String("fm-replay", "", "replay FM completions at zero simulated cost from a directory of per-cell shards (from -fm-record; config-hash checked, any cell subset)")
-	fmConcurrency := flag.Int("fm-concurrency", 0, "bound on each gateway's concurrent in-flight FM calls (0 = default 8)")
-	runDir := flag.String("run-dir", "", "persist per-cell artifacts and a run manifest into this directory (the grid engine's resumable run directory)")
-	resume := flag.String("resume", "", "resume an interrupted run directory: completed cells load from artifacts and are skipped")
-	keepGoing := flag.Bool("keep-going", false, "run every grid cell even after one fails (default: fail fast, skipping unstarted cells)")
-	worker := flag.String("worker", "", "worker id for a multi-process run: N processes with distinct ids and one -run-dir drain the same grid concurrently via filesystem leases")
-	leaseTTL := flag.Duration("lease-ttl", 0, "staleness threshold for peer leases in -worker mode (0 = 30s): a worker silent this long is presumed crashed and its cells are reclaimed")
-	gcDir := flag.String("gc", "", "compact this directory of run dirs (keep the newest -gc-keep runs per config hash, sweep orphaned leases) and exit")
-	gcKeep := flag.Int("gc-keep", 3, "runs to keep per config hash under -gc")
-	gcCacheMB := flag.Int("gc-cache-mb", 0, "under -gc, cap each FM shard directory's total *.jsonl size: stale live-* cache shards (older than -lease-ttl) are evicted oldest-first until under the cap (0 = no cap; cell shards are never touched)")
-	metricsAddr := flag.String("metrics-addr", "", "serve the process metrics registry ('/metrics', Prometheus text or ?format=json) and /debug/pprof on this address for the duration of the run (e.g. 'localhost:9090'; ':0' picks a free port)")
-	metricsLinger := flag.Duration("metrics-linger", 0, "keep the -metrics-addr server up this long after a successful run (lets CI scrape a finished run)")
-	traceFlag := flag.Bool("trace", false, "record a span trace — grid cells, FM calls, CAAFE iterations, model fits — to trace.jsonl in the run directory (or ./trace.jsonl without one); convert with tools/traceview. Tables are byte-identical with or without tracing")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, runs what they select and returns the
+// exit code (2 for a usage error, found before any cell runs).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	// The selection flags parse into the job spec the smartfeatd daemon
+	// also accepts, so both check and plan a selection the same way.
+	var spec grid.Spec
+	spec.Register(fs)
+	fmCache := fs.Bool("fm-cache", false, "cache deterministic FM completions inside each cell (content-addressed LRU)")
+	fmCacheSize := fs.Int("fm-cache-size", 0, "in-process LRU capacity in completions (implies -fm-cache; like -fm-cache this changes the config fingerprint — cached runs are self-consistent but not bit-identical to uncached ones)")
+	fmRecord := fs.String("fm-record", "", "record per-cell FM shards (JSONL + manifest) into this directory; the whole selected grid is recorded in one run")
+	fmReplay := fs.String("fm-replay", "", "replay FM completions at zero simulated cost from a directory of per-cell shards (from -fm-record; config-hash checked, any cell subset)")
+	fmConcurrency := fs.Int("fm-concurrency", 0, "bound on each gateway's concurrent in-flight FM calls (0 = default 8)")
+	runDir := fs.String("run-dir", "", "persist per-cell artifacts and a run manifest into this directory (the grid engine's resumable run directory)")
+	resume := fs.String("resume", "", "resume an interrupted run directory: completed cells load from artifacts and are skipped")
+	keepGoing := fs.Bool("keep-going", false, "run every grid cell even after one fails (default: fail fast, skipping unstarted cells)")
+	worker := fs.String("worker", "", "worker id for a multi-process run: N processes with distinct ids and one -run-dir drain the same grid concurrently via filesystem leases")
+	leaseTTL := fs.Duration("lease-ttl", 0, "staleness threshold for peer leases in -worker mode (0 = 30s): a worker silent this long is presumed crashed and its cells are reclaimed")
+	gcDir := fs.String("gc", "", "compact this directory of run dirs (keep the newest -gc-keep runs per config hash, sweep orphaned leases) and exit")
+	gcKeep := fs.Int("gc-keep", 3, "runs to keep per config hash under -gc")
+	gcCacheMB := fs.Int("gc-cache-mb", 0, "under -gc, cap each FM shard directory's total *.jsonl size: stale live-* cache shards (older than -lease-ttl) are evicted oldest-first until under the cap (0 = no cap; cell shards are never touched)")
+	metricsAddr := fs.String("metrics-addr", "", "serve the process metrics registry ('/metrics', Prometheus text or ?format=json) and /debug/pprof on this address for the duration of the run (e.g. 'localhost:9090'; ':0' picks a free port)")
+	metricsLinger := fs.Duration("metrics-linger", 0, "keep the -metrics-addr server up this long after a successful run (lets CI scrape a finished run)")
+	traceFlag := fs.Bool("trace", false, "record a span trace — grid cells, FM calls, CAAFE iterations, model fits — to trace.jsonl in the run directory (or ./trace.jsonl without one); convert with tools/traceview. Tables are byte-identical with or without tracing")
 	var fmf fmgate.Flags
-	fmf.Register(flag.CommandLine)
-	flag.Parse()
+	fmf.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "experiments:", err)
+		return code
+	}
 
 	if *gcDir != "" {
 		rep, err := grid.Compact(*gcDir, grid.CompactOptions{KeepN: *gcKeep, TTL: *leaseTTL, CacheMB: *gcCacheMB})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
-		fmt.Printf("gc: kept %d run(s), removed %d run(s), swept %d orphaned lease file(s), evicted %d cache file(s) (%d bytes)\n",
+		fmt.Fprintf(stdout, "gc: kept %d run(s), removed %d run(s), swept %d orphaned lease file(s), evicted %d cache file(s) (%d bytes)\n",
 			len(rep.Kept), len(rep.RemovedRuns), len(rep.RemovedLeases), len(rep.RemovedCacheFiles), rep.CacheBytesFreed)
 		for _, d := range rep.RemovedRuns {
-			fmt.Println("gc: removed run", d)
+			fmt.Fprintln(stdout, "gc: removed run", d)
 		}
 		for _, l := range rep.RemovedLeases {
-			fmt.Println("gc: swept lease", l)
+			fmt.Fprintln(stdout, "gc: swept lease", l)
 		}
 		for _, c := range rep.RemovedCacheFiles {
-			fmt.Println("gc: evicted cache file", c)
+			fmt.Fprintln(stdout, "gc: evicted cache file", c)
 		}
-		return
+		return 0
 	}
 
-	cfg := experiments.DefaultConfig()
-	if *quick {
-		cfg = experiments.QuickConfig()
+	if err := spec.Validate(); err != nil {
+		return fail(2, err)
 	}
-	if *seed != 0 {
-		cfg.Seed = *seed
-	}
-	cfg.Workers = *workers
+	cfg := spec.Config()
 	if *fmCache {
 		cfg.FMCacheSize = 1 << 14
 	}
@@ -201,8 +204,7 @@ func main() {
 
 	var err error
 	if cfg.FMPool, err = fmf.Pool(cfg.Seed, *fmRecord != "", *fmReplay != ""); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 
 	// The disk cache tier opens after every fingerprint-bearing flag has
@@ -216,28 +218,10 @@ func main() {
 			LockTTL:    *leaseTTL,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		defer dc.Close()
 		cfg.FMDiskCache = dc
-	}
-
-	selected := datasets.Names()
-	if *names != "" {
-		selected = nil
-		for _, n := range strings.Split(*names, ",") {
-			selected = append(selected, strings.TrimSpace(n))
-		}
-	}
-	var methods []string
-	if *methodsFlag != "" {
-		methods = []string{experiments.MethodInitial}
-		for _, m := range strings.Split(*methodsFlag, ",") {
-			if m = strings.TrimSpace(m); m != "" && m != experiments.MethodInitial {
-				methods = append(methods, m)
-			}
-		}
 	}
 
 	// Ctrl-C / SIGTERM cancels in-flight cells; with a run directory the
@@ -248,16 +232,16 @@ func main() {
 	// Observability: both switches feed the same process-wide registry; the
 	// tables on stdout are byte-identical with or without them.
 	obsOn := *metricsAddr != "" || *traceFlag
+	succeeded := false // only a successful run lingers
 	if *metricsAddr != "" {
 		srv, err := obs.ListenAndServe(*metricsAddr, obs.Default)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
-		fmt.Fprintf(os.Stderr, "obs: serving /metrics and /debug/pprof on http://%s\n", srv.Addr)
+		fmt.Fprintf(stderr, "obs: serving /metrics and /debug/pprof on http://%s\n", srv.Addr)
 		defer func() {
-			if *metricsLinger > 0 {
-				fmt.Fprintf(os.Stderr, "obs: metrics server lingering %s (scrape http://%s/metrics)\n", *metricsLinger, srv.Addr)
+			if succeeded && *metricsLinger > 0 {
+				fmt.Fprintf(stderr, "obs: metrics server lingering %s (scrape http://%s/metrics)\n", *metricsLinger, srv.Addr)
 				time.Sleep(*metricsLinger)
 			}
 			srv.Close()
@@ -265,50 +249,41 @@ func main() {
 	}
 	if *traceFlag {
 		path := "trace.jsonl"
-		if dir := firstNonEmpty(*resume, *runDir); dir != "" {
+		if dir := cmp.Or(*resume, *runDir); dir != "" {
 			// The runner would create the directory anyway; creating it here
 			// just lets the trace live beside the manifest from the start.
 			if err := os.MkdirAll(dir, 0o755); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(1)
+				return fail(1, err)
 			}
 			path = filepath.Join(dir, "trace.jsonl")
 		}
 		tr, err := obs.Create(path, "experiments")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		defer tr.Close()
 		ctx = obs.WithTracer(ctx, tr)
-		fmt.Fprintf(os.Stderr, "obs: tracing spans to %s\n", path)
+		fmt.Fprintf(stderr, "obs: tracing spans to %s\n", path)
 	}
 	prof := obs.NewProfile(nil)
 
-	err = runGrid(ctx, os.Stdout, sel, selected, methods, cfg, gridOptions{
+	err = runGrid(ctx, stdout, spec, cfg, gridOptions{
 		runDir: *runDir, resume: *resume, fmRecord: *fmRecord, fmReplay: *fmReplay,
-		keepGoing: *keepGoing, quick: *quick, worker: *worker, leaseTTL: *leaseTTL,
-		prof: prof,
+		keepGoing: *keepGoing, worker: *worker, leaseTTL: *leaseTTL,
+		stderr: stderr, prof: prof,
 	})
 	if obsOn {
 		prof.Fill()
-		fmt.Fprintln(os.Stderr, prof.Table())
+		fmt.Fprintln(stderr, prof.Table())
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		if errors.Is(err, context.Canceled) {
-			os.Exit(130)
-		}
-		os.Exit(1)
+	switch {
+	case errors.Is(err, context.Canceled):
+		return fail(130, err)
+	case err != nil:
+		return fail(1, err)
 	}
-}
-
-// firstNonEmpty returns the first non-empty string.
-func firstNonEmpty(a, b string) string {
-	if a != "" {
-		return a
-	}
-	return b
+	succeeded = true
+	return 0
 }
 
 // gridOptions carries the engine flags.
@@ -316,21 +291,21 @@ type gridOptions struct {
 	runDir, resume     string
 	fmRecord, fmReplay string
 	keepGoing          bool
-	quick              bool
 	worker             string
 	leaseTTL           time.Duration
+	// stderr receives progress lines and the tally (nil = os.Stderr).
+	stderr io.Writer
 	// prof accumulates phase timings and registry totals for the run-end
 	// profile (printed by main when observability is on).
 	prof *obs.Profile
 }
 
-// runGrid builds the plan for the selection, runs it through the grid engine
+// runGrid builds the plan for the spec, runs it through the grid engine
 // (in memory, or with artifacts, resume, sharded record/replay and leases as
-// the options ask), folds, and prints to w whatever completed.
-func runGrid(ctx context.Context, w io.Writer, sel grid.Selection, names, methods []string, cfg experiments.Config, o gridOptions) error {
-	if !sel.Any() {
-		return fmt.Errorf("nothing selected; use -table, -figure, -efficiency, -descriptions or -all")
-	}
+// the options ask), folds, and prints to w whatever completed. The spec is
+// not validated here: a name it cannot load fails its cells at run time.
+func runGrid(ctx context.Context, w io.Writer, spec grid.Spec, cfg experiments.Config, o gridOptions) error {
+	stderr := cmp.Or[io.Writer](o.stderr, os.Stderr)
 	if o.runDir != "" && o.resume != "" {
 		return fmt.Errorf("-resume already names the run directory; drop -run-dir")
 	}
@@ -353,9 +328,9 @@ func runGrid(ctx context.Context, w io.Writer, sel grid.Selection, names, method
 		Stores:    stores,
 		Worker:    o.worker,
 		LeaseTTL:  o.leaseTTL,
-		Name:      strings.Join(names, ","),
+		Name:      strings.Join(spec.DatasetNames(), ","),
 		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "grid: "+format+"\n", args...)
+			fmt.Fprintf(stderr, "grid: "+format+"\n", args...)
 		},
 	}
 	if o.resume != "" {
@@ -363,7 +338,7 @@ func runGrid(ctx context.Context, w io.Writer, sel grid.Selection, names, method
 	}
 
 	endPlan := o.prof.Phase("plan")
-	plan := sel.Plan(names, methods)
+	plan := spec.Plan()
 	endPlan()
 
 	endExec := o.prof.Phase("execute")
@@ -385,7 +360,7 @@ func runGrid(ctx context.Context, w io.Writer, sel grid.Selection, names, method
 	// failed/skipped markers), and the error below says what is missing.
 	endFold := o.prof.Phase("fold")
 	var figure2 string
-	if sel.Figure == 2 || sel.All {
+	if spec.Figure == 2 || spec.All {
 		// The walkthrough is a fixed six-row trace, not a grid cell; it runs
 		// here and Render places its text in table order.
 		out, err := experiments.Figure2Walkthrough(ctx, cfg)
@@ -395,12 +370,12 @@ func runGrid(ctx context.Context, w io.Writer, sel grid.Selection, names, method
 		case err != nil:
 			// Don't let the grid error swallow an independent figure-2
 			// failure silently.
-			fmt.Fprintln(os.Stderr, "experiments: figure 2:", err)
+			fmt.Fprintln(stderr, "experiments: figure 2:", err)
 		default:
 			figure2 = out
 		}
 	}
-	sel.Render(w, result, names, cfg, figure2)
+	spec.Selection().Render(w, result, spec.DatasetNames(), cfg, figure2)
 	endFold()
 
 	// Per-cell cost attribution rolls up into the run profile; the artifacts
@@ -415,64 +390,33 @@ func runGrid(ctx context.Context, w io.Writer, sel grid.Selection, names, method
 	if runner.Dir != "" {
 		o.prof.Fill()
 		if err := o.prof.WriteFile(filepath.Join(runner.Dir, "profile.json")); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: writing run profile:", err)
+			fmt.Fprintln(stderr, "experiments: writing run profile:", err)
 		}
 	}
 
 	counts := result.Counts()
-	fmt.Fprintf(os.Stderr, "grid: %d cells: %d completed, %d resumed, %d failed, %d skipped, %d interrupted, %d on other workers\n",
+	fmt.Fprintf(stderr, "grid: %d cells: %d completed, %d resumed, %d failed, %d skipped, %d interrupted, %d on other workers\n",
 		len(plan), counts[grid.StatusCompleted], counts[grid.StatusResumed],
 		counts[grid.StatusFailed], counts[grid.StatusSkipped], counts[grid.StatusInterrupted],
 		counts[grid.StatusLeased])
 	if runErr != nil && runner.Dir != "" {
-		fmt.Fprintf(os.Stderr, "grid: resume with: experiments -resume %s %s\n",
-			runner.Dir, replaySelectionHint(sel, o, names, methods))
-	}
-	return runErr
-}
-
-// replaySelectionHint reconstructs the flags a resume needs to re-plan
-// exactly the interrupted grid — the selection switches, the dataset and
-// method restrictions, and the FM store mode (the config hash covers none
-// of those, so omitting any would silently resume a different run: a larger
-// grid, or remaining cells recorded/replayed in the wrong mode).
-func replaySelectionHint(sel grid.Selection, o gridOptions, names, methods []string) string {
-	var parts []string
-	if sel.All {
-		parts = append(parts, "-all")
-	}
-	if sel.Table != 0 {
-		parts = append(parts, "-table "+strconv.Itoa(sel.Table))
-	}
-	if sel.Figure != 0 {
-		parts = append(parts, "-figure "+strconv.Itoa(sel.Figure))
-	}
-	if sel.Efficiency {
-		parts = append(parts, "-efficiency")
-	}
-	if sel.Descriptions {
-		parts = append(parts, "-descriptions")
-	}
-	if o.quick {
-		parts = append(parts, "-quick")
-	}
-	if len(names) > 0 && len(names) != len(datasets.Names()) {
-		parts = append(parts, "-datasets '"+strings.Join(names, ",")+"'")
-	}
-	if methods != nil {
-		var rest []string
-		for _, m := range methods {
-			if m != experiments.MethodInitial {
-				rest = append(rest, m)
+		// The config hash covers neither the selection nor the FM store
+		// mode, so the hint carries both: without them a resume would
+		// silently plan a different grid, or record/replay in the wrong mode.
+		args := spec.Args()
+		if o.fmRecord != "" {
+			args = append(args, "-fm-record", o.fmRecord)
+		}
+		if o.fmReplay != "" {
+			args = append(args, "-fm-replay", o.fmReplay)
+		}
+		args = append([]string{"experiments", "-resume", runner.Dir}, args...)
+		for i, a := range args {
+			if strings.ContainsRune(a, ' ') {
+				args[i] = "'" + a + "'"
 			}
 		}
-		parts = append(parts, "-methods '"+strings.Join(rest, ",")+"'")
+		fmt.Fprintln(stderr, "grid: resume with:", strings.Join(args, " "))
 	}
-	if o.fmRecord != "" {
-		parts = append(parts, "-fm-record "+o.fmRecord)
-	}
-	if o.fmReplay != "" {
-		parts = append(parts, "-fm-replay "+o.fmReplay)
-	}
-	return strings.Join(parts, " ")
+	return runErr
 }

@@ -22,7 +22,7 @@ func TestDefaultRunFailFastDistinguishesSkipped(t *testing.T) {
 	cfg.Workers = 1 // deterministic schedule: the bad dataset's CAAFE cell fails first
 	names := []string{"NoSuchDataset", "Diabetes"}
 	var out bytes.Buffer
-	err := runGrid(context.Background(), &out, grid.Selection{Table: 4}, names, nil, cfg,
+	err := runGrid(context.Background(), &out, grid.Spec{Table: 4, Datasets: names}, cfg,
 		gridOptions{prof: obs.NewProfile(nil)})
 
 	var runErr *experiments.RunError
@@ -64,6 +64,37 @@ func TestDefaultRunFailFastDistinguishesSkipped(t *testing.T) {
 			if len(fields) != 3 || fields[1] != "?" || fields[2] != "?" {
 				t.Fatalf("%s row should mark both cells skipped: %q", fields[0], line)
 			}
+		}
+	}
+}
+
+// TestUsageErrors pins the CLI's selection check: a selection the job spec
+// refuses exits 2 with a one-line error before any cell runs, so no grid
+// progress or tally line appears and nothing reaches stdout.
+func TestUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args    []string
+		wantErr string
+	}{
+		{[]string{"-quick", "-table", "9"}, "table 9 does not exist"},
+		{[]string{"-quick", "-figure", "3"}, "figure 3 does not exist"},
+		{[]string{"-quick"}, "empty selection"},
+		{[]string{"-quick", "-table", "4", "-datasets", "Diabetes,"}, `unknown dataset ""`},
+		{[]string{"-quick", "-table", "4", "-methods", "NoSuch"}, `unknown method "NoSuch"`},
+		{[]string{"-quick", "-table", "4", "-datasets", "Diabetes,Diabetes"}, `dataset "Diabetes" is listed twice`},
+		{[]string{"-quick", "-table", "4", "-methods", "SMARTFEAT, SMARTFEAT"}, `method "SMARTFEAT" is listed twice`},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(tc.args, &stdout, &stderr)
+		msg := stderr.String()
+		if code != 2 {
+			t.Errorf("%q: exit %d, want 2 (stderr %q)", tc.args, code, msg)
+		}
+		if !strings.HasPrefix(msg, "experiments: ") || strings.Count(msg, "\n") != 1 || !strings.Contains(msg, tc.wantErr) {
+			t.Errorf("%q: stderr %q, want one line mentioning %q", tc.args, msg, tc.wantErr)
+		}
+		if strings.Contains(msg, "grid:") || stdout.Len() != 0 {
+			t.Errorf("%q: cells ran before the usage error (stdout %q, stderr %q)", tc.args, stdout.String(), msg)
 		}
 	}
 }

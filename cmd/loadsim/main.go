@@ -27,7 +27,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -36,33 +35,25 @@ import (
 	"syscall"
 	"time"
 
+	"smartfeat/internal/grid"
+	"smartfeat/internal/jsonio"
 	"smartfeat/internal/loadsim"
 	"smartfeat/internal/obs"
-	"smartfeat/internal/serve"
 )
 
-// specFlag collects repeatable -spec values.
-type specFlag struct {
-	specs []serve.JobSpec
-}
-
-func (f *specFlag) String() string { return fmt.Sprintf("%d specs", len(f.specs)) }
-
-func (f *specFlag) Set(v string) error {
-	var spec serve.JobSpec
-	dec := json.NewDecoder(strings.NewReader(v))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		return fmt.Errorf("bad spec %q: %w", v, err)
-	}
-	f.specs = append(f.specs, spec)
-	return nil
-}
-
 func main() {
-	var specs specFlag
+	var specs []grid.Spec
 	addr := flag.String("addr", "http://127.0.0.1:8080", "daemon base URL")
-	flag.Var(&specs, "spec", "job spec as inline JSON (repeatable; op k submits spec k%N)")
+	flag.Func("spec", "job spec as inline JSON (repeatable; op k submits spec k%N)", func(v string) error {
+		// As strict as the daemon's submit decoder: a misspelled key is an
+		// error here, not a silently wider job there.
+		var spec grid.Spec
+		if err := jsonio.DecodeStrict(strings.NewReader(v), &spec); err != nil {
+			return fmt.Errorf("bad spec %q: %w", v, err)
+		}
+		specs = append(specs, spec)
+		return nil
+	})
 	tenants := flag.Int("tenants", 1, "synthetic tenant count (X-Tenant: sim-t0..)")
 	clients := flag.Int("clients", 1, "closed-loop workers per tenant")
 	ops := flag.Int("ops", 0, "total submit operations (0 = one per -spec)")
@@ -82,7 +73,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "loadsim:", err)
 		os.Exit(1)
 	}
-	if len(specs.specs) == 0 {
+	if len(specs) == 0 {
 		fmt.Fprintln(os.Stderr, "loadsim: at least one -spec is required")
 		os.Exit(2)
 	}
@@ -98,7 +89,7 @@ func main() {
 
 	cfg := loadsim.Config{
 		BaseURL:    *addr,
-		Specs:      specs.specs,
+		Specs:      specs,
 		Tenants:    *tenants,
 		Clients:    *clients,
 		Ops:        *ops,

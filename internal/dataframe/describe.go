@@ -38,7 +38,8 @@ func (f *Frame) Profile(name string) (ColumnProfile, error) {
 	}
 	if c.Kind == Numeric {
 		p.Cardinality = c.Cardinality()
-		p.Mean, p.Std, p.Min, p.Max = c.Mean(), c.Std(), c.Min(), c.Max()
+		p.Mean, p.Std = c.Mean(), c.Std()
+		p.Min, p.Max = c.Bounds()
 	} else {
 		levels := c.Levels()
 		p.Cardinality = len(levels)

@@ -87,7 +87,7 @@ func (f *Frame) MinMaxScale(input string) ([]float64, error) {
 	if c.Kind != Numeric {
 		return nil, fmt.Errorf("dataframe: scale input %q is not numeric", input)
 	}
-	lo, hi := c.Min(), c.Max()
+	lo, hi := c.Bounds()
 	span := hi - lo
 	out := make([]float64, c.Len())
 	for i, v := range c.Nums {

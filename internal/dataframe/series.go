@@ -238,27 +238,28 @@ func (s *Series) Std() float64 {
 	return math.Sqrt(ss / float64(count))
 }
 
+// Bounds returns the minimum and maximum non-null values from one pass over
+// the column (NaN, NaN if there are none or the series is categorical).
+func (s *Series) Bounds() (lo, hi float64) {
+	if s.Kind != Numeric {
+		return math.NaN(), math.NaN()
+	}
+	count, _, lo, hi := s.numStats()
+	if count == 0 {
+		return math.NaN(), math.NaN()
+	}
+	return lo, hi
+}
+
 // Min returns the minimum non-null value (NaN if none).
 func (s *Series) Min() float64 {
-	if s.Kind != Numeric {
-		return math.NaN()
-	}
-	count, _, lo, _ := s.numStats()
-	if count == 0 {
-		return math.NaN()
-	}
+	lo, _ := s.Bounds()
 	return lo
 }
 
 // Max returns the maximum non-null value (NaN if none).
 func (s *Series) Max() float64 {
-	if s.Kind != Numeric {
-		return math.NaN()
-	}
-	count, _, _, hi := s.numStats()
-	if count == 0 {
-		return math.NaN()
-	}
+	_, hi := s.Bounds()
 	return hi
 }
 

@@ -40,11 +40,6 @@ func (s *synth) poissonish(mean float64) float64 {
 	return v
 }
 
-// intBetween draws an integer in [lo, hi].
-func (s *synth) intBetween(lo, hi int) float64 {
-	return float64(lo + s.rng.Intn(hi-lo+1))
-}
-
 // choice picks uniformly from options.
 func (s *synth) choice(options []string) string {
 	return options[s.rng.Intn(len(options))]
@@ -64,14 +59,6 @@ func (s *synth) weightedChoice(options []string, weights []float64) string {
 		}
 	}
 	return options[len(options)-1]
-}
-
-// bernoulli draws 1 with probability p.
-func (s *synth) bernoulli(p float64) float64 {
-	if s.rng.Float64() < p {
-		return 1
-	}
-	return 0
 }
 
 // groupEffects assigns each level a latent effect N(0, sd), deterministic
@@ -104,26 +91,6 @@ func (s *synth) labelsFromScores(scores []float64, posRate, noise float64) []flo
 			y = 1 - y
 		}
 		out[i] = y
-	}
-	return out
-}
-
-// sigmoid squashes to (0,1).
-func sigmoid(z float64) float64 {
-	if z > 35 {
-		return 1
-	}
-	if z < -35 {
-		return 0
-	}
-	return 1 / (1 + math.Exp(-z))
-}
-
-// labelsFromProb draws Bernoulli labels from per-row probabilities.
-func (s *synth) labelsFromProb(probs []float64) []float64 {
-	out := make([]float64, len(probs))
-	for i, p := range probs {
-		out[i] = s.bernoulli(p)
 	}
 	return out
 }

@@ -205,8 +205,8 @@ func serveCheck(t *testing.T, e *env) {
 	base := d.serving(t)
 	get(t, base+"/healthz")
 
-	submit := func(name string, spec serve.JobSpec) (*http.Response, []byte) {
-		body, _ := json.Marshal(map[string]any{"name": name, "spec": spec}) // a JobSpec always marshals
+	submit := func(name string, spec grid.Spec) (*http.Response, []byte) {
+		body, _ := json.Marshal(map[string]any{"name": name, "spec": spec}) // a Spec always marshals
 		req, err := http.NewRequest(http.MethodPost, base+"/v1/jobs", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -224,13 +224,13 @@ func serveCheck(t *testing.T, e *env) {
 		}
 		return resp, b
 	}
-	if resp, body := submit("t4", serve.JobSpec{Table: 4, Quick: true, Datasets: []string{"Diabetes"}}); resp.StatusCode != http.StatusAccepted {
+	if resp, body := submit("t4", grid.Spec{Table: 4, Quick: true, Datasets: []string{"Diabetes"}}); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit t4: %s, want 202\n%s", resp.Status, body)
 	}
 
 	// t4 holds the single executor and the queue takes one filler, so a
 	// later filler must bounce.
-	filler := serve.JobSpec{Table: 4, Quick: true, Datasets: []string{"Diabetes"}, Methods: []string{"SMARTFEAT"}}
+	filler := grid.Spec{Table: 4, Quick: true, Datasets: []string{"Diabetes"}, Methods: []string{"SMARTFEAT"}}
 	rejected := false
 	for i := 1; i <= 20 && !rejected; i++ {
 		resp, body := submit(fmt.Sprintf("filler-%d", i), filler)
@@ -296,7 +296,7 @@ func simSoak(t *testing.T, e *env) {
 	// fingerprint, so the recording covers all three.
 	var specArgs []string
 	for _, methods := range [][]string{nil, {"SMARTFEAT"}, {"CAAFE"}} {
-		spec, _ := json.Marshal(serve.JobSpec{Table: 4, Quick: true, Datasets: []string{"Diabetes"}, Methods: methods}) // always marshals
+		spec, _ := json.Marshal(grid.Spec{Table: 4, Quick: true, Datasets: []string{"Diabetes"}, Methods: methods}) // always marshals
 		specArgs = append(specArgs, "-spec", string(spec))
 	}
 	bench := filepath.Join(dir, "bench.txt")

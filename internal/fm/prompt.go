@@ -36,7 +36,7 @@ func SeriesColumn(col *dataframe.Series, description string) AgendaColumn {
 	}
 	if info.Numeric {
 		info.Cardinality = col.Cardinality()
-		info.Min, info.Max = col.Min(), col.Max()
+		info.Min, info.Max = col.Bounds()
 	} else {
 		levels := col.Levels()
 		info.Cardinality = len(levels)

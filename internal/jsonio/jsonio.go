@@ -1,15 +1,33 @@
-// Package jsonio holds the one JSON-file idiom the run engine's persistence
-// layers share: atomic writes. Artifacts, run manifests and recording
-// manifests are all read back by later processes (resume, replay), so a
-// crash mid-write must never leave a half-written file behind.
+// Package jsonio holds the JSON idioms the program shares: atomic writes
+// (artifacts and manifests are read back by later processes, so a crash
+// mid-write must never leave a half-written file) and strict decoding of
+// job specs, where a misspelled key must be an error, not a wider job.
 package jsonio
 
 import (
+	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
+
+// DecodeStrict decodes exactly one JSON value from r into v, refusing
+// fields v does not declare and anything but whitespace after the value.
+// Read errors (an http.MaxBytesError, say) come back unwrapped.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return cmp.Or(err, errors.New("unexpected data after the JSON value"))
+	}
+	return nil
+}
 
 // WriteAtomic marshals v (indented, trailing newline) and commits it to path
 // via a temp file + rename, so readers only ever observe the old or the new

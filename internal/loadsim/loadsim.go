@@ -48,7 +48,7 @@ type Config struct {
 	// Specs is the workload mix. Op k submits Specs[k % len(Specs)] — the
 	// mapping is by op index, not RNG, so every seed submits the same spec
 	// multiset and result tables are comparable across seeds.
-	Specs []serve.JobSpec
+	Specs []grid.Spec
 	// Tenants is the number of synthetic tenants (X-Tenant values sim-t0..).
 	Tenants int
 	// Clients is the closed-loop concurrency per tenant: each client worker
@@ -342,7 +342,7 @@ func (r *runner) runOp(ctx context.Context, k int, tenant string, rng *rand.Rand
 
 // submit POSTs the job, honoring Retry-After backoff on 429 (and the drain
 // 503) up to MaxRetries. Reports the job ID and whether the op may proceed.
-func (r *runner) submit(ctx context.Context, name, tenant string, spec serve.JobSpec) (string, bool) {
+func (r *runner) submit(ctx context.Context, name, tenant string, spec grid.Spec) (string, bool) {
 	body, err := json.Marshal(map[string]any{"name": name, "spec": spec})
 	if err != nil {
 		r.opError(fmt.Errorf("marshaling spec: %w", err))

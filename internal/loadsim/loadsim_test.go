@@ -50,7 +50,7 @@ type fakeDaemon struct {
 
 type fakeJob struct {
 	id   string
-	spec serve.JobSpec
+	spec grid.Spec
 
 	mu     sync.Mutex
 	status string
@@ -107,8 +107,8 @@ func newFakeDaemon(t *testing.T, queueDepth, executors int, execDelay time.Durat
 
 func (d *fakeDaemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req struct {
-		Name string        `json:"name"`
-		Spec serve.JobSpec `json:"spec"`
+		Name string    `json:"name"`
+		Spec grid.Spec `json:"spec"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -185,8 +185,8 @@ func (d *fakeDaemon) handleResult(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, body)
 }
 
-func testSpecs() []serve.JobSpec {
-	return []serve.JobSpec{
+func testSpecs() []grid.Spec {
+	return []grid.Spec{
 		{Table: 4, Quick: true, Datasets: []string{"Diabetes"}},
 		{Table: 4, Quick: true, Datasets: []string{"Diabetes"}, Methods: []string{"SMARTFEAT"}},
 	}

@@ -1,149 +1,17 @@
 package serve
 
 import (
-	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"smartfeat/internal/datasets"
-	"smartfeat/internal/experiments"
 	"smartfeat/internal/grid"
-	"smartfeat/internal/ml"
 )
 
-// JobSpec describes one feature-construction/grid job in the vocabulary of
-// cmd/experiments' flags: which tables and figures to regenerate, over which
-// datasets, methods and models, under which configuration scale. The daemon
-// turns a spec into a grid.Selection plan and executes it through the same
-// cell engine as the CLI, so a served job's result is byte-identical to the
-// CLI run of the same selection.
-type JobSpec struct {
-	// Table selects one table (3, 4, 5, 6 or 7); 0 selects none.
-	Table int `json:"table,omitempty"`
-	// Figure selects a figure. Only Figure 1 is servable (the Figure 2
-	// walkthrough is not cell-addressed; use the CLI).
-	Figure int `json:"figure,omitempty"`
-	// Efficiency selects the per-method timing/traffic table.
-	Efficiency bool `json:"efficiency,omitempty"`
-	// Descriptions selects the §4.2 feature-description ablation.
-	Descriptions bool `json:"descriptions,omitempty"`
-	// All selects every table and figure (except the Figure 2 walkthrough).
-	All bool `json:"all,omitempty"`
-	// Quick selects the scaled-down configuration (experiments.QuickConfig).
-	Quick bool `json:"quick,omitempty"`
-	// Seed overrides the experiment seed (0 = the configuration default).
-	Seed int64 `json:"seed,omitempty"`
-	// Datasets restricts the comparison grid (nil = all eight).
-	Datasets []string `json:"datasets,omitempty"`
-	// Methods restricts the comparison methods ("Initial AUC" is always
-	// included); nil = all.
-	Methods []string `json:"methods,omitempty"`
-	// Models restricts the downstream classifiers (nil = the paper's five).
-	// Changing it changes the config fingerprint, like -seed.
-	Models []string `json:"models,omitempty"`
-	// Workers bounds the job's cell-level parallelism (0 = GOMAXPROCS,
-	// 1 = sequential; results are identical at any setting).
-	Workers int `json:"workers,omitempty"`
-}
-
-// selection maps the spec onto the shared plan/fold seam.
-func (s JobSpec) selection() grid.Selection {
-	return grid.Selection{
-		Table:        s.Table,
-		Figure:       s.Figure,
-		Efficiency:   s.Efficiency,
-		Descriptions: s.Descriptions,
-		All:          s.All,
-	}
-}
-
-// validate rejects specs the daemon cannot serve, with messages meant for
-// the 400 response body.
-func (s JobSpec) validate() error {
-	switch s.Table {
-	case 0, 3, 4, 5, 6, 7:
-	default:
-		return fmt.Errorf("table %d does not exist (want 3, 4, 5, 6 or 7)", s.Table)
-	}
-	switch s.Figure {
-	case 0, 1:
-	case 2:
-		return fmt.Errorf("figure 2 (the walkthrough) is not cell-addressed; run it with the experiments CLI")
-	default:
-		return fmt.Errorf("figure %d does not exist (want 1)", s.Figure)
-	}
-	if !s.selection().Any() {
-		return fmt.Errorf("empty selection: set table, figure, efficiency, descriptions or all")
-	}
-	if err := checkNames("dataset", s.Datasets, datasets.Names()); err != nil {
-		return err
-	}
-	if err := checkNames("model", s.Models, ml.ModelNames); err != nil {
-		return err
-	}
-	return checkNames("method", s.Methods, append([]string{experiments.MethodInitial}, experiments.Methods()...))
-}
-
-// checkNames rejects a name outside known, and a name listed twice: a
-// repeated dataset or method would plan the same cell twice, which the grid
-// runner refuses only after the job was admitted.
-func checkNames(kind string, names, known []string) error {
-	seen := make(map[string]bool, len(names))
-	for _, n := range names {
-		if !slices.Contains(known, n) {
-			return fmt.Errorf("unknown %s %q (want one of %s)", kind, n, strings.Join(known, ", "))
-		}
-		if seen[n] {
-			return fmt.Errorf("%s %q is listed twice", kind, n)
-		}
-		seen[n] = true
-	}
-	return nil
-}
-
-// datasetNames resolves the comparison dataset scope.
-func (s JobSpec) datasetNames() []string {
-	if len(s.Datasets) == 0 {
-		return datasets.Names()
-	}
-	return s.Datasets
-}
-
-// methodNames resolves the comparison method restriction in CLI -methods
-// semantics: nil stays nil (= all methods), a non-empty list always gains
-// "Initial AUC" up front.
-func (s JobSpec) methodNames() []string {
-	if len(s.Methods) == 0 {
-		return nil
-	}
-	methods := []string{experiments.MethodInitial}
-	for _, m := range s.Methods {
-		if m != experiments.MethodInitial {
-			methods = append(methods, m)
-		}
-	}
-	return methods
-}
-
-// config builds the job's evaluation configuration, exactly as the CLI's
-// flag plumbing would.
-func (s JobSpec) config() experiments.Config {
-	cfg := experiments.DefaultConfig()
-	if s.Quick {
-		cfg = experiments.QuickConfig()
-	}
-	if s.Seed != 0 {
-		cfg.Seed = s.Seed
-	}
-	if len(s.Models) > 0 {
-		cfg.Models = append([]string(nil), s.Models...)
-	}
-	cfg.Workers = s.Workers
-	return cfg
-}
+// JobSpec names the job type for clients that build submit bodies from it;
+// grid.Spec's JSON tags are the wire format.
+type JobSpec = grid.Spec
 
 // Job statuses, in lifecycle order.
 const (
@@ -165,7 +33,9 @@ type Job struct {
 	// drain the same directory.
 	ID     string
 	Tenant string
-	Spec   JobSpec
+	// Spec is the submitted spec in canonical form: resubmissions compare
+	// against it.
+	Spec grid.Spec
 
 	mu          sync.Mutex
 	status      string
@@ -188,7 +58,7 @@ type JobView struct {
 	Tenant      string        `json:"tenant"`
 	Status      string        `json:"status"`
 	Error       string        `json:"error,omitempty"`
-	Spec        JobSpec       `json:"spec"`
+	Spec        grid.Spec     `json:"spec"`
 	SubmittedAt string        `json:"submitted_at"`
 	StartedAt   string        `json:"started_at,omitempty"`
 	FinishedAt  string        `json:"finished_at,omitempty"`

@@ -47,6 +47,7 @@ import (
 
 	"smartfeat/internal/fmgate"
 	"smartfeat/internal/grid"
+	"smartfeat/internal/jsonio"
 	"smartfeat/internal/obs"
 	"smartfeat/internal/retryafter"
 )
@@ -214,9 +215,6 @@ func (s *Server) Job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Options returns the server's resolved options (defaults applied).
 func (s *Server) Options() Options { return s.opts }
 
@@ -314,7 +312,7 @@ func (s *Server) runJob(j *Job) {
 // replica already started (matching config hash), so replicas sharing a run
 // root partition the job's cells through the lease protocol.
 func (s *Server) executeJob(ctx context.Context, j *Job) (string, error) {
-	cfg := j.Spec.config()
+	cfg := j.Spec.Config()
 	if s.opts.FMPool != nil {
 		// Per-job copy: the pool spec's fault sequences are seeded with the
 		// job's own config seed, so identical jobs draw identical faults no
@@ -369,7 +367,7 @@ func (s *Server) executeJob(ctx context.Context, j *Job) (string, error) {
 		return "", runErr
 	}
 	var buf bytes.Buffer
-	j.Spec.selection().Render(&buf, res, j.Spec.datasetNames(), cfg, "")
+	j.Spec.Selection().Render(&buf, res, j.Spec.DatasetNames(), cfg, "")
 	return buf.String(), nil
 }
 
@@ -379,28 +377,32 @@ type submitRequest struct {
 	// resubmitting an identical (name, spec) pair is idempotent, and the
 	// same pair submitted to a peer replica makes both replicas drain one
 	// run directory cooperatively. Empty names get a generated ID.
-	Name string  `json:"name,omitempty"`
-	Spec JobSpec `json:"spec"`
+	Name string    `json:"name,omitempty"`
+	Spec grid.Spec `json:"spec"`
 }
 
 // maxSubmitBytes bounds a submit body. A job spec is a few hundred bytes;
 // a larger body is refused with 413 before it is buffered.
 const maxSubmitBytes = 1 << 20
 
-// decodeSubmit decodes and validates a POST /v1/jobs body. A refusal comes
-// with its HTTP status: 413 for a body over maxSubmitBytes (when body is an
-// http.MaxBytesReader), 400 otherwise.
+// decodeSubmit decodes and validates a POST /v1/jobs body. Unknown fields
+// are refused: a misspelled restriction must not widen the job. A refusal
+// comes with its HTTP status: 413 for a body over maxSubmitBytes (when body
+// is an http.MaxBytesReader), 400 otherwise.
 func decodeSubmit(body io.Reader) (submitRequest, int, error) {
 	var req submitRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := jsonio.DecodeStrict(body, &req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			return req, http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", tooBig.Limit)
 		}
 		return req, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)
 	}
-	if err := req.Spec.validate(); err != nil {
+	if err := req.Spec.Validate(); err != nil {
 		return req, http.StatusBadRequest, err
+	}
+	if req.Spec.Figure == 2 {
+		return req, http.StatusBadRequest, errors.New("figure 2 (the walkthrough) is not cell-addressed; run it with the experiments CLI")
 	}
 	return req, 0, nil
 }
@@ -420,8 +422,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if tenant == "" {
 		tenant = "default"
 	}
-	plan := req.Spec.selection().Plan(req.Spec.datasetNames(), req.Spec.methodNames())
-	if err := s.checkReplayCoverage(req.Spec, plan); err != nil {
+	spec := req.Spec.Canonical()
+	plan := spec.Plan()
+	if err := s.checkReplayCoverage(spec, plan); err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
@@ -434,19 +437,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if existing, ok := s.jobs[id]; ok {
 		s.mu.Unlock()
-		if !reflect.DeepEqual(existing.Spec, req.Spec) {
+		if !reflect.DeepEqual(existing.Spec, spec) {
 			writeJSON(w, http.StatusConflict, map[string]string{
 				"error": fmt.Sprintf("job %q already exists with a different spec", id)})
 			return
 		}
-		// Idempotent resubmit: same name, same spec — report the job as-is.
+		// Idempotent resubmit: same name, same canonical spec — report the
+		// job as-is.
 		writeJSON(w, http.StatusOK, existing.view())
 		return
 	}
 	j := &Job{
 		ID:          id,
 		Tenant:      tenant,
-		Spec:        req.Spec,
+		Spec:        spec,
 		status:      StatusQueued,
 		submittedAt: time.Now(),
 		done:        make(chan struct{}),
@@ -483,11 +487,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // checkReplayCoverage refuses — at submit time — jobs a replay-backed daemon
 // cannot serve: a config fingerprint the recording was not made under, or
 // plan cells it holds no shards for.
-func (s *Server) checkReplayCoverage(spec JobSpec, plan []grid.Cell) error {
+func (s *Server) checkReplayCoverage(spec grid.Spec, plan []grid.Cell) error {
 	if s.opts.FMReplayDir == "" {
 		return nil
 	}
-	stores, err := grid.OpenStores(spec.config(), "", s.opts.FMReplayDir)
+	stores, err := grid.OpenStores(spec.Config(), "", s.opts.FMReplayDir)
 	if err != nil {
 		return err
 	}

@@ -41,8 +41,8 @@ func testSpec() JobSpec {
 // the daemon's result endpoint must reproduce byte-for-byte.
 func recordSpec(t *testing.T, spec JobSpec) (fmDir, golden string) {
 	t.Helper()
-	cfg := spec.config()
-	plan := spec.selection().Plan(spec.datasetNames(), spec.methodNames())
+	cfg := spec.Config()
+	plan := spec.Plan()
 	fmDir = t.TempDir()
 	stores, err := fmgate.NewRecordStoreSet(fmDir, fmgate.StoreSetManifest{
 		ConfigHash: cfg.Fingerprint(), Seed: cfg.Seed, Budget: cfg.SamplingBudget,
@@ -58,7 +58,7 @@ func recordSpec(t *testing.T, spec JobSpec) (fmDir, golden string) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	spec.selection().Render(&buf, ref, spec.datasetNames(), cfg, "")
+	spec.Selection().Render(&buf, ref, spec.DatasetNames(), cfg, "")
 	return fmDir, buf.String()
 }
 
@@ -347,7 +347,8 @@ func TestTenantFairnessChurn(t *testing.T) {
 
 // TestSubmitIdempotentAndConflict pins the (name, spec) identity rules:
 // resubmitting an identical pair is a 200 no-op reporting the existing job,
-// while the same name under a different spec is a 409.
+// while the same name under a different spec is a 409. Identity is the
+// canonical spec: bodies that plan the same job are the same job.
 func TestSubmitIdempotentAndConflict(t *testing.T) {
 	s := newTestServer(t, Options{})
 	s.execute = func(ctx context.Context, j *Job) (string, error) { return "stub result", nil }
@@ -363,6 +364,33 @@ func TestSubmitIdempotentAndConflict(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("conflicting resubmit status = %d, want 409 (%s)", resp.StatusCode, raw)
+	}
+
+	for _, tc := range []struct {
+		name, first, again string
+		want               int
+	}{
+		{"empty-methods", `{"table": 4, "datasets": ["Diabetes"]}`, `{"table": 4, "datasets": ["Diabetes"], "methods": []}`, http.StatusOK},
+		{"implied-initial", `{"table": 4, "methods": ["SMARTFEAT"]}`, `{"table": 4, "methods": ["Initial AUC", "SMARTFEAT"]}`, http.StatusOK},
+		{"moved-initial", `{"table": 4, "methods": ["CAAFE", "Initial AUC"]}`, `{"table": 4, "methods": ["CAAFE"]}`, http.StatusOK},
+		{"dataset-order", `{"table": 4, "datasets": ["Diabetes", "Heart"]}`, `{"table": 4, "datasets": ["Heart", "Diabetes"]}`, http.StatusConflict},
+	} {
+		post := func(spec string) (int, string) {
+			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+				strings.NewReader(`{"name": "`+tc.name+`", "spec": `+spec+`}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			return resp.StatusCode, string(raw)
+		}
+		if code, raw := post(tc.first); code != http.StatusAccepted {
+			t.Fatalf("%s: first submit status = %d, want 202 (%s)", tc.name, code, raw)
+		}
+		if code, raw := post(tc.again); code != tc.want {
+			t.Fatalf("%s: resubmit status = %d, want %d (%s)", tc.name, code, tc.want, raw)
+		}
 	}
 }
 
@@ -387,6 +415,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad-method", JobSpec{Table: 4, Methods: []string{"Manual"}}, `unknown method "Manual"`},
 		{"dup-dataset", JobSpec{Table: 4, Datasets: []string{"Diabetes", "Heart", "Diabetes"}}, `dataset "Diabetes" is listed twice`},
 		{"dup-method", JobSpec{Table: 4, Methods: []string{"CAAFE", "CAAFE"}}, `method "CAAFE" is listed twice`},
+		{"bad-figure", JobSpec{Figure: 3}, "figure 3 does not exist"},
 	}
 	for _, tc := range cases {
 		resp := doSubmit(t, ts.URL, "", tc.name, tc.spec)
@@ -405,14 +434,32 @@ func TestSubmitValidation(t *testing.T) {
 			t.Fatalf("%s: error %q does not mention %q", tc.name, body.Error, tc.wantErr)
 		}
 	}
-	// Malformed JSON is a 400 too, not a hang or a 500.
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader("{"))
-	if err != nil {
-		t.Fatal(err)
+	// Malformed JSON is a 400 too, not a hang or a 500, and so is a body
+	// with a key the spec does not have: a misspelled restriction must not
+	// silently widen the job.
+	for body, wantErr := range map[string]string{
+		"{": "bad request body",
+		`{"spec": {"table": 4, "quick": true, "dataset": ["Diabetes"]}}`: `unknown field "dataset"`,
+		`{"spec": {"table": 4}, "tenant": "x"}`:                          `unknown field "tenant"`,
+		`{"spec": {"table": 4}} {"spec": {"table": 5}}`:                  "after the JSON value",
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(out.Error, wantErr) {
+			t.Fatalf("body %s: status = %d (%q, %v), want 400 mentioning %q", body, resp.StatusCode, out.Error, err, wantErr)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed body status = %d, want 400", resp.StatusCode)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.jobs) != 0 {
+		t.Fatalf("refused submissions admitted %d jobs", len(s.jobs))
 	}
 }
 
@@ -462,7 +509,9 @@ func TestSubmitBodyTooLarge(t *testing.T) {
 // must be one the daemon can run: it validates again after a JSON round
 // trip, plans the same cells, and plans at least one cell, none twice
 // (Runner.Run refuses a plan with a repeated cell). The one cell-free
-// selection is Table 3 alone, which renders from the configuration.
+// selection is Table 3 alone, which renders from the configuration. Its
+// canonical form, which resubmissions compare, is the same job: same cells,
+// same config fingerprint, and canonical again.
 func FuzzSubmitRequest(f *testing.F) {
 	for _, body := range []string{
 		`{"name": "t4", "spec": {"table": 4, "quick": true, "datasets": ["Diabetes"]}}`,
@@ -476,6 +525,8 @@ func FuzzSubmitRequest(f *testing.F) {
 		`{"spec": {"table": 9}}`, `{"spec": {"figure": 2}}`, `{"spec": {}}`, `{}`, `null`, `[]`, `{`,
 		`{"spec": {"table": 4, "datasets": ["Atlantis"]}}`, `{"spec": {"table": 1e400}}`,
 		`{"spec": {"table": 4, "datasets": null, "methods": []}}`,
+		`{"spec": {"table": 4, "methods": ["CAAFE", "Initial AUC"], "models": []}}`,
+		`{"spec": {"table": 4, "dataset": ["Diabetes"]}}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -487,8 +538,8 @@ func FuzzSubmitRequest(f *testing.F) {
 			}
 			return
 		}
-		plan := req.Spec.selection().Plan(req.Spec.datasetNames(), req.Spec.methodNames())
-		if len(plan) == 0 && !reflect.DeepEqual(req.Spec.selection(), grid.Selection{Table: 3}) {
+		plan := req.Spec.Plan()
+		if len(plan) == 0 && !reflect.DeepEqual(req.Spec.Selection(), grid.Selection{Table: 3}) {
 			t.Fatalf("accepted %q, which plans no cell", body)
 		}
 		seen := make(map[string]bool, len(plan))
@@ -506,9 +557,16 @@ func FuzzSubmitRequest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted %q, but not its round trip %s: %v", body, again, err)
 		}
-		plan2 := req2.Spec.selection().Plan(req2.Spec.datasetNames(), req2.Spec.methodNames())
-		if !slices.Equal(plan, plan2) || req2.Spec.config().Fingerprint() != req.Spec.config().Fingerprint() {
+		plan2 := req2.Spec.Plan()
+		if !slices.Equal(plan, plan2) || req2.Spec.Config().Fingerprint() != req.Spec.Config().Fingerprint() {
 			t.Fatalf("accepted %q, whose round trip %s plans or configures a different job", body, again)
+		}
+		canon := req.Spec.Canonical()
+		if !slices.Equal(plan, canon.Plan()) || canon.Config().Fingerprint() != req.Spec.Config().Fingerprint() {
+			t.Fatalf("accepted %q, whose canonical form %+v plans or configures a different job", body, canon)
+		}
+		if twice := canon.Canonical(); !reflect.DeepEqual(twice, canon) {
+			t.Fatalf("Canonical is not idempotent on %q: %+v then %+v", body, canon, twice)
 		}
 	})
 }
@@ -564,7 +622,7 @@ func TestDrainCompletesInFlightJob(t *testing.T) {
 		defer cancel()
 		done <- s.Shutdown(ctx)
 	}()
-	for deadline := time.Now().Add(10 * time.Second); !s.Draining(); {
+	for deadline := time.Now().Add(10 * time.Second); !s.draining.Load(); {
 		if time.Now().After(deadline) {
 			t.Fatal("server never started draining")
 		}
@@ -615,7 +673,7 @@ func TestDrainCompletesInFlightJob(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || string(raw) != golden {
 		t.Fatalf("served result (%d) differs from golden", resp.StatusCode)
 	}
-	cell := spec.selection().Plan(spec.datasetNames(), spec.methodNames())[0]
+	cell := spec.Plan()[0]
 	resp, err = http.Get(ts.URL + "/v1/jobs/t4/result?cell=" + cell.Key())
 	if err != nil {
 		t.Fatal(err)
@@ -674,7 +732,7 @@ func TestReplicasCooperate(t *testing.T) {
 
 	// The shared manifest proves the partition: every planned cell completed
 	// exactly once, attributed across the two replica worker ids.
-	plan := spec.selection().Plan(spec.datasetNames(), spec.methodNames())
+	plan := spec.Plan()
 	prog, err := grid.PlanProgress(filepath.Join(root, "coop"), plan)
 	if err != nil {
 		t.Fatal(err)
