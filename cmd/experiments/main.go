@@ -193,6 +193,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := spec.Validate(); err != nil {
 		return fail(2, err)
 	}
+	if *runDir != "" && *resume != "" {
+		return fail(2, errors.New("-resume already names the run directory; drop -run-dir"))
+	}
+	if *worker != "" && *runDir == "" && *resume == "" {
+		return fail(2, errors.New("-worker needs -run-dir (or -resume): the run directory's leases and artifacts are how workers coordinate"))
+	}
 	cfg := spec.Config()
 	if *fmCache {
 		cfg.FMCacheSize = 1 << 14
@@ -306,13 +312,6 @@ type gridOptions struct {
 // not validated here: a name it cannot load fails its cells at run time.
 func runGrid(ctx context.Context, w io.Writer, spec grid.Spec, cfg experiments.Config, o gridOptions) error {
 	stderr := cmp.Or[io.Writer](o.stderr, os.Stderr)
-	if o.runDir != "" && o.resume != "" {
-		return fmt.Errorf("-resume already names the run directory; drop -run-dir")
-	}
-	if o.worker != "" && o.runDir == "" && o.resume == "" {
-		return fmt.Errorf("-worker needs -run-dir (or -resume): the run directory's leases and artifacts are how workers coordinate")
-	}
-
 	stores, err := grid.OpenStores(cfg, o.fmRecord, o.fmReplay)
 	if err != nil {
 		return err

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -72,6 +74,9 @@ func TestDefaultRunFailFastDistinguishesSkipped(t *testing.T) {
 // refuses exits 2 with a one-line error before any cell runs, so no grid
 // progress or tally line appears and nothing reaches stdout.
 func TestUsageErrors(t *testing.T) {
+	// No row may create its run directory: each usage error is found before
+	// the trace, metrics and disk-cache setup.
+	dir := filepath.Join(t.TempDir(), "run")
 	for _, tc := range []struct {
 		args    []string
 		wantErr string
@@ -83,6 +88,8 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-quick", "-table", "4", "-methods", "NoSuch"}, `unknown method "NoSuch"`},
 		{[]string{"-quick", "-table", "4", "-datasets", "Diabetes,Diabetes"}, `dataset "Diabetes" is listed twice`},
 		{[]string{"-quick", "-table", "4", "-methods", "SMARTFEAT, SMARTFEAT"}, `method "SMARTFEAT" is listed twice`},
+		{[]string{"-quick", "-table", "4", "-trace", "-run-dir", dir, "-resume", dir}, "drop -run-dir"},
+		{[]string{"-quick", "-table", "4", "-worker", "w1"}, "-worker needs -run-dir"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(tc.args, &stdout, &stderr)
@@ -96,5 +103,8 @@ func TestUsageErrors(t *testing.T) {
 		if strings.Contains(msg, "grid:") || stdout.Len() != 0 {
 			t.Errorf("%q: cells ran before the usage error (stdout %q, stderr %q)", tc.args, stdout.String(), msg)
 		}
+	}
+	if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a usage error left the run directory behind (stat: %v)", err)
 	}
 }

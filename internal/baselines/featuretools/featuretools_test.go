@@ -116,7 +116,7 @@ func TestRunContextAgnostic(t *testing.T) {
 	// different labels yield identical candidate sets.
 	f1 := testFrame(t)
 	f2 := testFrame(t)
-	_ = f2.Replace(dataframe.NewNumeric("y", []float64{1, 0, 1, 0, 1, 0}))
+	copy(f2.Column("y").Nums, []float64{1, 0, 1, 0, 1, 0})
 	r1, err := Run(f1, "y", DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

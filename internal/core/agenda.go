@@ -63,9 +63,6 @@ func (a *Agenda) TargetDescription() string {
 	return a.targetDesc
 }
 
-// Describe returns the description of a column.
-func (a *Agenda) Describe(name string) string { return a.descriptions[name] }
-
 // Columns returns the agenda's column names in presentation order.
 func (a *Agenda) Columns() []string {
 	return append([]string(nil), a.order...)

@@ -71,7 +71,7 @@ func freshRender(f *dataframe.Frame, a *Agenda) string {
 		col := f.Column(name)
 		info := fm.AgendaColumn{
 			Name:        name,
-			Description: a.Describe(name),
+			Description: a.descriptions[name],
 			Numeric:     col.Kind == dataframe.Numeric,
 			Cardinality: col.Cardinality(),
 		}

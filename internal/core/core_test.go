@@ -69,7 +69,7 @@ func TestAgendaBasics(t *testing.T) {
 			t.Fatal("target must not appear in agenda")
 		}
 	}
-	if a.Describe("Age") != "Age of the policyholder in years" {
+	if a.descriptions["Age"] != "Age of the policyholder in years" {
 		t.Fatal("description lookup broken")
 	}
 	rendered := a.Render()
@@ -105,8 +105,8 @@ func TestAgendaAddRemove(t *testing.T) {
 func TestAgendaFallsBackToNames(t *testing.T) {
 	f := insuranceFrame(t)
 	a := NewAgenda(f, "Safe", "", nil) // the §4.2 minimal-input regime
-	if a.Describe("Age") != "Age" {
-		t.Fatalf("name-only fallback broken: %q", a.Describe("Age"))
+	if a.descriptions["Age"] != "Age" {
+		t.Fatalf("name-only fallback broken: %q", a.descriptions["Age"])
 	}
 	if a.TargetDescription() != "Safe" {
 		t.Fatal("target description fallback broken")
@@ -187,22 +187,6 @@ func TestSpecApplyErrors(t *testing.T) {
 		if _, err := spec.Apply(f, "x"); err == nil {
 			t.Errorf("case %d should fail: %+v", i, spec)
 		}
-	}
-}
-
-func TestSpecInputColumns(t *testing.T) {
-	spec := TransformSpec{Kind: KindExpr, Expr: "a + b / c"}
-	cols := spec.InputColumns()
-	if len(cols) != 3 {
-		t.Fatalf("expr inputs = %v", cols)
-	}
-	spec = TransformSpec{Kind: KindGroupBy, Group: []string{"g1", "g2"}, Agg: "a", Function: "mean"}
-	if cols = spec.InputColumns(); len(cols) != 3 || cols[2] != "a" {
-		t.Fatalf("groupby inputs = %v", cols)
-	}
-	spec = TransformSpec{Kind: KindMinMax, Input: "x"}
-	if cols = spec.InputColumns(); len(cols) != 1 || cols[0] != "x" {
-		t.Fatalf("unary inputs = %v", cols)
 	}
 }
 

@@ -50,14 +50,6 @@ type Options struct {
 	Operators OperatorSet
 	// RowLevelBudgetUSD gates full row-level completion (scenario 2).
 	RowLevelBudgetUSD float64
-	// Verify runs the §3.3 feature-selection filter (default true via Run).
-	Verify bool
-	// DropHeuristic removes originals that were unary-transformed and never
-	// reused (§3.2; default true via Run).
-	DropHeuristic bool
-	// FilterOptions overrides the verification thresholds (zero value →
-	// featselect.DefaultFilterOptions).
-	FilterOptions *featselect.FilterOptions
 }
 
 // applyDefaults fills the paper's default settings.
@@ -137,20 +129,6 @@ func Run(input *dataframe.Frame, opts Options) (*Result, error) {
 func RunContext(ctx context.Context, input *dataframe.Frame, opts Options) (*Result, error) {
 	start := time.Now()
 	opts.applyDefaults()
-	opts.Verify = true
-	opts.DropHeuristic = true
-	return run(ctx, input, opts, start)
-}
-
-// RunRaw is Run without forcing verification/drop defaults — the ablation
-// hook used by the benchmarks.
-func RunRaw(input *dataframe.Frame, opts Options) (*Result, error) {
-	start := time.Now()
-	opts.applyDefaults()
-	return run(context.Background(), input, opts, start)
-}
-
-func run(ctx context.Context, input *dataframe.Frame, opts Options, start time.Time) (*Result, error) {
 	if opts.SelectorFM == nil || opts.GeneratorFM == nil {
 		return nil, fmt.Errorf("core: both SelectorFM and GeneratorFM are required")
 	}
@@ -288,40 +266,32 @@ func run(ctx context.Context, input *dataframe.Frame, opts Options, start time.T
 
 	// Drop heuristic (§3.2): originals that were unary-transformed and never
 	// fed any other operator are considered superseded.
-	if opts.DropHeuristic {
-		for _, attr := range originals {
-			if unaryTransformed[attr] && !reused[attr] && f.Has(attr) {
-				f.Drop(attr)
-				agenda.Remove(attr)
-				res.DroppedOriginals = append(res.DroppedOriginals, attr)
-			}
+	for _, attr := range originals {
+		if unaryTransformed[attr] && !reused[attr] && f.Has(attr) {
+			f.Drop(attr)
+			agenda.Remove(attr)
+			res.DroppedOriginals = append(res.DroppedOriginals, attr)
 		}
 	}
 
 	// Verification (§3.3): drop highly-null, single-valued and
 	// high-cardinality-dummy features.
-	if opts.Verify {
-		filterOpts := featselect.DefaultFilterOptions()
-		if opts.FilterOptions != nil {
-			filterOpts = *opts.FilterOptions
-		}
-		protect := map[string]bool{opts.Target: true}
-		for _, orig := range originals {
-			protect[orig] = true
-		}
-		res.FilterReport = featselect.VerifyFeatures(f, newColumns, protect, dummySource, filterOpts)
-		for _, d := range res.FilterReport.Dropped {
-			agenda.Remove(d.Name)
-			for i := range res.Features {
-				g := &res.Features[i]
-				for _, col := range g.Columns {
-					if col == d.Name && g.Status == StatusAdded {
-						g.Status = StatusFiltered
-						if g.Detail != "" {
-							g.Detail += "; "
-						}
-						g.Detail += fmt.Sprintf("%s: %s", d.Name, d.Reason)
+	protect := map[string]bool{opts.Target: true}
+	for _, orig := range originals {
+		protect[orig] = true
+	}
+	res.FilterReport = featselect.VerifyFeatures(f, newColumns, protect, dummySource, featselect.DefaultFilterOptions())
+	for _, d := range res.FilterReport.Dropped {
+		agenda.Remove(d.Name)
+		for i := range res.Features {
+			g := &res.Features[i]
+			for _, col := range g.Columns {
+				if col == d.Name && g.Status == StatusAdded {
+					g.Status = StatusFiltered
+					if g.Detail != "" {
+						g.Detail += "; "
 					}
+					g.Detail += fmt.Sprintf("%s: %s", d.Name, d.Reason)
 				}
 			}
 		}

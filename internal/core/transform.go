@@ -103,25 +103,6 @@ func (s TransformSpec) Validate() error {
 	return nil
 }
 
-// InputColumns returns the columns the spec reads.
-func (s TransformSpec) InputColumns() []string {
-	switch s.Kind {
-	case KindExpr:
-		e, err := expr.Compile(s.Expr)
-		if err != nil {
-			return nil
-		}
-		return e.Vars()
-	case KindGroupBy:
-		return append(append([]string(nil), s.Group...), s.Agg)
-	default:
-		if s.Input != "" {
-			return []string{s.Input}
-		}
-		return nil
-	}
-}
-
 // Apply materializes the spec on the frame, adding one or more columns named
 // from base (multi-output kinds suffix it). It returns the added column
 // names. Kinds rowlevel and datasource cannot be applied here (the pipeline

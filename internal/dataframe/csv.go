@@ -123,14 +123,6 @@ func (f *Frame) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// CSVString serializes the frame to a CSV string (for small frames and
-// serialized row-level FM prompts).
-func (f *Frame) CSVString() string {
-	var b strings.Builder
-	_ = f.WriteCSV(&b)
-	return b.String()
-}
-
 // SerializeRow renders row i as "attr1: val1, attr2: val2, …" — the entry
 // serialization format used for row-level FM interactions (Figure 1).
 func (f *Frame) SerializeRow(i int) string {

@@ -80,8 +80,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := f.CSVString()
-	g, err := ReadCSVString(out)
+	g, err := ReadCSVString(writeCSV(t, f))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,6 +98,16 @@ func TestCSVRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// writeCSV prints f through WriteCSV.
+func writeCSV(t *testing.T, f *Frame) string {
+	t.Helper()
+	var b strings.Builder
+	if err := f.WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }
 
 func TestSerializeRow(t *testing.T) {
@@ -134,12 +143,12 @@ func FuzzReadCSV(f *testing.F) {
 		if err != nil {
 			return
 		}
-		once := fr.CSVString()
+		once := writeCSV(t, fr)
 		again, err := ReadCSVString(once)
 		if err != nil {
 			t.Fatalf("printed frame does not re-parse: %v\n%q", err, once)
 		}
-		if twice := again.CSVString(); twice != once {
+		if twice := writeCSV(t, again); twice != once {
 			t.Fatalf("print/parse cycle not stable:\nonce  %q\ntwice %q", once, twice)
 		}
 	})

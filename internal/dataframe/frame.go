@@ -82,19 +82,6 @@ func (f *Frame) AddCategorical(name string, vals []string) error {
 	return f.Add(NewCategorical(name, vals))
 }
 
-// Replace swaps an existing column for a new series with the same name.
-func (f *Frame) Replace(s *Series) error {
-	i, ok := f.index[s.Name]
-	if !ok {
-		return fmt.Errorf("dataframe: no column %q to replace", s.Name)
-	}
-	if s.Len() != f.Len() {
-		return fmt.Errorf("dataframe: column %q has %d rows, frame has %d", s.Name, s.Len(), f.Len())
-	}
-	f.cols[i] = s
-	return nil
-}
-
 // Drop removes the named columns; missing names are ignored.
 func (f *Frame) Drop(names ...string) {
 	toDrop := make(map[string]bool, len(names))
@@ -109,22 +96,6 @@ func (f *Frame) Drop(names ...string) {
 	}
 	f.cols = kept
 	f.reindex()
-}
-
-// Select returns a new frame holding deep copies of the named columns, in the
-// given order.
-func (f *Frame) Select(names ...string) (*Frame, error) {
-	out := New()
-	for _, n := range names {
-		c := f.Column(n)
-		if c == nil {
-			return nil, fmt.Errorf("dataframe: no column %q", n)
-		}
-		if err := out.Add(c.Clone()); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // Clone returns a deep copy of the frame.
@@ -144,18 +115,6 @@ func (f *Frame) Take(rows []int) *Frame {
 		_ = out.Add(c.Take(rows))
 	}
 	return out
-}
-
-// Head returns up to n leading rows as a new frame.
-func (f *Frame) Head(n int) *Frame {
-	if n > f.Len() {
-		n = f.Len()
-	}
-	rows := make([]int, n)
-	for i := range rows {
-		rows[i] = i
-	}
-	return f.Take(rows)
 }
 
 // DropNA returns a new frame with every row containing a null removed.

@@ -2,7 +2,6 @@ package dataframe
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -76,7 +75,7 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestTakeAndHead(t *testing.T) {
+func TestTake(t *testing.T) {
 	f := mustFrame(t)
 	g := f.Take([]int{5, 0})
 	if g.Len() != 2 {
@@ -84,13 +83,6 @@ func TestTakeAndHead(t *testing.T) {
 	}
 	if g.Column("age").Nums[0] != 56 || g.Column("age").Nums[1] != 21 {
 		t.Fatal("take order wrong")
-	}
-	h := f.Head(2)
-	if h.Len() != 2 || h.Column("city").Strs[1] != "LA" {
-		t.Fatal("head wrong")
-	}
-	if f.Head(100).Len() != 6 {
-		t.Fatal("head should clamp")
 	}
 }
 
@@ -132,36 +124,6 @@ func TestMatrixAndLabels(t *testing.T) {
 	}
 	if _, err := f.IntLabels("city"); err == nil {
 		t.Fatal("categorical labels should error")
-	}
-}
-
-func TestSelect(t *testing.T) {
-	f := mustFrame(t)
-	g, err := f.Select("claim", "age")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Width() != 2 || g.Names()[0] != "claim" {
-		t.Fatal("select wrong")
-	}
-	if _, err := f.Select("nope"); err == nil {
-		t.Fatal("select missing should error")
-	}
-}
-
-func TestReplace(t *testing.T) {
-	f := mustFrame(t)
-	if err := f.Replace(NewNumeric("age", []float64{1, 2, 3, 4, 5, 6})); err != nil {
-		t.Fatal(err)
-	}
-	if f.Column("age").Nums[0] != 1 {
-		t.Fatal("replace did not stick")
-	}
-	if err := f.Replace(NewNumeric("ghost", []float64{1, 2, 3, 4, 5, 6})); err == nil {
-		t.Fatal("replacing a missing column should error")
-	}
-	if err := f.Replace(NewNumeric("age", []float64{1})); err == nil {
-		t.Fatal("length mismatch should error")
 	}
 }
 
@@ -319,25 +281,5 @@ func TestQuantileProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	f := mustFrame(t)
-	profs := f.Describe()
-	if len(profs) != 3 {
-		t.Fatal("profile count wrong")
-	}
-	if profs[1].Kind != Categorical || len(profs[1].Levels) != 3 {
-		t.Fatalf("city profile wrong: %+v", profs[1])
-	}
-	if profs[0].Cardinality != 6 {
-		t.Fatal("age cardinality wrong")
-	}
-	if !strings.Contains(f.DescribeString(), "city") {
-		t.Fatal("describe string missing column")
-	}
-	if _, err := f.Profile("nope"); err == nil {
-		t.Fatal("missing profile should error")
 	}
 }

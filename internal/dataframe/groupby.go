@@ -130,23 +130,6 @@ func (f *Frame) groupIDs(groupCols []string) (ids []int, keys []string, err erro
 	return ids, keys, nil
 }
 
-// groupBy checks a group-by's arguments and assigns the group ids: fn must
-// be supported and aggCol a numeric column.
-func (f *Frame) groupBy(groupCols []string, aggCol string, fn AggFunc) (agg *Series, ids []int, keys []string, err error) {
-	if !ValidAgg(fn) {
-		return nil, nil, nil, fmt.Errorf("dataframe: unsupported aggregation %q", fn)
-	}
-	agg = f.Column(aggCol)
-	if agg == nil {
-		return nil, nil, nil, fmt.Errorf("dataframe: no aggregate column %q", aggCol)
-	}
-	if agg.Kind != Numeric {
-		return nil, nil, nil, fmt.Errorf("dataframe: aggregate column %q is not numeric", aggCol)
-	}
-	ids, keys, err = f.groupIDs(groupCols)
-	return agg, ids, keys, err
-}
-
 // groupValues gathers agg's non-null values by group into one flat slice:
 // group g's values are vals[start[g]:start[g+1]], in row order.
 func groupValues(agg *Series, ids []int, groups int) (vals []float64, start []int) {
@@ -176,7 +159,17 @@ func groupValues(agg *Series, ids []int, groups int) (vals []float64, start []in
 // row (broadcast back to the original shape); a group with no non-null value
 // gives NaN, whatever fn is.
 func (f *Frame) GroupByTransform(groupCols []string, aggCol string, fn AggFunc) ([]float64, error) {
-	agg, ids, keys, err := f.groupBy(groupCols, aggCol, fn)
+	if !ValidAgg(fn) {
+		return nil, fmt.Errorf("dataframe: unsupported aggregation %q", fn)
+	}
+	agg := f.Column(aggCol)
+	if agg == nil {
+		return nil, fmt.Errorf("dataframe: no aggregate column %q", aggCol)
+	}
+	if agg.Kind != Numeric {
+		return nil, fmt.Errorf("dataframe: aggregate column %q is not numeric", aggCol)
+	}
+	ids, keys, err := f.groupIDs(groupCols)
 	if err != nil {
 		return nil, err
 	}
@@ -194,36 +187,4 @@ func (f *Frame) GroupByTransform(groupCols []string, aggCol string, fn AggFunc) 
 		out[i] = results[g]
 	}
 	return out, nil
-}
-
-// GroupStats holds one aggregated row of a group-by reduction.
-type GroupStats struct {
-	Key   string
-	Count int
-	Value float64
-}
-
-// GroupByAggregate reduces aggCol within each group and returns one row per
-// group, sorted by key for determinism.
-func (f *Frame) GroupByAggregate(groupCols []string, aggCol string, fn AggFunc) ([]GroupStats, error) {
-	agg, ids, keys, err := f.groupBy(groupCols, aggCol, fn)
-	if err != nil {
-		return nil, err
-	}
-	vals, start := groupValues(agg, ids, len(keys))
-	out := make([]GroupStats, len(keys))
-	for g, k := range keys {
-		out[g] = GroupStats{Key: k, Value: aggregate(fn, vals[start[g]:start[g+1]])}
-	}
-	for _, g := range ids {
-		out[g].Count++
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out, nil
-}
-
-// NumGroups returns the number of distinct groups induced by the columns.
-func (f *Frame) NumGroups(groupCols []string) (int, error) {
-	_, keys, err := f.groupIDs(groupCols)
-	return len(keys), err
 }

@@ -2,7 +2,6 @@ package dataframe
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -305,45 +304,6 @@ func TestGroupByTransformMultiKey(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("multikey[%d] = %v, want %v", i, got[i], want[i])
 		}
-	}
-}
-
-func TestGroupByAggregate(t *testing.T) {
-	f := mustFrame(t)
-	rows, err := f.GroupByAggregate([]string{"city"}, "claim", AggSum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("want 3 groups, got %d", len(rows))
-	}
-	total := 0.0
-	for _, g := range rows {
-		total += g.Value
-	}
-	if total != 2 {
-		t.Fatalf("sum of sums = %v, want 2", total)
-	}
-	// Sorted by key → deterministic.
-	if !sort.SliceIsSorted(rows, func(i, j int) bool { return rows[i].Key < rows[j].Key }) {
-		t.Fatal("groups not sorted")
-	}
-	// A categorical aggregate column is an error, as in GroupByTransform,
-	// not an index panic.
-	if _, err := f.GroupByAggregate([]string{"city"}, "city", AggSum); err == nil {
-		t.Fatal("categorical agg col should error")
-	}
-}
-
-func TestNumGroups(t *testing.T) {
-	f := mustFrame(t)
-	n, err := f.NumGroups([]string{"city"})
-	if err != nil || n != 3 {
-		t.Fatalf("NumGroups = %d, %v", n, err)
-	}
-	n, _ = f.NumGroups([]string{"city", "claim"})
-	if n != 3 { // SF+1, LA+0, SEA+0 → 3 combos in this data
-		t.Fatalf("multi NumGroups = %d", n)
 	}
 }
 

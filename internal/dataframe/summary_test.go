@@ -133,30 +133,6 @@ func mapGroupByTransform(f *dataframe.Frame, groupCols []string, aggCol string, 
 	return out
 }
 
-// mapGroupByAggregate is the map-based GroupByAggregate.
-func mapGroupByAggregate(f *dataframe.Frame, groupCols []string, aggCol string, fn dataframe.AggFunc) []dataframe.GroupStats {
-	cols := make([]*dataframe.Series, len(groupCols))
-	for j, n := range groupCols {
-		cols[j] = f.Column(n)
-	}
-	agg := f.Column(aggCol)
-	groups := make(map[string][]float64)
-	counts := make(map[string]int)
-	for i := 0; i < f.Len(); i++ {
-		k := mapKey(cols, i)
-		counts[k]++
-		if !agg.IsNull(i) {
-			groups[k] = append(groups[k], agg.Nums[i])
-		}
-	}
-	out := make([]dataframe.GroupStats, 0, len(counts))
-	for k, c := range counts {
-		out = append(out, dataframe.GroupStats{Key: k, Count: c, Value: aggregateRef(fn, groups[k])})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
 var aggFuncs = []dataframe.AggFunc{
 	dataframe.AggMean, dataframe.AggSum, dataframe.AggMax, dataframe.AggMin,
 	dataframe.AggCount, dataframe.AggStd, dataframe.AggMedian,
@@ -265,23 +241,6 @@ func checkGroupBy(t *testing.T, f *dataframe.Frame, group []string, agg string, 
 	want := mapGroupByTransform(f, group, agg, fn)
 	if i, ok := sameBits(got, want); !ok {
 		t.Fatalf("GroupByTransform(%v, %s, %s) row %d: %v, map reference %v", group, agg, fn, i, got[i], want[i])
-	}
-	rows, err := f.GroupByAggregate(group, agg, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRows := mapGroupByAggregate(f, group, agg, fn)
-	if len(rows) != len(wantRows) {
-		t.Fatalf("GroupByAggregate(%v, %s, %s): %d groups, map reference %d", group, agg, fn, len(rows), len(wantRows))
-	}
-	for i, r := range rows {
-		w := wantRows[i]
-		if r.Key != w.Key || r.Count != w.Count || math.Float64bits(r.Value) != math.Float64bits(w.Value) {
-			t.Fatalf("GroupByAggregate(%v, %s, %s) group %d: %+v, map reference %+v", group, agg, fn, i, r, w)
-		}
-	}
-	if n, err := f.NumGroups(group); err != nil || n != len(wantRows) {
-		t.Fatalf("NumGroups(%v) = %d, %v; map reference %d", group, n, err, len(wantRows))
 	}
 }
 

@@ -61,17 +61,6 @@ func (d *Dataset) Stats() (numCat, numNum, rows int) {
 	return numCat, numNum, d.Frame.Len()
 }
 
-// FeatureNames lists all non-target columns in frame order.
-func (d *Dataset) FeatureNames() []string {
-	var out []string
-	for _, n := range d.Frame.Names() {
-		if n != d.Target {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // WithoutDescriptions returns a copy whose data card carries only the raw
 // feature names — the §4.2 "impact of feature descriptions" ablation input.
 func (d *Dataset) WithoutDescriptions() *Dataset {

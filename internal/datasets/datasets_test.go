@@ -73,17 +73,17 @@ func TestAllDatasetsWellFormed(t *testing.T) {
 		if frac < 0.05 || frac > 0.95 {
 			t.Fatalf("%s: positive rate %.3f out of range", name, frac)
 		}
-		// Every feature has a data-card description.
-		for _, fn := range d.FeatureNames() {
-			if d.Descriptions[fn] == "" {
-				t.Fatalf("%s: missing description for %s", name, fn)
-			}
-		}
 		if d.TargetDescription == "" {
 			t.Fatalf("%s: missing target description", name)
 		}
-		// No feature is constant.
-		for _, fn := range d.FeatureNames() {
+		// Every feature has a data-card description, and none is constant.
+		for _, fn := range d.Frame.Names() {
+			if fn == d.Target {
+				continue
+			}
+			if d.Descriptions[fn] == "" {
+				t.Fatalf("%s: missing description for %s", name, fn)
+			}
 			if d.Frame.Column(fn).IsConstant() {
 				t.Fatalf("%s: constant feature %s", name, fn)
 			}

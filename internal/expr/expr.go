@@ -72,21 +72,6 @@ func (e *Expr) newEnv() *env {
 	return &env{vars: make([]float64, len(e.vars)), args: make([]float64, e.args)}
 }
 
-// Eval computes the expression for one variable binding. Missing variables
-// and invalid operations (÷0, log of non-positive, …) yield NaN, which the
-// dataframe layer treats as null.
-func (e *Expr) Eval(vars map[string]float64) float64 {
-	env := e.newEnv()
-	for s, name := range e.vars {
-		v, ok := vars[name]
-		if !ok {
-			v = math.NaN()
-		}
-		env.vars[s] = v
-	}
-	return e.root.eval(env)
-}
-
 // EvalRows evaluates the expression for each row of a column-oriented input:
 // cols maps variable name → column slice. All referenced columns must be
 // present and share a length. Rows where any referenced value is NaN produce

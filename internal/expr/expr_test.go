@@ -13,13 +13,28 @@ import (
 	"testing/quick"
 )
 
+// evalMap computes e for one variable binding through the slot evaluator.
+// Missing variables and invalid operations (÷0, log of non-positive, …)
+// yield NaN.
+func evalMap(e *Expr, vars map[string]float64) float64 {
+	env := e.newEnv()
+	for s, name := range e.vars {
+		v, ok := vars[name]
+		if !ok {
+			v = math.NaN()
+		}
+		env.vars[s] = v
+	}
+	return e.root.eval(env)
+}
+
 func evalConst(t *testing.T, src string) float64 {
 	t.Helper()
 	e, err := Compile(src)
 	if err != nil {
 		t.Fatalf("compile %q: %v", src, err)
 	}
-	return e.Eval(nil)
+	return evalMap(e, nil)
 }
 
 func TestArithmetic(t *testing.T) {
@@ -77,7 +92,7 @@ func TestUnaryMinusBinding(t *testing.T) {
 
 func TestVariables(t *testing.T) {
 	e := MustCompile("a + b * 2")
-	got := e.Eval(map[string]float64{"a": 1, "b": 3})
+	got := evalMap(e, map[string]float64{"a": 1, "b": 3})
 	if got != 7 {
 		t.Fatalf("got %v", got)
 	}
@@ -86,23 +101,23 @@ func TestVariables(t *testing.T) {
 		t.Fatalf("vars = %v", vars)
 	}
 	// Missing variable → NaN.
-	if !math.IsNaN(e.Eval(map[string]float64{"a": 1})) {
+	if !math.IsNaN(evalMap(e, map[string]float64{"a": 1})) {
 		t.Fatal("missing var should be NaN")
 	}
 }
 
 func TestDottedAndBacktickIdentifiers(t *testing.T) {
 	e := MustCompile("FSW.1 / FSP.1")
-	got := e.Eval(map[string]float64{"FSW.1": 10, "FSP.1": 4})
+	got := evalMap(e, map[string]float64{"FSW.1": 10, "FSP.1": 4})
 	if got != 2.5 {
 		t.Fatalf("got %v", got)
 	}
 	e = MustCompile("`Age of car` * 2")
-	if got := e.Eval(map[string]float64{"Age of car": 3}); got != 6 {
+	if got := evalMap(e, map[string]float64{"Age of car": 3}); got != 6 {
 		t.Fatalf("backtick ident: %v", got)
 	}
 	e = MustCompile("city=SF + 1")
-	if got := e.Eval(map[string]float64{"city=SF": 1}); got != 2 {
+	if got := evalMap(e, map[string]float64{"city=SF": 1}); got != 2 {
 		t.Fatalf("dummy ident: %v", got)
 	}
 }
@@ -191,7 +206,7 @@ func TestStringRoundTrip(t *testing.T) {
 			t.Fatalf("rendered form %q does not reparse: %v", e.String(), err)
 		}
 		vars := map[string]float64{"a": 2, "b": 3, "c": 4, "x": 5, "odd name": 6, "t": 7}
-		if g1, g2 := e.Eval(vars), re.Eval(vars); math.Abs(g1-g2) > 1e-12 {
+		if g1, g2 := evalMap(e, vars), evalMap(re, vars); math.Abs(g1-g2) > 1e-12 {
 			t.Fatalf("round trip changed value: %v vs %v", g1, g2)
 		}
 	}
@@ -232,10 +247,10 @@ func TestCommutativityProperty(t *testing.T) {
 		if math.IsNaN(a) || math.IsNaN(b) {
 			return true
 		}
-		v1 := add.Eval(map[string]float64{"a": a, "b": b})
-		v2 := add.Eval(map[string]float64{"a": b, "b": a})
-		m1 := mul.Eval(map[string]float64{"a": a, "b": b})
-		m2 := mul.Eval(map[string]float64{"a": b, "b": a})
+		v1 := evalMap(add, map[string]float64{"a": a, "b": b})
+		v2 := evalMap(add, map[string]float64{"a": b, "b": a})
+		m1 := evalMap(mul, map[string]float64{"a": a, "b": b})
+		m2 := evalMap(mul, map[string]float64{"a": b, "b": a})
 		return (v1 == v2 || (math.IsNaN(v1) && math.IsNaN(v2))) &&
 			(m1 == m2 || (math.IsNaN(m1) && math.IsNaN(m2)))
 	}
@@ -250,7 +265,7 @@ func TestDivisionInverseProperty(t *testing.T) {
 		if math.IsNaN(a) || math.IsNaN(b) || math.IsInf(a, 0) || math.IsInf(b, 0) || b == 0 {
 			return true
 		}
-		got := div.Eval(map[string]float64{"a": a, "b": b})
+		got := evalMap(div, map[string]float64{"a": a, "b": b})
 		if math.IsNaN(got) || math.IsInf(got, 0) {
 			return true // overflow regime; fine
 		}
@@ -497,7 +512,7 @@ func FuzzEvalRows(f *testing.F) {
 					src, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 			}
 		}
-		// Eval has no null short-circuit: a NaN input reaches the tree.
+		// evalMap has no null short-circuit: a NaN input reaches the tree.
 		// Leave the last variable unbound to check it reads as NaN.
 		for i := 0; i < rows; i++ {
 			binding := make(map[string]float64, len(vars))
@@ -506,9 +521,9 @@ func FuzzEvalRows(f *testing.F) {
 					binding[name] = cols[name][i]
 				}
 			}
-			g, w := e.Eval(binding), mapEval(e.root, binding)
+			g, w := evalMap(e, binding), mapEval(e.root, binding)
 			if math.Float64bits(g) != math.Float64bits(w) {
-				t.Fatalf("Eval(%q, %v) = %v, the map walk gives %v", src, binding, g, w)
+				t.Fatalf("evalMap(%q, %v) = %v, the map walk gives %v", src, binding, g, w)
 			}
 		}
 	})

@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
-	"time"
 )
 
 // SimulatedConfig configures the offline foundation-model stand-in.
@@ -24,12 +23,6 @@ type SimulatedConfig struct {
 	ErrorRate float64
 	// Pricing selects the cost/latency profile for usage accounting.
 	Pricing Pricing
-	// LatencyScale makes Complete actually sleep the simulated per-call
-	// latency, scaled by this factor (1 = the full published profile,
-	// 0 = no sleeping, just accounting — the default). The sleep happens
-	// outside the model's internal lock, so concurrent callers overlap the
-	// way real network calls would, and it aborts early on ctx cancellation.
-	LatencyScale float64
 }
 
 // Simulated answers SMARTFEAT's prompt templates from a semantic knowledge
@@ -82,24 +75,11 @@ func (s *Simulated) Complete(ctx context.Context, prompt string) (string, error)
 		return "", err
 	}
 	s.record(prompt, resp)
-	if s.cfg.LatencyScale > 0 {
-		d := s.cfg.Pricing.BaseLatency +
-			time.Duration(EstimateTokens(resp))*s.cfg.Pricing.PerTokenLatency
-		d = time.Duration(float64(d) * s.cfg.LatencyScale)
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-ctx.Done():
-			return "", ctx.Err()
-		case <-t.C:
-		}
-	}
 	return resp, nil
 }
 
-// answer computes the knowledge-base response under the rng lock (so the
-// sampling sequence is deterministic for a given call order), leaving any
-// latency simulation to the caller-side of the lock.
+// answer computes the knowledge-base response under the rng lock, so the
+// sampling sequence is deterministic for a given call order.
 func (s *Simulated) answer(prompt string) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

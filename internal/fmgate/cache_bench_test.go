@@ -125,7 +125,11 @@ func BenchmarkCompleteRowsWarm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	f := d.Frame.Head(4096)
+	rows := make([]int, 4096)
+	for i := range rows {
+		rows[i] = i
+	}
+	f := d.Frame.Take(rows)
 	g := New(fm.NewGPT35Sim(1, 0), Options{CacheSize: 1 << 13})
 	ctx := context.Background()
 	if _, err := core.CompleteRows(ctx, g, f, "Estimated_Subscription_Propensity", f.Len()); err != nil {

@@ -188,29 +188,3 @@ func TestRetryDeadlineBudgetCap(t *testing.T) {
 		t.Fatalf("abandoning retries took %s; should fail fast, not sleep toward the deadline", elapsed)
 	}
 }
-
-// TestRateLimitedHeader pins the HTTP edge of the shared Retry-After wire
-// format: a parseable header becomes a RateLimited hint the retry loop will
-// honor, anything else degrades to a plain transient error.
-func TestRateLimitedHeader(t *testing.T) {
-	base := errors.New("429 too many requests")
-	err := RateLimitedHeader(base, "3")
-	if !IsTransient(err) {
-		t.Fatal("want transient")
-	}
-	if hint, ok := RetryAfterHint(err); !ok || hint != 3*time.Second {
-		t.Fatalf("hint = %v ok=%v, want 3s", hint, ok)
-	}
-	if !errors.Is(err, base) {
-		t.Fatal("wrapped error lost its cause")
-	}
-	for _, header := range []string{"", "0", "garbage", "Wed, 21 Oct 2015 07:28:00 GMT"} {
-		err := RateLimitedHeader(base, header)
-		if !IsTransient(err) {
-			t.Fatalf("header %q: want transient fallback", header)
-		}
-		if _, ok := RetryAfterHint(err); ok {
-			t.Fatalf("header %q: unparseable header produced a hint", header)
-		}
-	}
-}

@@ -38,7 +38,6 @@ import (
 
 	"smartfeat/internal/fm"
 	"smartfeat/internal/obs"
-	"smartfeat/internal/retryafter"
 )
 
 // Options configures a Gateway. The zero value is a usable pass-through:
@@ -571,21 +570,6 @@ func RateLimited(err error, retryAfter time.Duration) error {
 		return nil
 	}
 	return errTransient{err: err, after: retryAfter}
-}
-
-// RateLimitedHeader wraps an error as transient with the back-off hint
-// parsed from a Retry-After header value (the wire format the serving
-// daemon emits and internal/retryafter defines). An absent or unparseable
-// header degrades to a plain Transient error: still retryable, just on the
-// gateway's own exponential schedule instead of the server's suggestion.
-// HTTP transports (smartfeatd clients, the future live FM edge) should map
-// 429 responses through this one helper so the wire format cannot drift
-// from the emission side.
-func RateLimitedHeader(err error, header string) error {
-	if after, ok := retryafter.Parse(header); ok {
-		return RateLimited(err, after)
-	}
-	return Transient(err)
 }
 
 // IsTransient reports whether err is marked retryable.

@@ -692,8 +692,31 @@ func TestReplayMissFails(t *testing.T) {
 	}
 }
 
-// TestConcurrentRowLevelSpeedup is the gateway's headline number: with the
-// simulated model's latency enabled, the row-level loop fanned out at
+// sleepyModel answers through its inner model, then waits d before
+// returning, the way a network call would; the wait ends early when ctx is
+// cancelled.
+type sleepyModel struct {
+	fm.Model
+	d time.Duration
+}
+
+func (m sleepyModel) Complete(ctx context.Context, prompt string) (string, error) {
+	resp, err := m.Model.Complete(ctx, prompt)
+	if err != nil {
+		return "", err
+	}
+	t := time.NewTimer(m.d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return "", ctx.Err()
+	case <-t.C:
+		return resp, nil
+	}
+}
+
+// TestConcurrentRowLevelSpeedup is the gateway's headline number: with an
+// 8 ms wait on every simulated call, the row-level loop fanned out at
 // concurrency 8 must be at least 4× faster wall-clock than the sequential
 // path (the ideal is 8×; 4× leaves headroom for scheduler noise).
 func TestConcurrentRowLevelSpeedup(t *testing.T) {
@@ -708,21 +731,22 @@ func TestConcurrentRowLevelSpeedup(t *testing.T) {
 		idx[i] = i % f.Len()
 	}
 	big := f.Take(idx)
-	latency := fm.SimulatedConfig{
-		ModelName:    "latency-sim",
-		Pricing:      fm.Pricing{BaseLatency: 8 * time.Millisecond, PromptPer1k: 0.001, CompletionPer1k: 0.001},
-		LatencyScale: 1,
+	latency := func() fm.Model {
+		return sleepyModel{fm.NewSimulated(fm.SimulatedConfig{
+			ModelName: "latency-sim",
+			Pricing:   fm.Pricing{BaseLatency: 8 * time.Millisecond, PromptPer1k: 0.001, CompletionPer1k: 0.001},
+		}), 8 * time.Millisecond}
 	}
 	ctx := context.Background()
 
 	seqStart := time.Now()
-	seqVals, err := core.CompleteRows(ctx, fm.NewSimulated(latency), big, "Density", big.Len())
+	seqVals, err := core.CompleteRows(ctx, latency(), big, "Density", big.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sequential := time.Since(seqStart)
 
-	gw := New(fm.NewSimulated(latency), Options{Concurrency: 8, Cacheable: func(string) bool { return false }})
+	gw := New(latency(), Options{Concurrency: 8, Cacheable: func(string) bool { return false }})
 	conStart := time.Now()
 	conVals, err := core.CompleteRows(ctx, gw, big, "Density", big.Len())
 	if err != nil {

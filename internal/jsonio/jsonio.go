@@ -33,6 +33,10 @@ func DecodeStrict(r io.Reader, v any) error {
 // via a temp file + rename, so readers only ever observe the old or the new
 // complete contents. Each call writes its own uniquely named temp file, so
 // concurrent writers of one path never rename each other's temp away.
+//
+// The guarantee covers a crash of the writing process only. Neither the temp
+// file nor its directory is fsynced, so after an OS crash or power loss the
+// rename may be lost, or path may name a file whose data never reached disk.
 func WriteAtomic(path string, v any) error {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {

@@ -66,27 +66,6 @@ func AUC(labels []int, scores []float64) (float64, error) {
 	return u / (float64(pos) * float64(neg)), nil
 }
 
-// Accuracy computes the fraction of correct 0.5-thresholded predictions.
-func Accuracy(labels []int, scores []float64) (float64, error) {
-	if len(labels) != len(scores) {
-		return 0, fmt.Errorf("metrics: %d labels vs %d scores", len(labels), len(scores))
-	}
-	if len(labels) == 0 {
-		return 0, fmt.Errorf("metrics: empty input")
-	}
-	correct := 0
-	for i, l := range labels {
-		pred := 0
-		if scores[i] >= 0.5 {
-			pred = 1
-		}
-		if pred == l {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(labels)), nil
-}
-
 // TrainTestSplit returns shuffled row indices for a (1-testFrac)/testFrac
 // split, seeded for reproducibility (the paper uses 75/25).
 func TrainTestSplit(n int, testFrac float64, seed int64) (train, test []int) {
@@ -104,40 +83,6 @@ func TrainTestSplit(n int, testFrac float64, seed int64) (train, test []int) {
 	sort.Ints(train)
 	sort.Ints(test)
 	return train, test
-}
-
-// StratifiedKFold partitions rows into k folds preserving the class balance;
-// fold i is the i-th test set. Panics-free: returns an error when k exceeds
-// the size of either class.
-func StratifiedKFold(labels []int, k int, seed int64) ([][]int, error) {
-	if k < 2 {
-		return nil, fmt.Errorf("metrics: k must be ≥ 2, got %d", k)
-	}
-	var pos, neg []int
-	for i, l := range labels {
-		if l == 1 {
-			pos = append(pos, i)
-		} else {
-			neg = append(neg, i)
-		}
-	}
-	if len(pos) < k || len(neg) < k {
-		return nil, fmt.Errorf("metrics: class too small for %d folds (pos=%d neg=%d)", k, len(pos), len(neg))
-	}
-	rng := rand.New(rand.NewSource(seed))
-	rng.Shuffle(len(pos), func(i, j int) { pos[i], pos[j] = pos[j], pos[i] })
-	rng.Shuffle(len(neg), func(i, j int) { neg[i], neg[j] = neg[j], neg[i] })
-	folds := make([][]int, k)
-	for i, idx := range pos {
-		folds[i%k] = append(folds[i%k], idx)
-	}
-	for i, idx := range neg {
-		folds[i%k] = append(folds[i%k], idx)
-	}
-	for _, f := range folds {
-		sort.Ints(f)
-	}
-	return folds, nil
 }
 
 // TakeLabels gathers y at the given row indices — the label-side companion

@@ -131,22 +131,6 @@ func TestAUCComplementSymmetry(t *testing.T) {
 	}
 }
 
-func TestAccuracy(t *testing.T) {
-	acc, err := Accuracy([]int{1, 0, 1, 0}, []float64{0.9, 0.1, 0.4, 0.6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc != 0.5 {
-		t.Fatalf("acc = %v", acc)
-	}
-	if _, err := Accuracy(nil, nil); err == nil {
-		t.Fatal("empty should error")
-	}
-	if _, err := Accuracy([]int{1}, []float64{0.1, 0.2}); err == nil {
-		t.Fatal("mismatch should error")
-	}
-}
-
 func TestTrainTestSplit(t *testing.T) {
 	train, test := TrainTestSplit(100, 0.25, 42)
 	if len(test) != 25 || len(train) != 75 {
@@ -186,47 +170,6 @@ func TestTrainTestSplitEdge(t *testing.T) {
 		t.Fatal("train must keep at least one row")
 	}
 	_ = test
-}
-
-func TestStratifiedKFold(t *testing.T) {
-	labels := make([]int, 100)
-	for i := 30; i < 100; i++ {
-		labels[i] = 1
-	}
-	folds, err := StratifiedKFold(labels, 5, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(folds) != 5 {
-		t.Fatal("wrong fold count")
-	}
-	seen := make(map[int]bool)
-	for _, fold := range folds {
-		pos := 0
-		for _, i := range fold {
-			if seen[i] {
-				t.Fatal("row in two folds")
-			}
-			seen[i] = true
-			pos += labels[i]
-		}
-		// 70 positives over 5 folds → 14 per fold.
-		if pos != 14 {
-			t.Fatalf("fold stratification off: %d positives", pos)
-		}
-	}
-	if len(seen) != 100 {
-		t.Fatal("folds must cover all rows")
-	}
-}
-
-func TestStratifiedKFoldErrors(t *testing.T) {
-	if _, err := StratifiedKFold([]int{1, 0}, 1, 1); err == nil {
-		t.Fatal("k<2 should error")
-	}
-	if _, err := StratifiedKFold([]int{1, 1, 1, 0}, 3, 1); err == nil {
-		t.Fatal("class smaller than k should error")
-	}
 }
 
 func TestMeanMedian(t *testing.T) {

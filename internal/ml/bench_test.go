@@ -11,11 +11,7 @@ import (
 func benchMatrix(b *testing.B, n, d int) (*Matrix, []int) {
 	b.Helper()
 	X, y := synthLinear(n, d, 99)
-	m, err := MatrixFromRows(X)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return m, y
+	return mustMatrix(b, X), y
 }
 
 func BenchmarkTreeFit(b *testing.B) {

@@ -111,7 +111,7 @@ func TestHistogramConstantColumns(t *testing.T) {
 	}
 	hist, exact := fitKernelPair(t, TreeConfig{MaxDepth: 8, HistMinNode: 2}, X, y)
 	assertTreesIdentical(t, hist, exact)
-	if hist.NodeCount() < 3 {
+	if len(hist.nodes) < 3 {
 		t.Fatal("tree should still split on the non-constant columns")
 	}
 
@@ -129,8 +129,8 @@ func TestHistogramConstantColumns(t *testing.T) {
 	if err := leaf.Fit(C, yc); err != nil {
 		t.Fatal(err)
 	}
-	if leaf.NodeCount() != 1 {
-		t.Fatalf("all-constant data should yield a single leaf, got %d nodes", leaf.NodeCount())
+	if len(leaf.nodes) != 1 {
+		t.Fatalf("all-constant data should yield a single leaf, got %d nodes", len(leaf.nodes))
 	}
 }
 

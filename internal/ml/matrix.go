@@ -1,10 +1,5 @@
 package ml
 
-import (
-	"fmt"
-	"math"
-)
-
 // Matrix is a dense feature matrix stored as one flat column-major
 // []float64: column j occupies data[j*rows : (j+1)*rows]. Column-major
 // layout is the compute-friendly orientation for every model in this
@@ -19,25 +14,6 @@ type Matrix struct {
 // NewMatrix allocates a zeroed rows×cols matrix.
 func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
-}
-
-// MatrixFromRows converts a row-major [][]float64 (the classic sklearn-style
-// shape) into a columnar Matrix. Rows must be rectangular.
-func MatrixFromRows(X [][]float64) (*Matrix, error) {
-	if len(X) == 0 {
-		return nil, fmt.Errorf("ml: empty matrix")
-	}
-	d := len(X[0])
-	m := NewMatrix(len(X), d)
-	for i, row := range X {
-		if len(row) != d {
-			return nil, fmt.Errorf("ml: ragged matrix at row %d", i)
-		}
-		for j, v := range row {
-			m.data[j*m.rows+i] = v
-		}
-	}
-	return m, nil
 }
 
 // Rows returns the number of rows.
@@ -112,28 +88,4 @@ func (m *Matrix) SelectCols(cols []int) *Matrix {
 		copy(out.Col(k), m.Col(j))
 	}
 	return out
-}
-
-// ToRows materializes the row-major [][]float64 view (for interop and tests).
-func (m *Matrix) ToRows() [][]float64 {
-	out := make([][]float64, m.rows)
-	flat := make([]float64, m.rows*m.cols)
-	for i := range out {
-		row := flat[i*m.cols : (i+1)*m.cols]
-		for j := 0; j < m.cols; j++ {
-			row[j] = m.data[j*m.rows+i]
-		}
-		out[i] = row
-	}
-	return out
-}
-
-// HasNaN reports whether any element is NaN.
-func (m *Matrix) HasNaN() bool {
-	for _, v := range m.data {
-		if math.IsNaN(v) {
-			return true
-		}
-	}
-	return false
 }

@@ -47,14 +47,41 @@ func synthXOR(n int, seed int64) ([][]float64, []int) {
 	return X, y
 }
 
-// mustMatrix converts a row-major test fixture into the columnar Matrix.
+// mustMatrix converts a rectangular row-major test fixture into the
+// columnar Matrix.
 func mustMatrix(t testing.TB, X [][]float64) *Matrix {
 	t.Helper()
-	m, err := MatrixFromRows(X)
-	if err != nil {
-		t.Fatal(err)
+	if len(X) == 0 {
+		t.Fatal("empty matrix")
+	}
+	m := NewMatrix(len(X), len(X[0]))
+	for i, row := range X {
+		if len(row) != m.cols {
+			t.Fatalf("ragged matrix at row %d", i)
+		}
+		for j, v := range row {
+			m.Set(i, j, v)
+		}
 	}
 	return m
+}
+
+// sameRows reports whether m holds exactly the rows of want.
+func sameRows(m *Matrix, want [][]float64) bool {
+	if m.Rows() != len(want) {
+		return false
+	}
+	for i, row := range want {
+		if len(row) != m.Cols() {
+			return false
+		}
+		for j, v := range row {
+			if m.At(i, j) != v {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func fitAUC(t *testing.T, c Classifier, X [][]float64, y []int) float64 {
@@ -97,19 +124,8 @@ func TestMatrixRoundTrip(t *testing.T) {
 	if got := m.Row(1, nil); got[0] != 4 || got[2] != 6 {
 		t.Fatalf("Row(1) = %v", got)
 	}
-	back := m.ToRows()
-	for i := range rows {
-		for j := range rows[i] {
-			if back[i][j] != rows[i][j] {
-				t.Fatalf("round trip mismatch at %d,%d", i, j)
-			}
-		}
-	}
-	if _, err := MatrixFromRows([][]float64{{1}, {2, 3}}); err == nil {
-		t.Fatal("ragged should error")
-	}
-	if _, err := MatrixFromRows(nil); err == nil {
-		t.Fatal("empty should error")
+	if !sameRows(m, rows) {
+		t.Fatal("round trip mismatch")
 	}
 }
 
@@ -117,17 +133,12 @@ func TestMatrixTakeRowsSelectCols(t *testing.T) {
 	m := mustMatrix(t, [][]float64{{1, 2}, {3, 4}, {5, 6}})
 	sub := m.TakeRows([]int{2, 0, 2})
 	want := [][]float64{{5, 6}, {1, 2}, {5, 6}}
-	got := sub.ToRows()
-	for i := range want {
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				t.Fatalf("TakeRows mismatch: %v", got)
-			}
-		}
+	if !sameRows(sub, want) {
+		t.Fatalf("TakeRows mismatch: %v", sub.data)
 	}
 	cols := m.SelectCols([]int{1})
 	if cols.Cols() != 1 || cols.At(2, 0) != 6 {
-		t.Fatalf("SelectCols wrong: %v", cols.ToRows())
+		t.Fatalf("SelectCols wrong: %v", cols.data)
 	}
 	// Mutating a clone must not touch the original.
 	cl := m.Clone()
@@ -168,7 +179,7 @@ func TestTreeLearnsXOR(t *testing.T) {
 	if auc < 0.9 {
 		t.Fatalf("tree AUC on XOR = %.3f, want ≥ 0.9", auc)
 	}
-	if tree.NodeCount() < 3 {
+	if len(tree.nodes) < 3 {
 		t.Fatal("tree did not split")
 	}
 }
@@ -364,15 +375,6 @@ func TestPipelineHandlesNaNs(t *testing.T) {
 		if math.IsNaN(s) {
 			t.Fatal("pipeline output should never be NaN")
 		}
-	}
-}
-
-func TestMatrixHasNaN(t *testing.T) {
-	if mustMatrix(t, [][]float64{{1, 2}}).HasNaN() {
-		t.Fatal("no NaN present")
-	}
-	if !mustMatrix(t, [][]float64{{1, math.NaN()}}).HasNaN() {
-		t.Fatal("NaN not detected")
 	}
 }
 

@@ -47,8 +47,8 @@ func assertForestsIdentical(t *testing.T, a, b *Forest, X *Matrix) {
 	}
 	for ti := range a.trees {
 		ta, tb := a.trees[ti], b.trees[ti]
-		if ta.NodeCount() != tb.NodeCount() {
-			t.Fatalf("tree %d: node counts differ: %d vs %d", ti, ta.NodeCount(), tb.NodeCount())
+		if len(ta.nodes) != len(tb.nodes) {
+			t.Fatalf("tree %d: node counts differ: %d vs %d", ti, len(ta.nodes), len(tb.nodes))
 		}
 		for ni := range ta.nodes {
 			na, nb := ta.nodes[ni], tb.nodes[ni]

@@ -375,6 +375,3 @@ func (t *Tree) Importances() []float64 {
 	}
 	return out
 }
-
-// NodeCount reports the number of tree nodes (for tests and diagnostics).
-func (t *Tree) NodeCount() int { return len(t.nodes) }

@@ -8,8 +8,11 @@
 // into a Registry under a metric name + label set. Several instruments may
 // register under the same series — e.g. one fmgate.Gateway per grid cell,
 // all labeled role="generator" — and the registry sums them at scrape time.
-// Instruments are never unregistered; contributors are cheap (one pointer)
-// and the lifetime of every current caller is the process.
+// Instruments are never unregistered, so the registry grows with every
+// component that registers: in smartfeatd each served cell builds fresh
+// gateways and pools, so contributors (one pointer each, and their
+// instruments) accumulate linearly with jobs served for the life of the
+// daemon. Bounding that is ROADMAP's "Bounded telemetry state" item.
 package obs
 
 import (

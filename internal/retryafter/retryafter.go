@@ -1,15 +1,12 @@
 // Package retryafter is the single source of truth for the Retry-After
 // back-pressure wire format: whole seconds, rounded up, never zero.
 //
-// Three layers speak it and must never drift:
+// Two layers speak it and must never drift:
 //
 //   - the serving daemon *emits* it on 429 responses (header + the
 //     retry_after JSON hint in the body);
 //   - the load simulator (and any other HTTP client of smartfeatd)
-//     *parses* it to honor the server-suggested backoff;
-//   - the FM gateway maps upstream rate-limit responses onto
-//     fmgate.RateLimited hints through the same parser
-//     (fmgate.RateLimitedHeader).
+//     *parses* it to honor the server-suggested backoff.
 //
 // Keeping the round-trip in one package means a duration that survives
 // emission and parsing can lose at most the sub-second remainder the wire

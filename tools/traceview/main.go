@@ -24,9 +24,10 @@
 //
 // The converter is also the trace validator: any malformed line — bad JSON,
 // a missing header, a non-positive id, a duplicate id, a negative timestamp
-// or duration — fails the conversion with a line-numbered error and exit
-// status 1, in -merge mode naming the offending file. CI runs it over every
-// traced grid for exactly this reason.
+// or duration, a span that is its own ancestor — fails the conversion with a
+// line-numbered error and exit status 1, in -merge mode naming the offending
+// file. A parent that never appears is accepted: an interrupted run leaves
+// one. CI runs it over every traced grid for exactly this reason.
 package main
 
 import (
@@ -134,7 +135,7 @@ func parse(in io.Reader, name string) (header, []span, error) {
 	}
 
 	var spans []span
-	seen := make(map[int64]bool)
+	line := make(map[int64]int) // span id → its line
 	for lineNo := 2; sc.Scan(); lineNo++ {
 		if len(sc.Bytes()) == 0 {
 			continue
@@ -153,16 +154,45 @@ func parse(in io.Reader, name string) (header, []span, error) {
 		case s.TsUS < 0 || s.DurUS < 0:
 			return hdr, nil, fmt.Errorf("%s:%d: span %d has negative time (ts=%d dur=%d)", name, lineNo, s.ID, s.TsUS, s.DurUS)
 		}
-		if seen[s.ID] {
+		if line[s.ID] != 0 {
 			return hdr, nil, fmt.Errorf("%s:%d: duplicate span id %d", name, lineNo, s.ID)
 		}
-		seen[s.ID] = true
+		line[s.ID] = lineNo
 		spans = append(spans, s)
 	}
 	if err := sc.Err(); err != nil {
 		return hdr, nil, fmt.Errorf("%s: %v", name, err)
 	}
+	if id, ok := parentCycle(spans); ok {
+		return hdr, nil, fmt.Errorf("%s:%d: span %d is its own ancestor (parent cycle)", name, line[id], id)
+	}
 	return hdr, spans, nil
+}
+
+// parentCycle reports a span on a parent cycle, if there is one: the root
+// walk in buildEvents would never end on it. Each span is walked once.
+func parentCycle(spans []span) (int64, bool) {
+	parent := make(map[int64]int64, len(spans))
+	for _, s := range spans {
+		parent[s.ID] = s.Parent
+	}
+	const onWalk, reachesRoot = 1, 2
+	state := make(map[int64]int8, len(spans))
+	var walk []int64
+	for _, s := range spans {
+		walk = walk[:0]
+		for id := s.ID; id != 0 && state[id] != reachesRoot; id = parent[id] {
+			if state[id] == onWalk {
+				return id, true
+			}
+			state[id] = onWalk
+			walk = append(walk, id)
+		}
+		for _, id := range walk {
+			state[id] = reachesRoot
+		}
+	}
+	return 0, false
 }
 
 // buildEvents turns one file's spans into Chrome events on the given pid

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func writeTrace(t *testing.T, dir, name, content string) string {
@@ -107,4 +108,75 @@ func TestMergeRejectsUnparseableStarted(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "nostamp.jsonl:1") {
 		t.Fatalf("err = %v, want a line-1 error about the unparseable started stamp", err)
 	}
+}
+
+// Span lines whose parents loop: the root walk in buildEvents would never
+// end on them.
+const (
+	hdrLine    = "{\"trace\":\"v1\",\"program\":\"x\",\"started\":\"2026-08-07T10:00:00Z\"}\n"
+	selfParent = hdrLine + "{\"id\":1,\"parent\":1,\"name\":\"a\",\"ts_us\":0,\"dur_us\":1}\n"
+	twoCycle   = hdrLine + "{\"id\":3,\"parent\":0,\"name\":\"ok\",\"ts_us\":0,\"dur_us\":1}\n" +
+		"{\"id\":1,\"parent\":2,\"name\":\"a\",\"ts_us\":0,\"dur_us\":1}\n" +
+		"{\"id\":2,\"parent\":1,\"name\":\"b\",\"ts_us\":0,\"dur_us\":1}\n"
+	dangling = hdrLine + "{\"id\":2,\"parent\":7,\"name\":\"orphan\",\"ts_us\":0,\"dur_us\":1}\n"
+)
+
+func TestParseRejectsParentCycles(t *testing.T) {
+	for _, tc := range []struct {
+		name, trace, want string
+	}{
+		{"self", selfParent, "x.jsonl:2: span 1 is its own ancestor"},
+		{"two", twoCycle, "x.jsonl:3: span 1 is its own ancestor"},
+	} {
+		_, _, err := parse(strings.NewReader(tc.trace), "x.jsonl")
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestParseAcceptsDanglingParent pins what an interrupted run leaves: a
+// span whose parent never ended is kept, on the lane of its last recorded
+// ancestor.
+func TestParseAcceptsDanglingParent(t *testing.T) {
+	out, err := convert(strings.NewReader(dangling), "x.jsonl")
+	if err != nil {
+		t.Fatalf("dangling parent rejected: %v", err)
+	}
+	if len(out.TraceEvents) != 1 || out.TraceEvents[0].Tid != 7 {
+		t.Fatalf("events = %+v, want one on track 7", out.TraceEvents)
+	}
+}
+
+// FuzzParse feeds arbitrary text to the trace validator. parse and
+// buildEvents must return, and a trace parse accepts must yield one event
+// per span.
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{traceA, traceB, selfParent, twoCycle, dangling, hdrLine, ""} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		var (
+			spans  []span
+			events []event
+			err    error
+		)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if _, spans, err = parse(strings.NewReader(in), "fuzz"); err == nil {
+				events = buildEvents(spans, 1, 0)
+			}
+		}()
+		timer := time.NewTimer(5 * time.Second)
+		defer timer.Stop()
+		select {
+		case <-done:
+		case <-timer.C:
+			t.Fatalf("parse and buildEvents still running after 5s on %q", in)
+		}
+		if err == nil && len(events) != len(spans) {
+			t.Fatalf("%d spans gave %d events", len(spans), len(events))
+		}
+	})
 }
