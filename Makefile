@@ -3,7 +3,7 @@ PKGS := ./...
 # Kernel-level microbenchmarks (tree/forest/linear/MLP fits, MLP predict, ColMatrix,
 # group-by, the per-prompt agenda render, and feature realization: expression
 # evaluation, distinct counts, group-by transforms).
-KERNEL_BENCH := BenchmarkTreeFit|BenchmarkForestFit|BenchmarkExtraTreesFit|BenchmarkHistogramSplit|BenchmarkLogisticFit|BenchmarkMLPFit|BenchmarkMLPPredict|BenchmarkMatrixTakeRows|BenchmarkColMatrix|BenchmarkRowMajorMatrix|BenchmarkDropNANoNulls|BenchmarkSeriesStd|BenchmarkGroupKeys|BenchmarkAgendaRender|BenchmarkEvalRows|BenchmarkCardinality|BenchmarkGroupByTransform
+KERNEL_BENCH := BenchmarkTreeFit|BenchmarkForestFit|BenchmarkExtraTreesFit|BenchmarkHistogramSplit|BenchmarkLogisticFit|BenchmarkMLPFit|BenchmarkMLPPredict|BenchmarkMatrixTakeRows|BenchmarkColMatrix|BenchmarkDropNANoNulls|BenchmarkSeriesStd|BenchmarkGroupKeys|BenchmarkAgendaRender|BenchmarkEvalRows|BenchmarkCardinality|BenchmarkGroupByTransform
 KERNEL_PKGS := ./internal/ml ./internal/dataframe ./internal/core ./internal/expr
 # The row-level path's benches (one Bank row serialized; a warm pass of
 # cached rows) run in the kernel and grid sweeps at GOMAXPROCS 1 and 2, so a

@@ -120,10 +120,14 @@ func BenchmarkTable7OperatorAblation(b *testing.B) {
 // the largest size.
 func BenchmarkFigure1InteractionCost(b *testing.B) {
 	cfg := benchConfig()
-	sel := grid.Selection{Figure: 1, Figure1Sizes: []int{100, 2000}}
+	sizes := []int{100, 2000}
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		points, ok := runSelection(b, sel, nil, cfg).Figure1(sel.Figure1Sizes)
+		res, err := (&grid.Runner{Config: cfg}).Run(context.Background(), grid.Figure1Plan(sizes))
+		if err != nil {
+			b.Fatal(err)
+		}
+		points, ok := res.Figure1(sizes)
 		if !ok {
 			b.Fatal("figure 1 incomplete")
 		}

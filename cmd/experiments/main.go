@@ -106,7 +106,7 @@
 // are swept from the kept runs. Shard directories (FM recordings used as
 // completion caches) get the cache sweep instead: with -gc-cache-mb their
 // stale live-* cache shards are evicted oldest-first until under the byte
-// cap, and orphaned cache-index.json snapshots are removed.
+// cap.
 package main
 
 import (

@@ -76,7 +76,7 @@ func freshRender(f *dataframe.Frame, a *Agenda) string {
 			Cardinality: col.Cardinality(),
 		}
 		if info.Numeric {
-			info.Min, info.Max = col.Min(), col.Max()
+			info.Min, info.Max = col.Bounds()
 		} else {
 			info.Levels = col.Levels()
 		}

@@ -30,8 +30,8 @@ func valueStringFmt(s *dataframe.Series, i int) string {
 
 func serializeRowFmt(f *dataframe.Frame, i int) string {
 	parts := make([]string, 0, f.Width())
-	for j := 0; j < f.Width(); j++ {
-		c := f.At(j)
+	for _, name := range f.Names() {
+		c := f.Column(name)
 		parts = append(parts, fmt.Sprintf("%s: %s", c.Name, valueStringFmt(c, i)))
 	}
 	return strings.Join(parts, ", ")
@@ -52,8 +52,8 @@ func rowPromptFmt(feature, serializedRow string) string {
 func checkRowRenderings(t *testing.T, f *dataframe.Frame, features []string) {
 	t.Helper()
 	for i := 0; i < f.Len(); i++ {
-		for j := 0; j < f.Width(); j++ {
-			c := f.At(j)
+		for _, name := range f.Names() {
+			c := f.Column(name)
 			if got, want := c.ValueString(i), valueStringFmt(c, i); got != want {
 				t.Fatalf("ValueString(%d) of %q = %q, want %q", i, c.Name, got, want)
 			}

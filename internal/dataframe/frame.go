@@ -50,9 +50,6 @@ func (f *Frame) Column(name string) *Series {
 	return nil
 }
 
-// At returns the i-th column.
-func (f *Frame) At(i int) *Series { return f.cols[i] }
-
 // Add appends a column; the name must be unique and the length must match.
 func (f *Frame) Add(s *Series) error {
 	if s == nil {
@@ -160,35 +157,6 @@ func (f *Frame) reindex() {
 	for i, c := range f.cols {
 		f.index[c.Name] = i
 	}
-}
-
-// Matrix extracts the named numeric columns as a row-major [][]float64,
-// suitable for the ML package. Nulls become NaN; callers impute as needed.
-func (f *Frame) Matrix(names []string) ([][]float64, error) {
-	cols := make([]*Series, len(names))
-	for j, n := range names {
-		c := f.Column(n)
-		if c == nil {
-			return nil, fmt.Errorf("dataframe: no column %q", n)
-		}
-		if c.Kind != Numeric {
-			return nil, fmt.Errorf("dataframe: column %q is not numeric", n)
-		}
-		cols[j] = c
-	}
-	out := make([][]float64, f.Len())
-	for i := range out {
-		row := make([]float64, len(names))
-		for j, c := range cols {
-			if c.IsNull(i) {
-				row[j] = math.NaN()
-			} else {
-				row[j] = c.Nums[i]
-			}
-		}
-		out[i] = row
-	}
-	return out, nil
 }
 
 // IntLabels extracts a numeric column as int class labels (values are

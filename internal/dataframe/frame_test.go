@@ -2,6 +2,7 @@ package dataframe
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -102,17 +103,17 @@ func TestDropNA(t *testing.T) {
 
 func TestMatrixAndLabels(t *testing.T) {
 	f := mustFrame(t)
-	m, err := f.Matrix([]string{"age", "claim"})
+	m, err := f.ColMatrix([]string{"age", "claim"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m) != 6 || m[0][0] != 21 || m[0][1] != 1 {
+	if m.Rows() != 6 || m.At(0, 0) != 21 || m.At(0, 1) != 1 {
 		t.Fatal("matrix values wrong")
 	}
-	if _, err := f.Matrix([]string{"city"}); err == nil {
+	if _, err := f.ColMatrix([]string{"city"}); err == nil {
 		t.Fatal("categorical matrix should error")
 	}
-	if _, err := f.Matrix([]string{"missing"}); err == nil {
+	if _, err := f.ColMatrix([]string{"missing"}); err == nil {
 		t.Fatal("missing column should error")
 	}
 	y, err := f.IntLabels("claim")
@@ -135,7 +136,7 @@ func TestSeriesStats(t *testing.T) {
 	if got := s.Std(); math.Abs(got-2) > 1e-12 {
 		t.Fatalf("std = %v", got)
 	}
-	if s.Min() != 2 || s.Max() != 9 {
+	if lo, hi := s.Bounds(); lo != 2 || hi != 9 {
 		t.Fatal("min/max wrong")
 	}
 	if got := s.Quantile(0.5); math.Abs(got-4.5) > 1e-12 {
@@ -277,9 +278,39 @@ func TestQuantileProperty(t *testing.T) {
 			a, b = b, a
 		}
 		qa, qb := s.Quantile(a), s.Quantile(b)
-		return qa <= qb && qa >= s.Min() && qb <= s.Max()
+		lo, hi := s.Bounds()
+		return qa <= qb && qa >= lo && qb <= hi
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Quantile returns the q-th quantile (0 ≤ q ≤ 1) of non-null values using
+// linear interpolation, matching numpy's default.
+func (s *Series) Quantile(q float64) float64 {
+	vals := make([]float64, 0, s.Len())
+	for i, v := range s.Nums {
+		if !s.IsNull(i) {
+			vals = append(vals, v)
+		}
+	}
+	if len(vals) == 0 {
+		return math.NaN()
+	}
+	sort.Float64s(vals)
+	if q <= 0 {
+		return vals[0]
+	}
+	if q >= 1 {
+		return vals[len(vals)-1]
+	}
+	pos := q * float64(len(vals)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	if lo == hi {
+		return vals[lo]
+	}
+	frac := pos - float64(lo)
+	return vals[lo]*(1-frac) + vals[hi]*frac
 }

@@ -31,14 +31,8 @@ func ValidAgg(fn AggFunc) bool {
 	return false
 }
 
-// aggregate reduces a slice of non-null values.
+// aggregate reduces a non-empty slice of non-null values.
 func aggregate(fn AggFunc, vals []float64) float64 {
-	if len(vals) == 0 {
-		if fn == AggCount {
-			return 0
-		}
-		return math.NaN()
-	}
 	switch fn {
 	case AggMean:
 		s := 0.0

@@ -28,15 +28,16 @@ func TestColMatrixMatchesRowMajor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowMajor, err := f.Matrix(names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Rows() != len(rowMajor) || m.Cols() != len(names) {
+	if m.Rows() != f.Len() || m.Cols() != len(names) {
 		t.Fatalf("shape %d×%d", m.Rows(), m.Cols())
 	}
-	for i, row := range rowMajor {
-		for j, want := range row {
+	for j, name := range names {
+		col := f.Column(name)
+		for i := 0; i < f.Len(); i++ {
+			want := col.Nums[i]
+			if col.IsNull(i) {
+				want = math.NaN()
+			}
 			got := m.At(i, j)
 			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
 				t.Fatalf("cell %d,%d = %v, want %v", i, j, got, want)
@@ -113,22 +114,19 @@ func TestNumStatsSinglePass(t *testing.T) {
 	if got := s.Mean(); got != 2 {
 		t.Fatalf("mean = %v", got)
 	}
-	if got := s.Min(); got != 1 {
-		t.Fatalf("min = %v", got)
-	}
-	if got := s.Max(); got != 3 {
-		t.Fatalf("max = %v", got)
+	if lo, hi := s.Bounds(); lo != 1 || hi != 3 {
+		t.Fatalf("bounds = %v, %v", lo, hi)
 	}
 	want := math.Sqrt(((3-2.0)*(3-2.0) + (1-2.0)*(1-2.0)) / 3)
 	if got := s.Std(); math.Abs(got-want) > 1e-15 {
 		t.Fatalf("std = %v, want %v", got, want)
 	}
 	empty := NewNumeric("e", nil)
-	if !math.IsNaN(empty.Mean()) || !math.IsNaN(empty.Std()) || !math.IsNaN(empty.Min()) || !math.IsNaN(empty.Max()) {
+	if lo, hi := empty.Bounds(); !math.IsNaN(empty.Mean()) || !math.IsNaN(empty.Std()) || !math.IsNaN(lo) || !math.IsNaN(hi) {
 		t.Fatal("empty stats should be NaN")
 	}
 	cat := NewCategorical("c", []string{"a"})
-	if !math.IsNaN(cat.Mean()) || !math.IsNaN(cat.Min()) {
+	if lo, _ := cat.Bounds(); !math.IsNaN(cat.Mean()) || !math.IsNaN(lo) {
 		t.Fatal("categorical stats should be NaN")
 	}
 }
@@ -168,28 +166,6 @@ func BenchmarkColMatrix(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := f.ColMatrix(names); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRowMajorMatrix(b *testing.B) {
-	f := New()
-	n := 4000
-	for j := 0; j < 25; j++ {
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = float64(i*j) * 0.5
-		}
-		if err := f.AddNumeric(fmt.Sprintf("c%d", j), vals); err != nil {
-			b.Fatal(err)
-		}
-	}
-	names := f.Names()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.Matrix(names); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,41 +7,6 @@ import (
 	"strings"
 )
 
-// Apply computes a new numeric column by evaluating fn on each row of the
-// named input columns (the Go analogue of df.apply(lambda row: ..., axis=1)).
-// If any input is null at a row, the output row is null and fn is not called.
-func (f *Frame) Apply(inputs []string, fn func(vals []float64) float64) ([]float64, error) {
-	cols := make([]*Series, len(inputs))
-	for j, n := range inputs {
-		c := f.Column(n)
-		if c == nil {
-			return nil, fmt.Errorf("dataframe: no column %q", n)
-		}
-		if c.Kind != Numeric {
-			return nil, fmt.Errorf("dataframe: apply input %q is not numeric", n)
-		}
-		cols[j] = c
-	}
-	out := make([]float64, f.Len())
-	buf := make([]float64, len(inputs))
-	for i := 0; i < f.Len(); i++ {
-		null := false
-		for j, c := range cols {
-			if c.IsNull(i) {
-				null = true
-				break
-			}
-			buf[j] = c.Nums[i]
-		}
-		if null {
-			out[i] = math.NaN()
-			continue
-		}
-		out[i] = fn(buf)
-	}
-	return out, nil
-}
-
 // Bucketize assigns each value of a numeric column to the index of the first
 // boundary it is below: value < b[0] → 0, b[0] ≤ value < b[1] → 1, …,
 // value ≥ b[last] → len(b). Boundaries must be strictly increasing.

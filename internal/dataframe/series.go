@@ -171,17 +171,6 @@ func (s *Series) AppendValue(dst []byte, i int) []byte {
 	return append(dst, s.Strs[i]...)
 }
 
-// validNums returns the non-null numeric values.
-func (s *Series) validNums() []float64 {
-	out := make([]float64, 0, s.Len())
-	for i, v := range s.Nums {
-		if !s.IsNull(i) {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // numStats accumulates count, sum and min/max of the non-null values in a
 // single allocation-free pass. The sum visits values in row order — the same
 // accumulation order as summing a gathered valid-values slice — so Mean is
@@ -249,42 +238,6 @@ func (s *Series) Bounds() (lo, hi float64) {
 		return math.NaN(), math.NaN()
 	}
 	return lo, hi
-}
-
-// Min returns the minimum non-null value (NaN if none).
-func (s *Series) Min() float64 {
-	lo, _ := s.Bounds()
-	return lo
-}
-
-// Max returns the maximum non-null value (NaN if none).
-func (s *Series) Max() float64 {
-	_, hi := s.Bounds()
-	return hi
-}
-
-// Quantile returns the q-th quantile (0 ≤ q ≤ 1) of non-null values using
-// linear interpolation, matching numpy's default.
-func (s *Series) Quantile(q float64) float64 {
-	vals := s.validNums()
-	if len(vals) == 0 {
-		return math.NaN()
-	}
-	sort.Float64s(vals)
-	if q <= 0 {
-		return vals[0]
-	}
-	if q >= 1 {
-		return vals[len(vals)-1]
-	}
-	pos := q * float64(len(vals)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return vals[lo]
-	}
-	frac := pos - float64(lo)
-	return vals[lo]*(1-frac) + vals[hi]*frac
 }
 
 // Cardinality returns the number of distinct non-null values. A numeric

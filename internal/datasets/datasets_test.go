@@ -208,14 +208,14 @@ func TestHousingRatioSignal(t *testing.T) {
 	// The rooms-per-household ratio must carry signal beyond the raw totals.
 	d, _ := Load("Housing", 13)
 	f := d.Frame
-	ratio, err := f.Apply([]string{"TotalRooms", "Households"}, func(v []float64) float64 {
-		if v[1] == 0 {
-			return math.NaN()
+	rooms, households := f.Column("TotalRooms"), f.Column("Households")
+	ratio := make([]float64, f.Len())
+	for i := range ratio {
+		if rooms.IsNull(i) || households.IsNull(i) || households.Nums[i] == 0 {
+			ratio[i] = math.NaN()
+		} else {
+			ratio[i] = rooms.Nums[i] / households.Nums[i]
 		}
-		return v[0] / v[1]
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	y, _ := f.IntLabels(d.Target)
 	rawRooms := f.Column("TotalRooms").Nums

@@ -48,19 +48,6 @@ func Compile(src string) (*Expr, error) {
 	return e, nil
 }
 
-// MustCompile is Compile that panics on error; for use with known-good
-// literals in tests and examples.
-func MustCompile(src string) *Expr {
-	e, err := Compile(src)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
-// Source returns the original expression text.
-func (e *Expr) Source() string { return e.src }
-
 // String renders the parsed form with explicit grouping.
 func (e *Expr) String() string { return e.root.String() }
 

@@ -528,3 +528,15 @@ func FuzzEvalRows(f *testing.F) {
 		}
 	})
 }
+
+// MustCompile is Compile that panics on error, for known-good literals.
+func MustCompile(src string) *Expr {
+	e, err := Compile(src)
+	if err != nil {
+		panic(err)
+	}
+	return e
+}
+
+// Source returns the original expression text.
+func (e *Expr) Source() string { return e.src }

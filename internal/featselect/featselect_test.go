@@ -19,9 +19,9 @@ func buildSignalData(n int, seed int64) (*ml.Matrix, []string, []int) {
 		signal := rng.NormFloat64()
 		weak := signal + 3*rng.NormFloat64()
 		noise := rng.NormFloat64()
-		X.Set(i, 0, signal)
-		X.Set(i, 1, weak)
-		X.Set(i, 2, noise)
+		X.Col(0)[i] = signal
+		X.Col(1)[i] = weak
+		X.Col(2)[i] = noise
 		if signal > 0 {
 			y[i] = 1
 		}

@@ -25,38 +25,6 @@ import (
 // pure cache.
 const CacheLivePrefix = "live-"
 
-// CacheIndexName is the content-index snapshot a DiskCache writes on Close:
-// bookkeeping for humans and for grid.Compact's orphan sweep, never read back
-// on open (the index is rebuilt from the shards themselves).
-const CacheIndexName = "cache-index.json"
-
-// CacheIndex is the CacheIndexName snapshot format.
-type CacheIndex struct {
-	Version    int    `json:"version"`
-	ConfigHash string `json:"config_hash,omitempty"`
-	Worker     string `json:"worker,omitempty"`
-	UpdatedAt  string `json:"updated_at,omitempty"`
-	// Files maps each indexed shard file to the byte offset consumed from it.
-	Files   map[string]int64 `json:"files"`
-	Keys    int              `json:"keys"`
-	Entries int              `json:"entries"`
-}
-
-// ReadCacheIndex reads a shard directory's cache-index snapshot (written by
-// DiskCache.Close). grid.Compact uses it for the orphan sweep: an index
-// whose config hash or file list no longer matches the directory is garbage.
-func ReadCacheIndex(dir string) (CacheIndex, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, CacheIndexName))
-	if err != nil {
-		return CacheIndex{}, err
-	}
-	var idx CacheIndex
-	if err := json.Unmarshal(raw, &idx); err != nil {
-		return CacheIndex{}, fmt.Errorf("fmgate: parsing cache index %s: %w", dir, err)
-	}
-	return idx, nil
-}
-
 // DiskCacheOptions configures OpenDiskCache.
 type DiskCacheOptions struct {
 	// ConfigHash is this run's configuration fingerprint. Non-empty values
@@ -77,8 +45,8 @@ type DiskCacheOptions struct {
 	// older than this triggers one incremental re-read of grown shards.
 	Refresh time.Duration
 	// LockTTL is the staleness threshold of the lock file
-	// (<dir>/manifest.json.lock) that serializes manifest and index writes
-	// across processes: a lock older than this is presumed abandoned by a
+	// (<dir>/manifest.json.lock) that serializes manifest writes across
+	// processes: a lock older than this is presumed abandoned by a
 	// crashed holder (0 = the lease package default).
 	LockTTL time.Duration
 }
@@ -124,7 +92,6 @@ type DiskCache struct {
 	files    map[string]int64 // consumed byte offset per shard file
 	exclude  map[string]bool  // shard files never ingested (own writes)
 	lastScan time.Time
-	entries  int
 	live     *os.File
 	liveName string
 	closed   bool
@@ -178,9 +145,6 @@ func sanitizeWorker(w string) string {
 		return '_'
 	}, w)
 }
-
-// Dir returns the shard directory the cache indexes.
-func (d *DiskCache) Dir() string { return d.dir }
 
 // ensureManifest validates an existing shard-dir manifest against the
 // configured hash, or stamps a fresh directory with one. A fresh manifest
@@ -305,7 +269,6 @@ func (d *DiskCache) addEntryLocked(key, src string, e replayEntry) {
 		k.multi = true
 	}
 	k.entries = append(k.entries, e)
-	d.entries++
 }
 
 // Get serves the next cached outcome for a content address, re-scanning the
@@ -409,47 +372,15 @@ func (d *DiskCache) Exclude(path string) {
 	d.mu.Unlock()
 }
 
-// Stats reports the indexed key and entry counts.
-func (d *DiskCache) Stats() (keys, entries int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.keys), d.entries
-}
-
-// Close writes the cache-index snapshot and closes the live shard. The
-// snapshot is bookkeeping (inspection + grid.Compact's orphan sweep); the
-// index itself is always rebuilt from the shard files on open.
+// Close closes the live shard.
 func (d *DiskCache) Close() error {
 	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
+	defer d.mu.Unlock()
+	d.closed = true
+	if d.live == nil {
 		return nil
 	}
-	d.closed = true
-	idx := CacheIndex{
-		Version:    storeSetVersion,
-		ConfigHash: d.opts.ConfigHash,
-		Worker:     d.opts.Worker,
-		UpdatedAt:  time.Now().UTC().Format(time.RFC3339),
-		Files:      make(map[string]int64, len(d.files)),
-		Keys:       len(d.keys),
-		Entries:    d.entries,
-	}
-	for name, off := range d.files {
-		idx.Files[name] = off
-	}
-	var cerr error
-	if d.live != nil {
-		cerr = d.live.Close()
-		d.live = nil
-	}
-	d.mu.Unlock()
-	if err := d.lock.Lock(); err != nil {
-		return err
-	}
-	defer d.lock.Unlock()
-	if err := jsonio.WriteAtomic(filepath.Join(d.dir, CacheIndexName), idx); err != nil {
-		return err
-	}
-	return cerr
+	err := d.live.Close()
+	d.live = nil
+	return err
 }

@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,18 +16,6 @@ import (
 type Backend struct {
 	// Name labels the backend in metrics and errors (default "bN").
 	Name string
-	// Model overrides the pool's shared content source for this backend
-	// (nil = use the pool's model).
-	Model fm.Model
-	// Weight scales this backend's share of least-loaded selection
-	// (default 1).
-	Weight int
-	// MaxInflight caps concurrent calls on this backend (0 = unlimited).
-	MaxInflight int
-	// Rate is a sustained calls-per-second token bucket (0 = unlimited).
-	Rate float64
-	// Burst is the token bucket size (default max(1, Rate)).
-	Burst int
 	// Faults injects this backend's transport fault model (optional).
 	Faults *FaultInjector
 	// Breaker tunes this backend's circuit breaker.
@@ -40,84 +26,13 @@ type Backend struct {
 // instruments, registered per backend (label backend=<name>) by NewPool.
 type backend struct {
 	Backend
-	br  *breaker
-	sem chan struct{} // nil when MaxInflight <= 0
+	br *breaker
 
 	inflight  obs.Gauge
 	picks     obs.Counter
 	wins      obs.Counter
 	failures  obs.Counter
 	hedgeWins obs.Counter
-	rateWaits obs.Counter
-
-	mu     sync.Mutex // guards the token bucket
-	tokens float64
-	last   time.Time
-}
-
-// acquire takes an in-flight slot and a rate token, waiting as needed.
-func (b *backend) acquire(ctx context.Context) error {
-	if b.sem != nil {
-		select {
-		case b.sem <- struct{}{}:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	b.inflight.Add(1)
-	if b.Rate > 0 {
-		if wait := b.takeToken(); wait > 0 {
-			b.rateWaits.Inc()
-			t := time.NewTimer(wait)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				b.release()
-				return ctx.Err()
-			case <-t.C:
-			}
-		}
-	}
-	return nil
-}
-
-func (b *backend) release() {
-	b.inflight.Add(-1)
-	if b.sem != nil {
-		<-b.sem
-	}
-}
-
-// takeToken reserves one token from the bucket and returns how long the
-// caller must wait for it to exist. Reserving into the negative keeps
-// arrivals paced FIFO instead of thundering on each refill.
-func (b *backend) takeToken() time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	burst := float64(b.Burst)
-	if burst < 1 {
-		burst = math.Max(1, b.Rate)
-	}
-	now := time.Now()
-	if b.last.IsZero() {
-		b.tokens = burst
-	} else {
-		b.tokens = math.Min(burst, b.tokens+now.Sub(b.last).Seconds()*b.Rate)
-	}
-	b.last = now
-	b.tokens--
-	if b.tokens >= 0 {
-		return 0
-	}
-	return time.Duration(-b.tokens / b.Rate * float64(time.Second))
-}
-
-// weight returns the effective selection weight.
-func (b *backend) weight() float64 {
-	if b.Weight > 0 {
-		return float64(b.Weight)
-	}
-	return 1
 }
 
 // PoolOptions tunes pool-level behaviour.
@@ -134,10 +49,10 @@ type PoolOptions struct {
 }
 
 // Pool spreads completions across N backends that are replicas of one
-// logical model, with least-loaded weighted selection, per-backend token
-// buckets, in-flight caps and circuit breakers, hedged requests and per-call
-// deadline budgets. It implements fm.Model, so a Gateway stacks directly on
-// top: Gateway(cache/dedup/record/retry) → Pool(transport) → model.
+// logical model, with least-in-flight selection, per-backend circuit
+// breakers, hedged requests and per-call deadline budgets. It implements
+// fm.Model, so a Gateway stacks directly on top:
+// Gateway(cache/dedup/record/retry) → Pool(transport) → model.
 //
 // Because the backends are replicas, each logical call resolves content
 // exactly once: the first backend transport to clear its faults performs the
@@ -159,8 +74,7 @@ type Pool struct {
 	degraded         atomic.Pointer[AllBackendsOpenError]
 }
 
-// NewPool builds a pool of backends over a shared content model. model may
-// be nil if every backend carries its own Model.
+// NewPool builds a pool of backends over a shared content model.
 func NewPool(model fm.Model, backends []Backend, opts PoolOptions) (*Pool, error) {
 	if len(backends) == 0 {
 		return nil, errors.New("fmgate: pool needs at least one backend")
@@ -175,14 +89,7 @@ func NewPool(model fm.Model, backends []Backend, opts PoolOptions) (*Pool, error
 			return nil, fmt.Errorf("fmgate: duplicate backend name %q", cfg.Name)
 		}
 		seen[cfg.Name] = true
-		if cfg.Model == nil && model == nil {
-			return nil, fmt.Errorf("fmgate: backend %q has no model and the pool has no shared model", cfg.Name)
-		}
-		b := &backend{Backend: cfg, br: newBreaker(cfg.Breaker)}
-		if cfg.MaxInflight > 0 {
-			b.sem = make(chan struct{}, cfg.MaxInflight)
-		}
-		p.backends = append(p.backends, b)
+		p.backends = append(p.backends, &backend{Backend: cfg, br: newBreaker(cfg.Breaker)})
 	}
 	reg := obs.Default
 	reg.RegisterCounter("fmpool_calls_total", "Logical completions asked of a backend pool.", &p.calls)
@@ -196,7 +103,6 @@ func NewPool(model fm.Model, backends []Backend, opts PoolOptions) (*Pool, error
 		reg.RegisterCounter("fmpool_backend_wins_total", "Attempts whose transport cleared on a backend.", &b.wins, "backend", b.Name)
 		reg.RegisterCounter("fmpool_backend_failures_total", "Transport failures charged to a backend.", &b.failures, "backend", b.Name)
 		reg.RegisterCounter("fmpool_backend_hedge_wins_total", "Logical calls a backend won as the hedge.", &b.hedgeWins, "backend", b.Name)
-		reg.RegisterCounter("fmpool_backend_rate_waits_total", "Token-bucket waits on a backend.", &b.rateWaits, "backend", b.Name)
 		reg.RegisterCounter("fmpool_breaker_opens_total", "Circuit-breaker open transitions.", &b.br.opens, "backend", b.Name)
 		reg.RegisterCounter("fmpool_breaker_probes_total", "Half-open probes admitted.", &b.br.probes, "backend", b.Name)
 		reg.RegisterCounter("fmpool_breaker_closes_total", "Circuit-breaker close transitions.", &b.br.closes, "backend", b.Name)
@@ -206,45 +112,13 @@ func NewPool(model fm.Model, backends []Backend, opts PoolOptions) (*Pool, error
 
 // Name implements fm.Model: the logical model's name (content addresses must
 // not depend on transport topology).
-func (p *Pool) Name() string {
-	if p.model != nil {
-		return p.model.Name()
-	}
-	return p.backends[0].Model.Name()
-}
+func (p *Pool) Name() string { return p.model.Name() }
 
-// models lists the distinct content models behind the pool.
-func (p *Pool) models() []fm.Model {
-	var out []fm.Model
-	seen := make(map[fm.Model]bool)
-	add := func(m fm.Model) {
-		if m != nil && !seen[m] {
-			seen[m] = true
-			out = append(out, m)
-		}
-	}
-	add(p.model)
-	for _, b := range p.backends {
-		add(b.Model)
-	}
-	return out
-}
-
-// Usage implements fm.Model: aggregate accounting across content models.
-func (p *Pool) Usage() fm.Usage {
-	var u fm.Usage
-	for _, m := range p.models() {
-		u.Add(m.Usage())
-	}
-	return u
-}
+// Usage implements fm.Model: the content model's accounting.
+func (p *Pool) Usage() fm.Usage { return p.model.Usage() }
 
 // ResetUsage implements fm.Model.
-func (p *Pool) ResetUsage() {
-	for _, m := range p.models() {
-		m.ResetUsage()
-	}
-}
+func (p *Pool) ResetUsage() { p.model.ResetUsage() }
 
 // poolCall is one logical completion's resolve-once state, shared by the
 // primary and any hedged attempt.
@@ -362,8 +236,8 @@ func (p *Pool) Complete(parent context.Context, prompt string) (string, error) {
 // pick selects a backend. Recovery has priority: an open backend whose
 // cooldown has elapsed gets its single half-open probe — without this a
 // healthy remainder would absorb all traffic and an opened backend could
-// never close again. Otherwise the least-loaded closed backend wins, with
-// in-flight count scaled down by weight.
+// never close again. Otherwise the closed backend with the fewest calls in
+// flight wins (the first on a tie).
 func (p *Pool) pick(exclude *backend) (*backend, bool, bool) {
 	now := time.Now()
 	for _, c := range p.backends {
@@ -376,14 +250,13 @@ func (p *Pool) pick(exclude *backend) (*backend, bool, bool) {
 		}
 	}
 	var best *backend
-	var bestScore float64
+	var bestLoad int64
 	for _, c := range p.backends {
 		if c == exclude || !c.br.closed() {
 			continue
 		}
-		score := float64(c.inflight.Value()+1) / c.weight()
-		if best == nil || score < bestScore {
-			best, bestScore = c, score
+		if load := c.inflight.Value(); best == nil || load < bestLoad {
+			best, bestLoad = c, load
 		}
 	}
 	if best == nil {
@@ -412,11 +285,8 @@ func (p *Pool) attempt(ctx, parent context.Context, b *backend, probe, hedge boo
 }
 
 func (p *Pool) runAttempt(ctx, parent context.Context, b *backend, probe bool, call *poolCall) attemptResult {
-	if err := b.acquire(ctx); err != nil {
-		p.verdict(b, probe, parent, call, err)
-		return attemptResult{err: err}
-	}
-	defer b.release()
+	b.inflight.Add(1)
+	defer b.inflight.Add(-1)
 
 	var f Fault
 	if b.Faults != nil {
@@ -427,7 +297,7 @@ func (p *Pool) runAttempt(ctx, parent context.Context, b *backend, probe bool, c
 		}
 	}
 
-	text, err := p.resolveContent(ctx, b, call)
+	text, err := p.resolveContent(ctx, call)
 	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 		// The content call died on our context, not on a model verdict.
 		p.verdict(b, probe, parent, call, err)
@@ -446,8 +316,8 @@ func (p *Pool) runAttempt(ctx, parent context.Context, b *backend, probe bool, c
 // verdict classifies a transport failure for the breaker. A cancelled loser
 // (the logical call already has a winner) or a cancelled run says nothing
 // about backend health, so the probe slot is released without a verdict;
-// everything else — injected faults, outages, rate limits, deadline
-// timeouts — counts against the backend.
+// everything else — injected faults, outages, deadline timeouts — counts
+// against the backend.
 func (p *Pool) verdict(b *backend, probe bool, parent context.Context, call *poolCall, err error) {
 	ctxErr := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 	if ctxErr && (call.won.Load() || parent.Err() != nil) {
@@ -461,13 +331,9 @@ func (p *Pool) verdict(b *backend, probe bool, parent context.Context, call *poo
 // resolveContent performs (or joins) the single content call of a logical
 // completion. The first transport to clear its faults claims it; a hedged
 // runner-up waits for the claimer's result.
-func (p *Pool) resolveContent(ctx context.Context, b *backend, call *poolCall) (string, error) {
+func (p *Pool) resolveContent(ctx context.Context, call *poolCall) (string, error) {
 	if call.claim.CompareAndSwap(false, true) {
-		model := b.Model
-		if model == nil {
-			model = p.model
-		}
-		call.text, call.err = model.Complete(ctx, call.prompt)
+		call.text, call.err = p.model.Complete(ctx, call.prompt)
 		close(call.done)
 		return call.text, call.err
 	}
@@ -537,7 +403,6 @@ type BackendMetrics struct {
 	Wins      int64
 	Failures  int64
 	HedgeWins int64
-	RateWaits int64
 	Inflight  int64
 	Opens     int64
 	Probes    int64
@@ -547,8 +412,8 @@ type BackendMetrics struct {
 
 // String renders a one-line backend summary.
 func (m BackendMetrics) String() string {
-	return fmt.Sprintf("%s[%s] picks=%d wins=%d failures=%d hedge_wins=%d rate_waits=%d opens=%d probes=%d closes=%d faults=%d",
-		m.Name, m.State, m.Picks, m.Wins, m.Failures, m.HedgeWins, m.RateWaits, m.Opens, m.Probes, m.Closes, m.Faults.Total())
+	return fmt.Sprintf("%s[%s] picks=%d wins=%d failures=%d hedge_wins=%d opens=%d probes=%d closes=%d faults=%d",
+		m.Name, m.State, m.Picks, m.Wins, m.Failures, m.HedgeWins, m.Opens, m.Probes, m.Closes, m.Faults.Total())
 }
 
 // PoolMetrics is a point-in-time snapshot of pool counters.
@@ -589,7 +454,6 @@ func (p *Pool) Metrics() PoolMetrics {
 			Wins:      b.wins.Value(),
 			Failures:  b.failures.Value(),
 			HedgeWins: b.hedgeWins.Value(),
-			RateWaits: b.rateWaits.Value(),
 			Inflight:  b.inflight.Value(),
 			Opens:     snap.Opens,
 			Probes:    snap.Probes,

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"smartfeat/internal/fm"
 )
 
 // Role names a pipeline-side FM consumer. The paper assigns different models
@@ -47,15 +45,6 @@ func (r *Router) Gate(role Role) *Gateway { return r.gates[role] }
 
 // Roles lists assigned roles in assignment order.
 func (r *Router) Roles() []Role { return append([]Role(nil), r.order...) }
-
-// Usage sums upstream usage across roles.
-func (r *Router) Usage() fm.Usage {
-	var u fm.Usage
-	for _, role := range r.order {
-		u.Add(r.gates[role].Usage())
-	}
-	return u
-}
 
 // Metrics sums gateway traffic counters across roles.
 func (r *Router) Metrics() Metrics {

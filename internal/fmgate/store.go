@@ -143,18 +143,6 @@ func (q *queue) pop(sticky bool) (replayEntry, bool) {
 // replaying reports whether s was opened for replay.
 func (s *Store) replaying() bool { return s.queues != nil }
 
-// Len reports how many recorded outcomes a replay store holds; a record
-// store reports 0.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, q := range s.queues {
-		n += len(q.entries)
-	}
-	return n
-}
-
 // pop serves the key's next recorded outcome (queue.pop).
 func (s *Store) pop(key string, sticky bool) (replayEntry, bool) {
 	s.mu.Lock()

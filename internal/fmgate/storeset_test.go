@@ -275,8 +275,8 @@ func TestOpenReplayStoreTruncatedTrailingRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
+	if n := storeLen(s); n != 2 {
+		t.Fatalf("storeLen = %d, want 2", n)
 	}
 
 	// A malformed line in the middle stays a plain parse error.

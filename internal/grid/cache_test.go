@@ -53,9 +53,6 @@ func TestGridDiskTierServesPeerRecording(t *testing.T) {
 	if avg.String() != refAvg || median.String() != refMed {
 		t.Fatalf("disk-tier tables differ from recording run:\n%s\nvs\n%s", avg, refAvg)
 	}
-	if keys, entries := dc.Stats(); keys == 0 || entries == 0 {
-		t.Fatalf("disk cache served a grid with an empty index: keys=%d entries=%d", keys, entries)
-	}
 }
 
 // TestGridConcurrentWorkersSharedCacheDir runs two lease-claiming workers

@@ -21,8 +21,7 @@ type CompactReport struct {
 	// RemovedLeases lists orphaned lease files (and reap tombstones) swept
 	// out of the kept runs.
 	RemovedLeases []string
-	// RemovedCacheFiles lists live cache shards evicted by the size cap and
-	// orphaned cache-index snapshots swept out of shard directories.
+	// RemovedCacheFiles lists live cache shards evicted by the size cap.
 	RemovedCacheFiles []string
 	// CacheBytesFreed totals the bytes released by the cache sweep.
 	CacheBytesFreed int64
@@ -56,10 +55,10 @@ type CompactOptions struct {
 // active run is by definition the newest of its hash.
 //
 // Directories under root carrying an fmgate shard manifest (FM recordings,
-// completion-cache dirs) get the cache sweep instead: orphaned cache-index
-// snapshots are removed, and — with CacheMB set — stale live-* cache shards
-// are evicted oldest-first until the directory fits the cap. Entries that are
-// neither run nor shard directories are left alone.
+// completion-cache dirs) get the cache sweep instead: with CacheMB set,
+// stale live-* cache shards are evicted oldest-first until the directory
+// fits the cap. Entries that are neither run nor shard directories are left
+// alone.
 func Compact(root string, opts CompactOptions) (*CompactReport, error) {
 	keepN, ttl := opts.KeepN, opts.TTL
 	if keepN < 1 {
@@ -98,11 +97,10 @@ func Compact(root string, opts CompactOptions) (*CompactReport, error) {
 		if _, err := LoadManifest(dir); err == nil {
 			continue // run directories are handled by retention below
 		}
-		sm, err := fmgate.ReadStoreSetManifest(dir)
-		if err != nil {
+		if _, err := fmgate.ReadStoreSetManifest(dir); err != nil {
 			continue // neither a run nor a shard directory: leave alone
 		}
-		removed, freed, err := sweepCache(dir, sm, ttl, opts.CacheMB)
+		removed, freed, err := sweepCache(dir, ttl, opts.CacheMB)
 		if err != nil {
 			return rep, err
 		}
@@ -140,9 +138,12 @@ func Compact(root string, opts CompactOptions) (*CompactReport, error) {
 }
 
 // sweepCache applies the completion-cache retention policy to one shard
-// directory: enforce the size cap by evicting stale live-* shards, then
-// remove a cache-index snapshot the directory's contents no longer match.
-func sweepCache(dir string, sm fmgate.StoreSetManifest, ttl time.Duration, cacheMB int) (removed []string, freed int64, err error) {
+// directory: enforce the size cap (cacheMB > 0) by evicting stale live-*
+// shards.
+func sweepCache(dir string, ttl time.Duration, cacheMB int) (removed []string, freed int64, err error) {
+	if cacheMB <= 0 {
+		return nil, 0, nil
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, 0, fmt.Errorf("grid: sweeping cache dir %s: %w", dir, err)
@@ -171,7 +172,7 @@ func sweepCache(dir string, sm fmgate.StoreSetManifest, ttl time.Duration, cache
 		})
 		total += st.Size()
 	}
-	if cap := int64(cacheMB) << 20; cacheMB > 0 && total > cap {
+	if cap := int64(cacheMB) << 20; total > cap {
 		// Oldest stale live shards go first; cell shards and live shards
 		// with a fresh heartbeat (mtime within ttl: a worker is appending
 		// right now) are never candidates.
@@ -198,37 +199,6 @@ func sweepCache(dir string, sm fmgate.StoreSetManifest, ttl time.Duration, cache
 			freed += v.size
 			removed = append(removed, v.path)
 		}
-	}
-	// Orphan index sweep: the snapshot is pure bookkeeping, so anything the
-	// directory no longer backs — hash drift, files evicted above or by a
-	// re-record, plain corruption — gets removed rather than repaired.
-	idxPath := filepath.Join(dir, fmgate.CacheIndexName)
-	idx, ierr := fmgate.ReadCacheIndex(dir)
-	if os.IsNotExist(ierr) {
-		return removed, freed, nil
-	}
-	orphan := ierr != nil
-	if ierr == nil {
-		if idx.ConfigHash != "" && sm.ConfigHash != "" && idx.ConfigHash != sm.ConfigHash {
-			orphan = true
-		}
-		for name := range idx.Files {
-			if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
-				orphan = true
-				break
-			}
-		}
-	}
-	if orphan {
-		var size int64
-		if st, err := os.Stat(idxPath); err == nil {
-			size = st.Size()
-		}
-		if err := os.Remove(idxPath); err != nil && !os.IsNotExist(err) {
-			return removed, freed, fmt.Errorf("grid: removing orphaned cache index %s: %w", idxPath, err)
-		}
-		removed = append(removed, idxPath)
-		freed += size
 	}
 	return removed, freed, nil
 }

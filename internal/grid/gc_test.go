@@ -150,8 +150,7 @@ func mkShardFile(t *testing.T, dir, name string, size int, age time.Duration) st
 // TestCompactCacheSweep pins the completion-cache retention policy: the size
 // cap evicts stale live shards oldest-first, never touches cell shards or
 // live shards with a fresh heartbeat (a worker is appending — the live-lease
-// safety guarantee), and orphaned cache-index snapshots are swept while
-// consistent ones are kept.
+// safety guarantee).
 func TestCompactCacheSweep(t *testing.T) {
 	root := t.TempDir()
 	const kb = 1 << 10
@@ -160,25 +159,9 @@ func TestCompactCacheSweep(t *testing.T) {
 	liveStale := mkShardFile(t, cacheDir, "live-a.jsonl", 300*kb, 2*time.Hour)
 	liveStaler := mkShardFile(t, cacheDir, "live-b.jsonl", 300*kb, 3*time.Hour)
 	liveFresh := mkShardFile(t, cacheDir, "live-c.jsonl", 300*kb, 0)
-	// An index referencing a shard the size cap is about to evict: orphaned.
-	orphanIdx := filepath.Join(cacheDir, "cache-index.json")
-	if err := os.WriteFile(orphanIdx, []byte(`{"version":1,"config_hash":"hash-C","files":{"live-a.jsonl":1}}`+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// A second cache dir whose index matches its contents: kept untouched.
+	// A second cache dir under the cap: kept untouched.
 	okDir := mkCacheDir(t, root, "fm-ok", "hash-D")
 	okCell := mkShardFile(t, okDir, "Tennis__CAAFE.jsonl", 1*kb, time.Hour)
-	okIdx := filepath.Join(okDir, "cache-index.json")
-	if err := os.WriteFile(okIdx, []byte(`{"version":1,"config_hash":"hash-D","files":{"Tennis__CAAFE.jsonl":1024}}`+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// A third whose index was written under a different config: swept even
-	// though no size cap applies.
-	driftDir := mkCacheDir(t, root, "fm-drift", "hash-E")
-	driftIdx := filepath.Join(driftDir, "cache-index.json")
-	if err := os.WriteFile(driftIdx, []byte(`{"version":1,"config_hash":"hash-OTHER","files":{}}`+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	// A plain run directory rides along to prove retention still works.
 	run := mkRun(t, root, "run-1", "hash-A", time.Now())
 
@@ -190,7 +173,7 @@ func TestCompactCacheSweep(t *testing.T) {
 	for _, p := range rep.RemovedCacheFiles {
 		removed[p] = true
 	}
-	for _, p := range []string{liveStale, liveStaler, orphanIdx, driftIdx} {
+	for _, p := range []string{liveStale, liveStaler} {
 		if !removed[p] {
 			t.Fatalf("%s should have been swept; removed = %v", p, rep.RemovedCacheFiles)
 		}
@@ -198,7 +181,7 @@ func TestCompactCacheSweep(t *testing.T) {
 			t.Fatalf("%s reported swept but still present", p)
 		}
 	}
-	for _, p := range []string{cell, liveFresh, okCell, okIdx} {
+	for _, p := range []string{cell, liveFresh, okCell} {
 		if removed[p] {
 			t.Fatalf("%s must never be swept", p)
 		}

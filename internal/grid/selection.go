@@ -32,9 +32,6 @@ type Selection struct {
 	Descriptions bool
 	// All selects everything.
 	All bool
-	// Figure1Sizes overrides the Figure 1 size series (nil = the default
-	// series for the All setting, per DefaultFigure1Sizes).
-	Figure1Sizes []int
 }
 
 // DefaultFigure1Sizes is the Figure 1 size series cmd/experiments uses: the
@@ -56,14 +53,6 @@ func (s Selection) Any() bool {
 // comparison cells (Tables 4/5 and the efficiency fold both read them).
 func (s Selection) Comparison() bool {
 	return s.Table == 4 || s.Table == 5 || s.Efficiency || s.All
-}
-
-// sizes resolves the Figure 1 size series.
-func (s Selection) sizes() []int {
-	if s.Figure1Sizes != nil {
-		return s.Figure1Sizes
-	}
-	return DefaultFigure1Sizes(s.All)
 }
 
 // Plan expands the selection into its grid cells, in table order. datasets
@@ -88,7 +77,7 @@ func (s Selection) Plan(datasets, methods []string) []Cell {
 		plan = append(plan, Table7Plan(AblationDataset)...)
 	}
 	if s.Figure == 1 || s.All {
-		plan = append(plan, Figure1Plan(s.sizes())...)
+		plan = append(plan, Figure1Plan(DefaultFigure1Sizes(s.All))...)
 	}
 	if s.Descriptions || s.All {
 		plan = append(plan, DescriptionsPlan(AblationDataset)...)
@@ -123,7 +112,7 @@ func (s Selection) Render(w io.Writer, r *RunResult, datasets []string, cfg expe
 		}
 	}
 	if s.Figure == 1 || s.All {
-		if points, ok := r.Figure1(s.sizes()); ok {
+		if points, ok := r.Figure1(DefaultFigure1Sizes(s.All)); ok {
 			fmt.Fprintln(w, experiments.Figure1String(points))
 		}
 	}

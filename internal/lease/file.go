@@ -89,14 +89,6 @@ type claimerObs struct {
 	releases   obs.Counter
 }
 
-// Options returns the normalized settings the claimer runs under (the
-// caller's zero fields filled with defaults) — the poll cadences downstream
-// schedulers should align with.
-func (c *FileClaimer) Options() Options { return c.opts }
-
-// Worker returns the claimer's holder identity.
-func (c *FileClaimer) Worker() string { return c.opts.Worker }
-
 // path is the cell's lease file.
 func (c *FileClaimer) path(key string) string { return filepath.Join(c.dir, key+".lease") }
 
@@ -315,9 +307,6 @@ func (cl *fileClaim) Release() error {
 	cl.c.ins.releases.Inc()
 	return nil
 }
-
-// Lost implements Claim.
-func (cl *fileClaim) Lost() bool { return cl.lost.Load() }
 
 // sanitizeComponent maps a worker id onto the filesystem-safe alphabet for
 // tombstone names.

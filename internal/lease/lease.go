@@ -60,14 +60,12 @@ type Info struct {
 // is finished (artifact written) or abandoned (interrupted), so peers can
 // observe completion-or-reclaimability promptly instead of waiting out TTL.
 type Claim interface {
-	// Release frees the lease. Idempotent; releasing a lease that was reaped
-	// from under us (see Lost) is a no-op, not an error.
+	// Release frees the lease. Idempotent; releasing a lease that was
+	// reaped from under us (our heartbeat found the file gone — we were
+	// presumed dead) is a no-op, not an error. The holder may finish its
+	// in-flight cell anyway: deterministic cells plus atomic artifact
+	// commits make the duplicate execution benign.
 	Release() error
-	// Lost reports whether the lease was taken over by a peer (our heartbeat
-	// found the file gone — we were presumed dead). The holder may finish its
-	// in-flight cell anyway: deterministic cells plus atomic artifact commits
-	// make the duplicate execution benign.
-	Lost() bool
 }
 
 // Claimer is the grid runner's cell-acquisition seam. Single-process runs

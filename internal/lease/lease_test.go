@@ -73,8 +73,8 @@ func TestClaimRace(t *testing.T) {
 	}
 	// Every loser sees the winner as the live holder.
 	info, held := claimers[(winner+1)%racers].Holder("Tennis__SMARTFEAT")
-	if !held || info.Worker != claimers[winner].Worker() {
-		t.Fatalf("holder = %+v (held=%v), want worker %q", info, held, claimers[winner].Worker())
+	if want := string(rune('a' + winner)); !held || info.Worker != want {
+		t.Fatalf("holder = %+v (held=%v), want worker %q", info, held, want)
 	}
 	// Release frees the cell for the next claimer.
 	if err := wins[winner].Release(); err != nil {
@@ -99,7 +99,7 @@ func TestHeartbeatKeepsLeaseLive(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("claim: ok=%v err=%v", ok, err)
 	}
-	deadline := time.Now().Add(3 * a.Options().TTL)
+	deadline := time.Now().Add(3 * fastOpts("").TTL)
 	for time.Now().Before(deadline) {
 		if _, ok, err := b.Claim("cell"); err != nil {
 			t.Fatal(err)
@@ -108,7 +108,7 @@ func TestHeartbeatKeepsLeaseLive(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if cl.Lost() {
+	if a.ins.lost.Value() != 0 {
 		t.Fatal("heartbeated lease reported lost")
 	}
 	if err := cl.Release(); err != nil {
@@ -117,8 +117,8 @@ func TestHeartbeatKeepsLeaseLive(t *testing.T) {
 }
 
 // TestStaleTakeover pins crashed-worker reclaim: a lease whose holder
-// stopped heartbeating is reaped after TTL, the original holder's claim
-// reports Lost, and its Release does not clobber the new owner's lease.
+// stopped heartbeating is reaped after TTL, and the original holder's
+// Release does not clobber the new owner's lease.
 func TestStaleTakeover(t *testing.T) {
 	dir := t.TempDir()
 	dead := newClaimer(t, dir, fastOpts("dead"))
@@ -129,9 +129,10 @@ func TestStaleTakeover(t *testing.T) {
 	// "Crash": stop heartbeating without releasing.
 	dead.Close()
 
-	heir := newClaimer(t, dir, fastOpts("heir"))
 	var won Claim
-	deadline := time.Now().Add(10 * heir.Options().TTL)
+	opts := fastOpts("heir")
+	heir := newClaimer(t, dir, opts)
+	deadline := time.Now().Add(10 * opts.TTL)
 	for won == nil && time.Now().Before(deadline) {
 		c, ok, err := heir.Claim("cell")
 		if err != nil {
@@ -141,7 +142,7 @@ func TestStaleTakeover(t *testing.T) {
 			won = c
 			break
 		}
-		time.Sleep(heir.Options().Heartbeat)
+		time.Sleep(opts.Heartbeat)
 	}
 	if won == nil {
 		t.Fatal("stale lease was never reclaimed")
@@ -163,10 +164,12 @@ func TestStaleTakeover(t *testing.T) {
 }
 
 // TestLostDetection pins the owner-side view of a takeover: once reaped, the
-// owner's heartbeat notices the missing file and marks the claim lost.
+// owner's heartbeat notices the missing file, marks the claim lost and
+// counts it (lease_lost_total).
 func TestLostDetection(t *testing.T) {
 	dir := t.TempDir()
-	c := newClaimer(t, dir, fastOpts("owner"))
+	opts := fastOpts("owner")
+	c := newClaimer(t, dir, opts)
 	cl, ok, err := c.Claim("cell")
 	if err != nil || !ok {
 		t.Fatalf("claim: ok=%v err=%v", ok, err)
@@ -175,11 +178,11 @@ func TestLostDetection(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, "cell.lease")); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(20 * c.Options().Heartbeat)
-	for !cl.Lost() && time.Now().Before(deadline) {
-		time.Sleep(c.Options().Heartbeat)
+	deadline := time.Now().Add(20 * opts.Heartbeat)
+	for c.ins.lost.Value() == 0 && time.Now().Before(deadline) {
+		time.Sleep(opts.Heartbeat)
 	}
-	if !cl.Lost() {
+	if c.ins.lost.Value() == 0 {
 		t.Fatal("reaped lease never reported lost")
 	}
 	if err := cl.Release(); err != nil {

@@ -59,5 +59,3 @@ func (c *memClaim) Release() error {
 	c.m.mu.Unlock()
 	return nil
 }
-
-func (c *memClaim) Lost() bool { return false }

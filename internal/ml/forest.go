@@ -13,10 +13,6 @@ import (
 type Forest struct {
 	// NumTrees is the ensemble size.
 	NumTrees int
-	// MaxDepth bounds each tree (0 → default 12).
-	MaxDepth int
-	// MinSamplesLeaf for each tree (0 → 1 for RF, 1 for ET).
-	MinSamplesLeaf int
 	// Bootstrap resamples the training set per tree.
 	Bootstrap bool
 	// RandomSplits selects the extra-trees split rule.
@@ -129,14 +125,12 @@ func (f *Forest) Fit(X *Matrix, y []int) error {
 			}
 			for ti := range jobs {
 				tree := NewTree(TreeConfig{
-					MaxDepth:       f.MaxDepth,
-					MinSamplesLeaf: f.MinSamplesLeaf,
-					MaxFeatures:    maxFeatures,
-					RandomSplits:   f.RandomSplits,
-					Histogram:      f.Histogram,
-					MaxBins:        f.MaxBins,
-					HistMinNode:    f.HistMinNode,
-					Seed:           seeds[ti],
+					MaxFeatures:  maxFeatures,
+					RandomSplits: f.RandomSplits,
+					Histogram:    f.Histogram,
+					MaxBins:      f.MaxBins,
+					HistMinNode:  f.HistMinNode,
+					Seed:         seeds[ti],
 				})
 				tree.presort = presort
 				tree.bins = bins

@@ -101,10 +101,10 @@ func TestHistogramConstantColumns(t *testing.T) {
 	X := NewMatrix(n, 4)
 	y := make([]int, n)
 	for i := 0; i < n; i++ {
-		X.Set(i, 0, 3.25)                     // constant
-		X.Set(i, 1, float64(rng.Intn(6)))     // informative-ish
-		X.Set(i, 2, -1)                       // constant
-		X.Set(i, 3, float64(rng.Intn(3))-0.5) // few distinct
+		X.Col(0)[i] = 3.25                       // constant
+		X.Col(1)[i] = float64(rng.Intn(6))       // informative-ish
+		X.Col(2)[i] = -1                         // constant
+		X.Col(3)[i] = float64(rng.Intn(3)) - 0.5 // few distinct
 		if X.At(i, 1)+X.At(i, 3) > 3 {
 			y[i] = 1
 		}
@@ -118,8 +118,8 @@ func TestHistogramConstantColumns(t *testing.T) {
 	// All-constant matrix: no admissible cut anywhere — a single leaf.
 	C := NewMatrix(50, 2)
 	for i := 0; i < 50; i++ {
-		C.Set(i, 0, 1)
-		C.Set(i, 1, 2)
+		C.Col(0)[i] = 1
+		C.Col(1)[i] = 2
 	}
 	yc := make([]int, 50)
 	for i := 25; i < 50; i++ {
@@ -235,7 +235,7 @@ func TestBinnedColInvariants(t *testing.T) {
 		y := make([]int, n)
 		pos := 0
 		for i := 0; i < n; i++ {
-			X.Set(i, 0, c.gen(i))
+			X.Col(0)[i] = c.gen(i)
 			y[i] = i % 2
 			pos += y[i]
 		}

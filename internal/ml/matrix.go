@@ -25,9 +25,6 @@ func (m *Matrix) Cols() int { return m.cols }
 // At returns the element at row i, column j.
 func (m *Matrix) At(i, j int) float64 { return m.data[j*m.rows+i] }
 
-// Set writes the element at row i, column j.
-func (m *Matrix) Set(i, j int, v float64) { m.data[j*m.rows+i] = v }
-
 // Col returns column j as a contiguous view into the underlying storage.
 // Mutating the returned slice mutates the matrix.
 func (m *Matrix) Col(j int) []float64 { return m.data[j*m.rows : (j+1)*m.rows] }

@@ -60,7 +60,7 @@ func mustMatrix(t testing.TB, X [][]float64) *Matrix {
 			t.Fatalf("ragged matrix at row %d", i)
 		}
 		for j, v := range row {
-			m.Set(i, j, v)
+			m.Col(j)[i] = v
 		}
 	}
 	return m
@@ -142,7 +142,7 @@ func TestMatrixTakeRowsSelectCols(t *testing.T) {
 	}
 	// Mutating a clone must not touch the original.
 	cl := m.Clone()
-	cl.Set(0, 0, 99)
+	cl.Col(0)[0] = 99
 	if m.At(0, 0) != 1 {
 		t.Fatal("Clone should deep copy")
 	}

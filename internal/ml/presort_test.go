@@ -14,7 +14,7 @@ func presortTestData(rows, cols int, seed int64) (*Matrix, []int) {
 	for i := 0; i < rows; i++ {
 		for j := 0; j < cols; j++ {
 			// Quantized values force runs of equal keys in every column.
-			m.Set(i, j, float64(rng.Intn(12))+float64(j))
+			m.Col(j)[i] = float64(rng.Intn(12)) + float64(j)
 		}
 		if rng.Float64() < 0.45 {
 			y[i] = 1

@@ -86,8 +86,8 @@ func TestRegistryContributorsSum(t *testing.T) {
 	r.RegisterCounter("fm_requests_total", "requests", &a, "role", "generator")
 	r.RegisterCounter("fm_requests_total", "requests", &b, "role", "generator")
 	r.RegisterCounter("fm_requests_total", "requests", &c, "role", "selector")
-	a.Add(3)
-	b.Add(4)
+	a.v.Add(3)
+	b.v.Add(4)
 	c.Inc()
 	if got := r.Total("fm_requests_total"); got != 8 {
 		t.Errorf("Total = %v, want 8", got)
@@ -111,8 +111,8 @@ func TestWritePrometheus(t *testing.T) {
 	r.RegisterGauge("aa_inflight", "first family", &load)
 	h := NewHistogram(1, 2)
 	r.RegisterHistogram("mm_seconds", "latency", h)
-	reqs.Add(5)
-	reqs2.Add(2)
+	reqs.v.Add(5)
+	reqs2.v.Add(2)
 	load.Set(3)
 	h.Observe(0.5)
 	h.Observe(1.5)

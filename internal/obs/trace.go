@@ -214,24 +214,8 @@ func (s *Span) SetAttr(k, v string) {
 	s.mu.Unlock()
 }
 
-// Count adds n to a named counter on the span; counters bubble up to the
-// parent on End, so an enclosing span accumulates totals of everything
-// under it. No-op on nil.
-func (s *Span) Count(name string, n int64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if s.counts == nil {
-		s.counts = make(map[string]int64, 8)
-	}
-	s.counts[name] += n
-	s.mu.Unlock()
-}
-
-// Counts returns a copy of the span's accumulated counters (its own Count
-// calls plus every ended descendant, each contributing {name: 1} and its
-// own counts). Nil on a nil span.
+// Counts returns a copy of the span's accumulated counters: every ended
+// descendant contributes {name: 1} and its own counts. Nil on a nil span.
 func (s *Span) Counts() map[string]int64 {
 	if s == nil {
 		return nil

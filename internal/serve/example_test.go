@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"time"
 
 	"smartfeat/internal/experiments"
 	"smartfeat/internal/fmgate"
@@ -65,7 +66,9 @@ func Example() {
 	fmt.Println("submitted:", resp.StatusCode)
 
 	job, _ := s.Job("t4")
-	<-job.Done()
+	for st := job.Status(); st == serve.StatusQueued || st == serve.StatusRunning; st = job.Status() {
+		time.Sleep(10 * time.Millisecond)
+	}
 	fmt.Println("status:", job.Status())
 	check(s.Shutdown(context.Background()))
 

@@ -45,7 +45,6 @@ type Job struct {
 	startedAt   time.Time
 	finishedAt  time.Time
 	cancel      func() // cancels the running job's context (drain timeout)
-	done        chan struct{}
 
 	// plan and dir are fixed at admission; reads need no lock.
 	plan []grid.Cell
@@ -112,9 +111,6 @@ func (j *Job) Result() (string, bool) {
 	return j.result, j.status == StatusCompleted
 }
 
-// Done is closed when the job reaches a terminal status.
-func (j *Job) Done() <-chan struct{} { return j.done }
-
 // setRunning transitions queued → running.
 func (j *Job) setRunning(cancel func()) {
 	j.mu.Lock()
@@ -124,7 +120,7 @@ func (j *Job) setRunning(cancel func()) {
 	j.cancel = cancel
 }
 
-// finish records the terminal status and wakes Done waiters.
+// finish records the terminal status.
 func (j *Job) finish(status, result, errMsg string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -134,7 +130,6 @@ func (j *Job) finish(status, result, errMsg string) {
 	j.status, j.result, j.err = status, result, errMsg
 	j.finishedAt = time.Now()
 	j.cancel = nil
-	close(j.done)
 }
 
 // interrupt cancels the running job's context, if it is running.

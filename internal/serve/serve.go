@@ -453,7 +453,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Spec:        spec,
 		status:      StatusQueued,
 		submittedAt: time.Now(),
-		done:        make(chan struct{}),
 		plan:        plan,
 		dir:         filepath.Join(s.opts.RunRoot, id),
 	}

@@ -121,10 +121,17 @@ func mustSubmit(t *testing.T, url, tenant, name string, spec JobSpec, want int) 
 // waitDone blocks until the job terminates (bounded).
 func waitDone(t *testing.T, j *Job) {
 	t.Helper()
-	select {
-	case <-j.Done():
-	case <-time.After(60 * time.Second):
-		t.Fatalf("job %s still %s after 60s", j.ID, j.Status())
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		switch st := j.Status(); st {
+		case StatusCompleted, StatusFailed, StatusCanceled:
+			return
+		default:
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s still %s after 60s", j.ID, st)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 	}
 }
 

@@ -1,147 +1,628 @@
-// Package deadexports holds one test: it fails when an exported function or
-// method declared under internal/ is called only from tests. Such a function
-// is surface the product never runs, yet every reader of the package must
-// still learn it. The package has no non-test code, so the check runs as
-// part of `go test ./...`.
+// Package deadexports holds the dead-surface gate: it fails when an exported
+// function, method or struct field declared under internal/ is reached only
+// by tests. Such surface is code the product never runs, yet every reader of
+// the package must still learn it. The package has no non-test code, so the
+// check runs as part of `go test ./...`.
 //
-// The scan is by name over the syntax trees of every non-test .go file in
-// the repository, perfbench/ included: a declaration counts as used when
-// any non-test code other than the declaration itself mentions its name.
-// That errs towards "used" (a method shares its name with every other
-// method of that name), never towards flagging live code.
+// The scan type-checks every non-test .go file of every module in the
+// repository (perfbench/ included) with go/types and resolves each mention
+// to its declaration, so two methods that share a name are told apart.
+// Standard-library packages load from the export data `go list -export`
+// reports, which keeps the scan to a few seconds.
+//
+//   - A function or method is used when non-test code outside its own body
+//     mentions it. A method is also used when non-test code calls a method
+//     of the same name on an interface that its receiver type satisfies
+//     (promotion through embedding included), or when its receiver type
+//     implements one of the standard interfaces in stdInterfaces, whose
+//     methods the standard library calls for the program.
+//   - An exported struct field is used when non-test code sets it: names it
+//     in a composite literal (keyed or positional), assigns, increments or
+//     decrements it, takes its address, calls a pointer-receiver method on
+//     it, or decodes a JSON document into a value that holds it.
 package deadexports
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
-// interfaceMethods are method names the standard library calls through its
-// own interfaces (fmt.Stringer, error, errors.Unwrap, json.Marshaler,
-// http.Handler, sort.Interface, flag.Value, io.Reader/Writer/Closer), so no
-// file in this repository need mention them.
-var interfaceMethods = map[string]bool{
-	"String": true, "Error": true, "Unwrap": true, "Is": true, "As": true,
-	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
-	"ServeHTTP": true, "Len": true, "Less": true, "Swap": true, "Set": true,
-	"Read": true, "Write": true, "Close": true,
-}
-
-// keptFakes are test-only exports kept on purpose, each with its reason.
-// Keys are "package.Name" for a function, "package.Type.Method" for a method.
+// keptFakes is test-only surface kept on purpose, each entry with its
+// reason. Keys are "pkg.Name" for a function, "pkg.Type.Method" for a method
+// and "pkg.Type.Field" for a struct field.
 var keptFakes = map[string]string{
 	"fm.NewScripted": "the shared scripted-model test double of every package that drives an FM; " +
 		"it lives in fm because it charges fm's unexported usage accounting",
+	"ml.Forest.MaxBins":     forestKnob,
+	"ml.Forest.HistMinNode": forestKnob,
 }
 
-type decl struct {
-	key  string // package.Name or package.Type.Method
-	name string
-	pos  string // path:line relative to the repository root
-}
+// forestKnob is the reason the forest's histogram settings stay: reference
+// implementations that tests compare against are safety code.
+const forestKnob = "only the kernel-vs-reference tests vary it: they pin the histogram split search " +
+	"to the exact sort-scan reference at the edges of its bin and node-size settings"
+
+// stdInterfaces declares the standard-library interfaces whose methods the
+// standard library itself calls (fmt's verbs, errors.Is/As/Unwrap,
+// encoding/json, sort, net/http, flag, io), so no file in the repository
+// need mention those methods. It is type-checked with the scanned code.
+const stdInterfaces = `package std
+
+import (
+	"container/heap"
+	"encoding"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"io"
+	"net/http"
+	"sort"
+)
+
+type (
+	_ fmt.Stringer
+	_ fmt.GoStringer
+	_ fmt.Formatter
+	_ error
+	_ interface{ Unwrap() error }
+	_ interface{ Unwrap() []error }
+	_ interface{ Is(error) bool }
+	_ interface{ As(any) bool }
+	_ json.Marshaler
+	_ json.Unmarshaler
+	_ encoding.TextMarshaler
+	_ encoding.TextUnmarshaler
+	_ sort.Interface
+	_ heap.Interface
+	_ http.Handler
+	_ http.Flusher
+	_ flag.Value
+	_ flag.Getter
+	_ io.Reader
+	_ io.Writer
+	_ io.Closer
+)
+`
 
 func TestNoTestOnlyExports(t *testing.T) {
-	root := moduleRoot(t)
-	dead := scan(t, root)
-	for _, d := range dead {
-		t.Errorf("%s: exported %s has no non-test caller; delete it, "+
-			"move it into a _test.go file, or list it in keptFakes with a reason", d.pos, d.key)
-	}
-}
-
-// scan returns the exported functions and methods under internal/ whose
-// name no non-test code mentions, sorted by position.
-func scan(t *testing.T, root string) []decl {
-	t.Helper()
-	fset := token.NewFileSet()
-	var decls []decl
-	mentioned := make(map[string]bool)
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			// The go tool ignores these directories too.
-			if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			return nil
-		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			return err
-		}
-		rel = filepath.ToSlash(rel)
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		declared := make(map[*ast.Ident]bool)
-		if strings.HasPrefix(rel, "internal/") {
-			for _, dd := range f.Decls {
-				fd, ok := dd.(*ast.FuncDecl)
-				if !ok || !fd.Name.IsExported() {
-					continue
-				}
-				declared[fd.Name] = true
-				key := f.Name.Name + "." + fd.Name.Name
-				if fd.Recv != nil {
-					if interfaceMethods[fd.Name.Name] {
-						continue
-					}
-					key = f.Name.Name + "." + recvType(fd.Recv.List[0].Type) + "." + fd.Name.Name
-				}
-				decls = append(decls, decl{
-					key:  key,
-					name: fd.Name.Name,
-					pos:  rel + ":" + strconv.Itoa(fset.Position(fd.Pos()).Line),
-				})
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				mentioned[id.Name] = true
-			}
-			return true
-		})
-		return nil
-	})
+	start := time.Now()
+	dead, err := scan(moduleRoot(t), keptFakes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(decls) == 0 {
-		t.Fatalf("no exported declarations found under %s/internal; wrong root?", root)
+	t.Logf("scan took %s", time.Since(start).Round(time.Millisecond))
+	for _, d := range dead {
+		t.Errorf("%s: %s; delete it, move it into a _test.go file, or list it in keptFakes with a reason", d.pos, d.msg)
 	}
-	var dead []decl
-	kept := make(map[string]bool)
-	for _, d := range decls {
-		if _, ok := keptFakes[d.key]; ok {
-			kept[d.key] = true
+}
+
+func TestKeptFakesHaveReasons(t *testing.T) {
+	for key, reason := range keptFakes {
+		if strings.TrimSpace(reason) == "" {
+			t.Errorf("keptFakes[%q] gives no reason", key)
+		}
+	}
+}
+
+// finding is one piece of dead surface, or a stale exception.
+type finding struct {
+	key string // pkg.Name, pkg.Type.Method or pkg.Type.Field
+	pos string // path:line relative to the repository root
+	msg string
+}
+
+// decl is one exported declaration under internal/ that the scan checks.
+type decl struct {
+	key   string
+	pos   string
+	field bool // a struct field (must be set), not a function (must be reached)
+}
+
+// pkg is one package of `go list -json` output.
+type pkg struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Standard   bool
+	Imports    []string
+	Export     string
+}
+
+// checked is a type-checked module package.
+type checked struct {
+	rel   string // directory relative to the repository root
+	files []*ast.File
+	info  *types.Info
+	types *types.Package
+}
+
+// scan type-checks every module under root and returns the exported
+// declarations under root/internal that only tests reach, plus every
+// exception that matches no dead declaration, sorted by position.
+func scan(root string, kept map[string]string) ([]finding, error) {
+	root, err := filepath.Abs(root)
+	if err != nil {
+		return nil, err
+	}
+	mods, err := modules(root)
+	if err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	stdFile, err := parser.ParseFile(fset, "std.go", stdInterfaces, 0)
+	if err != nil {
+		return nil, err
+	}
+	// One `go list` per module finds the packages in dependency order; one
+	// more loads export data for the standard packages they and
+	// stdInterfaces import.
+	var order []pkg
+	listed := make(map[string]bool)
+	std := make(map[string]bool)
+	for _, spec := range stdFile.Imports {
+		std[strings.Trim(spec.Path.Value, `"`)] = true
+	}
+	for _, dir := range mods {
+		pkgs, err := goList(dir, "-deps", "-json=ImportPath,Dir,GoFiles,Standard,Imports", "./...")
+		if err != nil {
+			return nil, err
+		}
+		standard := make(map[string]bool)
+		for _, p := range pkgs {
+			if p.Standard {
+				standard[p.ImportPath] = true
+			}
+		}
+		for _, p := range pkgs {
+			if p.Standard || listed[p.ImportPath] {
+				continue
+			}
+			listed[p.ImportPath] = true
+			order = append(order, p)
+			for _, imp := range p.Imports {
+				if standard[imp] {
+					std[imp] = true
+				}
+			}
+		}
+	}
+	var stdPaths []string
+	for p := range std {
+		stdPaths = append(stdPaths, p)
+	}
+	sort.Strings(stdPaths)
+	exports, err := goList(root, append([]string{"-export", "-json=ImportPath,Export"}, stdPaths...)...)
+	if err != nil {
+		return nil, err
+	}
+	exportFile := make(map[string]string)
+	for _, p := range exports {
+		exportFile[p.ImportPath] = p.Export
+	}
+
+	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		f, ok := exportFile[path]
+		if !ok || f == "" {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(f)
+	}).(types.ImporterFrom)
+	byPath := make(map[string]*types.Package)
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := byPath[path]; ok {
+			return p, nil
+		}
+		return gc.ImportFrom(path, root, 0)
+	})
+
+	var pkgs []*checked
+	for _, p := range order {
+		c := &checked{info: &types.Info{
+			Types:      make(map[ast.Expr]types.TypeAndValue),
+			Defs:       make(map[*ast.Ident]types.Object),
+			Uses:       make(map[*ast.Ident]types.Object),
+			Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		}}
+		if c.rel, err = filepath.Rel(root, p.Dir); err != nil {
+			return nil, err
+		}
+		c.rel = filepath.ToSlash(c.rel)
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			c.files = append(c.files, f)
+		}
+		conf := types.Config{Importer: imp}
+		if c.types, err = conf.Check(p.ImportPath, fset, c.files, c.info); err != nil {
+			return nil, fmt.Errorf("type-checking %s: %w", p.ImportPath, err)
+		}
+		byPath[p.ImportPath] = c.types
+		pkgs = append(pkgs, c)
+	}
+	stdInfo := &types.Info{Types: make(map[ast.Expr]types.TypeAndValue)}
+	if _, err := (&types.Config{Importer: imp}).Check("std", fset, []*ast.File{stdFile}, stdInfo); err != nil {
+		return nil, fmt.Errorf("type-checking the standard interfaces: %w", err)
+	}
+
+	s := &scanner{
+		fset:      fset,
+		decls:     make(map[types.Object]decl),
+		used:      make(map[types.Object]bool),
+		ifaceUsed: make(map[*types.Func]bool),
+		decoders:  map[string]int{"encoding/json.Unmarshal": 1, "(*encoding/json.Decoder).Decode": 0},
+	}
+	for _, c := range pkgs {
+		if strings.HasPrefix(c.rel, "internal/") {
+			for _, f := range c.files {
+				s.declare(c.info, f, root)
+			}
+		}
+	}
+	if len(s.decls) == 0 {
+		return nil, fmt.Errorf("no exported declarations found under %s/internal; wrong root?", root)
+	}
+	for _, c := range pkgs {
+		for _, f := range c.files {
+			s.walk(c.info, f)
+		}
+	}
+	s.markDecoded()
+	var named []*types.Named
+	for _, c := range pkgs {
+		for _, name := range c.types.Scope().Names() {
+			if tn, ok := c.types.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				if n, ok := tn.Type().(*types.Named); ok && n.TypeParams() == nil {
+					named = append(named, n)
+				}
+			}
+		}
+	}
+	for _, spec := range stdFile.Decls[1].(*ast.GenDecl).Specs {
+		iface := stdInfo.Types[spec.(*ast.TypeSpec).Type].Type.Underlying().(*types.Interface)
+		for i := 0; i < iface.NumMethods(); i++ {
+			s.ifaceUsed[iface.Method(i)] = true
+		}
+	}
+	s.markImplementations(named)
+
+	var out []finding
+	matched := make(map[string]bool)
+	for obj, d := range s.decls {
+		if _, ok := kept[d.key]; ok {
+			matched[d.key] = true
+			if s.used[obj] {
+				out = append(out, finding{d.key, d.pos, "exported " + d.key + " is listed in keptFakes, but non-test code reaches it; drop the entry"})
+			}
 			continue
 		}
-		if !mentioned[d.name] {
-			dead = append(dead, d)
+		switch {
+		case s.used[obj]:
+		case d.field:
+			out = append(out, finding{d.key, d.pos, "exported field " + d.key + " is set by no non-test code"})
+		default:
+			out = append(out, finding{d.key, d.pos, "exported " + d.key + " has no non-test caller"})
 		}
 	}
-	for key := range keptFakes {
-		if !kept[key] {
-			t.Errorf("keptFakes lists %s, which is no longer declared under internal/", key)
+	for key := range kept {
+		if !matched[key] {
+			out = append(out, finding{key, "keptFakes", "keptFakes lists " + key + ", which is no longer declared under internal/"})
 		}
 	}
-	sort.Slice(dead, func(i, j int) bool { return dead[i].pos < dead[j].pos })
-	return dead
+	sort.Slice(out, func(i, j int) bool {
+		fi, li, _ := strings.Cut(out[i].pos, ":")
+		fj, lj, _ := strings.Cut(out[j].pos, ":")
+		if fi != fj {
+			return fi < fj
+		}
+		if len(li) != len(lj) {
+			return len(li) < len(lj)
+		}
+		if li != lj {
+			return li < lj
+		}
+		return out[i].key < out[j].key
+	})
+	return out, nil
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// scanner accumulates declarations and the marks non-test code leaves on
+// them.
+type scanner struct {
+	fset      *token.FileSet
+	decls     map[types.Object]decl
+	used      map[types.Object]bool
+	ifaceUsed map[*types.Func]bool // interface methods non-test code calls
+	// decoders maps a JSON-decoding function to the index of its
+	// destination argument; wrappers that pass a parameter on join it.
+	decoders map[string]int
+	calls    []call
+}
+
+// call is one non-test call to a function, kept to find JSON decoders.
+type call struct {
+	caller *types.Func // nil outside a function declaration
+	callee *types.Func
+	args   []ast.Expr
+	info   *types.Info
+}
+
+// declare records the exported functions, methods, interface methods and
+// struct fields of one file.
+func (s *scanner) declare(info *types.Info, f *ast.File, root string) {
+	pkg := f.Name.Name
+	add := func(id *ast.Ident, key string, field bool) {
+		if obj := info.Defs[id]; obj != nil && id.IsExported() {
+			rel, _ := filepath.Rel(root, s.fset.Position(id.Pos()).Filename)
+			s.decls[obj] = decl{key: key, field: field,
+				pos: filepath.ToSlash(rel) + ":" + strconv.Itoa(s.fset.Position(id.Pos()).Line)}
+		}
+	}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			key := pkg + "." + d.Name.Name
+			if d.Recv != nil {
+				key = pkg + "." + recvType(d.Recv.List[0].Type) + "." + d.Name.Name
+			}
+			add(d.Name, key, false)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok {
+					continue
+				}
+				switch t := ts.Type.(type) {
+				case *ast.StructType:
+					for _, fld := range t.Fields.List {
+						for _, id := range fld.Names {
+							add(id, pkg+"."+ts.Name.Name+"."+id.Name, true)
+						}
+					}
+				case *ast.InterfaceType:
+					for _, m := range t.Methods.List {
+						for _, id := range m.Names {
+							add(id, pkg+"."+ts.Name.Name+"."+id.Name, false)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// walk marks what one non-test file reaches: every function it mentions
+// outside that function's own body, every field it sets, and every
+// interface method it calls.
+func (s *scanner) walk(info *types.Info, f *ast.File) {
+	for _, d := range f.Decls {
+		var self *types.Func
+		if fd, ok := d.(*ast.FuncDecl); ok {
+			self, _ = info.Defs[fd.Name].(*types.Func)
+		}
+		ast.Inspect(d, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if fn, ok := info.Uses[n].(*types.Func); ok && fn.Origin() != self {
+					s.used[fn.Origin()] = true
+					if recv := fn.Signature().Recv(); recv != nil && types.IsInterface(recv.Type()) {
+						s.ifaceUsed[fn] = true
+					}
+				}
+			case *ast.CompositeLit:
+				st, ok := deref(info.TypeOf(n)).Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							s.setField(info.Uses[id])
+						}
+					} else if i < st.NumFields() {
+						s.setField(st.Field(i))
+					}
+				}
+			case *ast.AssignStmt:
+				for _, e := range n.Lhs {
+					s.setPath(info, e)
+				}
+			case *ast.IncDecStmt:
+				s.setPath(info, n.X)
+			case *ast.RangeStmt:
+				if n.Tok == token.ASSIGN {
+					s.setPath(info, n.Key)
+					s.setPath(info, n.Value)
+				}
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					s.setPath(info, n.X)
+				}
+			case *ast.SelectorExpr:
+				// A pointer-receiver method on an addressable value takes
+				// that value's address.
+				if sel := info.Selections[n]; sel != nil && sel.Kind() == types.MethodVal {
+					if _, ptr := sel.Obj().(*types.Func).Signature().Recv().Type().(*types.Pointer); ptr {
+						if _, isPtr := info.TypeOf(n.X).(*types.Pointer); !isPtr {
+							s.setPath(info, n.X)
+						}
+					}
+				}
+			case *ast.CallExpr:
+				if fn := callee(info, n.Fun); fn != nil {
+					s.calls = append(s.calls, call{caller: self, callee: fn, args: n.Args, info: info})
+				}
+			}
+			return true
+		})
+	}
+}
+
+// setField marks obj, if it is a struct field, as set.
+func (s *scanner) setField(obj types.Object) {
+	if v, ok := obj.(*types.Var); ok && v.IsField() {
+		s.used[v.Origin()] = true
+	}
+}
+
+// setPath marks every field selected along an assigned or addressed
+// expression: in a.B.C = x both B and C are set.
+func (s *scanner) setPath(info *types.Info, e ast.Expr) {
+	for e != nil {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+				s.setField(sel.Obj())
+			}
+			e = x.X
+		default:
+			return
+		}
+	}
+}
+
+// markDecoded finds every function that decodes JSON into one of its
+// arguments (encoding/json, and wrappers passing a parameter on), then marks
+// every exported field of the types decoded into as set.
+func (s *scanner) markDecoded() {
+	for grew := true; grew; {
+		grew = false
+		for _, c := range s.calls {
+			i, ok := s.decoders[c.callee.Origin().FullName()]
+			if !ok || c.caller == nil || i >= len(c.args) {
+				continue
+			}
+			id, ok := c.args[i].(*ast.Ident)
+			if !ok {
+				continue
+			}
+			params := c.caller.Signature().Params()
+			for j := 0; j < params.Len(); j++ {
+				if c.info.Uses[id] == params.At(j) {
+					if _, known := s.decoders[c.caller.FullName()]; !known {
+						s.decoders[c.caller.FullName()] = j
+						grew = true
+					}
+				}
+			}
+		}
+	}
+	seen := make(map[types.Type]bool)
+	for _, c := range s.calls {
+		if i, ok := s.decoders[c.callee.Origin().FullName()]; ok && i < len(c.args) {
+			s.decodeInto(c.info.TypeOf(c.args[i]), seen)
+		}
+	}
+}
+
+// decodeInto marks the fields encoding/json fills in a value of type t.
+func (s *scanner) decodeInto(t types.Type, seen map[types.Type]bool) {
+	if t == nil || seen[t] {
+		return
+	}
+	seen[t] = true
+	switch u := t.Underlying().(type) {
+	case *types.Pointer:
+		s.decodeInto(u.Elem(), seen)
+	case *types.Slice:
+		s.decodeInto(u.Elem(), seen)
+	case *types.Array:
+		s.decodeInto(u.Elem(), seen)
+	case *types.Map:
+		s.decodeInto(u.Elem(), seen)
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			f := u.Field(i)
+			if f.Exported() && reflect.StructTag(u.Tag(i)).Get("json") != "-" {
+				s.setField(f)
+				s.decodeInto(f.Type(), seen)
+			}
+		}
+	}
+}
+
+// markImplementations marks, for every named type that satisfies an
+// interface whose methods are called (by non-test code or by the standard
+// library), the methods the interface reaches, promoted ones included.
+func (s *scanner) markImplementations(named []*types.Named) {
+	byIface := make(map[*types.Interface][]*types.Func)
+	for m := range s.ifaceUsed {
+		iface := m.Signature().Recv().Type().Underlying().(*types.Interface)
+		byIface[iface] = append(byIface[iface], m)
+	}
+	for _, n := range named {
+		var t types.Type = n
+		if !types.IsInterface(n) {
+			t = types.NewPointer(n)
+		}
+		for iface, methods := range byIface {
+			if !types.Implements(t, iface) {
+				continue
+			}
+			for _, m := range methods {
+				if obj, _, _ := types.LookupFieldOrMethod(t, false, m.Pkg(), m.Name()); obj != nil {
+					s.used[obj.(*types.Func).Origin()] = true
+				}
+			}
+		}
+	}
+}
+
+// callee resolves a call's function expression to the function it names.
+func callee(info *types.Info, fun ast.Expr) *types.Func {
+	for {
+		switch x := fun.(type) {
+		case *ast.ParenExpr:
+			fun = x.X
+		case *ast.IndexExpr:
+			fun = x.X
+		case *ast.IndexListExpr:
+			fun = x.X
+		case *ast.SelectorExpr:
+			fn, _ := info.Uses[x.Sel].(*types.Func)
+			return fn
+		case *ast.Ident:
+			fn, _ := info.Uses[x].(*types.Func)
+			return fn
+		default:
+			return nil
+		}
+	}
+}
+
+func deref(t types.Type) types.Type {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
 }
 
 // recvType names a method's receiver type, without pointer or type
@@ -161,6 +642,49 @@ func recvType(e ast.Expr) string {
 			return "?"
 		}
 	}
+}
+
+// modules lists root and the directory of every nested go.mod below it,
+// skipping the directories the go tool ignores.
+func modules(root string) ([]string, error) {
+	var mods []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() && path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && name == "go.mod" {
+			mods = append(mods, filepath.Dir(path))
+		}
+		return nil
+	})
+	return mods, err
+}
+
+// goList runs `go list` in dir and decodes its JSON stream.
+func goList(dir string, args ...string) ([]pkg, error) {
+	cmd := exec.Command("go", append([]string{"list"}, args...)...)
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "GOWORK=off")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list in %s: %v\n%s", dir, err, stderr.Bytes())
+	}
+	var pkgs []pkg
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for dec.More() {
+		var p pkg
+		if err := dec.Decode(&p); err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, p)
+	}
+	return pkgs, nil
 }
 
 // moduleRoot walks up from the test's directory to the go.mod of module
