@@ -657,3 +657,46 @@ func TestMLPMatchesDenseRef(t *testing.T) {
 		})
 	}
 }
+
+// TestLogisticGoldenDigest pins the bits of the logistic fit: its weights
+// and bias, then its probabilities on the training rows. The first shape has
+// a row count and a width that are not multiples of four. The second scales
+// separable data so far that most logits pass sigmoid's ±35 cut-off, so the
+// loss clamp on p decides the stopping rule.
+func TestLogisticGoldenDigest(t *testing.T) {
+	cases := []struct {
+		name         string
+		n, d         int
+		seed         int64
+		scale        float64
+		fit, predict string
+	}{
+		{"linear-n403-d9", 403, 9, 50, 1,
+			"950408b101c68221cb3088b9f4b02d060ac7e8c7f7f9d9801ee46cc93ffdaf63",
+			"4cb14a3df982ef88caf7cd6ca00c2f83ff0464da165a6fedd3feac2debca1e1d"},
+		{"saturated-n250-d5", 250, 5, 51, 40,
+			"11202f05d1ae40598faf9f107e2d85d4781dcb1d1e6585e5d9f4a366b2c012fe",
+			"347b2b3f4401e7a68c7d875bb0b0a54f139b8ffadb457dca6c10c908c3934d62"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			X, y := synthLinear(tc.n, tc.d, tc.seed)
+			for _, row := range X {
+				for j := range row {
+					row[j] *= tc.scale
+				}
+			}
+			m := mustMatrix(t, X)
+			lr := NewLogistic()
+			if err := lr.Fit(m, y); err != nil {
+				t.Fatal(err)
+			}
+			if got := probaDigest(append(lr.Weights(), lr.bias)); got != tc.fit {
+				t.Errorf("weights and bias: digest %s, want %s", got, tc.fit)
+			}
+			if got := probaDigest(lr.PredictProba(m)); got != tc.predict {
+				t.Errorf("probabilities: digest %s, want %s", got, tc.predict)
+			}
+		})
+	}
+}
