@@ -50,12 +50,8 @@ func (lr *Logistic) Fit(X *Matrix, y []int) error {
 		for i := range z {
 			z[i] = lr.bias
 		}
-		for j := 0; j < d; j++ {
-			w := lr.weights[j]
-			col := X.Col(j)
-			for i, v := range col {
-				z[i] += w * v
-			}
+		for j, w := range lr.weights {
+			axpy(z, w, X.Col(j))
 		}
 		gradB := 0.0
 		loss := 0.0
@@ -63,8 +59,15 @@ func (lr *Logistic) Fit(X *Matrix, y []int) error {
 			p := sigmoid(z[i])
 			e[i] = p - float64(y[i])
 			gradB += e[i]
-			// Cross-entropy with clamping for the stopping criterion.
-			pc := math.Min(math.Max(p, 1e-12), 1-1e-12)
+			// Cross-entropy with clamping for the stopping criterion; a NaN
+			// p stays NaN.
+			pc := p
+			if pc < 1e-12 {
+				pc = 1e-12
+			}
+			if pc > 1-1e-12 {
+				pc = 1 - 1e-12
+			}
 			if y[i] == 1 {
 				loss -= math.Log(pc)
 			} else {
@@ -121,12 +124,8 @@ func (lr *Logistic) PredictProba(X *Matrix) []float64 {
 	for i := range z {
 		z[i] = lr.bias
 	}
-	for j := 0; j < d; j++ {
-		w := lr.weights[j]
-		col := X.Col(j)
-		for i, v := range col {
-			z[i] += w * v
-		}
+	for j, w := range lr.weights[:d] {
+		axpy(z, w, X.Col(j))
 	}
 	for i, v := range z {
 		out[i] = sigmoid(v)

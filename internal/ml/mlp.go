@@ -21,8 +21,10 @@ type MLP struct {
 	Seed int64
 
 	// Layer weights, flat and row-major: w1 is Hidden×d, w2 Hidden×Hidden,
-	// w3 1×Hidden.
+	// w3 1×Hidden. Adam updates these; w1t and w2t are transposed copies,
+	// refreshed after every step, that the forward pass reads.
 	w1, w2, w3 []float64
+	w1t, w2t   []float64
 	b1, b2     []float64
 	b3         float64
 	d          int // input width w1 was fitted on
@@ -37,6 +39,9 @@ func NewMLP(seed int64) *MLP {
 // Name implements Classifier.
 func (m *MLP) Name() string { return "DNN" }
 
+// Adam's moment decay rates and denominator guard.
+const beta1, beta2, adamEps = 0.9, 0.999, 1e-8
+
 // adam holds per-parameter Adam state.
 type adam struct {
 	m, v []float64
@@ -50,24 +55,25 @@ func newAdam(n int, lr float64) *adam {
 
 // step applies one Adam update to params given grads.
 func (a *adam) step(params, grads []float64) {
-	const beta1, beta2, eps = 0.9, 0.999, 1e-8
 	a.t++
 	bc1 := 1 - math.Pow(beta1, float64(a.t))
 	bc2 := 1 - math.Pow(beta2, float64(a.t))
-	for i := range params {
-		g := grads[i]
-		a.m[i] = beta1*a.m[i] + (1-beta1)*g
-		a.v[i] = beta2*a.v[i] + (1-beta2)*g*g
-		params[i] -= a.lr * (a.m[i] / bc1) / (math.Sqrt(a.v[i]/bc2) + eps)
+	g, m, v := grads[:len(params)], a.m[:len(params)], a.v[:len(params)]
+	if useAVX2 {
+		adamAVX2(params, g, m, v, beta1, 1-beta1, beta2, 1-beta2, a.lr, bc1, bc2, adamEps)
+		return
 	}
+	adamGeneric(params, g, m, v, beta1, 1-beta1, beta2, 1-beta2, a.lr, bc1, bc2, adamEps)
 }
 
 // Fit implements Classifier. The mini-batch SGD loop is inherently
 // row-oriented, so each sample is gathered from the columnar matrix into a
-// reused buffer. Backprop visits only the active units (see forward): each
-// pass over layer 1's active set serves two nonzero d2 rows, accumulating
-// both rows of gW2 and every active d1 term, and each d1 term is still added
-// in increasing row order exactly as a column walk would.
+// reused buffer. Backprop runs as row axpys: each nonzero layer-2 delta,
+// in increasing unit order, adds its multiple of a1 to its row of gW2 and
+// its multiple of its row of w2 to the layer-1 deltas; each active layer-1
+// unit with a nonzero delta then adds its multiple of x to its row of gW1.
+// Every gradient entry sums its terms in the order the dense column walk
+// did.
 func (m *MLP) Fit(X *Matrix, y []int) error {
 	if err := validate(X, y); err != nil {
 		return err
@@ -103,6 +109,9 @@ func (m *MLP) Fit(X *Matrix, y []int) error {
 	m.b1 = make([]float64, h)
 	m.b2 = make([]float64, h)
 	m.b3 = 0
+	m.w1t = make([]float64, d*h)
+	m.w2t = make([]float64, h*h)
+	m.transpose()
 
 	// One Adam state per tensor; weights are updated in place.
 	optW1 := newAdam(h*d, m.LearningRate)
@@ -120,8 +129,7 @@ func (m *MLP) Fit(X *Matrix, y []int) error {
 	gB3 := make([]float64, 1)
 
 	p := newPass(h)
-	// d1[k] is the gradient at layer 1's k-th active unit, p.act1[k].
-	d1buf := make([]float64, h)
+	d1 := make([]float64, h)
 
 	order := rng.Perm(n)
 	xbuf := make([]float64, d)
@@ -147,40 +155,26 @@ func (m *MLP) Fit(X *Matrix, y []int) error {
 				prob := sigmoid(m.forward(x, p))
 				// Backward (binary cross-entropy).
 				dz3 := prob - float64(y[idx])
-				for k, j := range p.act2 {
-					gW3[j] += dz3 * p.val2[k]
+				for _, j := range p.act2 {
+					gW3[j] += dz3 * p.a2[j]
 				}
 				gB3[0] += dz3
-				d1 := d1buf[:len(p.act1)]
 				clear(d1)
-				// Nonzero d2 rows are taken in pairs; pend holds the first
-				// of a pair until its partner turns up.
-				pend, dpend := -1, 0.0
 				for _, i := range p.act2 {
 					di := dz3 * m.w3[i]
 					if di == 0 {
 						continue
 					}
 					gB2[i] += di
-					if pend < 0 {
-						pend, dpend = i, di
-						continue
-					}
-					m.backRows(gW2, d1, p, pend, dpend, i, di)
-					pend = -1
+					axpy(gW2[i*h:(i+1)*h], di, p.a1)
+					axpy(d1, di, m.w2[i*h:(i+1)*h])
 				}
-				if pend >= 0 {
-					m.backRow(gW2, d1, p, pend, dpend)
-				}
-				for k, i := range p.act1 {
-					di := d1[k]
+				for _, i := range p.act1 {
+					di := d1[i]
 					if di == 0 {
 						continue
 					}
-					grow := gW1[i*d : (i+1)*d]
-					for j, v := range x {
-						grow[j] += di * v
-					}
+					axpy(gW1[i*d:(i+1)*d], di, x)
 					gB1[i] += di
 				}
 			}
@@ -199,38 +193,23 @@ func (m *MLP) Fit(X *Matrix, y []int) error {
 			b3s := []float64{m.b3}
 			optB3.step(b3s, gB3)
 			m.b3 = b3s[0]
+			m.transpose()
 		}
 	}
 	m.fitted = true
 	return nil
 }
 
-// backRows backpropagates two nonzero layer-2 rows i0 < i1 in one pass over
-// layer 1's active set: gW2's rows i0 and i1 gain d·a1, and each active
-// d1 term gains row i0's contribution before row i1's.
-func (m *MLP) backRows(gW2, d1 []float64, p *pass, i0 int, d0 float64, i1 int, di1 float64) {
-	h := m.Hidden
-	g0, g1 := gW2[i0*h:(i0+1)*h], gW2[i1*h:(i1+1)*h]
-	w0, w1 := m.w2[i0*h:(i0+1)*h], m.w2[i1*h:(i1+1)*h]
-	val := p.val1[:len(p.act1)]
-	d1 = d1[:len(p.act1)]
-	for k, j := range p.act1 {
-		a := val[k]
-		g0[j] += d0 * a
-		g1[j] += di1 * a
-		d1[k] = d1[k] + d0*w0[j] + di1*w1[j]
-	}
-}
-
-// backRow is backRows for the last, unpaired row.
-func (m *MLP) backRow(gW2, d1 []float64, p *pass, i int, di float64) {
-	h := m.Hidden
-	g, w := gW2[i*h:(i+1)*h], m.w2[i*h:(i+1)*h]
-	val := p.val1[:len(p.act1)]
-	d1 = d1[:len(p.act1)]
-	for k, j := range p.act1 {
-		g[j] += di * val[k]
-		d1[k] += di * w[j]
+// transpose refreshes w1t and w2t from w1 and w2.
+func (m *MLP) transpose() {
+	h, d := m.Hidden, m.d
+	for i := 0; i < h; i++ {
+		for j, w := range m.w1[i*d : (i+1)*d] {
+			m.w1t[j*h+i] = w
+		}
+		for j, w := range m.w2[i*h : (i+1)*h] {
+			m.w2t[j*h+i] = w
+		}
 	}
 }
 
@@ -240,130 +219,81 @@ func scaleInPlace(v []float64, s float64) {
 	}
 }
 
-// pass is one sample's trip through the network: the pre-activation
-// scratch z and, per hidden layer, its active set — the units whose
-// pre-activation is positive — as increasing unit indices plus their ReLU
-// values. Every other unit's activation is zero.
+// pass is one sample's trip through the network: per hidden layer, its
+// activations and its active set, the increasing indices of the units
+// whose pre-activation is positive. Every other unit's activation is +0.
 type pass struct {
-	z          []float64
+	a1, a2     []float64
 	act1, act2 []int
-	val1, val2 []float64
 }
 
 func newPass(h int) *pass {
 	return &pass{
-		z:    make([]float64, h),
+		a1: make([]float64, h), a2: make([]float64, h),
 		act1: make([]int, 0, h), act2: make([]int, 0, h),
-		val1: make([]float64, 0, h), val2: make([]float64, 0, h),
 	}
 }
 
 // forward runs one sample through the network, recording both hidden
-// layers' active sets in p, and returns the output logit. Only the first
-// min(d, len(x)) inputs are read, so a matrix narrower or wider than the
-// fitted one still predicts.
+// layers in p, and returns the output logit. Only the first min(d, len(x))
+// inputs are read, so a matrix narrower or wider than the fitted one still
+// predicts. Each layer starts from its bias and adds one input's column of
+// weights at a time (a row of w1t or w2t), so every unit sums its terms in
+// increasing input order, as a row-by-row product would.
 //
-// Layer 2, the output and backprop sum only over active units. That is
-// exact, bit for bit, against summing over every unit: an inactive unit's
-// term is w·0 = ±0 for finite w, each kept sum adds the same terms in the
-// same order, and every accumulator starts at a bias or at +0. A
-// round-to-nearest sum can only become −0 from −0 + −0, and no bias ever
-// becomes −0 (biases start at +0, and Adam's b − step is −0 only when b
-// already is), so no accumulator is −0 and adding ±0 leaves it unchanged.
-// The argument needs finite weights (Inf·0 is NaN). Fit keeps them finite
-// when its inputs are: Pipeline imputes NaN and rejects ±Inf before a fit,
-// and each Adam step is bounded by about the learning rate. Layer 1 sums
-// every input, so a prediction over non-finite inputs still matches the
-// dense sums.
+// Layer 2 and the output sum only over active units, and backprop's gW2
+// row axpys add ±0 (a delta times an inactive unit's +0) for inactive
+// layer-1 units. Both are exact, bit for bit, against dense sums: an
+// inactive unit's term is w·0 = ±0 for finite w, each kept sum adds the
+// same terms in the same order, and every accumulator starts at a bias or
+// at +0. A round-to-nearest sum can only become −0 from −0 + −0, and no
+// bias ever becomes −0 (biases start at +0, and Adam's b − step is −0 only
+// when b already is), so no accumulator is −0 and adding ±0 leaves it
+// unchanged. The argument needs finite weights (Inf·0 is NaN). Fit keeps
+// them finite when its inputs are: Pipeline imputes NaN and rejects ±Inf
+// before a fit, and each Adam step is bounded by about the learning rate.
+// The layer-1 deltas of inactive units also collect terms, which backprop
+// then ignores, as the dense walk zeroed them. Layer 1 sums every input,
+// so a prediction over non-finite inputs still matches the dense sums.
 func (m *MLP) forward(x []float64, p *pass) float64 {
+	h := m.Hidden
 	if len(x) > m.d {
 		x = x[:m.d]
 	}
-	dense(m.w1, m.d, m.b1, x, p.z)
-	p.act1, p.val1 = active(p.z, p.act1, p.val1)
-	denseActive(m.w2, m.Hidden, m.b2, p.act1, p.val1, p.z)
-	p.act2, p.val2 = active(p.z, p.act2, p.val2)
+	copy(p.a1, m.b1)
+	for j, v := range x {
+		axpy(p.a1, v, m.w1t[j*h:(j+1)*h])
+	}
+	p.act1 = relu(p.a1, p.act1)
+	copy(p.a2, m.b2)
+	for _, j := range p.act1 {
+		axpy(p.a2, p.a1[j], m.w2t[j*h:(j+1)*h])
+	}
+	p.act2 = relu(p.a2, p.act2)
 	z3 := m.b3
-	for k, j := range p.act2 {
-		z3 += m.w3[j] * p.val2[k]
+	for _, j := range p.act2 {
+		z3 += m.w3[j] * p.a2[j]
 	}
 	return z3
 }
 
-// active returns the indices and values of z's positive entries, reusing
-// the storage of act and val, whose capacity must cover len(z). Every entry
-// is written and only the count moves, so the compiler can drop the
-// unpredictable branch on the sign.
-func active(z []float64, act []int, val []float64) ([]int, []float64) {
-	act, val = act[:len(z)], val[:len(z)]
+// relu sets a's entries that are not positive, NaN included, to +0 and
+// returns the indices of the rest, reusing act's storage, whose capacity
+// must cover len(a). Every index is written and only the count moves, so
+// the compiler can drop the unpredictable branch on the sign.
+func relu(a []float64, act []int) []int {
+	act = act[:len(a)]
 	n := 0
-	for i, s := range z {
-		act[n], val[n] = i, s
+	for i, s := range a {
+		act[n] = i
+		var keep uint64
 		if s > 0 {
-			n++
+			keep = ^uint64(0)
 		}
+		a[i] = math.Float64frombits(math.Float64bits(s) & keep)
+		n += int(keep & 1)
 	}
-	return act[:n], val[:n]
-}
-
-// dense computes z = W·x + b for a row-major W with stride cols. Rows run
-// four at a time with one accumulator each, so every z[i] still sums its
-// terms in increasing j from b[i], bit for bit like a plain row loop, while
-// x is read once per block instead of once per row.
-func dense(w []float64, cols int, b, x, z []float64) {
-	i := 0
-	for ; i+4 <= len(z); i += 4 {
-		r0 := w[i*cols : i*cols+len(x)]
-		r1 := w[(i+1)*cols : (i+1)*cols+len(x)]
-		r2 := w[(i+2)*cols : (i+2)*cols+len(x)]
-		r3 := w[(i+3)*cols : (i+3)*cols+len(x)]
-		s0, s1, s2, s3 := b[i], b[i+1], b[i+2], b[i+3]
-		for j, v := range x {
-			s0 += r0[j] * v
-			s1 += r1[j] * v
-			s2 += r2[j] * v
-			s3 += r3[j] * v
-		}
-		z[i], z[i+1], z[i+2], z[i+3] = s0, s1, s2, s3
-	}
-	for ; i < len(z); i++ {
-		s := b[i]
-		for j, v := range x {
-			s += w[i*cols+j] * v
-		}
-		z[i] = s
-	}
-}
-
-// denseActive is dense over a sparse input: x[act[k]] = val[k] and every
-// other input is zero, so each z[i] sums only the active terms, in
-// increasing index order.
-func denseActive(w []float64, cols int, b []float64, act []int, val, z []float64) {
-	val = val[:len(act)]
-	i := 0
-	for ; i+4 <= len(z); i += 4 {
-		r0 := w[i*cols : (i+1)*cols]
-		r1 := w[(i+1)*cols : (i+2)*cols]
-		r2 := w[(i+2)*cols : (i+3)*cols]
-		r3 := w[(i+3)*cols : (i+4)*cols]
-		s0, s1, s2, s3 := b[i], b[i+1], b[i+2], b[i+3]
-		for k, j := range act {
-			v := val[k]
-			s0 += r0[j] * v
-			s1 += r1[j] * v
-			s2 += r2[j] * v
-			s3 += r3[j] * v
-		}
-		z[i], z[i+1], z[i+2], z[i+3] = s0, s1, s2, s3
-	}
-	for ; i < len(z); i++ {
-		s := b[i]
-		r := w[i*cols : (i+1)*cols]
-		for k, j := range act {
-			s += r[j] * val[k]
-		}
-		z[i] = s
-	}
+	return act[:n]
 }
 
 // PredictProba implements Classifier.
