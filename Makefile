@@ -1,9 +1,10 @@
 GO ?= go
 PKGS := ./...
-# Kernel-level microbenchmarks (tree/forest/linear/MLP fits, MLP predict, ColMatrix,
-# group-by, the per-prompt agenda render, and feature realization: expression
-# evaluation, distinct counts, group-by transforms).
-KERNEL_BENCH := BenchmarkTreeFit|BenchmarkForestFit|BenchmarkExtraTreesFit|BenchmarkHistogramSplit|BenchmarkLogisticFit|BenchmarkMLPFit|BenchmarkMLPPredict|BenchmarkMatrixTakeRows|BenchmarkColMatrix|BenchmarkDropNANoNulls|BenchmarkSeriesStd|BenchmarkGroupKeys|BenchmarkAgendaRender|BenchmarkEvalRows|BenchmarkCardinality|BenchmarkGroupByTransform
+# Kernel-level microbenchmarks (tree/forest/linear/MLP fits, MLP predict, the
+# MLP's row-sum and the logistic loss's log vector kernels, ColMatrix,
+# group-by, the per-prompt agenda render, and feature realization:
+# expression evaluation, distinct counts, group-by transforms).
+KERNEL_BENCH := BenchmarkTreeFit|BenchmarkForestFit|BenchmarkExtraTreesFit|BenchmarkHistogramSplit|BenchmarkLogisticFit|BenchmarkMLPFit|BenchmarkMLPPredict|BenchmarkRowsum|BenchmarkLogs|BenchmarkMatrixTakeRows|BenchmarkColMatrix|BenchmarkDropNANoNulls|BenchmarkSeriesStd|BenchmarkGroupKeys|BenchmarkAgendaRender|BenchmarkEvalRows|BenchmarkCardinality|BenchmarkGroupByTransform
 KERNEL_PKGS := ./internal/ml ./internal/dataframe ./internal/core ./internal/expr
 # The row-level path's benches (one Bank row serialized; a warm pass of
 # cached rows) run in the kernel and grid sweeps at GOMAXPROCS 1 and 2, so a

@@ -2,12 +2,19 @@ package ml
 
 import "math"
 
-// The neural and linear fits spend their time in two loops: axpy
-// (z[i] += v·r[i]), which runs every layer of the MLP and the logistic
-// logit sweep, and the Adam update. Each has a pure-Go generic twin and, on
-// amd64 CPUs with AVX2, an assembly kernel (kernels_amd64.s) chosen once at
-// init through useAVX2. The twin is the fallback everywhere else and the
-// reference FuzzKernels holds the kernel to.
+// The neural and linear fits spend their time in four loops, each with a
+// pure-Go generic twin and, on amd64 CPUs with AVX2, an assembly kernel
+// (kernels_amd64.s) chosen once at init through useAVX2:
+//
+//   - axpy (z[i] += v·r[i]): the logistic logit sweep and the MLP's
+//     per-row gradient updates;
+//   - rowsum, a run of axpys into one z: the MLP's layer sums and its
+//     layer-1 deltas, with z held in registers while the rows stream;
+//   - the Adam update;
+//   - logs (x[i] = math.Log(x[i])): the logistic fit's loss.
+//
+// The twin is the fallback everywhere else and the reference FuzzKernels
+// holds the kernel to.
 //
 // The kernels must give the twins' bits. Their lanes run across independent
 // outputs, never across the terms of one sum, so each output is the same
@@ -16,6 +23,14 @@ import "math"
 // included, is computed in Go and passed in. The twins convert each product
 // that feeds a sum to float64 explicitly, which keeps the compiler from
 // fusing the two into an FMA on targets that have one.
+//
+// logs's twin is math.Log itself, so its kernel must give the bits of the
+// running toolchain's amd64 archLog (math/log_amd64.s): the same masks,
+// constants and operation order, four lanes at a time. One detail differs
+// from the pure-Go math/log.go: archLog halves the reduced fraction when
+// f1 <= Sqrt2/2 (its CMPSD not-less-than), where log.go tests f1 < Sqrt2/2,
+// and at some x = Sqrt2/2·2^k (k = 32 among them) the two differ in the
+// last bit.
 
 // axpy adds v·r[i] to z[i] for every i in z; r must be at least as long.
 func axpy(z []float64, v float64, r []float64) {
@@ -30,6 +45,46 @@ func axpyGeneric(z []float64, v float64, r []float64) {
 	r = r[:len(z)]
 	for i, x := range r {
 		z[i] += float64(v * x)
+	}
+}
+
+// rowsum adds coef[k]·rows[idx[k]·stride:][:len(z)] to z for each k in
+// turn, exactly the run of axpy calls rowsumGeneric makes. coef must be at
+// least as long as idx. Every row is bounds-checked before the kernel
+// starts, so a bad index panics and is never read.
+func rowsum(z, coef []float64, idx []int, rows []float64, stride int) {
+	if useAVX2 {
+		coef = coef[:len(idx)]
+		for _, j := range idx {
+			_ = rows[j*stride:][:len(z)]
+		}
+		rowsumAVX2(z, coef, idx, rows, stride)
+		return
+	}
+	rowsumGeneric(z, coef, idx, rows, stride)
+}
+
+func rowsumGeneric(z, coef []float64, idx []int, rows []float64, stride int) {
+	coef = coef[:len(idx)]
+	for k, j := range idx {
+		axpyGeneric(z, coef[k], rows[j*stride:])
+	}
+}
+
+// logs sets x[i] to math.Log(x[i]) for every i: the kernel takes whole
+// groups of four and math.Log the rest.
+func logs(x []float64) {
+	n := 0
+	if useAVX2 {
+		n = len(x) &^ 3
+		logAVX2(x[:n])
+	}
+	logsGeneric(x[n:])
+}
+
+func logsGeneric(x []float64) {
+	for i, v := range x {
+		x[i] = math.Log(v)
 	}
 }
 

@@ -32,5 +32,16 @@ func xgetbv() (eax, edx uint32)
 //go:noescape
 func axpyAVX2(z []float64, v float64, r []float64)
 
+// rowsumAVX2 is rowsum without the bounds checks, which rowsum makes
+// first.
+//
+//go:noescape
+func rowsumAVX2(z, coef []float64, idx []int, rows []float64, stride int)
+
 //go:noescape
 func adamAVX2(p, g, m, v []float64, b1, c1, b2, c2, lr, bc1, bc2, eps float64)
+
+// logAVX2 sets x[i] to math.Log(x[i]); len(x) must be a multiple of four.
+//
+//go:noescape
+func logAVX2(x []float64)

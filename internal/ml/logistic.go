@@ -5,10 +5,15 @@ import "math"
 // Logistic is L2-regularized logistic regression trained with full-batch
 // gradient descent and an adaptive step (the paper's "LR" downstream model;
 // sklearn's LogisticRegression default is also L2). The fit runs as
-// column sweeps over the flat matrix: the logit vector accumulates one
-// feature column at a time and each weight gradient is a dot product of a
-// contiguous column with the error vector — the same floating-point
-// accumulation order as the row-major loop, so results are bit-identical.
+// column sweeps over the flat matrix, each in the floating-point order of
+// the row-major loop, so results are bit-identical to it:
+//   - the logit vector accumulates one feature column at a time (axpy);
+//   - the stopping rule's loss buffers every row's clamped argument, takes
+//     their logarithms in one vector pass (logs) and then subtracts them in
+//     row order;
+//   - the weight gradients run four columns side by side, each still one
+//     dot product of a contiguous column with the error vector, added in
+//     ascending row order.
 type Logistic struct {
 	// Lambda is the L2 penalty strength.
 	Lambda float64
@@ -42,6 +47,7 @@ func (lr *Logistic) Fit(X *Matrix, y []int) error {
 	gradW := make([]float64, d)
 	z := make([]float64, n)
 	e := make([]float64, n)
+	logArg := make([]float64, n)
 	step := 0.5
 	prevLoss := math.Inf(1)
 	for iter := 0; iter < lr.MaxIter; iter++ {
@@ -54,7 +60,6 @@ func (lr *Logistic) Fit(X *Matrix, y []int) error {
 			axpy(z, w, X.Col(j))
 		}
 		gradB := 0.0
-		loss := 0.0
 		for i := range z {
 			p := sigmoid(z[i])
 			e[i] = p - float64(y[i])
@@ -69,16 +74,36 @@ func (lr *Logistic) Fit(X *Matrix, y []int) error {
 				pc = 1 - 1e-12
 			}
 			if y[i] == 1 {
-				loss -= math.Log(pc)
+				logArg[i] = pc
 			} else {
-				loss -= math.Log(1 - pc)
+				logArg[i] = 1 - pc
 			}
 		}
-		for j := 0; j < d; j++ {
-			col := X.Col(j)
+		logs(logArg)
+		loss := 0.0
+		for _, l := range logArg {
+			loss -= l
+		}
+		j := 0
+		for ; j+4 <= d; j += 4 {
+			c0 := X.Col(j)[:len(e)]
+			c1 := X.Col(j + 1)[:len(e)]
+			c2 := X.Col(j + 2)[:len(e)]
+			c3 := X.Col(j + 3)[:len(e)]
+			var g0, g1, g2, g3 float64
+			for i, ei := range e {
+				g0 += float64(ei * c0[i])
+				g1 += float64(ei * c1[i])
+				g2 += float64(ei * c2[i])
+				g3 += float64(ei * c3[i])
+			}
+			gradW[j], gradW[j+1], gradW[j+2], gradW[j+3] = g0, g1, g2, g3
+		}
+		for ; j < d; j++ {
+			col := X.Col(j)[:len(e)]
 			g := 0.0
-			for i, v := range col {
-				g += e[i] * v
+			for i, ei := range e {
+				g += float64(ei * col[i])
 			}
 			gradW[j] = g
 		}

@@ -68,12 +68,12 @@ func (a *adam) step(params, grads []float64) {
 
 // Fit implements Classifier. The mini-batch SGD loop is inherently
 // row-oriented, so each sample is gathered from the columnar matrix into a
-// reused buffer. Backprop runs as row axpys: each nonzero layer-2 delta,
-// in increasing unit order, adds its multiple of a1 to its row of gW2 and
-// its multiple of its row of w2 to the layer-1 deltas; each active layer-1
-// unit with a nonzero delta then adds its multiple of x to its row of gW1.
-// Every gradient entry sums its terms in the order the dense column walk
-// did.
+// reused buffer. Backprop walks the nonzero layer-2 deltas in increasing
+// unit order: each adds its multiple of a1 to its row of gW2 (axpy), and
+// one rowsum adds each one's multiple of its row of w2 to the layer-1
+// deltas. Each active layer-1 unit with a nonzero delta then adds its
+// multiple of x to its row of gW1. Every gradient entry sums its terms in
+// the order the dense column walk did.
 func (m *MLP) Fit(X *Matrix, y []int) error {
 	if err := validate(X, y); err != nil {
 		return err
@@ -128,8 +128,11 @@ func (m *MLP) Fit(X *Matrix, y []int) error {
 	gB2 := make([]float64, h)
 	gB3 := make([]float64, 1)
 
-	p := newPass(h)
+	p := newPass(h, d)
 	d1 := make([]float64, h)
+	// The nonzero layer-2 deltas and their units, for d1's rowsum.
+	d2 := make([]float64, 0, h)
+	d2Units := make([]int, 0, h)
 
 	order := rng.Perm(n)
 	xbuf := make([]float64, d)
@@ -159,7 +162,7 @@ func (m *MLP) Fit(X *Matrix, y []int) error {
 					gW3[j] += dz3 * p.a2[j]
 				}
 				gB3[0] += dz3
-				clear(d1)
+				d2, d2Units = d2[:0], d2Units[:0]
 				for _, i := range p.act2 {
 					di := dz3 * m.w3[i]
 					if di == 0 {
@@ -167,8 +170,11 @@ func (m *MLP) Fit(X *Matrix, y []int) error {
 					}
 					gB2[i] += di
 					axpy(gW2[i*h:(i+1)*h], di, p.a1)
-					axpy(d1, di, m.w2[i*h:(i+1)*h])
+					d2 = append(d2, di)
+					d2Units = append(d2Units, i)
 				}
+				clear(d1)
+				rowsum(d1, d2, d2Units, m.w2, h)
 				for _, i := range p.act1 {
 					di := d1[i]
 					if di == 0 {
@@ -222,24 +228,35 @@ func scaleInPlace(v []float64, s float64) {
 // pass is one sample's trip through the network: per hidden layer, its
 // activations and its active set, the increasing indices of the units
 // whose pre-activation is positive. Every other unit's activation is +0.
+// inputs (0…d−1) and act1Vals (the active units' a1 values) are layer 1's
+// and layer 2's rowsum indices and coefficients.
 type pass struct {
 	a1, a2     []float64
 	act1, act2 []int
+	inputs     []int
+	act1Vals   []float64
 }
 
-func newPass(h int) *pass {
-	return &pass{
+func newPass(h, d int) *pass {
+	p := &pass{
 		a1: make([]float64, h), a2: make([]float64, h),
 		act1: make([]int, 0, h), act2: make([]int, 0, h),
+		inputs: make([]int, d), act1Vals: make([]float64, h),
 	}
+	for j := range p.inputs {
+		p.inputs[j] = j
+	}
+	return p
 }
 
 // forward runs one sample through the network, recording both hidden
 // layers in p, and returns the output logit. Only the first min(d, len(x))
 // inputs are read, so a matrix narrower or wider than the fitted one still
-// predicts. Each layer starts from its bias and adds one input's column of
-// weights at a time (a row of w1t or w2t), so every unit sums its terms in
-// increasing input order, as a row-by-row product would.
+// predicts. Each layer is one rowsum: it starts from its bias and adds one
+// input's column of weights at a time (a row of w1t or w2t), scaled by that
+// input, so every unit sums its terms in increasing input order, as a
+// row-by-row product would. Layer 1 sums over every input, layer 2 over the
+// active layer-1 units.
 //
 // Layer 2 and the output sum only over active units, and backprop's gW2
 // row axpys add ±0 (a delta times an inactive unit's +0) for inactive
@@ -261,14 +278,14 @@ func (m *MLP) forward(x []float64, p *pass) float64 {
 		x = x[:m.d]
 	}
 	copy(p.a1, m.b1)
-	for j, v := range x {
-		axpy(p.a1, v, m.w1t[j*h:(j+1)*h])
-	}
+	rowsum(p.a1, x, p.inputs[:len(x)], m.w1t, h)
 	p.act1 = relu(p.a1, p.act1)
-	copy(p.a2, m.b2)
-	for _, j := range p.act1 {
-		axpy(p.a2, p.a1[j], m.w2t[j*h:(j+1)*h])
+	vals := p.act1Vals[:len(p.act1)]
+	for k, j := range p.act1 {
+		vals[k] = p.a1[j]
 	}
+	copy(p.a2, m.b2)
+	rowsum(p.a2, vals, p.act1, m.w2t, h)
 	p.act2 = relu(p.a2, p.act2)
 	z3 := m.b3
 	for _, j := range p.act2 {
@@ -302,7 +319,7 @@ func (m *MLP) PredictProba(X *Matrix) []float64 {
 	if !m.fitted {
 		return out
 	}
-	p := newPass(m.Hidden)
+	p := newPass(m.Hidden, m.d)
 	xbuf := make([]float64, X.Cols())
 	for r := range out {
 		out[r] = sigmoid(m.forward(X.Row(r, xbuf), p))
