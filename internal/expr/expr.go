@@ -18,17 +18,21 @@ type Expr struct {
 
 // Compile parses and validates an expression string.
 func Compile(src string) (*Expr, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks, src: src}
+	p := newParser(src)
 	root, err := p.parseExpr()
+	if err == nil {
+		if trailing := p.next(); trailing.kind != tokEOF {
+			err = p.errorf(trailing, "trailing %s", trailing.kind)
+		}
+	}
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
 	if err != nil {
 		return nil, err
 	}
-	if trailing := p.next(); trailing.kind != tokEOF {
-		return nil, p.errorf(trailing, "trailing %s", trailing.kind)
+	if d := printedDepth(root); d > maxDepth {
+		return nil, fmt.Errorf("%w: prints %d levels deep, more than %d", ErrTooDeep, d, maxDepth)
 	}
 	e := &Expr{root: root, src: src, args: p.args}
 	slots := make(map[string]int)

@@ -2,9 +2,11 @@ package expr
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"strconv"
@@ -291,6 +293,78 @@ var fuzzSources = []string{
 	"Age / 2", "a + b / c", "(((bad", "Ghost + 1", "Sex + 1",
 }
 
+// deepShapes build the hostile shapes Compile must refuse with ErrTooDeep,
+// n levels deep, rather than recurse into: nested parentheses, nested
+// calls, a run of unary minuses and a chain of exponents.
+var deepShapes = []struct {
+	name  string
+	build func(n int) string
+}{
+	{"parens", func(n int) string { return strings.Repeat("(", n) + "a" + strings.Repeat(")", n) }},
+	{"calls", func(n int) string { return strings.Repeat("abs(", n) + "a" + strings.Repeat(")", n) }},
+	{"minus", func(n int) string { return strings.Repeat("-", n) + "1" }},
+	{"powers", func(n int) string { return strings.Repeat("2 ^ ", n) + "2" }},
+}
+
+// sumOf returns a chain of n additions of a, which parses without nesting
+// but prints n levels deep.
+func sumOf(n int) string { return strings.Repeat("a + ", n) + "a" }
+
+// wideSource returns terms parenthesized 31-addition sums multiplied
+// together: 63·terms + terms − 1 nodes, printed 30 + terms levels deep.
+func wideSource(terms int) string {
+	term := "(" + sumOf(31) + ")"
+	return strings.Repeat(term+" * ", terms-1) + term
+}
+
+// TestCompileBounds feeds Compile the shapes that once overflowed its
+// stack, at the sizes that did: 10⁶ nested parentheses, abs( nested 10⁵
+// deep, a 10⁶-long run of unary minuses and 10⁵ chained exponents. Each
+// must return ErrTooDeep with the process still up. The goroutine stack is
+// capped at 64 MB meanwhile, so a regression dies quickly instead of
+// growing the stack to its 1 GB default. The test then checks both bounds
+// at their edge, and that an expression at the edge prints as source that
+// compiles again.
+func TestCompileBounds(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(64 << 20))
+	sizes := map[string]int{"parens": 1e6, "calls": 1e5, "minus": 1e6, "powers": 1e5}
+	for _, shape := range deepShapes {
+		src := shape.build(sizes[shape.name])
+		if _, err := Compile(src); !errors.Is(err, ErrTooDeep) {
+			t.Errorf("%s, %d deep: Compile error %v, want ErrTooDeep", shape.name, sizes[shape.name], err)
+		}
+		if _, err := Compile(shape.build(maxDepth + 1)); !errors.Is(err, ErrTooDeep) {
+			t.Errorf("%s, %d deep: Compile error %v, want ErrTooDeep", shape.name, maxDepth+1, err)
+		}
+	}
+
+	edges := []struct {
+		name string
+		src  string
+		want error
+	}{
+		{"parens at the bound", deepShapes[0].build(maxDepth), nil},
+		{"calls at the bound", deepShapes[1].build(maxDepth), nil},
+		{"sum printing at the bound", sumOf(maxDepth), nil},
+		{"sum printing past the bound", sumOf(maxDepth + 1), ErrTooDeep},
+		{"nodes at the bound", wideSource(16), nil},
+		{"nodes past the bound", wideSource(17), ErrTooLarge},
+	}
+	for _, tc := range edges {
+		e, err := Compile(tc.src)
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: Compile error %v, want %v", tc.name, err, tc.want)
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		if _, err := Compile(e.String()); err != nil {
+			t.Errorf("%s: printed form does not compile: %v", tc.name, err)
+		}
+	}
+}
+
 // FuzzCompile pins the compiler on arbitrary input: it never panics, and
 // the printed form of anything it accepts compiles back to the same printed
 // form, so String is source the compiler can re-read. testdata/fuzz holds
@@ -299,6 +373,11 @@ func FuzzCompile(f *testing.F) {
 	for _, src := range fuzzSources {
 		f.Add(src)
 	}
+	for _, shape := range deepShapes {
+		f.Add(shape.build(maxDepth + 1))
+	}
+	f.Add(sumOf(maxDepth + 1))
+	f.Add(wideSource(17))
 	f.Fuzz(func(t *testing.T, src string) {
 		e, err := Compile(src)
 		if err != nil {

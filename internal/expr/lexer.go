@@ -88,101 +88,97 @@ func isBareIdent(name string) bool {
 	return name != ""
 }
 
-// lex converts source text into tokens. Identifiers may also be written in
-// backticks (`Age of car`) to include spaces or operator characters.
-func lex(src string) ([]token, error) {
-	var toks []token
-	runes := []rune(src)
-	i := 0
-	for i < len(runes) {
-		r := runes[i]
-		switch {
-		case unicode.IsSpace(r):
-			i++
-		case r == '+':
-			toks = append(toks, token{kind: tokPlus, pos: i})
-			i++
-		case r == '-':
-			toks = append(toks, token{kind: tokMinus, pos: i})
-			i++
-		case r == '*':
-			// Accept Python-style ** as exponentiation.
-			if i+1 < len(runes) && runes[i+1] == '*' {
-				toks = append(toks, token{kind: tokCaret, pos: i})
-				i += 2
-			} else {
-				toks = append(toks, token{kind: tokStar, pos: i})
-				i++
+// lexer reads source text one token at a time, as the parser asks for
+// them, so a parse that stops early, at an error or a bound, lexes no
+// further. Identifiers may also be written in backticks (`Age of car`) to
+// include spaces or operator characters.
+type lexer struct {
+	runes []rune
+	i     int
+}
+
+// next returns the next token: tokEOF at the end of the source.
+func (l *lexer) next() (token, error) {
+	runes := l.runes
+	for l.i < len(runes) && unicode.IsSpace(runes[l.i]) {
+		l.i++
+	}
+	i := l.i
+	if i == len(runes) {
+		return token{kind: tokEOF, pos: i}, nil
+	}
+	t, end := token{pos: i}, i+1
+	switch r := runes[i]; {
+	case r == '+':
+		t.kind = tokPlus
+	case r == '-':
+		t.kind = tokMinus
+	case r == '*':
+		t.kind = tokStar
+		// Accept Python-style ** as exponentiation.
+		if end < len(runes) && runes[end] == '*' {
+			t.kind, end = tokCaret, end+1
+		}
+	case r == '/':
+		t.kind = tokSlash
+	case r == '^':
+		t.kind = tokCaret
+	case r == '(':
+		t.kind = tokLParen
+	case r == ')':
+		t.kind = tokRParen
+	case r == ',':
+		t.kind = tokComma
+	case r == '`':
+		j := i + 1
+		for j < len(runes) && runes[j] != '`' {
+			j++
+		}
+		if j >= len(runes) {
+			return token{}, fmt.Errorf("expr: unterminated backtick identifier at %d", i)
+		}
+		name := string(runes[i+1 : j])
+		if strings.TrimSpace(name) == "" {
+			return token{}, fmt.Errorf("expr: empty backtick identifier at %d", i)
+		}
+		t.kind, t.text, end = tokIdent, name, j+1
+	case unicode.IsDigit(r) || r == '.':
+		j := i
+		sawDigit := false
+		for j < len(runes) && (unicode.IsDigit(runes[j]) || runes[j] == '.') {
+			if unicode.IsDigit(runes[j]) {
+				sawDigit = true
 			}
-		case r == '/':
-			toks = append(toks, token{kind: tokSlash, pos: i})
-			i++
-		case r == '^':
-			toks = append(toks, token{kind: tokCaret, pos: i})
-			i++
-		case r == '(':
-			toks = append(toks, token{kind: tokLParen, pos: i})
-			i++
-		case r == ')':
-			toks = append(toks, token{kind: tokRParen, pos: i})
-			i++
-		case r == ',':
-			toks = append(toks, token{kind: tokComma, pos: i})
-			i++
-		case r == '`':
-			j := i + 1
-			for j < len(runes) && runes[j] != '`' {
-				j++
+			j++
+		}
+		// Scientific notation: 1e-3, 2.5E+7.
+		if j < len(runes) && (runes[j] == 'e' || runes[j] == 'E') && sawDigit {
+			k := j + 1
+			if k < len(runes) && (runes[k] == '+' || runes[k] == '-') {
+				k++
 			}
-			if j >= len(runes) {
-				return nil, fmt.Errorf("expr: unterminated backtick identifier at %d", i)
-			}
-			name := string(runes[i+1 : j])
-			if strings.TrimSpace(name) == "" {
-				return nil, fmt.Errorf("expr: empty backtick identifier at %d", i)
-			}
-			toks = append(toks, token{kind: tokIdent, text: name, pos: i})
-			i = j + 1
-		case unicode.IsDigit(r) || r == '.':
-			j := i
-			sawDigit := false
-			for j < len(runes) && (unicode.IsDigit(runes[j]) || runes[j] == '.') {
-				if unicode.IsDigit(runes[j]) {
-					sawDigit = true
-				}
-				j++
-			}
-			// Scientific notation: 1e-3, 2.5E+7.
-			if j < len(runes) && (runes[j] == 'e' || runes[j] == 'E') && sawDigit {
-				k := j + 1
-				if k < len(runes) && (runes[k] == '+' || runes[k] == '-') {
+			if k < len(runes) && unicode.IsDigit(runes[k]) {
+				for k < len(runes) && unicode.IsDigit(runes[k]) {
 					k++
 				}
-				if k < len(runes) && unicode.IsDigit(runes[k]) {
-					for k < len(runes) && unicode.IsDigit(runes[k]) {
-						k++
-					}
-					j = k
-				}
+				j = k
 			}
-			text := string(runes[i:j])
-			v, err := strconv.ParseFloat(text, 64)
-			if err != nil {
-				return nil, fmt.Errorf("expr: bad number %q at %d", text, i)
-			}
-			toks = append(toks, token{kind: tokNumber, text: text, num: v, pos: i})
-			i = j
-		case isIdentStart(r):
-			j := i
-			for j < len(runes) && isIdentPart(runes[j]) {
-				j++
-			}
-			toks = append(toks, token{kind: tokIdent, text: string(runes[i:j]), pos: i})
-			i = j
-		default:
-			return nil, fmt.Errorf("expr: unexpected character %q at %d", string(r), i)
 		}
+		text := string(runes[i:j])
+		v, err := strconv.ParseFloat(text, 64)
+		if err != nil {
+			return token{}, fmt.Errorf("expr: bad number %q at %d", text, i)
+		}
+		t.kind, t.text, t.num, end = tokNumber, text, v, j
+	case isIdentStart(r):
+		j := i
+		for j < len(runes) && isIdentPart(runes[j]) {
+			j++
+		}
+		t.kind, t.text, end = tokIdent, string(runes[i:j]), j
+	default:
+		return token{}, fmt.Errorf("expr: unexpected character %q at %d", string(r), i)
 	}
-	toks = append(toks, token{kind: tokEOF, pos: len(runes)})
-	return toks, nil
+	l.i = end
+	return t, nil
 }

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -176,22 +177,84 @@ func Builtins() []string {
 	return out
 }
 
-// parser is a recursive-descent parser over the token stream.
+// Compile's bounds. FM text reaches the parser unchecked, and the parser,
+// String and evaluation all recurse, so a hostile expression could
+// otherwise exhaust the goroutine stack, which is fatal, not a panic. The
+// formulas the simulated FM and CAAFE write on the quick grid print at
+// most 4 levels deep and have at most 15 nodes.
+const (
+	// maxDepth bounds how deeply an expression nests: parenthesized
+	// groups, calls, unary minuses and exponents. It holds for the source
+	// and for the printed form String gives, so whatever compiles prints
+	// as source that compiles again.
+	maxDepth = 64
+	// maxNodes bounds the tree's nodes (its numbers, variables, calls and
+	// operators), and with them the work of evaluating each row.
+	maxNodes = 1024
+)
+
+// The errors Compile returns, wrapped, at its bounds.
+var (
+	ErrTooDeep  = errors.New("expr: expression nests too deeply")
+	ErrTooLarge = errors.New("expr: expression has too many nodes")
+)
+
+// parser is a recursive-descent parser over the lexer's tokens, with one
+// token of lookahead.
 type parser struct {
-	toks []token
-	pos  int
-	src  string
-	vars []*varNode // every variable reference, for slot assignment
-	args int        // call arguments so far: the next call's offset in env.args
+	lex    lexer
+	tok    token // the lookahead
+	lexErr error // why the token stream ended early, if it did
+	src    string
+	vars   []*varNode // every variable reference, for slot assignment
+	args   int        // call arguments so far: the next call's offset in env.args
+	depth  int        // nesting levels entered and not yet left
+	nodes  int        // number, identifier and operator tokens read so far
 }
 
-func (p *parser) peek() token { return p.toks[p.pos] }
-func (p *parser) next() token {
-	t := p.toks[p.pos]
-	if t.kind != tokEOF {
-		p.pos++
+func newParser(src string) *parser {
+	p := &parser{lex: lexer{runes: []rune(src)}, src: src}
+	p.advance()
+	return p
+}
+
+// advance lexes the next lookahead. A lexing error ends the stream there:
+// the parser sees the end of the expression, and Compile reports the
+// error.
+func (p *parser) advance() {
+	var err error
+	if p.tok, err = p.lex.next(); err != nil {
+		p.lexErr = err
+		p.tok = token{kind: tokEOF, pos: p.lex.i}
 	}
+}
+
+func (p *parser) peek() token { return p.tok }
+
+// next consumes one token. Each number, identifier and operator token
+// becomes exactly one node of the tree (a leaf, a call, a negation or a
+// binary operation), so counting them here counts the tree's nodes;
+// parsePrimary holds the count to maxNodes.
+func (p *parser) next() token {
+	t := p.tok
+	switch t.kind {
+	case tokEOF:
+		return t
+	case tokLParen, tokRParen, tokComma:
+	default:
+		p.nodes++
+	}
+	p.advance()
 	return t
+}
+
+// descend enters one nesting level at t, refusing to pass maxDepth; the
+// caller leaves it with p.depth-- once the nested part is parsed.
+func (p *parser) descend(t token) error {
+	if p.depth++; p.depth > maxDepth {
+		return fmt.Errorf("%w: more than %d levels at position %d", ErrTooDeep, maxDepth, t.pos)
+	}
+	return nil
 }
 
 func (p *parser) errorf(t token, format string, args ...any) error {
@@ -257,11 +320,14 @@ func (p *parser) parseTerm() (Node, error) {
 // parseUnary := '-' unary | power
 func (p *parser) parseUnary() (Node, error) {
 	if p.peek().kind == tokMinus {
-		p.next()
+		if err := p.descend(p.next()); err != nil {
+			return nil, err
+		}
 		inner, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
+		p.depth--
 		return &negNode{inner}, nil
 	}
 	return p.parsePower()
@@ -274,11 +340,14 @@ func (p *parser) parsePower() (Node, error) {
 		return nil, err
 	}
 	if p.peek().kind == tokCaret {
-		p.next()
+		if err := p.descend(p.next()); err != nil {
+			return nil, err
+		}
 		exp, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
+		p.depth--
 		return &binaryNode{'^', base, exp}, nil
 	}
 	return base, nil
@@ -287,6 +356,9 @@ func (p *parser) parsePower() (Node, error) {
 // parsePrimary := NUMBER | IDENT | IDENT '(' args ')' | '(' expr ')'
 func (p *parser) parsePrimary() (Node, error) {
 	t := p.next()
+	if p.nodes > maxNodes {
+		return nil, fmt.Errorf("%w: more than %d at position %d", ErrTooLarge, maxNodes, t.pos)
+	}
 	switch t.kind {
 	case tokNumber:
 		return &numberNode{t.num}, nil
@@ -298,6 +370,9 @@ func (p *parser) parsePrimary() (Node, error) {
 		p.vars = append(p.vars, v)
 		return v, nil
 	case tokLParen:
+		if err := p.descend(t); err != nil {
+			return nil, err
+		}
 		inner, err := p.parseExpr()
 		if err != nil {
 			return nil, err
@@ -305,6 +380,7 @@ func (p *parser) parsePrimary() (Node, error) {
 		if closing := p.next(); closing.kind != tokRParen {
 			return nil, p.errorf(closing, "expected ')' but found %s", closing.kind)
 		}
+		p.depth--
 		return inner, nil
 	default:
 		return nil, p.errorf(t, "unexpected %s", t.kind)
@@ -316,7 +392,10 @@ func (p *parser) parseCall(name token) (Node, error) {
 	if !ok {
 		return nil, p.errorf(name, "unknown function %q (available: %s)", name.text, strings.Join(Builtins(), ", "))
 	}
-	p.next() // consume '('
+	// Consume the '(' and enter the arguments' level.
+	if err := p.descend(p.next()); err != nil {
+		return nil, err
+	}
 	var args []Node
 	if p.peek().kind != tokRParen {
 		for {
@@ -335,12 +414,36 @@ func (p *parser) parseCall(name token) (Node, error) {
 	if closing := p.next(); closing.kind != tokRParen {
 		return nil, p.errorf(closing, "expected ')' to close %s(...)", name.text)
 	}
+	p.depth--
 	if len(args) < fn.minArgs || len(args) > fn.maxArgs {
 		return nil, p.errorf(name, "%s expects %d..%d arguments, got %d", name.text, fn.minArgs, fn.maxArgs, len(args))
 	}
 	call := &callNode{name: name.text, apply: fn.apply, args: args, off: p.args}
 	p.args += len(args)
 	return call, nil
+}
+
+// printedDepth returns how deeply n's printed form nests, as the parser
+// counts it: each binary operation prints inside parentheses, a negation
+// as "(-x)", and an exponent is one level below its base.
+func printedDepth(n Node) int {
+	switch n := n.(type) {
+	case *binaryNode:
+		l, r := printedDepth(n.left), printedDepth(n.right)
+		if n.op == '^' {
+			r++
+		}
+		return 1 + max(l, r)
+	case *negNode:
+		return 2 + printedDepth(n.inner)
+	case *callNode:
+		d := 0
+		for _, a := range n.args {
+			d = max(d, printedDepth(a))
+		}
+		return 1 + d
+	}
+	return 0
 }
 
 func trimFloat(v float64) string {

@@ -2,14 +2,14 @@ package ml
 
 import "math"
 
-// The neural and linear fits spend their time in four loops, each with a
+// The neural and linear fits spend their time in three loops, each with a
 // pure-Go generic twin and, on amd64 CPUs with AVX2, an assembly kernel
 // (kernels_amd64.s) chosen once at init through useAVX2:
 //
-//   - axpy (z[i] += v·r[i]): the logistic logit sweep and the MLP's
-//     per-row gradient updates;
-//   - rowsum, a run of axpys into one z: the MLP's layer sums and its
-//     layer-1 deltas, with z held in registers while the rows stream;
+//   - rowsum (z[i] += coef[k]·rows[idx[k]·stride+i], k in turn): the
+//     logistic logit sweep, the MLP's layer sums, its layer-1 deltas and
+//     its per-batch gradient rows, with z held in registers while the rows
+//     stream;
 //   - the Adam update;
 //   - logs (x[i] = math.Log(x[i])): the logistic fit's loss.
 //
@@ -32,26 +32,10 @@ import "math"
 // and at some x = Sqrt2/2·2^k (k = 32 among them) the two differ in the
 // last bit.
 
-// axpy adds v·r[i] to z[i] for every i in z; r must be at least as long.
-func axpy(z []float64, v float64, r []float64) {
-	if useAVX2 {
-		axpyAVX2(z, v, r[:len(z)])
-		return
-	}
-	axpyGeneric(z, v, r)
-}
-
-func axpyGeneric(z []float64, v float64, r []float64) {
-	r = r[:len(z)]
-	for i, x := range r {
-		z[i] += float64(v * x)
-	}
-}
-
 // rowsum adds coef[k]·rows[idx[k]·stride:][:len(z)] to z for each k in
-// turn, exactly the run of axpy calls rowsumGeneric makes. coef must be at
-// least as long as idx. Every row is bounds-checked before the kernel
-// starts, so a bad index panics and is never read.
+// turn, each entry one rounded product and one rounded sum per row. coef
+// must be at least as long as idx. Every row is bounds-checked before the
+// kernel starts, so a bad index panics and is never read.
 func rowsum(z, coef []float64, idx []int, rows []float64, stride int) {
 	if useAVX2 {
 		coef = coef[:len(idx)]
@@ -67,8 +51,20 @@ func rowsum(z, coef []float64, idx []int, rows []float64, stride int) {
 func rowsumGeneric(z, coef []float64, idx []int, rows []float64, stride int) {
 	coef = coef[:len(idx)]
 	for k, j := range idx {
-		axpyGeneric(z, coef[k], rows[j*stride:])
+		v, r := coef[k], rows[j*stride:][:len(z)]
+		for i, x := range r {
+			z[i] += float64(v * x)
+		}
 	}
+}
+
+// indices returns 0, 1, …, n−1: rowsum's idx for a run over every row.
+func indices(n int) []int {
+	idx := make([]int, n)
+	for j := range idx {
+		idx[j] = j
+	}
+	return idx
 }
 
 // logs sets x[i] to math.Log(x[i]) for every i: the kernel takes whole

@@ -29,9 +29,6 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-//go:noescape
-func axpyAVX2(z []float64, v float64, r []float64)
-
 // rowsumAVX2 is rowsum without the bounds checks, which rowsum makes
 // first.
 //

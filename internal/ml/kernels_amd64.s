@@ -19,68 +19,6 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func axpyAVX2(z []float64, v float64, r []float64)
-//
-// z[i] += v*r[i] for i < len(z): sixteen lanes a step, then four at a time,
-// then one. Each lane is one rounded product and one rounded sum, as in
-// axpyGeneric.
-TEXT ·axpyAVX2(SB), NOSPLIT, $0-56
-	MOVQ         z_base+0(FP), DI
-	MOVQ         z_len+8(FP), CX
-	VBROADCASTSD v+24(FP), Y0
-	MOVQ         r_base+32(FP), SI
-	XORQ         AX, AX
-	MOVQ         CX, DX
-	ANDQ         $-16, DX
-	JZ           tail4
-
-loop16:
-	VMULPD  (SI)(AX*8), Y0, Y1
-	VMULPD  32(SI)(AX*8), Y0, Y2
-	VMULPD  64(SI)(AX*8), Y0, Y3
-	VMULPD  96(SI)(AX*8), Y0, Y4
-	VADDPD  (DI)(AX*8), Y1, Y1
-	VADDPD  32(DI)(AX*8), Y2, Y2
-	VADDPD  64(DI)(AX*8), Y3, Y3
-	VADDPD  96(DI)(AX*8), Y4, Y4
-	VMOVUPD Y1, (DI)(AX*8)
-	VMOVUPD Y2, 32(DI)(AX*8)
-	VMOVUPD Y3, 64(DI)(AX*8)
-	VMOVUPD Y4, 96(DI)(AX*8)
-	ADDQ    $16, AX
-	CMPQ    AX, DX
-	JLT     loop16
-
-tail4:
-	MOVQ CX, DX
-	ANDQ $-4, DX
-	CMPQ AX, DX
-	JGE  tail1
-
-loop4:
-	VMULPD  (SI)(AX*8), Y0, Y1
-	VADDPD  (DI)(AX*8), Y1, Y1
-	VMOVUPD Y1, (DI)(AX*8)
-	ADDQ    $4, AX
-	CMPQ    AX, DX
-	JLT     loop4
-
-tail1:
-	CMPQ AX, CX
-	JGE  done
-
-loop1:
-	VMULSD (SI)(AX*8), X0, X1
-	VADDSD (DI)(AX*8), X1, X1
-	VMOVSD X1, (DI)(AX*8)
-	INCQ   AX
-	CMPQ   AX, CX
-	JLT    loop1
-
-done:
-	VZEROUPPER
-	RET
-
 // func adamAVX2(p, g, m, v []float64, b1, c1, b2, c2, lr, bc1, bc2, eps float64)
 //
 // Four parameters a step, then one, each evaluated as adamGeneric does:
@@ -162,10 +100,10 @@ adamdone:
 // func rowsumAVX2(z, coef []float64, idx []int, rows []float64, stride int)
 //
 // For each k in turn, z[i] += coef[k]*rows[idx[k]*stride+i] for i < len(z),
-// the run of axpys rowsumGeneric makes. z stays in registers, 48 entries
-// (twelve ymm) at a time, then four, then one, while every row streams past
-// it; each entry still takes one rounded product and one rounded sum per
-// row, rows in order. rowsum has bounds-checked every row.
+// as rowsumGeneric does. z stays in registers, 48 entries (twelve ymm) at a
+// time, then four, then one, while every row streams past it; each entry
+// still takes one rounded product and one rounded sum per row, rows in
+// order. rowsum has bounds-checked every row.
 TEXT ·rowsumAVX2(SB), NOSPLIT, $0-104
 	MOVQ z_base+0(FP), DI
 	MOVQ z_len+8(FP), CX

@@ -5,7 +5,6 @@ package ml
 // Without the amd64 assembly the vector kernels are their generic twins.
 var (
 	useAVX2    = false
-	axpyAVX2   = axpyGeneric
 	rowsumAVX2 = rowsumGeneric
 	adamAVX2   = adamGeneric
 	logAVX2    = logsGeneric

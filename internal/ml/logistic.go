@@ -7,7 +7,8 @@ import "math"
 // sklearn's LogisticRegression default is also L2). The fit runs as
 // column sweeps over the flat matrix, each in the floating-point order of
 // the row-major loop, so results are bit-identical to it:
-//   - the logit vector accumulates one feature column at a time (axpy);
+//   - the logit vector accumulates one feature column at a time, all of
+//     them in one rowsum over the matrix's columns;
 //   - the stopping rule's loss buffers every row's clamped argument, takes
 //     their logarithms in one vector pass (logs) and then subtracts them in
 //     row order;
@@ -48,6 +49,7 @@ func (lr *Logistic) Fit(X *Matrix, y []int) error {
 	z := make([]float64, n)
 	e := make([]float64, n)
 	logArg := make([]float64, n)
+	cols := indices(d)
 	step := 0.5
 	prevLoss := math.Inf(1)
 	for iter := 0; iter < lr.MaxIter; iter++ {
@@ -56,9 +58,7 @@ func (lr *Logistic) Fit(X *Matrix, y []int) error {
 		for i := range z {
 			z[i] = lr.bias
 		}
-		for j, w := range lr.weights {
-			axpy(z, w, X.Col(j))
-		}
+		rowsum(z, lr.weights, cols, X.data, n)
 		gradB := 0.0
 		for i := range z {
 			p := sigmoid(z[i])
@@ -149,9 +149,7 @@ func (lr *Logistic) PredictProba(X *Matrix) []float64 {
 	for i := range z {
 		z[i] = lr.bias
 	}
-	for j, w := range lr.weights[:d] {
-		axpy(z, w, X.Col(j))
-	}
+	rowsum(z, lr.weights, indices(d), X.data, X.Rows())
 	for i, v := range z {
 		out[i] = sigmoid(v)
 	}

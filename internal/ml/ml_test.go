@@ -220,6 +220,29 @@ func TestMLPLearnsXOR(t *testing.T) {
 	}
 }
 
+// TestMLPFitAllocsFlat checks that a fit allocates the same number of
+// times whatever its epochs and rows: every buffer, the per-unit gradient
+// lists included, is sized once, up front.
+func TestMLPFitAllocsFlat(t *testing.T) {
+	allocs := func(rows, epochs int) float64 {
+		Xr, y := synthLinear(rows, 6, 3)
+		X := mustMatrix(t, Xr)
+		return testing.AllocsPerRun(3, func() {
+			m := &MLP{Hidden: 20, Epochs: epochs, BatchSize: 16, LearningRate: 1e-3, Seed: 1}
+			if err := m.Fit(X, y); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	base := allocs(100, 1)
+	for _, c := range []struct{ rows, epochs int }{{100, 5}, {400, 1}, {400, 5}} {
+		if got := allocs(c.rows, c.epochs); got != base {
+			t.Errorf("Fit over %d rows for %d epochs makes %v allocations, over 100 rows for 1 epoch %v",
+				c.rows, c.epochs, got, base)
+		}
+	}
+}
+
 func TestForestImportancesFindSignalFeature(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	n := 600

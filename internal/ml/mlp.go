@@ -67,13 +67,15 @@ func (a *adam) step(params, grads []float64) {
 }
 
 // Fit implements Classifier. The mini-batch SGD loop is inherently
-// row-oriented, so each sample is gathered from the columnar matrix into a
-// reused buffer. Backprop walks the nonzero layer-2 deltas in increasing
-// unit order: each adds its multiple of a1 to its row of gW2 (axpy), and
-// one rowsum adds each one's multiple of its row of w2 to the layer-1
-// deltas. Each active layer-1 unit with a nonzero delta then adds its
-// multiple of x to its row of gW1. Every gradient entry sums its terms in
-// the order the dense column walk did.
+// row-oriented, so each sample is gathered from the columnar matrix into
+// the batch's row of inputs, and its layer-1 activations are kept beside
+// it. Backprop walks the nonzero layer-2 deltas in increasing unit order,
+// and one rowsum adds each one's multiple of its row of w2 to the layer-1
+// deltas. Every nonzero layer-2 delta, and every nonzero delta of an
+// active layer-1 unit, joins its unit's list of (sample, delta) pairs.
+// Once the batch is done, each row of gW2 and gW1 is one rowsum of its
+// unit's deltas times its samples' a1 or x rows, in sample order. Every
+// gradient entry sums its terms in the order the dense column walk did.
 func (m *MLP) Fit(X *Matrix, y []int) error {
 	if err := validate(X, y); err != nil {
 		return err
@@ -133,9 +135,15 @@ func (m *MLP) Fit(X *Matrix, y []int) error {
 	// The nonzero layer-2 deltas and their units, for d1's rowsum.
 	d2 := make([]float64, 0, h)
 	d2Units := make([]int, 0, h)
+	// One row per batch sample: its inputs and its layer-1 activations,
+	// the rows each unit's gradient rowsum reads.
+	batchMax := min(m.BatchSize, n)
+	xs := make([]float64, batchMax*d)
+	a1s := make([]float64, batchMax*h)
+	g2 := newUnitDeltas(h, batchMax)
+	g1 := newUnitDeltas(h, batchMax)
 
 	order := rng.Perm(n)
-	xbuf := make([]float64, d)
 
 	for epoch := 0; epoch < m.Epochs; epoch++ {
 		// Reshuffle each epoch.
@@ -153,9 +161,10 @@ func (m *MLP) Fit(X *Matrix, y []int) error {
 			clear(gB1)
 			clear(gB2)
 			gB3[0] = 0
-			for _, idx := range batch {
-				x := X.Row(idx, xbuf)
+			for s, idx := range batch {
+				x := X.Row(idx, xs[s*d:])
 				prob := sigmoid(m.forward(x, p))
+				copy(a1s[s*h:], p.a1)
 				// Backward (binary cross-entropy).
 				dz3 := prob - float64(y[idx])
 				for _, j := range p.act2 {
@@ -169,7 +178,7 @@ func (m *MLP) Fit(X *Matrix, y []int) error {
 						continue
 					}
 					gB2[i] += di
-					axpy(gW2[i*h:(i+1)*h], di, p.a1)
+					g2.add(i, s, di)
 					d2 = append(d2, di)
 					d2Units = append(d2Units, i)
 				}
@@ -180,10 +189,12 @@ func (m *MLP) Fit(X *Matrix, y []int) error {
 					if di == 0 {
 						continue
 					}
-					axpy(gW1[i*d:(i+1)*d], di, x)
+					g1.add(i, s, di)
 					gB1[i] += di
 				}
 			}
+			g2.sum(gW2, a1s, h)
+			g1.sum(gW1, xs, d)
 			inv := 1 / bs
 			scaleInPlace(gW1, inv)
 			scaleInPlace(gW2, inv)
@@ -219,6 +230,40 @@ func (m *MLP) transpose() {
 	}
 }
 
+// unitDeltas holds, for each hidden unit, the batch samples with a nonzero
+// delta for that unit and those deltas, in sample order. Unit i's pairs
+// sit at [i·batch, i·batch+n[i]), so a batch never outgrows the storage.
+type unitDeltas struct {
+	samples []int
+	deltas  []float64
+	n       []int
+	batch   int
+}
+
+func newUnitDeltas(h, batch int) *unitDeltas {
+	return &unitDeltas{
+		samples: make([]int, h*batch), deltas: make([]float64, h*batch),
+		n: make([]int, h), batch: batch,
+	}
+}
+
+// add appends sample s's delta for unit i.
+func (u *unitDeltas) add(i, s int, delta float64) {
+	k := i*u.batch + u.n[i]
+	u.samples[k], u.deltas[k] = s, delta
+	u.n[i]++
+}
+
+// sum adds to each unit's row of g, width w, its deltas times its samples'
+// rows of rows, then empties every list.
+func (u *unitDeltas) sum(g, rows []float64, w int) {
+	for i, c := range u.n {
+		k := i * u.batch
+		rowsum(g[i*w:(i+1)*w], u.deltas[k:k+c], u.samples[k:k+c], rows, w)
+		u.n[i] = 0
+	}
+}
+
 func scaleInPlace(v []float64, s float64) {
 	for i := range v {
 		v[i] *= s
@@ -238,15 +283,11 @@ type pass struct {
 }
 
 func newPass(h, d int) *pass {
-	p := &pass{
+	return &pass{
 		a1: make([]float64, h), a2: make([]float64, h),
 		act1: make([]int, 0, h), act2: make([]int, 0, h),
-		inputs: make([]int, d), act1Vals: make([]float64, h),
+		inputs: indices(d), act1Vals: make([]float64, h),
 	}
-	for j := range p.inputs {
-		p.inputs[j] = j
-	}
-	return p
 }
 
 // forward runs one sample through the network, recording both hidden
@@ -259,7 +300,7 @@ func newPass(h, d int) *pass {
 // active layer-1 units.
 //
 // Layer 2 and the output sum only over active units, and backprop's gW2
-// row axpys add ±0 (a delta times an inactive unit's +0) for inactive
+// row sums add ±0 (a delta times an inactive unit's +0) for inactive
 // layer-1 units. Both are exact, bit for bit, against dense sums: an
 // inactive unit's term is w·0 = ±0 for finite w, each kept sum adds the
 // same terms in the same order, and every accumulator starts at a bias or
