@@ -2,10 +2,11 @@ GO ?= go
 PKGS := ./...
 # Kernel-level microbenchmarks (tree/forest/linear/MLP fits, MLP predict, the
 # MLP's row-sum and the logistic loss's log vector kernels, ColMatrix,
-# group-by, the per-prompt agenda render, and feature realization:
-# expression evaluation, distinct counts, group-by transforms).
-KERNEL_BENCH := BenchmarkTreeFit|BenchmarkForestFit|BenchmarkExtraTreesFit|BenchmarkHistogramSplit|BenchmarkLogisticFit|BenchmarkMLPFit|BenchmarkMLPPredict|BenchmarkRowsum|BenchmarkLogs|BenchmarkMatrixTakeRows|BenchmarkColMatrix|BenchmarkDropNANoNulls|BenchmarkSeriesStd|BenchmarkGroupKeys|BenchmarkAgendaRender|BenchmarkEvalRows|BenchmarkCardinality|BenchmarkGroupByTransform
-KERNEL_PKGS := ./internal/ml ./internal/dataframe ./internal/core ./internal/expr
+# group-by, the per-prompt agenda render, feature realization: expression
+# evaluation, distinct counts, group-by transforms, and the AutoFeat
+# baseline's expansion and selection on Heart, whose B/op tracks its memory).
+KERNEL_BENCH := BenchmarkTreeFit|BenchmarkForestFit|BenchmarkExtraTreesFit|BenchmarkHistogramSplit|BenchmarkLogisticFit|BenchmarkMLPFit|BenchmarkMLPPredict|BenchmarkRowsum|BenchmarkLogs|BenchmarkMatrixTakeRows|BenchmarkColMatrix|BenchmarkDropNANoNulls|BenchmarkSeriesStd|BenchmarkGroupKeys|BenchmarkAgendaRender|BenchmarkEvalRows|BenchmarkCardinality|BenchmarkGroupByTransform|BenchmarkAutoFeatRun
+KERNEL_PKGS := ./internal/ml ./internal/dataframe ./internal/core ./internal/expr ./internal/baselines/autofeat
 # The row-level path's benches (one Bank row serialized; a warm pass of
 # cached rows) run in the kernel and grid sweeps at GOMAXPROCS 1 and 2, so a
 # gain that is more than parallelism shows. They sit in their own patterns

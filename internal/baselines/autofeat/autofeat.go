@@ -4,8 +4,11 @@
 // a small subset. The expansion is context- and task-agnostic, produces
 // thousands of candidates (the paper reports 1,978 generated / 5 selected on
 // Tennis), selects by in-sample correlation — prone to spurious picks — and
-// its cost grows with candidates × rows, which is what makes the reference
-// tool exceed the 60-minute timeout on the Bank and Adult datasets.
+// its time grows with candidates × rows, which is what makes the reference
+// tool exceed the 60-minute timeout on the Bank and Adult datasets. Memory
+// grows with rows × pool only: a product or ratio candidate is scored from
+// a reused buffer and built as a full column only if the selection reaches
+// it.
 package autofeat
 
 import (
@@ -92,6 +95,11 @@ var unaryTransforms = []struct {
 
 // Run expands and selects features. Inputs must already be factorized (the
 // reference tool accepts only numeric matrices). The frame is not mutated.
+//
+// Every candidate is computed and scored on the training rows, so time grows
+// with candidates × rows; what is kept is the pool (the base features and
+// their unary transforms, full and gathered to the training rows) and one
+// recipe per candidate, so memory grows with rows × pool.
 func Run(input *dataframe.Frame, target string, cfg Config) (*Result, error) {
 	start := time.Now()
 	if !input.Has(target) {
@@ -131,16 +139,12 @@ func Run(input *dataframe.Frame, target string, cfg Config) (*Result, error) {
 	}
 
 	f := input.Clone()
-	type cand struct {
-		name string
-		vals []float64
-	}
-	var poolCols []cand
+	// The pool: the base features, then step 1's unary transforms of each.
+	names := append([]string(nil), base...)
+	cols := make([][]float64, 0, pool)
 	for _, name := range base {
-		poolCols = append(poolCols, cand{name, f.Column(name).Nums})
+		cols = append(cols, f.Column(name).Nums)
 	}
-	var all []cand
-	// Step 1: unary expansion.
 	for _, name := range base {
 		col := f.Column(name)
 		for _, tr := range unaryTransforms {
@@ -152,33 +156,16 @@ func Run(input *dataframe.Frame, target string, cfg Config) (*Result, error) {
 					vals[i] = tr.fn(v)
 				}
 			}
-			c := cand{fmt.Sprintf(tr.name, name), vals}
-			all = append(all, c)
-			poolCols = append(poolCols, c)
+			names = append(names, fmt.Sprintf(tr.name, name))
+			cols = append(cols, vals)
 		}
 	}
-	// Step 2: pairwise products and ratios over the expanded pool.
-	if cfg.FeatengSteps >= 2 {
-		for i := 0; i < len(poolCols); i++ {
-			for j := i + 1; j < len(poolCols); j++ {
-				prod := make([]float64, f.Len())
-				ratio := make([]float64, f.Len())
-				for k := range prod {
-					a, b := poolCols[i].vals[k], poolCols[j].vals[k]
-					prod[k] = a * b
-					if b == 0 || math.IsNaN(a) || math.IsNaN(b) {
-						ratio[k] = math.NaN()
-					} else {
-						ratio[k] = a / b
-					}
-				}
-				all = append(all,
-					cand{fmt.Sprintf("%s*%s", poolCols[i].name, poolCols[j].name), prod},
-					cand{fmt.Sprintf("%s/%s", poolCols[i].name, poolCols[j].name), ratio})
-			}
-		}
+	// Each pool column's training rows, gathered once: a candidate's
+	// training values are computed from two of these.
+	train := make([][]float64, len(cols))
+	for k, vals := range cols {
+		train[k] = subset(vals, cfg.TrainRows)
 	}
-	generated := len(all)
 
 	// Selection: the reference tool runs an L1-regularized linear model over
 	// candidates JOINTLY WITH the original features, so a candidate is kept
@@ -195,32 +182,53 @@ func Run(input *dataframe.Frame, target string, cfg Config) (*Result, error) {
 	if residual == nil {
 		residual = targetCol
 	}
-	type scored struct {
-		cand
-		score float64
-	}
-	scoredCands := make([]scored, 0, len(all))
-	for _, c := range all {
-		r := featselect.Pearson(subset(c.vals, cfg.TrainRows), residual)
+	// Every candidate is scored from one reused buffer of training values;
+	// only its recipe is kept. Step 1's candidates are the pool's unary
+	// columns, step 2's the pairwise products and ratios over the pool.
+	scored := make([]candidate, 0, candidates)
+	buf := make([]float64, len(targetCol))
+	score := func(c candidate, name string) {
+		c.values(buf, train)
+		r := featselect.Pearson(buf, residual)
 		if math.IsNaN(r) {
-			continue
+			return
 		}
-		scoredCands = append(scoredCands, scored{c, math.Abs(r)})
+		c.name, c.score = name, math.Abs(r)
+		scored = append(scored, c)
 	}
-	sort.Slice(scoredCands, func(i, j int) bool {
-		if scoredCands[i].score != scoredCands[j].score {
-			return scoredCands[i].score > scoredCands[j].score
+	for k := len(base); k < len(cols); k++ {
+		score(candidate{a: k}, names[k])
+	}
+	if cfg.FeatengSteps >= 2 {
+		for i := range cols {
+			for j := i + 1; j < len(cols); j++ {
+				score(candidate{a: i, b: j, op: '*'}, names[i]+"*"+names[j])
+				score(candidate{a: i, b: j, op: '/'}, names[i]+"/"+names[j])
+			}
 		}
-		return scoredCands[i].name < scoredCands[j].name
+	}
+	sort.Slice(scored, func(i, j int) bool {
+		if scored[i].score != scored[j].score {
+			return scored[i].score > scored[j].score
+		}
+		return scored[i].name < scored[j].name
 	})
-	var selected []cand
-	for _, sc := range scoredCands {
-		if len(selected) >= cfg.SelectTopK {
+	// The walk builds a full column only for the candidates it reaches, into
+	// buffers that a rejected candidate hands on to the next.
+	type pick struct {
+		name        string
+		train, vals []float64
+	}
+	var picks []pick
+	vals := make([]float64, f.Len())
+	for _, c := range scored {
+		if len(picks) >= cfg.SelectTopK {
 			break
 		}
+		c.values(buf, train)
 		redundant := false
-		for _, s := range selected {
-			if r := featselect.Pearson(subset(sc.vals, cfg.TrainRows), subset(s.vals, cfg.TrainRows)); math.Abs(r) > cfg.RedundancyCorr {
+		for _, p := range picks {
+			if r := featselect.Pearson(buf, p.train); math.Abs(r) > cfg.RedundancyCorr {
 				redundant = true
 				break
 			}
@@ -228,33 +236,70 @@ func Run(input *dataframe.Frame, target string, cfg Config) (*Result, error) {
 		if redundant {
 			continue
 		}
+		c.values(vals, cols)
 		// High-null candidates (e.g. ratios with many invalid rows) are
 		// skipped like the library's NaN guard does.
 		nulls := 0
-		for _, v := range sc.vals {
+		for _, v := range vals {
 			if math.IsNaN(v) {
 				nulls++
 			}
 		}
-		if float64(nulls) > 0.3*float64(len(sc.vals)) {
+		if float64(nulls) > 0.3*float64(len(vals)) {
 			continue
 		}
-		selected = append(selected, sc.cand)
+		picks = append(picks, pick{c.name, buf, vals})
+		buf, vals = make([]float64, len(buf)), make([]float64, len(vals))
 	}
-	var names []string
-	for _, s := range selected {
-		if err := f.AddNumeric(s.name, s.vals); err != nil {
+	var newNames []string
+	for _, p := range picks {
+		if err := f.AddNumeric(p.name, p.vals); err != nil {
 			continue
 		}
-		names = append(names, s.name)
+		newNames = append(newNames, p.name)
 	}
 	return &Result{
 		Frame:      f,
-		Generated:  generated,
-		Selected:   len(names),
-		NewColumns: names,
+		Generated:  candidates,
+		Selected:   len(newNames),
+		NewColumns: newNames,
 		Elapsed:    time.Since(start),
 	}, nil
+}
+
+// candidate is an expansion by recipe: pool column a itself (a step-1 unary
+// transform, op 0), or the product ('*') or ratio ('/') of pool columns a
+// and b.
+type candidate struct {
+	name  string
+	a, b  int
+	op    byte
+	score float64
+}
+
+// values writes the candidate's values over cols, the pool's full columns or
+// their training rows, into dst, which has their length.
+func (c candidate) values(dst []float64, cols [][]float64) {
+	x := cols[c.a][:len(dst)]
+	switch c.op {
+	case '*':
+		y := cols[c.b][:len(dst)]
+		for k := range dst {
+			dst[k] = x[k] * y[k]
+		}
+	case '/':
+		y := cols[c.b][:len(dst)]
+		for k := range dst {
+			a, b := x[k], y[k]
+			if b == 0 || math.IsNaN(a) || math.IsNaN(b) {
+				dst[k] = math.NaN()
+			} else {
+				dst[k] = a / b
+			}
+		}
+	default:
+		copy(dst, x)
+	}
 }
 
 // trainResidual fits a logistic model on the original features over the

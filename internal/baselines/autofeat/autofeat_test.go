@@ -2,7 +2,9 @@ package autofeat
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"smartfeat/internal/dataframe"
@@ -186,4 +188,51 @@ func containsStr(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// TestRunAllocsBounded pins the scoring loop's memory: on a Heart-shaped
+// frame (13 features, 3,657 rows, 6,071 candidates) a run may allocate a
+// small multiple of rows × pool floats, never a full column per candidate.
+func TestRunAllocsBounded(t *testing.T) {
+	const rows, base = 3657, 13
+	rng := rand.New(rand.NewSource(24))
+	f := dataframe.New()
+	for k := 0; k < base; k++ {
+		vals := make([]float64, rows)
+		for i := range vals {
+			vals[i] = rng.NormFloat64()*float64(k+1) + float64(k)
+		}
+		if err := f.AddNumeric(fmt.Sprintf("f%d", k), vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	y := make([]float64, rows)
+	for i := range y {
+		if rng.Float64() < 0.3 {
+			y[i] = 1
+		}
+	}
+	if err := f.AddNumeric("y", y); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.TrainRows = rng.Perm(rows)[:rows*3/4]
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Run(f, "y", cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := base * (1 + len(unaryTransforms))
+	if res.Generated != base*len(unaryTransforms)+pool*(pool-1) {
+		t.Fatalf("generated %d candidates", res.Generated)
+	}
+	allocated := after.TotalAlloc - before.TotalAlloc
+	bound := uint64(8 * rows * pool * 8) // 8 × rows × pool float64s
+	t.Logf("allocated %d B for %d candidates; bound %d B", allocated, res.Generated, bound)
+	if allocated > bound {
+		t.Fatalf("Run allocated %d B, over %d B (8 × rows × pool floats)", allocated, bound)
+	}
 }

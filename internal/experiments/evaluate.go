@@ -120,7 +120,8 @@ func buildModel(name string, seed int64, cfg Config) (ml.Classifier, error) {
 // on the held-out set. Per-model failures (e.g. infinite inputs) are
 // recorded, not fatal. The per-model trainings are independent — each model
 // derives its randomness from a fixed per-model seed — so they run on a
-// bounded worker pool with bit-identical results to the sequential order.
+// bounded worker pool with bit-identical results to the sequential order;
+// the DNN, the longest fit, starts first.
 // Cancelling the context stops scheduling further model trainings (an
 // in-flight fit still runs to completion) and surfaces the context error,
 // so an interrupted evaluation is never mistaken for a measured one.
@@ -159,10 +160,12 @@ func EvaluateFrame(ctx context.Context, f *dataframe.Frame, target string, model
 		failure string
 	}
 	results := make([]outcome, len(models))
-	ForEachIndex(cfg.workers(), len(models), func(k int) {
+	order := dnnFirst(models)
+	ForEachIndex(cfg.workers(), len(order), func(j int) {
 		if ctx.Err() != nil {
 			return
 		}
+		k := order[j]
 		name := models[k]
 		// One ml.fit span per downstream model: train + score. The ML kernel
 		// itself stays dependency-free; instrumentation lives at this seam.

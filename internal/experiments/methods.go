@@ -205,14 +205,7 @@ func RunCAAFE(ctx context.Context, d *datasets.Dataset, clean *dataframe.Frame, 
 	// The DNN session is dispatched first: its validation trains an MLP
 	// 2·3 times per iteration, the cell's longest serial chain. Aggregation
 	// below still walks cfg.Models in order.
-	order := make([]int, 0, len(cfg.Models))
-	for _, dnn := range []bool{true, false} {
-		for i, ds := range cfg.Models {
-			if (ds == "DNN") == dnn {
-				order = append(order, i)
-			}
-		}
-	}
+	order := dnnFirst(cfg.Models)
 	cells := make([]session, len(cfg.Models))
 	ForEachIndex(cfg.workers(), len(order), func(k int) {
 		i := order[k]

@@ -161,3 +161,19 @@ func TestRunEfficiencyParallelRowOrder(t *testing.T) {
 		}
 	}
 }
+
+func TestDNNFirst(t *testing.T) {
+	for _, tc := range []struct {
+		models []string
+		want   []int
+	}{
+		{[]string{"LR", "NB", "RF", "ET", "DNN"}, []int{4, 0, 1, 2, 3}},
+		{[]string{"DNN", "LR"}, []int{0, 1}},
+		{[]string{"RF", "LR"}, []int{0, 1}},
+		{nil, []int{}},
+	} {
+		if got := dnnFirst(tc.models); !slices.Equal(got, tc.want) {
+			t.Errorf("dnnFirst(%v) = %v, want %v", tc.models, got, tc.want)
+		}
+	}
+}

@@ -74,12 +74,12 @@ func (e *Expr) EvalRows(cols map[string][]float64) ([]float64, error) {
 	for s, name := range e.vars {
 		col, ok := cols[name]
 		if !ok {
-			return nil, fmt.Errorf("expr: missing column %q for %q", name, e.src)
+			return nil, fmt.Errorf("expr: missing column %s for %s", quoteText(name), quoteText(e.src))
 		}
 		if n == -1 {
 			n = len(col)
 		} else if len(col) != n {
-			return nil, fmt.Errorf("expr: column %q length %d != %d", name, len(col), n)
+			return nil, fmt.Errorf("expr: column %s length %d != %d", quoteText(name), len(col), n)
 		}
 		src[s] = col
 	}

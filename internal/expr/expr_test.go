@@ -619,3 +619,35 @@ func MustCompile(src string) *Expr {
 
 // Source returns the original expression text.
 func (e *Expr) Source() string { return e.src }
+
+// TestErrorQuoteBounded feeds errors 2 MB of source text: a trailing
+// identifier, a bad number, an unknown function name and a missing column.
+// Each message must stay under 1 KiB and still name where the fault is.
+// A short source is still quoted whole.
+func TestErrorQuoteBounded(t *testing.T) {
+	long := strings.Repeat("b", 2<<20)
+	cases := []struct {
+		src, want string
+	}{
+		{"a " + long, "at position 2 in \"a bbb"},
+		{"1 + 2" + strings.Repeat(".", 2<<20), "bad number \"2...."},
+		{"x + " + long + "(1)", "unknown function \"bbb"},
+		{long + " + 1 +", "at position 2097158 in …\"" + long[:42] + " + 1 +\""},
+	}
+	for _, tc := range cases {
+		_, err := Compile(tc.src)
+		if err == nil {
+			t.Fatalf("%.20q…: compiled", tc.src)
+		}
+		if msg := err.Error(); len(msg) >= 1024 || !strings.Contains(msg, tc.want) {
+			t.Errorf("%.20q…: error of %d bytes, want under 1024 containing %q: %.200s", tc.src, len(msg), tc.want, msg)
+		}
+	}
+	e := MustCompile(long + " + 1")
+	if _, err := e.EvalRows(map[string][]float64{}); err == nil || len(err.Error()) >= 1024 {
+		t.Errorf("missing column: error %.200v", err)
+	}
+	if _, err := Compile("a + (b"); err == nil || !strings.Contains(err.Error(), `in "a + (b"`) {
+		t.Errorf("short source not quoted whole: %v", err)
+	}
+}

@@ -167,7 +167,7 @@ func (l *lexer) next() (token, error) {
 		text := string(runes[i:j])
 		v, err := strconv.ParseFloat(text, 64)
 		if err != nil {
-			return token{}, fmt.Errorf("expr: bad number %q at %d", text, i)
+			return token{}, fmt.Errorf("expr: bad number %s at %d", quoteText(text), i)
 		}
 		t.kind, t.text, t.num, end = tokNumber, text, v, j
 	case isIdentStart(r):

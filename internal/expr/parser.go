@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -203,9 +204,8 @@ var (
 // token of lookahead.
 type parser struct {
 	lex    lexer
-	tok    token // the lookahead
-	lexErr error // why the token stream ended early, if it did
-	src    string
+	tok    token      // the lookahead
+	lexErr error      // why the token stream ended early, if it did
 	vars   []*varNode // every variable reference, for slot assignment
 	args   int        // call arguments so far: the next call's offset in env.args
 	depth  int        // nesting levels entered and not yet left
@@ -213,7 +213,7 @@ type parser struct {
 }
 
 func newParser(src string) *parser {
-	p := &parser{lex: lexer{runes: []rune(src)}, src: src}
+	p := &parser{lex: lexer{runes: []rune(src)}}
 	p.advance()
 	return p
 }
@@ -258,7 +258,41 @@ func (p *parser) descend(t token) error {
 }
 
 func (p *parser) errorf(t token, format string, args ...any) error {
-	return fmt.Errorf("expr: %s at position %d in %q", fmt.Sprintf(format, args...), t.pos, p.src)
+	return fmt.Errorf("expr: %s at position %d in %s", fmt.Sprintf(format, args...), t.pos, excerpt(p.lex.runes, t.pos))
+}
+
+// Formulas arrive as FM output of any length, so an error quotes a bounded
+// stretch of them: a source up to wholeQuote runes whole, a longer one as a
+// window of quoteWindow runes around the error's position.
+const (
+	wholeQuote  = 128
+	quoteWindow = 48
+)
+
+// excerpt quotes src, or its window around pos with "…" where it is cut.
+func excerpt(src []rune, pos int) string {
+	if len(src) <= wholeQuote {
+		return strconv.Quote(string(src))
+	}
+	lo := min(max(pos-quoteWindow/2, 0), len(src)-quoteWindow)
+	hi := lo + quoteWindow
+	q := strconv.Quote(string(src[lo:hi]))
+	if lo > 0 {
+		q = "…" + q
+	}
+	if hi < len(src) {
+		q += "…"
+	}
+	return q
+}
+
+// quoteText quotes a name or token text from the source, keeping its first
+// quoteWindow runes when it is longer than wholeQuote.
+func quoteText(s string) string {
+	if len(s) <= wholeQuote {
+		return strconv.Quote(s)
+	}
+	return excerpt([]rune(s), 0)
 }
 
 // parseExpr := term (('+'|'-') term)*
@@ -390,7 +424,7 @@ func (p *parser) parsePrimary() (Node, error) {
 func (p *parser) parseCall(name token) (Node, error) {
 	fn, ok := builtins[name.text]
 	if !ok {
-		return nil, p.errorf(name, "unknown function %q (available: %s)", name.text, strings.Join(Builtins(), ", "))
+		return nil, p.errorf(name, "unknown function %s (available: %s)", quoteText(name.text), strings.Join(Builtins(), ", "))
 	}
 	// Consume the '(' and enter the arguments' level.
 	if err := p.descend(p.next()); err != nil {
