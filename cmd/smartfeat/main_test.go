@@ -63,3 +63,39 @@ func TestReplayGridShard(t *testing.T) {
 		t.Fatalf("replaying the grid shard diverged from the live CLI run:\nlive:\n%s\nreplayed:\n%s", live, replayed)
 	}
 }
+
+// TestReplayPreDigestRecording replays testdata/tennis.fmrec, a recording of
+// `smartfeat -dataset Tennis` made while the gateway still kept its indexes
+// under hex string keys, through today's digest-keyed replay store. A replay
+// miss is an error, so a finished run served every completion from the file;
+// its CSV must be the one a live run writes.
+func TestReplayPreDigestRecording(t *testing.T) {
+	dir := t.TempDir()
+	csv := func(name, replay string) []byte {
+		t.Helper()
+		out := filepath.Join(dir, name)
+		o := cliOptions{
+			dataset:       "Tennis",
+			model:         "RF",
+			budget:        10,
+			seed:          42,
+			errorRate:     0.02,
+			fmConcurrency: 8,
+			fmReplay:      replay,
+			out:           out,
+		}
+		if err := run(context.Background(), o); err != nil {
+			t.Fatalf("%s run: %v", name, err)
+		}
+		raw, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	live := csv("live.csv", "")
+	replayed := csv("replayed.csv", filepath.Join("testdata", "tennis.fmrec"))
+	if !bytes.Equal(live, replayed) {
+		t.Fatal("replaying the hex-keyed recording diverged from the live CLI run")
+	}
+}

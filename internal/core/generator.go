@@ -202,15 +202,16 @@ func CompleteRows(ctx context.Context, model fm.Model, f *dataframe.Frame, featu
 	}
 	n = min(n, f.Len())
 	out := make([]float64, n)
+	tmpl := newRowTemplate(feature)
 	if _, ok := model.(fm.Submitter); ok && n > 1 {
-		if err := completeRowsConcurrent(ctx, model, f, feature, out); err != nil {
+		if err := completeRowsConcurrent(ctx, model, f, tmpl, out); err != nil {
 			return nil, err
 		}
 		return out, nil
 	}
 	var buf []byte
 	for i := 0; i < n; i++ {
-		buf = appendRowPrompt(buf[:0], feature, f, i)
+		buf = tmpl.append(buf[:0], f, i)
 		resp, err := model.Complete(ctx, string(buf))
 		if err != nil {
 			return nil, fmt.Errorf("core: row %d completion: %w", i, err)
@@ -234,7 +235,7 @@ type rowWorker struct {
 // has been taken already: the workers on later rows are cancelled and
 // nothing past k starts, while the rows below k finish, so a lower failure
 // still wins.
-func completeRowsConcurrent(ctx context.Context, model fm.Model, f *dataframe.Frame, feature string, out []float64) error {
+func completeRowsConcurrent(ctx context.Context, model fm.Model, f *dataframe.Frame, tmpl rowTemplate, out []float64) error {
 	// Enough workers to keep any reasonable gateway concurrency saturated;
 	// the gateway, not this count, bounds the upstream calls.
 	const window = 256
@@ -278,7 +279,7 @@ func completeRowsConcurrent(ctx context.Context, model fm.Model, f *dataframe.Fr
 				if i >= stop.Load() {
 					return // past the last row, or past a failed one
 				}
-				buf = appendRowPrompt(buf[:0], feature, f, int(i))
+				buf = tmpl.append(buf[:0], f, int(i))
 				resp, err := model.Complete(wk.ctx, string(buf))
 				if err != nil {
 					fail(i, err)

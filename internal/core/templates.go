@@ -83,21 +83,26 @@ func functionPrompt(a *Agenda, model string, c Candidate) string {
 // masked-token interaction of Figure 1 that SMARTFEAT avoids for whole
 // datasets but falls back to when no explicit function exists (§3.3).
 func rowPrompt(feature string, f *dataframe.Frame, i int) string {
-	return string(appendRowPrompt(nil, feature, f, i))
+	return string(newRowTemplate(feature).append(nil, f, i))
 }
 
-// appendRowPrompt appends rowPrompt(feature, f, i) to dst, so a row loop can
-// refill one buffer instead of formatting every prompt afresh.
-func appendRowPrompt(dst []byte, feature string, f *dataframe.Frame, i int) []byte {
-	dst = append(dst, "You are assisting with automated feature engineering for a tabular dataset.\n"+
-		"Task: "+fm.TaskCompleteRow+"\n"+
-		"New feature: "...)
-	dst = append(dst, feature...)
-	dst = append(dst, "\nRow: "...)
+// rowTemplate is the part of rowPrompt that is the same for every row of one
+// feature, its head and tail rendered once, so a row loop refills one buffer
+// with the serialized row between them.
+type rowTemplate struct{ head, tail string }
+
+func newRowTemplate(feature string) rowTemplate {
+	return rowTemplate{
+		head: "You are assisting with automated feature engineering for a tabular dataset.\n" +
+			"Task: " + fm.TaskCompleteRow + "\n" +
+			"New feature: " + feature + "\nRow: ",
+		tail: ", " + feature + ": ?\nProvide only the value for the masked attribute " + strconv.Quote(feature) + ".\n",
+	}
+}
+
+// append appends rowPrompt(feature, f, i) to dst.
+func (t rowTemplate) append(dst []byte, f *dataframe.Frame, i int) []byte {
+	dst = append(dst, t.head...)
 	dst = f.AppendRow(dst, i)
-	dst = append(dst, ", "...)
-	dst = append(dst, feature...)
-	dst = append(dst, ": ?\nProvide only the value for the masked attribute "...)
-	dst = strconv.AppendQuote(dst, feature)
-	return append(dst, ".\n"...)
+	return append(dst, t.tail...)
 }

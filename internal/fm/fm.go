@@ -63,7 +63,9 @@ type Submitter interface {
 // all of them would collapse the sampled space. Deterministic tasks —
 // unary proposals, function generation, row-level completions — are safe.
 func CacheableTask(prompt string) bool {
-	for _, line := range strings.Split(prompt, "\n") {
+	for rest, more := prompt, true; more; {
+		var line string
+		line, rest, more = strings.Cut(rest, "\n")
 		if task, ok := strings.CutPrefix(line, "Task:"); ok {
 			switch strings.TrimSpace(task) {
 			case TaskSampleBinary, TaskSampleHighOrder, TaskSampleExtractor:

@@ -1,66 +1,108 @@
 package fmgate
 
 import (
-	"container/list"
 	"sync"
 
 	"smartfeat/internal/obs"
 )
 
-// lruCache is a fixed-capacity map+list LRU for completions. Not safe for
-// concurrent use on its own; it is the core of one shardedCache shard, which
-// guards it with a per-shard mutex.
+// lruCache is a fixed-capacity LRU for completions laid out as a slab: each
+// entry holds one slot of a slice and links to its recency neighbours by slot
+// index, and a pointer-free map finds a key's slot. An eviction reuses the
+// tail's slot, so a full cache allocates no entry. Not safe for concurrent
+// use on its own; it is the core of one shardedCache shard, which guards it
+// with a per-shard mutex.
 type lruCache struct {
-	cap   int
-	bytes int64      // sum of len(key)+len(text) over resident entries
-	order *list.List // front = most recently used
-	items map[string]*list.Element
+	cap        int
+	bytes      int64 // sum of len(key)+len(text) over resident entries
+	head, tail int32 // most and least recently used slot; -1 when empty
+	slab       []lruEntry
+	items      map[digest]int32
 }
 
 type lruEntry struct {
-	key  string
-	text string
+	key        digest
+	text       string
+	prev, next int32 // neighbour slots toward head and tail; -1 at the ends
 }
 
 func newLRUCache(capacity int) *lruCache {
-	return &lruCache{cap: capacity, order: list.New(), items: make(map[string]*list.Element, capacity)}
+	return &lruCache{cap: capacity, head: -1, tail: -1, items: make(map[digest]int32)}
 }
 
-func (c *lruCache) get(key string) (string, bool) {
-	el, ok := c.items[key]
+func (c *lruCache) get(key digest) (string, bool) {
+	i, ok := c.items[key]
 	if !ok {
 		return "", false
 	}
-	c.order.MoveToFront(el)
-	return el.Value.(*lruEntry).text, true
+	c.toFront(i)
+	return c.slab[i].text, true
 }
 
 // put inserts or refreshes key and reports whether an entry was evicted plus
 // the resident-bytes delta (callers feed both into the fmcache instruments).
-func (c *lruCache) put(key, text string) (evicted bool, bytesDelta int64) {
-	if el, ok := c.items[key]; ok {
-		e := el.Value.(*lruEntry)
+func (c *lruCache) put(key digest, text string) (evicted bool, bytesDelta int64) {
+	if i, ok := c.items[key]; ok {
+		e := &c.slab[i]
 		bytesDelta = int64(len(text)) - int64(len(e.text))
 		e.text = text
-		c.order.MoveToFront(el)
+		c.toFront(i)
 		c.bytes += bytesDelta
 		return false, bytesDelta
 	}
-	c.items[key] = c.order.PushFront(&lruEntry{key: key, text: text})
-	bytesDelta = int64(len(key) + len(text))
-	if c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		e := oldest.Value.(*lruEntry)
-		delete(c.items, e.key)
-		bytesDelta -= int64(len(e.key) + len(e.text))
+	var i int32
+	if len(c.slab) < c.cap {
+		i = int32(len(c.slab))
+		c.slab = append(c.slab, lruEntry{})
+	} else {
+		i = c.tail
+		old := &c.slab[i]
+		delete(c.items, old.key)
+		c.unlink(i)
+		bytesDelta = -int64(len(old.key) + len(old.text))
 		evicted = true
 	}
+	c.slab[i].key, c.slab[i].text = key, text
+	c.pushFront(i)
+	c.items[key] = i
+	bytesDelta += int64(len(key) + len(text))
 	c.bytes += bytesDelta
 	return evicted, bytesDelta
 }
 
-func (c *lruCache) len() int { return c.order.Len() }
+// unlink takes slot i out of the recency list.
+func (c *lruCache) unlink(i int32) {
+	e := &c.slab[i]
+	if e.prev >= 0 {
+		c.slab[e.prev].next = e.next
+	} else {
+		c.head = e.next
+	}
+	if e.next >= 0 {
+		c.slab[e.next].prev = e.prev
+	} else {
+		c.tail = e.prev
+	}
+}
+
+// pushFront links slot i in as the most recently used.
+func (c *lruCache) pushFront(i int32) {
+	e := &c.slab[i]
+	e.prev, e.next = -1, c.head
+	if c.head >= 0 {
+		c.slab[c.head].prev = i
+	} else {
+		c.tail = i
+	}
+	c.head = i
+}
+
+func (c *lruCache) toFront(i int32) {
+	if c.head != i {
+		c.unlink(i)
+		c.pushFront(i)
+	}
+}
 
 // cacheShardCount is the fan-out of the sharded in-process tier. Completion
 // keys are uniformly-distributed content hashes, so a small power of two
@@ -103,27 +145,26 @@ func newShardedCache(capacity int, evictions *obs.Counter, bytes *obs.Gauge) *sh
 	return s
 }
 
-// shardFor picks a shard by FNV-1a over the key's first 4 bytes. Keys are
-// hex content hashes — every byte is already uniform — so a short prefix
-// spreads shards as well as the full key at a fraction of the hit-path cost.
-func (s *shardedCache) shardFor(key string) *cacheShard {
+// shardFor picks a shard by FNV-1a over the first four digits of the key's
+// hex form. A key's shard decides what a full cache evicts, and so which
+// repeats reach upstream; hashing the hex digits keeps that as it was when
+// the cache was keyed by hex strings. The digest is already uniform, so a
+// short prefix spreads shards as well as the full key.
+func (s *shardedCache) shardFor(key digest) *cacheShard {
 	const (
-		offset32 = 2166136261
-		prime32  = 16777619
+		offset32  = 2166136261
+		prime32   = 16777619
+		hexDigits = "0123456789abcdef"
 	)
-	n := len(key)
-	if n > 4 {
-		n = 4
-	}
 	h := uint32(offset32)
-	for i := 0; i < n; i++ {
-		h ^= uint32(key[i])
-		h *= prime32
+	for _, b := range key[:2] {
+		h = (h ^ uint32(hexDigits[b>>4])) * prime32
+		h = (h ^ uint32(hexDigits[b&15])) * prime32
 	}
 	return &s.shards[h%uint32(len(s.shards))]
 }
 
-func (s *shardedCache) get(key string) (string, bool) {
+func (s *shardedCache) get(key digest) (string, bool) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	text, ok := sh.lru.get(key)
@@ -131,7 +172,7 @@ func (s *shardedCache) get(key string) (string, bool) {
 	return text, ok
 }
 
-func (s *shardedCache) put(key, text string) {
+func (s *shardedCache) put(key digest, text string) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	evicted, delta := sh.lru.put(key, text)
@@ -142,15 +183,4 @@ func (s *shardedCache) put(key, text string) {
 	if delta != 0 && s.bytes != nil {
 		s.bytes.Add(delta)
 	}
-}
-
-func (s *shardedCache) len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += sh.lru.len()
-		sh.mu.Unlock()
-	}
-	return n
 }

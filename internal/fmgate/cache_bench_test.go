@@ -3,7 +3,6 @@ package fmgate
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 
 	"smartfeat/internal/core"
@@ -11,33 +10,14 @@ import (
 	"smartfeat/internal/fm"
 )
 
-// benchKeys builds a working set of content-hash-shaped keys pre-inserted
-// into the cache under test.
-func benchKeys(n int) []string {
-	keys := make([]string, n)
+// benchKeys builds a working set of content addresses pre-inserted into the
+// cache under test.
+func benchKeys(n int) []digest {
+	keys := make([]digest, n)
 	for i := range keys {
-		keys[i] = contentKey("", "bench", fmt.Sprintf("prompt-%d", i))
+		keys[i] = contentDigest("", "bench", fmt.Sprintf("prompt-%d", i))
 	}
 	return keys
-}
-
-// mutexCache is the pre-sharding design — one lruCache behind one mutex —
-// kept here as the benchmark baseline the sharded tier is measured against.
-type mutexCache struct {
-	mu  sync.Mutex
-	lru *lruCache
-}
-
-func (c *mutexCache) get(key string) (string, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.get(key)
-}
-
-func (c *mutexCache) put(key, text string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.lru.put(key, text)
 }
 
 const benchCacheSize = 4096
@@ -49,24 +29,9 @@ func BenchmarkCacheHit(b *testing.B) {
 	c := newShardedCache(benchCacheSize, nil, nil)
 	keys := benchKeys(benchCacheSize / 2)
 	for _, k := range keys {
-		c.put(k, "response for "+k)
+		c.put(k, "response for "+k.String())
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := c.get(keys[i%len(keys)]); !ok {
-			b.Fatal("unexpected miss")
-		}
-	}
-}
-
-// BenchmarkCacheHitMutex is the single-threaded baseline on the old
-// single-mutex LRU.
-func BenchmarkCacheHitMutex(b *testing.B) {
-	c := &mutexCache{lru: newLRUCache(benchCacheSize)}
-	keys := benchKeys(benchCacheSize / 2)
-	for _, k := range keys {
-		c.put(k, "response for "+k)
-	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := c.get(keys[i%len(keys)]); !ok {
@@ -82,8 +47,9 @@ func BenchmarkCacheHitParallel(b *testing.B) {
 	c := newShardedCache(benchCacheSize, nil, nil)
 	keys := benchKeys(benchCacheSize / 2)
 	for _, k := range keys {
-		c.put(k, "response for "+k)
+		c.put(k, "response for "+k.String())
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
@@ -96,22 +62,48 @@ func BenchmarkCacheHitParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkCacheHitParallelMutex is the contended baseline on the old
-// single-mutex LRU: every hit serializes on one lock.
-func BenchmarkCacheHitParallelMutex(b *testing.B) {
-	c := &mutexCache{lru: newLRUCache(benchCacheSize)}
-	keys := benchKeys(benchCacheSize / 2)
-	for _, k := range keys {
-		c.put(k, "response for "+k)
+// echoModel is the trivial model behind BenchmarkGatewayComplete: it answers
+// at once, so the benchmark measures the gateway's own per-request cost.
+type echoModel struct{}
+
+func (echoModel) Complete(_ context.Context, prompt string) (string, error) { return "42", nil }
+func (echoModel) Name() string                                              { return "echo" }
+func (echoModel) Usage() fm.Usage                                           { return fm.Usage{} }
+func (echoModel) ResetUsage()                                               {}
+
+// BenchmarkGatewayComplete measures one Gateway.Complete of a row-level
+// prompt over echoModel. hit serves a cached prompt. miss cycles prompts
+// through a one-entry cache, so every request misses, takes the singleflight
+// and upstream path and evicts its predecessor.
+func BenchmarkGatewayComplete(b *testing.B) {
+	prompts := make([]string, benchCacheSize/2)
+	for i := range prompts {
+		prompts[i] = fmt.Sprintf("Task: %s\nRow: Age: %d, Job: admin., Balance: %d\n", fm.TaskCompleteRow, i, 7*i)
 	}
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			if _, ok := c.get(keys[i%len(keys)]); !ok {
-				b.Fatal("unexpected miss")
+	ctx := context.Background()
+	b.Run("hit", func(b *testing.B) {
+		g := New(echoModel{}, Options{CacheSize: benchCacheSize})
+		for _, p := range prompts {
+			if _, err := g.Complete(ctx, p); err != nil {
+				b.Fatal(err)
 			}
-			i++
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := g.Complete(ctx, prompts[i%len(prompts)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		g := New(echoModel{}, Options{CacheSize: 1})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := g.Complete(ctx, prompts[i%len(prompts)]); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

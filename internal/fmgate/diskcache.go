@@ -88,7 +88,7 @@ type DiskCache struct {
 	lock *lease.Mutex
 
 	mu       sync.Mutex
-	keys     map[string]*diskKey
+	keys     map[digest]*diskKey
 	files    map[string]int64 // consumed byte offset per shard file
 	exclude  map[string]bool  // shard files never ingested (own writes)
 	lastScan time.Time
@@ -116,14 +116,14 @@ func OpenDiskCache(dir string, opts DiskCacheOptions) (*DiskCache, error) {
 		dir:     dir,
 		opts:    opts,
 		lock:    lease.NewMutex(filepath.Join(dir, "manifest.json.lock"), opts.LockTTL),
-		keys:    make(map[string]*diskKey),
+		keys:    make(map[digest]*diskKey),
 		files:   make(map[string]int64),
 		exclude: make(map[string]bool),
 	}
 	if err := d.ensureManifest(); err != nil {
 		return nil, err
 	}
-	obs.Default.RegisterGauge("fmcache_bytes", "Resident completion-cache bytes by tier.", &d.bytesG, "tier", "disk")
+	obs.Default.RegisterGauge("fmcache_bytes", fmcacheBytesHelp, &d.bytesG, "tier", "disk")
 	obs.Default.RegisterCounter("fmcache_disk_scans_total", "Disk-tier index scans over the shard directory.", &d.scans)
 	d.mu.Lock()
 	d.scanLocked()
@@ -216,6 +216,8 @@ func (d *DiskCache) scanLocked() {
 // file shorter than its consumed offset was truncated (a cell re-recorded by
 // a resumed run); it is re-read from the start — the re-recording is made
 // under the same config hash, so duplicated entries carry identical content.
+// Lines that do not parse, carry no hex content address or run past
+// maxRecordBytes are skipped.
 func (d *DiskCache) ingestLocked(name string) {
 	path := filepath.Join(d.dir, name)
 	info, err := os.Stat(path)
@@ -238,17 +240,27 @@ func (d *DiskCache) ingestLocked(name string) {
 	if _, err := f.Seek(off, io.SeekStart); err != nil {
 		return
 	}
-	r := bufio.NewReaderSize(f, 1<<16)
+	r := bufio.NewReaderSize(f, maxRecordBytes)
 	consumed := off
 	for {
-		raw, readErr := r.ReadBytes('\n')
+		raw, readErr := r.ReadSlice('\n')
+		if readErr == bufio.ErrBufferFull {
+			rest, ok := skipLine(r)
+			if !ok {
+				break // an over-cap line a peer is still appending
+			}
+			consumed += int64(len(raw)) + rest
+			continue
+		}
 		if len(raw) > 0 && raw[len(raw)-1] == '\n' {
 			consumed += int64(len(raw))
 			data := bytes.TrimRight(raw, "\r\n")
 			if len(data) > 0 {
 				var e storeEntry
-				if err := json.Unmarshal(data, &e); err == nil && e.Key != "" {
-					d.addEntryLocked(e.Key, name, replayEntry{response: e.Response, err: e.Error})
+				if err := json.Unmarshal(data, &e); err == nil {
+					if key, ok := parseDigest(e.Key); ok {
+						d.addEntryLocked(key, name, replayEntry{response: e.Response, err: e.Error})
+					}
 				}
 			}
 		}
@@ -260,7 +272,22 @@ func (d *DiskCache) ingestLocked(name string) {
 	d.files[name] = consumed
 }
 
-func (d *DiskCache) addEntryLocked(key, src string, e replayEntry) {
+// skipLine discards the rest of an over-cap line through its newline and
+// returns how many bytes that was; ok is false when the input ends first.
+func skipLine(r *bufio.Reader) (n int64, ok bool) {
+	for {
+		raw, err := r.ReadSlice('\n')
+		n += int64(len(raw))
+		if err == nil {
+			return n, true
+		}
+		if err != bufio.ErrBufferFull {
+			return n, false
+		}
+	}
+}
+
+func (d *DiskCache) addEntryLocked(key digest, src string, e replayEntry) {
 	k := d.keys[key]
 	if k == nil {
 		k = &diskKey{src: src}
@@ -277,7 +304,7 @@ func (d *DiskCache) addEntryLocked(key, src string, e replayEntry) {
 // last outcome when the queue is exhausted; sampling prompts miss.
 // errMsg is a recorded upstream failure, served faithfully so error-threshold
 // logic downstream sees the sequence the paying run saw.
-func (d *DiskCache) Get(key string, sticky bool) (text string, errMsg string, ok bool) {
+func (d *DiskCache) Get(key digest, sticky bool) (text string, errMsg string, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -293,7 +320,7 @@ func (d *DiskCache) Get(key string, sticky bool) (text string, errMsg string, ok
 	return d.popLocked(key, sticky)
 }
 
-func (d *DiskCache) popLocked(key string, sticky bool) (string, string, bool) {
+func (d *DiskCache) popLocked(key digest, sticky bool) (string, string, bool) {
 	k := d.keys[key]
 	if k == nil {
 		return "", "", false
@@ -329,7 +356,7 @@ func uniformEntries(es []replayEntry) bool {
 // a record store and Live is enabled, it is also appended to this worker's
 // live shard — one atomic whole-line write — so peer processes can serve it.
 // Best-effort: a failed live append degrades sharing, never the completion.
-func (d *DiskCache) Learn(key, prompt, response, errMsg string, persisted bool) {
+func (d *DiskCache) Learn(key digest, prompt, response, errMsg string, persisted bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -348,7 +375,7 @@ func (d *DiskCache) Learn(key, prompt, response, errMsg string, persisted bool) 
 		}
 		d.live = f
 	}
-	b, err := json.Marshal(storeEntry{Key: key, Prompt: firstLine(prompt), Response: response, Error: errMsg})
+	b, err := json.Marshal(storeEntry{Key: key.String(), Prompt: firstLine(prompt), Response: response, Error: errMsg})
 	if err != nil {
 		return
 	}

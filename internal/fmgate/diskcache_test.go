@@ -10,7 +10,13 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"smartfeat/internal/obs"
 )
+
+// testKey is the content address the disk-tier tests file a named entry
+// under.
+func testKey(name string) digest { return contentDigest("", "test", name) }
 
 // writeShard appends storeEntry JSON lines to a shard file in dir.
 func writeShard(t *testing.T, dir, name string, entries ...storeEntry) {
@@ -48,37 +54,37 @@ func openTestDiskCache(t *testing.T, dir string, opts DiskCacheOptions) *DiskCac
 func TestDiskCacheReadThrough(t *testing.T) {
 	dir := t.TempDir()
 	writeShard(t, dir, "cell-a.jsonl",
-		storeEntry{Key: "k-sticky", Response: "r1"},
-		storeEntry{Key: "k-sample", Response: "s1"},
-		storeEntry{Key: "k-sample", Response: "s2"},
-		storeEntry{Key: "k-err", Error: "boom"},
+		storeEntry{Key: testKey("k-sticky").String(), Response: "r1"},
+		storeEntry{Key: testKey("k-sample").String(), Response: "s1"},
+		storeEntry{Key: testKey("k-sample").String(), Response: "s2"},
+		storeEntry{Key: testKey("k-err").String(), Error: "boom"},
 	)
 	d := openTestDiskCache(t, dir, DiskCacheOptions{ConfigHash: "h1"})
 	for i := 0; i < 3; i++ {
-		text, errMsg, ok := d.Get("k-sticky", true)
+		text, errMsg, ok := d.Get(testKey("k-sticky"), true)
 		if !ok || text != "r1" || errMsg != "" {
 			t.Fatalf("sticky get %d = (%q, %q, %v), want (r1, , true)", i, text, errMsg, ok)
 		}
 	}
 	for i, want := range []string{"s1", "s2"} {
-		text, _, ok := d.Get("k-sample", false)
+		text, _, ok := d.Get(testKey("k-sample"), false)
 		if !ok || text != want {
 			t.Fatalf("sample get %d = (%q, %v), want (%q, true)", i, text, ok, want)
 		}
 	}
-	if _, _, ok := d.Get("k-sample", false); ok {
+	if _, _, ok := d.Get(testKey("k-sample"), false); ok {
 		t.Fatal("exhausted sampling key should miss, not re-serve")
 	}
-	if _, errMsg, ok := d.Get("k-err", true); !ok || errMsg != "boom" {
+	if _, errMsg, ok := d.Get(testKey("k-err"), true); !ok || errMsg != "boom" {
 		t.Fatalf("error entry = (%q, %v), want (boom, true)", errMsg, ok)
 	}
-	if _, _, ok := d.Get("k-absent", true); ok {
+	if _, _, ok := d.Get(testKey("k-absent"), true); ok {
 		t.Fatal("absent key should miss")
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := d.Get("k-sticky", true); ok {
+	if _, _, ok := d.Get(testKey("k-sticky"), true); ok {
 		t.Fatal("closed cache must miss")
 	}
 	if err := d.Close(); err != nil {
@@ -93,24 +99,24 @@ func TestDiskCacheReadThrough(t *testing.T) {
 func TestDiskCachePeerAppendVisible(t *testing.T) {
 	dir := t.TempDir()
 	d := openTestDiskCache(t, dir, DiskCacheOptions{Refresh: time.Millisecond})
-	if _, _, ok := d.Get("k1", true); ok {
+	if _, _, ok := d.Get(testKey("k1"), true); ok {
 		t.Fatal("empty dir should miss")
 	}
-	writeShard(t, dir, "cell-peer.jsonl", storeEntry{Key: "k1", Response: "v1"})
+	writeShard(t, dir, "cell-peer.jsonl", storeEntry{Key: testKey("k1").String(), Response: "v1"})
 	// Append a torn record (no trailing newline) after the complete one.
 	f, err := os.OpenFile(filepath.Join(dir, "cell-peer.jsonl"), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"key":"k2","response":"v2"`); err != nil {
+	if _, err := f.WriteString(`{"key":"` + testKey("k2").String() + `","response":"v2"`); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(5 * time.Millisecond)
-	if text, _, ok := d.Get("k1", true); !ok || text != "v1" {
+	if text, _, ok := d.Get(testKey("k1"), true); !ok || text != "v1" {
 		t.Fatalf("peer append not visible: (%q, %v)", text, ok)
 	}
 	time.Sleep(5 * time.Millisecond)
-	if _, _, ok := d.Get("k2", true); ok {
+	if _, _, ok := d.Get(testKey("k2"), true); ok {
 		t.Fatal("torn trailing record must not be ingested")
 	}
 	if _, err := f.WriteString("}\n"); err != nil {
@@ -118,8 +124,74 @@ func TestDiskCachePeerAppendVisible(t *testing.T) {
 	}
 	f.Close()
 	time.Sleep(5 * time.Millisecond)
-	if text, _, ok := d.Get("k2", true); !ok || text != "v2" {
+	if text, _, ok := d.Get(testKey("k2"), true); !ok || text != "v2" {
 		t.Fatalf("completed record not ingested: (%q, %v)", text, ok)
+	}
+}
+
+// TestDiskCacheSkipsBadLines: the disk tier skips a line past
+// maxRecordBytes and a line whose key is not a content address, as it skips
+// unparsable lines, and keeps ingesting the lines after them. An over-cap
+// line a peer has not finished is left unconsumed until its newline lands.
+func TestDiskCacheSkipsBadLines(t *testing.T) {
+	dir := t.TempDir()
+	shard := filepath.Join(dir, "cell-a.jsonl")
+	appendRaw := func(s string) {
+		t.Helper()
+		f, err := os.OpenFile(shard, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.WriteString(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	consumed := func(d *DiskCache) int64 {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return d.files["cell-a.jsonl"]
+	}
+	size := func() int64 {
+		info, err := os.Stat(shard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.Size()
+	}
+	appendRaw(recordLine(testKey("k1").String(), 80) +
+		recordLine(testKey("k2").String(), maxRecordBytes+1) +
+		recordLine("k3", 80) +
+		recordLine(testKey("k4").String(), 80))
+	d := openTestDiskCache(t, dir, DiskCacheOptions{Refresh: time.Millisecond})
+	for name, want := range map[string]bool{"k1": true, "k2": false, "k4": true} {
+		if _, _, ok := d.Get(testKey(name), true); ok != want {
+			t.Fatalf("%s served = %v, want %v", name, ok, want)
+		}
+	}
+	if got, want := consumed(d), size(); got != want {
+		t.Fatalf("consumed %d of %d bytes", got, want)
+	}
+
+	before := size()
+	appendRaw(strings.TrimSuffix(recordLine(testKey("k5").String(), maxRecordBytes+1), "\n"))
+	time.Sleep(5 * time.Millisecond)
+	if _, _, ok := d.Get(testKey("k5"), true); ok {
+		t.Fatal("over-cap record served")
+	}
+	if got := consumed(d); got != before {
+		t.Fatalf("unfinished over-cap line consumed: offset %d, want %d", got, before)
+	}
+	appendRaw("\n" + recordLine(testKey("k6").String(), 80))
+	time.Sleep(5 * time.Millisecond)
+	if _, _, ok := d.Get(testKey("k6"), true); !ok {
+		t.Fatal("record after a finished over-cap line not ingested")
+	}
+	if _, _, ok := d.Get(testKey("k5"), true); ok {
+		t.Fatal("over-cap record served")
+	}
+	if got, want := consumed(d), size(); got != want {
+		t.Fatalf("consumed %d of %d bytes", got, want)
 	}
 }
 
@@ -148,21 +220,21 @@ func TestDiskCacheConfigMismatch(t *testing.T) {
 func TestDiskCacheMultiSourceKeys(t *testing.T) {
 	dir := t.TempDir()
 	writeShard(t, dir, "cell-a.jsonl",
-		storeEntry{Key: "k-uniform", Response: "same"},
-		storeEntry{Key: "k-mixed", Response: "from-a"},
+		storeEntry{Key: testKey("k-uniform").String(), Response: "same"},
+		storeEntry{Key: testKey("k-mixed").String(), Response: "from-a"},
 	)
 	writeShard(t, dir, "cell-b.jsonl",
-		storeEntry{Key: "k-uniform", Response: "same"},
-		storeEntry{Key: "k-mixed", Response: "from-b"},
+		storeEntry{Key: testKey("k-uniform").String(), Response: "same"},
+		storeEntry{Key: testKey("k-mixed").String(), Response: "from-b"},
 	)
 	d := openTestDiskCache(t, dir, DiskCacheOptions{})
-	if text, _, ok := d.Get("k-uniform", true); !ok || text != "same" {
+	if text, _, ok := d.Get(testKey("k-uniform"), true); !ok || text != "same" {
 		t.Fatalf("uniform multi-source sticky key = (%q, %v), want (same, true)", text, ok)
 	}
-	if _, _, ok := d.Get("k-uniform", false); ok {
+	if _, _, ok := d.Get(testKey("k-uniform"), false); ok {
 		t.Fatal("multi-source sampling key must miss")
 	}
-	if _, _, ok := d.Get("k-mixed", true); ok {
+	if _, _, ok := d.Get(testKey("k-mixed"), true); ok {
 		t.Fatal("divergent multi-source key must miss")
 	}
 }
@@ -174,18 +246,18 @@ func TestDiskCacheMultiSourceKeys(t *testing.T) {
 func TestDiskCacheLearnSharedWithPeers(t *testing.T) {
 	dir := t.TempDir()
 	a := openTestDiskCache(t, dir, DiskCacheOptions{Worker: "wA", Live: true})
-	a.Learn("k1", "prompt one", "learned", "", false)
-	if _, _, ok := a.Get("k1", true); ok {
+	a.Learn(testKey("k1"), "prompt one", "learned", "", false)
+	if _, _, ok := a.Get(testKey("k1"), true); ok {
 		t.Fatal("self-learned entry must not be re-served to the learner")
 	}
 	b := openTestDiskCache(t, dir, DiskCacheOptions{Worker: "wB", Live: true})
-	if text, _, ok := b.Get("k1", true); !ok || text != "learned" {
+	if text, _, ok := b.Get(testKey("k1"), true); !ok || text != "learned" {
 		t.Fatalf("peer should serve learned entry: (%q, %v)", text, ok)
 	}
 	// persisted=true means a record shard captured it: no live append.
-	a.Learn("k2", "prompt two", "persisted elsewhere", "", true)
+	a.Learn(testKey("k2"), "prompt two", "persisted elsewhere", "", true)
 	c := openTestDiskCache(t, dir, DiskCacheOptions{Worker: "wC"})
-	if _, _, ok := c.Get("k2", true); ok {
+	if _, _, ok := c.Get(testKey("k2"), true); ok {
 		t.Fatal("persisted completion must not be double-written to the live shard")
 	}
 }
@@ -198,9 +270,9 @@ func TestDiskCacheExclude(t *testing.T) {
 	d := openTestDiskCache(t, dir, DiskCacheOptions{Refresh: time.Millisecond})
 	d.Exclude(filepath.Join(dir, "cell-own.jsonl"))
 	d.Exclude(filepath.Join(t.TempDir(), "cell-elsewhere.jsonl")) // no-op
-	writeShard(t, dir, "cell-own.jsonl", storeEntry{Key: "k1", Response: "ours"})
+	writeShard(t, dir, "cell-own.jsonl", storeEntry{Key: testKey("k1").String(), Response: "ours"})
 	time.Sleep(5 * time.Millisecond)
-	if _, _, ok := d.Get("k1", true); ok {
+	if _, _, ok := d.Get(testKey("k1"), true); ok {
 		t.Fatal("excluded shard must not be ingested")
 	}
 }
@@ -211,16 +283,16 @@ func TestDiskCacheExclude(t *testing.T) {
 func TestDiskCacheTruncatedShardReingested(t *testing.T) {
 	dir := t.TempDir()
 	writeShard(t, dir, "cell-a.jsonl",
-		storeEntry{Key: "k1", Response: "v1"},
-		storeEntry{Key: "k1", Response: "v1-second-entry-making-the-file-longer"},
+		storeEntry{Key: testKey("k1").String(), Response: "v1"},
+		storeEntry{Key: testKey("k1").String(), Response: "v1-second-entry-making-the-file-longer"},
 	)
 	d := openTestDiskCache(t, dir, DiskCacheOptions{Refresh: time.Millisecond})
 	if err := os.WriteFile(filepath.Join(dir, "cell-a.jsonl"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	writeShard(t, dir, "cell-a.jsonl", storeEntry{Key: "k2", Response: "v2"})
+	writeShard(t, dir, "cell-a.jsonl", storeEntry{Key: testKey("k2").String(), Response: "v2"})
 	time.Sleep(5 * time.Millisecond)
-	if text, _, ok := d.Get("k2", true); !ok || text != "v2" {
+	if text, _, ok := d.Get(testKey("k2"), true); !ok || text != "v2" {
 		t.Fatalf("re-recorded shard not re-ingested: (%q, %v)", text, ok)
 	}
 }
@@ -229,39 +301,74 @@ func TestDiskCacheTruncatedShardReingested(t *testing.T) {
 // total capacity, counts evictions, and keeps the resident-bytes gauge
 // consistent with what get() can still see.
 func TestShardedCacheEvictionAndBytes(t *testing.T) {
-	c := newShardedCache(4, nil, nil) // 4 single-entry shards
-	keys := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"}
-	for _, k := range keys {
-		c.put(k, "text-"+k)
+	var evictions obs.Counter
+	var bytes obs.Gauge
+	c := newShardedCache(4, &evictions, &bytes) // 4 single-entry shards
+	names := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"}
+	keys := make([]digest, len(names))
+	for i, name := range names {
+		keys[i] = testKey(name)
+		c.put(keys[i], "text-"+name)
 	}
-	if n := c.len(); n > 4 {
+	if n := residentEntries(c); n > 4 {
 		t.Fatalf("len() = %d, want ≤ 4", n)
 	}
 	hits := 0
-	for _, k := range keys {
+	for i, k := range keys {
 		if text, ok := c.get(k); ok {
-			if text != "text-"+k {
-				t.Fatalf("get(%s) = %q", k, text)
+			if text != "text-"+names[i] {
+				t.Fatalf("get(%s) = %q", names[i], text)
 			}
 			hits++
 		}
 	}
-	if hits != c.len() {
-		t.Fatalf("resident entries %d but %d retrievable", c.len(), hits)
+	if hits != residentEntries(c) {
+		t.Fatalf("resident entries %d but %d retrievable", residentEntries(c), hits)
 	}
 	// Refreshing an existing key must not evict.
-	before := c.len()
-	for _, k := range keys {
+	before := residentEntries(c)
+	for i, k := range keys {
 		if _, ok := c.get(k); ok {
-			c.put(k, "updated-"+k)
+			c.put(k, "updated-"+names[i])
 		}
 	}
-	if c.len() != before {
-		t.Fatalf("refresh changed len: %d -> %d", before, c.len())
+	if residentEntries(c) != before {
+		t.Fatalf("refresh changed len: %d -> %d", before, residentEntries(c))
+	}
+	// The fmcache_bytes contributor holds the resident key+text bytes, a
+	// key counting its 16 binary bytes, through inserts, refreshes and
+	// evictions; every insert past a full shard counted one eviction.
+	var want int64
+	for i, k := range keys {
+		if text, ok := c.get(k); ok {
+			if text != "updated-"+names[i] {
+				t.Fatalf("get(%s) = %q after refresh", names[i], text)
+			}
+			want += int64(len(k) + len(text))
+		}
+	}
+	if got := bytes.Value(); got != want {
+		t.Fatalf("bytes gauge = %d, resident key+text bytes = %d", got, want)
+	}
+	if got := evictions.Value(); got != int64(len(keys)-before) {
+		t.Fatalf("evictions = %d, want %d", got, len(keys)-before)
 	}
 	if newShardedCache(0, nil, nil) != nil {
 		t.Fatal("capacity 0 should yield nil cache")
 	}
+}
+
+// residentEntries counts the entries resident across a sharded cache's
+// shards.
+func residentEntries(c *shardedCache) int {
+	n := 0
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		n += len(sh.lru.items)
+		sh.mu.Unlock()
+	}
+	return n
 }
 
 // TestGatewayDiskTierPromotion: a disk-tier hit is promoted into the
@@ -270,8 +377,8 @@ func TestShardedCacheEvictionAndBytes(t *testing.T) {
 func TestGatewayDiskTierPromotion(t *testing.T) {
 	dir := t.TempDir()
 	prompt := "cached prompt"
-	key := contentKey("", "counting", prompt)
-	writeShard(t, dir, "cell-a.jsonl", storeEntry{Key: key, Response: "from-disk"})
+	key := contentDigest("", "counting", prompt)
+	writeShard(t, dir, "cell-a.jsonl", storeEntry{Key: key.String(), Response: "from-disk"})
 	d := openTestDiskCache(t, dir, DiskCacheOptions{})
 	model := &countingModel{}
 	g := New(model, Options{CacheSize: 64, Cacheable: allCacheable, Disk: d})
@@ -340,8 +447,8 @@ func TestGatewayPromoteOnlyCache(t *testing.T) {
 func TestGatewayDiskHitRecordThrough(t *testing.T) {
 	dir := t.TempDir()
 	prompt := "peer-paid prompt"
-	key := contentKey("", "counting", prompt)
-	writeShard(t, dir, "cell-peer.jsonl", storeEntry{Key: key, Response: "peer-response"})
+	key := contentDigest("", "counting", prompt)
+	writeShard(t, dir, "cell-peer.jsonl", storeEntry{Key: key.String(), Response: "peer-response"})
 	d := openTestDiskCache(t, dir, DiskCacheOptions{})
 	recPath := filepath.Join(t.TempDir(), "own.jsonl")
 	rec, err := NewRecordStore(recPath)

@@ -8,7 +8,11 @@
 //     then a cross-process read-through index over record-store shard
 //     directories (DiskCache), then upstream — so repeated deterministic
 //     prompts are served without a model call and a completion one worker
-//     paid for is served to its peers at $0;
+//     paid for is served to its peers at $0. A content address is a 16-byte
+//     digest, hex only on disk; a cache hit allocates nothing. An LRU entry
+//     costs about 80 live bytes beside its text: a 40-byte slab slot (key,
+//     text header, two int32 links) plus its share of the pointer-free
+//     digest→slot index and of the slab's growth slack;
 //   - an on-disk record/replay store: a record store appends every upstream
 //     outcome, and a replay store becomes the gateway's model, so a recorded
 //     run replays byte-identical completions with zero simulated cost and
@@ -152,7 +156,7 @@ type Gateway struct {
 	replay bool
 
 	mu     sync.Mutex
-	flight map[string]*call
+	flight map[digest]*call
 
 	// cache is the in-process tier: an N-way sharded LRU, internally locked
 	// (deliberately outside g.mu so hits never contend with singleflight
@@ -225,7 +229,7 @@ func newGateway(model fm.Model, opts Options, replay bool) *Gateway {
 		opts:   opts,
 		sem:    make(chan struct{}, opts.Concurrency),
 		replay: replay,
-		flight: make(map[string]*call),
+		flight: make(map[digest]*call),
 	}
 	if opts.CacheSize > 0 {
 		g.cache = newShardedCache(opts.CacheSize, &g.ins.fmcacheEvictions, &g.ins.fmcacheMemBytes)
@@ -247,9 +251,13 @@ func newGateway(model fm.Model, opts Options, replay bool) *Gateway {
 	reg.RegisterCounter("fmcache_hits_total", "Tiered completion-cache hits by serving tier.", &g.ins.fmcacheHitsDisk, "tier", "disk")
 	reg.RegisterCounter("fmcache_misses_total", "Completions that missed every cache tier.", &g.ins.fmcacheMisses)
 	reg.RegisterCounter("fmcache_evictions_total", "In-process LRU evictions.", &g.ins.fmcacheEvictions)
-	reg.RegisterGauge("fmcache_bytes", "Resident completion-cache bytes by tier.", &g.ins.fmcacheMemBytes, "tier", "mem")
+	reg.RegisterGauge("fmcache_bytes", fmcacheBytesHelp, &g.ins.fmcacheMemBytes, "tier", "mem")
 	return g
 }
+
+// fmcacheBytesHelp is the fmcache_bytes help text, shared by both tiers: the
+// first registration of a family sets it.
+const fmcacheBytesHelp = "Resident completion-cache bytes by tier: key+text per in-process LRU entry, a key counting its 16 binary bytes (mem); shard bytes indexed (disk)."
 
 // defaultPromoteCacheSize is the promote-only LRU capacity used when a disk
 // tier is configured without an explicit CacheSize.
@@ -267,28 +275,57 @@ func (g *Gateway) Usage() fm.Usage { return g.model.Usage() }
 // ResetUsage implements fm.Model.
 func (g *Gateway) ResetUsage() { g.model.ResetUsage() }
 
-// contentKey is the shared content address of a prompt for a named model
-// under an optional scope — the cache key and the record/replay store key,
-// used identically by Gateway and StoreModel so a recording made through one
-// replays through the other.
-func contentKey(scope, name, prompt string) string {
-	h := sha256.New()
-	if scope != "" {
-		h.Write([]byte(scope))
-		h.Write([]byte{0})
+// digest is a content address in binary form: the first 16 bytes of SHA-256
+// over scope NUL name NUL prompt (scope and its NUL only when the scope is
+// non-empty). The cache, singleflight, replay-store and disk-tier indexes
+// are keyed by it; hex (String) is produced only where a key leaves the
+// process: recordings, disk shards and error text.
+type digest [16]byte
+
+// String renders d as the 32-digit hex key recordings store.
+func (d digest) String() string { return hex.EncodeToString(d[:]) }
+
+// parseDigest decodes a recorded hex key; ok is false unless key is exactly
+// 32 hex digits.
+func parseDigest(key string) (d digest, ok bool) {
+	if len(key) != hex.EncodedLen(len(d)) {
+		return d, false
 	}
-	h.Write([]byte(name))
-	h.Write([]byte{0})
-	h.Write([]byte(prompt))
-	var sum [sha256.Size]byte
-	return hex.EncodeToString(h.Sum(sum[:0])[:16])
+	_, err := hex.Decode(d[:], []byte(key))
+	return d, err == nil
 }
 
-// Key returns the content address of a prompt for this gateway's model: the
-// cache key and the record/replay store key. A non-empty Options.Scope is
-// mixed in, so scoped gateways sharing one store never collide.
-func (g *Gateway) Key(prompt string) string {
-	return contentKey(g.opts.Scope, g.model.Name(), prompt)
+// keyBufs pools the scope NUL name NUL prompt buffers contentDigest hashes,
+// so a content address costs no allocation. Buffers grown past
+// maxPooledKeyBuf by an outsized prompt are left to the collector.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledKeyBuf = 64 << 10
+
+// contentDigest is the shared content address of a prompt for a named model
+// under an optional scope — the cache key and the record/replay store key,
+// used identically by Gateway and StoreModel so a recording made through one
+// replays through the other. A non-empty scope is mixed in, so scoped
+// gateways sharing one store never collide.
+func contentDigest(scope, name, prompt string) digest {
+	bp := keyBufs.Get().(*[]byte)
+	b := (*bp)[:0]
+	if scope != "" {
+		b = append(append(b, scope...), 0)
+	}
+	b = append(append(b, name...), 0)
+	b = append(b, prompt...)
+	sum := sha256.Sum256(b)
+	if cap(b) <= maxPooledKeyBuf {
+		*bp = b
+		keyBufs.Put(bp)
+	}
+	return digest(sum[:16])
+}
+
+// contentKey is contentDigest in the hex form recordings store.
+func contentKey(scope, name, prompt string) string {
+	return contentDigest(scope, name, prompt).String()
 }
 
 // Complete implements fm.Model.
@@ -336,7 +373,7 @@ func (g *Gateway) complete(ctx context.Context, prompt string) (text string, cac
 	if err = ctx.Err(); err != nil {
 		return "", false, err
 	}
-	key := g.Key(prompt)
+	key := contentDigest(g.opts.Scope, g.model.Name(), prompt)
 	shareable := g.opts.Cacheable(prompt)
 
 	if shareable && g.cache != nil {
@@ -417,7 +454,7 @@ func (g *Gateway) complete(ctx context.Context, prompt string) (text string, cac
 
 // callUpstream performs the bounded, fault-injected, retried model call and
 // records successful completions to the store.
-func (g *Gateway) callUpstream(ctx context.Context, key, prompt string) (string, error) {
+func (g *Gateway) callUpstream(ctx context.Context, key digest, prompt string) (string, error) {
 	select {
 	case g.sem <- struct{}{}:
 		defer func() { <-g.sem }()

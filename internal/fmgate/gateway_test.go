@@ -797,23 +797,24 @@ func TestRouterAggregation(t *testing.T) {
 
 // TestLRUCacheEviction pins the cache's bounded-capacity behaviour.
 func TestLRUCacheEviction(t *testing.T) {
+	a, b, cc := testKey("a"), testKey("b"), testKey("c")
 	c := newLRUCache(2)
-	c.put("a", "1")
-	c.put("b", "2")
-	if _, ok := c.get("a"); !ok {
+	c.put(a, "1")
+	c.put(b, "2")
+	if _, ok := c.get(a); !ok {
 		t.Fatal("a should be resident")
 	}
-	c.put("c", "3") // evicts b (least recently used)
-	if _, ok := c.get("b"); ok {
+	c.put(cc, "3") // evicts b (least recently used)
+	if _, ok := c.get(b); ok {
 		t.Fatal("b should have been evicted")
 	}
-	for _, k := range []string{"a", "c"} {
+	for _, k := range []digest{a, cc} {
 		if _, ok := c.get(k); !ok {
 			t.Fatalf("%s should be resident", k)
 		}
 	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d", c.len())
+	if len(c.items) != 2 {
+		t.Fatalf("len = %d", len(c.items))
 	}
 }
 

@@ -250,7 +250,7 @@ func TestPoolResolveOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := contentKey("", "counting", "sample")
+	key := contentDigest("", "counting", "sample")
 	for i := 0; i < 2; i++ {
 		if err := rec.record(key, "sample", fmt.Sprintf("draw-%d", i), ""); err != nil {
 			t.Fatal(err)

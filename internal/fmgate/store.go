@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -12,7 +13,7 @@ import (
 
 // storeEntry is one recorded completion, serialized as a JSON line. The
 // prompt's first line is kept for human inspection of recordings; the key is
-// the content address (model name + full prompt) the gateway looks up by.
+// the hex content address (model name + full prompt) the gateway looks up by.
 // Error records an upstream *failure* for that prompt — the simulators
 // legitimately error on structurally-impossible requests (no valid group-by
 // keys, not enough numeric attributes), and the error-threshold logic
@@ -38,8 +39,22 @@ type Store struct {
 	mu     sync.Mutex
 	w      *bufio.Writer
 	closer io.Closer
-	queues map[string]*queue // nil for a record store
+	queues map[digest]*queue // nil for a record store
 }
+
+// maxRecordBytes caps one line of a recording or disk-cache shard, newline
+// included. Recordings are untrusted input: a longer line is refused by the
+// replay store and skipped by the disk tier instead of being buffered
+// without bound. The largest record of a quick Bank, Heart, Diabetes and
+// Tennis recording is about 500 bytes.
+const maxRecordBytes = 64 << 10
+
+var (
+	// errRecordTooLong is a recording line longer than maxRecordBytes.
+	errRecordTooLong = fmt.Errorf("record longer than %d bytes", maxRecordBytes)
+	// errRecordKey is a record whose key is not a 32-digit hex content address.
+	errRecordKey = errors.New("record key is not a 32-digit hex content address")
+)
 
 // NewRecordStore opens (truncating) a recording file.
 func NewRecordStore(path string) (*Store, error) {
@@ -57,18 +72,23 @@ func NewRecordStore(path string) (*Store, error) {
 // (or was killed) mid-write: if that trailing fragment is not itself valid
 // JSON it is reported as a truncated record — naming the interrupted
 // recording as the likely cause — instead of being silently dropped or
-// surfaced as a generic parse error.
+// surfaced as a generic parse error. A line longer than maxRecordBytes
+// (errRecordTooLong) and a key that is not a hex content address
+// (errRecordKey) are refused with their line number too.
 func OpenReplayStore(path string) (*Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("fmgate: opening recording: %w", err)
 	}
 	defer f.Close()
-	s := &Store{queues: make(map[string]*queue)}
-	r := bufio.NewReaderSize(f, 1<<16)
+	s := &Store{queues: make(map[digest]*queue)}
+	r := bufio.NewReaderSize(f, maxRecordBytes)
 	line := 0
 	for {
-		raw, readErr := r.ReadBytes('\n')
+		raw, readErr := r.ReadSlice('\n')
+		if readErr == bufio.ErrBufferFull {
+			return nil, fmt.Errorf("fmgate: recording %s line %d: %w", path, line+1, errRecordTooLong)
+		}
 		if len(raw) > 0 {
 			line++
 			terminated := raw[len(raw)-1] == '\n'
@@ -81,10 +101,14 @@ func OpenReplayStore(path string) (*Store, error) {
 					}
 					return nil, fmt.Errorf("fmgate: recording %s line %d: %w", path, line, err)
 				}
-				q := s.queues[e.Key]
+				key, ok := parseDigest(e.Key)
+				if !ok {
+					return nil, fmt.Errorf("fmgate: recording %s line %d: %w", path, line, errRecordKey)
+				}
+				q := s.queues[key]
 				if q == nil {
 					q = &queue{}
-					s.queues[e.Key] = q
+					s.queues[key] = q
 				}
 				q.entries = append(q.entries, replayEntry{response: e.Response, err: e.Error})
 			}
@@ -144,7 +168,7 @@ func (q *queue) pop(sticky bool) (replayEntry, bool) {
 func (s *Store) replaying() bool { return s.queues != nil }
 
 // pop serves the key's next recorded outcome (queue.pop).
-func (s *Store) pop(key string, sticky bool) (replayEntry, bool) {
+func (s *Store) pop(key digest, sticky bool) (replayEntry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if q := s.queues[key]; q != nil {
@@ -154,10 +178,10 @@ func (s *Store) pop(key string, sticky bool) (replayEntry, bool) {
 }
 
 // record appends one completion or upstream error (record mode).
-func (s *Store) record(key, prompt, response, errMsg string) error {
+func (s *Store) record(key digest, prompt, response, errMsg string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b, err := json.Marshal(storeEntry{Key: key, Prompt: firstLine(prompt), Response: response, Error: errMsg})
+	b, err := json.Marshal(storeEntry{Key: key.String(), Prompt: firstLine(prompt), Response: response, Error: errMsg})
 	if err != nil {
 		return err
 	}

@@ -44,7 +44,7 @@ func (m *StoreModel) Complete(ctx context.Context, prompt string) (string, error
 	if err := ctx.Err(); err != nil {
 		return "", err
 	}
-	key := contentKey(m.scope, m.name, prompt)
+	key := contentDigest(m.scope, m.name, prompt)
 	e, ok := m.store.pop(key, fm.CacheableTask(prompt))
 	if !ok {
 		return "", fmt.Errorf("fmgate: replay miss for prompt %s (%s)", key, firstLine(prompt))

@@ -256,8 +256,9 @@ func TestStoreSetConcurrentRecorderManifestMerge(t *testing.T) {
 func TestOpenReplayStoreTruncatedTrailingRecord(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "rec.jsonl")
-	whole := `{"key":"k1","response":"a"}` + "\n"
-	partial := `{"key":"k2","resp` // crashed mid-write
+	k1, k2 := testKey("k1").String(), testKey("k2").String()
+	whole := `{"key":"` + k1 + `","response":"a"}` + "\n"
+	partial := `{"key":"` + k2 + `","resp` // crashed mid-write
 	if err := os.WriteFile(path, []byte(whole+partial), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +269,7 @@ func TestOpenReplayStoreTruncatedTrailingRecord(t *testing.T) {
 
 	// A final line that is complete JSON but merely missing its newline is
 	// complete data — accepted.
-	if err := os.WriteFile(path, []byte(whole+`{"key":"k2","response":"b"}`), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(whole+`{"key":"`+k2+`","response":"b"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s, err := OpenReplayStore(path)
@@ -302,7 +303,7 @@ func TestGatewayScopeSeparatesKeys(t *testing.T) {
 	p := promptLine("sample-binary", "same prompt") // non-cacheable: ordered queue semantics
 	gA := New(&countingModel{}, Options{Store: store, Scope: "caafe/LR"})
 	gB := New(&countingModel{}, Options{Store: store, Scope: "caafe/NB"})
-	if gA.Key(p) == gB.Key(p) {
+	if contentKey("caafe/LR", gA.Name(), p) == contentKey("caafe/NB", gB.Name(), p) {
 		t.Fatal("scoped keys collide")
 	}
 	// Record interleaved A,B,A — then replay B first; each scope must still
