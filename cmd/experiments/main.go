@@ -39,6 +39,8 @@
 //	-fm-replay DIR  replay FM traffic from per-cell shards (an -fm-record
 //	                directory) — any subset of the recorded grid, down to a
 //	                single cell — failing loudly on a config-hash mismatch
+//	-fm-concurrency N
+//	                bound on each gateway's in-flight FM calls (default 8)
 //	-methods LIST   restrict the comparison grid's method cells
 //	-keep-going     run every cell even after one fails (default fail-fast
 //	                skips unstarted cells, reporting them as skipped)
@@ -91,8 +93,9 @@
 //	                    workers sharing DIR serve each other's completions.
 //	                    A fully covered run is byte-identical to its
 //	                    recording. Rejected with -fm-replay (redundant)
-//	-fm-cache-size N    in-process LRU capacity (entries; affects the config
-//	                    fingerprint). Without it the LRU holds only
+//	-fm-cache-size N    in-process LRU capacity (entries, 0 = off; 16384 is
+//	                    a good size; affects the config fingerprint).
+//	                    Without it the LRU holds only
 //	                    disk-promoted entries, so attaching a cache dir never
 //	                    changes results
 //
@@ -142,11 +145,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// also accepts, so both check and plan a selection the same way.
 	var spec grid.Spec
 	spec.Register(fs)
-	fmCache := fs.Bool("fm-cache", false, "cache deterministic FM completions inside each cell (content-addressed LRU)")
-	fmCacheSize := fs.Int("fm-cache-size", 0, "in-process LRU capacity in completions (implies -fm-cache; like -fm-cache this changes the config fingerprint — cached runs are self-consistent but not bit-identical to uncached ones)")
+	fmCacheSize := fs.Int("fm-cache-size", 0, "cache deterministic FM completions inside each cell in a content-addressed LRU of this many completions (16384 is a good size); this changes the config fingerprint — cached runs are self-consistent but not bit-identical to uncached ones")
 	fmRecord := fs.String("fm-record", "", "record per-cell FM shards (JSONL + manifest) into this directory; the whole selected grid is recorded in one run")
 	fmReplay := fs.String("fm-replay", "", "replay FM completions at zero simulated cost from a directory of per-cell shards (from -fm-record; config-hash checked, any cell subset)")
-	fmConcurrency := fs.Int("fm-concurrency", 0, "bound on each gateway's concurrent in-flight FM calls (0 = default 8)")
+	fmConcurrency := fs.Int("fm-concurrency", 8, "bound on each gateway's concurrent in-flight FM calls")
 	runDir := fs.String("run-dir", "", "persist per-cell artifacts and a run manifest into this directory (the grid engine's resumable run directory)")
 	resume := fs.String("resume", "", "resume an interrupted run directory: completed cells load from artifacts and are skipped")
 	keepGoing := fs.Bool("keep-going", false, "run every grid cell even after one fails (default: fail fast, skipping unstarted cells)")
@@ -200,9 +202,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(2, errors.New("-worker needs -run-dir (or -resume): the run directory's leases and artifacts are how workers coordinate"))
 	}
 	cfg := spec.Config()
-	if *fmCache {
-		cfg.FMCacheSize = 1 << 14
-	}
 	if *fmCacheSize > 0 {
 		cfg.FMCacheSize = *fmCacheSize
 	}

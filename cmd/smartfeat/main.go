@@ -10,8 +10,9 @@
 // All foundation-model traffic is routed through the fmgate gateway:
 //
 //	-fm-concurrency N   bound on in-flight FM calls (row-level fan-out)
-//	-fm-cache           content-addressed completion cache for deterministic
-//	                    prompts (function generation, row-level completions)
+//	-fm-cache-size N    content-addressed LRU of N completions for
+//	                    deterministic prompts (function generation,
+//	                    row-level completions); 16384 is a good size
 //	-fm-record PATH     record every upstream completion to PATH (JSONL
 //	                    file), or — with -fm-cell — into one shard of a
 //	                    sharded recording directory
@@ -81,7 +82,6 @@ type cliOptions struct {
 	rowBudget                  float64
 	evaluate                   bool
 	workers                    int
-	fmCache                    bool
 	fmCacheSize                int
 	fmRecord, fmReplay         string
 	fmCell                     string
@@ -115,8 +115,7 @@ func main() {
 	flag.Float64Var(&o.rowBudget, "row-budget", 0, "USD budget permitting full row-level completions")
 	flag.BoolVar(&o.evaluate, "evaluate", false, "train the downstream models on the initial and augmented frames and report AUCs to stderr")
 	flag.IntVar(&o.workers, "workers", 0, "model-training parallelism for -evaluate (0 = GOMAXPROCS)")
-	flag.BoolVar(&o.fmCache, "fm-cache", false, "cache deterministic FM completions (content-addressed LRU)")
-	flag.IntVar(&o.fmCacheSize, "fm-cache-size", 0, "in-process LRU capacity in completions (implies -fm-cache)")
+	flag.IntVar(&o.fmCacheSize, "fm-cache-size", 0, "cache deterministic FM completions in a content-addressed LRU of this many completions (16384 is a good size)")
 	flag.StringVar(&o.fmRecord, "fm-record", "", "record upstream FM completions to this JSONL file (or, with -fm-cell, into a shard of a recording directory)")
 	flag.StringVar(&o.fmReplay, "fm-replay", "", "replay FM completions from a recording (zero simulated cost); a directory replays one shard of a cmd/experiments grid recording")
 	flag.StringVar(&o.fmCell, "fm-cell", "", "shard key inside a sharded recording directory (default <dataset>__SMARTFEAT)")
@@ -185,9 +184,6 @@ func buildRouter(o cliOptions) (*fmgate.Router, io.Closer, error) {
 		FMErrorRate:   o.errorRate,
 		FMConcurrency: o.fmConcurrency,
 		FMPool:        o.pool,
-	}
-	if o.fmCache {
-		cfg.FMCacheSize = 1 << 14
 	}
 	if o.fmCacheSize > 0 {
 		cfg.FMCacheSize = o.fmCacheSize

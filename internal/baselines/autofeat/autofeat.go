@@ -27,20 +27,22 @@ import (
 // reproduction of the paper's 60-minute timeout on large datasets.
 var ErrTimeout = errors.New("autofeat: computation budget exceeded (timeout)")
 
-// Config controls expansion and selection.
+// Config controls expansion and selection. Start from DefaultConfig: Run
+// fills no zero field.
 type Config struct {
 	// FeatengSteps is the number of expansion rounds (the library default 2:
 	// unary transforms, then pairwise combinations).
 	FeatengSteps int
-	// SelectTopK is how many features the selection keeps (default 5).
+	// SelectTopK is how many features the selection keeps (5 in
+	// DefaultConfig).
 	SelectTopK int
 	// BudgetCellOps bounds candidates × rows; exceeding it aborts with
-	// ErrTimeout. The default (1.5e8) is calibrated so that the two datasets
+	// ErrTimeout. DefaultConfig's 1.5e8 is calibrated so that the two datasets
 	// the paper reports as timeouts (Bank: 41k rows × 17 attributes, Adult:
 	// 30k rows × 13) exceed it while the others fit.
 	BudgetCellOps float64
 	// RedundancyCorr skips candidates correlating above this with an
-	// already-selected feature (default 0.9).
+	// already-selected feature (0.9 in DefaultConfig).
 	RedundancyCorr float64
 	// TrainRows restricts the selection statistics to these row indices —
 	// the reference tool fits on training data only. Nil means all rows
@@ -104,18 +106,6 @@ func Run(input *dataframe.Frame, target string, cfg Config) (*Result, error) {
 	start := time.Now()
 	if !input.Has(target) {
 		return nil, fmt.Errorf("autofeat: target %q not in frame", target)
-	}
-	if cfg.FeatengSteps <= 0 {
-		cfg.FeatengSteps = 2
-	}
-	if cfg.SelectTopK <= 0 {
-		cfg.SelectTopK = 5
-	}
-	if cfg.BudgetCellOps <= 0 {
-		cfg.BudgetCellOps = 1.5e8
-	}
-	if cfg.RedundancyCorr <= 0 {
-		cfg.RedundancyCorr = 0.9
 	}
 	var base []string
 	for _, name := range input.Names() {

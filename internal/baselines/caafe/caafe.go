@@ -41,7 +41,8 @@ import (
 // the evaluation budget.
 var ErrTimeout = errors.New("caafe: validation budget exceeded (timeout)")
 
-// Config controls the loop.
+// Config controls the loop. Start from DefaultConfig: Run fills no zero
+// field.
 type Config struct {
 	// Iterations is the number of FM codegen rounds (paper: 10).
 	Iterations int
@@ -51,7 +52,8 @@ type Config struct {
 	// ValidationRows caps the validation sample (CAAFE samples values).
 	ValidationRows int
 	// DNNBudgetRows: validating with a DNN on more rows than this trips the
-	// 60-minute budget (default 20,000 — Bank/Adult/Housing exceed it).
+	// 60-minute budget (20,000 in DefaultConfig — Bank/Adult/Housing exceed
+	// it).
 	DNNBudgetRows int
 	// Seed drives the validation split.
 	Seed int64
@@ -90,18 +92,6 @@ func Run(ctx context.Context, input *dataframe.Frame, target string, description
 	start := time.Now()
 	if !input.Has(target) {
 		return nil, fmt.Errorf("caafe: target %q not in frame", target)
-	}
-	if cfg.Iterations <= 0 {
-		cfg.Iterations = 10
-	}
-	if cfg.ValidationRows <= 0 {
-		cfg.ValidationRows = 2000
-	}
-	if cfg.MinImprovement <= 0 {
-		cfg.MinImprovement = 1e-4
-	}
-	if cfg.DNNBudgetRows <= 0 {
-		cfg.DNNBudgetRows = 20000
 	}
 	if downstream == "DNN" && input.Len() > cfg.DNNBudgetRows {
 		return nil, fmt.Errorf("%w: DNN validation over %d rows", ErrTimeout, input.Len())

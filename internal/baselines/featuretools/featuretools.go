@@ -16,7 +16,8 @@ import (
 	"smartfeat/internal/featselect"
 )
 
-// Config controls the expansion and selection.
+// Config controls the expansion and selection. Start from DefaultConfig:
+// Run fills no zero field.
 type Config struct {
 	// AddNumeric enables pairwise sums (the add_numeric primitive).
 	AddNumeric bool
@@ -25,9 +26,10 @@ type Config struct {
 	// AggPrimitives enables group-by mean/max features over categorical
 	// columns (the agg_primitive family).
 	AggPrimitives bool
-	// MaxGroupCardinality bounds group-by key cardinality (default 50).
+	// MaxGroupCardinality bounds group-by key cardinality (50 in
+	// DefaultConfig).
 	MaxGroupCardinality int
-	// MaxAbsCorrelation is the selection threshold (default 0.95).
+	// MaxAbsCorrelation is the selection threshold (0.95 in DefaultConfig).
 	MaxAbsCorrelation float64
 }
 
@@ -65,12 +67,6 @@ func Run(input *dataframe.Frame, target string, cfg Config) (*Result, error) {
 	start := time.Now()
 	if !input.Has(target) {
 		return nil, fmt.Errorf("featuretools: target %q not in frame", target)
-	}
-	if cfg.MaxGroupCardinality <= 0 {
-		cfg.MaxGroupCardinality = 50
-	}
-	if cfg.MaxAbsCorrelation <= 0 {
-		cfg.MaxAbsCorrelation = 0.95
 	}
 	f := input.Clone()
 	var numeric []string

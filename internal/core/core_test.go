@@ -466,23 +466,29 @@ func TestRunSamplingBudgetCapsFMCalls(t *testing.T) {
 	}
 }
 
+// TestRunErrorThreshold scripts errorThreshold invalid samples: the family
+// stops after them, well inside its sampling budget, and never asks for a
+// sixth (which the exhausted script would answer with one more error).
 func TestRunErrorThreshold(t *testing.T) {
 	f := insuranceFrame(t)
 	opts := insuranceOptions(17)
 	opts.Operators = OperatorSet{HighOrder: true}
 	opts.SamplingBudget = 50
-	opts.ErrorThreshold = 3
-	// A selector FM that always errors out its samples.
-	opts.SelectorFM = fm.NewSimulated(fm.SimulatedConfig{Seed: 5, ErrorRate: 1, Pricing: fm.GPT4Pricing})
+	script := make([]string, errorThreshold)
+	for i := range script {
+		script[i] = "not a proposal"
+	}
+	selector := fm.NewScripted(script...)
+	opts.SelectorFM = selector
 	res, err := Run(f, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Errors[OpFamilyHighOrder] != 3 {
-		t.Fatalf("error threshold should stop at 3, got %d", res.Errors[OpFamilyHighOrder])
+	if res.Errors[OpFamilyHighOrder] != errorThreshold {
+		t.Fatalf("error threshold should stop at %d, got %d", errorThreshold, res.Errors[OpFamilyHighOrder])
 	}
-	if res.SelectorUsage.Calls > 5 {
-		t.Fatalf("threshold should bound calls, got %d", res.SelectorUsage.Calls)
+	if len(selector.Prompts) != errorThreshold {
+		t.Fatalf("threshold should bound calls to %d, got %d", errorThreshold, len(selector.Prompts))
 	}
 }
 

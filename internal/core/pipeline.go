@@ -43,22 +43,20 @@ type Options struct {
 	// SamplingBudget bounds each sampling-strategy operator family
 	// (default 10, the paper's setting).
 	SamplingBudget int
-	// ErrorThreshold stops a family after this many invalid/repeated
-	// generations (default 5).
-	ErrorThreshold int
 	// Operators selects the enabled families (default: all).
 	Operators OperatorSet
 	// RowLevelBudgetUSD gates full row-level completion (scenario 2).
 	RowLevelBudgetUSD float64
 }
 
+// errorThreshold stops a sampling family after this many invalid or
+// repeated generations.
+const errorThreshold = 5
+
 // applyDefaults fills the paper's default settings.
 func (o *Options) applyDefaults() {
 	if o.SamplingBudget <= 0 {
 		o.SamplingBudget = 10
-	}
-	if o.ErrorThreshold <= 0 {
-		o.ErrorThreshold = 5
 	}
 	if o.Model == "" {
 		o.Model = "RF"
@@ -224,7 +222,7 @@ func RunContext(ctx context.Context, input *dataframe.Frame, opts Options) (*Res
 	// Phases 2-4: sampling-strategy families over the enriched agenda.
 	sampleFamily := func(family string, sample func() (Candidate, error)) {
 		errors := 0
-		for i := 0; i < opts.SamplingBudget && errors < opts.ErrorThreshold; i++ {
+		for i := 0; i < opts.SamplingBudget && errors < errorThreshold; i++ {
 			if ctx.Err() != nil {
 				return
 			}

@@ -25,6 +25,10 @@ import (
 // pure cache.
 const CacheLivePrefix = "live-"
 
+// rescanInterval throttles directory rescans on miss: a miss more than this
+// after the last scan triggers one incremental re-read of grown shards.
+const rescanInterval = 250 * time.Millisecond
+
 // DiskCacheOptions configures OpenDiskCache.
 type DiskCacheOptions struct {
 	// ConfigHash is this run's configuration fingerprint. Non-empty values
@@ -41,9 +45,6 @@ type DiskCacheOptions struct {
 	// captured) to the live shard so peer processes can serve them. Callers
 	// already recording into cell shards leave this off.
 	Live bool
-	// Refresh throttles directory rescans on miss (default 250ms): a miss
-	// older than this triggers one incremental re-read of grown shards.
-	Refresh time.Duration
 	// LockTTL is the staleness threshold of the lock file
 	// (<dir>/manifest.json.lock) that serializes manifest writes across
 	// processes: a lock older than this is presumed abandoned by a
@@ -78,10 +79,10 @@ const learnSrc = "\x00self"
 // byte-identical to the recording run.
 //
 // The index is built lazily: an initial scan at open, then incremental
-// re-reads (throttled by Refresh) pick up bytes peers have appended since.
-// Appends are atomic whole-line writes, so a scan never sees a torn record —
-// a trailing partial line is simply left unconsumed until the writer
-// finishes it. Safe for concurrent use.
+// re-reads (throttled by rescanInterval) pick up bytes peers have appended
+// since. Appends are atomic whole-line writes, so a scan never sees a torn
+// record — a trailing partial line is simply left unconsumed until the
+// writer finishes it. Safe for concurrent use.
 type DiskCache struct {
 	dir  string
 	opts DiskCacheOptions
@@ -103,9 +104,6 @@ type DiskCache struct {
 // OpenDiskCache opens (creating if needed) a shard directory as the disk
 // tier of the completion cache and performs the initial index scan.
 func OpenDiskCache(dir string, opts DiskCacheOptions) (*DiskCache, error) {
-	if opts.Refresh <= 0 {
-		opts.Refresh = 250 * time.Millisecond
-	}
 	if opts.Worker == "" {
 		opts.Worker = fmt.Sprintf("pid%d", os.Getpid())
 	}
@@ -313,7 +311,7 @@ func (d *DiskCache) Get(key digest, sticky bool) (text string, errMsg string, ok
 	if text, errMsg, ok = d.popLocked(key, sticky); ok {
 		return text, errMsg, true
 	}
-	if time.Since(d.lastScan) < d.opts.Refresh {
+	if time.Since(d.lastScan) < rescanInterval {
 		return "", "", false
 	}
 	d.scanLocked()

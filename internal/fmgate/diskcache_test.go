@@ -37,6 +37,14 @@ func writeShard(t *testing.T, dir, name string, entries ...storeEntry) {
 	}
 }
 
+// rescanNext makes d's next miss rescan the directory, as one does once
+// rescanInterval has passed since the last scan.
+func rescanNext(d *DiskCache) {
+	d.mu.Lock()
+	d.lastScan = time.Time{}
+	d.mu.Unlock()
+}
+
 func openTestDiskCache(t *testing.T, dir string, opts DiskCacheOptions) *DiskCache {
 	t.Helper()
 	d, err := OpenDiskCache(dir, opts)
@@ -93,12 +101,12 @@ func TestDiskCacheReadThrough(t *testing.T) {
 }
 
 // TestDiskCachePeerAppendVisible checks the incremental rescan: completions a
-// peer appends after open become visible once the refresh window elapses, and
+// peer appends after open become visible on the next rescan, and
 // a trailing partial line (peer mid-append) is left unconsumed until its
 // newline lands.
 func TestDiskCachePeerAppendVisible(t *testing.T) {
 	dir := t.TempDir()
-	d := openTestDiskCache(t, dir, DiskCacheOptions{Refresh: time.Millisecond})
+	d := openTestDiskCache(t, dir, DiskCacheOptions{})
 	if _, _, ok := d.Get(testKey("k1"), true); ok {
 		t.Fatal("empty dir should miss")
 	}
@@ -111,11 +119,11 @@ func TestDiskCachePeerAppendVisible(t *testing.T) {
 	if _, err := f.WriteString(`{"key":"` + testKey("k2").String() + `","response":"v2"`); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(5 * time.Millisecond)
+	rescanNext(d)
 	if text, _, ok := d.Get(testKey("k1"), true); !ok || text != "v1" {
 		t.Fatalf("peer append not visible: (%q, %v)", text, ok)
 	}
-	time.Sleep(5 * time.Millisecond)
+	rescanNext(d)
 	if _, _, ok := d.Get(testKey("k2"), true); ok {
 		t.Fatal("torn trailing record must not be ingested")
 	}
@@ -123,7 +131,7 @@ func TestDiskCachePeerAppendVisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	time.Sleep(5 * time.Millisecond)
+	rescanNext(d)
 	if text, _, ok := d.Get(testKey("k2"), true); !ok || text != "v2" {
 		t.Fatalf("completed record not ingested: (%q, %v)", text, ok)
 	}
@@ -163,7 +171,7 @@ func TestDiskCacheSkipsBadLines(t *testing.T) {
 		recordLine(testKey("k2").String(), maxRecordBytes+1) +
 		recordLine("k3", 80) +
 		recordLine(testKey("k4").String(), 80))
-	d := openTestDiskCache(t, dir, DiskCacheOptions{Refresh: time.Millisecond})
+	d := openTestDiskCache(t, dir, DiskCacheOptions{})
 	for name, want := range map[string]bool{"k1": true, "k2": false, "k4": true} {
 		if _, _, ok := d.Get(testKey(name), true); ok != want {
 			t.Fatalf("%s served = %v, want %v", name, ok, want)
@@ -175,7 +183,7 @@ func TestDiskCacheSkipsBadLines(t *testing.T) {
 
 	before := size()
 	appendRaw(strings.TrimSuffix(recordLine(testKey("k5").String(), maxRecordBytes+1), "\n"))
-	time.Sleep(5 * time.Millisecond)
+	rescanNext(d)
 	if _, _, ok := d.Get(testKey("k5"), true); ok {
 		t.Fatal("over-cap record served")
 	}
@@ -183,7 +191,7 @@ func TestDiskCacheSkipsBadLines(t *testing.T) {
 		t.Fatalf("unfinished over-cap line consumed: offset %d, want %d", got, before)
 	}
 	appendRaw("\n" + recordLine(testKey("k6").String(), 80))
-	time.Sleep(5 * time.Millisecond)
+	rescanNext(d)
 	if _, _, ok := d.Get(testKey("k6"), true); !ok {
 		t.Fatal("record after a finished over-cap line not ingested")
 	}
@@ -267,11 +275,11 @@ func TestDiskCacheLearnSharedWithPeers(t *testing.T) {
 // cache dir are ignored.
 func TestDiskCacheExclude(t *testing.T) {
 	dir := t.TempDir()
-	d := openTestDiskCache(t, dir, DiskCacheOptions{Refresh: time.Millisecond})
+	d := openTestDiskCache(t, dir, DiskCacheOptions{})
 	d.Exclude(filepath.Join(dir, "cell-own.jsonl"))
 	d.Exclude(filepath.Join(t.TempDir(), "cell-elsewhere.jsonl")) // no-op
 	writeShard(t, dir, "cell-own.jsonl", storeEntry{Key: testKey("k1").String(), Response: "ours"})
-	time.Sleep(5 * time.Millisecond)
+	rescanNext(d)
 	if _, _, ok := d.Get(testKey("k1"), true); ok {
 		t.Fatal("excluded shard must not be ingested")
 	}
@@ -286,12 +294,12 @@ func TestDiskCacheTruncatedShardReingested(t *testing.T) {
 		storeEntry{Key: testKey("k1").String(), Response: "v1"},
 		storeEntry{Key: testKey("k1").String(), Response: "v1-second-entry-making-the-file-longer"},
 	)
-	d := openTestDiskCache(t, dir, DiskCacheOptions{Refresh: time.Millisecond})
+	d := openTestDiskCache(t, dir, DiskCacheOptions{})
 	if err := os.WriteFile(filepath.Join(dir, "cell-a.jsonl"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	writeShard(t, dir, "cell-a.jsonl", storeEntry{Key: testKey("k2").String(), Response: "v2"})
-	time.Sleep(5 * time.Millisecond)
+	rescanNext(d)
 	if text, _, ok := d.Get(testKey("k2"), true); !ok || text != "v2" {
 		t.Fatalf("re-recorded shard not re-ingested: (%q, %v)", text, ok)
 	}
@@ -376,12 +384,12 @@ func residentEntries(c *shardedCache) int {
 // and no request ever reaches upstream.
 func TestGatewayDiskTierPromotion(t *testing.T) {
 	dir := t.TempDir()
-	prompt := "cached prompt"
+	prompt := task("cached prompt")
 	key := contentDigest("", "counting", prompt)
 	writeShard(t, dir, "cell-a.jsonl", storeEntry{Key: key.String(), Response: "from-disk"})
 	d := openTestDiskCache(t, dir, DiskCacheOptions{})
 	model := &countingModel{}
-	g := New(model, Options{CacheSize: 64, Cacheable: allCacheable, Disk: d})
+	g := New(model, Options{CacheSize: 64, Disk: d})
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
 		text, err := g.Complete(ctx, prompt)
@@ -410,16 +418,16 @@ func TestGatewayDiskTierPromotion(t *testing.T) {
 // relative to the same run without -fm-cache-dir).
 func TestGatewayPromoteOnlyCache(t *testing.T) {
 	dir := t.TempDir()
-	diskPrompt := "disk prompt"
+	diskPrompt := task("disk prompt")
 	writeShard(t, dir, "cell-a.jsonl", storeEntry{Key: contentKey("", "counting", diskPrompt), Response: "from-disk"})
 	d := openTestDiskCache(t, dir, DiskCacheOptions{})
 	model := &countingModel{}
-	g := New(model, Options{Cacheable: allCacheable, Disk: d})
+	g := New(model, Options{Disk: d})
 	ctx := context.Background()
 	// Upstream-served prompt: both requests must pay upstream (no LRU
 	// population, and the self-learned disk entry is never re-served to us).
 	for i := 0; i < 2; i++ {
-		if _, err := g.Complete(ctx, "upstream prompt"); err != nil {
+		if _, err := g.Complete(ctx, task("upstream prompt")); err != nil {
 			t.Fatalf("upstream complete %d: %v", i, err)
 		}
 	}
@@ -446,7 +454,7 @@ func TestGatewayPromoteOnlyCache(t *testing.T) {
 // stays self-contained for replay.
 func TestGatewayDiskHitRecordThrough(t *testing.T) {
 	dir := t.TempDir()
-	prompt := "peer-paid prompt"
+	prompt := task("peer-paid prompt")
 	key := contentDigest("", "counting", prompt)
 	writeShard(t, dir, "cell-peer.jsonl", storeEntry{Key: key.String(), Response: "peer-response"})
 	d := openTestDiskCache(t, dir, DiskCacheOptions{})
@@ -456,7 +464,7 @@ func TestGatewayDiskHitRecordThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := &countingModel{}
-	g := New(model, Options{CacheSize: 8, Cacheable: allCacheable, Store: rec, Disk: d})
+	g := New(model, Options{CacheSize: 8, Store: rec, Disk: d})
 	if text, err := g.Complete(context.Background(), prompt); err != nil || text != "peer-response" {
 		t.Fatalf("complete = (%q, %v)", text, err)
 	}
@@ -479,11 +487,11 @@ func TestGatewayDiskHitRecordThrough(t *testing.T) {
 // surfaced as an error without calling upstream.
 func TestGatewayDiskErrorServed(t *testing.T) {
 	dir := t.TempDir()
-	prompt := "failing prompt"
+	prompt := task("failing prompt")
 	writeShard(t, dir, "cell-a.jsonl", storeEntry{Key: contentKey("", "counting", prompt), Error: "upstream exploded"})
 	d := openTestDiskCache(t, dir, DiskCacheOptions{})
 	model := &countingModel{}
-	g := New(model, Options{CacheSize: 8, Cacheable: allCacheable, Disk: d})
+	g := New(model, Options{CacheSize: 8, Disk: d})
 	_, err := g.Complete(context.Background(), prompt)
 	if err == nil || !strings.Contains(err.Error(), "upstream exploded") {
 		t.Fatalf("err = %v, want cached upstream error", err)

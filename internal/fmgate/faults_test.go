@@ -149,20 +149,21 @@ func TestFaultKinds(t *testing.T) {
 // TestRetryAfterHonored checks the retry loop waits the server-suggested
 // amount on rate-limited errors instead of the exponential schedule.
 func TestRetryAfterHonored(t *testing.T) {
+	const hint = 2 * retryBackoff
 	var calls int64
 	model := &countingModel{fail: func(string) error {
 		if calls++; calls == 1 {
-			return RateLimited(errors.New("slow down"), 30*time.Millisecond)
+			return RateLimited(errors.New("slow down"), hint)
 		}
 		return nil
 	}}
-	g := New(model, Options{MaxRetries: 2, RetryBackoff: time.Millisecond, Cacheable: allCacheable})
+	g := New(model, Options{MaxRetries: 2})
 	start := time.Now()
 	if _, err := g.Complete(context.Background(), "p"); err != nil {
 		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
-		t.Fatalf("retry waited %s; want >= the 30ms retry-after hint", elapsed)
+	if elapsed := time.Since(start); elapsed < hint {
+		t.Fatalf("retry waited %s; want the %s retry-after hint, not the %s backoff", elapsed, hint, retryBackoff)
 	}
 }
 
@@ -173,7 +174,7 @@ func TestRetryDeadlineBudgetCap(t *testing.T) {
 	model := &countingModel{fail: func(string) error {
 		return RateLimited(errors.New("rate limited"), time.Hour)
 	}}
-	g := New(model, Options{MaxRetries: 3, RetryBackoff: time.Millisecond, Cacheable: allCacheable})
+	g := New(model, Options{MaxRetries: 3})
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()

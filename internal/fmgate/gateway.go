@@ -59,11 +59,9 @@ type Options struct {
 	// keys (recordings made before scopes existed stay replayable).
 	Scope string
 	// CacheSize is the LRU capacity in completions; 0 disables caching.
+	// Only prompts fm.CacheableTask admits are cached and deduplicated:
+	// reissuing an identical sampling prompt must draw a fresh candidate.
 	CacheSize int
-	// Cacheable gates which prompts may be cached and deduplicated.
-	// Nil means fm.CacheableTask (sampling prompts excluded — reissuing an
-	// identical sampling prompt must draw a fresh candidate).
-	Cacheable func(prompt string) bool
 	// Store is the record/replay store (optional). A record store
 	// (NewRecordStore) appends every upstream outcome. A replay store
 	// (OpenReplayStore, or a replaying StoreSet's shard) becomes the model:
@@ -83,11 +81,9 @@ type Options struct {
 	// configurations whose fingerprint says caching is off.
 	Disk *DiskCache
 	// MaxRetries is how many times a transient upstream error is retried
-	// (default 0 — fail fast; the fault-injection tests set it).
+	// (default 0 — fail fast). The first retry waits retryBackoff, doubling
+	// per attempt, unless the error carries a Retry-After hint.
 	MaxRetries int
-	// RetryBackoff is the first retry delay, doubling per attempt
-	// (default 50ms when MaxRetries > 0).
-	RetryBackoff time.Duration
 	// Role labels this gateway's series in the process-wide obs registry
 	// (fm_requests_total{role=...} and friends) — typically "selector",
 	// "generator" or "caafe". Empty registers under role="".
@@ -218,12 +214,6 @@ func newGateway(model fm.Model, opts Options, replay bool) *Gateway {
 	if opts.Concurrency <= 0 {
 		opts.Concurrency = 8
 	}
-	if opts.Cacheable == nil {
-		opts.Cacheable = fm.CacheableTask
-	}
-	if opts.MaxRetries > 0 && opts.RetryBackoff <= 0 {
-		opts.RetryBackoff = 50 * time.Millisecond
-	}
 	g := &Gateway{
 		model:  model,
 		opts:   opts,
@@ -262,6 +252,9 @@ const fmcacheBytesHelp = "Resident completion-cache bytes by tier: key+text per 
 // defaultPromoteCacheSize is the promote-only LRU capacity used when a disk
 // tier is configured without an explicit CacheSize.
 const defaultPromoteCacheSize = 1 << 14
+
+// retryBackoff is the first retry delay, doubling per attempt.
+const retryBackoff = 50 * time.Millisecond
 
 // Name implements fm.Model.
 func (g *Gateway) Name() string { return g.model.Name() }
@@ -323,11 +316,6 @@ func contentDigest(scope, name, prompt string) digest {
 	return digest(sum[:16])
 }
 
-// contentKey is contentDigest in the hex form recordings store.
-func contentKey(scope, name, prompt string) string {
-	return contentDigest(scope, name, prompt).String()
-}
-
 // Complete implements fm.Model.
 func (g *Gateway) Complete(ctx context.Context, prompt string) (string, error) {
 	text, _, err := g.complete(ctx, prompt)
@@ -374,7 +362,7 @@ func (g *Gateway) complete(ctx context.Context, prompt string) (text string, cac
 		return "", false, err
 	}
 	key := contentDigest(g.opts.Scope, g.model.Name(), prompt)
-	shareable := g.opts.Cacheable(prompt)
+	shareable := fm.CacheableTask(prompt)
 
 	if shareable && g.cache != nil {
 		if text, ok := g.cache.get(key); ok {
@@ -461,7 +449,7 @@ func (g *Gateway) callUpstream(ctx context.Context, key digest, prompt string) (
 	case <-ctx.Done():
 		return "", ctx.Err()
 	}
-	backoff := g.opts.RetryBackoff
+	backoff := retryBackoff
 	var text string
 	var err error
 	for attempt := 0; ; attempt++ {

@@ -63,25 +63,27 @@ func (m *countingModel) ResetUsage() {
 }
 func (m *countingModel) Name() string { return "counting" }
 
-func allCacheable(string) bool { return true }
+// task makes body a deterministic-task prompt, one fm.CacheableTask admits:
+// the gateway caches and deduplicates it.
+func task(body string) string { return "Task: " + fm.TaskGenerateFunction + "\n" + body }
 
 // TestSubmitStorm fans hundreds of distinct prompts through a narrow
 // concurrency bound and checks every result arrives, in order, exactly once.
 func TestSubmitStorm(t *testing.T) {
 	model := &countingModel{delay: time.Millisecond}
-	g := New(model, Options{Concurrency: 4, CacheSize: 1024, Cacheable: allCacheable})
+	g := New(model, Options{Concurrency: 4, CacheSize: 1024})
 	ctx := context.Background()
 	const n = 300
 	chans := make([]<-chan fm.Result, n)
 	for i := 0; i < n; i++ {
-		chans[i] = g.Submit(ctx, fmt.Sprintf("prompt-%d", i))
+		chans[i] = g.Submit(ctx, task(fmt.Sprintf("prompt-%d", i)))
 	}
 	for i, ch := range chans {
 		r := <-ch
 		if r.Err != nil {
 			t.Fatalf("prompt %d: %v", i, r.Err)
 		}
-		if want := fmt.Sprintf("resp:prompt-%d", i); r.Text != want {
+		if want := "resp:" + task(fmt.Sprintf("prompt-%d", i)); r.Text != want {
 			t.Fatalf("prompt %d: got %q want %q", i, r.Text, want)
 		}
 	}
@@ -99,8 +101,9 @@ func TestSubmitStorm(t *testing.T) {
 // accounts for every other request.
 func TestSingleflightDedup(t *testing.T) {
 	model := &countingModel{delay: 30 * time.Millisecond}
-	g := New(model, Options{Concurrency: 16, CacheSize: 64, Cacheable: allCacheable})
+	g := New(model, Options{Concurrency: 16, CacheSize: 64})
 	ctx := context.Background()
+	prompt := task("identical prompt")
 	const n = 24
 	var wg sync.WaitGroup
 	results := make([]fm.Result, n)
@@ -108,12 +111,12 @@ func TestSingleflightDedup(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = <-g.Submit(ctx, "identical prompt")
+			results[i] = <-g.Submit(ctx, prompt)
 		}(i)
 	}
 	wg.Wait()
 	for i, r := range results {
-		if r.Err != nil || r.Text != "resp:identical prompt" {
+		if r.Err != nil || r.Text != "resp:"+prompt {
 			t.Fatalf("result %d: %+v", i, r)
 		}
 	}
@@ -130,7 +133,7 @@ func TestSingleflightDedup(t *testing.T) {
 	}
 	// A follow-up request is a pure cache hit.
 	before := m.CacheHits
-	if r := <-g.Submit(ctx, "identical prompt"); r.Err != nil || !r.Cached {
+	if r := <-g.Submit(ctx, prompt); r.Err != nil || !r.Cached {
 		t.Fatalf("follow-up should be cached: %+v", r)
 	}
 	if g.Metrics().CacheHits != before+1 {
@@ -143,7 +146,7 @@ func TestSingleflightDedup(t *testing.T) {
 // are *meant* to draw different candidates.
 func TestSamplingPromptsNotDeduped(t *testing.T) {
 	model := &countingModel{}
-	g := New(model, Options{CacheSize: 64}) // default Cacheable: fm.CacheableTask
+	g := New(model, Options{CacheSize: 64})
 	ctx := context.Background()
 	prompt := "Task: " + fm.TaskSampleBinary + "\nSample one.\n"
 	for i := 0; i < 5; i++ {
@@ -175,19 +178,15 @@ func (m faultyModel) Complete(ctx context.Context, prompt string) (string, error
 	return f.Corrupt(text), nil
 }
 
-// TestRetryWithFaults drives the gateway over a fault injector: transient
-// errors are retried with backoff until success, and the retry counter
+// TestRetryWithFaults drives the gateway over a fault injector: rate-limit
+// errors are retried after their hint until success, and the retry counter
 // reflects the extra attempts.
 func TestRetryWithFaults(t *testing.T) {
 	model := faultyModel{
-		fi:    &FaultInjector{ErrorRate: 0.5, MaxJitter: time.Millisecond, Seed: 11},
+		fi:    &FaultInjector{RateLimitRate: 0.5, RetryAfter: time.Millisecond, MaxJitter: time.Millisecond, Seed: 11},
 		Model: &countingModel{},
 	}
-	g := New(model, Options{
-		Cacheable:    allCacheable,
-		MaxRetries:   6,
-		RetryBackoff: time.Millisecond,
-	})
+	g := New(model, Options{MaxRetries: 10})
 	ctx := context.Background()
 	for i := 0; i < 20; i++ {
 		text, err := g.Complete(ctx, fmt.Sprintf("p%d", i))
@@ -211,8 +210,8 @@ func TestRetryWithFaults(t *testing.T) {
 // transient error after MaxRetries attempts, and that permanent errors are
 // not retried at all.
 func TestRetryExhaustion(t *testing.T) {
-	transient := &countingModel{fail: func(string) error { return Transient(errors.New("flaky")) }}
-	g := New(transient, Options{Cacheable: allCacheable, MaxRetries: 3, RetryBackoff: time.Microsecond})
+	transient := &countingModel{fail: func(string) error { return RateLimited(errors.New("flaky"), time.Millisecond) }}
+	g := New(transient, Options{MaxRetries: 3})
 	if _, err := g.Complete(context.Background(), "p"); !IsTransient(err) {
 		t.Fatalf("want transient error, got %v", err)
 	}
@@ -224,7 +223,7 @@ func TestRetryExhaustion(t *testing.T) {
 	}
 
 	permanent := &countingModel{fail: func(string) error { return errors.New("parse error") }}
-	g2 := New(permanent, Options{Cacheable: allCacheable, MaxRetries: 3, RetryBackoff: time.Microsecond})
+	g2 := New(permanent, Options{MaxRetries: 3})
 	if _, err := g2.Complete(context.Background(), "p"); err == nil || IsTransient(err) {
 		t.Fatalf("want permanent error, got %v", err)
 	}
@@ -237,7 +236,7 @@ func TestRetryExhaustion(t *testing.T) {
 // submissions promptly.
 func TestSubmitCancellation(t *testing.T) {
 	model := &countingModel{delay: 50 * time.Millisecond}
-	g := New(model, Options{Concurrency: 1, Cacheable: allCacheable})
+	g := New(model, Options{Concurrency: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	var chans []<-chan fm.Result
 	for i := 0; i < 8; i++ {
@@ -724,13 +723,18 @@ func TestConcurrentRowLevelSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Repeat the frame's rows via Take to get 32 distinct-index rows; row
-	// prompts repeat, but dedup/cache are disabled to measure raw fan-out.
+	// Repeat the frame's rows via Take to get 32 rows, then give each its own
+	// Age so every row prompt is distinct: neither dedup nor the cache can
+	// merge calls, and the test measures raw fan-out.
 	idx := make([]int, 32)
 	for i := range idx {
 		idx[i] = i % f.Len()
 	}
 	big := f.Take(idx)
+	ages := big.Column("Age").Nums
+	for i := range ages {
+		ages[i] = float64(20 + i)
+	}
 	latency := func() fm.Model {
 		return sleepyModel{fm.NewSimulated(fm.SimulatedConfig{
 			ModelName: "latency-sim",
@@ -746,7 +750,7 @@ func TestConcurrentRowLevelSpeedup(t *testing.T) {
 	}
 	sequential := time.Since(seqStart)
 
-	gw := New(latency(), Options{Concurrency: 8, Cacheable: func(string) bool { return false }})
+	gw := New(latency(), Options{Concurrency: 8})
 	conStart := time.Now()
 	conVals, err := core.CompleteRows(ctx, gw, big, "Density", big.Len())
 	if err != nil {
@@ -769,8 +773,8 @@ func TestConcurrentRowLevelSpeedup(t *testing.T) {
 // TestRouterAggregation checks per-role routing and the aggregated
 // usage/metrics report.
 func TestRouterAggregation(t *testing.T) {
-	sel := New(&countingModel{}, Options{Cacheable: allCacheable})
-	gen := New(&countingModel{}, Options{Cacheable: allCacheable})
+	sel := New(&countingModel{}, Options{})
+	gen := New(&countingModel{}, Options{})
 	r := NewRouter().Route(RoleSelector, sel).Route(RoleGenerator, gen)
 	ctx := context.Background()
 	if _, err := r.Gate(RoleSelector).Complete(ctx, "a"); err != nil {

@@ -96,6 +96,18 @@ func poolOver(t *testing.T, model fm.Model, backends []Backend, opts PoolOptions
 	return p
 }
 
+// hinted gives its model's transient errors a 1ms Retry-After hint, so a
+// gateway over it retries at once instead of on its backoff schedule.
+type hinted struct{ fm.Model }
+
+func (h hinted) Complete(ctx context.Context, prompt string) (string, error) {
+	text, err := h.Model.Complete(ctx, prompt)
+	if IsTransient(err) {
+		err = RateLimited(err, time.Millisecond)
+	}
+	return text, err
+}
+
 // TestPoolScriptedOutage runs a pool whose second backend dies for a
 // scripted window: the breaker must open during the window, recover through
 // a half-open probe afterwards, and the pool-level counters must record
@@ -107,7 +119,7 @@ func TestPoolScriptedOutage(t *testing.T) {
 		{Name: "b1", Faults: outage, Breaker: BreakerConfig{Threshold: 2, Cooldown: 3 * time.Millisecond}},
 		{Name: "b2"},
 	}, PoolOptions{})
-	g := New(p, Options{MaxRetries: 4, RetryBackoff: time.Millisecond, Cacheable: allCacheable})
+	g := New(hinted{p}, Options{MaxRetries: 4})
 
 	// b1 fails its first 4 calls: 2 open the breaker (the gateway's retries
 	// fail over to b2), then cooldown-spaced half-open probes burn through
@@ -271,8 +283,7 @@ func TestPoolResolveOnce(t *testing.T) {
 		{Name: "b2"},
 	}, PoolOptions{HedgeAfter: time.Millisecond})
 
-	notCacheable := func(string) bool { return false }
-	g := New(p, Options{Cacheable: notCacheable})
+	g := New(p, Options{})
 	for i := 0; i < 2; i++ {
 		text, err := g.Complete(context.Background(), "sample")
 		if err != nil {
@@ -306,7 +317,7 @@ func TestPoolGatewayReplayEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := &countingModel{}
-	clean := New(model, Options{Store: rec, Cacheable: allCacheable})
+	clean := New(model, Options{Store: rec})
 	want := make([]string, len(prompts))
 	for i, pr := range prompts {
 		if want[i], err = clean.Complete(context.Background(), pr); err != nil {
@@ -337,7 +348,7 @@ func TestPoolGatewayReplayEquivalence(t *testing.T) {
 		},
 		Seed: 11,
 	}
-	g, err := PoolGateway(model, Options{Store: store, Cacheable: allCacheable}, spec)
+	g, err := PoolGateway(model, Options{Store: store}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

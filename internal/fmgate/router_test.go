@@ -16,8 +16,8 @@ func TestReportStableOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := New(p, Options{Cacheable: allCacheable, Role: "generator"})
-	sel := New(&countingModel{}, Options{Cacheable: allCacheable, Role: "selector"})
+	gen := New(p, Options{Role: "generator"})
+	sel := New(&countingModel{}, Options{Role: "selector"})
 	r := NewRouter().Route(RoleSelector, sel).Route(RoleGenerator, gen)
 
 	ctx := context.Background()

@@ -9,6 +9,11 @@ import (
 	"testing"
 )
 
+// contentKey is contentDigest in the hex form recordings store.
+func contentKey(scope, name, prompt string) string {
+	return contentDigest(scope, name, prompt).String()
+}
+
 // TestContentKeyPinned pins the content address to literal keys: every
 // recording and disk-cache shard is keyed by these bytes, so a change to how
 // the key is hashed must fail here rather than silently miss every replay.

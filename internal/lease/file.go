@@ -13,16 +13,16 @@ import (
 )
 
 // Options tunes a file claimer. The zero value is production-ready; tests
-// shrink TTL/Heartbeat to exercise stale takeover in milliseconds.
+// shrink TTL to exercise stale takeover in milliseconds.
 type Options struct {
 	// Worker identifies this process in lease files and peer diagnostics.
 	// Empty defaults to "host:pid".
 	Worker string
 	// TTL is the staleness threshold (default DefaultTTL). A lease not
-	// heartbeated for TTL may be reaped by any peer.
+	// heartbeated for TTL may be reaped by any peer. Held leases are
+	// heartbeated every TTL/3, so a holder misses two beats before a peer
+	// may take its cell.
 	TTL time.Duration
-	// Heartbeat is the refresh cadence (default TTL/3).
-	Heartbeat time.Duration
 }
 
 // withDefaults normalizes the options.
@@ -33,9 +33,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TTL <= 0 {
 		o.TTL = DefaultTTL
-	}
-	if o.Heartbeat <= 0 {
-		o.Heartbeat = o.TTL / 3
 	}
 	return o
 }
@@ -231,10 +228,10 @@ func (c *FileClaimer) Close() error {
 	return nil
 }
 
-// heartbeatLoop refreshes every held lease's mtime on a fixed cadence.
+// heartbeatLoop refreshes every held lease's mtime every TTL/3.
 func (c *FileClaimer) heartbeatLoop() {
 	defer close(c.done)
-	t := time.NewTicker(c.opts.Heartbeat)
+	t := time.NewTicker(c.opts.TTL / 3)
 	defer t.Stop()
 	for {
 		select {

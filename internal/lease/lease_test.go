@@ -8,12 +8,15 @@ import (
 	"time"
 )
 
-// fastOpts keeps takeover tests in the millisecond range. The TTL:heartbeat
-// ratio is deliberately ~10× (vs 3× in production) so a loaded CI box that
-// delays a heartbeat tick by a few intervals cannot fake a stale lease.
+// fastOpts keeps takeover tests in the millisecond range. Its TTL leaves a
+// heartbeat (every TTL/3) 200ms of slack, so a loaded CI box that delays a
+// tick cannot fake a stale lease.
 func fastOpts(worker string) Options {
-	return Options{Worker: worker, TTL: 300 * time.Millisecond, Heartbeat: 30 * time.Millisecond}
+	return Options{Worker: worker, TTL: 300 * time.Millisecond}
 }
+
+// heartbeat is the cadence a claimer with opts refreshes its leases at.
+func heartbeat(opts Options) time.Duration { return opts.TTL / 3 }
 
 // newClaimer builds a FileClaimer over dir, closing it with the test.
 func newClaimer(t *testing.T, dir string, opts Options) *FileClaimer {
@@ -142,7 +145,7 @@ func TestStaleTakeover(t *testing.T) {
 			won = c
 			break
 		}
-		time.Sleep(opts.Heartbeat)
+		time.Sleep(heartbeat(opts))
 	}
 	if won == nil {
 		t.Fatal("stale lease was never reclaimed")
@@ -178,9 +181,9 @@ func TestLostDetection(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, "cell.lease")); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(20 * opts.Heartbeat)
+	deadline := time.Now().Add(20 * heartbeat(opts))
 	for c.ins.lost.Value() == 0 && time.Now().Before(deadline) {
-		time.Sleep(opts.Heartbeat)
+		time.Sleep(heartbeat(opts))
 	}
 	if c.ins.lost.Value() == 0 {
 		t.Fatal("reaped lease never reported lost")

@@ -79,8 +79,6 @@ type Config struct {
 	// PollInterval is the status poll cadence (default 50ms) and the backoff
 	// fallback when a 429 carries no parseable Retry-After.
 	PollInterval time.Duration
-	// Window is the rolling-stats window width (default 10s).
-	Window time.Duration
 	// FetchSpend walks completed jobs' per-cell artifacts to sum simulated
 	// FM spend into the report (extra result-endpoint traffic).
 	FetchSpend bool
@@ -113,9 +111,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 50 * time.Millisecond
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 10 * time.Second
 	}
 	if cfg.RunID == "" {
 		cfg.RunID = fmt.Sprintf("s%d", cfg.Seed)
@@ -184,13 +179,12 @@ type runner struct {
 
 	opSeq atomic.Int64 // closed-loop op dispenser
 
-	mu             sync.Mutex
-	tables         map[int][]byte   // spec index -> first served result
-	perTenantDone  map[string]int64 // tenant -> completed ops
-	findings       []Finding
-	simCostUSD     float64
-	firstOpErr     error
-	progressCancel func()
+	mu            sync.Mutex
+	tables        map[int][]byte   // spec index -> first served result
+	perTenantDone map[string]int64 // tenant -> completed ops
+	findings      []Finding
+	simCostUSD    float64
+	firstOpErr    error
 }
 
 // Run executes one load run against cfg.BaseURL and returns its report.
@@ -208,8 +202,8 @@ func Run(ctx context.Context, c Config) (*Report, error) {
 	r := &runner{
 		cfg:           cfg,
 		obs:           newSimObs(),
-		tenantStats:   newStatsSet(cfg.Window),
-		endpointStats: newStatsSet(cfg.Window),
+		tenantStats:   newStatsSet(),
+		endpointStats: newStatsSet(),
 		tables:        make(map[int][]byte),
 		perTenantDone: make(map[string]int64),
 	}

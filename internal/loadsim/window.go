@@ -1,7 +1,6 @@
 package loadsim
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -71,15 +70,17 @@ func (r *rollingStats) snapshot(now time.Time) (rate, meanLat, errRate float64) 
 	return float64(count) / float64(r.width), sum / float64(count), float64(errs) / float64(count)
 }
 
+// statsWindow is the width of the per-tenant and per-endpoint windows.
+const statsWindow = 10 * time.Second
+
 // statsSet is a keyed family of rolling windows (per tenant, per endpoint).
 type statsSet struct {
-	mu    sync.Mutex
-	width time.Duration
-	m     map[string]*rollingStats
+	mu sync.Mutex
+	m  map[string]*rollingStats
 }
 
-func newStatsSet(width time.Duration) *statsSet {
-	return &statsSet{width: width, m: make(map[string]*rollingStats)}
+func newStatsSet() *statsSet {
+	return &statsSet{m: make(map[string]*rollingStats)}
 }
 
 func (s *statsSet) get(key string) *rollingStats {
@@ -87,19 +88,8 @@ func (s *statsSet) get(key string) *rollingStats {
 	defer s.mu.Unlock()
 	r, ok := s.m[key]
 	if !ok {
-		r = newRollingStats(s.width)
+		r = newRollingStats(statsWindow)
 		s.m[key] = r
 	}
 	return r
-}
-
-func (s *statsSet) keys() []string {
-	s.mu.Lock()
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
-	}
-	s.mu.Unlock()
-	sort.Strings(keys)
-	return keys
 }

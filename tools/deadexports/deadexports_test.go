@@ -1,5 +1,5 @@
-// Package deadexports holds the dead-surface gate: it fails when an exported
-// function, method or struct field declared under internal/ is reached only
+// Package deadexports holds the dead-surface gate: it fails when a function,
+// method or exported struct field declared under internal/ is reached only
 // by tests. Such surface is code the product never runs, yet every reader of
 // the package must still learn it. The package has no non-test code, so the
 // check runs as part of `go test ./...`.
@@ -10,16 +10,29 @@
 // Standard-library packages load from the export data `go list -export`
 // reports, which keeps the scan to a few seconds.
 //
-//   - A function or method is used when non-test code outside its own body
-//     mentions it. A method is also used when non-test code calls a method
-//     of the same name on an interface that its receiver type satisfies
-//     (promotion through embedding included), or when its receiver type
-//     implements one of the standard interfaces in stdInterfaces, whose
-//     methods the standard library calls for the program.
+//   - A function or method, exported or not (main and init aside), is used
+//     when non-test code outside its own body mentions it. A method is also
+//     used when non-test code calls a method of the same name on an
+//     interface that its receiver type satisfies (promotion through
+//     embedding included), or when its receiver type implements one of the
+//     standard interfaces in stdInterfaces, whose methods the standard
+//     library calls for the program.
 //   - An exported struct field is used when non-test code sets it: names it
 //     in a composite literal (keyed or positional), assigns, increments or
 //     decrements it, takes its address, calls a pointer-receiver method on
 //     it, or decodes a JSON document into a value that holds it.
+//   - A default fill does not set a field. A function that holds a struct
+//     as a parameter, as its receiver or as a local copied from one
+//     (cfg := *c) and assigns its field F inside an if whose condition
+//     tests that F is zero (==, <= or < against the zero value) only fills
+//     F's default; the caller never chose it. Only a value built from
+//     constants, calls, package-level names and the struct itself is a
+//     default: one that reads another parameter or local (a first-error
+//     latch, if r.Err == nil { r.Err = err }) sets F. A fill that copies
+//     another field is a copy, as below.
+//   - A copy inherits. A field set only by copying another field (F: x.G,
+//     y.F = x.G) counts as set only when G is, worked out to a fixpoint.
+//     Fields of packages outside the scan count as set.
 package deadexports
 
 import (
@@ -27,6 +40,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -50,14 +64,18 @@ import (
 var keptFakes = map[string]string{
 	"fm.NewScripted": "the shared scripted-model test double of every package that drives an FM; " +
 		"it lives in fm because it charges fm's unexported usage accounting",
-	"ml.Forest.MaxBins":     forestKnob,
-	"ml.Forest.HistMinNode": forestKnob,
+	"ml.Forest.MaxBins":            forestKnob,
+	"ml.Forest.HistMinNode":        forestKnob,
+	"ml.TreeConfig.MaxDepth":       forestKnob,
+	"ml.TreeConfig.MinSamplesLeaf": forestKnob,
+	"ml.TreeConfig.MaxBins":        forestKnob,
+	"ml.TreeConfig.HistMinNode":    forestKnob,
 }
 
-// forestKnob is the reason the forest's histogram settings stay: reference
-// implementations that tests compare against are safety code.
-const forestKnob = "only the kernel-vs-reference tests vary it: they pin the histogram split search " +
-	"to the exact sort-scan reference at the edges of its bin and node-size settings"
+// forestKnob is the reason the tree and forest growth settings stay:
+// reference implementations that tests compare against are safety code.
+const forestKnob = "only the kernel-vs-reference tests vary it: they pin the tree's split search " +
+	"to the exact sort-scan reference at the edges of its depth, leaf-size, bin and node-size settings"
 
 // stdInterfaces declares the standard-library interfaces whose methods the
 // standard library itself calls (fmt's verbs, errors.Is/As/Unwrap,
@@ -128,7 +146,7 @@ type finding struct {
 	msg string
 }
 
-// decl is one exported declaration under internal/ that the scan checks.
+// decl is one declaration under internal/ that the scan checks.
 type decl struct {
 	key   string
 	pos   string
@@ -153,8 +171,8 @@ type checked struct {
 	types *types.Package
 }
 
-// scan type-checks every module under root and returns the exported
-// declarations under root/internal that only tests reach, plus every
+// scan type-checks every module under root and returns the declarations
+// under root/internal that only tests reach, plus every
 // exception that matches no dead declaration, sorted by position.
 func scan(root string, kept map[string]string) ([]finding, error) {
 	root, err := filepath.Abs(root)
@@ -269,6 +287,10 @@ func scan(root string, kept map[string]string) ([]finding, error) {
 		used:      make(map[types.Object]bool),
 		ifaceUsed: make(map[*types.Func]bool),
 		decoders:  map[string]int{"encoding/json.Unmarshal": 1, "(*encoding/json.Decoder).Decode": 0},
+		scanned:   make(map[*types.Package]bool),
+	}
+	for _, c := range pkgs {
+		s.scanned[c.types] = true
 	}
 	for _, c := range pkgs {
 		if strings.HasPrefix(c.rel, "internal/") {
@@ -278,7 +300,7 @@ func scan(root string, kept map[string]string) ([]finding, error) {
 		}
 	}
 	if len(s.decls) == 0 {
-		return nil, fmt.Errorf("no exported declarations found under %s/internal; wrong root?", root)
+		return nil, fmt.Errorf("no declarations found under %s/internal; wrong root?", root)
 	}
 	for _, c := range pkgs {
 		for _, f := range c.files {
@@ -286,6 +308,7 @@ func scan(root string, kept map[string]string) ([]finding, error) {
 		}
 	}
 	s.markDecoded()
+	s.markCopies()
 	var named []*types.Named
 	for _, c := range pkgs {
 		for _, name := range c.types.Scope().Names() {
@@ -310,16 +333,16 @@ func scan(root string, kept map[string]string) ([]finding, error) {
 		if _, ok := kept[d.key]; ok {
 			matched[d.key] = true
 			if s.used[obj] {
-				out = append(out, finding{d.key, d.pos, "exported " + d.key + " is listed in keptFakes, but non-test code reaches it; drop the entry"})
+				out = append(out, finding{d.key, d.pos, d.key + " is listed in keptFakes, but non-test code reaches it; drop the entry"})
 			}
 			continue
 		}
 		switch {
 		case s.used[obj]:
 		case d.field:
-			out = append(out, finding{d.key, d.pos, "exported field " + d.key + " is set by no non-test code"})
+			out = append(out, finding{d.key, d.pos, "field " + d.key + " is set by no non-test code (default fills and copies of unset fields do not count)"})
 		default:
-			out = append(out, finding{d.key, d.pos, "exported " + d.key + " has no non-test caller"})
+			out = append(out, finding{d.key, d.pos, d.key + " has no non-test caller"})
 		}
 	}
 	for key := range kept {
@@ -359,7 +382,12 @@ type scanner struct {
 	// destination argument; wrappers that pass a parameter on join it.
 	decoders map[string]int
 	calls    []call
+	copies   []fieldCopy
+	scanned  map[*types.Package]bool // the packages whose code the scan walks
 }
+
+// fieldCopy is one non-test assignment of field from's value to field to.
+type fieldCopy struct{ from, to *types.Var }
 
 // call is one non-test call to a function, kept to find JSON decoders.
 type call struct {
@@ -369,12 +397,12 @@ type call struct {
 	info   *types.Info
 }
 
-// declare records the exported functions, methods, interface methods and
+// declare records the functions, methods, interface methods and exported
 // struct fields of one file.
 func (s *scanner) declare(info *types.Info, f *ast.File, root string) {
 	pkg := f.Name.Name
 	add := func(id *ast.Ident, key string, field bool) {
-		if obj := info.Defs[id]; obj != nil && id.IsExported() {
+		if obj := info.Defs[id]; obj != nil && (id.IsExported() || !field && id.Name != "_") {
 			rel, _ := filepath.Rel(root, s.fset.Position(id.Pos()).Filename)
 			s.decls[obj] = decl{key: key, field: field,
 				pos: filepath.ToSlash(rel) + ":" + strconv.Itoa(s.fset.Position(id.Pos()).Line)}
@@ -383,6 +411,9 @@ func (s *scanner) declare(info *types.Info, f *ast.File, root string) {
 	for _, d := range f.Decls {
 		switch d := d.(type) {
 		case *ast.FuncDecl:
+			if d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main") {
+				continue
+			}
 			key := pkg + "." + d.Name.Name
 			if d.Recv != nil {
 				key = pkg + "." + recvType(d.Recv.List[0].Type) + "." + d.Name.Name
@@ -415,12 +446,14 @@ func (s *scanner) declare(info *types.Info, f *ast.File, root string) {
 
 // walk marks what one non-test file reaches: every function it mentions
 // outside that function's own body, every field it sets, and every
-// interface method it calls.
+// interface method it calls. It records field copies for markCopies.
 func (s *scanner) walk(info *types.Info, f *ast.File) {
 	for _, d := range f.Decls {
 		var self *types.Func
+		var filled map[ast.Expr]bool
 		if fd, ok := d.(*ast.FuncDecl); ok {
 			self, _ = info.Defs[fd.Name].(*types.Func)
+			filled = defaultFills(info, fd)
 		}
 		ast.Inspect(d, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -439,15 +472,25 @@ func (s *scanner) walk(info *types.Info, f *ast.File) {
 				for i, e := range n.Elts {
 					if kv, ok := e.(*ast.KeyValueExpr); ok {
 						if id, ok := kv.Key.(*ast.Ident); ok {
-							s.setField(info.Uses[id])
+							s.setFrom(info.Uses[id], info, kv.Value, false)
 						}
 					} else if i < st.NumFields() {
-						s.setField(st.Field(i))
+						s.setFrom(st.Field(i), info, e, false)
 					}
 				}
 			case *ast.AssignStmt:
-				for _, e := range n.Lhs {
-					s.setPath(info, e)
+				for i, e := range n.Lhs {
+					field := fieldSel(info, e)
+					if field == nil {
+						s.setPath(info, e)
+						continue
+					}
+					var rhs ast.Expr
+					if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) {
+						rhs = n.Rhs[i]
+					}
+					s.setFrom(field, info, rhs, filled[e])
+					s.setPath(info, ast.Unparen(e).(*ast.SelectorExpr).X)
 				}
 			case *ast.IncDecStmt:
 				s.setPath(info, n.X)
@@ -485,6 +528,187 @@ func (s *scanner) setField(obj types.Object) {
 	if v, ok := obj.(*types.Var); ok && v.IsField() {
 		s.used[v.Origin()] = true
 	}
+}
+
+// setFrom sets field obj to value: when value is itself a field (x.G), obj
+// only inherits G's mark; otherwise obj is set, unless the assignment only
+// fills its default.
+func (s *scanner) setFrom(obj types.Object, info *types.Info, value ast.Expr, fill bool) {
+	to, ok := obj.(*types.Var)
+	if !ok || !to.IsField() {
+		return
+	}
+	if from := fieldSel(info, value); from != nil {
+		s.copies = append(s.copies, fieldCopy{from.Origin(), to.Origin()})
+	} else if !fill {
+		s.setField(to)
+	}
+}
+
+// markCopies marks every field copied from a set field, until no more
+// marks follow. A field of a package the scan does not walk counts as set.
+func (s *scanner) markCopies() {
+	for grew := true; grew; {
+		grew = false
+		for _, c := range s.copies {
+			if !s.used[c.to] && (s.used[c.from] || !s.scanned[c.from.Pkg()]) {
+				s.used[c.to] = true
+				grew = true
+			}
+		}
+	}
+}
+
+// fieldSel returns the struct field e selects, if e is a field selector.
+func fieldSel(info *types.Info, e ast.Expr) *types.Var {
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	if x := info.Selections[sel]; x != nil && x.Kind() == types.FieldVal {
+		return x.Obj().(*types.Var)
+	}
+	return nil
+}
+
+// heldField is a field selected on a variable: cfg.MaxDepth.
+type heldField struct {
+	base  types.Object
+	field *types.Var
+}
+
+// defaultFills returns the field assignments in fn that only fill a
+// default: x.F = v inside an if whose condition tests x.F against its zero
+// value, where x is a parameter or the receiver of fn, or a local copied
+// from one (cfg := *c), and v is derived from constants and x alone.
+func defaultFills(info *types.Info, fn *ast.FuncDecl) map[ast.Expr]bool {
+	if fn.Body == nil {
+		return nil
+	}
+	held := make(map[types.Object]bool)
+	for _, list := range []*ast.FieldList{fn.Recv, fn.Type.Params} {
+		if list == nil {
+			continue
+		}
+		for _, f := range list.List {
+			for _, id := range f.Names {
+				held[info.Defs[id]] = true
+			}
+		}
+	}
+	onHeld := func(e ast.Expr) (heldField, bool) {
+		field := fieldSel(info, e)
+		if field == nil {
+			return heldField{}, false
+		}
+		id, ok := ast.Unparen(e).(*ast.SelectorExpr).X.(*ast.Ident)
+		if !ok || !held[info.Uses[id]] {
+			return heldField{}, false
+		}
+		return heldField{info.Uses[id], field}, true
+	}
+	fills := make(map[ast.Expr]bool)
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if n.Tok != token.DEFINE || len(n.Lhs) != len(n.Rhs) {
+				break
+			}
+			for i, r := range n.Rhs {
+				if star, ok := r.(*ast.StarExpr); ok {
+					r = star.X
+				}
+				if id, ok := r.(*ast.Ident); ok && held[info.Uses[id]] {
+					if l, ok := n.Lhs[i].(*ast.Ident); ok && info.Defs[l] != nil {
+						held[info.Defs[l]] = true
+					}
+				}
+			}
+		case *ast.IfStmt:
+			zero := make(map[heldField]bool)
+			ast.Inspect(n.Cond, func(c ast.Node) bool {
+				b, ok := c.(*ast.BinaryExpr)
+				if !ok {
+					return true
+				}
+				x, y, op := b.X, b.Y, b.Op
+				if isZero(info, x) {
+					x, y, op = y, x, mirror[op]
+				}
+				if hf, ok := onHeld(x); ok && isZero(info, y) && (op == token.EQL || op == token.LEQ || op == token.LSS) {
+					zero[hf] = true
+				}
+				return true
+			})
+			if len(zero) == 0 {
+				break
+			}
+			ast.Inspect(n.Body, func(b ast.Node) bool {
+				if a, ok := b.(*ast.AssignStmt); ok && a.Tok == token.ASSIGN && len(a.Lhs) == len(a.Rhs) {
+					for i, l := range a.Lhs {
+						if hf, ok := onHeld(l); ok && zero[hf] && derived(info, a.Rhs[i], hf.base) {
+							fills[l] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+		return true
+	})
+	return fills
+}
+
+// derived reports whether e is built from constants, calls, package-level
+// names and base itself only, as a default is: no other parameter or local
+// variable feeds it. A value that does, as in a first-error latch
+// (if r.Err == nil { r.Err = err }), is chosen by the caller.
+func derived(info *types.Info, e ast.Expr, base types.Object) bool {
+	ok := true
+	ast.Inspect(e, func(n ast.Node) bool {
+		id, isIdent := n.(*ast.Ident)
+		if !isIdent {
+			return ok
+		}
+		if v, isVar := info.Uses[id].(*types.Var); isVar && v != base && !v.IsField() &&
+			v.Parent() != nil && v.Parent() != v.Pkg().Scope() {
+			ok = false
+		}
+		return ok
+	})
+	return ok
+}
+
+// mirror turns a comparison around: 0 < x is x > 0.
+var mirror = map[token.Token]token.Token{
+	token.EQL: token.EQL, token.NEQ: token.NEQ,
+	token.LSS: token.GTR, token.GTR: token.LSS,
+	token.LEQ: token.GEQ, token.GEQ: token.LEQ,
+}
+
+// isZero reports whether e is a zero value: a constant 0, "" or false,
+// nil, or an empty composite literal.
+func isZero(info *types.Info, e ast.Expr) bool {
+	e = ast.Unparen(e)
+	if lit, ok := e.(*ast.CompositeLit); ok {
+		return len(lit.Elts) == 0
+	}
+	tv := info.Types[e]
+	if tv.IsNil() {
+		return true
+	}
+	if tv.Value == nil {
+		return false
+	}
+	switch v := tv.Value; v.Kind() {
+	case constant.Bool:
+		return !constant.BoolVal(v)
+	case constant.String:
+		return constant.StringVal(v) == ""
+	case constant.Int, constant.Float, constant.Complex:
+		return constant.Sign(v) == 0
+	}
+	return false
 }
 
 // setPath marks every field selected along an assigned or addressed

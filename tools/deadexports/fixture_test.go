@@ -30,9 +30,15 @@ func TestFixture(t *testing.T) {
 		"a.Agenda.Describe", // hidden behind Frame.Describe
 		"a.Depth",           // only calls itself
 		"a.Gone",            // stale exception
+		"a.Limits.Rate",     // only a default fill of a parameter sets it
+		"a.Limits.Spread",   // only a default fill on a copy of the receiver sets it
+		"a.Options.Depth",   // set by the test only
+		"a.Plan.Depth",      // copied from a test-only field
 		"a.Point.X",         // exception for live surface
 		"a.Record.Skip",     // json:"-": never decoded
+		"a.Step.Depth",      // copied from a copy of a test-only field
 		"a.Store.Len",       // not a sort.Interface
+		"a.clamp",           // unexported, called by the test only
 	}
 	if !reflect.DeepEqual(got, want) {
 		for _, f := range found {
