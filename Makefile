@@ -8,11 +8,13 @@ PKGS := ./...
 KERNEL_BENCH := BenchmarkTreeFit|BenchmarkForestFit|BenchmarkExtraTreesFit|BenchmarkHistogramSplit|BenchmarkLogisticFit|BenchmarkMLPFit|BenchmarkMLPPredict|BenchmarkRowsum|BenchmarkLogs|BenchmarkMatrixTakeRows|BenchmarkColMatrix|BenchmarkDropNANoNulls|BenchmarkSeriesStd|BenchmarkGroupKeys|BenchmarkAgendaRender|BenchmarkEvalRows|BenchmarkCardinality|BenchmarkGroupByTransform|BenchmarkAutoFeatRun
 KERNEL_PKGS := ./internal/ml ./internal/dataframe ./internal/core ./internal/expr ./internal/baselines/autofeat
 # The row-level path's benches (one Bank row serialized; a warm pass of
-# cached rows) run in the kernel and grid sweeps at GOMAXPROCS 1 and 2, so a
-# gain that is more than parallelism shows. They sit in their own patterns
-# because -cpu applies to every bench a `go test` run matches.
+# cached rows; a cold pass of distinct rows through a fresh caching gateway
+# whose window is GOMAXPROCS) run in the kernel and grid sweeps at
+# GOMAXPROCS 1 and 2, so a gain that is more than parallelism shows. They sit
+# in their own patterns because -cpu applies to every bench a `go test` run
+# matches.
 ROW_KERNEL_BENCH := BenchmarkSerializeRow
-ROW_GRID_BENCH := BenchmarkCompleteRowsWarm
+ROW_GRID_BENCH := BenchmarkCompleteRowsWarm|BenchmarkCompleteRowsCold
 
 .PHONY: test race check bench bench-kernel bench-grid bench-json bench-cpu fmt fmt-check vet grid-workers chaos obs-check cache-check serve-check sim-soak
 

@@ -184,70 +184,42 @@ func estimateRowCallCost(model fm.Model, f *dataframe.Frame, c Candidate) float6
 // Figure 1 efficiency comparison. A negative n is an error; an n beyond the
 // frame completes every row.
 //
-// When the model is an fm.Submitter (an fmgate gateway), up to 256 workers
-// complete rows concurrently, each taking the next row index and refilling
-// its own prompt buffer; the gateway bounds the upstream calls, so the
-// paper's cost worst case (scenario 2, one call per row) stops paying its
-// latency serially. A failed row stops the workers on later rows, and the
-// error names the lowest failing row — the row a sequential pass would
+// Rows are completed by min(n, model.Concurrency()) workers when the model
+// is an fm.Concurrent (an fmgate gateway), and by one worker otherwise, so
+// a plain model sees its rows in order. Each worker takes the next row
+// index and refills its own prompt buffer. A gateway gets as many workers
+// as it admits upstream calls, so the paper's cost worst case (scenario 2,
+// one call per row) stops paying its latency serially, and no worker only
+// queues on the gateway. A failed row stops the workers on later rows, and
+// the error names the lowest failing row — the row a sequential pass would
 // have stopped at. If the caller cancels, the context's error is returned.
-// Plain models complete rows one after another, in row order. Either way
-// the result is identical: row completions are independent and
-// deterministic per row content (the simulated FM derives even its error
-// injection for this task from the prompt content, so corruption does not
-// depend on arrival order).
+// The result does not depend on the worker count: row completions are
+// independent and deterministic per row content (the simulated FM derives
+// even its error injection for this task from the prompt content, so
+// corruption does not depend on arrival order).
 func CompleteRows(ctx context.Context, model fm.Model, f *dataframe.Frame, feature string, n int) ([]float64, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("core: cannot complete n = %d rows", n)
 	}
 	n = min(n, f.Len())
+	window := 1
+	if c, ok := model.(fm.Concurrent); ok {
+		window = c.Concurrency()
+	}
 	out := make([]float64, n)
 	tmpl := newRowTemplate(feature)
-	if _, ok := model.(fm.Submitter); ok && n > 1 {
-		if err := completeRowsConcurrent(ctx, model, f, tmpl, out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	var buf []byte
-	for i := 0; i < n; i++ {
-		buf = tmpl.append(buf[:0], f, i)
-		resp, err := model.Complete(ctx, string(buf))
-		if err != nil {
-			return nil, fmt.Errorf("core: row %d completion: %w", i, err)
-		}
-		out[i] = parseRowValue(resp)
-	}
-	return out, nil
-}
-
-// rowWorker is one worker of completeRowsConcurrent: the row it holds and
-// the cancel of the context its calls run under.
-type rowWorker struct {
-	cur    atomic.Int64
-	ctx    context.Context
-	cancel context.CancelFunc
-}
-
-// completeRowsConcurrent fills out[i] for every row on min(256, len(out))
-// workers and returns only after all of them have exited. Row indices are
-// handed out in increasing order, so when row k fails every row below k
-// has been taken already: the workers on later rows are cancelled and
-// nothing past k starts, while the rows below k finish, so a lower failure
-// still wins.
-func completeRowsConcurrent(ctx context.Context, model fm.Model, f *dataframe.Frame, tmpl rowTemplate, out []float64) error {
-	// Enough workers to keep any reasonable gateway concurrency saturated;
-	// the gateway, not this count, bounds the upstream calls.
-	const window = 256
-	n := int64(len(out))
-	workers := make([]rowWorker, min(window, len(out)))
+	workers := make([]rowWorker, min(n, window))
+	// Row indices are handed out in increasing order, so when row k fails
+	// every row below k has been taken already: the workers on later rows
+	// are cancelled and nothing past k starts, while the rows below k
+	// finish, so a lower failure still wins.
 	var (
 		next, stop atomic.Int64 // next row to hand out; lowest failed row (n: none)
 		mu         sync.Mutex
 		rowErr     error // the failure of row stop
 		wg         sync.WaitGroup
 	)
-	stop.Store(n)
+	stop.Store(int64(n))
 	fail := func(i int64, err error) {
 		mu.Lock()
 		defer mu.Unlock()
@@ -289,17 +261,26 @@ func completeRowsConcurrent(ctx context.Context, model fm.Model, f *dataframe.Fr
 			}
 		}()
 	}
+	// Every worker has exited before CompleteRows returns.
 	wg.Wait()
 	for w := range workers {
 		workers[w].cancel()
 	}
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
 	if rowErr != nil {
-		return fmt.Errorf("core: row %d completion: %w", stop.Load(), rowErr)
+		return nil, fmt.Errorf("core: row %d completion: %w", stop.Load(), rowErr)
 	}
-	return nil
+	return out, nil
+}
+
+// rowWorker is one worker of CompleteRows: the row it holds and the cancel
+// of the context its calls run under.
+type rowWorker struct {
+	cur    atomic.Int64
+	ctx    context.Context
+	cancel context.CancelFunc
 }
 
 // parseRowValue reads the FM's answer for one masked value (NaN when the

@@ -48,12 +48,18 @@ type Result struct {
 	Cached bool
 }
 
-// Submitter marks a model that bounds its own upstream concurrency and is
-// safe for concurrent use (the fmgate gateway): the row-level completion
-// loop calls Complete from many workers when the model implements it.
-// Submit is the asynchronous form of one completion.
+// Submitter is a model with an asynchronous form of one completion (the
+// fmgate gateway).
 type Submitter interface {
 	Submit(ctx context.Context, prompt string) <-chan Result
+}
+
+// Concurrent marks a model that is safe for concurrent use and admits
+// Concurrency upstream calls at once, at least one (the fmgate gateway).
+// The row-level completion loop runs that many workers on such a model,
+// and one worker, in row order, on any other.
+type Concurrent interface {
+	Concurrency() int
 }
 
 // CacheableTask reports whether a prompt's completion may be served from a

@@ -8,16 +8,19 @@ import (
 
 // lruCache is a fixed-capacity LRU for completions laid out as a slab: each
 // entry holds one slot of a slice and links to its recency neighbours by slot
-// index, and a pointer-free map finds a key's slot. An eviction reuses the
-// tail's slot, so a full cache allocates no entry. Not safe for concurrent
-// use on its own; it is the core of one shardedCache shard, which guards it
-// with a per-shard mutex.
+// index, and a map from the key's first 8 bytes finds its slot (a uint64 key
+// takes the map's fast path). The slot keeps the whole key: a get whose slot
+// holds another key with the same prefix is a miss, and a put of such a key
+// takes the slot over, so a completion is never served for the wrong key.
+// An eviction reuses the tail's slot, so a full cache allocates no entry.
+// Not safe for concurrent use on its own; it is the core of one
+// shardedCache shard, which guards it with a per-shard mutex.
 type lruCache struct {
 	cap        int
 	bytes      int64 // sum of len(key)+len(text) over resident entries
 	head, tail int32 // most and least recently used slot; -1 when empty
 	slab       []lruEntry
-	items      map[digest]int32
+	items      map[uint64]int32 // slot by the key's first 8 bytes
 }
 
 type lruEntry struct {
@@ -27,12 +30,12 @@ type lruEntry struct {
 }
 
 func newLRUCache(capacity int) *lruCache {
-	return &lruCache{cap: capacity, head: -1, tail: -1, items: make(map[digest]int32)}
+	return &lruCache{cap: capacity, head: -1, tail: -1, items: make(map[uint64]int32)}
 }
 
 func (c *lruCache) get(key digest) (string, bool) {
-	i, ok := c.items[key]
-	if !ok {
+	i, ok := c.items[key.prefix()]
+	if !ok || c.slab[i].key != key {
 		return "", false
 	}
 	c.toFront(i)
@@ -42,10 +45,13 @@ func (c *lruCache) get(key digest) (string, bool) {
 // put inserts or refreshes key and reports whether an entry was evicted plus
 // the resident-bytes delta (callers feed both into the fmcache instruments).
 func (c *lruCache) put(key digest, text string) (evicted bool, bytesDelta int64) {
-	if i, ok := c.items[key]; ok {
+	p := key.prefix()
+	if i, ok := c.items[p]; ok {
+		// A refresh, or another key with the same prefix taking the slot
+		// over; keys are all 16 bytes, so only the text changes size.
 		e := &c.slab[i]
 		bytesDelta = int64(len(text)) - int64(len(e.text))
-		e.text = text
+		e.key, e.text = key, text
 		c.toFront(i)
 		c.bytes += bytesDelta
 		return false, bytesDelta
@@ -57,14 +63,14 @@ func (c *lruCache) put(key digest, text string) (evicted bool, bytesDelta int64)
 	} else {
 		i = c.tail
 		old := &c.slab[i]
-		delete(c.items, old.key)
+		delete(c.items, old.key.prefix())
 		c.unlink(i)
 		bytesDelta = -int64(len(old.key) + len(old.text))
 		evicted = true
 	}
 	c.slab[i].key, c.slab[i].text = key, text
 	c.pushFront(i)
-	c.items[key] = i
+	c.items[p] = i
 	bytesDelta += int64(len(key) + len(text))
 	c.bytes += bytesDelta
 	return evicted, bytesDelta

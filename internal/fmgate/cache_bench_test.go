@@ -3,9 +3,11 @@ package fmgate
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"smartfeat/internal/core"
+	"smartfeat/internal/dataframe"
 	"smartfeat/internal/datasets"
 	"smartfeat/internal/fm"
 )
@@ -108,11 +110,8 @@ func BenchmarkGatewayComplete(b *testing.B) {
 	})
 }
 
-// BenchmarkCompleteRowsWarm completes 4,096 Bank rows through a gateway
-// whose LRU already holds every row: the warm pass of the row-level path
-// (prompt building, content key, cache hit and the row workers), with no
-// upstream call. ns/row is the cost of one cached row.
-func BenchmarkCompleteRowsWarm(b *testing.B) {
+// benchRows is the first 4,096 rows of Bank, the row-level benches' frame.
+func benchRows(b *testing.B) *dataframe.Frame {
 	d, err := datasets.Load("Bank", 1)
 	if err != nil {
 		b.Fatal(err)
@@ -121,7 +120,15 @@ func BenchmarkCompleteRowsWarm(b *testing.B) {
 	for i := range rows {
 		rows[i] = i
 	}
-	f := d.Frame.Take(rows)
+	return d.Frame.Take(rows)
+}
+
+// BenchmarkCompleteRowsWarm completes 4,096 Bank rows through a gateway
+// whose LRU already holds every row: the warm pass of the row-level path
+// (prompt building, content key, cache hit and the row workers), with no
+// upstream call. ns/row is the cost of one cached row.
+func BenchmarkCompleteRowsWarm(b *testing.B) {
+	f := benchRows(b)
 	g := New(fm.NewGPT35Sim(1, 0), Options{CacheSize: 1 << 13})
 	ctx := context.Background()
 	if _, err := core.CompleteRows(ctx, g, f, "Estimated_Subscription_Propensity", f.Len()); err != nil {
@@ -138,6 +145,30 @@ func BenchmarkCompleteRowsWarm(b *testing.B) {
 	b.StopTimer()
 	if got := g.Metrics().UpstreamCalls; got != upstream {
 		b.Fatalf("warm passes made %d upstream calls", got-upstream)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*f.Len()), "ns/row")
+}
+
+// BenchmarkCompleteRowsCold completes 4,096 Bank rows through a fresh
+// caching gateway per iteration, as the cold pass of perfbench's rowlevel
+// workload does: every row misses, takes singleflight and one simulator
+// call, and is cached. The gateway admits GOMAXPROCS upstream calls, so
+// CompleteRows runs that many workers. ns/row is the cost of one cold row.
+func BenchmarkCompleteRowsCold(b *testing.B) {
+	f := benchRows(b)
+	model := fm.NewGPT35Sim(1, 0)
+	ctx := context.Background()
+	opts := Options{CacheSize: 1 << 13, Concurrency: runtime.GOMAXPROCS(0)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := New(model, opts)
+		if _, err := core.CompleteRows(ctx, g, f, "Estimated_Subscription_Propensity", f.Len()); err != nil {
+			b.Fatal(err)
+		}
+		if m := g.Metrics(); m.UpstreamCalls+m.InflightShares != int64(f.Len()) {
+			b.Fatalf("cold pass: %+v, want every row to miss the cache", m)
+		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*f.Len()), "ns/row")
 }

@@ -115,7 +115,7 @@ func TestLRUCacheMatchesOracle(t *testing.T) {
 					if want := el.Value.(*oracleEntry).key; k != want {
 						t.Fatalf("cap %d seed %d step %d: recency[%d] = %s, oracle %s", capacity, seed, step, i, k, want)
 					}
-					if c.items[k] < 0 || c.slab[c.items[k]].key != k {
+					if c.items[k.prefix()] < 0 || c.slab[c.items[k.prefix()]].key != k {
 						t.Fatalf("cap %d seed %d step %d: index of %s points at the wrong slot", capacity, seed, step, k)
 					}
 					el = el.Next()
@@ -125,6 +125,43 @@ func TestLRUCacheMatchesOracle(t *testing.T) {
 				t.Fatalf("cap %d: slab grew to %d slots", capacity, len(c.slab))
 			}
 		}
+	}
+}
+
+// TestLRUCachePrefixCollision forces two keys that share the index's 8-byte
+// prefix: neither is ever served the other's text, a put of one takes the
+// other's slot over without an eviction, and the resident bytes follow the
+// text that stays.
+func TestLRUCachePrefixCollision(t *testing.T) {
+	a := testKey("a")
+	b := a
+	b[15] ^= 1
+	other := testKey("other")
+	if a.prefix() != b.prefix() || a == b || other.prefix() == a.prefix() {
+		t.Fatal("keys do not collide on the prefix as the test needs")
+	}
+	c := newLRUCache(2)
+	c.put(a, "text-a")
+	c.put(other, "text-other")
+	if text, ok := c.get(b); ok {
+		t.Fatalf("get(b) = %q, want a miss while a holds the slot", text)
+	}
+	bytes := c.bytes
+	evicted, delta := c.put(b, "longer-text-b")
+	if evicted || delta != int64(len("longer-text-b")-len("text-a")) || c.bytes != bytes+delta {
+		t.Fatalf("put(b) = (%v, %d), bytes %d → %d", evicted, delta, bytes, c.bytes)
+	}
+	if text, ok := c.get(a); ok {
+		t.Fatalf("get(a) = %q, want a miss after b took the slot", text)
+	}
+	if text, ok := c.get(b); !ok || text != "longer-text-b" {
+		t.Fatalf("get(b) = (%q, %v), want b's text", text, ok)
+	}
+	if got := recency(t, c); len(got) != 2 || got[0] != b || got[1] != other || len(c.items) != 2 {
+		t.Fatalf("recency %v with %d indexed, want [b other] and 2", got, len(c.items))
+	}
+	if want := int64(2*len(a) + len("longer-text-b") + len("text-other")); c.bytes != want {
+		t.Fatalf("bytes = %d, want %d", c.bytes, want)
 	}
 }
 

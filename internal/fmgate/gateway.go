@@ -10,9 +10,10 @@
 //     prompts are served without a model call and a completion one worker
 //     paid for is served to its peers at $0. A content address is a 16-byte
 //     digest, hex only on disk; a cache hit allocates nothing. An LRU entry
-//     costs about 80 live bytes beside its text: a 40-byte slab slot (key,
+//     costs under 80 live bytes beside its text: a 40-byte slab slot (key,
 //     text header, two int32 links) plus its share of the pointer-free
-//     digest→slot index and of the slab's growth slack;
+//     index from the key's first 8 bytes to its slot and of the slab's
+//     growth slack;
 //   - an on-disk record/replay store: a record store appends every upstream
 //     outcome, and a replay store becomes the gateway's model, so a recorded
 //     run replays byte-identical completions with zero simulated cost and
@@ -20,8 +21,9 @@
 //   - in-flight deduplication (singleflight) so concurrent identical prompts
 //     share one upstream call;
 //   - bounded upstream concurrency under a gateway that is safe for
-//     concurrent use (fm.Submitter), so the scenario-2 row-level loop
-//     completes rows on many workers at once;
+//     concurrent use and reports its bound (fm.Concurrent), so the
+//     scenario-2 row-level loop completes rows on exactly as many workers
+//     as the gateway admits upstream calls;
 //   - retry with exponential backoff on transient upstream errors (a Pool's
 //     per-backend FaultInjector raises them in resilience testing);
 //   - per-role routing (operator selector vs function generator) with
@@ -34,6 +36,7 @@ package fmgate
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -141,8 +144,8 @@ type call struct {
 }
 
 // Gateway wraps an fm.Model with caching, deduplication, bounded-concurrency
-// submission, retries and record/replay. It implements fm.Model and
-// fm.Submitter and is safe for concurrent use.
+// submission, retries and record/replay. It implements fm.Model,
+// fm.Submitter and fm.Concurrent and is safe for concurrent use.
 type Gateway struct {
 	model fm.Model
 	opts  Options
@@ -278,6 +281,9 @@ type digest [16]byte
 // String renders d as the 32-digit hex key recordings store.
 func (d digest) String() string { return hex.EncodeToString(d[:]) }
 
+// prefix is the digest's first 8 bytes, the LRU's index key.
+func (d digest) prefix() uint64 { return binary.LittleEndian.Uint64(d[:8]) }
+
 // parseDigest decodes a recorded hex key; ok is false unless key is exactly
 // 32 hex digits.
 func parseDigest(key string) (d digest, ok bool) {
@@ -321,6 +327,10 @@ func (g *Gateway) Complete(ctx context.Context, prompt string) (string, error) {
 	text, _, err := g.complete(ctx, prompt)
 	return text, err
 }
+
+// Concurrency reports how many upstream calls the gateway admits at once
+// (Options.Concurrency after its default). It implements fm.Concurrent.
+func (g *Gateway) Concurrency() int { return cap(g.sem) }
 
 // Submit enqueues a completion and returns a single-result channel, bounded
 // by the gateway's concurrency limit. It implements fm.Submitter.

@@ -552,20 +552,24 @@ func rowOf(prompt string) int {
 func TestCompleteRowsLowestFailingRow(t *testing.T) {
 	f := idFrame(t, 700)
 	failing := map[int]bool{37: true, 300: true, 301: true, 650: true}
-	model := &countingModel{fail: func(prompt string) error {
-		i := rowOf(prompt)
-		if i == 37 {
-			time.Sleep(20 * time.Millisecond)
-		}
-		if failing[i] {
-			return fmt.Errorf("row %d refused", i)
-		}
-		return nil
-	}}
-	g := New(model, Options{Concurrency: 8})
-	_, err := core.CompleteRows(context.Background(), g, f, "Density", f.Len())
-	if err == nil || !strings.HasPrefix(err.Error(), "core: row 37 completion: ") || !strings.HasSuffix(err.Error(), "row 37 refused") {
-		t.Fatalf("err = %v, want row 37's failure", err)
+	for _, concurrency := range []int{1, 2, 8} {
+		t.Run(fmt.Sprint("concurrency=", concurrency), func(t *testing.T) {
+			model := &countingModel{fail: func(prompt string) error {
+				i := rowOf(prompt)
+				if i == 37 {
+					time.Sleep(20 * time.Millisecond)
+				}
+				if failing[i] {
+					return fmt.Errorf("row %d refused", i)
+				}
+				return nil
+			}}
+			g := New(model, Options{Concurrency: concurrency})
+			_, err := core.CompleteRows(context.Background(), g, f, "Density", f.Len())
+			if err == nil || !strings.HasPrefix(err.Error(), "core: row 37 completion: ") || !strings.HasSuffix(err.Error(), "row 37 refused") {
+				t.Fatalf("err = %v, want row 37's failure", err)
+			}
+		})
 	}
 }
 
@@ -650,19 +654,107 @@ func TestCompleteRowsWorkersExit(t *testing.T) {
 }
 
 // TestCompleteRowsCallerCancel cancels the caller's context while rows are
-// blocked in the model: the context's own error comes back.
+// blocked in the model: the context's own error comes back, through a
+// gateway of any window and from a plain model alike.
 func TestCompleteRowsCallerCancel(t *testing.T) {
 	f := idFrame(t, 300)
-	m := &activeModel{entered: make(chan struct{}, 1), release: make(chan struct{})}
-	g := New(m, Options{Concurrency: 16})
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		<-m.entered
-		cancel()
-	}()
-	vals, err := core.CompleteRows(ctx, g, f, "Density", f.Len())
-	if err != context.Canceled || vals != nil {
-		t.Fatalf("CompleteRows = (%d values, %v), want the context's error", len(vals), err)
+	for _, concurrency := range []int{0, 1, 2, 8, 16} {
+		name := fmt.Sprint("concurrency=", concurrency)
+		if concurrency == 0 {
+			name = "plain"
+		}
+		t.Run(name, func(t *testing.T) {
+			m := &activeModel{entered: make(chan struct{}, 1), release: make(chan struct{})}
+			var model fm.Model = m
+			if concurrency > 0 {
+				model = New(m, Options{Concurrency: concurrency})
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			go func() {
+				<-m.entered
+				cancel()
+			}()
+			vals, err := core.CompleteRows(ctx, model, f, "Density", f.Len())
+			if err != context.Canceled || vals != nil {
+				t.Fatalf("CompleteRows = (%d values, %v), want the context's error", len(vals), err)
+			}
+		})
+	}
+}
+
+// windowModel answers row i of idFrame with 3i+1 after a short wait, and
+// records the callers inside Complete at once, their peak, the highest
+// goroutine count any caller saw and the rows in call order.
+type windowModel struct {
+	countingModel
+	mu                  sync.Mutex
+	active, peak, goMax int
+	rows                []int
+}
+
+func (m *windowModel) Complete(ctx context.Context, prompt string) (string, error) {
+	i := rowOf(prompt)
+	m.mu.Lock()
+	m.active++
+	m.peak = max(m.peak, m.active)
+	m.goMax = max(m.goMax, runtime.NumGoroutine())
+	m.rows = append(m.rows, i)
+	m.mu.Unlock()
+	time.Sleep(100 * time.Microsecond)
+	m.mu.Lock()
+	m.active--
+	m.mu.Unlock()
+	return fmt.Sprint(3*i + 1), nil
+}
+
+// TestCompleteRowsWindow checks the row workers follow the model: a plain
+// model gets one caller, in row order; a gateway gets as many callers as
+// its Concurrency and never more, with the plain pass's values; and the
+// goroutines during a pass stay within the window (plus a small constant)
+// of where they started, so no worker only queues on the gateway.
+func TestCompleteRowsWindow(t *testing.T) {
+	const slack = 2
+	f := idFrame(t, 200)
+	pass := func(t *testing.T, model fm.Model) []float64 {
+		t.Helper()
+		vals, err := core.CompleteRows(context.Background(), model, f, "Density", f.Len())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vals
+	}
+	plain := &windowModel{}
+	before := runtime.NumGoroutine()
+	want := pass(t, plain)
+	if plain.peak != 1 || plain.goMax > before+1+slack {
+		t.Fatalf("plain model: %d callers at once, %d goroutines (started at %d)", plain.peak, plain.goMax, before)
+	}
+	for i, row := range plain.rows {
+		if row != i || want[i] != float64(3*i+1) {
+			t.Fatalf("plain model: call %d completed row %d = %v", i, row, want[i])
+		}
+	}
+	if len(plain.rows) != f.Len() {
+		t.Fatalf("plain model: %d calls for %d rows", len(plain.rows), f.Len())
+	}
+	for _, concurrency := range []int{1, 2, 8} {
+		t.Run(fmt.Sprint("concurrency=", concurrency), func(t *testing.T) {
+			m := &windowModel{}
+			g := New(m, Options{Concurrency: concurrency})
+			before := runtime.NumGoroutine()
+			got := pass(t, g)
+			if m.peak > concurrency || (concurrency > 1 && m.peak < 2) {
+				t.Fatalf("%d callers at once, want at most %d (and more than one)", m.peak, concurrency)
+			}
+			if m.goMax > before+concurrency+slack {
+				t.Fatalf("%d goroutines during the pass, started at %d with a window of %d", m.goMax, before, concurrency)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("row %d = %v, plain pass %v", i, got[i], want[i])
+				}
+			}
+		})
 	}
 }
 

@@ -136,8 +136,9 @@ func DatasetNames() []string { return datasets.Names() }
 // frame — the per-entry interaction style of the paper's Figure 1 that
 // SMARTFEAT's feature-level design avoids. Exposed so the cost comparison is
 // reproducible against the same accounting. When model is a *Gateway the
-// rows fan out concurrently under its concurrency bound. A negative n is an
-// error.
+// rows are completed on as many workers as its concurrency bound admits
+// upstream calls; any other model gets one worker, in row order. A
+// negative n is an error.
 func CompleteRows(ctx context.Context, model FM, f *Frame, feature string, n int) ([]float64, error) {
 	return core.CompleteRows(ctx, model, f, feature, n)
 }
