@@ -5,6 +5,9 @@ PKGS := ./...
 # group-by, the per-prompt agenda render, feature realization: expression
 # evaluation, distinct counts, group-by transforms, and the AutoFeat
 # baseline's expansion and selection on Heart, whose B/op tracks its memory).
+# BenchmarkDropNANoNulls measures the null scan plus a column-list copy: since
+# columns became immutable its no-null result shares the source's series, so
+# its B/op no longer counts the column data (the trajectory steps down there).
 KERNEL_BENCH := BenchmarkTreeFit|BenchmarkForestFit|BenchmarkExtraTreesFit|BenchmarkHistogramSplit|BenchmarkLogisticFit|BenchmarkMLPFit|BenchmarkMLPPredict|BenchmarkRowsum|BenchmarkLogs|BenchmarkMatrixTakeRows|BenchmarkColMatrix|BenchmarkDropNANoNulls|BenchmarkSeriesStd|BenchmarkGroupKeys|BenchmarkAgendaRender|BenchmarkEvalRows|BenchmarkCardinality|BenchmarkGroupByTransform|BenchmarkAutoFeatRun
 KERNEL_PKGS := ./internal/ml ./internal/dataframe ./internal/core ./internal/expr ./internal/baselines/autofeat
 # The row-level path's benches (one Bank row serialized; a warm pass of

@@ -2,6 +2,7 @@ package dataframe
 
 import (
 	"fmt"
+	"maps"
 	"math"
 )
 
@@ -95,14 +96,12 @@ func (f *Frame) Drop(names ...string) {
 	f.reindex()
 }
 
-// Clone returns a deep copy of the frame.
+// Clone returns a frame with its own column list over the same series: Add
+// and Drop on either frame leave the other's columns alone, and no column
+// data is copied (series are never written once built; see the package
+// doc). It costs O(width).
 func (f *Frame) Clone() *Frame {
-	out := New()
-	for _, c := range f.cols {
-		// Adding a fresh clone cannot fail: names are unique, lengths match.
-		_ = out.Add(c.Clone())
-	}
-	return out
+	return &Frame{cols: append([]*Series(nil), f.cols...), index: maps.Clone(f.index)}
 }
 
 // Take returns a new frame containing the given rows, in order.
@@ -116,8 +115,9 @@ func (f *Frame) Take(rows []int) *Frame {
 
 // DropNA returns a new frame with every row containing a null removed.
 // When no column has nulls — the common case on generated datasets — it
-// returns a clone without building a row-index slice or gathering through
-// Take. Null detection runs column-wise over contiguous storage.
+// returns a Clone, which shares the source's series, without building a
+// row-index slice or gathering through Take. Null detection runs
+// column-wise over contiguous storage.
 func (f *Frame) DropNA() *Frame {
 	bad := make([]bool, f.Len())
 	anyBad := false

@@ -2,6 +2,7 @@ package dataframe
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -67,12 +68,31 @@ func TestDropAndReindex(t *testing.T) {
 	f.Drop("not-there") // no-op, no panic
 }
 
-func TestCloneIsDeep(t *testing.T) {
+// TestCloneSharesSeries: a clone holds the source's own *Series (columns
+// are immutable, so no data is copied), but its column list is its own: Add
+// and Drop on either frame leave the other's Names and Width alone.
+func TestCloneSharesSeries(t *testing.T) {
 	f := mustFrame(t)
+	names := f.Names()
 	g := f.Clone()
-	g.Column("age").Nums[0] = 99
-	if f.Column("age").Nums[0] == 99 {
-		t.Fatal("clone shares storage")
+	for _, name := range names {
+		if g.Column(name) != f.Column(name) {
+			t.Fatalf("clone copied series %q", name)
+		}
+	}
+	if err := g.AddNumeric("extra", make([]float64, f.Len())); err != nil {
+		t.Fatal(err)
+	}
+	g.Drop("age")
+	if got := f.Names(); f.Width() != 3 || !slices.Equal(got, names) || f.Has("extra") {
+		t.Fatalf("Add/Drop on the clone changed the source: %v", got)
+	}
+	if f.Column("age") == nil || f.Column("claim") != g.Column("claim") {
+		t.Fatal("source lookups broken by the clone's Drop")
+	}
+	f.Drop("city")
+	if got := g.Names(); !slices.Equal(got, []string{"city", "claim", "extra"}) {
+		t.Fatalf("Drop on the source changed the clone: %v", got)
 	}
 }
 

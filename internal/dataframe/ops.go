@@ -195,18 +195,17 @@ func (f *Frame) Factorize(input string) (*Series, []string, error) {
 	return NewNumeric(c.Name, out), levels, nil
 }
 
-// FactorizeAll returns a clone of the frame in which every categorical column
-// has been replaced by its integer codes — the standard cleaning step the
-// paper applies before feature engineering.
+// FactorizeAll returns a new frame in which every categorical column has
+// been replaced by its integer codes — the standard cleaning step the paper
+// applies before feature engineering. Numeric columns are the source's own
+// series.
 func (f *Frame) FactorizeAll() *Frame {
 	out := New()
 	for _, c := range f.cols {
 		if c.Kind == Categorical {
-			enc, _, _ := f.Factorize(c.Name)
-			_ = out.Add(enc)
-		} else {
-			_ = out.Add(c.Clone())
+			c, _, _ = f.Factorize(c.Name)
 		}
+		_ = out.Add(c)
 	}
 	return out
 }

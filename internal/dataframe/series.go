@@ -3,6 +3,16 @@
 // reshaping operations (get_dummies, factorize, bucketize) that automated
 // feature engineering relies on. It is the storage substrate every other
 // package in this repository builds on.
+//
+// Columns are immutable: once a series is in a frame, nothing writes its
+// Nums, Strs or Null slices again. Only the builders of a new series write
+// them, before it is handed out: the constructors (NewNumeric,
+// NewCategorical), ReadCSV, GetDummies and Take; SetNull exists for them.
+// That contract is what lets frames share series: Clone copies only the
+// column list, DropNA without nulls returns such a clone, and FactorizeAll
+// keeps the numeric columns it is given. A frame's column list is its own,
+// so Add and Drop on a clone leave the source alone. A caller that wants
+// different values builds a new series.
 package dataframe
 
 import (
@@ -88,7 +98,8 @@ func (s *Series) setNull(i int) {
 }
 
 // SetNull marks row i missing. For numeric series the value is also set to NaN
-// so that downstream numeric reads agree with the mask.
+// so that downstream numeric reads agree with the mask. It writes the series,
+// so it is for a series still being built, never one already in a frame.
 func (s *Series) SetNull(i int) {
 	s.setNull(i)
 	if s.Kind == Numeric {
@@ -105,21 +116,6 @@ func (s *Series) NullCount() int {
 		}
 	}
 	return n
-}
-
-// Clone returns a deep copy of the series.
-func (s *Series) Clone() *Series {
-	c := &Series{Name: s.Name, Kind: s.Kind}
-	if s.Nums != nil {
-		c.Nums = append([]float64(nil), s.Nums...)
-	}
-	if s.Strs != nil {
-		c.Strs = append([]string(nil), s.Strs...)
-	}
-	if s.Null != nil {
-		c.Null = append([]bool(nil), s.Null...)
-	}
-	return c
 }
 
 // Take returns a new series containing the given rows, in order.

@@ -373,11 +373,10 @@ func (d *DiskCache) Learn(key digest, prompt, response, errMsg string, persisted
 		}
 		d.live = f
 	}
-	b, err := json.Marshal(storeEntry{Key: key.String(), Prompt: firstLine(prompt), Response: response, Error: errMsg})
+	line, err := marshalRecord(key, prompt, response, errMsg)
 	if err != nil {
 		return
 	}
-	line := append(b, '\n')
 	if _, err := d.live.Write(line); err == nil {
 		d.bytesG.Add(int64(len(line)))
 	}

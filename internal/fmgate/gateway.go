@@ -40,6 +40,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -502,6 +503,10 @@ func (g *Gateway) callUpstream(ctx context.Context, key digest, prompt string) (
 			break
 		}
 	}
+	if !g.replay {
+		// A replayed outcome came from a record, so it fits one already.
+		text, err = recordable(key, prompt, text, err)
+	}
 	if err != nil {
 		// Record upstream failures too (but never the caller's own
 		// cancellation, which says nothing about the model): the simulators
@@ -566,12 +571,12 @@ func (g *Gateway) Metrics() Metrics {
 	}
 }
 
-// firstLine abbreviates a prompt for error messages.
+// firstLine abbreviates a prompt for error messages and records: its first
+// line, cut to at most 80 bytes, so a record's prompt field stays short
+// whatever the prompt.
 func firstLine(prompt string) string {
-	for i := 0; i < len(prompt); i++ {
-		if prompt[i] == '\n' {
-			return prompt[:i]
-		}
+	if i := strings.IndexByte(prompt, '\n'); i >= 0 {
+		prompt = prompt[:i]
 	}
 	if len(prompt) > 80 {
 		return prompt[:80]

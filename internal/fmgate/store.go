@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"unicode/utf8"
 )
 
 // storeEntry is one recorded completion, serialized as a JSON line. The
@@ -52,6 +53,15 @@ const maxRecordBytes = 64 << 10
 var (
 	// errRecordTooLong is a recording line longer than maxRecordBytes.
 	errRecordTooLong = fmt.Errorf("record longer than %d bytes", maxRecordBytes)
+	// errCompletionTooLong is an upstream outcome, a completion or an
+	// error's text, whose record would be longer than maxRecordBytes after
+	// JSON escaping, prompt line included. The gateway returns it instead,
+	// so what it records is always replayable.
+	errCompletionTooLong = fmt.Errorf("fmgate: completion record longer than %d bytes", maxRecordBytes)
+	// errCompletionNotUTF8 is an upstream outcome that is not valid UTF-8:
+	// JSON would replace its bad bytes, so replay could not return it as
+	// it came.
+	errCompletionNotUTF8 = errors.New("fmgate: completion is not valid UTF-8")
 	// errRecordKey is a record whose key is not a 32-digit hex content address.
 	errRecordKey = errors.New("record key is not a 32-digit hex content address")
 )
@@ -177,15 +187,50 @@ func (s *Store) pop(key digest, sticky bool) (replayEntry, bool) {
 	return replayEntry{}, false
 }
 
+// marshalRecord renders one outcome as a recording line, newline included:
+// the format of record stores and disk-cache shards alike.
+func marshalRecord(key digest, prompt, response, errMsg string) ([]byte, error) {
+	b, err := json.Marshal(storeEntry{Key: key.String(), Prompt: firstLine(prompt), Response: response, Error: errMsg})
+	return append(b, '\n'), err
+}
+
+// recordOverhead is a recording line's length with an empty prompt line,
+// response and error: the JSON punctuation, field names and 32-digit key.
+const recordOverhead = len(`{"key":"","prompt":"","response":"","error":""}`+"\n") + 32
+
+// recordable passes an upstream outcome through when a recording holds it
+// byte for byte, and turns it into errCompletionTooLong or
+// errCompletionNotUTF8 otherwise. The gateway applies it to every upstream
+// outcome, recording or not, so a recorded run sees what an unrecorded one
+// does.
+func recordable(key digest, prompt, text string, err error) (string, error) {
+	errMsg := ""
+	if err != nil {
+		errMsg = err.Error()
+	}
+	if !utf8.ValidString(text) || !utf8.ValidString(errMsg) {
+		return "", errCompletionNotUTF8
+	}
+	// JSON escapes a byte to at most 6 ("\u00XX"), so short outcomes fit
+	// without being encoded here.
+	if recordOverhead+6*(len(firstLine(prompt))+len(text)+len(errMsg)) <= maxRecordBytes {
+		return text, err
+	}
+	if line, _ := marshalRecord(key, prompt, text, errMsg); len(line) > maxRecordBytes {
+		return "", fmt.Errorf("%w: %d bytes", errCompletionTooLong, len(line))
+	}
+	return text, err
+}
+
 // record appends one completion or upstream error (record mode).
 func (s *Store) record(key digest, prompt, response, errMsg string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b, err := json.Marshal(storeEntry{Key: key.String(), Prompt: firstLine(prompt), Response: response, Error: errMsg})
+	line, err := marshalRecord(key, prompt, response, errMsg)
 	if err != nil {
 		return err
 	}
-	if _, err := s.w.Write(append(b, '\n')); err != nil {
+	if _, err := s.w.Write(line); err != nil {
 		return err
 	}
 	// Flush per entry: a recording interrupted by Ctrl-C stays replayable up

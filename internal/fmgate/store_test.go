@@ -2,11 +2,14 @@ package fmgate
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"smartfeat/internal/fm"
 )
 
 // contentKey is contentDigest in the hex form recordings store.
@@ -141,4 +144,105 @@ func TestOpenReplayStoreBounds(t *testing.T) {
 			t.Errorf("%s: err = %v, want %v at %s", tc.name, err, tc.want, tc.line)
 		}
 	}
+}
+
+// TestRecordReplayUnrecordableCompletion: a completion whose record would
+// not fit maxRecordBytes after JSON escaping, or that is not valid UTF-8,
+// comes back from the recording gateway as a named upstream error and is
+// recorded as one, so the recording opens and replay reproduces the error.
+// A completion that fits replays byte for byte.
+func TestRecordReplayUnrecordableCompletion(t *testing.T) {
+	const prompt = "You are assisting with automated feature engineering for a tabular dataset.\nTask: generate\n"
+	for _, tc := range []struct {
+		name, response string
+		want           error
+	}{
+		{"fits", strings.Repeat("x", 40<<10), nil},
+		{"70 KiB", strings.Repeat("x", 70<<10), errCompletionTooLong},
+		{"escaped past the cap", strings.Repeat("<", 12<<10), errCompletionTooLong},
+		{"not UTF-8", "ok\xff", errCompletionNotUTF8},
+	} {
+		path := filepath.Join(t.TempDir(), "rec.fmrec")
+		store, err := NewRecordStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, err := New(fm.NewScripted(tc.response), Options{Store: store}).Complete(context.Background(), prompt)
+		if !errors.Is(err, tc.want) {
+			t.Fatalf("%s: recording run err = %v, want %v", tc.name, err, tc.want)
+		}
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		replay, oerr := OpenReplayStore(path)
+		if oerr != nil {
+			t.Fatalf("%s: recording refused on replay: %v", tc.name, oerr)
+		}
+		rtext, rerr := New(fm.NewScripted(), Options{Store: replay}).Complete(context.Background(), prompt)
+		switch {
+		case err == nil && (rerr != nil || rtext != text || text != tc.response):
+			t.Fatalf("%s: replay = %d bytes, %v; recorded %d bytes", tc.name, len(rtext), rerr, len(text))
+		case err != nil && (rerr == nil || rerr.Error() != "fmgate: replayed upstream error: "+err.Error()):
+			t.Fatalf("%s: replay err = %v, recorded %v", tc.name, rerr, err)
+		}
+	}
+}
+
+// FuzzRecordReplay: whatever a record store writes of an upstream outcome
+// the gateway passed (recordable), the replay store reads back byte for
+// byte; and the gateway refuses only what a record could not hold. As in
+// FuzzOpenReplayStore, the first '@' of the outcome expands to pad bytes
+// of 'x', so the corpus can reach the cap.
+func FuzzRecordReplay(f *testing.F) {
+	const prompt = "You are assisting with automated feature engineering for a tabular dataset.\nTask: x\n"
+	f.Add(prompt, "42", false, uint16(0))
+	f.Add(prompt, "fm: simulated generation error", true, uint16(0))
+	f.Add("", "", false, uint16(0))
+	f.Add(strings.Repeat("p", 200)+"\n", "\"quoted\" <tag> & \u2028\n\t\x01", false, uint16(0))
+	f.Add(prompt, "bad \xff utf-8", false, uint16(0))
+	f.Add(prompt, "@", false, uint16(maxRecordBytes-recordOverhead-80))
+	f.Add(prompt, "@", false, uint16(maxRecordBytes-recordOverhead-70))
+	f.Add(prompt, "<<<<<<<<<<@", true, uint16(10<<10))
+	f.Fuzz(func(t *testing.T, prompt, out string, fail bool, pad uint16) {
+		out = strings.Replace(out, "@", strings.Repeat("x", int(pad)), 1)
+		upText, upMsg, upErr := out, "", error(nil)
+		if fail {
+			upText, upMsg, upErr = "", out, errors.New(out)
+		}
+		key := contentDigest("", "fuzz", prompt)
+		text, err := recordable(key, prompt, upText, upErr)
+		errMsg := ""
+		if err != nil {
+			errMsg = err.Error()
+		}
+		if err != upErr {
+			if !errors.Is(err, errCompletionTooLong) && !errors.Is(err, errCompletionNotUTF8) {
+				t.Fatalf("refused with an unnamed error: %v", err)
+			}
+			if line, _ := marshalRecord(key, prompt, upText, upMsg); errors.Is(err, errCompletionTooLong) && len(line) <= maxRecordBytes {
+				t.Fatalf("refused a %d-byte record", len(line))
+			}
+		} else if text != upText {
+			t.Fatalf("passed the outcome but changed its text")
+		}
+		path := filepath.Join(t.TempDir(), "rec.fmrec")
+		s, serr := NewRecordStore(path)
+		if serr != nil {
+			t.Fatal(serr)
+		}
+		if serr := s.record(key, prompt, text, errMsg); serr != nil {
+			t.Fatal(serr)
+		}
+		if serr := s.Close(); serr != nil {
+			t.Fatal(serr)
+		}
+		r, oerr := OpenReplayStore(path)
+		if oerr != nil {
+			t.Fatalf("recorded outcome not replayable: %v", oerr)
+		}
+		e, ok := r.pop(key, false)
+		if !ok || e.response != text || e.err != errMsg {
+			t.Fatalf("replayed %q/%q, recorded %q/%q", e.response, e.err, text, errMsg)
+		}
+	})
 }

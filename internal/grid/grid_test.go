@@ -1,16 +1,22 @@
 package grid
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"smartfeat/internal/experiments"
 	"smartfeat/internal/fmgate"
+	"smartfeat/internal/obs"
 )
 
 // tinyConfig keeps the grid tests fast: one small dataset, two cheap models,
@@ -315,6 +321,80 @@ func TestGridFailFastSkippedVsFailed(t *testing.T) {
 	c := res2.Counts()
 	if c[StatusCompleted] != 2 || c[StatusFailed] != 2 || c[StatusSkipped] != 0 {
 		t.Fatalf("keep-going counts = %v", c)
+	}
+}
+
+// panicOnceLocker is a shard-manifest lock whose first Lock panics, as a
+// broken coordination backend would; later calls succeed.
+type panicOnceLocker struct{ fired atomic.Bool }
+
+func (l *panicOnceLocker) Lock() error {
+	if !l.fired.Swap(true) {
+		panic("locker exploded")
+	}
+	return nil
+}
+
+func (l *panicOnceLocker) Unlock() error { return nil }
+
+// TestGridCellPanicFailsCell pins panic containment: a panic on a cell's
+// goroutine (here from the shard set's manifest lock, inside the cell's
+// execution) fails that cell with an error that starts "panic:", logs the
+// stack, puts it on the cell span, and the run goes on to the next cell.
+func TestGridCellPanicFailsCell(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Workers = 1
+	stores, err := fmgate.NewRecordStoreSet(t.TempDir(), fmgate.StoreSetManifest{ConfigHash: cfg.Fingerprint()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stores.Close()
+	stores.SetLocker(&panicOnceLocker{})
+	var logged strings.Builder
+	var mu sync.Mutex
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		fmt.Fprintf(&logged, format+"\n", args...)
+	}
+	var trace bytes.Buffer
+	tracer := obs.NewTracer(&trace, "grid-test")
+	ctx, root := obs.StartSpan(obs.WithTracer(context.Background(), tracer), "run")
+	plan := ComparisonPlan([]string{"Tennis", "Diabetes"}, []string{experiments.MethodInitial})
+	res, err := (&Runner{Config: cfg, Stores: stores, KeepGoing: true, Logf: logf}).Run(ctx, plan)
+	root.End()
+	if err := tracer.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err == nil {
+		t.Fatal("want the panicked cell reported")
+	}
+	first, second := res.Outcomes[0], res.Outcomes[1]
+	if first.Status != StatusFailed || first.Err == nil || !strings.HasPrefix(first.Err.Error(), "panic: locker exploded") {
+		t.Fatalf("panicked cell: status %s, err %v", first.Status, first.Err)
+	}
+	if second.Status != StatusCompleted {
+		t.Fatalf("cell after the panic: status %s, err %v", second.Status, second.Err)
+	}
+	if !strings.Contains(logged.String(), "panicked: locker exploded") || !strings.Contains(logged.String(), "runtime/debug.Stack") {
+		t.Fatalf("run log lacks the panic and its stack:\n%s", logged.String())
+	}
+	var stacks int
+	for _, line := range strings.Split(trace.String(), "\n") {
+		var rec struct {
+			Name  string            `json:"name"`
+			Attrs map[string]string `json:"attrs"`
+		}
+		if json.Unmarshal([]byte(line), &rec) != nil || rec.Name != "cell" || rec.Attrs["stack"] == "" {
+			continue
+		}
+		stacks++
+		if rec.Attrs["status"] != string(StatusFailed) || rec.Attrs["dataset"] != "Tennis" {
+			t.Fatalf("stack on the wrong cell span: %v", rec.Attrs)
+		}
+	}
+	if stacks != 1 {
+		t.Fatalf("%d cell spans carry a stack, want 1", stacks)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -513,11 +514,27 @@ func (r *Runner) loadPeerArtifact(st *runState, o *Outcome) bool {
 // manifest record). Each execution is one "cell" span; the span's bubbled-up
 // counts (FM calls, CAAFE iterations, model fits under it) become the cell's
 // manifest span summary when tracing is on.
+//
+// A panic raised on the cell's goroutine fails the cell instead of the
+// process: the cell is StatusFailed with an error that starts "panic:", and
+// the stack goes to the run log and onto the span as its "stack" attribute.
+// A panic on a goroutine the cell starts itself (a worker pool inside a
+// method) cannot be recovered here and still ends the process.
 func (r *Runner) executeClaimed(ctx context.Context, st *runState, o *Outcome) {
 	start := time.Now()
 	cctx, span := obs.StartSpan(ctx, "cell",
 		obs.String("dataset", o.Cell.Dataset), obs.String("method", o.Cell.Method))
-	art, err := r.executeCell(cctx, o.Cell, st.configHash)
+	art, err := func() (art *Artifact, err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				stack := debug.Stack()
+				err = fmt.Errorf("panic: %v", p)
+				r.logf("cell %-40s panicked: %v\n%s", o.Cell, p, stack)
+				span.SetAttr("stack", string(stack))
+			}
+		}()
+		return r.executeCell(cctx, o.Cell, st.configHash)
+	}()
 	st.obs.cellSeconds.ObserveDuration(time.Since(start))
 	spans := span.Counts()
 	switch {
