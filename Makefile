@@ -1,15 +1,19 @@
 GO ?= go
 PKGS := ./...
 # Kernel-level microbenchmarks (tree/forest/linear/MLP fits, MLP predict, the
-# MLP's row-sum and the logistic loss's log vector kernels, ColMatrix,
+# MLP's row-sum and the logistic loss's log vector kernels, ColMatrix's gather,
 # group-by, the per-prompt agenda render, feature realization: expression
 # evaluation, distinct counts, group-by transforms, and the AutoFeat
 # baseline's expansion and selection on Heart, whose B/op tracks its memory).
 # BenchmarkDropNANoNulls measures the null scan plus a column-list copy: since
 # columns became immutable its no-null result shares the source's series, so
 # its B/op no longer counts the column data (the trajectory steps down there).
-KERNEL_BENCH := BenchmarkTreeFit|BenchmarkForestFit|BenchmarkExtraTreesFit|BenchmarkHistogramSplit|BenchmarkLogisticFit|BenchmarkMLPFit|BenchmarkMLPPredict|BenchmarkRowsum|BenchmarkLogs|BenchmarkMatrixTakeRows|BenchmarkColMatrix|BenchmarkDropNANoNulls|BenchmarkSeriesStd|BenchmarkGroupKeys|BenchmarkAgendaRender|BenchmarkEvalRows|BenchmarkCardinality|BenchmarkGroupByTransform|BenchmarkAutoFeatRun
-KERNEL_PKGS := ./internal/ml ./internal/dataframe ./internal/core ./internal/expr ./internal/baselines/autofeat
+# BenchmarkColMatrix gathers all rows and a sorted quarter of a Bank-sized
+# frame (it built a 4,000-row matrix before, so its trajectory steps up), and
+# BenchmarkEvaluateFrame runs the five-model evaluation on the quick Bank
+# frame, whose B/op tracks what evaluation copies.
+KERNEL_BENCH := BenchmarkTreeFit|BenchmarkForestFit|BenchmarkExtraTreesFit|BenchmarkHistogramSplit|BenchmarkLogisticFit|BenchmarkMLPFit|BenchmarkMLPPredict|BenchmarkRowsum|BenchmarkLogs|BenchmarkMatrixTakeRows|BenchmarkColMatrix|BenchmarkDropNANoNulls|BenchmarkSeriesStd|BenchmarkGroupKeys|BenchmarkAgendaRender|BenchmarkEvalRows|BenchmarkCardinality|BenchmarkGroupByTransform|BenchmarkAutoFeatRun|BenchmarkEvaluateFrame
+KERNEL_PKGS := ./internal/ml ./internal/dataframe ./internal/core ./internal/expr ./internal/baselines/autofeat ./internal/experiments
 # The row-level path's benches (one Bank row serialized; a warm pass of
 # cached rows; a cold pass of distinct rows through a fresh caching gateway
 # whose window is GOMAXPROCS) run in the kernel and grid sweeps at

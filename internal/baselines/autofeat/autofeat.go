@@ -295,11 +295,6 @@ func (c candidate) values(dst []float64, cols [][]float64) {
 // trainResidual fits a logistic model on the original features over the
 // training rows and returns label − P(y=1) per training row. Nil on failure.
 func trainResidual(f *dataframe.Frame, base []string, target string, trainRows []int) []float64 {
-	X, err := f.ColMatrix(base)
-	if err != nil {
-		return nil
-	}
-	yCol := f.Column(target)
 	rows := trainRows
 	if rows == nil {
 		rows = make([]int, f.Len())
@@ -307,7 +302,11 @@ func trainResidual(f *dataframe.Frame, base []string, target string, trainRows [
 			rows[i] = i
 		}
 	}
-	Xtr := X.TakeRows(rows)
+	Xtr, err := f.ColMatrix(base, rows)
+	if err != nil {
+		return nil
+	}
+	yCol := f.Column(target)
 	ytr := make([]int, len(rows))
 	for k, i := range rows {
 		ytr[k] = int(yCol.Nums[i])

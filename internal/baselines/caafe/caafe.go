@@ -416,7 +416,7 @@ func meanValidationAUC(f *dataframe.Frame, features []string, allLabels []int, d
 	if len(features) == 0 {
 		return 0, fmt.Errorf("caafe: no features")
 	}
-	X, err := f.Take(rows).ColMatrix(features)
+	X, err := f.ColMatrix(features, rows)
 	if err != nil {
 		return 0, err
 	}

@@ -123,17 +123,17 @@ func TestDropNA(t *testing.T) {
 
 func TestMatrixAndLabels(t *testing.T) {
 	f := mustFrame(t)
-	m, err := f.ColMatrix([]string{"age", "claim"})
+	m, err := f.ColMatrix([]string{"age", "claim"}, allRows(f.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Rows() != 6 || m.At(0, 0) != 21 || m.At(0, 1) != 1 {
 		t.Fatal("matrix values wrong")
 	}
-	if _, err := f.ColMatrix([]string{"city"}); err == nil {
+	if _, err := f.ColMatrix([]string{"city"}, nil); err == nil {
 		t.Fatal("categorical matrix should error")
 	}
-	if _, err := f.ColMatrix([]string{"missing"}); err == nil {
+	if _, err := f.ColMatrix([]string{"missing"}, nil); err == nil {
 		t.Fatal("missing column should error")
 	}
 	y, err := f.IntLabels("claim")

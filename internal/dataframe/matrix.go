@@ -7,12 +7,13 @@ import (
 	"smartfeat/internal/ml"
 )
 
-// ColMatrix extracts the named numeric columns as a flat column-major
-// ml.Matrix, the compute format of the ml package. Each frame column is one
-// contiguous copy; nulls become NaN for the pipeline's imputer to repair.
-// This replaces the row-major Matrix for the training path: no per-row
-// slice allocations and no transposition on the way into the models.
-func (f *Frame) ColMatrix(names []string) (*ml.Matrix, error) {
+// ColMatrix gathers the given rows of the named numeric columns, in order,
+// into a flat column-major ml.Matrix, the compute format of the ml package.
+// Rows may repeat, and an empty row set gives a matrix with no rows. Each
+// value is written once, straight from its series; a null becomes NaN for
+// the pipeline's imputer to repair. A caller that trains on a sample gathers
+// just that sample and never builds the full-height matrix first.
+func (f *Frame) ColMatrix(names []string, rows []int) (*ml.Matrix, error) {
 	cols := make([]*Series, len(names))
 	for j, n := range names {
 		c := f.Column(n)
@@ -24,15 +25,20 @@ func (f *Frame) ColMatrix(names []string) (*ml.Matrix, error) {
 		}
 		cols[j] = c
 	}
-	out := ml.NewMatrix(f.Len(), len(names))
+	out := ml.NewMatrix(len(rows), len(names))
 	for j, c := range cols {
-		dst := out.Col(j)
-		copy(dst, c.Nums)
-		if c.Null != nil {
-			for i, isNull := range c.Null {
-				if isNull {
-					dst[i] = math.NaN()
-				}
+		dst, src := out.Col(j), c.Nums
+		if c.Null == nil {
+			for k, i := range rows {
+				dst[k] = src[i]
+			}
+			continue
+		}
+		for k, i := range rows {
+			if c.Null[i] {
+				dst[k] = math.NaN()
+			} else {
+				dst[k] = src[i]
 			}
 		}
 	}

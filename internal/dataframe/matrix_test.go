@@ -3,8 +3,19 @@ package dataframe
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 )
+
+// allRows returns the row set 0 … n-1, the full-height gather.
+func allRows(n int) []int {
+	rows := make([]int, n)
+	for i := range rows {
+		rows[i] = i
+	}
+	return rows
+}
 
 func colMatrixFixture(t testing.TB) *Frame {
 	t.Helper()
@@ -24,7 +35,7 @@ func colMatrixFixture(t testing.TB) *Frame {
 func TestColMatrixMatchesRowMajor(t *testing.T) {
 	f := colMatrixFixture(t)
 	names := []string{"a", "b"}
-	m, err := f.ColMatrix(names)
+	m, err := f.ColMatrix(names, allRows(f.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +64,7 @@ func TestColMatrixMaskedNullBecomesNaN(t *testing.T) {
 	if err := f.Add(s); err != nil {
 		t.Fatal(err)
 	}
-	m, err := f.ColMatrix([]string{"v"})
+	m, err := f.ColMatrix([]string{"v"}, allRows(f.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +78,78 @@ func TestColMatrixMaskedNullBecomesNaN(t *testing.T) {
 
 func TestColMatrixErrors(t *testing.T) {
 	f := colMatrixFixture(t)
-	if _, err := f.ColMatrix([]string{"ghost"}); err == nil {
+	if _, err := f.ColMatrix([]string{"ghost"}, nil); err == nil {
 		t.Fatal("missing column should error")
 	}
-	if _, err := f.ColMatrix([]string{"c"}); err == nil {
+	if _, err := f.ColMatrix([]string{"c"}, nil); err == nil {
 		t.Fatal("categorical column should error")
+	}
+}
+
+// TestColMatrixGatherMatchesTakeRows pins the row gather against the
+// full-height matrix cut by TakeRows, bit for bit, over random row sets:
+// sorted samples like a train/test split, unsorted ones with repeats like a
+// bootstrap, and the empty set. Two columns hold nulls, one as a mask over
+// finite values and one as NaN values of its own.
+func TestColMatrixGatherMatchesTakeRows(t *testing.T) {
+	const n = 300
+	rng := rand.New(rand.NewSource(5))
+	f := New()
+	for j := 0; j < 4; j++ {
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = rng.NormFloat64() * float64(j+1)
+			if j == 3 && i%7 == 0 {
+				vals[i] = math.NaN()
+			}
+		}
+		s := NewNumeric(fmt.Sprintf("c%d", j), vals)
+		if j == 2 {
+			for i := 0; i < n; i += 5 {
+				s.setNull(i) // masked: the value underneath stays finite
+			}
+		}
+		if err := f.Add(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	names := f.Names()
+	full, err := f.ColMatrix(names, allRows(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := [][]int{nil, {}, {0}, {n - 1, n - 1, 0, 0}}
+	for trial := 0; trial < 20; trial++ {
+		k := rng.Intn(2 * n)
+		rows := make([]int, k)
+		for i := range rows {
+			rows[i] = rng.Intn(n) // repeats and any order
+		}
+		if trial%2 == 0 {
+			rows = rng.Perm(n)[:k/2]
+			sort.Ints(rows)
+		}
+		sets = append(sets, rows)
+	}
+	for _, rows := range sets {
+		got, err := f.ColMatrix(names, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := full.TakeRows(rows)
+		if got.Rows() != len(rows) || got.Cols() != len(names) {
+			t.Fatalf("gather of %d rows: shape %d×%d", len(rows), got.Rows(), got.Cols())
+		}
+		for j := range names {
+			for i := range rows {
+				if g, w := math.Float64bits(got.At(i, j)), math.Float64bits(want.At(i, j)); g != w {
+					t.Fatalf("gather of %d rows: cell %d,%d bits %x, want %x", len(rows), i, j, g, w)
+				}
+			}
+		}
+	}
+	if !math.IsNaN(full.At(0, 2)) || !math.IsNaN(full.At(0, 3)) || math.IsNaN(full.At(1, 2)) {
+		t.Fatal("the fixture's null columns should read NaN at row 0 and a value at row 1")
 	}
 }
 
@@ -154,9 +232,12 @@ func TestAppendKeyMatchesSprintfFormat(t *testing.T) {
 	}
 }
 
+// BenchmarkColMatrix gathers from a Bank-sized frame (41,189 rows, 25
+// numeric columns): every row, as Table 6's importance path does, and a
+// sorted quarter of them, the evaluation protocol's test split.
 func BenchmarkColMatrix(b *testing.B) {
 	f := New()
-	n := 4000
+	n := 41189
 	for j := 0; j < 25; j++ {
 		vals := make([]float64, n)
 		for i := range vals {
@@ -167,12 +248,20 @@ func BenchmarkColMatrix(b *testing.B) {
 		}
 	}
 	names := f.Names()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.ColMatrix(names); err != nil {
-			b.Fatal(err)
-		}
+	quarter := rand.New(rand.NewSource(1)).Perm(n)[:n/4]
+	sort.Ints(quarter)
+	for _, bc := range []struct {
+		name string
+		rows []int
+	}{{"all", allRows(n)}, {"quarter", quarter}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := f.ColMatrix(names, bc.rows); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -156,17 +156,20 @@ func evalRawAUC(t *testing.T, d *Dataset, maxRows int) float64 {
 			featNames = append(featNames, n)
 		}
 	}
-	X, err := f.ColMatrix(featNames)
-	if err != nil {
-		t.Fatal(err)
-	}
 	y, err := f.IntLabels(d.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	train, test := metrics.TrainTestSplit(X.Rows(), 0.25, 11)
-	Xtr, ytr := X.TakeRows(train), metrics.TakeLabels(y, train)
-	Xte, yte := X.TakeRows(test), metrics.TakeLabels(y, test)
+	train, test := metrics.TrainTestSplit(f.Len(), 0.25, 11)
+	Xtr, err := f.ColMatrix(featNames, train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	Xte, err := f.ColMatrix(featNames, test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ytr, yte := metrics.TakeLabels(y, train), metrics.TakeLabels(y, test)
 	pipe := ml.NewPipeline(ml.NewLogistic())
 	if err := pipe.Fit(Xtr, ytr); err != nil {
 		t.Fatal(err)

@@ -136,7 +136,21 @@ func EvaluateFrame(ctx context.Context, f *dataframe.Frame, target string, model
 	if len(features) == 0 {
 		return nil, nil, fmt.Errorf("experiments: no features to evaluate")
 	}
-	X, err := g.ColMatrix(features)
+	testFrac := cfg.TestFrac
+	if testFrac <= 0 || testFrac >= 1 {
+		testFrac = 0.25
+	}
+	train, test := metrics.TrainTestSplit(g.Len(), testFrac, cfg.Seed)
+	if cfg.MaxTrainRows > 0 && len(train) > cfg.MaxTrainRows {
+		train = train[:cfg.MaxTrainRows]
+	}
+	// Only the sampled train and test rows are gathered into matrices; the
+	// models share them read-only (ml.Pipeline copies only what it writes).
+	Xtr, err := g.ColMatrix(features, train)
+	if err != nil {
+		return nil, nil, err
+	}
+	Xte, err := g.ColMatrix(features, test)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -144,16 +158,7 @@ func EvaluateFrame(ctx context.Context, f *dataframe.Frame, target string, model
 	if err != nil {
 		return nil, nil, err
 	}
-	testFrac := cfg.TestFrac
-	if testFrac <= 0 || testFrac >= 1 {
-		testFrac = 0.25
-	}
-	train, test := metrics.TrainTestSplit(X.Rows(), testFrac, cfg.Seed)
-	if cfg.MaxTrainRows > 0 && len(train) > cfg.MaxTrainRows {
-		train = train[:cfg.MaxTrainRows]
-	}
-	Xtr, ytr := X.TakeRows(train), metrics.TakeLabels(y, train)
-	Xte, yte := X.TakeRows(test), metrics.TakeLabels(y, test)
+	ytr, yte := metrics.TakeLabels(y, train), metrics.TakeLabels(y, test)
 	type outcome struct {
 		auc     float64
 		ok      bool

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -22,6 +24,12 @@ func (cfg Config) workers() int {
 // loop (no goroutines) — the sequential reference the equivalence tests pin
 // against. Exported for the grid runner, which schedules cells with the
 // same guarantees.
+//
+// A task's panic does not end the process from a worker goroutine, where no
+// caller could recover it: the pool stops handing out indices, lets the
+// running tasks finish, and re-raises on the caller's goroutine a
+// *TaskPanic holding the panic of the lowest panicking index and the stack
+// of the goroutine that raised it.
 func ForEachIndex(workers, n int, fn func(int)) {
 	if n <= 0 {
 		return
@@ -29,29 +37,65 @@ func ForEachIndex(workers, n int, fn func(int)) {
 	if workers > n {
 		workers = n
 	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := int64(-1)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
+	var (
+		mu      sync.Mutex
+		first   *TaskPanic
+		firstAt int
+		stop    atomic.Bool
+	)
+	run := func(i int) {
+		defer func() {
+			if p := recover(); p != nil {
+				tp, ok := p.(*TaskPanic) // a nested pool's: keep its stack
+				if !ok {
+					tp = &TaskPanic{Value: p, Stack: debug.Stack()}
 				}
-				fn(i)
+				mu.Lock()
+				if first == nil || i < firstAt {
+					first, firstAt = tp, i
+				}
+				mu.Unlock()
+				stop.Store(true)
 			}
 		}()
+		fn(i)
 	}
-	wg.Wait()
+	if workers <= 1 {
+		for i := 0; i < n && !stop.Load(); i++ {
+			run(i)
+		}
+	} else {
+		var wg sync.WaitGroup
+		var next atomic.Int64
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for !stop.Load() {
+					i := int(next.Add(1)) - 1
+					if i >= n {
+						return
+					}
+					run(i)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if first != nil {
+		panic(first)
+	}
 }
+
+// TaskPanic is what ForEachIndex re-raises when a task panicked: the task's
+// panic value and the stack of the goroutine it panicked on.
+type TaskPanic struct {
+	Value any
+	Stack []byte
+}
+
+// Error formats the task's panic value alone; the stack stays in Stack.
+func (p *TaskPanic) Error() string { return fmt.Sprint(p.Value) }
 
 // dnnFirst returns the indices of models with the DNN's first: its fit is
 // the longest, so on a bounded pool it starts while the cheaper fits share

@@ -238,7 +238,11 @@ func table6ForFrame(f *dataframe.Frame, target string, newCols []string, seed in
 			features = append(features, n)
 		}
 	}
-	X, err := g.ColMatrix(features)
+	all := make([]int, g.Len())
+	for i := range all {
+		all[i] = i
+	}
+	X, err := g.ColMatrix(features, all)
 	if err != nil {
 		return 0, 0, 0, err
 	}

@@ -62,25 +62,32 @@ type Concurrent interface {
 	Concurrency() int
 }
 
-// CacheableTask reports whether a prompt's completion may be served from a
-// content-addressed cache. Sampling-strategy prompts are excluded: the
-// pipeline intentionally reissues the identical prompt to draw *different*
-// candidates (temperature > 0 semantics), so replaying one completion for
-// all of them would collapse the sampled space. Deterministic tasks —
-// unary proposals, function generation, row-level completions — are safe.
-func CacheableTask(prompt string) bool {
+// PromptTask returns the value of a prompt's first "Task:" header line,
+// trimmed; "" when the prompt has none. It walks the prompt in place.
+func PromptTask(prompt string) string {
 	for rest, more := prompt, true; more; {
 		var line string
 		line, rest, more = strings.Cut(rest, "\n")
 		if task, ok := strings.CutPrefix(line, "Task:"); ok {
-			switch strings.TrimSpace(task) {
-			case TaskSampleBinary, TaskSampleHighOrder, TaskSampleExtractor:
-				return false
-			}
-			return true
+			return strings.TrimSpace(task)
 		}
 	}
-	return false
+	return ""
+}
+
+// CacheableTask reports whether a completion for a prompt of this task (its
+// PromptTask) may be served from a content-addressed cache. Sampling-strategy
+// prompts are excluded: the pipeline intentionally reissues the identical
+// prompt to draw *different* candidates (temperature > 0 semantics), so
+// replaying one completion for all of them would collapse the sampled space.
+// Deterministic tasks — unary proposals, function generation, row-level
+// completions — are safe. A prompt without a task is not cacheable.
+func CacheableTask(task string) bool {
+	switch task {
+	case "", TaskSampleBinary, TaskSampleHighOrder, TaskSampleExtractor:
+		return false
+	}
+	return true
 }
 
 // Usage accumulates per-model API accounting. Latency and cost are simulated

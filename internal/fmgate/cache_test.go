@@ -167,7 +167,7 @@ func TestLRUCachePrefixCollision(t *testing.T) {
 
 // TestGatewayHitAllocs holds a cached Complete at zero allocations: the
 // content address is hashed from a pooled buffer, the LRU is looked up by
-// its binary digest, and fm.CacheableTask walks the prompt in place.
+// its binary digest, and fm.PromptTask walks the prompt in place.
 func TestGatewayHitAllocs(t *testing.T) {
 	g := New(echoModel{}, Options{CacheSize: 8})
 	ctx := context.Background()

@@ -63,8 +63,9 @@ type Options struct {
 	// keys (recordings made before scopes existed stay replayable).
 	Scope string
 	// CacheSize is the LRU capacity in completions; 0 disables caching.
-	// Only prompts fm.CacheableTask admits are cached and deduplicated:
-	// reissuing an identical sampling prompt must draw a fresh candidate.
+	// Only prompts whose task fm.CacheableTask admits are cached and
+	// deduplicated: reissuing an identical sampling prompt must draw a
+	// fresh candidate.
 	CacheSize int
 	// Store is the record/replay store (optional). A record store
 	// (NewRecordStore) appends every upstream outcome. A replay store
@@ -347,7 +348,8 @@ func (g *Gateway) Submit(ctx context.Context, prompt string) <-chan fm.Result {
 // complete is the shared request path: cache, singleflight, bounded
 // upstream call with retries. cached reports the completion did not reach
 // a paid upstream model. Every request is one fm.call span (when a tracer is
-// installed) and one fm_request_seconds observation.
+// installed), labelled with the gateway's role and the prompt's task, and
+// one fm_request_seconds observation.
 func (g *Gateway) complete(ctx context.Context, prompt string) (text string, cached bool, err error) {
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "fm.call")
@@ -356,6 +358,7 @@ func (g *Gateway) complete(ctx context.Context, prompt string) (text string, cac
 		outcome = "replay"
 	}
 	tier := ""
+	task := fm.PromptTask(prompt)
 	g.ins.requests.Inc()
 	defer func() {
 		if err != nil {
@@ -367,13 +370,15 @@ func (g *Gateway) complete(ctx context.Context, prompt string) (text string, cac
 		if tier != "" {
 			span.SetAttr("cache_tier", tier)
 		}
+		span.SetAttr("role", g.opts.Role)
+		span.SetAttr("task", task)
 		span.End()
 	}()
 	if err = ctx.Err(); err != nil {
 		return "", false, err
 	}
 	key := contentDigest(g.opts.Scope, g.model.Name(), prompt)
-	shareable := fm.CacheableTask(prompt)
+	shareable := fm.CacheableTask(task)
 
 	if shareable && g.cache != nil {
 		if text, ok := g.cache.get(key); ok {

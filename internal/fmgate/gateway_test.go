@@ -3,10 +3,12 @@ package fmgate
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,6 +18,7 @@ import (
 	"smartfeat/internal/core"
 	"smartfeat/internal/dataframe"
 	"smartfeat/internal/fm"
+	"smartfeat/internal/obs"
 )
 
 // countingModel is a concurrency-tolerant fm.Model double: it counts
@@ -914,6 +917,44 @@ func TestLRUCacheEviction(t *testing.T) {
 	}
 }
 
+// TestGatewaySpanRoleAndTask checks every fm.call span names the gateway's
+// role and the prompt's task, upstream and cached alike.
+func TestGatewaySpanRoleAndTask(t *testing.T) {
+	var trace bytes.Buffer
+	tracer := obs.NewTracer(&trace, "fmgate-test")
+	ctx := obs.WithTracer(context.Background(), tracer)
+	g := New(echoModel{}, Options{CacheSize: 8, Role: "generator"})
+	prompt := "Header\nTask:  " + fm.TaskGenerateFunction + " \nbody"
+	for i := 0; i < 2; i++ {
+		if _, err := g.Complete(ctx, prompt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := g.Complete(ctx, "no task header"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tracer.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(trace.String()), "\n") {
+		var rec struct {
+			Name  string            `json:"name"`
+			Attrs map[string]string `json:"attrs"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Name == "fm.call" {
+			got = append(got, rec.Attrs["outcome"]+" "+rec.Attrs["role"]+" "+rec.Attrs["task"])
+		}
+	}
+	want := []string{"upstream generator " + fm.TaskGenerateFunction, "cache generator " + fm.TaskGenerateFunction, "upstream generator "}
+	if !slices.Equal(got, want) {
+		t.Fatalf("fm.call spans (outcome role task) = %q, want %q", got, want)
+	}
+}
+
 // TestCacheableTask pins the sampling-vs-deterministic prompt split.
 func TestCacheableTask(t *testing.T) {
 	cases := map[string]bool{
@@ -924,9 +965,10 @@ func TestCacheableTask(t *testing.T) {
 		"Task: " + fm.TaskGenerateFunction + "\nx": true,
 		"Task: " + fm.TaskCompleteRow + "\nx":      true,
 		"no task header":                           false,
+		"Task:  \nx":                               false,
 	}
 	for prompt, want := range cases {
-		if got := fm.CacheableTask(prompt); got != want {
+		if got := fm.CacheableTask(fm.PromptTask(prompt)); got != want {
 			t.Fatalf("CacheableTask(%q) = %v, want %v", prompt, got, want)
 		}
 	}

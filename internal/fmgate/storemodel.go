@@ -45,7 +45,7 @@ func (m *StoreModel) Complete(ctx context.Context, prompt string) (string, error
 		return "", err
 	}
 	key := contentDigest(m.scope, m.name, prompt)
-	e, ok := m.store.pop(key, fm.CacheableTask(prompt))
+	e, ok := m.store.pop(key, fm.CacheableTask(fm.PromptTask(prompt)))
 	if !ok {
 		return "", fmt.Errorf("fmgate: replay miss for prompt %s (%s)", key, firstLine(prompt))
 	}

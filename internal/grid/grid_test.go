@@ -337,11 +337,48 @@ func (l *panicOnceLocker) Lock() error {
 
 func (l *panicOnceLocker) Unlock() error { return nil }
 
+// poolPanicLocker is a shard-manifest lock whose first Lock panics on a
+// worker of a pool it starts, as a method's model pool would.
+type poolPanicLocker struct{ fired atomic.Bool }
+
+func (l *poolPanicLocker) Lock() error {
+	if !l.fired.Swap(true) {
+		experiments.ForEachIndex(2, 2, func(i int) {
+			if i == 1 {
+				panic("locker exploded")
+			}
+		})
+	}
+	return nil
+}
+
+func (l *poolPanicLocker) Unlock() error { return nil }
+
 // TestGridCellPanicFailsCell pins panic containment: a panic on a cell's
 // goroutine (here from the shard set's manifest lock, inside the cell's
 // execution) fails that cell with an error that starts "panic:", logs the
-// stack, puts it on the cell span, and the run goes on to the next cell.
+// stack, puts it on the cell span, and the run goes on to the next cell. A
+// panic on a worker of a pool the cell starts (experiments.ForEachIndex)
+// does the same, and the stack reported is the worker's.
 func TestGridCellPanicFailsCell(t *testing.T) {
+	t.Run("cell", func(t *testing.T) {
+		stack := checkCellPanic(t, &panicOnceLocker{})
+		if !strings.Contains(stack, "executeClaimed") {
+			t.Fatalf("stack is not the cell goroutine's:\n%s", stack)
+		}
+	})
+	t.Run("pool", func(t *testing.T) {
+		stack := checkCellPanic(t, &poolPanicLocker{})
+		if !strings.Contains(stack, "poolPanicLocker") || strings.Contains(stack, "executeClaimed") {
+			t.Fatalf("stack is not the pool worker's:\n%s", stack)
+		}
+	})
+}
+
+// checkCellPanic runs two cells whose first shard lock panics through
+// locker and returns the stack on the failed cell's span.
+func checkCellPanic(t *testing.T, locker fmgate.Locker) string {
+	t.Helper()
 	cfg := tinyConfig()
 	cfg.Workers = 1
 	stores, err := fmgate.NewRecordStoreSet(t.TempDir(), fmgate.StoreSetManifest{ConfigHash: cfg.Fingerprint()})
@@ -349,7 +386,7 @@ func TestGridCellPanicFailsCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stores.Close()
-	stores.SetLocker(&panicOnceLocker{})
+	stores.SetLocker(locker)
 	var logged strings.Builder
 	var mu sync.Mutex
 	logf := func(format string, args ...any) {
@@ -379,7 +416,7 @@ func TestGridCellPanicFailsCell(t *testing.T) {
 	if !strings.Contains(logged.String(), "panicked: locker exploded") || !strings.Contains(logged.String(), "runtime/debug.Stack") {
 		t.Fatalf("run log lacks the panic and its stack:\n%s", logged.String())
 	}
-	var stacks int
+	var stacks []string
 	for _, line := range strings.Split(trace.String(), "\n") {
 		var rec struct {
 			Name  string            `json:"name"`
@@ -388,14 +425,15 @@ func TestGridCellPanicFailsCell(t *testing.T) {
 		if json.Unmarshal([]byte(line), &rec) != nil || rec.Name != "cell" || rec.Attrs["stack"] == "" {
 			continue
 		}
-		stacks++
+		stacks = append(stacks, rec.Attrs["stack"])
 		if rec.Attrs["status"] != string(StatusFailed) || rec.Attrs["dataset"] != "Tennis" {
 			t.Fatalf("stack on the wrong cell span: %v", rec.Attrs)
 		}
 	}
-	if stacks != 1 {
-		t.Fatalf("%d cell spans carry a stack, want 1", stacks)
+	if len(stacks) != 1 {
+		t.Fatalf("%d cell spans carry a stack, want 1", len(stacks))
 	}
+	return stacks[0]
 }
 
 // TestGridCancelledRunsNothing pins cancellation: an already-cancelled

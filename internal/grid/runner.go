@@ -518,8 +518,11 @@ func (r *Runner) loadPeerArtifact(st *runState, o *Outcome) bool {
 // A panic raised on the cell's goroutine fails the cell instead of the
 // process: the cell is StatusFailed with an error that starts "panic:", and
 // the stack goes to the run log and onto the span as its "stack" attribute.
-// A panic on a goroutine the cell starts itself (a worker pool inside a
-// method) cannot be recovered here and still ends the process.
+// The worker pools a cell starts itself (experiments.ForEachIndex: the
+// model pool, CAAFE's sessions) re-raise a task's panic on the cell's
+// goroutine as an *experiments.TaskPanic; its stack, the panicking
+// worker's, is the one reported. A panic on any other goroutine a cell
+// starts (a forest's tree pool) still ends the process.
 func (r *Runner) executeClaimed(ctx context.Context, st *runState, o *Outcome) {
 	start := time.Now()
 	cctx, span := obs.StartSpan(ctx, "cell",
@@ -528,6 +531,9 @@ func (r *Runner) executeClaimed(ctx context.Context, st *runState, o *Outcome) {
 		defer func() {
 			if p := recover(); p != nil {
 				stack := debug.Stack()
+				if tp, ok := p.(*experiments.TaskPanic); ok {
+					stack = tp.Stack
+				}
 				err = fmt.Errorf("panic: %v", p)
 				r.logf("cell %-40s panicked: %v\n%s", o.Cell, p, stack)
 				span.SetAttr("stack", string(stack))

@@ -86,7 +86,8 @@ func TrainTestSplit(n int, testFrac float64, seed int64) (train, test []int) {
 }
 
 // TakeLabels gathers y at the given row indices — the label-side companion
-// of ml.Matrix.TakeRows for the splits TrainTestSplit produces.
+// of the row gathers (dataframe.Frame.ColMatrix, ml.Matrix.TakeRows) for the
+// splits TrainTestSplit produces.
 func TakeLabels(y []int, idx []int) []int {
 	out := make([]int, len(idx))
 	for k, i := range idx {

@@ -35,9 +35,6 @@ type Forest struct {
 	trees  []*Tree
 	numFea int
 	fitted bool
-	// noPresort disables the shared root-split cache (equivalence tests
-	// pin the cached kernel against this reference path).
-	noPresort bool
 }
 
 // NewRandomForest builds a random forest configuration ("RF").
@@ -80,6 +77,21 @@ func (f *Forest) Fit(X *Matrix, y []int) error {
 	if err := validate(X, y); err != nil {
 		return err
 	}
+	var presort *forestPresort
+	if !f.Bootstrap && !f.histogramSplits() {
+		presort = newForestPresort(X, y)
+	}
+	return f.fit(X, y, presort)
+}
+
+// histogramSplits reports whether split finding is histogram-binned: the
+// greedy rule with Histogram on.
+func (f *Forest) histogramSplits() bool { return f.Histogram && !f.RandomSplits }
+
+// fit trains the trees on validated inputs. presort is the shared root-split
+// cache of a non-bootstrap forest, nil for the per-tree reference path that
+// the equivalence tests pin it against.
+func (f *Forest) fit(X *Matrix, y []int, presort *forestPresort) error {
 	if f.NumTrees <= 0 {
 		f.NumTrees = 40
 	}
@@ -96,14 +108,10 @@ func (f *Forest) Fit(X *Matrix, y []int) error {
 	// every tree (bins depend only on the full training column, so they
 	// are valid for bootstrap resamples too); the exact greedy kernel
 	// instead shares root-split sorted orders on non-bootstrap forests.
-	histOn := f.Histogram && !f.RandomSplits
+	histOn := f.histogramSplits()
 	var bins *binSet
 	if histOn {
 		bins = newBinSet(X, y, f.MaxBins)
-	}
-	var presort *forestPresort
-	if !f.Bootstrap && !f.noPresort && !histOn {
-		presort = newForestPresort(X, y)
 	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > f.NumTrees {

@@ -1,5 +1,7 @@
 package ml
 
+import "math"
+
 // Matrix is a dense feature matrix stored as one flat column-major
 // []float64: column j occupies data[j*rows : (j+1)*rows]. Column-major
 // layout is the compute-friendly orientation for every model in this
@@ -60,6 +62,16 @@ func (m *Matrix) Clone() *Matrix {
 	out := &Matrix{rows: m.rows, cols: m.cols, data: make([]float64, len(m.data))}
 	copy(out.data, m.data)
 	return out
+}
+
+// hasNaN reports whether any element is NaN.
+func (m *Matrix) hasNaN() bool {
+	for _, v := range m.data {
+		if math.IsNaN(v) {
+			return true
+		}
+	}
+	return false
 }
 
 // TakeRows returns a new matrix holding the given rows, in order (rows may

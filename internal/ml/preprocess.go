@@ -86,11 +86,10 @@ func (sc *Scaler) Fit(X *Matrix) error {
 	return nil
 }
 
-// Transform returns a standardized copy of X.
-func (sc *Scaler) Transform(X *Matrix) *Matrix {
-	out := X.Clone()
-	for j := 0; j < out.Cols(); j++ {
-		col := out.Col(j)
+// standardize rescales X's columns in place with the learned statistics.
+func (sc *Scaler) standardize(X *Matrix) {
+	for j := 0; j < X.Cols(); j++ {
+		col := X.Col(j)
 		if j < len(sc.stds) && sc.stds[j] > 0 {
 			m, s := sc.means[j], sc.stds[j]
 			for i, v := range col {
@@ -102,12 +101,14 @@ func (sc *Scaler) Transform(X *Matrix) *Matrix {
 			}
 		}
 	}
-	return out
 }
 
 // Pipeline wraps a classifier with mean imputation and (for the models that
 // need it) standardization — the evaluation protocol the paper applies
-// uniformly to every method's feature output.
+// uniformly to every method's feature output. It never writes the caller's
+// matrix, and copies it only when preprocessing has something to write: with
+// no NaN to fill and no scaling the model reads the caller's matrix (no model
+// writes its input), otherwise one copy is imputed and standardized in place.
 type Pipeline struct {
 	model   Classifier
 	imputer Imputer
@@ -125,6 +126,15 @@ func NewPipeline(model Classifier) *Pipeline {
 // Name returns the wrapped model's name.
 func (p *Pipeline) Name() string { return p.model.Name() }
 
+// imputed returns X itself when preprocessing will write nothing into it,
+// and otherwise the imputed copy that scaling may then write in place.
+func (p *Pipeline) imputed(X *Matrix) *Matrix {
+	if !p.scale && !X.hasNaN() {
+		return X
+	}
+	return p.imputer.Transform(X)
+}
+
 // Fit trains the preprocessing and the model. Like sklearn's input
 // validation, it rejects infinite values: imputation repairs NaN, but a
 // feature containing ±Inf (e.g. an unguarded divide-by-zero from a code
@@ -134,7 +144,7 @@ func (p *Pipeline) Fit(X *Matrix, y []int) error {
 	if err := p.imputer.Fit(X); err != nil {
 		return err
 	}
-	Xi := p.imputer.Transform(X)
+	Xi := p.imputed(X)
 	// Scan each contiguous column for ±Inf, then report the row-major-first
 	// occurrence (smallest row, then column) — same coordinates the old
 	// row-major loop produced, without its strided traversal.
@@ -159,16 +169,16 @@ func (p *Pipeline) Fit(X *Matrix, y []int) error {
 		if err := p.scaler.Fit(Xi); err != nil {
 			return err
 		}
-		Xi = p.scaler.Transform(Xi)
+		p.scaler.standardize(Xi)
 	}
 	return p.model.Fit(Xi, y)
 }
 
 // PredictProba applies the fitted preprocessing and scores the rows.
 func (p *Pipeline) PredictProba(X *Matrix) []float64 {
-	Xi := p.imputer.Transform(X)
+	Xi := p.imputed(X)
 	if p.scale {
-		Xi = p.scaler.Transform(Xi)
+		p.scaler.standardize(Xi)
 	}
 	return p.model.PredictProba(Xi)
 }

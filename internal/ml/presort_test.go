@@ -24,16 +24,15 @@ func presortTestData(rows, cols int, seed int64) (*Matrix, []int) {
 }
 
 // fitPair trains two identically-seeded forests, one with the shared presort
-// cache and one on the per-tree reference path.
+// cache and one on the per-tree reference path (no cache passed to fit).
 func fitPair(t *testing.T, mk func() *Forest, X *Matrix, y []int) (*Forest, *Forest) {
 	t.Helper()
 	cached := mk()
 	reference := mk()
-	reference.noPresort = true
 	if err := cached.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	if err := reference.Fit(X, y); err != nil {
+	if err := reference.fit(X, y, nil); err != nil {
 		t.Fatal(err)
 	}
 	return cached, reference
@@ -143,8 +142,7 @@ func BenchmarkExtraTreesFitPresort(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			f := NewExtraTrees(40, 7)
-			f.noPresort = true
-			if err := f.Fit(X, y); err != nil {
+			if err := f.fit(X, y, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -152,13 +150,11 @@ func BenchmarkExtraTreesFitPresort(b *testing.B) {
 	// Greedy splits over the shared index set are where whole sorts are
 	// eliminated (the random-split rule above never sorted; it only saves
 	// its root min/max and counting scans).
-	greedy := func(noPresort bool) *Forest {
-		return &Forest{NumTrees: 40, Seed: 7, noPresort: noPresort}
-	}
+	greedy := func() *Forest { return &Forest{NumTrees: 40, Seed: 7} }
 	b.Run("greedy-shared", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := greedy(false).Fit(X, y); err != nil {
+			if err := greedy().Fit(X, y); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -166,7 +162,7 @@ func BenchmarkExtraTreesFitPresort(b *testing.B) {
 	b.Run("greedy-per-tree", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := greedy(true).Fit(X, y); err != nil {
+			if err := greedy().fit(X, y, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
