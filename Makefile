@@ -11,9 +11,12 @@ PKGS := ./...
 # BenchmarkColMatrix gathers all rows and a sorted quarter of a Bank-sized
 # frame (it built a 4,000-row matrix before, so its trajectory steps up), and
 # BenchmarkEvaluateFrame runs the five-model evaluation on the quick Bank
-# frame, whose B/op tracks what evaluation copies.
-KERNEL_BENCH := BenchmarkTreeFit|BenchmarkForestFit|BenchmarkExtraTreesFit|BenchmarkHistogramSplit|BenchmarkLogisticFit|BenchmarkMLPFit|BenchmarkMLPPredict|BenchmarkRowsum|BenchmarkLogs|BenchmarkMatrixTakeRows|BenchmarkColMatrix|BenchmarkDropNANoNulls|BenchmarkSeriesStd|BenchmarkGroupKeys|BenchmarkAgendaRender|BenchmarkEvalRows|BenchmarkCardinality|BenchmarkGroupByTransform|BenchmarkAutoFeatRun|BenchmarkEvaluateFrame
-KERNEL_PKGS := ./internal/ml ./internal/dataframe ./internal/core ./internal/expr ./internal/baselines/autofeat ./internal/experiments
+# frame, whose B/op tracks what evaluation copies. BenchmarkLoadDatasets
+# generates all eight datasets, whose categorical columns are written as
+# dictionary codes, and BenchmarkFactorizeAll codes the quick Bank frame's
+# eight categorical columns: their B/op tracks what the tables cost.
+KERNEL_BENCH := BenchmarkTreeFit|BenchmarkForestFit|BenchmarkExtraTreesFit|BenchmarkHistogramSplit|BenchmarkLogisticFit|BenchmarkMLPFit|BenchmarkMLPPredict|BenchmarkRowsum|BenchmarkLogs|BenchmarkMatrixTakeRows|BenchmarkColMatrix|BenchmarkDropNANoNulls|BenchmarkSeriesStd|BenchmarkGroupKeys|BenchmarkAgendaRender|BenchmarkEvalRows|BenchmarkCardinality|BenchmarkGroupByTransform|BenchmarkAutoFeatRun|BenchmarkEvaluateFrame|BenchmarkLoadDatasets|BenchmarkFactorizeAll
+KERNEL_PKGS := ./internal/ml ./internal/dataframe ./internal/core ./internal/expr ./internal/baselines/autofeat ./internal/experiments ./internal/datasets
 # The row-level path's benches (one Bank row serialized; a warm pass of
 # cached rows; a cold pass of distinct rows through a fresh caching gateway
 # whose window is GOMAXPROCS) run in the kernel and grid sweeps at

@@ -80,7 +80,7 @@ func TestRunErrors(t *testing.T) {
 		t.Fatal("missing target should error")
 	}
 	g := dataframe.New()
-	_ = g.AddCategorical("c", []string{"a", "b"})
+	_ = g.Add(dataframe.NewCategorical("c", []string{"a", "b"}))
 	_ = g.AddNumeric("y", []float64{0, 1})
 	if _, err := Run(g, "y", DefaultConfig()); err == nil {
 		t.Fatal("no numeric features should error")

@@ -38,7 +38,7 @@ func venueFrame(t *testing.T) *dataframe.Frame {
 	for i := range venues {
 		venues[i] = []string{"home", "away", "neutral"}[i%3]
 	}
-	if err := f.AddCategorical("Venue", venues); err != nil {
+	if err := f.Add(dataframe.NewCategorical("Venue", venues)); err != nil {
 		t.Fatal(err)
 	}
 	return f

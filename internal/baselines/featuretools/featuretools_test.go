@@ -19,7 +19,7 @@ func testFrame(t *testing.T) *dataframe.Frame {
 	if err := f.AddNumeric("c", []float64{0, 1, 0, 1, 0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.AddCategorical("g", []string{"x", "x", "y", "y", "z", "z"}); err != nil {
+	if err := f.Add(dataframe.NewCategorical("g", []string{"x", "x", "y", "y", "z", "z"})); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.AddNumeric("y", []float64{0, 1, 0, 1, 0, 1}); err != nil {

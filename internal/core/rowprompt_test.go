@@ -25,7 +25,7 @@ func valueStringFmt(s *dataframe.Series, i int) string {
 		}
 		return fmt.Sprintf("%g", v)
 	}
-	return s.Strs[i]
+	return s.ValueString(i)
 }
 
 func serializeRowFmt(f *dataframe.Frame, i int) string {
@@ -85,16 +85,18 @@ func TestAppendValueMatchesFmt(t *testing.T) {
 	if err := f.AddNumeric("Age", nums); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.AddCategorical("City \"q\"\t\xff", strs); err != nil {
+	if err := f.Add(dataframe.NewCategorical("City \"q\"\t\xff", strs)); err != nil {
 		t.Fatal(err)
 	}
 	nullNums := make([]float64, len(nums))
 	nullStrs := make([]string, len(nums))
-	null := dataframe.NewCategorical("Make", nullStrs)
-	null.Null = make([]bool, len(nums))
 	for i := range nums {
 		nullNums[i] = float64(i)
 		nullStrs[i] = "Honda"
+	}
+	null := dataframe.NewCategorical("Make", nullStrs)
+	null.Null = make([]bool, len(nums))
+	for i := range nums {
 		null.Null[i] = i%2 == 0 // null string cells
 	}
 	nullNum := dataframe.NewNumeric("Claims", nullNums)

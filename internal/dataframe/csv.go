@@ -58,14 +58,14 @@ func ReadCSV(r io.Reader) (*Frame, error) {
 			continue
 		}
 		vals := make([]string, len(rows))
-		s := NewCategorical(name, vals)
 		for i, rec := range rows {
-			cell := cleanCell(rec[j])
-			if cell == "" {
+			vals[i] = cleanCell(rec[j])
+		}
+		s := NewCategorical(name, vals)
+		for i, v := range vals {
+			if v == "" {
 				s.SetNull(i)
-				continue
 			}
-			s.Strs[i] = cell
 		}
 		if err := f.Add(s); err != nil {
 			return nil, err

@@ -31,7 +31,7 @@ func TestReadCSVTypes(t *testing.T) {
 	if f.Column("Age").Nums[2] != 42 {
 		t.Fatal("numeric parse wrong")
 	}
-	if f.Column("City").Strs[0] != "SF" {
+	if f.Column("City").ValueString(0) != "SF" {
 		t.Fatal("string parse wrong")
 	}
 }
@@ -163,7 +163,7 @@ func BenchmarkSerializeRow(b *testing.B) {
 		{"CreditDefault", "no"}, {"HousingLoan", "yes"}, {"PersonalLoan", "no"},
 		{"ContactType", "cellular"}, {"PrevOutcome", "nonexistent"},
 	} {
-		if err := f.AddCategorical(c[0], []string{c[1]}); err != nil {
+		if err := f.Add(NewCategorical(c[0], []string{c[1]})); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -75,9 +75,26 @@ func (f *Frame) AddNumeric(name string, vals []float64) error {
 	return f.Add(NewNumeric(name, vals))
 }
 
-// AddCategorical is a convenience wrapper for Add(NewCategorical(...)).
-func (f *Frame) AddCategorical(name string, vals []string) error {
-	return f.Add(NewCategorical(name, vals))
+// AddCodes appends a categorical column whose row i holds
+// levels[codes[i]]: a generator that draws level indices hands them over
+// as they are, with no per-row lookup. The frame keeps both slices, so the
+// caller must not write them again. A code out of range or a level listed
+// twice is an error: readers compare rows by code, which needs each level
+// to have exactly one.
+func (f *Frame) AddCodes(name string, levels []string, codes []uint32) error {
+	seen := make(map[string]struct{}, len(levels))
+	for _, l := range levels {
+		if _, dup := seen[l]; dup {
+			return fmt.Errorf("dataframe: column %q lists level %q twice", name, l)
+		}
+		seen[l] = struct{}{}
+	}
+	for i, c := range codes {
+		if int(c) >= len(levels) {
+			return fmt.Errorf("dataframe: column %q row %d has code %d, beyond its %d levels", name, i, c, len(levels))
+		}
+	}
+	return f.Add(&Series{Name: name, Kind: Categorical, codes: codes, levels: levels})
 }
 
 // Drop removes the named columns; missing names are ignored.

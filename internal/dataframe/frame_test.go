@@ -14,7 +14,7 @@ func mustFrame(t *testing.T) *Frame {
 	if err := f.AddNumeric("age", []float64{21, 35, 42, 22, 45, 56}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.AddCategorical("city", []string{"SF", "LA", "SEA", "SF", "SEA", "LA"}); err != nil {
+	if err := f.Add(NewCategorical("city", []string{"SF", "LA", "SEA", "SF", "SEA", "LA"})); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.AddNumeric("claim", []float64{1, 0, 0, 1, 0, 0}); err != nil {

@@ -26,7 +26,7 @@ func colMatrixFixture(t testing.TB) *Frame {
 	if err := f.AddNumeric("b", []float64{4, math.NaN(), 6}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.AddCategorical("c", []string{"x", "y", "z"}); err != nil {
+	if err := f.Add(NewCategorical("c", []string{"x", "y", "z"})); err != nil {
 		t.Fatal(err)
 	}
 	return f
@@ -309,7 +309,7 @@ func BenchmarkGroupKeys(b *testing.B) {
 	if err := f.AddNumeric("num", nums); err != nil {
 		b.Fatal(err)
 	}
-	if err := f.AddCategorical("cat", strs); err != nil {
+	if err := f.Add(NewCategorical("cat", strs)); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

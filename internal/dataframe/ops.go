@@ -104,49 +104,47 @@ func (f *Frame) GetDummies(input string, maxLevels int) ([]*Series, error) {
 	if c.Kind != Categorical {
 		return nil, fmt.Errorf("dataframe: get_dummies input %q is not categorical", input)
 	}
-	freq := make(map[string]int)
-	for i, v := range c.Strs {
-		if !c.IsNull(i) {
-			freq[v]++
+	counts, used := c.levelCounts()
+	order := make([]int, 0, used) // codes by (count desc, level asc)
+	for code, n := range counts {
+		if n > 0 {
+			order = append(order, code)
 		}
 	}
-	levels := make([]string, 0, len(freq))
-	for v := range freq {
-		levels = append(levels, v)
-	}
-	sort.Slice(levels, func(i, j int) bool {
-		if freq[levels[i]] != freq[levels[j]] {
-			return freq[levels[i]] > freq[levels[j]]
+	sort.Slice(order, func(i, j int) bool {
+		a, b := order[i], order[j]
+		if counts[a] != counts[b] {
+			return counts[a] > counts[b]
 		}
-		return levels[i] < levels[j]
+		return c.levels[a] < c.levels[b]
 	})
 	folded := false
-	if maxLevels > 0 && len(levels) > maxLevels {
-		levels = levels[:maxLevels]
+	if maxLevels > 0 && len(order) > maxLevels {
+		order = order[:maxLevels]
 		folded = true
 	}
-	kept := make(map[string]int, len(levels))
-	for j, v := range levels {
-		kept[v] = j
+	column := make([]int, len(c.levels)) // code → 1 + its output column; 0 folds
+	for j, code := range order {
+		column[code] = j + 1
 	}
-	out := make([]*Series, len(levels), len(levels)+1)
-	for j, v := range levels {
-		out[j] = NewNumeric(fmt.Sprintf("%s=%s", input, sanitizeLevel(v)), make([]float64, c.Len()))
+	out := make([]*Series, len(order), len(order)+1)
+	for j, code := range order {
+		out[j] = NewNumeric(fmt.Sprintf("%s=%s", input, sanitizeLevel(c.levels[code])), make([]float64, c.Len()))
 	}
 	var other *Series
 	if folded {
 		other = NewNumeric(fmt.Sprintf("%s=other", input), make([]float64, c.Len()))
 		out = append(out, other)
 	}
-	for i, v := range c.Strs {
+	for i, code := range c.codes {
 		if c.IsNull(i) {
 			for _, s := range out {
 				s.SetNull(i)
 			}
 			continue
 		}
-		if j, ok := kept[v]; ok {
-			out[j].Nums[i] = 1
+		if j := column[code]; j > 0 {
+			out[j-1].Nums[i] = 1
 		} else if other != nil {
 			other.Nums[i] = 1
 		}
@@ -176,21 +174,19 @@ func (f *Frame) Factorize(input string) (*Series, []string, error) {
 	if c.Kind != Categorical {
 		return nil, nil, fmt.Errorf("dataframe: factorize input %q is not categorical", input)
 	}
-	codes := make(map[string]int)
+	remap := make([]int, len(c.levels)) // code → 1 + its factorized code
 	var levels []string
 	out := make([]float64, c.Len())
-	for i, v := range c.Strs {
+	for i, code := range c.codes {
 		if c.IsNull(i) {
 			out[i] = math.NaN()
 			continue
 		}
-		code, ok := codes[v]
-		if !ok {
-			code = len(levels)
-			codes[v] = code
-			levels = append(levels, v)
+		if remap[code] == 0 {
+			levels = append(levels, c.levels[code])
+			remap[code] = len(levels)
 		}
-		out[i] = float64(code)
+		out[i] = float64(remap[code] - 1)
 	}
 	return NewNumeric(c.Name, out), levels, nil
 }
@@ -221,16 +217,20 @@ func (f *Frame) MapValues(input string, mapping map[string]float64) ([]float64, 
 	if c.Kind != Categorical {
 		return nil, fmt.Errorf("dataframe: map input %q is not categorical", input)
 	}
+	mapped := make([]float64, len(c.levels))
+	for code, l := range c.levels {
+		mv, ok := mapping[l]
+		if !ok {
+			mv = math.NaN()
+		}
+		mapped[code] = mv
+	}
 	out := make([]float64, c.Len())
-	for i, v := range c.Strs {
+	for i, code := range c.codes {
 		if c.IsNull(i) {
 			out[i] = math.NaN()
-			continue
-		}
-		if mv, ok := mapping[v]; ok {
-			out[i] = mv
 		} else {
-			out[i] = math.NaN()
+			out[i] = mapped[code]
 		}
 	}
 	return out, nil

@@ -192,7 +192,7 @@ func TestGetDummies(t *testing.T) {
 
 func TestGetDummiesMaxLevels(t *testing.T) {
 	f := New()
-	_ = f.AddCategorical("c", []string{"a", "a", "a", "b", "b", "c", "d", "e"})
+	_ = f.Add(NewCategorical("c", []string{"a", "a", "a", "b", "b", "c", "d", "e"}))
 	dums, err := f.GetDummies("c", 2)
 	if err != nil {
 		t.Fatal(err)
@@ -328,8 +328,8 @@ func TestGroupByTransform(t *testing.T) {
 
 func TestGroupByTransformMultiKey(t *testing.T) {
 	f := New()
-	_ = f.AddCategorical("a", []string{"x", "x", "y", "y"})
-	_ = f.AddCategorical("b", []string{"1", "2", "1", "1"})
+	_ = f.Add(NewCategorical("a", []string{"x", "x", "y", "y"}))
+	_ = f.Add(NewCategorical("b", []string{"1", "2", "1", "1"}))
 	_ = f.AddNumeric("v", []float64{10, 20, 30, 50})
 	got, err := f.GroupByTransform([]string{"a", "b"}, "v", AggMean)
 	if err != nil {
@@ -366,7 +366,7 @@ func TestGroupKeyNamespacing(t *testing.T) {
 	// Numeric 1 and string "1" must not collide as group keys.
 	f := New()
 	_ = f.AddNumeric("n", []float64{1, 1})
-	_ = f.AddCategorical("s", []string{"1", "1"})
+	_ = f.Add(NewCategorical("s", []string{"1", "1"}))
 	_, kn, _ := f.groupIDs([]string{"n"})
 	_, ks, _ := f.groupIDs([]string{"s"})
 	if kn[0] == ks[0] {

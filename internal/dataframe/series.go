@@ -4,15 +4,23 @@
 // feature engineering relies on. It is the storage substrate every other
 // package in this repository builds on.
 //
+// A numeric series holds its float64 values. A categorical series holds
+// dictionary codes: one uint32 per row indexing a table of distinct levels
+// (the layout of pandas' Categorical and Arrow's dictionary arrays), so its
+// rows hold no pointers for the garbage collector to scan and each level's
+// text is stored once. The level table may list a level that no non-null
+// row holds; every reader reports only the levels the non-null rows use.
+//
 // Columns are immutable: once a series is in a frame, nothing writes its
-// Nums, Strs or Null slices again. Only the builders of a new series write
-// them, before it is handed out: the constructors (NewNumeric,
-// NewCategorical), ReadCSV, GetDummies and Take; SetNull exists for them.
-// That contract is what lets frames share series: Clone copies only the
-// column list, DropNA without nulls returns such a clone, and FactorizeAll
-// keeps the numeric columns it is given. A frame's column list is its own,
-// so Add and Drop on a clone leave the source alone. A caller that wants
-// different values builds a new series.
+// values, codes, level table or Null mask again. Only the builders of a new
+// series write them, before it is handed out: the constructors (NewNumeric,
+// NewCategorical, Frame.AddCodes), ReadCSV, GetDummies and Take; SetNull
+// exists for them. That contract is what lets frames share series: Clone
+// copies only the column list, DropNA without nulls returns such a clone,
+// FactorizeAll keeps the numeric columns it is given, and a Take copies a
+// categorical series' codes but shares its level table. A frame's column
+// list is its own, so Add and Drop on a clone leave the source alone. A
+// caller that wants different values builds a new series.
 package dataframe
 
 import (
@@ -28,7 +36,8 @@ type Kind int
 const (
 	// Numeric series store float64 values; NaN encodes null.
 	Numeric Kind = iota
-	// Categorical series store strings; the empty-string-with-mask encodes null.
+	// Categorical series store codes into a level table; the Null mask
+	// alone encodes null.
 	Categorical
 )
 
@@ -44,14 +53,19 @@ func (k Kind) String() string {
 	}
 }
 
-// Series is a single named column. Exactly one of Nums or Strs is populated,
-// according to Kind. Null marks missing entries; a nil Null means no nulls.
+// Series is a single named column. A numeric series holds Nums; a
+// categorical one holds codes into levels. Null marks missing entries; a nil
+// Null means no nulls.
 type Series struct {
 	Name string
 	Kind Kind
 	Nums []float64
-	Strs []string
 	Null []bool
+
+	// codes[i] is row i's index into levels. levels holds distinct strings
+	// and is shared, never written, by every Take of the series.
+	codes  []uint32
+	levels []string
 }
 
 // NewNumeric builds a numeric series. NaN values are recorded as nulls.
@@ -65,9 +79,22 @@ func NewNumeric(name string, vals []float64) *Series {
 	return s
 }
 
-// NewCategorical builds a categorical series.
+// NewCategorical builds a categorical series from row values, numbering the
+// levels by first appearance. It keeps no reference to vals.
 func NewCategorical(name string, vals []string) *Series {
-	return &Series{Name: name, Kind: Categorical, Strs: vals}
+	codes := make([]uint32, len(vals))
+	var levels []string
+	index := make(map[string]uint32)
+	for i, v := range vals {
+		code, ok := index[v]
+		if !ok {
+			code = uint32(len(levels))
+			index[v] = code
+			levels = append(levels, v)
+		}
+		codes[i] = code
+	}
+	return &Series{Name: name, Kind: Categorical, codes: codes, levels: levels}
 }
 
 // Len returns the number of rows in the series.
@@ -75,7 +102,7 @@ func (s *Series) Len() int {
 	if s.Kind == Numeric {
 		return len(s.Nums)
 	}
-	return len(s.Strs)
+	return len(s.codes)
 }
 
 // IsNull reports whether row i is missing.
@@ -118,18 +145,19 @@ func (s *Series) NullCount() int {
 	return n
 }
 
-// Take returns a new series containing the given rows, in order.
+// Take returns a new series containing the given rows, in order. A
+// categorical one shares the source's level table.
 func (s *Series) Take(rows []int) *Series {
-	c := &Series{Name: s.Name, Kind: s.Kind}
+	c := &Series{Name: s.Name, Kind: s.Kind, levels: s.levels}
 	if s.Kind == Numeric {
 		c.Nums = make([]float64, len(rows))
 		for j, i := range rows {
 			c.Nums[j] = s.Nums[i]
 		}
 	} else {
-		c.Strs = make([]string, len(rows))
+		c.codes = make([]uint32, len(rows))
 		for j, i := range rows {
-			c.Strs[j] = s.Strs[i]
+			c.codes[j] = s.codes[i]
 		}
 	}
 	if s.Null != nil {
@@ -144,7 +172,7 @@ func (s *Series) Take(rows []int) *Series {
 // ValueString renders row i for display or serialization.
 func (s *Series) ValueString(i int) string {
 	if s.Kind != Numeric && !s.IsNull(i) {
-		return s.Strs[i] // what AppendValue appends, without the copy
+		return s.levels[s.codes[i]] // what AppendValue appends, without the copy
 	}
 	var buf [32]byte
 	return string(s.AppendValue(buf[:0], i))
@@ -164,7 +192,7 @@ func (s *Series) AppendValue(dst []byte, i int) []byte {
 		}
 		return strconv.AppendFloat(dst, v, 'g', -1, 64)
 	}
-	return append(dst, s.Strs[i]...)
+	return append(dst, s.levels[s.codes[i]]...)
 }
 
 // numStats accumulates count, sum and min/max of the non-null values in a
@@ -243,13 +271,24 @@ func (s *Series) Cardinality() int {
 		_, n := distinctBits(s)
 		return n
 	}
-	seen := make(map[string]struct{})
-	for i, v := range s.Strs {
-		if !s.IsNull(i) {
-			seen[v] = struct{}{}
+	_, n := s.levelCounts()
+	return n
+}
+
+// levelCounts counts the non-null rows holding each level of categorical
+// series s, and how many levels some non-null row holds.
+func (s *Series) levelCounts() (counts []int, used int) {
+	counts = make([]int, len(s.levels))
+	for i, c := range s.codes {
+		if s.Null != nil && s.Null[i] {
+			continue
 		}
+		if counts[c] == 0 {
+			used++
+		}
+		counts[c]++
 	}
-	return len(seen)
+	return counts, used
 }
 
 // nanBits is a NaN bit pattern. No key has it, since NaN is null.
@@ -317,15 +356,12 @@ func (s *Series) Levels() []string {
 	if s.Kind != Categorical {
 		return nil
 	}
-	seen := make(map[string]struct{})
-	for i, v := range s.Strs {
-		if !s.IsNull(i) {
-			seen[v] = struct{}{}
+	counts, used := s.levelCounts()
+	out := make([]string, 0, used)
+	for c, n := range counts {
+		if n > 0 {
+			out = append(out, s.levels[c])
 		}
-	}
-	out := make([]string, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
 	}
 	sort.Strings(out)
 	return out
@@ -333,7 +369,8 @@ func (s *Series) Levels() []string {
 
 // IsConstant reports whether the series has at most one distinct non-null
 // value (Cardinality() <= 1). It stops at the second distinct value instead
-// of building the full distinct set.
+// of building the full distinct set. Categorical rows compare by code, as
+// the level table holds no level twice.
 func (s *Series) IsConstant() bool {
 	first := -1
 	for i := 0; i < s.Len(); i++ {
@@ -342,7 +379,7 @@ func (s *Series) IsConstant() bool {
 		case first < 0:
 			first = i
 		case s.Kind == Numeric && s.Nums[i] != s.Nums[first],
-			s.Kind != Numeric && s.Strs[i] != s.Strs[first]:
+			s.Kind != Numeric && s.codes[i] != s.codes[first]:
 			return false
 		}
 	}
@@ -363,5 +400,5 @@ func (s *Series) appendKey(buf []byte, i int) []byte {
 		return strconv.AppendFloat(buf, s.Nums[i], 'g', -1, 64)
 	}
 	buf = append(buf, 's', ':')
-	return append(buf, s.Strs[i]...)
+	return append(buf, s.levels[s.codes[i]]...)
 }

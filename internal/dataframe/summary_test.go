@@ -23,9 +23,9 @@ func mapCardinality(s *dataframe.Series) int {
 		return len(seen)
 	}
 	seen := make(map[string]struct{})
-	for i, v := range s.Strs {
+	for i := 0; i < s.Len(); i++ {
 		if !s.IsNull(i) {
-			seen[v] = struct{}{}
+			seen[s.ValueString(i)] = struct{}{}
 		}
 	}
 	return len(seen)
@@ -44,7 +44,7 @@ func mapKey(cols []*dataframe.Series, i int) string {
 		case c.Kind == dataframe.Numeric:
 			key += "n:" + strconv.FormatFloat(c.Nums[i], 'g', -1, 64)
 		default:
-			key += "s:" + c.Strs[i]
+			key += "s:" + c.ValueString(i)
 		}
 	}
 	return key
@@ -185,8 +185,8 @@ func edgeColumns() []*dataframe.Series {
 		Null: []bool{false, true, false, true, false, true, true}}
 	maskedZero := &dataframe.Series{Name: "maskedZero", Kind: dataframe.Numeric,
 		Nums: []float64{negZero, 0, negZero}, Null: []bool{true, false, false}}
-	catMasked := &dataframe.Series{Name: "catMasked", Kind: dataframe.Categorical,
-		Strs: []string{"a", "b", "", "a", "c"}, Null: []bool{false, true, true, false, false}}
+	catMasked := dataframe.NewCategorical("catMasked", []string{"a", "b", "", "a", "c"})
+	catMasked.Null = []bool{false, true, true, false, false}
 	return []*dataframe.Series{
 		dataframe.NewNumeric("zeros", []float64{0, negZero, 0, negZero}),
 		dataframe.NewNumeric("negZeroOnly", []float64{negZero, negZero}),
@@ -252,7 +252,7 @@ func TestGroupByTransformMatchesMap(t *testing.T) {
 	// count included, gives NaN there. The numeric key holds −0 and +0
 	// (distinct keys, as %g prints them) and a null.
 	for _, err := range []error{
-		small.AddCategorical("g", []string{"a", "none", "a", "b", "none", "b", "a", "none"}),
+		small.Add(dataframe.NewCategorical("g", []string{"a", "none", "a", "b", "none", "b", "a", "none"})),
 		small.AddNumeric("k", []float64{0, negZero, nan, 0, 1, negZero, 1, 0}),
 		small.AddNumeric("v", []float64{1.5, nan, -2, 1e300, 4, 1e300, negZero, 9}),
 	} {

@@ -16,9 +16,9 @@ import (
 func WestNileVirus(seed int64) *Dataset {
 	s := newSynth(seed)
 	const n = 10507
-	species := make([]string, n)
-	trap := make([]string, n)
-	area := make([]string, n)
+	species := make([]uint32, n)
+	trap := make([]uint32, n)
+	area := make([]uint32, n)
 	week := make([]float64, n)
 	latitude := make([]float64, n)
 	longitude := make([]float64, n)
@@ -28,10 +28,7 @@ func WestNileVirus(seed int64) *Dataset {
 	mosquitos := make([]float64, n)
 	scores := make([]float64, n)
 	speciesList := []string{"CULEX PIPIENS", "CULEX RESTUANS", "CULEX PIPIENS/RESTUANS", "CULEX TERRITANS", "CULEX SALINARIUS", "CULEX TARSALIS"}
-	speciesEffect := map[string]float64{
-		"CULEX PIPIENS": 1.0, "CULEX PIPIENS/RESTUANS": 0.7, "CULEX RESTUANS": 0.2,
-		"CULEX TERRITANS": -1.0, "CULEX SALINARIUS": -0.8, "CULEX TARSALIS": -0.6,
-	}
+	speciesEffect := []float64{1.0, 0.2, 0.7, -1.0, -0.8, -0.6} // by species code
 	traps := make([]string, 40)
 	for i := range traps {
 		traps[i] = fmt.Sprintf("T%03d", i+1)
@@ -39,9 +36,9 @@ func WestNileVirus(seed int64) *Dataset {
 	trapEffect := s.groupEffects(traps, 0.9)
 	areas := []string{"North", "South", "West", "Loop", "OHare", "Lakeview", "Austin", "Pullman", "Hegewisch", "Uptown"}
 	for i := 0; i < n; i++ {
-		species[i] = s.weightedChoice(speciesList, []float64{4, 3, 3, 0.6, 0.5, 0.3})
-		trap[i] = s.choice(traps)
-		area[i] = s.choice(areas)
+		species[i] = s.weightedChoice([]float64{4, 3, 3, 0.6, 0.5, 0.3})
+		trap[i] = s.choice(len(traps))
+		area[i] = s.choice(len(areas))
 		week[i] = math.Round(clip(s.normal(30, 5), 22, 40))
 		latitude[i] = math.Round(s.uniform(41.64, 42.02)*10000) / 10000
 		longitude[i] = math.Round(s.uniform(-87.93, -87.53)*10000) / 10000
@@ -61,9 +58,9 @@ func WestNileVirus(seed int64) *Dataset {
 	}
 	labels := s.labelsFromScores(scores, 0.09, 0.03)
 	f := dataframe.New()
-	must(f.AddCategorical("Species", species))
-	must(f.AddCategorical("Trap", trap))
-	must(f.AddCategorical("AreaName", area))
+	must(f.AddCodes("Species", speciesList, species))
+	must(f.AddCodes("Trap", traps, trap))
+	must(f.AddCodes("AreaName", areas, area))
 	must(f.AddNumeric("WeekOfYear", week))
 	must(f.AddNumeric("Latitude", latitude))
 	must(f.AddNumeric("Longitude", longitude))

@@ -14,11 +14,11 @@ import (
 func Lawschool(seed int64) *Dataset {
 	s := newSynth(seed)
 	const n = 4591
-	race := make([]string, n)
-	gender := make([]string, n)
-	fulltime := make([]string, n)
-	famIncome := make([]string, n)
-	tier := make([]string, n)
+	race := make([]uint32, n)
+	gender := make([]uint32, n)
+	fulltime := make([]uint32, n)
+	famIncome := make([]uint32, n)
+	tier := make([]uint32, n)
 	lsat := make([]float64, n)
 	ugpa := make([]float64, n)
 	age := make([]float64, n)
@@ -28,12 +28,15 @@ func Lawschool(seed int64) *Dataset {
 	scores := make([]float64, n)
 	tiers := []string{"tier1", "tier2", "tier3", "tier4", "tier5", "tier6"}
 	incomes := []string{"low", "lower-middle", "middle", "upper-middle", "high"}
+	races := []string{"White", "Black", "Hispanic", "Asian", "Other"}
+	genders := []string{"M", "F"}
+	yesNo := []string{"yes", "no"}
 	for i := 0; i < n; i++ {
-		race[i] = s.weightedChoice([]string{"White", "Black", "Hispanic", "Asian", "Other"}, []float64{12, 2, 1.5, 1.5, 1})
-		gender[i] = s.choice([]string{"M", "F"})
-		fulltime[i] = s.weightedChoice([]string{"yes", "no"}, []float64{8, 1})
-		famIncome[i] = s.choice(incomes)
-		tier[i] = s.choice(tiers)
+		race[i] = s.weightedChoice([]float64{12, 2, 1.5, 1.5, 1})
+		gender[i] = s.choice(len(genders))
+		fulltime[i] = s.weightedChoice([]float64{8, 1})
+		famIncome[i] = s.choice(len(incomes))
+		tier[i] = s.choice(len(tiers))
 		ability := s.normal(0, 1)
 		lsat[i] = math.Round(clip(36+4.4*ability+s.normal(0, 2.5), 11, 48))
 		ugpa[i] = math.Round(clip(3.2+0.35*ability+s.normal(0, 0.25), 1.5, 4.0)*100) / 100
@@ -43,18 +46,18 @@ func Lawschool(seed int64) *Dataset {
 		zfygpa[i] = math.Round(clip(0.6*ability+s.normal(0, 0.6), -3.5, 3.5)*100) / 100
 		// Label: clean linear function of the raw academic indicators.
 		z := 1.6*(lsat[i]-36)/4.4 + 1.0*(ugpa[i]-3.2)/0.35 + 0.4*zfygpa[i]
-		if fulltime[i] == "yes" {
+		if yesNo[fulltime[i]] == "yes" {
 			z += 0.3
 		}
 		scores[i] = z + s.normal(0, 1.1)
 	}
 	labels := s.labelsFromScores(scores, 0.8, 0.03)
 	f := dataframe.New()
-	must(f.AddCategorical("Race", race))
-	must(f.AddCategorical("Gender", gender))
-	must(f.AddCategorical("Fulltime", fulltime))
-	must(f.AddCategorical("FamIncome", famIncome))
-	must(f.AddCategorical("SchoolTier", tier))
+	must(f.AddCodes("Race", races, race))
+	must(f.AddCodes("Gender", genders, gender))
+	must(f.AddCodes("Fulltime", yesNo, fulltime))
+	must(f.AddCodes("FamIncome", incomes, famIncome))
+	must(f.AddCodes("SchoolTier", tiers, tier))
 	must(f.AddNumeric("LSAT", lsat))
 	must(f.AddNumeric("UGPA", ugpa))
 	must(f.AddNumeric("Age", age))

@@ -15,14 +15,14 @@ import (
 func Bank(seed int64) *Dataset {
 	s := newSynth(seed)
 	const n = 41189
-	job := make([]string, n)
-	marital := make([]string, n)
-	education := make([]string, n)
-	creditDefault := make([]string, n)
-	housing := make([]string, n)
-	loan := make([]string, n)
-	contact := make([]string, n)
-	poutcome := make([]string, n)
+	job := make([]uint32, n)
+	marital := make([]uint32, n)
+	education := make([]uint32, n)
+	creditDefault := make([]uint32, n)
+	housing := make([]uint32, n)
+	loan := make([]uint32, n)
+	contact := make([]uint32, n)
+	poutcome := make([]uint32, n)
 	age := make([]float64, n)
 	duration := make([]float64, n)
 	campaign := make([]float64, n)
@@ -34,16 +34,21 @@ func Bank(seed int64) *Dataset {
 	euribor := make([]float64, n)
 	scores := make([]float64, n)
 	jobs := []string{"admin", "blue-collar", "technician", "services", "management", "retired", "entrepreneur", "self-employed", "housemaid", "unemployed", "student", "unknown"}
+	maritals := []string{"married", "single", "divorced"}
 	edus := []string{"basic.4y", "basic.6y", "basic.9y", "high.school", "professional.course", "university.degree", "unknown"}
+	defaults := []string{"no", "unknown"}
+	yesNo, noYes := []string{"yes", "no"}, []string{"no", "yes"}
+	contacts := []string{"cellular", "telephone"}
+	outcomes := []string{"nonexistent", "failure", "success"}
 	for i := 0; i < n; i++ {
-		job[i] = s.choice(jobs)
-		marital[i] = s.weightedChoice([]string{"married", "single", "divorced"}, []float64{6, 3, 1})
-		education[i] = s.choice(edus)
-		creditDefault[i] = s.weightedChoice([]string{"no", "unknown"}, []float64{4, 1})
-		housing[i] = s.choice([]string{"yes", "no"})
-		loan[i] = s.weightedChoice([]string{"no", "yes"}, []float64{5, 1})
-		contact[i] = s.weightedChoice([]string{"cellular", "telephone"}, []float64{2, 1})
-		poutcome[i] = s.weightedChoice([]string{"nonexistent", "failure", "success"}, []float64{8, 1.2, 0.8})
+		job[i] = s.choice(len(jobs))
+		marital[i] = s.weightedChoice([]float64{6, 3, 1})
+		education[i] = s.choice(len(edus))
+		creditDefault[i] = s.weightedChoice([]float64{4, 1})
+		housing[i] = s.choice(len(yesNo))
+		loan[i] = s.weightedChoice([]float64{5, 1})
+		contact[i] = s.weightedChoice([]float64{2, 1})
+		poutcome[i] = s.weightedChoice([]float64{8, 1.2, 0.8})
 		age[i] = math.Round(clip(s.normal(40, 10), 17, 98))
 		duration[i] = math.Round(clip(s.lognormal(5.3, 0.8), 0, 4918))
 		campaign[i] = clip(s.poissonish(2.5), 1, 43)
@@ -61,24 +66,24 @@ func Bank(seed int64) *Dataset {
 		euribor[i] = math.Round(clip(3.6+1.3*quarter+s.normal(0, 0.1), 0.6, 5.0)*1000) / 1000
 		// Label: linear in the raw numerics — well-constructed features.
 		z := 2.6*(math.Log1p(duration[i])-5.3)/0.8 - 0.9*(euribor[i]-3.6)/1.3 - 0.3*(campaign[i]-2.5)/1.6 + 0.6*previous[i]
-		if poutcome[i] == "success" {
+		if outcomes[poutcome[i]] == "success" {
 			z += 1.8
 		}
-		if contact[i] == "cellular" {
+		if contacts[contact[i]] == "cellular" {
 			z += 0.35
 		}
 		scores[i] = z + s.normal(0, 0.75)
 	}
 	labels := s.labelsFromScores(scores, 0.11, 0.02)
 	f := dataframe.New()
-	must(f.AddCategorical("Job", job))
-	must(f.AddCategorical("Marital", marital))
-	must(f.AddCategorical("Education", education))
-	must(f.AddCategorical("CreditDefault", creditDefault))
-	must(f.AddCategorical("HousingLoan", housing))
-	must(f.AddCategorical("PersonalLoan", loan))
-	must(f.AddCategorical("ContactType", contact))
-	must(f.AddCategorical("PrevOutcome", poutcome))
+	must(f.AddCodes("Job", jobs, job))
+	must(f.AddCodes("Marital", maritals, marital))
+	must(f.AddCodes("Education", edus, education))
+	must(f.AddCodes("CreditDefault", defaults, creditDefault))
+	must(f.AddCodes("HousingLoan", yesNo, housing))
+	must(f.AddCodes("PersonalLoan", noYes, loan))
+	must(f.AddCodes("ContactType", contacts, contact))
+	must(f.AddCodes("PrevOutcome", outcomes, poutcome))
 	must(f.AddNumeric("Age", age))
 	must(f.AddNumeric("Duration", duration))
 	must(f.AddNumeric("Campaign", campaign))

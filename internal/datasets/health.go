@@ -109,13 +109,13 @@ func Diabetes(seed int64) *Dataset {
 func Heart(seed int64) *Dataset {
 	s := newSynth(seed)
 	const n = 3657
-	sex := make([]string, n)
-	education := make([]string, n)
-	smoker := make([]string, n)
-	bpMeds := make([]string, n)
-	stroke := make([]string, n)
-	hyp := make([]string, n)
-	diabetic := make([]string, n)
+	sex := make([]uint32, n)
+	education := make([]uint32, n)
+	smoker := make([]uint32, n)
+	bpMeds := make([]uint32, n)
+	stroke := make([]uint32, n)
+	hyp := make([]uint32, n)
+	diabetic := make([]uint32, n)
 	age := make([]float64, n)
 	cigs := make([]float64, n)
 	chol := make([]float64, n)
@@ -123,38 +123,41 @@ func Heart(seed int64) *Dataset {
 	bmi := make([]float64, n)
 	heartRate := make([]float64, n)
 	scores := make([]float64, n)
+	sexes := []string{"M", "F"}
 	eduLevels := []string{"some_highschool", "highschool", "some_college", "college"}
+	noYes := []string{"no", "yes"}
+	const no, yes = 0, 1 // codes into noYes
 	for i := 0; i < n; i++ {
-		sex[i] = s.choice([]string{"M", "F"})
-		education[i] = s.weightedChoice(eduLevels, []float64{4, 3, 2, 1})
+		sex[i] = s.choice(len(sexes))
+		education[i] = s.weightedChoice([]float64{4, 3, 2, 1})
 		age[i] = math.Round(clip(s.normal(50, 9), 32, 70))
 		isSmoker := s.rng.Float64() < 0.49
 		if isSmoker {
-			smoker[i] = "yes"
+			smoker[i] = yes
 			cigs[i] = clip(s.poissonish(18), 1, 70)
 		} else {
-			smoker[i] = "no"
+			smoker[i] = no
 			cigs[i] = 0
 		}
 		hasHyp := s.rng.Float64() < 0.31
 		if hasHyp {
-			hyp[i] = "yes"
+			hyp[i] = yes
 			sysBP[i] = math.Round(clip(s.normal(148, 16), 120, 295))
 		} else {
-			hyp[i] = "no"
+			hyp[i] = no
 			sysBP[i] = math.Round(clip(s.normal(125, 12), 83, 180))
 		}
-		bpMeds[i] = "no"
+		bpMeds[i] = no
 		if hasHyp && s.rng.Float64() < 0.2 {
-			bpMeds[i] = "yes"
+			bpMeds[i] = yes
 		}
-		stroke[i] = "no"
+		stroke[i] = no
 		if s.rng.Float64() < 0.006 {
-			stroke[i] = "yes"
+			stroke[i] = yes
 		}
-		diabetic[i] = "no"
+		diabetic[i] = no
 		if s.rng.Float64() < 0.026 {
-			diabetic[i] = "yes"
+			diabetic[i] = yes
 		}
 		chol[i] = math.Round(clip(s.normal(237, 44), 107, 600))
 		bmi[i] = math.Round(clip(s.normal(25.8, 4), 15, 57)*100) / 100
@@ -173,26 +176,26 @@ func Heart(seed int64) *Dataset {
 			z += 0.6 * cigs[i] / 20
 		}
 		z += 0.4 * (chol[i] - 237) / 44 * (bmi[i] / 26)
-		if sex[i] == "M" {
+		if sexes[sex[i]] == "M" {
 			z += 0.25
 		}
-		if diabetic[i] == "yes" {
+		if diabetic[i] == yes {
 			z += 0.8
 		}
-		if stroke[i] == "yes" {
+		if stroke[i] == yes {
 			z += 0.8
 		}
 		scores[i] = z + s.normal(0, 1.35) // heavy noise: weak signal overall
 	}
 	labels := s.labelsFromScores(scores, 0.15, 0.05)
 	f := dataframe.New()
-	must(f.AddCategorical("Sex", sex))
-	must(f.AddCategorical("Education", education))
-	must(f.AddCategorical("CurrentSmoker", smoker))
-	must(f.AddCategorical("BPMeds", bpMeds))
-	must(f.AddCategorical("PrevalentStroke", stroke))
-	must(f.AddCategorical("PrevalentHyp", hyp))
-	must(f.AddCategorical("DiabetesDiag", diabetic))
+	must(f.AddCodes("Sex", sexes, sex))
+	must(f.AddCodes("Education", eduLevels, education))
+	must(f.AddCodes("CurrentSmoker", noYes, smoker))
+	must(f.AddCodes("BPMeds", noYes, bpMeds))
+	must(f.AddCodes("PrevalentStroke", noYes, stroke))
+	must(f.AddCodes("PrevalentHyp", noYes, hyp))
+	must(f.AddCodes("DiabetesDiag", noYes, diabetic))
 	must(f.AddNumeric("Age", age))
 	must(f.AddNumeric("CigsPerDay", cigs))
 	must(f.AddNumeric("TotChol", chol))

@@ -16,14 +16,14 @@ import (
 func Adult(seed int64) *Dataset {
 	s := newSynth(seed)
 	const n = 30163
-	workclass := make([]string, n)
-	education := make([]string, n)
-	marital := make([]string, n)
-	occupation := make([]string, n)
-	relationship := make([]string, n)
-	race := make([]string, n)
-	sex := make([]string, n)
-	country := make([]string, n)
+	workclass := make([]uint32, n)
+	education := make([]uint32, n)
+	marital := make([]uint32, n)
+	occupation := make([]uint32, n)
+	relationship := make([]uint32, n)
+	race := make([]uint32, n)
+	sex := make([]uint32, n)
+	country := make([]uint32, n)
 	age := make([]float64, n)
 	fnlwgt := make([]float64, n)
 	capGain := make([]float64, n)
@@ -45,25 +45,28 @@ func Adult(seed int64) *Dataset {
 	// group-bys.
 	occEffect := s.groupEffects(occupations, 0.8)
 	eduEffect := s.groupEffects(educations, 0.8)
-	pairEffect := make(map[string]float64)
-	for _, occ := range occupations {
-		for _, edu := range educations {
-			pairEffect[occ+"|"+edu] = occEffect[occ] + eduEffect[edu] + s.normal(0, 0.45)
+	pairEffect := make([][]float64, len(occupations)) // [occupation][education] codes
+	for o := range occupations {
+		pairEffect[o] = make([]float64, len(educations))
+		for e := range educations {
+			pairEffect[o][e] = occEffect[o] + eduEffect[e] + s.normal(0, 0.45)
 		}
 	}
+	sexes := []string{"Male", "Female"}
+	countryWeights := append([]float64{40}, ones(len(countries)-1)...)
 	for i := 0; i < n; i++ {
-		workclass[i] = s.weightedChoice(workclasses, []float64{14, 2, 1, 1, 1.5, 1.5, 0.1})
-		education[i] = s.choice(educations)
-		marital[i] = s.weightedChoice(maritals, []float64{9, 3, 7, 1, 1, 0.5, 0.1})
-		occupation[i] = s.choice(occupations)
-		relationship[i] = s.choice(relationships)
-		race[i] = s.weightedChoice(races, []float64{17, 2, 1, 0.3, 0.2})
-		sex[i] = s.weightedChoice([]string{"Male", "Female"}, []float64{2, 1})
-		country[i] = s.weightedChoice(countries, append([]float64{40}, ones(len(countries)-1)...))
+		workclass[i] = s.weightedChoice([]float64{14, 2, 1, 1, 1.5, 1.5, 0.1})
+		education[i] = s.choice(len(educations))
+		marital[i] = s.weightedChoice([]float64{9, 3, 7, 1, 1, 0.5, 0.1})
+		occupation[i] = s.choice(len(occupations))
+		relationship[i] = s.choice(len(relationships))
+		race[i] = s.weightedChoice([]float64{17, 2, 1, 0.3, 0.2})
+		sex[i] = s.weightedChoice([]float64{2, 1})
+		country[i] = s.weightedChoice(countryWeights)
 		age[i] = math.Round(clip(s.normal(38.5, 13), 17, 90))
 		fnlwgt[i] = math.Round(s.lognormal(12.0, 0.5))
 		hours[i] = math.Round(clip(s.normal(40, 11), 1, 99))
-		g := pairEffect[occupation[i]+"|"+education[i]]
+		g := pairEffect[occupation[i]][education[i]]
 		// Capital gain is a noisy per-row proxy of the group effect: the
 		// group mean (a GroupByThenAgg feature) denoises it.
 		if s.rng.Float64() < 0.28 {
@@ -75,7 +78,7 @@ func Adult(seed int64) *Dataset {
 			capLoss[i] = math.Round(clip(s.normal(1870, 350), 0, 4356))
 		}
 		z := 1.9 * g // dominant latent group effect
-		if marital[i] == "Married-civ-spouse" {
+		if maritals[marital[i]] == "Married-civ-spouse" {
 			z += 0.7
 		}
 		if age[i] >= 45 {
@@ -88,14 +91,14 @@ func Adult(seed int64) *Dataset {
 	}
 	labels := s.labelsFromScores(scores, 0.25, 0.03)
 	f := dataframe.New()
-	must(f.AddCategorical("Workclass", workclass))
-	must(f.AddCategorical("Education", education))
-	must(f.AddCategorical("MaritalStatus", marital))
-	must(f.AddCategorical("Occupation", occupation))
-	must(f.AddCategorical("Relationship", relationship))
-	must(f.AddCategorical("Race", race))
-	must(f.AddCategorical("Sex", sex))
-	must(f.AddCategorical("NativeCountry", country))
+	must(f.AddCodes("Workclass", workclasses, workclass))
+	must(f.AddCodes("Education", educations, education))
+	must(f.AddCodes("MaritalStatus", maritals, marital))
+	must(f.AddCodes("Occupation", occupations, occupation))
+	must(f.AddCodes("Relationship", relationships, relationship))
+	must(f.AddCodes("Race", races, race))
+	must(f.AddCodes("Sex", sexes, sex))
+	must(f.AddCodes("NativeCountry", countries, country))
 	must(f.AddNumeric("Age", age))
 	must(f.AddNumeric("Fnlwgt", fnlwgt))
 	must(f.AddNumeric("CapitalGain", capGain))
@@ -136,7 +139,7 @@ func Adult(seed int64) *Dataset {
 func Housing(seed int64) *Dataset {
 	s := newSynth(seed)
 	const n = 20641
-	proximity := make([]string, n)
+	proximity := make([]uint32, n)
 	medianAge := make([]float64, n)
 	rooms := make([]float64, n)
 	bedrooms := make([]float64, n)
@@ -146,9 +149,9 @@ func Housing(seed int64) *Dataset {
 	latitude := make([]float64, n)
 	scores := make([]float64, n)
 	proximities := []string{"<1H OCEAN", "INLAND", "NEAR OCEAN", "NEAR BAY", "ISLAND"}
-	proxEffect := map[string]float64{"<1H OCEAN": 0.5, "INLAND": -0.7, "NEAR OCEAN": 0.55, "NEAR BAY": 0.6, "ISLAND": 1.0}
+	proxEffect := []float64{0.5, -0.7, 0.55, 0.6, 1.0} // by proximity code
 	for i := 0; i < n; i++ {
-		proximity[i] = s.weightedChoice(proximities, []float64{9, 6.5, 2.6, 2.3, 0.01})
+		proximity[i] = s.weightedChoice([]float64{9, 6.5, 2.6, 2.3, 0.01})
 		medianAge[i] = math.Round(clip(s.normal(28, 12), 1, 52))
 		households[i] = math.Round(clip(s.lognormal(6.0, 0.6), 50, 6000))
 		rph := clip(s.normal(5.3, 1.1), 1.5, 12)      // rooms per household
@@ -169,7 +172,7 @@ func Housing(seed int64) *Dataset {
 	}
 	labels := s.labelsFromScores(scores, 0.5, 0.03)
 	f := dataframe.New()
-	must(f.AddCategorical("OceanProximity", proximity))
+	must(f.AddCodes("OceanProximity", proximities, proximity))
 	must(f.AddNumeric("HousingMedianAge", medianAge))
 	must(f.AddNumeric("TotalRooms", rooms))
 	must(f.AddNumeric("TotalBedrooms", bedrooms))

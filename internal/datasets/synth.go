@@ -40,13 +40,14 @@ func (s *synth) poissonish(mean float64) float64 {
 	return v
 }
 
-// choice picks uniformly from options.
-func (s *synth) choice(options []string) string {
-	return options[s.rng.Intn(len(options))]
+// choice draws the index of one of n levels uniformly: a code for
+// dataframe.Frame.AddCodes.
+func (s *synth) choice(n int) uint32 {
+	return uint32(s.rng.Intn(n))
 }
 
-// weightedChoice picks with the given weights.
-func (s *synth) weightedChoice(options []string, weights []float64) string {
+// weightedChoice draws a level index with the given weights.
+func (s *synth) weightedChoice(weights []float64) uint32 {
 	total := 0.0
 	for _, w := range weights {
 		total += w
@@ -55,21 +56,25 @@ func (s *synth) weightedChoice(options []string, weights []float64) string {
 	for i, w := range weights {
 		r -= w
 		if r <= 0 {
-			return options[i]
+			return uint32(i)
 		}
 	}
-	return options[len(options)-1]
+	return uint32(len(weights) - 1)
 }
 
-// groupEffects assigns each level a latent effect N(0, sd), deterministic
-// for the generator's seed. Used to plant group-level signal that only
-// group-by statistics can expose.
-func (s *synth) groupEffects(levels []string, sd float64) map[string]float64 {
-	sorted := append([]string(nil), levels...)
-	sort.Strings(sorted)
-	out := make(map[string]float64, len(sorted))
-	for _, lvl := range sorted {
-		out[lvl] = s.normal(0, sd)
+// groupEffects assigns each of the distinct levels a latent effect
+// N(0, sd), drawn in sorted level order so that it depends on the seed
+// alone, and returns them by level index. Used to plant group-level signal
+// that only group-by statistics can expose.
+func (s *synth) groupEffects(levels []string, sd float64) []float64 {
+	order := make([]int, len(levels))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return levels[order[a]] < levels[order[b]] })
+	out := make([]float64, len(levels))
+	for _, i := range order {
+		out[i] = s.normal(0, sd)
 	}
 	return out
 }

@@ -24,8 +24,8 @@ func frameDigest(f *dataframe.Frame) [32]byte {
 			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
 			h.Write(b[:])
 		}
-		for _, s := range c.Strs {
-			h.Write([]byte(s))
+		for i := 0; c.Kind == dataframe.Categorical && i < c.Len(); i++ {
+			h.Write([]byte(c.ValueString(i)))
 			h.Write([]byte{0})
 		}
 		for _, null := range c.Null {

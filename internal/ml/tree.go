@@ -68,10 +68,11 @@ type Tree struct {
 	hist       *histArena
 
 	// Per-fit scratch, reused across nodes to keep allocs flat.
-	scratchVals []float64
-	scratchLabs []int8
-	scratchIdx  []int
-	prefixBuf   []int32
+	scratchVals  []float64
+	scratchLabs  []int8
+	scratchIdx   []int
+	scratchFeats []int // candidateFeatures' result
+	prefixBuf    []int32
 }
 
 // NewTree returns a tree with the given configuration.
@@ -320,17 +321,28 @@ func (t *Tree) scratchPrefix(labs []int8) []int32 {
 	return prefix
 }
 
-// candidateFeatures returns the feature subset considered at a node.
+// candidateFeatures returns the feature subset considered at a node, in
+// the tree's scratch slice: the caller is done with it before the next
+// node asks. A subset is the head of a permutation drawn with
+// math/rand.Perm's own loop, so the RNG stream, and every split, is what
+// t.rng.Perm(d) gives.
 func (t *Tree) candidateFeatures(d int) []int {
-	if t.cfg.MaxFeatures <= 0 || t.cfg.MaxFeatures >= d {
-		out := make([]int, d)
-		for i := range out {
-			out[i] = i
-		}
-		return out
+	if cap(t.scratchFeats) < d {
+		t.scratchFeats = make([]int, d)
 	}
-	perm := t.rng.Perm(d)
-	return perm[:t.cfg.MaxFeatures]
+	m := t.scratchFeats[:d]
+	if t.cfg.MaxFeatures <= 0 || t.cfg.MaxFeatures >= d {
+		for i := range m {
+			m[i] = i
+		}
+		return m
+	}
+	for i := 0; i < d; i++ {
+		j := t.rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m[:t.cfg.MaxFeatures]
 }
 
 // PredictProba implements Classifier.

@@ -1,6 +1,5 @@
 // Package deadexports holds the dead-surface gate: it fails when a function,
-// method or exported struct field declared under internal/ is reached only
-// by tests. Such surface is code the product never runs, yet every reader of
+// method or struct field declared under internal/ is reached only by tests. Such surface is code the product never runs, yet every reader of
 // the package must still learn it. The package has no non-test code, so the
 // check runs as part of `go test ./...`.
 //
@@ -17,10 +16,11 @@
 //     embedding included), or when its receiver type implements one of the
 //     standard interfaces in stdInterfaces, whose methods the standard
 //     library calls for the program.
-//   - An exported struct field is used when non-test code sets it: names it
-//     in a composite literal (keyed or positional), assigns, increments or
-//     decrements it, takes its address, calls a pointer-receiver method on
-//     it, or decodes a JSON document into a value that holds it.
+//   - A struct field, exported or not, is used when non-test code sets it:
+//     names it in a composite literal (keyed or positional), assigns,
+//     increments or decrements it, takes its address, calls a
+//     pointer-receiver method on it, or decodes a JSON document into a
+//     value that holds it (exported fields only, as encoding/json does).
 //   - A default fill does not set a field. A function that holds a struct
 //     as a parameter, as its receiver or as a local copied from one
 //     (cfg := *c) and assigns its field F inside an if whose condition
@@ -397,12 +397,12 @@ type call struct {
 	info   *types.Info
 }
 
-// declare records the functions, methods, interface methods and exported
-// struct fields of one file.
+// declare records the functions, methods, interface methods and struct
+// fields of one file.
 func (s *scanner) declare(info *types.Info, f *ast.File, root string) {
 	pkg := f.Name.Name
 	add := func(id *ast.Ident, key string, field bool) {
-		if obj := info.Defs[id]; obj != nil && (id.IsExported() || !field && id.Name != "_") {
+		if obj := info.Defs[id]; obj != nil && id.Name != "_" {
 			rel, _ := filepath.Rel(root, s.fset.Position(id.Pos()).Filename)
 			s.decls[obj] = decl{key: key, field: field,
 				pos: filepath.ToSlash(rel) + ":" + strconv.Itoa(s.fset.Position(id.Pos()).Line)}

@@ -38,6 +38,7 @@ func TestFixture(t *testing.T) {
 		"a.Record.Skip",     // json:"-": never decoded
 		"a.Step.Depth",      // copied from a copy of a test-only field
 		"a.Store.Len",       // not a sort.Interface
+		"a.Store.items",     // unexported, never set
 		"a.clamp",           // unexported, called by the test only
 	}
 	if !reflect.DeepEqual(got, want) {

@@ -23,7 +23,7 @@ type Agenda struct{}
 func (Agenda) Describe() string { return "agenda" }
 
 // Store has a Len, but no Less or Swap: it is no sort.Interface, and only
-// the test calls Len: flagged.
+// the test calls Len: flagged. Nothing sets items: flagged too.
 type Store struct{ items []string }
 
 // Len is dead.
