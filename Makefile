@@ -32,10 +32,10 @@ test:
 	$(GO) build $(PKGS)
 	$(GO) test $(PKGS)
 
-# The race suite runs under a CPU matrix: the worker pools (grid runner,
-# parallel CAAFE, the row-level completion workers, forest tree fits)
-# degenerate to sequential order on the 1-vCPU dev box, so -cpu 4 is what
-# actually exercises their interleavings. internal/e2e is left out: its checks exercise separate
+# The race suite runs under a CPU matrix: par.Run, the one worker pool
+# (grid cells, model fits, CAAFE sessions, forest trees, row-level
+# completions), sizes itself by GOMAXPROCS and degenerates to a plain loop
+# at -cpu 1, so -cpu 4 is what actually exercises its interleavings. internal/e2e is left out: its checks exercise separate
 # processes the detector cannot see into, and -cpu 1,4 would run each twice.
 race:
 	$(GO) test -race -cpu 1,4 $$($(GO) list $(PKGS) | grep -v /internal/e2e)

@@ -6,11 +6,10 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"smartfeat/internal/dataframe"
 	"smartfeat/internal/fm"
+	"smartfeat/internal/par"
 )
 
 // FeatureStatus records what happened to a candidate (§3.3's three scenarios
@@ -184,19 +183,16 @@ func estimateRowCallCost(model fm.Model, f *dataframe.Frame, c Candidate) float6
 // Figure 1 efficiency comparison. A negative n is an error; an n beyond the
 // frame completes every row.
 //
-// Rows are completed by min(n, model.Concurrency()) workers when the model
-// is an fm.Concurrent (an fmgate gateway), and by one worker otherwise, so
-// a plain model sees its rows in order. Each worker takes the next row
-// index and refills its own prompt buffer. A gateway gets as many workers
-// as it admits upstream calls, so the paper's cost worst case (scenario 2,
-// one call per row) stops paying its latency serially, and no worker only
-// queues on the gateway. A failed row stops the workers on later rows, and
-// the error names the lowest failing row — the row a sequential pass would
-// have stopped at. If the caller cancels, the context's error is returned.
-// The result does not depend on the worker count: row completions are
-// independent and deterministic per row content (the simulated FM derives
-// even its error injection for this task from the prompt content, so
-// corruption does not depend on arrival order).
+// Rows run on par.Run with min(n, model.Concurrency()) workers when the
+// model is an fm.Concurrent (an fmgate gateway), and with one otherwise, so
+// a plain model sees its rows in order. A gateway gets as many workers as
+// it admits upstream calls, so the paper's cost worst case (scenario 2, one
+// call per row) stops paying its latency serially, and no worker only
+// queues on the gateway. Each worker refills its own prompt buffer. A
+// failure names the lowest failing row; if the caller cancels, the
+// context's error is returned. The result does not depend on the worker
+// count: row completions are deterministic per row content (the simulated
+// FM derives even its error injection for this task from the prompt).
 func CompleteRows(ctx context.Context, model fm.Model, f *dataframe.Frame, feature string, n int) ([]float64, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("core: cannot complete n = %d rows", n)
@@ -208,79 +204,23 @@ func CompleteRows(ctx context.Context, model fm.Model, f *dataframe.Frame, featu
 	}
 	out := make([]float64, n)
 	tmpl := newRowTemplate(feature)
-	workers := make([]rowWorker, min(n, window))
-	// Row indices are handed out in increasing order, so when row k fails
-	// every row below k has been taken already: the workers on later rows
-	// are cancelled and nothing past k starts, while the rows below k
-	// finish, so a lower failure still wins.
-	var (
-		next, stop atomic.Int64 // next row to hand out; lowest failed row (n: none)
-		mu         sync.Mutex
-		rowErr     error // the failure of row stop
-		wg         sync.WaitGroup
-	)
-	stop.Store(int64(n))
-	fail := func(i int64, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if i >= stop.Load() {
-			return // a later row, or one cancelled because of a lower failure
+	bufs := make([][]byte, par.Workers(window, n))
+	err := par.Run(ctx, window, n, func(ctx context.Context, w, i int) error {
+		bufs[w] = tmpl.append(bufs[w][:0], f, i)
+		resp, err := model.Complete(ctx, string(bufs[w]))
+		if err != nil {
+			return fmt.Errorf("core: row %d completion: %w", i, err)
 		}
-		stop.Store(i)
-		rowErr = err
-		for w := range workers {
-			if workers[w].cur.Load() > i {
-				workers[w].cancel()
-			}
-		}
-	}
-	for w := range workers {
-		workers[w].ctx, workers[w].cancel = context.WithCancel(ctx)
-	}
-	wg.Add(len(workers))
-	for w := range workers {
-		wk := &workers[w]
-		go func() {
-			defer wg.Done()
-			var buf []byte
-			for {
-				i := next.Add(1) - 1
-				// Publish the row before checking stop: a failure recorded
-				// meanwhile then either is seen here or cancels this row.
-				wk.cur.Store(i)
-				if i >= stop.Load() {
-					return // past the last row, or past a failed one
-				}
-				buf = tmpl.append(buf[:0], f, int(i))
-				resp, err := model.Complete(wk.ctx, string(buf))
-				if err != nil {
-					fail(i, err)
-					return
-				}
-				out[i] = parseRowValue(resp)
-			}
-		}()
-	}
-	// Every worker has exited before CompleteRows returns.
-	wg.Wait()
-	for w := range workers {
-		workers[w].cancel()
-	}
+		out[i] = parseRowValue(resp)
+		return nil
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if rowErr != nil {
-		return nil, fmt.Errorf("core: row %d completion: %w", stop.Load(), rowErr)
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
-}
-
-// rowWorker is one worker of CompleteRows: the row it holds and the cancel
-// of the context its calls run under.
-type rowWorker struct {
-	cur    atomic.Int64
-	ctx    context.Context
-	cancel context.CancelFunc
 }
 
 // parseRowValue reads the FM's answer for one masked value (NaN when the

@@ -72,15 +72,16 @@ type Config struct {
 	// it is excluded from Fingerprint and a chaos replay of a recorded run
 	// still matches the recording's config hash.
 	FMPool *fmgate.PoolSpec
-	// Workers bounds the evaluation parallelism at two levels: the grid
-	// runner's cell pool, and inside each cell the per-model training
-	// (EvaluateFrame) and CAAFE's per-model sessions. Forests additionally
-	// run their own GOMAXPROCS tree pool. The bound is per level, not
-	// global, so peak concurrency can reach the product of the levels.
-	// 0 means GOMAXPROCS per level; 1 forces fully sequential execution,
-	// which is also how to get uncontended efficiency timings. Results are
-	// bit-identical at any setting because every cell derives its
-	// randomness from fixed per-cell seeds.
+	// Workers bounds the evaluation parallelism at two levels, each a
+	// par.Run pool: the grid runner's cells, and inside each cell the
+	// per-model training (EvaluateFrame) and CAAFE's per-model sessions.
+	// A forest's trees run on a pool of GOMAXPROCS workers whatever this
+	// is. The bound is per level, not global, so peak concurrency can reach
+	// the product of the levels. 0 means GOMAXPROCS per level; 1 runs the
+	// cells, models and sessions sequentially, which is also how to get
+	// uncontended efficiency timings. Results are bit-identical at any
+	// setting because every cell derives its randomness from fixed
+	// per-cell seeds.
 	Workers int
 }
 

@@ -12,6 +12,7 @@ import (
 	"smartfeat/internal/metrics"
 	"smartfeat/internal/ml"
 	"smartfeat/internal/obs"
+	"smartfeat/internal/par"
 )
 
 // MethodResult holds one method's outcome on one dataset.
@@ -166,9 +167,11 @@ func EvaluateFrame(ctx context.Context, f *dataframe.Frame, target string, model
 	}
 	results := make([]outcome, len(models))
 	order := dnnFirst(models)
-	ForEachIndex(cfg.workers(), len(order), func(j int) {
-		if ctx.Err() != nil {
-			return
+	// A task fails only on the caller's cancellation, which is checked after
+	// the pool: a fit still running when it came is not a measured one.
+	par.Run(ctx, cfg.Workers, len(order), func(ctx context.Context, _, j int) error {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		k := order[j]
 		name := models[k]
@@ -179,19 +182,20 @@ func EvaluateFrame(ctx context.Context, f *dataframe.Frame, target string, model
 		clf, err := buildModel(name, cfg.Seed+int64(len(name)), cfg)
 		if err != nil {
 			results[k] = outcome{failure: err.Error()}
-			return
+			return nil
 		}
 		pipe := ml.NewPipeline(clf)
 		if err := pipe.Fit(Xtr, ytr); err != nil {
 			results[k] = outcome{failure: err.Error()}
-			return
+			return nil
 		}
 		auc, err := metrics.AUC(yte, pipe.PredictProba(Xte))
 		if err != nil {
 			results[k] = outcome{failure: err.Error()}
-			return
+			return nil
 		}
 		results[k] = outcome{auc: auc * 100, ok: true}
+		return nil
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err

@@ -14,6 +14,7 @@ import (
 	"smartfeat/internal/fm"
 	"smartfeat/internal/fmgate"
 	"smartfeat/internal/metrics"
+	"smartfeat/internal/par"
 )
 
 // SmartfeatRouter wires SMARTFEAT's two FM roles under cfg: the GPT-4
@@ -207,7 +208,8 @@ func RunCAAFE(ctx context.Context, d *datasets.Dataset, clean *dataframe.Frame, 
 	// below still walks cfg.Models in order.
 	order := dnnFirst(cfg.Models)
 	cells := make([]session, len(cfg.Models))
-	ForEachIndex(cfg.workers(), len(order), func(k int) {
+	// A session records its failure in its own slot; no task fails the pool.
+	par.Run(ctx, cfg.Workers, len(order), func(ctx context.Context, _, k int) error {
 		i := order[k]
 		ds := cfg.Models[i]
 		// Each session's gateway is scoped by its downstream model: the
@@ -218,15 +220,16 @@ func RunCAAFE(ctx context.Context, d *datasets.Dataset, clean *dataframe.Frame, 
 		gw, gwErr := newGateway(fm.NewGPT4Sim(cfg.Seed+7, cfg.FMErrorRate), "caafe", "caafe/"+ds, cfg)
 		if gwErr != nil {
 			cells[i] = session{runErr: gwErr}
-			return
+			return nil
 		}
 		res, err := caafe.Run(ctx, fact, d.Target, d.Descriptions, gw, ds, caafeCfg)
 		if err != nil {
 			cells[i] = session{runErr: err, degraded: gw.PoolDegraded(), metrics: gw.Metrics()}
-			return
+			return nil
 		}
 		aucs, failures, evalErr := EvaluateFrame(ctx, res.Frame, d.Target, []string{ds}, cfg)
 		cells[i] = session{res: res, degraded: gw.PoolDegraded(), aucs: aucs, failures: failures, evalErr: evalErr, metrics: gw.Metrics()}
+		return nil
 	})
 
 	for i, ds := range cfg.Models {

@@ -4,11 +4,10 @@ import (
 	"context"
 	"reflect"
 	"slices"
-	"strings"
-	"sync/atomic"
 	"testing"
 
 	"smartfeat/internal/datasets"
+	"smartfeat/internal/par"
 )
 
 // parallelTestConfig is a small configuration that still exercises every
@@ -21,78 +20,6 @@ func parallelTestConfig() Config {
 	cfg.SamplingBudget = 4
 	cfg.CAAFEIterations = 2
 	return cfg
-}
-
-func TestForEachIndexCoversAllTasks(t *testing.T) {
-	for _, workers := range []int{1, 3, 16} {
-		var hits [57]int32
-		ForEachIndex(workers, len(hits), func(i int) {
-			atomic.AddInt32(&hits[i], 1)
-		})
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: task %d ran %d times", workers, i, h)
-			}
-		}
-	}
-	ForEachIndex(4, 0, func(int) { t.Fatal("no tasks expected") })
-}
-
-// catchTaskPanic runs ForEachIndex and returns what it re-raised, nil when
-// nothing panicked.
-func catchTaskPanic(workers, n int, fn func(int)) (tp *TaskPanic, raised any) {
-	defer func() {
-		raised = recover()
-		tp, _ = raised.(*TaskPanic)
-	}()
-	ForEachIndex(workers, n, fn)
-	return nil, nil
-}
-
-// TestForEachIndexContainsPanic pins panic containment: one panicking index
-// comes back on the caller's goroutine as a *TaskPanic with its value and
-// the panicking worker's stack, every index below it has run, and the
-// sequential path hands out no index after it.
-func TestForEachIndexContainsPanic(t *testing.T) {
-	const n, bad = 40, 7
-	for _, workers := range []int{1, 3} {
-		var ran [n]atomic.Bool
-		tp, raised := catchTaskPanic(workers, n, func(i int) {
-			ran[i].Store(true)
-			if i == bad {
-				panic("task 7 failed")
-			}
-		})
-		if tp == nil {
-			t.Fatalf("workers=%d: re-raised %v (%T), want a *TaskPanic", workers, raised, raised)
-		}
-		if tp.Value != "task 7 failed" || tp.Error() != "task 7 failed" {
-			t.Fatalf("workers=%d: panic value %v", workers, tp.Value)
-		}
-		if !strings.Contains(string(tp.Stack), "TestForEachIndexContainsPanic.func") {
-			t.Fatalf("workers=%d: stack lacks the panicking task:\n%s", workers, tp.Stack)
-		}
-		for i := 0; i <= bad; i++ {
-			if !ran[i].Load() {
-				t.Fatalf("workers=%d: task %d never ran", workers, i)
-			}
-		}
-		if workers == 1 {
-			for i := bad + 1; i < n; i++ {
-				if ran[i].Load() {
-					t.Fatalf("sequential pool ran task %d after the panic", i)
-				}
-			}
-		}
-	}
-	// Every task panics: the lowest index's panic is the one re-raised, and
-	// one pool's TaskPanic passes through an enclosing pool unwrapped.
-	tp, _ := catchTaskPanic(2, 2, func(int) {
-		ForEachIndex(3, 9, func(i int) { panic(i) })
-	})
-	if tp == nil || tp.Value != 0 {
-		t.Fatalf("nested pools re-raised %+v, want the inner task 0's panic", tp)
-	}
 }
 
 // TestParallelHarnessMatchesSequential is the golden-equivalence check for
@@ -194,9 +121,10 @@ func TestRunEfficiencyParallelRowOrder(t *testing.T) {
 	ExpensiveFirst(order, func(i int) string { return methods[i] })
 	results := make([]MethodResult, len(methods))
 	errs := make([]error, len(methods))
-	ForEachIndex(cfg.Workers, len(order), func(k int) {
+	par.Run(context.Background(), cfg.Workers, len(order), func(ctx context.Context, _, k int) error {
 		i := order[k]
-		results[i], errs[i] = RunCell(context.Background(), "Diabetes", methods[i], cfg)
+		results[i], errs[i] = RunCell(ctx, "Diabetes", methods[i], cfg)
+		return nil
 	})
 	for i, err := range errs {
 		if err != nil {

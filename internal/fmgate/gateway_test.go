@@ -19,6 +19,7 @@ import (
 	"smartfeat/internal/dataframe"
 	"smartfeat/internal/fm"
 	"smartfeat/internal/obs"
+	"smartfeat/internal/par"
 )
 
 // countingModel is a concurrency-tolerant fm.Model double: it counts
@@ -680,6 +681,47 @@ func TestCompleteRowsCallerCancel(t *testing.T) {
 			vals, err := core.CompleteRows(ctx, model, f, "Density", f.Len())
 			if err != context.Canceled || vals != nil {
 				t.Fatalf("CompleteRows = (%d values, %v), want the context's error", len(vals), err)
+			}
+		})
+	}
+}
+
+// TestCompleteRowsPanicReachesCaller panics inside the model on one row:
+// through a plain model and through gateways of any window, CompleteRows
+// re-raises it on the caller's goroutine as a *par.TaskPanic, and the
+// goroutine count settles back to where it started.
+func TestCompleteRowsPanicReachesCaller(t *testing.T) {
+	f := idFrame(t, 200)
+	for _, concurrency := range []int{0, 1, 8} {
+		name := fmt.Sprint("concurrency=", concurrency)
+		if concurrency == 0 {
+			name = "plain"
+		}
+		t.Run(name, func(t *testing.T) {
+			var model fm.Model = &countingModel{fail: func(p string) error {
+				if rowOf(p) == 5 {
+					panic("row 5 exploded")
+				}
+				return nil
+			}}
+			if concurrency > 0 {
+				model = New(model, Options{Concurrency: concurrency})
+			}
+			before := runtime.NumGoroutine()
+			var raised any
+			func() {
+				defer func() { raised = recover() }()
+				core.CompleteRows(context.Background(), model, f, "Density", f.Len())
+			}()
+			if tp, ok := raised.(*par.TaskPanic); !ok || tp.Value != "row 5 exploded" {
+				t.Fatalf("CompleteRows raised %v (%T), want row 5's *par.TaskPanic", raised, raised)
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutines: %d before, %d after", before, runtime.NumGoroutine())
+				}
+				runtime.Gosched()
 			}
 		})
 	}

@@ -17,6 +17,7 @@ import (
 	"smartfeat/internal/experiments"
 	"smartfeat/internal/fmgate"
 	"smartfeat/internal/obs"
+	"smartfeat/internal/par"
 )
 
 // tinyConfig keeps the grid tests fast: one small dataset, two cheap models,
@@ -343,10 +344,11 @@ type poolPanicLocker struct{ fired atomic.Bool }
 
 func (l *poolPanicLocker) Lock() error {
 	if !l.fired.Swap(true) {
-		experiments.ForEachIndex(2, 2, func(i int) {
+		par.Run(context.Background(), 2, 2, func(_ context.Context, _, i int) error {
 			if i == 1 {
 				panic("locker exploded")
 			}
+			return nil
 		})
 	}
 	return nil
@@ -358,7 +360,7 @@ func (l *poolPanicLocker) Unlock() error { return nil }
 // goroutine (here from the shard set's manifest lock, inside the cell's
 // execution) fails that cell with an error that starts "panic:", logs the
 // stack, puts it on the cell span, and the run goes on to the next cell. A
-// panic on a worker of a pool the cell starts (experiments.ForEachIndex)
+// panic on a worker of a pool the cell starts (par.Run)
 // does the same, and the stack reported is the worker's.
 func TestGridCellPanicFailsCell(t *testing.T) {
 	t.Run("cell", func(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -17,6 +16,7 @@ import (
 	"smartfeat/internal/fmgate"
 	"smartfeat/internal/lease"
 	"smartfeat/internal/obs"
+	"smartfeat/internal/par"
 )
 
 // Status classifies a cell's scheduling outcome.
@@ -221,7 +221,6 @@ type runState struct {
 	res        *RunResult
 	configHash string
 	claimer    lease.Claimer
-	workers    int
 	failFast   atomic.Bool
 	obs        *runnerObs
 
@@ -345,11 +344,6 @@ func (r *Runner) Run(ctx context.Context, plan []Cell) (*RunResult, error) {
 		r.Stores.SetLocker(lease.NewMutex(filepath.Join(r.Stores.Dir(), "manifest.json.lock"), r.LeaseTTL))
 	}
 
-	st.workers = r.Config.Workers
-	if st.workers <= 0 {
-		st.workers = runtime.GOMAXPROCS(0)
-	}
-
 	todo := make([]int, 0, len(plan))
 	for i := range res.Outcomes {
 		if res.Outcomes[i].Status != StatusResumed {
@@ -433,7 +427,8 @@ func (r *Runner) pass(ctx context.Context, st *runState, todo []int, distributed
 		}
 	}
 	experiments.ExpensiveFirst(todo, func(i int) string { return st.res.Outcomes[i].Cell.Method })
-	experiments.ForEachIndex(st.workers, len(todo), func(j int) {
+	// A cell records its outcome in its own slot; no cell fails the pool.
+	par.Run(ctx, r.Config.Workers, len(todo), func(ctx context.Context, _, j int) error {
 		o := &st.res.Outcomes[todo[j]]
 		if ctx.Err() != nil || (!r.KeepGoing && st.failFast.Load()) {
 			// A cell already observed under a peer's live lease stays
@@ -441,19 +436,19 @@ func (r *Runner) pass(ctx context.Context, st *runState, todo []int, distributed
 			if o.Status != StatusLeased {
 				o.Status = StatusSkipped
 			}
-			return
+			return nil
 		}
 		key := o.Cell.Key()
 		if distributed {
 			if r.loadPeerArtifact(st, o) {
-				return
+				return nil
 			}
 			if rec, ok := foreign[key]; ok && rec.Status == string(StatusFailed) && !sameRecord(rec, st.priorFailed[key]) {
 				o.Status, o.Holder = StatusFailed, ""
 				o.Err = fmt.Errorf("grid: cell failed on worker %q: %s", rec.Worker, rec.Err)
 				st.failFast.Store(true)
 				r.logf("cell %-40s failed on worker %q", o.Cell, rec.Worker)
-				return
+				return nil
 			}
 		}
 		claim, ok, err := st.claimer.Claim(key)
@@ -461,7 +456,7 @@ func (r *Runner) pass(ctx context.Context, st *runState, todo []int, distributed
 			o.Status, o.Err = StatusFailed, err
 			st.failFast.Store(true)
 			r.logf("cell %-40s FAILED: %v", o.Cell, err)
-			return
+			return nil
 		}
 		if !ok {
 			o.Status = StatusLeased
@@ -469,16 +464,17 @@ func (r *Runner) pass(ctx context.Context, st *runState, todo []int, distributed
 				o.Holder = info.Worker
 			}
 			r.logf("cell %-40s held by worker %q", o.Cell, o.Holder)
-			return
+			return nil
 		}
 		defer claim.Release()
 		// Completed-artifact presence always wins over any lease: the
 		// previous holder may have finished between our artifact check and
 		// the claim.
 		if distributed && r.loadPeerArtifact(st, o) {
-			return
+			return nil
 		}
 		r.executeClaimed(ctx, st, o)
+		return nil
 	})
 }
 
@@ -518,11 +514,10 @@ func (r *Runner) loadPeerArtifact(st *runState, o *Outcome) bool {
 // A panic raised on the cell's goroutine fails the cell instead of the
 // process: the cell is StatusFailed with an error that starts "panic:", and
 // the stack goes to the run log and onto the span as its "stack" attribute.
-// The worker pools a cell starts itself (experiments.ForEachIndex: the
-// model pool, CAAFE's sessions) re-raise a task's panic on the cell's
-// goroutine as an *experiments.TaskPanic; its stack, the panicking
-// worker's, is the one reported. A panic on any other goroutine a cell
-// starts (a forest's tree pool) still ends the process.
+// The worker pools a cell starts (par.Run: the model pool, CAAFE's
+// sessions, a forest's trees, row completions) re-raise a task's panic on
+// the cell's goroutine as a *par.TaskPanic; its stack, the panicking
+// worker's, is the one reported.
 func (r *Runner) executeClaimed(ctx context.Context, st *runState, o *Outcome) {
 	start := time.Now()
 	cctx, span := obs.StartSpan(ctx, "cell",
@@ -531,7 +526,7 @@ func (r *Runner) executeClaimed(ctx context.Context, st *runState, o *Outcome) {
 		defer func() {
 			if p := recover(); p != nil {
 				stack := debug.Stack()
-				if tp, ok := p.(*experiments.TaskPanic); ok {
+				if tp, ok := p.(*par.TaskPanic); ok {
 					stack = tp.Stack
 				}
 				err = fmt.Errorf("panic: %v", p)

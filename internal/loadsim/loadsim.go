@@ -32,11 +32,11 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"smartfeat/internal/grid"
 	"smartfeat/internal/obs"
+	"smartfeat/internal/par"
 	"smartfeat/internal/retryafter"
 	"smartfeat/internal/serve"
 )
@@ -177,8 +177,6 @@ type runner struct {
 	tenantStats   *statsSet // completed ops per tenant
 	endpointStats *statsSet // requests per endpoint
 
-	opSeq atomic.Int64 // closed-loop op dispenser
-
 	mu            sync.Mutex
 	tables        map[int][]byte   // spec index -> first served result
 	perTenantDone map[string]int64 // tenant -> completed ops
@@ -247,32 +245,27 @@ func Run(ctx context.Context, c Config) (*Report, error) {
 	return rep, nil
 }
 
-// runClosedLoop fans out Tenants×Clients workers over a shared op counter:
-// each worker holds at most one op in flight, so total concurrency is fixed
-// and the offered load self-throttles to the daemon's service rate.
+// runClosedLoop runs the ops on Tenants×Clients workers: each worker holds
+// at most one op in flight, so total concurrency is fixed and the offered
+// load self-throttles to the daemon's service rate. Worker w is a client of
+// tenant w/Clients with its own rng.
 func (r *runner) runClosedLoop(ctx context.Context) {
-	var wg sync.WaitGroup
-	for t := 0; t < r.cfg.Tenants; t++ {
-		tenant := fmt.Sprintf("sim-t%d", t)
-		for cl := 0; cl < r.cfg.Clients; cl++ {
-			wg.Add(1)
-			rng := rand.New(rand.NewSource(r.cfg.Seed + int64(t*r.cfg.Clients+cl) + 1))
-			go func(tenant string, rng *rand.Rand) {
-				defer wg.Done()
-				for {
-					k := int(r.opSeq.Add(1)) - 1
-					if k >= r.cfg.Ops || ctx.Err() != nil {
-						return
-					}
-					r.runOp(ctx, k, tenant, rng)
-					if r.cfg.Think > 0 {
-						sleepCtx(ctx, jitter(rng, r.cfg.Think))
-					}
-				}
-			}(tenant, rng)
-		}
+	workers := r.cfg.Tenants * r.cfg.Clients
+	rngs := make([]*rand.Rand, workers)
+	for w := range rngs {
+		rngs[w] = rand.New(rand.NewSource(r.cfg.Seed + int64(w) + 1))
 	}
-	wg.Wait()
+	// The run stops at the caller's cancellation, which is its only error.
+	par.Run(ctx, workers, r.cfg.Ops, func(ctx context.Context, w, k int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		r.runOp(ctx, k, fmt.Sprintf("sim-t%d", w/r.cfg.Clients), rngs[w])
+		if r.cfg.Think > 0 {
+			sleepCtx(ctx, jitter(rngs[w], r.cfg.Think))
+		}
+		return nil
+	})
 }
 
 // runOpenLoop dispatches ops at Poisson arrival times regardless of

@@ -1,10 +1,11 @@
 package ml
 
 import (
+	"context"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
+
+	"smartfeat/internal/par"
 )
 
 // Forest is an ensemble of CART trees. With Bootstrap=true and greedy splits
@@ -81,7 +82,8 @@ func (f *Forest) Fit(X *Matrix, y []int) error {
 	if !f.Bootstrap && !f.histogramSplits() {
 		presort = newForestPresort(X, y)
 	}
-	return f.fit(X, y, presort)
+	f.fit(X, y, presort)
+	return nil
 }
 
 // histogramSplits reports whether split finding is histogram-binned: the
@@ -91,7 +93,7 @@ func (f *Forest) histogramSplits() bool { return f.Histogram && !f.RandomSplits 
 // fit trains the trees on validated inputs. presort is the shared root-split
 // cache of a non-bootstrap forest, nil for the per-tree reference path that
 // the equivalence tests pin it against.
-func (f *Forest) fit(X *Matrix, y []int, presort *forestPresort) error {
+func (f *Forest) fit(X *Matrix, y []int, presort *forestPresort) {
 	if f.NumTrees <= 0 {
 		f.NumTrees = 40
 	}
@@ -113,65 +115,40 @@ func (f *Forest) fit(X *Matrix, y []int, presort *forestPresort) error {
 	if histOn {
 		bins = newBinSet(X, y, f.MaxBins)
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > f.NumTrees {
-		workers = f.NumTrees
-	}
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	errOnce := sync.Once{}
-	var fitErr error
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One histogram arena per worker: trees fitted by this worker
-			// reuse its node-histogram scratch sequentially.
-			var arena *histArena
-			if histOn {
-				arena = &histArena{}
+	// One histogram arena per worker: the trees a worker fits reuse its
+	// node-histogram scratch in turn.
+	arenas := make([]*histArena, par.Workers(0, f.NumTrees))
+	par.Run(context.Background(), 0, f.NumTrees, func(_ context.Context, w, ti int) error {
+		if histOn && arenas[w] == nil {
+			arenas[w] = &histArena{}
+		}
+		tree := NewTree(TreeConfig{
+			MaxFeatures:  maxFeatures,
+			RandomSplits: f.RandomSplits,
+			Histogram:    f.Histogram,
+			MaxBins:      f.MaxBins,
+			HistMinNode:  f.HistMinNode,
+			Seed:         seeds[ti],
+		})
+		tree.presort = presort
+		tree.bins = bins
+		tree.hist = arenas[w]
+		tree.sharedRoot = !f.Bootstrap
+		var rows []int
+		if f.Bootstrap {
+			sampleRng := rand.New(rand.NewSource(seeds[ti] ^ 0x5f5f5f5f))
+			rows = bootstrapSample(sampleRng, X.Rows())
+		} else {
+			rows = make([]int, X.Rows())
+			for i := range rows {
+				rows[i] = i
 			}
-			for ti := range jobs {
-				tree := NewTree(TreeConfig{
-					MaxFeatures:  maxFeatures,
-					RandomSplits: f.RandomSplits,
-					Histogram:    f.Histogram,
-					MaxBins:      f.MaxBins,
-					HistMinNode:  f.HistMinNode,
-					Seed:         seeds[ti],
-				})
-				tree.presort = presort
-				tree.bins = bins
-				tree.hist = arena
-				tree.sharedRoot = !f.Bootstrap
-				var rows []int
-				if f.Bootstrap {
-					sampleRng := rand.New(rand.NewSource(seeds[ti] ^ 0x5f5f5f5f))
-					rows = bootstrapSample(sampleRng, X.Rows())
-				} else {
-					rows = make([]int, X.Rows())
-					for i := range rows {
-						rows[i] = i
-					}
-				}
-				if err := tree.fitRows(X, y, rows); err != nil {
-					errOnce.Do(func() { fitErr = err })
-					continue
-				}
-				f.trees[ti] = tree
-			}
-		}()
-	}
-	for ti := 0; ti < f.NumTrees; ti++ {
-		jobs <- ti
-	}
-	close(jobs)
-	wg.Wait()
-	if fitErr != nil {
-		return fitErr
-	}
+		}
+		tree.fitRows(X, y, rows)
+		f.trees[ti] = tree
+		return nil
+	})
 	f.fitted = true
-	return nil
 }
 
 // PredictProba implements Classifier: the mean of per-tree leaf frequencies.

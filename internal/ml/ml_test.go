@@ -3,9 +3,11 @@ package ml
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"smartfeat/internal/metrics"
+	"smartfeat/internal/par"
 )
 
 // synthLinear builds a linearly separable-ish dataset with noise.
@@ -266,6 +268,32 @@ func TestForestImportancesFindSignalFeature(t *testing.T) {
 	sum := imp[0] + imp[1] + imp[2]
 	if math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("importances should normalise to 1, got %v", sum)
+	}
+}
+
+// TestForestPanicReachesCaller fits extra-trees over a matrix whose storage
+// is shorter than rows×cols. validate passes, so the index panic happens on
+// a tree worker; it must come back on the caller's goroutine as a
+// *par.TaskPanic carrying that worker's stack.
+func TestForestPanicReachesCaller(t *testing.T) {
+	const rows = 64
+	X := &Matrix{rows: rows, cols: 4, data: make([]float64, rows)}
+	y := make([]int, rows)
+	for i := range y {
+		X.data[i] = float64(i)
+		y[i] = i % 2
+	}
+	var raised any
+	func() {
+		defer func() { raised = recover() }()
+		NewExtraTrees(8, 3).Fit(X, y)
+	}()
+	tp, ok := raised.(*par.TaskPanic)
+	if !ok {
+		t.Fatalf("Fit raised %v (%T), want a *par.TaskPanic", raised, raised)
+	}
+	if !strings.Contains(string(tp.Stack), "ml.(*Tree)") {
+		t.Fatalf("stack is not the tree worker's:\n%s", tp.Stack)
 	}
 }
 

@@ -103,7 +103,8 @@ func (t *Tree) Fit(X *Matrix, y []int) error {
 	for i := range idx {
 		idx[i] = i
 	}
-	return t.fitRows(X, y, idx)
+	t.fitRows(X, y, idx)
+	return nil
 }
 
 // fitRows grows the tree over the given training rows of X (rows may repeat,
@@ -112,7 +113,7 @@ func (t *Tree) Fit(X *Matrix, y []int) error {
 // one binSet and per-worker arena across trees) populates t.bins/t.hist
 // first; both references are dropped on return — prediction only walks the
 // node array.
-func (t *Tree) fitRows(X *Matrix, y []int, idx []int) error {
+func (t *Tree) fitRows(X *Matrix, y []int, idx []int) {
 	t.nodes = t.nodes[:0]
 	t.importance = make([]float64, X.Cols())
 	if cap(t.scratchVals) < len(idx) {
@@ -124,7 +125,6 @@ func (t *Tree) fitRows(X *Matrix, y []int, idx []int) error {
 	t.fitted = true
 	t.bins = nil
 	t.hist = nil
-	return nil
 }
 
 // gini computes Gini impurity from positive count and total.
