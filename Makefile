@@ -1,22 +1,26 @@
 GO ?= go
 PKGS := ./...
 # Kernel-level microbenchmarks (tree/forest/linear/MLP fits, MLP predict, the
-# MLP's row-sum and the logistic loss's log vector kernels, ColMatrix's gather,
-# group-by, the per-prompt agenda render, feature realization: expression
-# evaluation, distinct counts, group-by transforms, and the AutoFeat
-# baseline's expansion and selection on Heart, whose B/op tracks its memory).
+# MLP's row-sum and the logistic loss's log vector kernels, the Gatherer's
+# gather, group-by, the per-prompt agenda render, feature realization:
+# expression evaluation, distinct counts, group-by transforms, and the
+# AutoFeat baseline's expansion and selection on Heart and the Featuretools
+# baseline's on the quick Bank frame, whose B/op track their memory:
+# Featuretools' counts the 27 kept columns, not the 72 it makes).
 # BenchmarkDropNANoNulls measures the null scan plus a column-list copy: since
 # columns became immutable its no-null result shares the source's series, so
 # its B/op no longer counts the column data (the trajectory steps down there).
 # BenchmarkColMatrix gathers all rows and a sorted quarter of a Bank-sized
 # frame (it built a 4,000-row matrix before, so its trajectory steps up), and
 # BenchmarkEvaluateFrame runs the five-model evaluation on the quick Bank
-# frame, whose B/op tracks what evaluation copies. BenchmarkLoadDatasets
+# frame, whose B/op tracks what evaluation copies (it steps down where test
+# rows came to be scored in blocks and categorical codes to be read in
+# place). BenchmarkLoadDatasets
 # generates all eight datasets, whose categorical columns are written as
 # dictionary codes, and BenchmarkFactorizeAll codes the quick Bank frame's
 # eight categorical columns: their B/op tracks what the tables cost.
-KERNEL_BENCH := BenchmarkTreeFit|BenchmarkForestFit|BenchmarkExtraTreesFit|BenchmarkHistogramSplit|BenchmarkLogisticFit|BenchmarkMLPFit|BenchmarkMLPPredict|BenchmarkRowsum|BenchmarkLogs|BenchmarkMatrixTakeRows|BenchmarkColMatrix|BenchmarkDropNANoNulls|BenchmarkSeriesStd|BenchmarkGroupKeys|BenchmarkAgendaRender|BenchmarkEvalRows|BenchmarkCardinality|BenchmarkGroupByTransform|BenchmarkAutoFeatRun|BenchmarkEvaluateFrame|BenchmarkLoadDatasets|BenchmarkFactorizeAll
-KERNEL_PKGS := ./internal/ml ./internal/dataframe ./internal/core ./internal/expr ./internal/baselines/autofeat ./internal/experiments ./internal/datasets
+KERNEL_BENCH := BenchmarkTreeFit|BenchmarkForestFit|BenchmarkExtraTreesFit|BenchmarkHistogramSplit|BenchmarkLogisticFit|BenchmarkMLPFit|BenchmarkMLPPredict|BenchmarkRowsum|BenchmarkLogs|BenchmarkMatrixTakeRows|BenchmarkColMatrix|BenchmarkDropNANoNulls|BenchmarkSeriesStd|BenchmarkGroupKeys|BenchmarkAgendaRender|BenchmarkEvalRows|BenchmarkCardinality|BenchmarkGroupByTransform|BenchmarkAutoFeatRun|BenchmarkFeaturetoolsRun|BenchmarkEvaluateFrame|BenchmarkLoadDatasets|BenchmarkFactorizeAll
+KERNEL_PKGS := ./internal/ml ./internal/dataframe ./internal/core ./internal/expr ./internal/baselines/autofeat ./internal/baselines/featuretools ./internal/experiments ./internal/datasets
 # The row-level path's benches (one Bank row serialized; a warm pass of
 # cached rows; a cold pass of distinct rows through a fresh caching gateway
 # whose window is GOMAXPROCS) run in the kernel and grid sweeps at

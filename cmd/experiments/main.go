@@ -159,7 +159,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	gcCacheMB := fs.Int("gc-cache-mb", 0, "under -gc, cap each FM shard directory's total *.jsonl size: stale live-* cache shards (older than -lease-ttl) are evicted oldest-first until under the cap (0 = no cap; cell shards are never touched)")
 	metricsAddr := fs.String("metrics-addr", "", "serve the process metrics registry ('/metrics', Prometheus text or ?format=json) and /debug/pprof on this address for the duration of the run (e.g. 'localhost:9090'; ':0' picks a free port)")
 	metricsLinger := fs.Duration("metrics-linger", 0, "keep the -metrics-addr server up this long after a successful run (lets CI scrape a finished run)")
-	traceFlag := fs.Bool("trace", false, "record a span trace — grid cells, FM calls, CAAFE iterations, model fits — to trace.jsonl in the run directory (or ./trace.jsonl without one); convert with tools/traceview. Tables are byte-identical with or without tracing")
+	traceFlag := fs.Bool("trace", false, "record a span trace — grid cells, FM calls, CAAFE iterations, model fits and scoring — to trace.jsonl in the run directory (or ./trace.jsonl without one); convert with tools/traceview. Tables are byte-identical with or without tracing")
 	var fmf fmgate.Flags
 	fmf.Register(fs)
 	if err := fs.Parse(args); err != nil {

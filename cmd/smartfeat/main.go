@@ -41,8 +41,8 @@
 //	-metrics-addr ADDR  serve /metrics (Prometheus text; ?format=json) and
 //	                    /debug/pprof for the duration of the run
 //	-metrics-linger D   keep the metrics server up D after a successful run
-//	-trace PATH         record a span trace (fm.call, fm.attempt, ml.fit)
-//	                    to PATH; convert with tools/traceview
+//	-trace PATH         record a span trace (fm.call, fm.attempt, ml.fit,
+//	                    ml.score) to PATH; convert with tools/traceview
 //
 // A report of every candidate feature (operator, status, inputs), the
 // foundation-model usage accounting and the gateway traffic counters is
@@ -122,7 +122,7 @@ func main() {
 	flag.IntVar(&o.fmConcurrency, "fm-concurrency", 8, "bound on concurrent in-flight FM calls (row-level fan-out)")
 	metricsAddr := flag.String("metrics-addr", "", "serve the process metrics registry ('/metrics', Prometheus text or ?format=json) and /debug/pprof on this address for the duration of the run (':0' picks a free port)")
 	metricsLinger := flag.Duration("metrics-linger", 0, "keep the -metrics-addr server up this long after a successful run (lets CI scrape a finished run)")
-	tracePath := flag.String("trace", "", "record a span trace (FM calls, model fits) to this JSONL file; convert with tools/traceview. Output is byte-identical with or without tracing")
+	tracePath := flag.String("trace", "", "record a span trace (FM calls, model fits and scoring) to this JSONL file; convert with tools/traceview. Output is byte-identical with or without tracing")
 	o.fm.Register(flag.CommandLine)
 	flag.Parse()
 

@@ -302,10 +302,11 @@ func trainResidual(f *dataframe.Frame, base []string, target string, trainRows [
 			rows[i] = i
 		}
 	}
-	Xtr, err := f.ColMatrix(base, rows)
+	g, err := f.Gatherer(base)
 	if err != nil {
 		return nil
 	}
+	Xtr := g.Gather(rows, nil)
 	yCol := f.Column(target)
 	ytr := make([]int, len(rows))
 	for k, i := range rows {
@@ -317,7 +318,7 @@ func trainResidual(f *dataframe.Frame, base []string, target string, trainRows [
 	if err := pipe.Fit(Xtr, ytr); err != nil {
 		return nil
 	}
-	probs := pipe.PredictProba(Xtr)
+	probs := pipe.PredictProba(Xtr, nil)
 	out := make([]float64, len(rows))
 	for k := range rows {
 		out[k] = float64(ytr[k]) - probs[k]

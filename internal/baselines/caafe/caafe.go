@@ -416,10 +416,11 @@ func meanValidationAUC(f *dataframe.Frame, features []string, allLabels []int, d
 	if len(features) == 0 {
 		return 0, fmt.Errorf("caafe: no features")
 	}
-	X, err := f.ColMatrix(features, rows)
+	g, err := f.Gatherer(features)
 	if err != nil {
 		return 0, err
 	}
+	X := g.Gather(rows, nil)
 	labels := make([]int, len(rows))
 	for k, i := range rows {
 		labels[k] = allLabels[i]
@@ -436,8 +437,9 @@ func meanValidationAUC(f *dataframe.Frame, features []string, allLabels []int, d
 		}
 	}
 	sum := 0.0
+	var buf ml.Matrix
 	for r := 0; r < validationRepeats; r++ {
-		v, err := validationAUC(X, labels, downstream, seed+int64(r)*101)
+		v, err := validationAUC(X, labels, downstream, seed+int64(r)*101, &buf)
 		if err != nil {
 			return 0, err
 		}
@@ -447,8 +449,9 @@ func meanValidationAUC(f *dataframe.Frame, features []string, allLabels []int, d
 }
 
 // validationAUC trains the downstream model on one seeded split of the
-// validation sample and returns its AUC on the held-out part.
-func validationAUC(X *ml.Matrix, labels []int, downstream string, seed int64) (float64, error) {
+// validation sample and returns its AUC on the held-out part, which the
+// pipeline preprocesses into buf.
+func validationAUC(X *ml.Matrix, labels []int, downstream string, seed int64, buf *ml.Matrix) (float64, error) {
 	train, test := metrics.TrainTestSplit(X.Rows(), 0.25, seed)
 	Xtr, ytr := X.TakeRows(train), metrics.TakeLabels(labels, train)
 	Xte, yte := X.TakeRows(test), metrics.TakeLabels(labels, test)
@@ -460,7 +463,7 @@ func validationAUC(X *ml.Matrix, labels []int, downstream string, seed int64) (f
 	if err := pipe.Fit(Xtr, ytr); err != nil {
 		return 0, err
 	}
-	return metrics.AUC(yte, pipe.PredictProba(Xte))
+	return metrics.AUC(yte, pipe.PredictProba(Xte, buf))
 }
 
 // validationModel builds a scaled-down downstream model for per-candidate

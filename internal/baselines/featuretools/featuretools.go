@@ -81,32 +81,56 @@ func Run(input *dataframe.Frame, target string, cfg Config) (*Result, error) {
 			categorical = append(categorical, name)
 		}
 	}
-	var candidates []string
-	addFeature := func(name string, vals []float64) {
-		if f.Has(name) {
+	// Selection: the library's default post-processing, applied to each
+	// candidate as it is made. A kept candidate joins the frame; a rejected
+	// one's values become the buffer the next candidate is written into, so
+	// the run holds only what it keeps.
+	sel := featselect.NewSelector(f, f.Names(), nil, featselect.FilterOptions{
+		MaxNullFrac:       0.5,
+		DropSingleValued:  true,
+		MaxAbsCorrelation: cfg.MaxAbsCorrelation,
+	})
+	made := make(map[string]bool)
+	var kept []string
+	var spare []float64
+	consider := func(name string, vals []float64) {
+		if f.Has(name) || made[name] {
+			spare = vals
 			return
 		}
-		if err := f.AddNumeric(name, vals); err == nil {
-			candidates = append(candidates, name)
+		made[name] = true
+		col := dataframe.NewNumeric(name, vals)
+		if sel.Check(col) != "" {
+			spare = vals
+			return
 		}
+		_ = f.Add(col) // a new name, as long as the frame: Add cannot fail
+		kept = append(kept, name)
+	}
+	buffer := func() []float64 {
+		if vals := spare; vals != nil {
+			spare = nil
+			return vals
+		}
+		return make([]float64, f.Len())
 	}
 	// Transform primitives: exhaustive over numeric pairs, no context.
 	for i := 0; i < len(numeric); i++ {
 		for j := i + 1; j < len(numeric); j++ {
 			a, b := f.Column(numeric[i]), f.Column(numeric[j])
 			if cfg.AddNumeric {
-				vals := make([]float64, f.Len())
+				vals := buffer()
 				for k := range vals {
 					vals[k] = a.Nums[k] + b.Nums[k]
 				}
-				addFeature(fmt.Sprintf("%s + %s", numeric[i], numeric[j]), vals)
+				consider(fmt.Sprintf("%s + %s", numeric[i], numeric[j]), vals)
 			}
 			if cfg.MultiplyNumeric {
-				vals := make([]float64, f.Len())
+				vals := buffer()
 				for k := range vals {
 					vals[k] = a.Nums[k] * b.Nums[k]
 				}
-				addFeature(fmt.Sprintf("%s * %s", numeric[i], numeric[j]), vals)
+				consider(fmt.Sprintf("%s * %s", numeric[i], numeric[j]), vals)
 			}
 		}
 	}
@@ -122,24 +146,16 @@ func Run(input *dataframe.Frame, target string, cfg Config) (*Result, error) {
 					if err != nil {
 						continue
 					}
-					addFeature(fmt.Sprintf("%s(%s) by %s", fn, num, cat), vals)
+					consider(fmt.Sprintf("%s(%s) by %s", fn, num, cat), vals)
 				}
 			}
 		}
 	}
-	generated := len(candidates)
-	// Selection: the library's default post-processing.
-	opts := featselect.FilterOptions{
-		MaxNullFrac:       0.5,
-		DropSingleValued:  true,
-		MaxAbsCorrelation: cfg.MaxAbsCorrelation,
-	}
-	report := featselect.VerifyFeatures(f, candidates, map[string]bool{target: true}, nil, opts)
 	return &Result{
 		Frame:      f,
-		Generated:  generated,
-		Selected:   len(report.Kept),
-		NewColumns: report.Kept,
+		Generated:  len(made),
+		Selected:   len(kept),
+		NewColumns: kept,
 		Elapsed:    time.Since(start),
 	}, nil
 }

@@ -1,10 +1,15 @@
 package featuretools
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"smartfeat/internal/dataframe"
+	"smartfeat/internal/datasets"
+	"smartfeat/internal/featselect"
 )
 
 func testFrame(t *testing.T) *dataframe.Frame {
@@ -127,5 +132,138 @@ func TestRunContextAgnostic(t *testing.T) {
 	}
 	if r1.Generated != r2.Generated {
 		t.Fatal("expansion should be label-agnostic")
+	}
+}
+
+// expandThenVerify is the selection Run made before it checked candidates
+// as it made them: every candidate joins the frame, then VerifyFeatures
+// filters them all.
+func expandThenVerify(t *testing.T, input *dataframe.Frame, target string, cfg Config) (*dataframe.Frame, []string) {
+	t.Helper()
+	f := input.Clone()
+	var numeric, categorical, candidates []string
+	for _, name := range f.Names() {
+		switch {
+		case name == target:
+		case f.Column(name).Kind == dataframe.Numeric:
+			numeric = append(numeric, name)
+		default:
+			categorical = append(categorical, name)
+		}
+	}
+	add := func(name string, vals []float64) {
+		if !f.Has(name) && f.AddNumeric(name, vals) == nil {
+			candidates = append(candidates, name)
+		}
+	}
+	for i := range numeric {
+		for j := i + 1; j < len(numeric); j++ {
+			a, b := f.Column(numeric[i]).Nums, f.Column(numeric[j]).Nums
+			sum, prod := make([]float64, f.Len()), make([]float64, f.Len())
+			for k := range sum {
+				sum[k], prod[k] = a[k]+b[k], a[k]*b[k]
+			}
+			add(numeric[i]+" + "+numeric[j], sum)
+			add(numeric[i]+" * "+numeric[j], prod)
+		}
+	}
+	for _, cat := range categorical {
+		if !cfg.AggPrimitives || f.Column(cat).Cardinality() > cfg.MaxGroupCardinality {
+			continue
+		}
+		for _, num := range numeric {
+			for _, fn := range []dataframe.AggFunc{dataframe.AggMean, dataframe.AggMax} {
+				if vals, err := f.GroupByTransform([]string{cat}, num, fn); err == nil {
+					add(fmt.Sprintf("%s(%s) by %s", fn, num, cat), vals)
+				}
+			}
+		}
+	}
+	opts := featselect.FilterOptions{MaxNullFrac: 0.5, DropSingleValued: true, MaxAbsCorrelation: cfg.MaxAbsCorrelation}
+	return f, featselect.VerifyFeatures(f, candidates, map[string]bool{target: true}, nil, opts).Kept
+}
+
+// TestRunMatchesExpandThenVerify holds the per-candidate selection to the
+// old expand-then-filter one on a frame where every path of the filter
+// fires: NaN rows (whose correlations fall back to featselect.Pearson),
+// a mostly-NaN column (the null rule), a constant sum (single-valued),
+// near-duplicate columns (the correlation cap) and aggregation features.
+func TestRunMatchesExpandThenVerify(t *testing.T) {
+	const n = 400
+	rng := rand.New(rand.NewSource(9))
+	cols := map[string][]float64{}
+	for _, name := range []string{"a", "b", "c", "holes", "sparse", "neg", "y"} {
+		cols[name] = make([]float64, n)
+	}
+	groups := make([]string, n)
+	for i := 0; i < n; i++ {
+		a := rng.NormFloat64()
+		cols["a"][i] = a
+		cols["b"][i] = 2*a + 0.01*rng.NormFloat64()
+		cols["c"][i] = rng.ExpFloat64()
+		cols["holes"][i] = rng.NormFloat64()
+		if i%9 == 0 {
+			cols["holes"][i] = math.NaN()
+		}
+		cols["sparse"][i] = math.NaN()
+		if i%3 == 0 {
+			cols["sparse"][i] = rng.NormFloat64()
+		}
+		cols["neg"][i] = 5 - a
+		cols["y"][i] = float64(rng.Intn(2))
+		groups[i] = string(rune('p' + rng.Intn(4)))
+	}
+	f := dataframe.New()
+	for _, name := range []string{"a", "b", "c", "holes", "sparse", "neg", "y"} {
+		if err := f.AddNumeric(name, cols[name]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Add(dataframe.NewCategorical("g", groups)); err != nil {
+		t.Fatal(err)
+	}
+	for _, agg := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.AggPrimitives = agg
+		res, err := Run(f, "y", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, want := expandThenVerify(t, f, "y", cfg)
+		if got := strings.Join(res.NewColumns, "|"); got != strings.Join(want, "|") {
+			t.Fatalf("agg=%v: kept\n%s\nwant\n%s", agg, got, strings.Join(want, "|"))
+		}
+		if len(want) == 0 || len(want) == res.Generated {
+			t.Fatalf("agg=%v: %d of %d kept; the fixture should keep some and drop some", agg, len(want), res.Generated)
+		}
+		if got, want := strings.Join(res.Frame.Names(), "|"), strings.Join(ref.Names(), "|"); got != want {
+			t.Fatalf("agg=%v: frame columns\n%s\nwant\n%s", agg, got, want)
+		}
+		for _, name := range want {
+			got, ref := res.Frame.Column(name).Nums, ref.Column(name).Nums
+			for i := range ref {
+				if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
+					t.Fatalf("agg=%v: %s row %d = %v, want %v", agg, name, i, got[i], ref[i])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkFeaturetoolsRun expands and selects on the quick config's Bank
+// frame (41,189 rows, ten numeric features, 72 candidates). B/op tracks
+// what the run holds beside what it keeps.
+func BenchmarkFeaturetoolsRun(b *testing.B) {
+	d, err := datasets.Load("Bank", 2024)
+	if err != nil {
+		b.Fatal(err)
+	}
+	clean := d.Frame.DropNA()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(clean, d.Target, DefaultConfig()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

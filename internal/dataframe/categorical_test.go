@@ -418,9 +418,108 @@ func TestCodesRejectInvalid(t *testing.T) {
 	}
 }
 
+// factorizedGather is the gather evaluation made before it read codes in
+// place: FactorizeAll, then each numeric column's rows, a null read as NaN.
+func factorizedGather(f *dataframe.Frame, names []string, rows []int) [][]float64 {
+	g := f.FactorizeAll()
+	out := make([][]float64, len(names))
+	for j, name := range names {
+		c := g.Column(name)
+		out[j] = make([]float64, len(rows))
+		for k, i := range rows {
+			if c.Null != nil && c.Null[i] {
+				out[j][k] = math.NaN()
+			} else {
+				out[j][k] = c.Nums[i]
+			}
+		}
+	}
+	return out
+}
+
+// TestGatherMatchesFactorizeAll holds the gather, which reads categorical
+// codes in place, to FactorizeAll followed by a numeric gather, bit for
+// bit, on every dataset: all rows and a sorted sample of the loaded frame
+// (whose null rows are kept), a frame whose first categorical column has
+// nulls on the rows that first hold two of its levels, and a Take that
+// drops every row of that column's first level, whose level table then
+// lists a level no row holds.
+func TestGatherMatchesFactorizeAll(t *testing.T) {
+	for _, name := range datasets.Names() {
+		d, err := datasets.Load(name, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := d.Frame
+		n := f.Len()
+		var cat string
+		for _, c := range f.Names() {
+			if f.Column(c).Kind == dataframe.Categorical {
+				cat = c
+				break
+			}
+		}
+		frames := map[string]*dataframe.Frame{"loaded": f}
+		if cat != "" {
+			src := f.Column(cat)
+			vals := make([]string, n)
+			for i := range vals {
+				vals[i] = src.ValueString(i)
+			}
+			masked := dataframe.NewCategorical(cat, vals)
+			seen := map[string]bool{}
+			for i := 0; i < n && len(seen) < 2; i++ {
+				if !src.IsNull(i) && !seen[vals[i]] {
+					seen[vals[i]] = true
+					masked.SetNull(i)
+				}
+			}
+			g := f.Clone()
+			g.Drop(cat)
+			if err := g.Add(masked); err != nil {
+				t.Fatal(err)
+			}
+			frames["masked"] = g
+			var keep []int
+			for i := 0; i < n; i++ {
+				if src.IsNull(i) || vals[i] != vals[0] {
+					keep = append(keep, i)
+				}
+			}
+			frames["take"] = f.Take(keep)
+		}
+		for kind, g := range frames {
+			names := g.Names()
+			all := make([]int, g.Len())
+			for i := range all {
+				all[i] = i
+			}
+			var sample []int
+			for i := 0; i < g.Len(); i += 3 {
+				sample = append(sample, i)
+			}
+			gt, err := g.Gatherer(names)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rows := range [][]int{all, sample} {
+				got := gt.Gather(rows, nil)
+				want := factorizedGather(g, names, rows)
+				for j := range names {
+					for k := range rows {
+						if gb, wb := math.Float64bits(got.At(k, j)), math.Float64bits(want[j][k]); gb != wb {
+							t.Fatalf("%s %s: column %q row %d gathers %x, want %x", name, kind, names[j], rows[k], gb, wb)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkFactorizeAll replaces every categorical column of the Bank frame
 // (41,189 rows, eight categorical columns) by its codes, the cleaning step
-// each evaluation runs first.
+// CAAFE and AutoFeat run first.
 func BenchmarkFactorizeAll(b *testing.B) {
 	d, err := datasets.Load("Bank", 2024)
 	if err != nil {

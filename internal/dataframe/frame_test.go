@@ -123,17 +123,27 @@ func TestDropNA(t *testing.T) {
 
 func TestMatrixAndLabels(t *testing.T) {
 	f := mustFrame(t)
-	m, err := f.ColMatrix([]string{"age", "claim"}, allRows(f.Len()))
+	m, err := gather(f, []string{"age", "claim"}, allRows(f.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Rows() != 6 || m.At(0, 0) != 21 || m.At(0, 1) != 1 {
 		t.Fatal("matrix values wrong")
 	}
-	if _, err := f.ColMatrix([]string{"city"}, nil); err == nil {
-		t.Fatal("categorical matrix should error")
+	codes, err := gather(f, []string{"city"}, allRows(f.Len()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := f.ColMatrix([]string{"missing"}, nil); err == nil {
+	enc, _, err := f.Factorize("city")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < f.Len(); i++ {
+		if got, want := codes.At(i, 0), enc.Nums[i]; got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("city row %d gathers %v, Factorize gives %v", i, got, want)
+		}
+	}
+	if _, err := gather(f, []string{"missing"}, nil); err == nil {
 		t.Fatal("missing column should error")
 	}
 	y, err := f.IntLabels("claim")

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"smartfeat/internal/ml"
 )
 
 // allRows returns the row set 0 … n-1, the full-height gather.
@@ -15,6 +17,15 @@ func allRows(n int) []int {
 		rows[i] = i
 	}
 	return rows
+}
+
+// gather is the one-shot gather of the named columns' rows.
+func gather(f *Frame, names []string, rows []int) (*ml.Matrix, error) {
+	g, err := f.Gatherer(names)
+	if err != nil {
+		return nil, err
+	}
+	return g.Gather(rows, nil), nil
 }
 
 func colMatrixFixture(t testing.TB) *Frame {
@@ -35,7 +46,7 @@ func colMatrixFixture(t testing.TB) *Frame {
 func TestColMatrixMatchesRowMajor(t *testing.T) {
 	f := colMatrixFixture(t)
 	names := []string{"a", "b"}
-	m, err := f.ColMatrix(names, allRows(f.Len()))
+	m, err := gather(f, names, allRows(f.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +75,7 @@ func TestColMatrixMaskedNullBecomesNaN(t *testing.T) {
 	if err := f.Add(s); err != nil {
 		t.Fatal(err)
 	}
-	m, err := f.ColMatrix([]string{"v"}, allRows(f.Len()))
+	m, err := gather(f, []string{"v"}, allRows(f.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +89,15 @@ func TestColMatrixMaskedNullBecomesNaN(t *testing.T) {
 
 func TestColMatrixErrors(t *testing.T) {
 	f := colMatrixFixture(t)
-	if _, err := f.ColMatrix([]string{"ghost"}, nil); err == nil {
+	if _, err := gather(f, []string{"ghost"}, nil); err == nil {
 		t.Fatal("missing column should error")
 	}
-	if _, err := f.ColMatrix([]string{"c"}, nil); err == nil {
-		t.Fatal("categorical column should error")
+	m, err := gather(f, []string{"c", "a"}, []int{2, 0})
+	if err != nil {
+		t.Fatalf("categorical column: %v", err)
+	}
+	if m.At(0, 0) != 2 || m.At(1, 0) != 0 || m.At(0, 1) != 3 {
+		t.Fatal("a categorical column should gather as its factorized codes")
 	}
 }
 
@@ -114,7 +129,7 @@ func TestColMatrixGatherMatchesTakeRows(t *testing.T) {
 		}
 	}
 	names := f.Names()
-	full, err := f.ColMatrix(names, allRows(n))
+	full, err := gather(f, names, allRows(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +147,7 @@ func TestColMatrixGatherMatchesTakeRows(t *testing.T) {
 		sets = append(sets, rows)
 	}
 	for _, rows := range sets {
-		got, err := f.ColMatrix(names, rows)
+		got, err := gather(f, names, rows)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,8 +248,9 @@ func TestAppendKeyMatchesSprintfFormat(t *testing.T) {
 }
 
 // BenchmarkColMatrix gathers from a Bank-sized frame (41,189 rows, 25
-// numeric columns): every row, as Table 6's importance path does, and a
-// sorted quarter of them, the evaluation protocol's test split.
+// numeric columns) into a fresh matrix: every row, as Table 6's importance
+// path does, and a sorted quarter of them, the evaluation protocol's test
+// split.
 func BenchmarkColMatrix(b *testing.B) {
 	f := New()
 	n := 41189
@@ -257,7 +273,7 @@ func BenchmarkColMatrix(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := f.ColMatrix(names, bc.rows); err != nil {
+				if _, err := gather(f, names, bc.rows); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -206,20 +206,17 @@ func evalRawAUC(t *testing.T, d *Dataset, maxRows int) float64 {
 		t.Fatal(err)
 	}
 	train, test := metrics.TrainTestSplit(f.Len(), 0.25, 11)
-	Xtr, err := f.ColMatrix(featNames, train)
+	g, err := f.Gatherer(featNames)
 	if err != nil {
 		t.Fatal(err)
 	}
-	Xte, err := f.ColMatrix(featNames, test)
-	if err != nil {
-		t.Fatal(err)
-	}
+	Xtr, Xte := g.Gather(train, nil), g.Gather(test, nil)
 	ytr, yte := metrics.TakeLabels(y, train), metrics.TakeLabels(y, test)
 	pipe := ml.NewPipeline(ml.NewLogistic())
 	if err := pipe.Fit(Xtr, ytr); err != nil {
 		t.Fatal(err)
 	}
-	auc, err := metrics.AUC(yte, pipe.PredictProba(Xte))
+	auc, err := metrics.AUC(yte, pipe.PredictProba(Xte, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,20 +116,28 @@ func buildModel(name string, seed int64, cfg Config) (ml.Classifier, error) {
 	}
 }
 
+// scoreBlock is how many test rows a scoring worker gathers, preprocesses
+// and scores at a time: two scoreBlock×features buffers per worker replace
+// the test-height matrix and each scaled model's copy of it.
+const scoreBlock = 512
+
 // EvaluateFrame runs the §4.1 protocol on an (already feature-engineered)
-// frame: factorize categoricals, 75/25 split, train every model, score AUC
-// on the held-out set. Per-model failures (e.g. infinite inputs) are
-// recorded, not fatal. The per-model trainings are independent — each model
-// derives its randomness from a fixed per-model seed — so they run on a
-// bounded worker pool with bit-identical results to the sequential order;
-// the DNN, the longest fit, starts first.
-// Cancelling the context stops scheduling further model trainings (an
-// in-flight fit still runs to completion) and surfaces the context error,
-// so an interrupted evaluation is never mistaken for a measured one.
+// frame: 75/25 split, train every model, score AUC on the held-out set.
+// Categorical columns are read as their factorized codes in place. Per-model
+// failures (e.g. infinite inputs) are recorded, not fatal. The per-model
+// trainings are independent — each model derives its randomness from a
+// fixed per-model seed — so they run on a bounded worker pool with
+// bit-identical results to the sequential order; the DNN, the longest fit,
+// starts first. Once every model is fitted the test rows are scored in
+// blocks (scoreBlocks), which gives each row the score that scoring all
+// rows at once would.
+// Cancelling the context stops scheduling further model trainings and
+// scoring blocks (an in-flight fit still runs to completion) and surfaces
+// the context error, so an interrupted evaluation is never mistaken for a
+// measured one.
 func EvaluateFrame(ctx context.Context, f *dataframe.Frame, target string, models []string, cfg Config) (map[string]float64, map[string]string, error) {
-	g := f.FactorizeAll()
 	var features []string
-	for _, n := range g.Names() {
+	for _, n := range f.Names() {
 		if n != target {
 			features = append(features, n)
 		}
@@ -141,31 +149,24 @@ func EvaluateFrame(ctx context.Context, f *dataframe.Frame, target string, model
 	if testFrac <= 0 || testFrac >= 1 {
 		testFrac = 0.25
 	}
-	train, test := metrics.TrainTestSplit(g.Len(), testFrac, cfg.Seed)
+	train, test := metrics.TrainTestSplit(f.Len(), testFrac, cfg.Seed)
 	if cfg.MaxTrainRows > 0 && len(train) > cfg.MaxTrainRows {
 		train = train[:cfg.MaxTrainRows]
 	}
-	// Only the sampled train and test rows are gathered into matrices; the
-	// models share them read-only (ml.Pipeline copies only what it writes).
-	Xtr, err := g.ColMatrix(features, train)
+	g, err := f.Gatherer(features)
 	if err != nil {
 		return nil, nil, err
 	}
-	Xte, err := g.ColMatrix(features, test)
-	if err != nil {
-		return nil, nil, err
-	}
-	y, err := g.IntLabels(target)
+	// Only the sampled train rows are gathered whole; the models share them
+	// read-only (ml.Pipeline copies only what it writes).
+	Xtr := g.Gather(train, nil)
+	y, err := f.IntLabels(target)
 	if err != nil {
 		return nil, nil, err
 	}
 	ytr, yte := metrics.TakeLabels(y, train), metrics.TakeLabels(y, test)
-	type outcome struct {
-		auc     float64
-		ok      bool
-		failure string
-	}
-	results := make([]outcome, len(models))
+	pipes := make([]*ml.Pipeline, len(models))
+	fitErrs := make([]string, len(models))
 	order := dnnFirst(models)
 	// A task fails only on the caller's cancellation, which is checked after
 	// the pool: a fit still running when it came is not a measured one.
@@ -175,39 +176,79 @@ func EvaluateFrame(ctx context.Context, f *dataframe.Frame, target string, model
 		}
 		k := order[j]
 		name := models[k]
-		// One ml.fit span per downstream model: train + score. The ML kernel
+		// One ml.fit span per downstream model's training. The ML kernel
 		// itself stays dependency-free; instrumentation lives at this seam.
 		_, span := obs.StartSpan(ctx, "ml.fit", obs.String("model", name))
 		defer span.End()
 		clf, err := buildModel(name, cfg.Seed+int64(len(name)), cfg)
 		if err != nil {
-			results[k] = outcome{failure: err.Error()}
+			fitErrs[k] = err.Error()
 			return nil
 		}
 		pipe := ml.NewPipeline(clf)
 		if err := pipe.Fit(Xtr, ytr); err != nil {
-			results[k] = outcome{failure: err.Error()}
+			fitErrs[k] = err.Error()
 			return nil
 		}
-		auc, err := metrics.AUC(yte, pipe.PredictProba(Xte))
-		if err != nil {
-			results[k] = outcome{failure: err.Error()}
-			return nil
-		}
-		results[k] = outcome{auc: auc * 100, ok: true}
+		pipes[k] = pipe
 		return nil
 	})
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	scores := scoreBlocks(ctx, g, test, pipes, cfg.Workers)
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
 	aucs := make(map[string]float64)
 	failures := make(map[string]string)
 	for k, name := range models {
-		if results[k].ok {
-			aucs[name] = results[k].auc
-		} else {
-			failures[name] = results[k].failure
+		if pipes[k] == nil {
+			failures[name] = fitErrs[k]
+			continue
 		}
+		auc, err := metrics.AUC(yte, scores[k])
+		if err != nil {
+			failures[name] = err.Error()
+			continue
+		}
+		aucs[name] = auc * 100
 	}
 	return aucs, failures, nil
+}
+
+// scoreBlocks scores the given rows of g's columns with every fitted
+// pipeline (a nil one gets nil scores), scoreBlock rows at a time on a
+// bounded worker pool, in one ml.score span. Each worker gathers a block
+// into its own buffer and each pipeline preprocesses the block into the
+// worker's second buffer, so no matrix as tall as rows is built. Every
+// model scores a row from that row's values alone, so each score is the one
+// that scoring all rows at once gives. Cancelling the context stops handing
+// out blocks; the caller checks it.
+func scoreBlocks(ctx context.Context, g *dataframe.Gatherer, rows []int, pipes []*ml.Pipeline, workers int) [][]float64 {
+	ctx, span := obs.StartSpan(ctx, "ml.score", obs.Int("rows", len(rows)))
+	defer span.End()
+	scores := make([][]float64, len(pipes))
+	for k, p := range pipes {
+		if p != nil {
+			scores[k] = make([]float64, len(rows))
+		}
+	}
+	blocks := (len(rows) + scoreBlock - 1) / scoreBlock
+	type buffers struct{ block, prep ml.Matrix }
+	bufs := make([]buffers, par.Workers(workers, blocks))
+	par.Run(ctx, workers, blocks, func(ctx context.Context, w, b int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		lo, hi := b*scoreBlock, min((b+1)*scoreBlock, len(rows))
+		X := g.Gather(rows[lo:hi], &bufs[w].block)
+		for k, p := range pipes {
+			if p != nil {
+				copy(scores[k][lo:hi], p.PredictProba(X, &bufs[w].prep))
+			}
+		}
+		return nil
+	})
+	return scores
 }

@@ -231,22 +231,22 @@ func Table6Cell(ctx context.Context, dataset, method string, cfg Config) (Import
 // table6ForFrame computes the three @10 shares given the augmented frame and
 // the set of generated columns.
 func table6ForFrame(f *dataframe.Frame, target string, newCols []string, seed int64) (ig, rfe, fi float64, err error) {
-	g := f.FactorizeAll()
 	var features []string
-	for _, n := range g.Names() {
+	for _, n := range f.Names() {
 		if n != target {
 			features = append(features, n)
 		}
 	}
-	all := make([]int, g.Len())
+	all := make([]int, f.Len())
 	for i := range all {
 		all[i] = i
 	}
-	X, err := g.ColMatrix(features, all)
+	g, err := f.Gatherer(features)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	y, err := g.IntLabels(target)
+	X := g.Gather(all, nil)
+	y, err := f.IntLabels(target)
 	if err != nil {
 		return 0, 0, 0, err
 	}

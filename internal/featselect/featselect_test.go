@@ -1,6 +1,7 @@
 package featselect
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -146,6 +147,63 @@ func TestPearson(t *testing.T) {
 	if r := Pearson([]float64{1}, []float64{2}); r != 0 {
 		t.Fatal("n<2 should be 0")
 	}
+}
+
+// pearsonPair decodes a fuzz input into two equally long columns. With
+// the first byte even, each further byte pair is one row of small values
+// (a byte of 0x80 reads NaN), so constants, ties and NaN rows are common;
+// with it odd, each 16 bytes are two raw float64s, ±Inf and subnormals
+// included.
+func pearsonPair(data []byte) (a, b []float64) {
+	if len(data) == 0 {
+		return nil, nil
+	}
+	small := func(c byte) float64 {
+		if c == 0x80 {
+			return math.NaN()
+		}
+		return float64(int8(c)) / 4
+	}
+	mode, data := data[0], data[1:]
+	if mode%2 == 0 {
+		for ; len(data) >= 2; data = data[2:] {
+			a, b = append(a, small(data[0])), append(b, small(data[1]))
+		}
+		return a, b
+	}
+	for ; len(data) >= 16; data = data[16:] {
+		a = append(a, math.Float64frombits(binary.LittleEndian.Uint64(data)))
+		b = append(b, math.Float64frombits(binary.LittleEndian.Uint64(data[8:])))
+	}
+	return a, b
+}
+
+// FuzzPearsonMoments holds the selector's cached-moment correlation to
+// Pearson bit for bit, either way round: NaN rows (Pearson's path), constant
+// columns, ±Inf, and columns of length 0, 1 and 2.
+func FuzzPearsonMoments(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 4, 8})
+	f.Add([]byte{0, 4, 8, 12, 3})
+	f.Add([]byte{0, 4, 8, 4, 9, 4, 1, 4, 200})
+	f.Add([]byte{0, 1, 2, 0x80, 5, 3, 0x80, 7, 9})
+	f.Add([]byte{0, 1, 2, 2, 4, 3, 6, 4, 8, 250, 12})
+	raw := []byte{1}
+	for _, v := range []float64{1, math.Inf(1), 2, 3, -4, 5e-324, 7, math.NaN()} {
+		raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(v))
+	}
+	f.Add(raw)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, b := pearsonPair(data)
+		for _, pair := range [][2][]float64{{a, b}, {b, a}} {
+			x, y := pair[0], pair[1]
+			want := Pearson(x, y)
+			got := pearsonMoments(newMoments("x", x), newMoments("y", y))
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("x %v, y %v: moments give %v (%x), Pearson %v (%x)", x, y, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	})
 }
 
 func TestCheckMatrixErrors(t *testing.T) {

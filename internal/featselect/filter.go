@@ -2,6 +2,7 @@ package featselect
 
 import (
 	"fmt"
+	"math"
 
 	"smartfeat/internal/dataframe"
 )
@@ -47,17 +48,18 @@ type FilterReport struct {
 // VerifyFeatures applies the filters to the candidate columns of f, mutating
 // f by dropping failures. protect marks columns that are never dropped (the
 // original features and the label). dummySource maps a dummy column to the
-// cardinality of the categorical column it came from.
+// cardinality of the categorical column it came from. Candidates are
+// checked in order by one Selector, whose kept set starts as every column
+// that is protected or not a candidate.
 func VerifyFeatures(f *dataframe.Frame, candidates []string, protect map[string]bool, dummySource map[string]int, opts FilterOptions) FilterReport {
-	var report FilterReport
-	var keptNumeric []string // names of surviving numeric columns for the correlation check
+	var kept []string
 	for _, name := range f.Names() {
 		if protect[name] || !contains(candidates, name) {
-			if c := f.Column(name); c != nil && c.Kind == dataframe.Numeric {
-				keptNumeric = append(keptNumeric, name)
-			}
+			kept = append(kept, name)
 		}
 	}
+	sel := NewSelector(f, kept, dummySource, opts)
+	var report FilterReport
 	for _, name := range candidates {
 		col := f.Column(name)
 		if col == nil {
@@ -68,21 +70,63 @@ func VerifyFeatures(f *dataframe.Frame, candidates []string, protect map[string]
 			report.Kept = append(report.Kept, name)
 			continue
 		}
-		if reason := filterReason(f, name, dummySource, keptNumeric, opts); reason != "" {
+		if reason := sel.Check(col); reason != "" {
 			f.Drop(name)
 			report.Dropped = append(report.Dropped, Dropped{name, reason})
 			continue
 		}
 		report.Kept = append(report.Kept, name)
-		if col.Kind == dataframe.Numeric {
-			keptNumeric = append(keptNumeric, name)
-		}
 	}
 	return report
 }
 
-func filterReason(f *dataframe.Frame, name string, dummySource map[string]int, keptNumeric []string, opts FilterOptions) string {
-	col := f.Column(name)
+// Selector applies the filters to candidate columns one at a time, each
+// against the columns kept before it, so a generator can check a candidate
+// as soon as it is made and keep only what passes. A candidate passes or
+// fails whatever comes after it, so checking candidates as they are made
+// keeps the set VerifyFeatures keeps over all of them.
+//
+// For the correlation cap a Selector keeps, beside each kept numeric
+// column, its moments: the mean and centered sum of squares Pearson would
+// sum for it. Checking a candidate against a NaN-free kept column is then
+// one pass over the two (see pearsonMoments).
+type Selector struct {
+	opts        FilterOptions
+	dummySource map[string]int
+	kept        []moments // the kept numeric columns, when the cap is on
+}
+
+// NewSelector returns a selector whose kept set starts as the named columns
+// of f; the numeric ones take part in the correlation cap.
+func NewSelector(f *dataframe.Frame, kept []string, dummySource map[string]int, opts FilterOptions) *Selector {
+	s := &Selector{opts: opts, dummySource: dummySource}
+	for _, name := range kept {
+		if c := f.Column(name); c != nil {
+			s.keep(c)
+		}
+	}
+	return s
+}
+
+// keep adds col to the kept set.
+func (s *Selector) keep(col *dataframe.Series) {
+	if s.opts.MaxAbsCorrelation > 0 && col.Kind == dataframe.Numeric {
+		s.kept = append(s.kept, newMoments(col.Name, col.Nums))
+	}
+}
+
+// Check runs the filters on col. It returns "" and keeps col when col
+// passes, and the reason it fails otherwise.
+func (s *Selector) Check(col *dataframe.Series) string {
+	reason := s.reason(col)
+	if reason == "" {
+		s.keep(col)
+	}
+	return reason
+}
+
+func (s *Selector) reason(col *dataframe.Series) string {
+	opts := s.opts
 	n := col.Len()
 	if n == 0 {
 		return "empty"
@@ -97,26 +141,77 @@ func filterReason(f *dataframe.Frame, name string, dummySource map[string]int, k
 		return "single-valued"
 	}
 	if opts.MaxDummyCardinality > 0 {
-		if card, isDummy := dummySource[name]; isDummy && card > opts.MaxDummyCardinality {
+		if card, isDummy := s.dummySource[col.Name]; isDummy && card > opts.MaxDummyCardinality {
 			return fmt.Sprintf("dummy of high-cardinality column (%d levels)", card)
 		}
 	}
 	if opts.MaxAbsCorrelation > 0 && col.Kind == dataframe.Numeric {
-		for _, other := range keptNumeric {
-			if other == name {
+		m := newMoments(col.Name, col.Nums)
+		for _, other := range s.kept {
+			if other.name == col.Name {
 				continue
 			}
-			oc := f.Column(other)
-			if oc == nil || oc.Kind != dataframe.Numeric {
-				continue
-			}
-			r := Pearson(col.Nums, oc.Nums)
+			r := pearsonMoments(m, other)
 			if r > opts.MaxAbsCorrelation || r < -opts.MaxAbsCorrelation {
-				return fmt.Sprintf("|corr|=%.3f with %s", abs(r), other)
+				return fmt.Sprintf("|corr|=%.3f with %s", abs(r), other.name)
 			}
 		}
 	}
 	return ""
+}
+
+// moments is what Pearson computes of one column on its own when neither
+// column holds a NaN: with nanFree set, mean and ss are x's mean and the
+// sum of its squared deviations from it, each summed in row order as
+// Pearson sums them.
+type moments struct {
+	name     string
+	x        []float64
+	nanFree  bool
+	mean, ss float64
+}
+
+func newMoments(name string, x []float64) moments {
+	m := moments{name: name, x: x}
+	sum := 0.0
+	for _, v := range x {
+		if math.IsNaN(v) {
+			return m
+		}
+		sum += v
+	}
+	m.nanFree = true
+	if len(x) < 2 {
+		return m
+	}
+	m.mean = sum / float64(len(x))
+	for _, v := range x {
+		d := v - m.mean
+		m.ss += d * d
+	}
+	return m
+}
+
+// pearsonMoments returns Pearson(a.x, b.x) bit for bit. When both columns
+// are NaN-free, Pearson's row count, means and sums of squares are the
+// cached ones, and only the cross term is summed here, with Pearson's
+// expressions in Pearson's order; otherwise it is Pearson itself.
+func pearsonMoments(a, b moments) float64 {
+	if !a.nanFree || !b.nanFree {
+		return Pearson(a.x, b.x)
+	}
+	if len(a.x) < 2 {
+		return 0
+	}
+	var cov float64
+	for i := range a.x {
+		da, db := a.x[i]-a.mean, b.x[i]-b.mean
+		cov += da * db
+	}
+	if a.ss == 0 || b.ss == 0 {
+		return 0
+	}
+	return cov / math.Sqrt(a.ss*b.ss)
 }
 
 func contains(list []string, v string) bool {

@@ -444,16 +444,35 @@ func (g *Gateway) complete(ctx context.Context, prompt string) (text string, cac
 	c := &call{done: make(chan struct{})}
 	g.flight[key] = c
 	g.mu.Unlock()
+	g.lead(ctx, key, prompt, c)
+	return c.text, g.replay, c.err
+}
 
+// lead makes flight c's upstream call and then ends the flight, however
+// the call leaves. When the upstream model panics, the waiters fail with
+// an error naming the panic, which goes on up the leader's stack, and the
+// next identical request starts a flight of its own.
+func (g *Gateway) lead(ctx context.Context, key digest, prompt string, c *call) {
+	landed := false
+	defer func() {
+		var r any
+		if !landed {
+			r = recover()
+			c.text, c.err = "", fmt.Errorf("fmgate: upstream model panicked: %v", r)
+		}
+		g.mu.Lock()
+		delete(g.flight, key)
+		g.mu.Unlock()
+		close(c.done)
+		if r != nil {
+			panic(r)
+		}
+	}()
 	c.text, c.err = g.callUpstream(ctx, key, prompt)
+	landed = true
 	if c.err == nil && g.cache != nil && !g.promoteOnly {
 		g.cache.put(key, c.text)
 	}
-	g.mu.Lock()
-	delete(g.flight, key)
-	g.mu.Unlock()
-	close(c.done)
-	return c.text, g.replay, c.err
 }
 
 // callUpstream performs the bounded, fault-injected, retried model call and

@@ -145,6 +145,79 @@ func TestSingleflightDedup(t *testing.T) {
 	}
 }
 
+// panicOnceModel panics on its first call, once release is closed, and
+// answers every later call as countingModel does.
+type panicOnceModel struct {
+	countingModel
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (m *panicOnceModel) Complete(_ context.Context, prompt string) (string, error) {
+	if atomic.AddInt64(&m.calls, 1) == 1 {
+		close(m.entered)
+		<-m.release
+		panic("model exploded")
+	}
+	return "resp:" + prompt, nil
+}
+
+// TestSingleflightReleasedOnPanic: when the upstream model panics under a
+// flight's leader, the panic goes on up the leader's stack, a request that
+// joined the flight fails at once with an error naming the panic, and a
+// later identical request starts a new flight and is answered, instead of
+// each waiting out its deadline on a flight nobody will end.
+func TestSingleflightReleasedOnPanic(t *testing.T) {
+	model := &panicOnceModel{entered: make(chan struct{}), release: make(chan struct{})}
+	g := New(model, Options{Concurrency: 4, CacheSize: 64})
+	prompt := task("identical prompt")
+	const deadline = 5 * time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+
+	leader := make(chan any, 1)
+	go func() {
+		defer func() { leader <- recover() }()
+		_, _ = g.Complete(ctx, prompt)
+	}()
+	<-model.entered
+	type outcome struct {
+		err     error
+		elapsed time.Duration
+	}
+	joined := make(chan outcome, 1)
+	go func() {
+		start := time.Now()
+		_, err := g.Complete(ctx, prompt)
+		joined <- outcome{err, time.Since(start)}
+	}()
+	for g.Metrics().InflightShares == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(model.release)
+	if r := <-leader; r != "model exploded" {
+		t.Fatalf("leader recovered %v, want the model's panic", r)
+	}
+	w := <-joined
+	if w.err == nil || !strings.Contains(w.err.Error(), "panicked: model exploded") {
+		t.Fatalf("joined request: err %v, want one naming the panic", w.err)
+	}
+	if w.elapsed > deadline/2 {
+		t.Fatalf("joined request took %v", w.elapsed)
+	}
+	start := time.Now()
+	text, err := g.Complete(ctx, prompt)
+	if err != nil || text != "resp:"+prompt {
+		t.Fatalf("later request: %q, %v", text, err)
+	}
+	if elapsed := time.Since(start); elapsed > deadline/2 {
+		t.Fatalf("later request took %v", elapsed)
+	}
+	if got := atomic.LoadInt64(&model.calls); got != 2 {
+		t.Fatalf("upstream calls = %d, want 2", got)
+	}
+}
+
 // TestSamplingPromptsNotDeduped checks the semantic guard: prompts for
 // sampling tasks are never cached or deduplicated, because identical prompts
 // are *meant* to draw different candidates.

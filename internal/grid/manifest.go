@@ -31,9 +31,9 @@ type CellRecord struct {
 	Worker string `json:"worker,omitempty"`
 	// Spans summarizes the cell's trace when the run was traced: span name →
 	// count of spans completed under the cell (fm.call, fm.attempt,
-	// caafe.iter, ml.fit, plus outcome counters the spans bubble up). Only
-	// counts — never timestamps — so traced and untraced manifests differ
-	// solely by this deterministic field.
+	// caafe.iter, ml.fit, ml.score, plus outcome counters the spans bubble
+	// up). Only counts — never timestamps — so traced and untraced
+	// manifests differ solely by this deterministic field.
 	Spans map[string]int64 `json:"spans,omitempty"`
 }
 

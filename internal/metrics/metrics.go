@@ -86,7 +86,7 @@ func TrainTestSplit(n int, testFrac float64, seed int64) (train, test []int) {
 }
 
 // TakeLabels gathers y at the given row indices — the label-side companion
-// of the row gathers (dataframe.Frame.ColMatrix, ml.Matrix.TakeRows) for the
+// of the row gathers (dataframe.Gatherer.Gather, ml.Matrix.TakeRows) for the
 // splits TrainTestSplit produces.
 func TakeLabels(y []int, idx []int) []int {
 	out := make([]int, len(idx))

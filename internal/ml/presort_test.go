@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -160,4 +161,44 @@ func BenchmarkExtraTreesFitPresort(b *testing.B) {
 			greedy().fit(X, y, nil)
 		}
 	})
+}
+
+// TestFittedTreesHoldNoFitState: prediction only walks a tree's nodes, so
+// a fitted tree, alone or in a forest, drops the extra-trees presort it
+// shared, the histogram bins and arena, and its per-fit scratch. A model
+// held while others score then keeps only its nodes and importances.
+func TestFittedTreesHoldNoFitState(t *testing.T) {
+	X, y := presortTestData(300, 6, 41)
+	check := func(what string, tr *Tree) {
+		t.Helper()
+		if !tr.fitted || len(tr.nodes) == 0 {
+			t.Fatalf("%s: not fitted", what)
+		}
+		if tr.presort != nil || tr.bins != nil || tr.hist != nil {
+			t.Fatalf("%s holds presort %v, bins %v, arena %v", what, tr.presort != nil, tr.bins != nil, tr.hist != nil)
+		}
+		if tr.scratchVals != nil || tr.scratchLabs != nil || tr.scratchIdx != nil || tr.scratchFeats != nil || tr.prefixBuf != nil {
+			t.Fatalf("%s holds its per-fit scratch", what)
+		}
+	}
+	for _, name := range []string{"RF", "ET"} {
+		model, err := New(name, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := model.(*Forest)
+		if err := f.Fit(X, y); err != nil {
+			t.Fatal(err)
+		}
+		for i, tr := range f.trees {
+			check(fmt.Sprintf("%s tree %d", name, i), tr)
+		}
+	}
+	for _, hist := range []bool{false, true} {
+		tr := NewTree(TreeConfig{Histogram: hist, HistMinNode: 16, Seed: 3})
+		if err := tr.Fit(X, y); err != nil {
+			t.Fatal(err)
+		}
+		check("tree", tr)
+	}
 }

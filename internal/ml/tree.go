@@ -111,20 +111,20 @@ func (t *Tree) Fit(X *Matrix, y []int) error {
 // as with a bootstrap sample). idx is consumed: it is partitioned in place.
 // When histogram splits are enabled the caller (Fit, or a forest sharing
 // one binSet and per-worker arena across trees) populates t.bins/t.hist
-// first; both references are dropped on return — prediction only walks the
-// node array.
+// first, and a non-bootstrap forest sets t.presort. Prediction only walks
+// the node array, so on return the tree drops those references and its
+// per-fit scratch: a fitted model held while others score keeps only its
+// nodes and importances.
 func (t *Tree) fitRows(X *Matrix, y []int, idx []int) {
 	t.nodes = t.nodes[:0]
 	t.importance = make([]float64, X.Cols())
-	if cap(t.scratchVals) < len(idx) {
-		t.scratchVals = make([]float64, len(idx))
-		t.scratchLabs = make([]int8, len(idx))
-		t.scratchIdx = make([]int, len(idx))
-	}
+	t.scratchVals = make([]float64, len(idx))
+	t.scratchLabs = make([]int8, len(idx))
+	t.scratchIdx = make([]int, len(idx))
 	t.build(X, y, idx, 0, 0, 0)
 	t.fitted = true
-	t.bins = nil
-	t.hist = nil
+	t.presort, t.bins, t.hist = nil, nil, nil
+	t.scratchVals, t.scratchLabs, t.scratchIdx, t.scratchFeats, t.prefixBuf = nil, nil, nil, nil, nil
 }
 
 // gini computes Gini impurity from positive count and total.
