@@ -19,7 +19,10 @@ PKGS := ./...
 # generates all eight datasets, whose categorical columns are written as
 # dictionary codes, and BenchmarkFactorizeAll codes the quick Bank frame's
 # eight categorical columns: their B/op tracks what the tables cost.
-KERNEL_BENCH := BenchmarkTreeFit|BenchmarkForestFit|BenchmarkExtraTreesFit|BenchmarkHistogramSplit|BenchmarkLogisticFit|BenchmarkMLPFit|BenchmarkMLPPredict|BenchmarkRowsum|BenchmarkLogs|BenchmarkMatrixTakeRows|BenchmarkColMatrix|BenchmarkDropNANoNulls|BenchmarkSeriesStd|BenchmarkGroupKeys|BenchmarkAgendaRender|BenchmarkEvalRows|BenchmarkCardinality|BenchmarkGroupByTransform|BenchmarkAutoFeatRun|BenchmarkFeaturetoolsRun|BenchmarkEvaluateFrame|BenchmarkLoadDatasets|BenchmarkFactorizeAll
+# BenchmarkGetDummies one-hot encodes the same eight columns at SMARTFEAT's
+# cap of 10 levels; its B/op is the indicators' on/off tables, since an
+# indicator reads its source's codes instead of holding a float64 a row.
+KERNEL_BENCH := BenchmarkTreeFit|BenchmarkForestFit|BenchmarkExtraTreesFit|BenchmarkHistogramSplit|BenchmarkLogisticFit|BenchmarkMLPFit|BenchmarkMLPPredict|BenchmarkRowsum|BenchmarkLogs|BenchmarkMatrixTakeRows|BenchmarkColMatrix|BenchmarkDropNANoNulls|BenchmarkSeriesStd|BenchmarkGroupKeys|BenchmarkAgendaRender|BenchmarkEvalRows|BenchmarkCardinality|BenchmarkGroupByTransform|BenchmarkAutoFeatRun|BenchmarkFeaturetoolsRun|BenchmarkEvaluateFrame|BenchmarkLoadDatasets|BenchmarkFactorizeAll|BenchmarkGetDummies
 KERNEL_PKGS := ./internal/ml ./internal/dataframe ./internal/core ./internal/expr ./internal/baselines/autofeat ./internal/baselines/featuretools ./internal/experiments ./internal/datasets
 # The row-level path's benches (one Bank row serialized; a warm pass of
 # cached rows; a cold pass of distinct rows through a fresh caching gateway

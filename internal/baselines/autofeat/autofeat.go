@@ -133,13 +133,13 @@ func Run(input *dataframe.Frame, target string, cfg Config) (*Result, error) {
 	names := append([]string(nil), base...)
 	cols := make([][]float64, 0, pool)
 	for _, name := range base {
-		cols = append(cols, f.Column(name).Nums)
+		cols = append(cols, f.Column(name).Floats())
 	}
 	for _, name := range base {
 		col := f.Column(name)
 		for _, tr := range unaryTransforms {
 			vals := make([]float64, f.Len())
-			for i, v := range col.Nums {
+			for i, v := range col.Floats() {
 				if col.IsNull(i) {
 					vals[i] = math.NaN()
 				} else {
@@ -167,7 +167,7 @@ func Run(input *dataframe.Frame, target string, cfg Config) (*Result, error) {
 	// on a finite training sample, high-leverage spurious features. That
 	// winner's curse is the behaviour behind the paper's AutoFeat
 	// degradations.
-	targetCol := subset(f.Column(target).Nums, cfg.TrainRows)
+	targetCol := subset(f.Column(target).Floats(), cfg.TrainRows)
 	residual := trainResidual(f, base, target, cfg.TrainRows)
 	if residual == nil {
 		residual = targetCol
@@ -310,7 +310,7 @@ func trainResidual(f *dataframe.Frame, base []string, target string, trainRows [
 	yCol := f.Column(target)
 	ytr := make([]int, len(rows))
 	for k, i := range rows {
-		ytr[k] = int(yCol.Nums[i])
+		ytr[k] = int(yCol.Float(i))
 	}
 	lr := ml.NewLogistic()
 	lr.MaxIter = 150

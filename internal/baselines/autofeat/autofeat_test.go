@@ -129,8 +129,8 @@ func TestRedundancyFilter(t *testing.T) {
 	// greedy filter enforces pairwise |corr| ≤ 0.9.
 	for i := 0; i < len(res.NewColumns); i++ {
 		for j := i + 1; j < len(res.NewColumns); j++ {
-			a := res.Frame.Column(res.NewColumns[i]).Nums
-			b := res.Frame.Column(res.NewColumns[j]).Nums
+			a := res.Frame.Column(res.NewColumns[i]).Floats()
+			b := res.Frame.Column(res.NewColumns[j]).Floats()
 			if corrAbs(a, b) > 0.9001 {
 				t.Fatalf("redundant selection: %s vs %s", res.NewColumns[i], res.NewColumns[j])
 			}

@@ -22,7 +22,7 @@ func runDigest(res *Result) string {
 	for _, name := range res.NewColumns {
 		h.Write([]byte(name))
 		h.Write([]byte{0})
-		for _, v := range res.Frame.Column(name).Nums {
+		for _, v := range res.Frame.Column(name).Floats() {
 			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
 			h.Write(buf[:])
 		}

@@ -212,7 +212,7 @@ func (c candidate) compute(f *dataframe.Frame) []float64 {
 			out[i] = math.NaN()
 			continue
 		}
-		x, y := a.Nums[i], b.Nums[i]
+		x, y := a.Float(i), b.Float(i)
 		switch c.op {
 		case "add":
 			out[i] = x + y
@@ -299,7 +299,7 @@ func sampleComposite(ctx context.Context, c *card, model fm.Model) (string, []fl
 		if col == nil || col.Kind != dataframe.Numeric || v == c.target {
 			return "", nil, fmt.Errorf("caafe: expression references invalid column %q", v)
 		}
-		cols[v] = col.Nums
+		cols[v] = col.Floats()
 	}
 	vals, err := e.EvalRows(cols)
 	if err != nil {

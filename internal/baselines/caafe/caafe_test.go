@@ -125,7 +125,7 @@ func TestRunDivideByZeroProducesInf(t *testing.T) {
 	foundDivide := false
 	for _, c := range res.NewColumns {
 		col := res.Frame.Column(c)
-		for _, v := range col.Nums {
+		for _, v := range col.Floats() {
 			if math.IsInf(v, 0) {
 				foundDivide = true
 			}

@@ -117,18 +117,18 @@ func Run(input *dataframe.Frame, target string, cfg Config) (*Result, error) {
 	// Transform primitives: exhaustive over numeric pairs, no context.
 	for i := 0; i < len(numeric); i++ {
 		for j := i + 1; j < len(numeric); j++ {
-			a, b := f.Column(numeric[i]), f.Column(numeric[j])
+			a, b := f.Column(numeric[i]).Floats(), f.Column(numeric[j]).Floats()
 			if cfg.AddNumeric {
 				vals := buffer()
 				for k := range vals {
-					vals[k] = a.Nums[k] + b.Nums[k]
+					vals[k] = a[k] + b[k]
 				}
 				consider(fmt.Sprintf("%s + %s", numeric[i], numeric[j]), vals)
 			}
 			if cfg.MultiplyNumeric {
 				vals := buffer()
 				for k := range vals {
-					vals[k] = a.Nums[k] * b.Nums[k]
+					vals[k] = a[k] * b[k]
 				}
 				consider(fmt.Sprintf("%s * %s", numeric[i], numeric[j]), vals)
 			}

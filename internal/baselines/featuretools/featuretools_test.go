@@ -121,7 +121,10 @@ func TestRunContextAgnostic(t *testing.T) {
 	// different labels yield identical candidate sets.
 	f1 := testFrame(t)
 	f2 := testFrame(t)
-	copy(f2.Column("y").Nums, []float64{1, 0, 1, 0, 1, 0})
+	f2.Drop("y")
+	if err := f2.AddNumeric("y", []float64{1, 0, 1, 0, 1, 0}); err != nil {
+		t.Fatal(err)
+	}
 	r1, err := Run(f1, "y", DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +161,7 @@ func expandThenVerify(t *testing.T, input *dataframe.Frame, target string, cfg C
 	}
 	for i := range numeric {
 		for j := i + 1; j < len(numeric); j++ {
-			a, b := f.Column(numeric[i]).Nums, f.Column(numeric[j]).Nums
+			a, b := f.Column(numeric[i]).Floats(), f.Column(numeric[j]).Floats()
 			sum, prod := make([]float64, f.Len()), make([]float64, f.Len())
 			for k := range sum {
 				sum[k], prod[k] = a[k]+b[k], a[k]*b[k]
@@ -240,7 +243,7 @@ func TestRunMatchesExpandThenVerify(t *testing.T) {
 			t.Fatalf("agg=%v: frame columns\n%s\nwant\n%s", agg, got, want)
 		}
 		for _, name := range want {
-			got, ref := res.Frame.Column(name).Nums, ref.Column(name).Nums
+			got, ref := res.Frame.Column(name).Floats(), ref.Column(name).Floats()
 			for i := range ref {
 				if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
 					t.Fatalf("agg=%v: %s row %d = %v, want %v", agg, name, i, got[i], ref[i])

@@ -158,7 +158,7 @@ func TestSpecApplyExprAndGroupBy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(added) != 1 || f.Column("Manufacturing_Year").Nums[0] != 2018 {
+	if len(added) != 1 || f.Column("Manufacturing_Year").Float(0) != 2018 {
 		t.Fatalf("expr apply wrong: %v", added)
 	}
 	spec = TransformSpec{Kind: KindGroupBy, Group: []string{"Make"}, Agg: "Claim in last 6 month", Function: "mean"}
@@ -168,8 +168,8 @@ func TestSpecApplyExprAndGroupBy(t *testing.T) {
 	}
 	col := f.Column(added[0])
 	// Honda rows: claims 1 and 0 → mean 0.5.
-	if col.Nums[0] != 0.5 {
-		t.Fatalf("groupby apply wrong: %v", col.Nums[0])
+	if col.Float(0) != 0.5 {
+		t.Fatalf("groupby apply wrong: %v", col.Float(0))
 	}
 }
 
@@ -313,8 +313,8 @@ func TestGeneratorRealizeBucketize(t *testing.T) {
 		t.Fatal("feature not added")
 	}
 	// Age 21 is in the 21-35 band (boundary inclusive above): bucket 1.
-	if col.Nums[0] != 1 {
-		t.Fatalf("bucket of age 21 = %v", col.Nums[0])
+	if col.Float(0) != 1 {
+		t.Fatalf("bucket of age 21 = %v", col.Float(0))
 	}
 }
 
@@ -371,8 +371,8 @@ func TestGeneratorRowLevelBudget(t *testing.T) {
 	if col == nil {
 		t.Fatal("row-level feature missing")
 	}
-	if col.Nums[0] != 18838 { // SF density from the KB
-		t.Fatalf("row-level value = %v", col.Nums[0])
+	if col.Float(0) != 18838 { // SF density from the KB
+		t.Fatalf("row-level value = %v", col.Float(0))
 	}
 	// FM was called once per row (plus examples earlier).
 	if fmModel.Usage().Calls < f.Len() {

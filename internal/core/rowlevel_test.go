@@ -49,8 +49,8 @@ func TestRunRowLevelScenarioThroughPipeline(t *testing.T) {
 	if col == nil {
 		t.Fatal("row-level feature not materialised")
 	}
-	if col.Nums[0] != 18838 { // SF from the knowledge base
-		t.Fatalf("SF density = %v", col.Nums[0])
+	if col.Float(0) != 18838 { // SF from the knowledge base
+		t.Fatalf("SF density = %v", col.Float(0))
 	}
 	// One FM call per row was spent on the generator side.
 	if generator.Usage().Calls < f.Len() {

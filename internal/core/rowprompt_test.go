@@ -19,7 +19,7 @@ func valueStringFmt(s *dataframe.Series, i int) string {
 		return ""
 	}
 	if s.Kind == dataframe.Numeric {
-		v := s.Nums[i]
+		v := s.Float(i)
 		if v == math.Trunc(v) && math.Abs(v) < 1e15 {
 			return fmt.Sprintf("%d", int64(v))
 		}

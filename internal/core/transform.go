@@ -141,7 +141,7 @@ func (s TransformSpec) Apply(f *dataframe.Frame, base string) ([]string, error) 
 			if c.Kind != dataframe.Numeric {
 				return nil, fmt.Errorf("core: expr references non-numeric column %q", v)
 			}
-			cols[v] = c.Nums
+			cols[v] = c.Floats()
 		}
 		vals, err := e.EvalRows(cols)
 		if err != nil {

@@ -190,7 +190,7 @@ func checkColumn(t *testing.T, f *dataframe.Frame, name string, ref strCol) {
 			if d.Name != names[j] {
 				t.Fatalf("%s: GetDummies(%d) column %d is %q, want %q", name, maxLevels, j, d.Name, names[j])
 			}
-			if i, ok := sameBits(d.Nums, cols[j]); !ok {
+			if i, ok := sameBits(d.Floats(), cols[j]); !ok {
 				t.Fatalf("%s: GetDummies(%d) %s row %d", name, maxLevels, d.Name, i)
 			}
 		}
@@ -200,7 +200,7 @@ func checkColumn(t *testing.T, f *dataframe.Frame, name string, ref strCol) {
 		t.Fatal(err)
 	}
 	wantCodes, wantLevels := ref.factorize()
-	if i, ok := sameBits(codes.Nums, wantCodes); !ok {
+	if i, ok := sameBits(codes.Floats(), wantCodes); !ok {
 		t.Fatalf("%s: Factorize row %d", name, i)
 	}
 	if !slices.Equal(flevels, wantLevels) {
@@ -430,7 +430,7 @@ func factorizedGather(f *dataframe.Frame, names []string, rows []int) [][]float6
 			if c.Null != nil && c.Null[i] {
 				out[j][k] = math.NaN()
 			} else {
-				out[j][k] = c.Nums[i]
+				out[j][k] = c.Float(i)
 			}
 		}
 	}

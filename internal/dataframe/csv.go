@@ -50,7 +50,7 @@ func ReadCSV(r io.Reader) (*Frame, error) {
 					continue
 				}
 				v, _ := strconv.ParseFloat(cell, 64)
-				s.Nums[i] = v
+				s.nums[i] = v
 			}
 			if err := f.Add(s); err != nil {
 				return nil, err

@@ -28,7 +28,7 @@ func TestReadCSVTypes(t *testing.T) {
 	if f.Column("Make").Kind != Categorical {
 		t.Fatal("Make should infer categorical")
 	}
-	if f.Column("Age").Nums[2] != 42 {
+	if f.Column("Age").Float(2) != 42 {
 		t.Fatal("numeric parse wrong")
 	}
 	if f.Column("City").ValueString(0) != "SF" {

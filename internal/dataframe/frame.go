@@ -121,11 +121,49 @@ func (f *Frame) Clone() *Frame {
 	return &Frame{cols: append([]*Series(nil), f.cols...), index: maps.Clone(f.index)}
 }
 
-// Take returns a new frame containing the given rows, in order.
+// Take returns a new frame containing the given rows, in order. It takes
+// each distinct codes slice and Null mask once, so series that share them,
+// a categorical column and its one-hot indicators, share the taken ones.
+// Level and on/off tables are shared with the source as they are.
 func (f *Frame) Take(rows []int) *Frame {
 	out := New()
+	codes, nulls := make(map[*uint32][]uint32), make(map[*bool][]bool)
 	for _, c := range f.cols {
-		_ = out.Add(c.Take(rows))
+		_ = out.Add(&Series{
+			Name:   c.Name,
+			Kind:   c.Kind,
+			Null:   takeOnce(nulls, c.Null, rows),
+			nums:   takeOnce(nil, c.nums, rows),
+			codes:  takeOnce(codes, c.codes, rows),
+			levels: c.levels,
+			on:     c.on,
+		})
+	}
+	return out
+}
+
+// takeOnce returns src's values at rows, or nil for a nil src. With a memo
+// it gathers each distinct src once, keyed by its first element (series
+// never hold overlapping parts of one slice), and returns that result to
+// every later caller: a categorical series and its one-hot indicators,
+// which share codes and a Null mask, share the taken ones too.
+func takeOnce[T any](memo map[*T][]T, src []T, rows []int) []T {
+	if src == nil {
+		return nil
+	}
+	var key *T
+	if memo != nil && len(src) > 0 {
+		key = &src[0]
+		if out, ok := memo[key]; ok {
+			return out
+		}
+	}
+	out := make([]T, len(rows))
+	for j, i := range rows {
+		out[j] = src[i]
+	}
+	if key != nil {
+		memo[key] = out
 	}
 	return out
 }
@@ -134,17 +172,16 @@ func (f *Frame) Take(rows []int) *Frame {
 // When no column has nulls — the common case on generated datasets — it
 // returns a Clone, which shares the source's series, without building a
 // row-index slice or gathering through Take. Null detection runs
-// column-wise over contiguous storage.
+// column-wise over contiguous storage: a dense column's NaNs and every
+// column's Null mask, which holds an indicator's nulls.
 func (f *Frame) DropNA() *Frame {
 	bad := make([]bool, f.Len())
 	anyBad := false
 	for _, c := range f.cols {
-		if c.Kind == Numeric {
-			for i, v := range c.Nums {
-				if math.IsNaN(v) {
-					bad[i] = true
-					anyBad = true
-				}
+		for i, v := range c.nums {
+			if math.IsNaN(v) {
+				bad[i] = true
+				anyBad = true
 			}
 		}
 		if c.Null != nil {
@@ -187,11 +224,11 @@ func (f *Frame) IntLabels(name string) ([]int, error) {
 		return nil, fmt.Errorf("dataframe: label column %q is not numeric", name)
 	}
 	out := make([]int, c.Len())
-	for i, v := range c.Nums {
+	for i := range out {
 		if c.IsNull(i) {
 			return nil, fmt.Errorf("dataframe: label column %q has a null at row %d", name, i)
 		}
-		out[i] = int(v)
+		out[i] = int(c.Float(i))
 	}
 	return out, nil
 }

@@ -102,7 +102,7 @@ func TestTake(t *testing.T) {
 	if g.Len() != 2 {
 		t.Fatalf("take len = %d", g.Len())
 	}
-	if g.Column("age").Nums[0] != 56 || g.Column("age").Nums[1] != 21 {
+	if g.Column("age").Float(0) != 56 || g.Column("age").Float(1) != 21 {
 		t.Fatal("take order wrong")
 	}
 }
@@ -139,7 +139,7 @@ func TestMatrixAndLabels(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < f.Len(); i++ {
-		if got, want := codes.At(i, 0), enc.Nums[i]; got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+		if got, want := codes.At(i, 0), enc.Float(i); got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
 			t.Fatalf("city row %d gathers %v, Factorize gives %v", i, got, want)
 		}
 	}
@@ -320,7 +320,7 @@ func TestQuantileProperty(t *testing.T) {
 // linear interpolation, matching numpy's default.
 func (s *Series) Quantile(q float64) float64 {
 	vals := make([]float64, 0, s.Len())
-	for i, v := range s.Nums {
+	for i, v := range s.Floats() {
 		if !s.IsNull(i) {
 			vals = append(vals, v)
 		}

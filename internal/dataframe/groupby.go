@@ -140,7 +140,7 @@ func groupValues(agg *Series, ids []int, groups int) (vals []float64, start []in
 	next := append([]int(nil), start[:groups]...)
 	for i, g := range ids {
 		if !agg.IsNull(i) {
-			vals[next[g]] = agg.Nums[i]
+			vals[next[g]] = agg.Float(i)
 			next[g]++
 		}
 	}

@@ -8,31 +8,35 @@ import (
 )
 
 // Gatherer reads rows of a fixed list of columns into flat column-major
-// ml.Matrix values, the compute format of the ml package. A numeric column
-// is read as it is; a categorical one is read in place as its codes
-// numbered by first appearance among the non-null rows, the numbers
-// Factorize gives, so no full-height factorized copy is built. A null
-// becomes NaN for the pipeline's imputer to repair. The numbering is worked
-// out once, when the Gatherer is made, so a caller that reads a frame block
-// by block pays for it once.
+// ml.Matrix values, the compute format of the ml package. A dense numeric
+// column is read as it is. A column with codes is read in place through a
+// table from code to value, so no full-height float copy is built: a
+// categorical column's codes become the numbers Factorize gives them, by
+// first appearance among the non-null rows, and a one-hot indicator's
+// become its 0/1 on/off table. A null becomes NaN for the pipeline's
+// imputer to repair. The numbering is worked out once, when the Gatherer
+// is made, so a caller that reads a frame block by block pays for it once.
 type Gatherer struct {
 	cols []*Series
-	// codes[j] maps categorical column j's dictionary codes to their
-	// factorized values; it is nil for a numeric column.
-	codes [][]float64
+	// tables[j] maps column j's codes to the values gathered; it is nil
+	// for a dense numeric column.
+	tables [][]float64
 }
 
 // Gatherer returns a gatherer of the named columns, in order.
 func (f *Frame) Gatherer(names []string) (*Gatherer, error) {
-	g := &Gatherer{cols: make([]*Series, len(names)), codes: make([][]float64, len(names))}
+	g := &Gatherer{cols: make([]*Series, len(names)), tables: make([][]float64, len(names))}
 	for j, n := range names {
 		c := f.Column(n)
 		if c == nil {
 			return nil, fmt.Errorf("dataframe: no column %q", n)
 		}
 		g.cols[j] = c
-		if c.Kind == Categorical {
-			g.codes[j] = c.factorizedCodes()
+		switch {
+		case c.Kind == Categorical:
+			g.tables[j] = c.factorizedCodes()
+		case c.on != nil:
+			g.tables[j] = c.on
 		}
 	}
 	return g, nil
@@ -72,17 +76,17 @@ func (g *Gatherer) Gather(rows []int, dst *ml.Matrix) *ml.Matrix {
 	dst.Resize(len(rows), len(g.cols))
 	for j, c := range g.cols {
 		out := dst.Col(j)
-		if codes := g.codes[j]; codes != nil {
+		if table := g.tables[j]; table != nil {
 			for k, i := range rows {
 				if c.Null != nil && c.Null[i] {
 					out[k] = math.NaN()
 				} else {
-					out[k] = codes[c.codes[i]]
+					out[k] = table[c.codes[i]]
 				}
 			}
 			continue
 		}
-		src := c.Nums
+		src := c.nums
 		if c.Null == nil {
 			for k, i := range rows {
 				out[k] = src[i]

@@ -56,7 +56,7 @@ func TestColMatrixMatchesRowMajor(t *testing.T) {
 	for j, name := range names {
 		col := f.Column(name)
 		for i := 0; i < f.Len(); i++ {
-			want := col.Nums[i]
+			want := col.Float(i)
 			if col.IsNull(i) {
 				want = math.NaN()
 			}
@@ -202,8 +202,8 @@ func TestDropNARemovesMaskedAndNaNRows(t *testing.T) {
 	if out.Len() != 2 {
 		t.Fatalf("want 2 surviving rows, got %d", out.Len())
 	}
-	if out.Column("x").Nums[0] != 1 || out.Column("x").Nums[1] != 3 {
-		t.Fatalf("wrong rows survived: %v", out.Column("x").Nums)
+	if out.Column("x").Float(0) != 1 || out.Column("x").Float(1) != 3 {
+		t.Fatalf("wrong rows survived: %v", out.Column("x").Floats())
 	}
 }
 
@@ -231,7 +231,7 @@ func TestNumStatsSinglePass(t *testing.T) {
 
 func TestAppendKeyMatchesSprintfFormat(t *testing.T) {
 	s := NewNumeric("v", []float64{1, 2.5, -0.000125, 1e21})
-	for i, v := range s.Nums {
+	for i, v := range s.Floats() {
 		want := "n:" + fmt.Sprintf("%g", v)
 		if got := string(s.appendKey(nil, i)); got != want {
 			t.Fatalf("key(%v) = %q, want %q", v, got, want)

@@ -27,11 +27,12 @@ func (f *Frame) Bucketize(input string, boundaries []float64) ([]float64, error)
 		}
 	}
 	out := make([]float64, c.Len())
-	for i, v := range c.Nums {
+	for i := range out {
 		if c.IsNull(i) {
 			out[i] = math.NaN()
 			continue
 		}
+		v := c.Float(i)
 		b := sort.SearchFloat64s(boundaries, v)
 		// SearchFloat64s returns the insertion point; values equal to a
 		// boundary belong to the bucket above it.
@@ -55,14 +56,14 @@ func (f *Frame) MinMaxScale(input string) ([]float64, error) {
 	lo, hi := c.Bounds()
 	span := hi - lo
 	out := make([]float64, c.Len())
-	for i, v := range c.Nums {
+	for i := range out {
 		switch {
 		case c.IsNull(i):
 			out[i] = math.NaN()
 		case span == 0:
 			out[i] = 0
 		default:
-			out[i] = (v - lo) / span
+			out[i] = (c.Float(i) - lo) / span
 		}
 	}
 	return out, nil
@@ -79,14 +80,14 @@ func (f *Frame) Standardize(input string) ([]float64, error) {
 	}
 	m, sd := c.Mean(), c.Std()
 	out := make([]float64, c.Len())
-	for i, v := range c.Nums {
+	for i := range out {
 		switch {
 		case c.IsNull(i):
 			out[i] = math.NaN()
 		case sd == 0:
 			out[i] = 0
 		default:
-			out[i] = (v - m) / sd
+			out[i] = (c.Float(i) - m) / sd
 		}
 	}
 	return out, nil
@@ -95,7 +96,9 @@ func (f *Frame) Standardize(input string) ([]float64, error) {
 // GetDummies one-hot encodes a categorical column, producing one numeric
 // 0/1 column per level, named input=level (the pandas get_dummies analogue).
 // Levels beyond maxLevels (by descending frequency) are folded into an
-// "=other" indicator; maxLevels ≤ 0 means no limit.
+// "=other" indicator; maxLevels ≤ 0 means no limit. Each column is an
+// indicator over the input's codes and Null mask (see the package doc):
+// it owns only its per-level on/off table.
 func (f *Frame) GetDummies(input string, maxLevels int) ([]*Series, error) {
 	c := f.Column(input)
 	if c == nil {
@@ -118,36 +121,28 @@ func (f *Frame) GetDummies(input string, maxLevels int) ([]*Series, error) {
 		}
 		return c.levels[a] < c.levels[b]
 	})
-	folded := false
-	if maxLevels > 0 && len(order) > maxLevels {
+	folded := maxLevels > 0 && len(order) > maxLevels
+	if folded {
 		order = order[:maxLevels]
-		folded = true
 	}
-	column := make([]int, len(c.levels)) // code → 1 + its output column; 0 folds
-	for j, code := range order {
-		column[code] = j + 1
+	indicator := func(name string, on []float64) *Series {
+		return &Series{Name: name, Kind: Numeric, Null: c.Null, codes: c.codes, on: on}
 	}
 	out := make([]*Series, len(order), len(order)+1)
 	for j, code := range order {
-		out[j] = NewNumeric(fmt.Sprintf("%s=%s", input, sanitizeLevel(c.levels[code])), make([]float64, c.Len()))
+		on := make([]float64, len(c.levels))
+		on[code] = 1
+		out[j] = indicator(fmt.Sprintf("%s=%s", input, sanitizeLevel(c.levels[code])), on)
 	}
-	var other *Series
 	if folded {
-		other = NewNumeric(fmt.Sprintf("%s=other", input), make([]float64, c.Len()))
-		out = append(out, other)
-	}
-	for i, code := range c.codes {
-		if c.IsNull(i) {
-			for _, s := range out {
-				s.SetNull(i)
-			}
-			continue
+		other := make([]float64, len(c.levels))
+		for code := range other {
+			other[code] = 1
 		}
-		if j := column[code]; j > 0 {
-			out[j-1].Nums[i] = 1
-		} else if other != nil {
-			other.Nums[i] = 1
+		for _, code := range order {
+			other[code] = 0
 		}
+		out = append(out, indicator(fmt.Sprintf("%s=other", input), other))
 	}
 	return out, nil
 }
@@ -250,7 +245,8 @@ func (f *Frame) SplitDate(input string) (year, month, day []float64, err error) 
 	year = make([]float64, n)
 	month = make([]float64, n)
 	day = make([]float64, n)
-	for i, v := range c.Nums {
+	for i := range n {
+		v := c.Float(i)
 		if c.IsNull(i) || v < 10000101 {
 			year[i], month[i], day[i] = math.NaN(), math.NaN(), math.NaN()
 			continue

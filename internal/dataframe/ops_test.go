@@ -31,7 +31,7 @@ func (f *Frame) Apply(inputs []string, fn func(vals []float64) float64) ([]float
 				null = true
 				break
 			}
-			buf[j] = c.Nums[i]
+			buf[j] = c.Float(i)
 		}
 		if null {
 			out[i] = math.NaN()
@@ -181,8 +181,8 @@ func TestGetDummies(t *testing.T) {
 	}
 	want := []float64{1, 0, 0, 1, 0, 0}
 	for i := range want {
-		if sf.Nums[i] != want[i] {
-			t.Fatalf("SF dummy[%d] = %v", i, sf.Nums[i])
+		if sf.Float(i) != want[i] {
+			t.Fatalf("SF dummy[%d] = %v", i, sf.Float(i))
 		}
 	}
 	if _, err := f.GetDummies("age", 0); err == nil {
@@ -211,7 +211,7 @@ func TestGetDummiesMaxLevels(t *testing.T) {
 		t.Fatal("missing other bucket")
 	}
 	sum := 0.0
-	for _, v := range other.Nums {
+	for _, v := range other.Floats() {
 		sum += v
 	}
 	if sum != 3 { // c, d, e rows
@@ -244,8 +244,8 @@ func TestFactorize(t *testing.T) {
 	if len(levels) != 3 || levels[0] != "SF" || levels[1] != "LA" {
 		t.Fatalf("levels by first appearance wrong: %v", levels)
 	}
-	if enc.Nums[0] != 0 || enc.Nums[3] != 0 || enc.Nums[2] != 2 {
-		t.Fatalf("codes wrong: %v", enc.Nums)
+	if enc.Float(0) != 0 || enc.Float(3) != 0 || enc.Float(2) != 2 {
+		t.Fatalf("codes wrong: %v", enc.Floats())
 	}
 	if _, _, err := f.Factorize("age"); err == nil {
 		t.Fatal("numeric factorize should error")

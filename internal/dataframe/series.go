@@ -4,23 +4,41 @@
 // feature engineering relies on. It is the storage substrate every other
 // package in this repository builds on.
 //
-// A numeric series holds its float64 values. A categorical series holds
-// dictionary codes: one uint32 per row indexing a table of distinct levels
-// (the layout of pandas' Categorical and Arrow's dictionary arrays), so its
-// rows hold no pointers for the garbage collector to scan and each level's
-// text is stored once. The level table may list a level that no non-null
-// row holds; every reader reports only the levels the non-null rows use.
+// A series has one of three layouts:
+//   - A dense numeric series holds its float64 values, NaN for null.
+//   - A categorical series holds dictionary codes: one uint32 per row
+//     indexing a table of distinct levels (the layout of pandas'
+//     Categorical and Arrow's dictionary arrays), so its rows hold no
+//     pointers for the garbage collector to scan and each level's text is
+//     stored once. The level table may list a level that no non-null row
+//     holds; every reader reports only the levels the non-null rows use.
+//   - A one-hot indicator, which GetDummies makes, is numeric but holds no
+//     values of its own: it shares its source categorical series' codes
+//     and Null mask, and keeps one on/off entry per level, so row i is 1
+//     when its level is on and 0 otherwise. A source's k indicators cost
+//     k small tables, not k float64 columns.
+//
+// Readers outside the package see every numeric series the same way,
+// through Float and Floats. Float reads one row; Floats returns a dense
+// series' own storage and a materialized copy of an indicator, which the
+// caller holds only as long as it needs it. Inside the package the
+// summary readers (Mean, Std, Bounds, Cardinality, IsConstant, NullCount),
+// CSV writing and Gatherer read an indicator from its codes without
+// writing a float per row.
 //
 // Columns are immutable: once a series is in a frame, nothing writes its
-// values, codes, level table or Null mask again. Only the builders of a new
-// series write them, before it is handed out: the constructors (NewNumeric,
-// NewCategorical, Frame.AddCodes), ReadCSV, GetDummies and Take; SetNull
-// exists for them. That contract is what lets frames share series: Clone
-// copies only the column list, DropNA without nulls returns such a clone,
-// FactorizeAll keeps the numeric columns it is given, and a Take copies a
-// categorical series' codes but shares its level table. A frame's column
-// list is its own, so Add and Drop on a clone leave the source alone. A
-// caller that wants different values builds a new series.
+// values, codes, level table, on/off table or Null mask again. Only the
+// builders of a new series write them, before it is handed out: the
+// constructors (NewNumeric, NewCategorical, Frame.AddCodes), ReadCSV,
+// GetDummies and Take; SetNull exists for them. That contract is what lets
+// series share storage: Clone copies only the column list, DropNA without
+// nulls returns such a clone, FactorizeAll keeps the numeric columns it is
+// given, a Take copies a categorical series' codes but shares its level
+// table, an indicator shares its source's codes and Null mask, and
+// Frame.Take takes each distinct codes slice and Null mask once, so a
+// source's indicators still share them afterwards. A frame's column list
+// is its own, so Add and Drop on a clone leave the source alone. A caller
+// that wants different values builds a new series.
 package dataframe
 
 import (
@@ -53,24 +71,28 @@ func (k Kind) String() string {
 	}
 }
 
-// Series is a single named column. A numeric series holds Nums; a
-// categorical one holds codes into levels. Null marks missing entries; a nil
-// Null means no nulls.
+// Series is a single named column: dense numeric, categorical or a one-hot
+// indicator (see the package doc). Null marks missing entries; a nil Null
+// means no nulls.
 type Series struct {
 	Name string
 	Kind Kind
-	Nums []float64
 	Null []bool
 
-	// codes[i] is row i's index into levels. levels holds distinct strings
-	// and is shared, never written, by every Take of the series.
+	// nums holds a dense numeric series' values.
+	nums []float64
+	// codes[i] is row i's level, an index into levels and, for an
+	// indicator, into on. levels holds distinct strings and is shared,
+	// never written, by every Take of the series. on is set only on an
+	// indicator, whose row i holds on[codes[i]], 0 or 1, unless null.
 	codes  []uint32
 	levels []string
+	on     []float64
 }
 
 // NewNumeric builds a numeric series. NaN values are recorded as nulls.
 func NewNumeric(name string, vals []float64) *Series {
-	s := &Series{Name: name, Kind: Numeric, Nums: vals}
+	s := &Series{Name: name, Kind: Numeric, nums: vals}
 	for i, v := range vals {
 		if math.IsNaN(v) {
 			s.setNull(i)
@@ -97,10 +119,13 @@ func NewCategorical(name string, vals []string) *Series {
 	return &Series{Name: name, Kind: Categorical, codes: codes, levels: levels}
 }
 
+// dense reports whether s holds its values in nums.
+func (s *Series) dense() bool { return s.Kind == Numeric && s.on == nil }
+
 // Len returns the number of rows in the series.
 func (s *Series) Len() int {
-	if s.Kind == Numeric {
-		return len(s.Nums)
+	if s.dense() {
+		return len(s.nums)
 	}
 	return len(s.codes)
 }
@@ -110,10 +135,34 @@ func (s *Series) IsNull(i int) bool {
 	if s.Null != nil && s.Null[i] {
 		return true
 	}
-	if s.Kind == Numeric {
-		return math.IsNaN(s.Nums[i])
+	return s.nums != nil && math.IsNaN(s.nums[i]) // only a dense series has nums
+}
+
+// Float returns row i of a numeric series: a dense series' value (NaN marks
+// its nulls), or an indicator's 0 or 1, NaN on a null row.
+func (s *Series) Float(i int) float64 {
+	if s.on == nil {
+		return s.nums[i]
 	}
-	return false
+	if s.Null != nil && s.Null[i] {
+		return math.NaN()
+	}
+	return s.on[s.codes[i]]
+}
+
+// Floats returns the values of a numeric series, NaN for null. A dense
+// series returns its own storage, which the caller must not write. An
+// indicator returns a new slice: it is materialized for the caller alone,
+// and no series holds it.
+func (s *Series) Floats() []float64 {
+	if s.on == nil {
+		return s.nums
+	}
+	out := make([]float64, len(s.codes))
+	for i := range out {
+		out[i] = s.Float(i)
+	}
+	return out
 }
 
 // setNull marks row i as missing, allocating the mask lazily.
@@ -124,13 +173,14 @@ func (s *Series) setNull(i int) {
 	s.Null[i] = true
 }
 
-// SetNull marks row i missing. For numeric series the value is also set to NaN
-// so that downstream numeric reads agree with the mask. It writes the series,
-// so it is for a series still being built, never one already in a frame.
+// SetNull marks row i missing. For a dense numeric series the value is also
+// set to NaN so that downstream numeric reads agree with the mask. It
+// writes the series, so it is for a series still being built, never one
+// already in a frame, nor an indicator, whose mask is its source's.
 func (s *Series) SetNull(i int) {
 	s.setNull(i)
-	if s.Kind == Numeric {
-		s.Nums[i] = math.NaN()
+	if s.dense() {
+		s.nums[i] = math.NaN()
 	}
 }
 
@@ -143,30 +193,6 @@ func (s *Series) NullCount() int {
 		}
 	}
 	return n
-}
-
-// Take returns a new series containing the given rows, in order. A
-// categorical one shares the source's level table.
-func (s *Series) Take(rows []int) *Series {
-	c := &Series{Name: s.Name, Kind: s.Kind, levels: s.levels}
-	if s.Kind == Numeric {
-		c.Nums = make([]float64, len(rows))
-		for j, i := range rows {
-			c.Nums[j] = s.Nums[i]
-		}
-	} else {
-		c.codes = make([]uint32, len(rows))
-		for j, i := range rows {
-			c.codes[j] = s.codes[i]
-		}
-	}
-	if s.Null != nil {
-		c.Null = make([]bool, len(rows))
-		for j, i := range rows {
-			c.Null[j] = s.Null[i]
-		}
-	}
-	return c
 }
 
 // ValueString renders row i for display or serialization.
@@ -186,7 +212,7 @@ func (s *Series) AppendValue(dst []byte, i int) []byte {
 		return dst
 	}
 	if s.Kind == Numeric {
-		v := s.Nums[i]
+		v := s.Float(i)
 		if v == math.Trunc(v) && math.Abs(v) < 1e15 {
 			return strconv.AppendInt(dst, int64(v), 10)
 		}
@@ -199,9 +225,21 @@ func (s *Series) AppendValue(dst []byte, i int) []byte {
 // single allocation-free pass. The sum visits values in row order — the same
 // accumulation order as summing a gathered valid-values slice — so Mean is
 // bit-identical to the historical two-pass implementation.
+// An indicator's sum is its count of on rows, exact as the row-order sum of
+// its 0s and 1s is, and its bounds follow from whether any row is off or on.
 func (s *Series) numStats() (count int, sum, lo, hi float64) {
 	lo, hi = math.Inf(1), math.Inf(-1)
-	for i, v := range s.Nums {
+	if s.on != nil {
+		off, on := s.onOff()
+		if off > 0 {
+			lo, hi = 0, 0
+		}
+		if on > 0 {
+			lo, hi = min(lo, 1), 1
+		}
+		return off + on, float64(on), lo, hi
+	}
+	for i, v := range s.nums {
 		if s.IsNull(i) {
 			continue
 		}
@@ -241,7 +279,17 @@ func (s *Series) Std() float64 {
 	}
 	m := sum / float64(count)
 	ss := 0.0
-	for i, v := range s.Nums {
+	if s.on != nil {
+		// Row order, as a dense column of the same values sums it.
+		for i, c := range s.codes {
+			if s.Null == nil || !s.Null[i] {
+				d := s.on[c] - m
+				ss += d * d
+			}
+		}
+		return math.Sqrt(ss / float64(count))
+	}
+	for i, v := range s.nums {
 		if s.IsNull(i) {
 			continue
 		}
@@ -267,12 +315,30 @@ func (s *Series) Bounds() (lo, hi float64) {
 // Cardinality returns the number of distinct non-null values. A numeric
 // column counts distinct values as == does, so −0 and +0 are one value.
 func (s *Series) Cardinality() int {
-	if s.Kind == Numeric {
+	switch {
+	case s.on != nil:
+		off, on := s.onOff()
+		return min(off, 1) + min(on, 1)
+	case s.Kind == Numeric:
 		_, n := distinctBits(s)
 		return n
 	}
 	_, n := s.levelCounts()
 	return n
+}
+
+// onOff counts the non-null rows of indicator s that are off and on.
+func (s *Series) onOff() (off, on int) {
+	for i, c := range s.codes {
+		switch {
+		case s.Null != nil && s.Null[i]:
+		case s.on[c] == 1:
+			on++
+		default:
+			off++
+		}
+	}
+	return off, on
 }
 
 // levelCounts counts the non-null rows holding each level of categorical
@@ -294,13 +360,13 @@ func (s *Series) levelCounts() (counts []int, used int) {
 // nanBits is a NaN bit pattern. No key has it, since NaN is null.
 const nanBits = 0x7ff8000000000001
 
-// distinctBits counts the distinct non-null values of numeric column s in
+// distinctBits counts the distinct non-null values of dense column s in
 // an open-addressing table of their bit patterns, −0 folded into +0, which
 // doubles at half load. It returns the table, in which a slot holds its key
 // XOR nanBits so that an unused slot reads 0, and the count.
 func distinctBits(s *Series) (slots []uint64, n int) {
 	slots = make([]uint64, 16)
-	for i, v := range s.Nums {
+	for i, v := range s.nums {
 		if s.IsNull(i) {
 			continue
 		}
@@ -378,7 +444,7 @@ func (s *Series) IsConstant() bool {
 		case s.IsNull(i):
 		case first < 0:
 			first = i
-		case s.Kind == Numeric && s.Nums[i] != s.Nums[first],
+		case s.Kind == Numeric && s.Float(i) != s.Float(first),
 			s.Kind != Numeric && s.codes[i] != s.codes[first]:
 			return false
 		}
@@ -397,7 +463,7 @@ func (s *Series) appendKey(buf []byte, i int) []byte {
 	}
 	if s.Kind == Numeric {
 		buf = append(buf, 'n', ':')
-		return strconv.AppendFloat(buf, s.Nums[i], 'g', -1, 64)
+		return strconv.AppendFloat(buf, s.Float(i), 'g', -1, 64)
 	}
 	buf = append(buf, 's', ':')
 	return append(buf, s.levels[s.codes[i]]...)

@@ -15,7 +15,7 @@ import (
 func mapCardinality(s *dataframe.Series) int {
 	if s.Kind == dataframe.Numeric {
 		seen := make(map[float64]struct{})
-		for i, v := range s.Nums {
+		for i, v := range s.Floats() {
 			if !s.IsNull(i) {
 				seen[v] = struct{}{}
 			}
@@ -42,7 +42,7 @@ func mapKey(cols []*dataframe.Series, i int) string {
 		case c.IsNull(i):
 			key += "\x00null"
 		case c.Kind == dataframe.Numeric:
-			key += "n:" + strconv.FormatFloat(c.Nums[i], 'g', -1, 64)
+			key += "n:" + strconv.FormatFloat(c.Float(i), 'g', -1, 64)
 		default:
 			key += "s:" + c.ValueString(i)
 		}
@@ -115,7 +115,7 @@ func mapGroupByTransform(f *dataframe.Frame, groupCols []string, aggCol string, 
 	groups := make(map[string][]float64)
 	for i, k := range keys {
 		if !agg.IsNull(i) {
-			groups[k] = append(groups[k], agg.Nums[i])
+			groups[k] = append(groups[k], agg.Float(i))
 		}
 	}
 	results := make(map[string]float64, len(groups))
@@ -147,7 +147,7 @@ func bank(tb testing.TB) *dataframe.Frame {
 		tb.Fatal(err)
 	}
 	f := d.Frame
-	dur, pdays := f.Column("Duration").Nums, f.Column("Euribor3m").Nums
+	dur, pdays := f.Column("Duration").Floats(), f.Column("Euribor3m").Floats()
 	ratio := make([]float64, f.Len())
 	for i := range ratio {
 		ratio[i] = dur[i] / (pdays[i] + 1)
@@ -180,11 +180,10 @@ func edgeColumns() []*dataframe.Series {
 	for i := range same {
 		same[i] = 3.5
 	}
-	masked := &dataframe.Series{Name: "masked", Kind: dataframe.Numeric,
-		Nums: []float64{1, 2, 2, negZero, 0, 7, inf},
-		Null: []bool{false, true, false, true, false, true, true}}
-	maskedZero := &dataframe.Series{Name: "maskedZero", Kind: dataframe.Numeric,
-		Nums: []float64{negZero, 0, negZero}, Null: []bool{true, false, false}}
+	masked := dataframe.NewNumeric("masked", []float64{1, 2, 2, negZero, 0, 7, inf})
+	masked.Null = []bool{false, true, false, true, false, true, true}
+	maskedZero := dataframe.NewNumeric("maskedZero", []float64{negZero, 0, negZero})
+	maskedZero.Null = []bool{true, false, false}
 	catMasked := dataframe.NewCategorical("catMasked", []string{"a", "b", "", "a", "c"})
 	catMasked.Null = []bool{false, true, true, false, false}
 	return []*dataframe.Series{

@@ -66,7 +66,7 @@ func TestAllDatasetsWellFormed(t *testing.T) {
 		}
 		// Class balance is sane (neither degenerate).
 		pos := 0
-		for _, v := range target.Nums {
+		for _, v := range target.Floats() {
 			if v == 1 {
 				pos++
 			}
@@ -108,7 +108,7 @@ func TestDeterministicGeneration(t *testing.T) {
 		c, _ := Load(name, 43)
 		diff := false
 		for i := 0; i < 50 && !diff; i++ {
-			if a.Frame.Column(a.Target).Nums[i] != c.Frame.Column(c.Target).Nums[i] {
+			if a.Frame.Column(a.Target).Float(i) != c.Frame.Column(c.Target).Float(i) {
 				diff = true
 			}
 		}
@@ -256,14 +256,14 @@ func TestHousingRatioSignal(t *testing.T) {
 	rooms, households := f.Column("TotalRooms"), f.Column("Households")
 	ratio := make([]float64, f.Len())
 	for i := range ratio {
-		if rooms.IsNull(i) || households.IsNull(i) || households.Nums[i] == 0 {
+		if rooms.IsNull(i) || households.IsNull(i) || households.Float(i) == 0 {
 			ratio[i] = math.NaN()
 		} else {
-			ratio[i] = rooms.Nums[i] / households.Nums[i]
+			ratio[i] = rooms.Float(i) / households.Float(i)
 		}
 	}
 	y, _ := f.IntLabels(d.Target)
-	rawRooms := f.Column("TotalRooms").Nums
+	rawRooms := f.Column("TotalRooms").Floats()
 	miRatio := mutualInfoQuick(ratio, y)
 	miRaw := mutualInfoQuick(rawRooms, y)
 	if miRatio <= miRaw {
@@ -316,7 +316,7 @@ func TestDiabetesSensorZeros(t *testing.T) {
 	d, _ := Load("Diabetes", 17)
 	ins := d.Frame.Column("Insulin")
 	zeros := 0
-	for i, v := range ins.Nums {
+	for i, v := range ins.Floats() {
 		if !ins.IsNull(i) && v == 0 {
 			zeros++
 		}
@@ -338,7 +338,7 @@ func TestAdultGroupSignal(t *testing.T) {
 	}
 	y, _ := f.IntLabels(d.Target)
 	miGroup := mutualInfoQuick(grouped, y)
-	miRaw := mutualInfoQuick(f.Column("CapitalGain").Nums, y)
+	miRaw := mutualInfoQuick(f.Column("CapitalGain").Floats(), y)
 	if miGroup <= miRaw {
 		t.Fatalf("group MI (%.4f) should exceed raw MI (%.4f)", miGroup, miRaw)
 	}

@@ -145,6 +145,9 @@ func EvaluateFrame(ctx context.Context, f *dataframe.Frame, target string, model
 	if len(features) == 0 {
 		return nil, nil, fmt.Errorf("experiments: no features to evaluate")
 	}
+	if n := f.Len(); n < 2 {
+		return nil, nil, fmt.Errorf("experiments: %d rows to evaluate, need at least 2 for a train/test split", n)
+	}
 	testFrac := cfg.TestFrac
 	if testFrac <= 0 || testFrac >= 1 {
 		testFrac = 0.25

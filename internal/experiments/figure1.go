@@ -185,7 +185,7 @@ F,56,5,Volkswagen,0,LA,1
 		}
 	}
 	if col := res.Frame.Column("Bucketize_Age"); col != nil {
-		fmt.Fprintf(&b, "Bucketize_Age values: %v\n", col.Nums)
+		fmt.Fprintf(&b, "Bucketize_Age values: %v\n", col.Floats())
 	}
 	fmt.Fprintf(&b, "selector: %s\ngenerator: %s\n", res.SelectorUsage, res.GeneratorUsage)
 	return b.String(), nil

@@ -20,7 +20,7 @@ func frameDigest(f *dataframe.Frame) [32]byte {
 		c := f.Column(name)
 		h.Write([]byte(name))
 		h.Write([]byte{0, byte(c.Kind)})
-		for _, v := range c.Nums {
+		for _, v := range c.Floats() {
 			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
 			h.Write(b[:])
 		}

@@ -18,7 +18,7 @@ func BenchmarkEvalRows(b *testing.B) {
 	e := expr.MustCompile("(Duration + log1p(Campaign)) / (Pdays + max(Previous, 0) + 1)")
 	cols := make(map[string][]float64)
 	for _, v := range e.Vars() {
-		cols[v] = d.Frame.Column(v).Nums
+		cols[v] = d.Frame.Column(v).Floats()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -111,7 +111,7 @@ func NewSelector(f *dataframe.Frame, kept []string, dummySource map[string]int, 
 // keep adds col to the kept set.
 func (s *Selector) keep(col *dataframe.Series) {
 	if s.opts.MaxAbsCorrelation > 0 && col.Kind == dataframe.Numeric {
-		s.kept = append(s.kept, newMoments(col.Name, col.Nums))
+		s.kept = append(s.kept, newMoments(col.Name, col.Floats()))
 	}
 }
 
@@ -146,7 +146,7 @@ func (s *Selector) reason(col *dataframe.Series) string {
 		}
 	}
 	if opts.MaxAbsCorrelation > 0 && col.Kind == dataframe.Numeric {
-		m := newMoments(col.Name, col.Nums)
+		m := newMoments(col.Name, col.Floats())
 		for _, other := range s.kept {
 			if other.name == col.Name {
 				continue

@@ -204,6 +204,9 @@ func (s *Simulated) answerSampleBinary(f promptFields) (string, error) {
 			}
 		}
 	}
+	if len(cands) == 0 {
+		return "", fmt.Errorf("fm: no numeric attribute pair to combine")
+	}
 	weights := make([]float64, len(cands))
 	for i, c := range cands {
 		weights[i] = c.w

@@ -941,7 +941,7 @@ func TestConcurrentRowLevelSpeedup(t *testing.T) {
 		idx[i] = i % f.Len()
 	}
 	big := f.Take(idx)
-	ages := big.Column("Age").Nums
+	ages := big.Column("Age").Floats()
 	for i := range ages {
 		ages[i] = float64(20 + i)
 	}

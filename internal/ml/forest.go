@@ -152,15 +152,19 @@ func (f *Forest) fit(X *Matrix, y []int, presort *forestPresort) {
 }
 
 // PredictProba implements Classifier: the mean of per-tree leaf frequencies.
+// Each tree's leaf probability is added straight into out, tree by tree,
+// so a row sums its trees in order without a slice per tree.
 func (f *Forest) PredictProba(X *Matrix) []float64 {
 	out := make([]float64, X.Rows())
 	if !f.fitted {
 		return out
 	}
 	for _, t := range f.trees {
-		p := t.PredictProba(X)
-		for i, v := range p {
-			out[i] += v
+		if !t.fitted || len(t.nodes) == 0 {
+			continue // Tree.PredictProba's zeros add nothing
+		}
+		for i := range out {
+			out[i] += t.predictRow(X, i)
 		}
 	}
 	for i := range out {
