@@ -22,8 +22,12 @@ PKGS := ./...
 # BenchmarkGetDummies one-hot encodes the same eight columns at SMARTFEAT's
 # cap of 10 levels; its B/op is the indicators' on/off tables, since an
 # indicator reads its source's codes instead of holding a float64 a row.
-KERNEL_BENCH := BenchmarkTreeFit|BenchmarkForestFit|BenchmarkExtraTreesFit|BenchmarkHistogramSplit|BenchmarkLogisticFit|BenchmarkMLPFit|BenchmarkMLPPredict|BenchmarkRowsum|BenchmarkLogs|BenchmarkMatrixTakeRows|BenchmarkColMatrix|BenchmarkDropNANoNulls|BenchmarkSeriesStd|BenchmarkGroupKeys|BenchmarkAgendaRender|BenchmarkEvalRows|BenchmarkCardinality|BenchmarkGroupByTransform|BenchmarkAutoFeatRun|BenchmarkFeaturetoolsRun|BenchmarkEvaluateFrame|BenchmarkLoadDatasets|BenchmarkFactorizeAll|BenchmarkGetDummies
-KERNEL_PKGS := ./internal/ml ./internal/dataframe ./internal/core ./internal/expr ./internal/baselines/autofeat ./internal/baselines/featuretools ./internal/experiments ./internal/datasets
+# BenchmarkSeriesColumn takes the agenda summary of every Bank column, a
+# derived ratio and Bank's indicators: one scan a column for cardinality and
+# range; its B/op is the distinct tables, which a high-cardinality column
+# sizes from its first rows instead of doubling through every size.
+KERNEL_BENCH := BenchmarkTreeFit|BenchmarkForestFit|BenchmarkExtraTreesFit|BenchmarkHistogramSplit|BenchmarkLogisticFit|BenchmarkMLPFit|BenchmarkMLPPredict|BenchmarkRowsum|BenchmarkLogs|BenchmarkMatrixTakeRows|BenchmarkColMatrix|BenchmarkDropNANoNulls|BenchmarkSeriesStd|BenchmarkGroupKeys|BenchmarkAgendaRender|BenchmarkEvalRows|BenchmarkCardinality|BenchmarkGroupByTransform|BenchmarkAutoFeatRun|BenchmarkFeaturetoolsRun|BenchmarkEvaluateFrame|BenchmarkLoadDatasets|BenchmarkFactorizeAll|BenchmarkGetDummies|BenchmarkSeriesColumn
+KERNEL_PKGS := ./internal/ml ./internal/dataframe ./internal/core ./internal/expr ./internal/fm ./internal/baselines/autofeat ./internal/baselines/featuretools ./internal/experiments ./internal/datasets
 # The row-level path's benches (one Bank row serialized; a warm pass of
 # cached rows; a cold pass of distinct rows through a fresh caching gateway
 # whose window is GOMAXPROCS) run in the kernel and grid sweeps at

@@ -60,6 +60,9 @@ type Generator struct {
 	RowLevelBudgetUSD float64
 	// RowExamples is how many example rows to complete when skipping.
 	RowExamples int
+	// sources names the data-source suggestions made so far. They add no
+	// column for the frame to hold, so a repeat is caught here.
+	sources map[string]bool
 }
 
 // NewGenerator builds a function generator over the given FM.
@@ -98,6 +101,15 @@ func (g *Generator) Realize(ctx context.Context, f *dataframe.Frame, a *Agenda, 
 	case KindRowLevel:
 		return g.realizeRowLevel(ctx, f, c, out)
 	case KindDataSource:
+		if g.sources[c.Name] {
+			out.Status = StatusFailed
+			out.Detail = fmt.Sprintf("duplicate feature name %q", c.Name)
+			return out
+		}
+		if g.sources == nil {
+			g.sources = make(map[string]bool)
+		}
+		g.sources[c.Name] = true
 		out.Status = StatusDataSource
 		out.Detail = spec.Source
 		if out.Detail == "" {

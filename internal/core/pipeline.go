@@ -123,7 +123,8 @@ func Run(input *dataframe.Frame, opts Options) (*Result, error) {
 // FM interaction, so a deadline or an interrupt aborts in-flight calls. On
 // cancellation it returns the partial Result built so far — with the usage
 // accounting of the spend up to that point — alongside the context's error,
-// letting callers report what an aborted run cost.
+// letting callers report what an aborted run cost. A frame with no rows is
+// refused before the first prompt: there is nothing to construct on.
 func RunContext(ctx context.Context, input *dataframe.Frame, opts Options) (*Result, error) {
 	start := time.Now()
 	opts.applyDefaults()
@@ -132,6 +133,9 @@ func RunContext(ctx context.Context, input *dataframe.Frame, opts Options) (*Res
 	}
 	if !input.Has(opts.Target) {
 		return nil, fmt.Errorf("core: target column %q not in frame", opts.Target)
+	}
+	if input.Len() == 0 {
+		return nil, fmt.Errorf("core: the frame has %d rows, need at least 1", input.Len())
 	}
 	opts.SelectorFM.ResetUsage()
 	opts.GeneratorFM.ResetUsage()

@@ -2,6 +2,7 @@ package dataframe
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"sort"
 	"testing"
@@ -226,7 +227,7 @@ func TestDistinctBitsSpreadsIntegralFloats(t *testing.T) {
 	for e := -1074; e <= 1023; e++ {
 		vals = append(vals, math.Ldexp(1, e))
 	}
-	slots, n := distinctBits(NewNumeric("v", vals))
+	slots, n, _, _ := distinctBits(NewNumeric("v", vals))
 	if want := 20000 + 2098 - 15; n != want { // 2^0..2^14 are among the integers
 		t.Fatalf("distinctBits counts %d keys, want %d", n, want)
 	}
@@ -241,6 +242,59 @@ func TestDistinctBitsSpreadsIntegralFloats(t *testing.T) {
 	}
 	if longest > 100 {
 		t.Fatalf("longest probe run is %d slots over %d keys in %d slots", longest, n, len(slots))
+	}
+}
+
+// TestDistinctBitsGrowth counts columns whose first rows mislead the
+// table's size estimate, against a map: all distinct, evenly drawn from a
+// few thousand values, skewed toward a few values, repeating at first and
+// distinct after, distinct at first and repeating after, with and without
+// nulls. Whatever size the table grows to, the count and Bounds must hold.
+func TestDistinctBitsGrowth(t *testing.T) {
+	const rows = 20000
+	rng := rand.New(rand.NewSource(7))
+	shapes := map[string]func(i int) float64{
+		"distinct": func(i int) float64 { return float64(i) * 0.25 },
+		"even":     func(int) float64 { return float64(rng.Intn(3000)) - 1500 },
+		"skewed":   func(int) float64 { return math.Floor(math.Exp(rng.Float64() * 9)) },
+		"lateDistinct": func(i int) float64 {
+			if i < 3000 {
+				return float64(i % 7)
+			}
+			return float64(i)
+		},
+		"earlyDistinct": func(i int) float64 {
+			if i < 3000 {
+				return float64(i)
+			}
+			return float64(i % 5000)
+		},
+	}
+	for name, value := range shapes {
+		for _, nulls := range []bool{false, true} {
+			vals := make([]float64, rows)
+			for i := range vals {
+				vals[i] = value(i)
+			}
+			s := NewNumeric(name, vals)
+			want := make(map[float64]bool)
+			wlo, whi := math.Inf(1), math.Inf(-1)
+			for i, v := range vals {
+				if nulls && i%3 == 0 {
+					s.SetNull(i)
+					continue
+				}
+				want[v] = true
+				wlo, whi = min(wlo, v), max(whi, v)
+			}
+			slots, n, lo, hi := distinctBits(s)
+			if n != len(want) || lo != wlo || hi != whi {
+				t.Errorf("%s (nulls %v): %d values in [%v, %v], the map %d in [%v, %v]", name, nulls, n, lo, hi, len(want), wlo, whi)
+			}
+			if 2*n > len(slots) {
+				t.Errorf("%s (nulls %v): %d keys in %d slots, over half load", name, nulls, n, len(slots))
+			}
+		}
 	}
 }
 

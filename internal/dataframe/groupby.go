@@ -89,44 +89,114 @@ func aggregate(fn AggFunc, vals []float64) float64 {
 	}
 }
 
-// groupIDs assigns each row the dense id of its composite key over the
-// given columns, numbering groups by first appearance, and returns each
-// group's key. A row whose key is already known costs one map lookup and no
-// allocation; only a group's first row allocates its key.
-func (f *Frame) groupIDs(groupCols []string) (ids []int, keys []string, err error) {
+// groupIDs numbers each row's composite key over the given columns by
+// first appearance and returns the ids and the number of groups. Each
+// column numbers its own rows first (see groupAtoms); every further column
+// then numbers the pairs of the key so far and its own id, so the last
+// numbering is of the whole key. No key is ever formatted.
+func (f *Frame) groupIDs(groupCols []string) (ids []int32, groups int, err error) {
 	cols := make([]*Series, len(groupCols))
 	for j, n := range groupCols {
 		c := f.Column(n)
 		if c == nil {
-			return nil, nil, fmt.Errorf("dataframe: no group column %q", n)
+			return nil, 0, fmt.Errorf("dataframe: no group column %q", n)
 		}
 		cols[j] = c
 	}
-	ids = make([]int, f.Len())
-	index := make(map[string]int)
-	buf := make([]byte, 0, 64)
-	for i := range ids {
-		buf = buf[:0]
-		for j, c := range cols {
-			if j > 0 {
-				buf = append(buf, '\x1f')
+	if len(cols) == 0 {
+		return make([]int32, f.Len()), min(f.Len(), 1), nil
+	}
+	ids, groups = cols[0].groupAtoms()
+	for _, c := range cols[1:] {
+		atoms, n := c.groupAtoms()
+		groups = pairIDs(ids, groups, atoms, n)
+	}
+	return ids, groups, nil
+}
+
+// groupAtoms numbers the rows of s by first appearance of their group-by
+// atom: a categorical row's code, a numeric row's float bits (every NaN
+// folded to one pattern, −0 apart from +0, as %g prints them), and a null,
+// which is an atom of its own. A categorical column renumbers its codes
+// through a slice indexed by code.
+func (s *Series) groupAtoms() (ids []int32, n int) {
+	ids = make([]int32, s.Len())
+	if s.Kind != Numeric {
+		seen := make([]int32, len(s.levels)+1) // id+1 by code; null's is last
+		for i, c := range s.codes {
+			if s.Null != nil && s.Null[i] {
+				c = uint32(len(s.levels))
 			}
-			buf = c.appendKey(buf, i)
+			if seen[c] == 0 {
+				n++
+				seen[c] = int32(n)
+			}
+			ids[i] = seen[c] - 1
 		}
-		id, ok := index[string(buf)]
+		return ids, n
+	}
+	seen := make(map[uint64]int32)
+	null := int32(-1)
+	for i := range ids {
+		if s.IsNull(i) {
+			if null < 0 {
+				null = int32(n)
+				n++
+			}
+			ids[i] = null
+			continue
+		}
+		v := s.Float(i)
+		k := math.Float64bits(v)
+		if v != v {
+			k = nanBits
+		}
+		id, ok := seen[k]
 		if !ok {
-			id = len(keys)
-			keys = append(keys, string(buf))
-			index[keys[id]] = id
+			id = int32(n)
+			seen[k] = id
+			n++
 		}
 		ids[i] = id
 	}
-	return ids, keys, nil
+	return ids, n
+}
+
+// pairIDs renumbers ids, of which there are groups, by first appearance of
+// the pair (ids[i], atoms[i]), where atoms has n ids, and returns how many
+// pairs there are. While every pair fits a table no longer than the rows,
+// it is indexed by pair; otherwise a map numbers them.
+func pairIDs(ids []int32, groups int, atoms []int32, n int) int {
+	next := 0
+	if groups*n <= len(ids) {
+		seen := make([]int32, groups*n) // id+1 by pair
+		for i, a := range atoms {
+			p := int(ids[i])*n + int(a)
+			if seen[p] == 0 {
+				next++
+				seen[p] = int32(next)
+			}
+			ids[i] = seen[p] - 1
+		}
+		return next
+	}
+	seen := make(map[uint64]int32)
+	for i, a := range atoms {
+		p := uint64(ids[i])<<32 | uint64(a)
+		id, ok := seen[p]
+		if !ok {
+			id = int32(next)
+			seen[p] = id
+			next++
+		}
+		ids[i] = id
+	}
+	return next
 }
 
 // groupValues gathers agg's non-null values by group into one flat slice:
 // group g's values are vals[start[g]:start[g+1]], in row order.
-func groupValues(agg *Series, ids []int, groups int) (vals []float64, start []int) {
+func groupValues(agg *Series, ids []int32, groups int) (vals []float64, start []int) {
 	start = make([]int, groups+1)
 	for i, g := range ids {
 		if !agg.IsNull(i) {
@@ -163,12 +233,12 @@ func (f *Frame) GroupByTransform(groupCols []string, aggCol string, fn AggFunc) 
 	if agg.Kind != Numeric {
 		return nil, fmt.Errorf("dataframe: aggregate column %q is not numeric", aggCol)
 	}
-	ids, keys, err := f.groupIDs(groupCols)
+	ids, groups, err := f.groupIDs(groupCols)
 	if err != nil {
 		return nil, err
 	}
-	vals, start := groupValues(agg, ids, len(keys))
-	results := make([]float64, len(keys))
+	vals, start := groupValues(agg, ids, groups)
+	results := make([]float64, groups)
 	for g := range results {
 		if start[g] == start[g+1] {
 			results[g] = math.NaN()

@@ -362,15 +362,27 @@ func TestAggFunctions(t *testing.T) {
 	}
 }
 
+// TestGroupKeyNamespacing holds a two-column key over the numeric 1 and the
+// categorical "1" to the string keys, which namespace a value by its kind:
+// the rows group exactly as those keys group them.
 func TestGroupKeyNamespacing(t *testing.T) {
-	// Numeric 1 and string "1" must not collide as group keys.
 	f := New()
-	_ = f.AddNumeric("n", []float64{1, 1})
-	_ = f.Add(NewCategorical("s", []string{"1", "1"}))
-	_, kn, _ := f.groupIDs([]string{"n"})
-	_, ks, _ := f.groupIDs([]string{"s"})
-	if kn[0] == ks[0] {
-		t.Fatal("numeric and string keys collide")
+	_ = f.AddNumeric("n", []float64{1, 1, 0, 1, 0})
+	_ = f.Add(NewCategorical("s", []string{"1", "0", "1", "1", "0"}))
+	for _, key := range [][]string{{"n", "s"}, {"s", "n"}} {
+		ids, groups, err := f.groupIDs(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, keys := refGroupIDs(f, key)
+		if groups != len(keys) || groups != 4 {
+			t.Fatalf("%v: %d groups, the string keys make %d (want 4)", key, groups, len(keys))
+		}
+		for i := range want {
+			if int(ids[i]) != want[i] {
+				t.Fatalf("%v: ids %v, the string keys number the rows %v", key, ids, want)
+			}
+		}
 	}
 }
 

@@ -187,8 +187,16 @@ func (s *Series) SetNull(i int) {
 // NullCount returns the number of missing rows.
 func (s *Series) NullCount() int {
 	n := 0
-	for i := 0; i < s.Len(); i++ {
-		if s.IsNull(i) {
+	if s.dense() {
+		for i, v := range s.nums {
+			if v != v || s.Null != nil && s.Null[i] {
+				n++
+			}
+		}
+		return n
+	}
+	for _, null := range s.Null {
+		if null {
 			n++
 		}
 	}
@@ -221,23 +229,16 @@ func (s *Series) AppendValue(dst []byte, i int) []byte {
 	return append(dst, s.levels[s.codes[i]]...)
 }
 
-// numStats accumulates count, sum and min/max of the non-null values in a
-// single allocation-free pass. The sum visits values in row order — the same
+// numStats accumulates the count and sum of the non-null values in a single
+// allocation-free pass. The sum visits values in row order — the same
 // accumulation order as summing a gathered valid-values slice — so Mean is
 // bit-identical to the historical two-pass implementation.
 // An indicator's sum is its count of on rows, exact as the row-order sum of
-// its 0s and 1s is, and its bounds follow from whether any row is off or on.
-func (s *Series) numStats() (count int, sum, lo, hi float64) {
-	lo, hi = math.Inf(1), math.Inf(-1)
+// its 0s and 1s is.
+func (s *Series) numStats() (count int, sum float64) {
 	if s.on != nil {
 		off, on := s.onOff()
-		if off > 0 {
-			lo, hi = 0, 0
-		}
-		if on > 0 {
-			lo, hi = min(lo, 1), 1
-		}
-		return off + on, float64(on), lo, hi
+		return off + on, float64(on)
 	}
 	for i, v := range s.nums {
 		if s.IsNull(i) {
@@ -245,14 +246,8 @@ func (s *Series) numStats() (count int, sum, lo, hi float64) {
 		}
 		count++
 		sum += v
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
 	}
-	return count, sum, lo, hi
+	return count, sum
 }
 
 // Mean returns the mean of non-null values of a numeric series (NaN if empty
@@ -261,7 +256,7 @@ func (s *Series) Mean() float64 {
 	if s.Kind != Numeric {
 		return math.NaN()
 	}
-	count, sum, _, _ := s.numStats()
+	count, sum := s.numStats()
 	if count == 0 {
 		return math.NaN()
 	}
@@ -273,7 +268,7 @@ func (s *Series) Std() float64 {
 	if s.Kind != Numeric {
 		return math.NaN()
 	}
-	count, sum, _, _ := s.numStats()
+	count, sum := s.numStats()
 	if count == 0 {
 		return math.NaN()
 	}
@@ -302,10 +297,26 @@ func (s *Series) Std() float64 {
 // Bounds returns the minimum and maximum non-null values from one pass over
 // the column (NaN, NaN if there are none or the series is categorical).
 func (s *Series) Bounds() (lo, hi float64) {
-	if s.Kind != Numeric {
+	switch {
+	case s.Kind != Numeric:
 		return math.NaN(), math.NaN()
+	case s.on != nil:
+		return onOffBounds(s.onOff())
 	}
-	count, _, lo, hi := s.numStats()
+	count := 0
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for i, v := range s.nums {
+		if s.IsNull(i) {
+			continue
+		}
+		count++
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
 	if count == 0 {
 		return math.NaN(), math.NaN()
 	}
@@ -315,27 +326,64 @@ func (s *Series) Bounds() (lo, hi float64) {
 // Cardinality returns the number of distinct non-null values. A numeric
 // column counts distinct values as == does, so −0 and +0 are one value.
 func (s *Series) Cardinality() int {
-	switch {
-	case s.on != nil:
-		off, on := s.onOff()
-		return min(off, 1) + min(on, 1)
-	case s.Kind == Numeric:
-		_, n := distinctBits(s)
-		return n
+	if s.Kind == Numeric {
+		card, _, _ := s.CardinalityBounds()
+		return card
 	}
 	_, n := s.levelCounts()
 	return n
 }
 
-// onOff counts the non-null rows of indicator s that are off and on.
+// CardinalityBounds returns Cardinality and Bounds from one scan of the
+// column: the numbers an agenda line shows for a numeric column.
+func (s *Series) CardinalityBounds() (card int, lo, hi float64) {
+	switch {
+	case s.Kind != Numeric:
+		return s.Cardinality(), math.NaN(), math.NaN()
+	case s.on != nil:
+		off, on := s.onOff()
+		lo, hi = onOffBounds(off, on)
+		return min(off, 1) + min(on, 1), lo, hi
+	}
+	_, card, lo, hi = distinctBits(s)
+	return card, lo, hi
+}
+
+// onOffBounds returns the bounds of an indicator with off rows at 0 and on
+// rows at 1: NaN, NaN if it has neither.
+func onOffBounds(off, on int) (lo, hi float64) {
+	switch {
+	case off > 0 && on > 0:
+		return 0, 1
+	case off > 0:
+		return 0, 0
+	case on > 0:
+		return 1, 1
+	}
+	return math.NaN(), math.NaN()
+}
+
+// onOff counts the non-null rows of indicator s that are off and on. It
+// counts rows by code, then sums the codes that are off and on, so no
+// branch turns on a row's value.
 func (s *Series) onOff() (off, on int) {
-	for i, c := range s.codes {
-		switch {
-		case s.Null != nil && s.Null[i]:
-		case s.on[c] == 1:
-			on++
-		default:
-			off++
+	counts := make([]int, len(s.on))
+	if s.Null == nil {
+		for _, c := range s.codes {
+			counts[c]++
+		}
+	} else {
+		for i, c := range s.codes {
+			if !s.Null[i] {
+				counts[c]++
+			}
+		}
+	}
+	for c, n := range counts {
+		if s.on[c] == 1 {
+			on += n
+		} else {
+			off += n
 		}
 	}
 	return off, on
@@ -360,15 +408,31 @@ func (s *Series) levelCounts() (counts []int, used int) {
 // nanBits is a NaN bit pattern. No key has it, since NaN is null.
 const nanBits = 0x7ff8000000000001
 
-// distinctBits counts the distinct non-null values of dense column s in
-// an open-addressing table of their bit patterns, −0 folded into +0, which
-// doubles at half load. It returns the table, in which a slot holds its key
-// XOR nanBits so that an unused slot reads 0, and the count.
-func distinctBits(s *Series) (slots []uint64, n int) {
+// bigTable is the table size past which a count stops doubling and grows
+// straight to the size the rows seen so far predict for the column.
+const bigTable = 1024
+
+// distinctBits counts the distinct non-null values of dense column s in an
+// open-addressing table of their bit patterns, −0 folded into +0, which
+// grows at half load; a slot holds its key XOR nanBits so that an unused
+// slot reads 0. It returns the table, the count and the column's Bounds.
+// Past bigTable slots a table grows to hold distinctEstimate's prediction,
+// so a high-cardinality column skips the doublings between, and no table
+// is sized by the row count alone.
+func distinctBits(s *Series) (slots []uint64, n int, lo, hi float64) {
 	slots = make([]uint64, 16)
+	lo, hi = math.Inf(1), math.Inf(-1)
+	seen := 0
 	for i, v := range s.nums {
 		if s.IsNull(i) {
 			continue
+		}
+		seen++
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
 		}
 		k := uint64(nanBits) // the key of ±0
 		if v != 0 {
@@ -379,19 +443,42 @@ func distinctBits(s *Series) (slots []uint64, n int) {
 			if slots[j] == 0 {
 				slots[j] = k
 				if n++; 2*n > len(slots) {
-					slots = rehash(slots)
+					size := 2 * len(slots)
+					if size > bigTable {
+						for size < 2*distinctEstimate(n, seen, len(s.nums)-1-i) {
+							size *= 2
+						}
+					}
+					slots = rehash(slots, size)
 				}
 				break
 			}
 		}
 	}
-	return slots, n
+	if n == 0 {
+		return slots, 0, math.NaN(), math.NaN()
+	}
+	return slots, n, lo, hi
 }
 
-// rehash returns the keys of slots in a table twice its size.
-func rehash(slots []uint64) []uint64 {
-	grown := make([]uint64, 2*len(slots))
-	mask := uint64(len(grown) - 1)
+// distinctEstimate predicts a column's distinct values from the n found
+// among its first seen values, with rest rows to go. Values drawn evenly
+// from d distinct ones repeat about seen²/2d times in seen draws, so d is
+// about seen²/2 over the repeats. The estimate never exceeds n+rest; a
+// skewed column repeats more and is underestimated, which costs only the
+// doublings the estimate meant to skip.
+func distinctEstimate(n, seen, rest int) int {
+	most := n + rest
+	if repeats := seen - n; repeats > 0 {
+		return min(most, seen*seen/(2*repeats))
+	}
+	return most
+}
+
+// rehash returns the keys of slots in a table of size slots, a power of two.
+func rehash(slots []uint64, size int) []uint64 {
+	grown := make([]uint64, size)
+	mask := uint64(size - 1)
 	for _, k := range slots {
 		if k == 0 {
 			continue
@@ -450,21 +537,4 @@ func (s *Series) IsConstant() bool {
 		}
 	}
 	return true
-}
-
-// appendKey appends row i's group-by key to buf and returns the extended
-// slice, namespaced by kind so that the numeric 1 and the string "1" do not
-// collide. Appending into a caller-reused buffer replaces the historical
-// fmt.Sprintf-built keys: group-by no longer allocates a formatted string
-// per row (strconv.AppendFloat with 'g'/-1 produces exactly fmt's %g text).
-func (s *Series) appendKey(buf []byte, i int) []byte {
-	if s.IsNull(i) {
-		return append(buf, "\x00null"...)
-	}
-	if s.Kind == Numeric {
-		buf = append(buf, 'n', ':')
-		return strconv.AppendFloat(buf, s.Float(i), 'g', -1, 64)
-	}
-	buf = append(buf, 's', ':')
-	return append(buf, s.levels[s.codes[i]]...)
 }

@@ -53,6 +53,24 @@ func TestEvaluateFrameTooFewRows(t *testing.T) {
 	}
 }
 
+// TestRunContextNoRows holds SMARTFEAT to refusing the 0-row frame DropNA
+// leaves of an all-null table before its first prompt: an error naming the
+// row count, and no call on either model.
+func TestRunContextNoRows(t *testing.T) {
+	f, err := dataframe.ReadCSVString(allNullCSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := pipelineOptions()
+	_, err = core.RunContext(context.Background(), f.DropNA(), opts)
+	if err == nil || !strings.Contains(err.Error(), "0 rows") {
+		t.Fatalf("RunContext on 0 rows: err = %v, want one naming the row count", err)
+	}
+	if s, g := opts.SelectorFM.Usage().Calls, opts.GeneratorFM.Usage().Calls; s != 0 || g != 0 {
+		t.Fatalf("RunContext on 0 rows made %d selector and %d generator calls, want none", s, g)
+	}
+}
+
 // TestRunOneCategoricalFeature holds SMARTFEAT to finishing on a table
 // whose only feature is categorical: the binary family counts its failed
 // samples instead of panicking.
@@ -67,6 +85,38 @@ func TestRunOneCategoricalFeature(t *testing.T) {
 	}
 	if res.Errors[core.OpFamilyBinary] == 0 {
 		t.Fatalf("binary family errors = %v, want the empty pair list to count", res.Errors)
+	}
+}
+
+// TestRunDataSourceOnce holds SMARTFEAT to suggesting a data source once:
+// on the one-categorical table the extractor family samples the same
+// suggestion again, and the repeat is rejected as a duplicate feature is.
+func TestRunDataSourceOnce(t *testing.T) {
+	f, err := dataframe.ReadCSVString(oneCategoricalCSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := pipelineOptions()
+	opts.SamplingBudget = 0 // the default, as the CLI runs it
+	res, err := core.Run(f, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[string]bool)
+	repeats := 0
+	for _, g := range res.Features {
+		name := g.Candidate.Name
+		switch {
+		case g.Status == core.StatusDataSource && seen[name]:
+			t.Fatalf("data source %q suggested twice: %v", name, res.Suggestions())
+		case g.Status == core.StatusDataSource:
+			seen[name] = true
+		case seen[name] && g.Status == core.StatusFailed && strings.Contains(g.Detail, "duplicate"):
+			repeats++
+		}
+	}
+	if len(seen) == 0 || repeats == 0 {
+		t.Fatalf("%d suggestions and %d rejected repeats, want the table to sample a repeat: %+v", len(seen), repeats, res.Features)
 	}
 }
 

@@ -13,7 +13,7 @@ type Expr struct {
 	root Node
 	src  string
 	vars []string // sorted distinct variable names; a name's index is its slot
-	args int      // total call arguments: the size of env.args
+	args int      // total call arguments: the size of a block's args
 }
 
 // Compile parses and validates an expression string.
@@ -58,16 +58,17 @@ func (e *Expr) String() string { return e.root.String() }
 // Vars returns the sorted distinct variable names the expression references.
 func (e *Expr) Vars() []string { return append(make([]string, 0, len(e.vars)), e.vars...) }
 
-// newEnv returns zeroed evaluation state sized for e.
-func (e *Expr) newEnv() *env {
-	return &env{vars: make([]float64, len(e.vars)), args: make([]float64, e.args)}
+// newBlock returns evaluation state sized for e, with no rows yet.
+func (e *Expr) newBlock() *block {
+	return &block{vars: make([][]float64, len(e.vars)), argv: make([][]float64, e.args), args: make([]float64, e.args)}
 }
 
 // EvalRows evaluates the expression for each row of a column-oriented input:
 // cols maps variable name → column slice. All referenced columns must be
 // present and share a length. Rows where any referenced value is NaN produce
-// NaN (null propagation). The columns are resolved to slots once, and each
-// row is evaluated from one reused slot array.
+// NaN (null propagation). The columns are resolved to slots once, and the
+// rows are evaluated blockRows at a time, each node of the tree one loop
+// over the block.
 func (e *Expr) EvalRows(cols map[string][]float64) ([]float64, error) {
 	src := make([][]float64, len(e.vars))
 	n := -1
@@ -83,24 +84,29 @@ func (e *Expr) EvalRows(cols map[string][]float64) ([]float64, error) {
 		}
 		src[s] = col
 	}
-	env := e.newEnv()
+	b := e.newBlock()
 	if n == -1 {
 		// Constant expression: caller decides broadcast length; return a
 		// single value.
-		return []float64{e.root.eval(env)}, nil
+		b.n = 1
+		return []float64{e.root.eval(b, 0)[0]}, nil
 	}
 	out := make([]float64, n)
-rows:
-	for i := range out {
+	for lo := 0; lo < n; lo += blockRows {
+		hi := min(lo+blockRows, n)
+		b.n = hi - lo
 		for s, col := range src {
-			v := col[i]
-			if math.IsNaN(v) {
-				out[i] = math.NaN()
-				continue rows
-			}
-			env.vars[s] = v
+			b.vars[s] = col[lo:hi]
 		}
-		out[i] = e.root.eval(env)
+		dst := out[lo:hi]
+		copy(dst, e.root.eval(b, 0))
+		for _, col := range b.vars {
+			for i, v := range col {
+				if math.IsNaN(v) {
+					dst[i] = math.NaN()
+				}
+			}
+		}
 	}
 	return out, nil
 }

@@ -15,19 +15,20 @@ import (
 	"testing/quick"
 )
 
-// evalMap computes e for one variable binding through the slot evaluator.
-// Missing variables and invalid operations (÷0, log of non-positive, …)
-// yield NaN.
+// evalMap computes e for one variable binding as a one-row block of the
+// slot evaluator, without EvalRows' null short-circuit. Missing variables
+// and invalid operations (÷0, log of non-positive, …) yield NaN.
 func evalMap(e *Expr, vars map[string]float64) float64 {
-	env := e.newEnv()
+	b := e.newBlock()
+	b.n = 1
 	for s, name := range e.vars {
 		v, ok := vars[name]
 		if !ok {
 			v = math.NaN()
 		}
-		env.vars[s] = v
+		b.vars[s] = []float64{v}
 	}
-	return e.root.eval(env)
+	return e.root.eval(b, 0)[0]
 }
 
 func evalConst(t *testing.T, src string) float64 {
@@ -606,6 +607,52 @@ func FuzzEvalRows(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestEvalRowsBlocks holds EvalRows to the map-based tree walk over more
+// rows than one block holds, a last block cut short and a column of one
+// block exactly, with nulls and the evaluator's edge values spread over
+// every block, so no register or argument carries from one block into the
+// next.
+func TestEvalRowsBlocks(t *testing.T) {
+	sources := []string{
+		"a", "2024", "-a", "a / (b - 1)", "(a + log1p(b)) / (c + max(a, 0) + 1)",
+		"clip(a, b, c) * pow(min(a, 1), max(b, 2)) - -c ^ 0.5",
+		"min(max(a, b), clip(c, a, b)) + exp(a) * round(b) / floor(c)",
+	}
+	for _, rows := range []int{blockRows, 2*blockRows + 7, 5} {
+		r := &fuzzReader{}
+		cols := map[string][]float64{"a": make([]float64, rows), "b": make([]float64, rows), "c": make([]float64, rows)}
+		for i := 0; i < rows; i++ {
+			for _, name := range []string{"a", "b", "c"} {
+				cols[name][i] = r.next()*float64(i%5) + float64(i%3)
+			}
+		}
+		for _, src := range sources {
+			e := MustCompile(src)
+			used := make(map[string][]float64)
+			for _, name := range e.Vars() {
+				used[name] = cols[name]
+			}
+			got, err := e.EvalRows(used)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := rows
+			if len(used) == 0 {
+				n = 1
+			}
+			want := mapEvalRows(e, used, n)
+			if len(got) != len(want) {
+				t.Fatalf("%q over %d rows: %d values, the map walk %d", src, rows, len(got), len(want))
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%q over %d rows: row %d = %v, the map walk gives %v", src, rows, i, got[i], want[i])
+				}
+			}
+		}
+	}
 }
 
 // MustCompile is Compile that panics on error, for known-good literals.

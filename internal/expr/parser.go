@@ -11,25 +11,50 @@ import (
 
 // Node is an expression AST node.
 type Node interface {
-	// eval computes the node's value from the variable slots in env. NaN
-	// propagates.
-	eval(env *env) float64
+	// eval computes the node's value for every row of block b. It returns
+	// register r, written in full, or a variable's rows, which no node
+	// writes. It writes no register below r, so a parent keeps an earlier
+	// operand in one while the next is computed above it. NaN propagates.
+	eval(b *block, r int) []float64
 	// String renders the node back to parseable source.
 	String() string
 }
 
-// env is one evaluation's state: vars holds each variable's value at its
-// slot, and args holds every call node's argument buffer, each at its own
-// offset, so evaluating a row neither looks a name up nor allocates.
-type env struct {
-	vars []float64
+// blockRows is how many rows a block holds: enough that each node's loop
+// runs long, few enough that a tree's registers stay in cache.
+const blockRows = 256
+
+// block is the evaluation state for a run of rows: vars holds each
+// variable's rows at its slot, regs the registers nodes write, and argv and
+// args every call node's evaluated arguments and one row of them, each at
+// its own offset, so evaluating a block neither looks a name up nor, once
+// its registers exist, allocates.
+type block struct {
+	n    int
+	vars [][]float64
+	regs [][]float64
+	argv [][]float64
 	args []float64
+}
+
+// reg returns register r, cut to the block's rows, making it on first use.
+func (b *block) reg(r int) []float64 {
+	for len(b.regs) <= r {
+		b.regs = append(b.regs, make([]float64, blockRows))
+	}
+	return b.regs[r][:b.n]
 }
 
 type numberNode struct{ v float64 }
 
-func (n *numberNode) eval(*env) float64 { return n.v }
-func (n *numberNode) String() string    { return trimFloat(n.v) }
+func (n *numberNode) eval(b *block, r int) []float64 {
+	dst := b.reg(r)
+	for i := range dst {
+		dst[i] = n.v
+	}
+	return dst
+}
+func (n *numberNode) String() string { return trimFloat(n.v) }
 
 // varNode reads its variable's slot. The parser sets slot once the whole
 // expression is read: it is the name's index in the sorted Vars.
@@ -38,7 +63,7 @@ type varNode struct {
 	slot int
 }
 
-func (n *varNode) eval(env *env) float64 { return env.vars[n.slot] }
+func (n *varNode) eval(b *block, _ int) []float64 { return b.vars[n.slot] }
 func (n *varNode) String() string {
 	if isBareIdent(n.name) {
 		return n.name
@@ -51,28 +76,46 @@ type binaryNode struct {
 	left, right Node
 }
 
-func (n *binaryNode) eval(env *env) float64 {
-	l, r := n.left.eval(env), n.right.eval(env)
+func (n *binaryNode) eval(b *block, r int) []float64 {
+	l := n.left.eval(b, r)
+	rt := n.right.eval(b, r+1)
+	dst := b.reg(r)
+	l, rt = l[:len(dst)], rt[:len(dst)]
 	switch n.op {
 	case '+':
-		return l + r
-	case '-':
-		return l - r
-	case '*':
-		return l * r
-	case '/':
-		if r == 0 {
-			// Safe division: SMARTFEAT's function generator guards ÷0 by
-			// producing a null rather than ±Inf (CAAFE's reimplementation
-			// deliberately omits this guard; see baselines/caafe).
-			return math.NaN()
+		for i := range dst {
+			dst[i] = l[i] + rt[i]
 		}
-		return l / r
+	case '-':
+		for i := range dst {
+			dst[i] = l[i] - rt[i]
+		}
+	case '*':
+		for i := range dst {
+			dst[i] = l[i] * rt[i]
+		}
+	case '/':
+		for i := range dst {
+			if rt[i] == 0 {
+				// Safe division: SMARTFEAT's function generator guards ÷0
+				// by producing a null rather than ±Inf (CAAFE's
+				// reimplementation deliberately omits this guard; see
+				// baselines/caafe).
+				dst[i] = math.NaN()
+			} else {
+				dst[i] = l[i] / rt[i]
+			}
+		}
 	case '^':
-		return math.Pow(l, r)
+		for i := range dst {
+			dst[i] = math.Pow(l[i], rt[i])
+		}
 	default:
-		return math.NaN()
+		for i := range dst {
+			dst[i] = math.NaN()
+		}
 	}
+	return dst
 }
 func (n *binaryNode) String() string {
 	return fmt.Sprintf("(%s %c %s)", n.left, n.op, n.right)
@@ -80,12 +123,21 @@ func (n *binaryNode) String() string {
 
 type negNode struct{ inner Node }
 
-func (n *negNode) eval(env *env) float64 { return -n.inner.eval(env) }
-func (n *negNode) String() string        { return "(-" + n.inner.String() + ")" }
+func (n *negNode) eval(b *block, r int) []float64 {
+	x := n.inner.eval(b, r)
+	dst := b.reg(r)
+	x = x[:len(dst)]
+	for i := range dst {
+		dst[i] = -x[i]
+	}
+	return dst
+}
+func (n *negNode) String() string { return "(-" + n.inner.String() + ")" }
 
-// callNode evaluates its arguments into env.args[off:off+len(args)], a
-// region no other call node uses, so nested calls do not overwrite each
-// other's arguments.
+// callNode evaluates argument k into register r+k, keeps the results in
+// b.argv[off:off+len(args)] and applies its function row by row from
+// b.args[off:off+len(args)], regions no other call node uses, so nested
+// calls do not overwrite each other's arguments.
 type callNode struct {
 	name  string
 	apply func(args []float64) float64
@@ -93,12 +145,20 @@ type callNode struct {
 	off   int
 }
 
-func (n *callNode) eval(env *env) float64 {
-	args := env.args[n.off : n.off+len(n.args)]
-	for i, a := range n.args {
-		args[i] = a.eval(env)
+func (n *callNode) eval(b *block, r int) []float64 {
+	argv := b.argv[n.off : n.off+len(n.args)]
+	for k, a := range n.args {
+		argv[k] = a.eval(b, r+k)
 	}
-	return n.apply(args)
+	dst := b.reg(r)
+	args := b.args[n.off : n.off+len(n.args)]
+	for i := range dst {
+		for k, v := range argv {
+			args[k] = v[i]
+		}
+		dst[i] = n.apply(args)
+	}
+	return dst
 }
 func (n *callNode) String() string {
 	parts := make([]string, len(n.args))
@@ -207,7 +267,7 @@ type parser struct {
 	tok    token      // the lookahead
 	lexErr error      // why the token stream ended early, if it did
 	vars   []*varNode // every variable reference, for slot assignment
-	args   int        // call arguments so far: the next call's offset in env.args
+	args   int        // call arguments so far: the next call's offset in a block's args
 	depth  int        // nesting levels entered and not yet left
 	nodes  int        // number, identifier and operator tokens read so far
 }

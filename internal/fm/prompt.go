@@ -23,8 +23,9 @@ const (
 
 // SeriesColumn summarises a frame column as the FM's agenda view: kind,
 // cardinality, range for numerics and up to eight levels for categoricals.
-// An empty description falls back to the column name. Each statistic scans
-// the whole column, so callers summarise a column once and keep the result.
+// An empty description falls back to the column name. A numeric column's
+// cardinality and range come from one scan, a categorical's levels from
+// another; callers summarise a column once and keep the result.
 func SeriesColumn(col *dataframe.Series, description string) AgendaColumn {
 	if description == "" {
 		description = col.Name
@@ -35,8 +36,7 @@ func SeriesColumn(col *dataframe.Series, description string) AgendaColumn {
 		Numeric:     col.Kind == dataframe.Numeric,
 	}
 	if info.Numeric {
-		info.Cardinality = col.Cardinality()
-		info.Min, info.Max = col.Bounds()
+		info.Cardinality, info.Min, info.Max = col.CardinalityBounds()
 	} else {
 		levels := col.Levels()
 		info.Cardinality = len(levels)
