@@ -68,13 +68,14 @@ bench-kernel:
 
 # Grid-engine overhead benches: artifact/manifest (de)serialization, a full
 # 40-cell resume pass, record-shard setup, the FM backend pool's per-call
-# transport overhead, the FM gateway's own per-request cost over a trivial
+# transport overhead (hedging armed, and off, where the primary attempt runs
+# on the caller's goroutine), the FM gateway's own per-request cost over a trivial
 # model (a cache hit must stay at 0 allocs; a miss takes singleflight and
 # upstream), the sharded LRU's hit path, and the telemetry layer's hot paths
 # (a disabled span must stay at 0 allocs; counter increments are one atomic
 # add). Keeps the run engine's fixed costs visible in the perf trajectory
 # (they must stay negligible next to cell compute).
-GRID_BENCH := BenchmarkArtifactWrite|BenchmarkArtifactRead|BenchmarkManifestSave|BenchmarkGridResume|BenchmarkStoreSetShard|BenchmarkLeaseClaim|BenchmarkPoolComplete|BenchmarkGatewayComplete|BenchmarkSpanOverhead|BenchmarkRegistryInc|BenchmarkCacheHit
+GRID_BENCH := BenchmarkArtifactWrite|BenchmarkArtifactRead|BenchmarkManifestSave|BenchmarkGridResume|BenchmarkStoreSetShard|BenchmarkLeaseClaim|BenchmarkPoolComplete|BenchmarkPoolCompleteNoHedge|BenchmarkGatewayComplete|BenchmarkSpanOverhead|BenchmarkRegistryInc|BenchmarkCacheHit
 bench-grid:
 	$(GO) test ./internal/grid ./internal/fmgate ./internal/obs -bench '$(GRID_BENCH)' -benchmem -run xxx -count 3
 	$(GO) test ./internal/fmgate -bench '$(ROW_GRID_BENCH)' -cpu 1,2 -benchmem -run xxx -count 3

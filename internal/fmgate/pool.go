@@ -44,7 +44,10 @@ type PoolOptions struct {
 	// Deadline is the per-call time budget. A call that exceeds it fails
 	// with a transient error (the gateway's retry loop may try again,
 	// likely landing on a different backend), so one stuck backend can
-	// never hold a caller hostage (0 = no budget).
+	// never hold a caller hostage (0 = no budget). Attempts run under the
+	// budget's context: an unhedged call, whose primary runs on the
+	// caller's goroutine, relies on the transport and the model returning
+	// when it ends, as the fault injector's hangs and every model here do.
 	Deadline time.Duration
 }
 
@@ -125,7 +128,7 @@ func (p *Pool) ResetUsage() { p.model.ResetUsage() }
 type poolCall struct {
 	prompt string
 	claim  atomic.Bool
-	done   chan struct{}
+	done   chan struct{} // closed on resolve; nil when no hedge can fire
 	text   string
 	err    error
 	won    atomic.Bool // a terminal outcome was returned to the caller
@@ -142,7 +145,9 @@ type attemptResult struct {
 }
 
 // Complete implements fm.Model: pick a backend, optionally hedge, race the
-// transports, fail loudly when every breaker is open.
+// transports, fail loudly when every breaker is open. When no hedge can
+// fire (hedging off, or a single backend) the primary attempt is the call's
+// only one and runs on the caller's goroutine.
 func (p *Pool) Complete(parent context.Context, prompt string) (string, error) {
 	p.calls.Inc()
 	ctx := parent
@@ -160,7 +165,16 @@ func (p *Pool) Complete(parent context.Context, prompt string) (string, error) {
 		return "", e
 	}
 
-	call := &poolCall{prompt: prompt, done: make(chan struct{})}
+	call := &poolCall{prompt: prompt}
+	if p.opts.HedgeAfter <= 0 || len(p.backends) == 1 {
+		r := p.attempt(ctx, parent, primary, probe, false, call)
+		if !r.terminal && ctx.Err() != nil {
+			return "", p.budgetErr(parent, primary)
+		}
+		return r.text, r.err
+	}
+
+	call.done = make(chan struct{})
 	out := make(chan attemptResult, 2)
 	actx1, cancel1 := context.WithCancel(ctx)
 	defer cancel1()
@@ -170,15 +184,12 @@ func (p *Pool) Complete(parent context.Context, prompt string) (string, error) {
 			cancel2()
 		}
 	}()
-	go p.attempt(actx1, parent, primary, probe, false, call, out)
+	go func() { out <- p.attempt(actx1, parent, primary, probe, false, call) }()
 	pending := 1
 
-	var hedgeC <-chan time.Time
-	if p.opts.HedgeAfter > 0 && len(p.backends) > 1 {
-		t := time.NewTimer(p.opts.HedgeAfter)
-		defer t.Stop()
-		hedgeC = t.C
-	}
+	t := time.NewTimer(p.opts.HedgeAfter)
+	defer t.Stop()
+	hedgeC := t.C
 	var hedged *backend
 	var firstErr error
 	hedge := func() {
@@ -191,7 +202,7 @@ func (p *Pool) Complete(parent context.Context, prompt string) (string, error) {
 		p.hedges.Inc()
 		var actx2 context.Context
 		actx2, cancel2 = context.WithCancel(ctx)
-		go p.attempt(actx2, parent, b, prb, true, call, out)
+		go func() { out <- p.attempt(actx2, parent, b, prb, true, call) }()
 		pending++
 	}
 	for {
@@ -224,13 +235,19 @@ func (p *Pool) Complete(parent context.Context, prompt string) (string, error) {
 		case <-hedgeC:
 			hedge()
 		case <-ctx.Done():
-			if parent.Err() != nil {
-				return "", parent.Err()
-			}
-			p.deadlineExceeded.Inc()
-			return "", Transient(fmt.Errorf("fmgate: call exceeded its %s deadline budget on backend %s", p.opts.Deadline, primary.Name))
+			return "", p.budgetErr(parent, primary)
 		}
 	}
+}
+
+// budgetErr is the error of a call whose context ended before an attempt
+// resolved it: the caller's own cancellation, or else the deadline budget.
+func (p *Pool) budgetErr(parent context.Context, primary *backend) error {
+	if err := parent.Err(); err != nil {
+		return err
+	}
+	p.deadlineExceeded.Inc()
+	return Transient(fmt.Errorf("fmgate: call exceeded its %s deadline budget on backend %s", p.opts.Deadline, primary.Name))
 }
 
 // pick selects a backend. Recovery has priority: an open backend whose
@@ -266,10 +283,10 @@ func (p *Pool) pick(exclude *backend) (*backend, bool, bool) {
 	return best, false, true
 }
 
-// attempt runs one backend attempt and reports its outcome. Each attempt is
+// attempt runs one backend attempt and returns its outcome. Each attempt is
 // one fm.attempt span (when tracing): backend name, probe/hedge flags, and
 // whether the transport cleared.
-func (p *Pool) attempt(ctx, parent context.Context, b *backend, probe, hedge bool, call *poolCall, out chan<- attemptResult) {
+func (p *Pool) attempt(ctx, parent context.Context, b *backend, probe, hedge bool, call *poolCall) attemptResult {
 	ctx, span := obs.StartSpan(ctx, "fm.attempt", obs.String("backend", b.Name), obs.Bool("probe", probe), obs.Bool("hedge", hedge))
 	r := p.runAttempt(ctx, parent, b, probe, call)
 	r.backend = b
@@ -281,7 +298,7 @@ func (p *Pool) attempt(ctx, parent context.Context, b *backend, probe, hedge boo
 		}
 		span.End()
 	}
-	out <- r // buffered for every possible attempt; never blocks
+	return r
 }
 
 func (p *Pool) runAttempt(ctx, parent context.Context, b *backend, probe bool, call *poolCall) attemptResult {
@@ -334,7 +351,9 @@ func (p *Pool) verdict(b *backend, probe bool, parent context.Context, call *poo
 func (p *Pool) resolveContent(ctx context.Context, call *poolCall) (string, error) {
 	if call.claim.CompareAndSwap(false, true) {
 		call.text, call.err = p.model.Complete(ctx, call.prompt)
-		close(call.done)
+		if call.done != nil {
+			close(call.done)
+		}
 		return call.text, call.err
 	}
 	select {

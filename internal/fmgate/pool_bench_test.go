@@ -37,3 +37,28 @@ func BenchmarkPoolComplete(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkPoolCompleteNoHedge is BenchmarkPoolComplete with hedging off,
+// the pool's default: no second attempt can fire, so the primary runs on
+// the caller's goroutine and a call starts no goroutine of its own.
+func BenchmarkPoolCompleteNoHedge(b *testing.B) {
+	model := &countingModel{}
+	p, err := NewPool(model, []Backend{
+		{Name: "b1"}, {Name: "b2"}, {Name: "b3"},
+	}, PoolOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := New(p, Options{Concurrency: 16})
+	ctx := context.Background()
+	var seq atomic.Int64
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			prompt := fmt.Sprintf("Task: %s\nprompt-%d", fm.TaskGenerateFunction, seq.Add(1))
+			if _, err := g.Complete(ctx, prompt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

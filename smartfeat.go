@@ -22,13 +22,16 @@ package smartfeat
 
 import (
 	"context"
+	"fmt"
 	"io"
+	"runtime/debug"
 
 	"smartfeat/internal/core"
 	"smartfeat/internal/dataframe"
 	"smartfeat/internal/datasets"
 	"smartfeat/internal/fm"
 	"smartfeat/internal/fmgate"
+	"smartfeat/internal/par"
 )
 
 // Frame is a columnar dataframe (see internal/dataframe for the full API).
@@ -86,16 +89,37 @@ func NewGateway(model FM, opts GatewayOptions) *Gateway {
 	return fmgate.New(model, opts)
 }
 
-// Run executes the SMARTFEAT pipeline on a copy of the frame.
-func Run(f *Frame, opts Options) (*Result, error) {
+// Run executes the SMARTFEAT pipeline on a copy of the frame. A panic
+// does not end the caller's process: see RunContext.
+func Run(f *Frame, opts Options) (res *Result, err error) {
+	defer containPanic(&res, &err)
 	return core.Run(f, opts)
 }
 
 // RunContext is Run with cancellation threaded through every FM call. On
 // cancellation it returns the partial result (with usage accounting of the
-// spend so far) alongside the context's error.
-func RunContext(ctx context.Context, f *Frame, opts Options) (*Result, error) {
+// spend so far) alongside the context's error. A panic on the caller's
+// goroutine — the pipeline's own, an FM's, or one a worker pool of the
+// pipeline re-raises there — is returned as a nil result and an error that
+// starts "panic:" and carries the stack.
+func RunContext(ctx context.Context, f *Frame, opts Options) (res *Result, err error) {
+	defer containPanic(&res, &err)
 	return core.RunContext(ctx, f, opts)
+}
+
+// containPanic, deferred by Run and RunContext, turns a panic into their
+// error. A worker pool's *par.TaskPanic brings the stack of the goroutine
+// that panicked, which is the one reported.
+func containPanic(res **Result, err *error) {
+	v := recover()
+	if v == nil {
+		return
+	}
+	stack := debug.Stack()
+	if tp, ok := v.(*par.TaskPanic); ok {
+		stack = tp.Stack
+	}
+	*res, *err = nil, fmt.Errorf("panic: %v\n%s", v, stack)
 }
 
 // AllOperators enables every operator family.

@@ -114,3 +114,39 @@ func TestFacadeStatuses(t *testing.T) {
 		t.Fatal("AllOperators should enable unary")
 	}
 }
+
+// panickingFM panics on every completion, as a faulty FM client might.
+type panickingFM struct{ smartfeat.FM }
+
+func (panickingFM) Complete(context.Context, string) (string, error) {
+	panic("fm client bug")
+}
+
+// TestFacadeRunContainsPanic checks that a panic in an FM's Complete comes
+// back from Run and RunContext as an error that starts "panic:" and holds
+// the panic value and the stack, instead of ending the caller's process.
+func TestFacadeRunContainsPanic(t *testing.T) {
+	f, err := smartfeat.ReadCSVString(facadeCSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := smartfeat.Options{
+		Target:      "Label",
+		SelectorFM:  panickingFM{smartfeat.NewGPT4Sim(1, 0)},
+		GeneratorFM: panickingFM{smartfeat.NewGPT35Sim(2, 0)},
+	}
+	runs := map[string]func() (*smartfeat.Result, error){
+		"Run":        func() (*smartfeat.Result, error) { return smartfeat.Run(f, opts) },
+		"RunContext": func() (*smartfeat.Result, error) { return smartfeat.RunContext(context.Background(), f, opts) },
+	}
+	for name, run := range runs {
+		res, err := run()
+		if res != nil || err == nil {
+			t.Fatalf("%s = (%v, %v), want a nil result and the panic as an error", name, res, err)
+		}
+		msg := err.Error()
+		if !strings.HasPrefix(msg, "panic: fm client bug\n") || !strings.Contains(msg, "panickingFM.Complete") {
+			t.Fatalf("%s: error %q should start \"panic: fm client bug\" and carry the stack", name, msg)
+		}
+	}
+}

@@ -14,6 +14,17 @@
 // trajectory). FILE must hold the array a previous -append wrote, or not
 // exist yet; its entries are kept unchanged. Each new entry is stamped
 // with the commit, Go version and GOMAXPROCS values it measured.
+//
+// With -compare OLD NEW it reads two saved `go test -bench` outputs instead
+// and prints, for each benchmark in both, the median ns/op of each, their
+// ratio NEW/OLD with a 95 % bootstrap confidence interval over the -count
+// runs (seeded, so one pair of files prints one table), a verdict that
+// calls a change only when the interval leaves 1 out, and the median
+// allocs/op of each:
+//
+//	go test -bench X -count 10 ./pkg > old.txt   # on the parent
+//	go test -bench X -count 10 ./pkg > new.txt   # on the change
+//	go run ./tools/benchjson -compare old.txt new.txt
 package main
 
 import (
@@ -28,7 +39,6 @@ import (
 	"os/exec"
 	"runtime"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -123,17 +133,12 @@ func parseLine(line, pkg string) (Benchmark, bool) {
 // summarize computes the run statistics from one benchmark's per-run
 // ns/op values; vals is sorted in place.
 func summarize(vals []float64) Summary {
-	sort.Float64s(vals)
-	n := len(vals)
-	med := vals[n/2]
-	if n%2 == 0 {
-		med = (vals[n/2-1] + vals[n/2]) / 2
-	}
+	med := median(vals)
 	return Summary{
-		Runs:          n,
+		Runs:          len(vals),
 		MedianNsPerOp: med,
 		MinNsPerOp:    vals[0],
-		MaxNsPerOp:    vals[n-1],
+		MaxNsPerOp:    vals[len(vals)-1],
 	}
 }
 
@@ -173,11 +178,10 @@ func gitCommit(dir string) string {
 	return sha
 }
 
-// run reads `go test -bench` output from in and writes the report (or, with
-// appendPath set, the trajectory it extends) to out, stamped with commit.
-func run(in io.Reader, out io.Writer, appendPath, commit string) error {
-	rep := Report{Commit: commit, GoVersion: runtime.Version(), GOMAXPROCS: []int{},
-		Benchmarks: []Benchmark{}, Summary: map[string]Summary{}}
+// parse reads `go test -bench` output: the header lines and every
+// benchmark result line, in order.
+func parse(in io.Reader) (Report, error) {
+	rep := Report{Benchmarks: []Benchmark{}}
 	pkg := ""
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -199,23 +203,41 @@ func run(in io.Reader, out io.Writer, appendPath, commit string) error {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return fmt.Errorf("read: %w", err)
+		return rep, fmt.Errorf("read: %w", err)
 	}
 	if len(rep.Benchmarks) == 0 {
-		return errors.New("no benchmark lines on stdin")
+		return rep, errors.New("no benchmark lines")
 	}
-	// Summary keys keep go's printed name, suffix included, so a benchmark
-	// run at two GOMAXPROCS values keeps two summaries, and keys line up
-	// with the entries written before names were stored bare.
+	return rep, nil
+}
+
+// key names a benchmark as go printed it, -GOMAXPROCS suffix included, after
+// its package: summary keys, so a benchmark run at two GOMAXPROCS values
+// keeps two summaries, and keys line up with the entries written before
+// names were stored bare.
+func (b Benchmark) key() string {
+	key := b.Name
+	if b.Procs != 1 {
+		key += "-" + strconv.Itoa(b.Procs)
+	}
+	if b.Pkg != "" {
+		key = b.Pkg + "." + key
+	}
+	return key
+}
+
+// run reads `go test -bench` output from in and writes the report (or, with
+// appendPath set, the trajectory it extends) to out, stamped with commit.
+func run(in io.Reader, out io.Writer, appendPath, commit string) error {
+	rep, err := parse(in)
+	if err != nil {
+		return fmt.Errorf("stdin: %w", err)
+	}
+	rep.Commit, rep.GoVersion, rep.GOMAXPROCS = commit, runtime.Version(), []int{}
+	rep.Summary = map[string]Summary{}
 	byName := map[string][]float64{}
 	for _, b := range rep.Benchmarks {
-		key := b.Name
-		if b.Procs != 1 {
-			key += "-" + strconv.Itoa(b.Procs)
-		}
-		if b.Pkg != "" {
-			key = b.Pkg + "." + key
-		}
+		key := b.key()
 		byName[key] = append(byName[key], b.NsPerOp)
 		if !slices.Contains(rep.GOMAXPROCS, b.Procs) {
 			rep.GOMAXPROCS = append(rep.GOMAXPROCS, b.Procs)
@@ -247,8 +269,18 @@ func run(in io.Reader, out io.Writer, appendPath, commit string) error {
 
 func main() {
 	appendPath := flag.String("append", "", "trajectory file to append this report to; the combined array goes to stdout")
+	compareRuns := flag.Bool("compare", false, "compare two saved go test -bench outputs, the arguments OLD and NEW, instead of reading stdin")
 	flag.Parse()
-	if err := run(os.Stdin, os.Stdout, *appendPath, gitCommit(".")); err != nil {
+	var err error
+	switch {
+	case *compareRuns && flag.NArg() == 2:
+		err = compareFiles(flag.Arg(0), flag.Arg(1), os.Stdout)
+	case *compareRuns:
+		err = errors.New("usage: benchjson -compare OLD NEW")
+	default:
+		err = run(os.Stdin, os.Stdout, *appendPath, gitCommit("."))
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
